@@ -4,12 +4,18 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke fuzz-smoke
+.PHONY: ci vet vet-arm64 build test race bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke fuzz-smoke
 
-ci: vet build test race
+ci: vet vet-arm64 build test race
 
 vet:
 	$(GO) vet ./...
+
+# Cross-vet the portable build: internal/tensor's AVX2 kernels are amd64
+# assembly, and every other architecture must still compile its Go
+# fallbacks. Runs offline; go vet's asmdecl check covers the asm frames.
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -25,9 +31,12 @@ bench:
 
 # Quick kernel-iteration loop for the DNN hot path (im2col/GEMM convs,
 # scratch arenas): just the DNN/GEMM micro-benchmarks, with allocation
-# counts. Before/after numbers for PR 2 live in BENCH_PR2.json.
+# counts, then the fused conv kernels per layer shape of the default 8×8
+# net on both SIMD bodies (avx2 and the portable go rows). Before/after
+# numbers for PR 2 live in BENCH_PR2.json; the AVX2 rows in CHANGES.md.
 bench-nn:
 	$(GO) test -bench 'BenchmarkDNN|BenchmarkGemm|BenchmarkIm2col' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkConvFused' -benchmem -run '^$$' ./internal/tensor/
 
 # Quick iteration loop for the simulator hot path (zero-alloc Step/Run:
 # flit pools, head-index queues, routing caches, active-set sparse
@@ -123,9 +132,11 @@ profile-smoke:
 	$(GO) tool pprof -top /tmp/routerless-mutex.pprof > /dev/null
 	$(GO) tool pprof -top /tmp/routerless-block.pprof > /dev/null
 
-# Decoder fuzz smoke: run FuzzTopologyJSON (the nocsim -topo decoder) for a
-# short budget. Input minimization is capped so a new coverage find does
+# Decoder fuzz smoke: run FuzzTopologyJSON (the nocsim -topo decoder) and
+# FuzzUnmarshalModel (the nocexplore -load-model decoder) for a short
+# budget each. Input minimization is capped so a new coverage find does
 # not spend the budget shrinking itself. For a longer run, call go test
 # -fuzz directly.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTopologyJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/topo/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalModel$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/nn/

@@ -5,12 +5,14 @@
 // shape (channels, height, width); training operates on single examples,
 // matching the paper's per-step actor-critic updates.
 //
-// The compute core is kernelized: convolutions run as im2col + cache-
-// blocked GEMM (tensor.Im2col / tensor.GemmNN and friends) and fully
-// connected layers route through the same GEMM kernels. Every layer draws
-// its outputs, gradients, and im2col scratch from an Arena, so steady-state
-// Forward/Backward cycles allocate nothing; the tensors a layer returns are
-// owned by the layer and valid until its next Forward/Backward call.
+// The compute core is kernelized: convolutions run as fused padded-plane
+// kernels (tensor.ConvFwdPad and friends) or, for inference batches and
+// the per-sample backward, as im2col + cache-blocked GEMM (tensor.Im2col /
+// tensor.GemmNN and friends); fully connected layers route through the
+// same GEMM kernels. Every layer draws its outputs, gradients, and conv
+// scratch from an Arena, so steady-state Forward/Backward cycles allocate
+// nothing; the tensors a layer returns are owned by the layer and valid
+// until its next Forward/Backward call.
 package nn
 
 import (
@@ -45,8 +47,9 @@ type Layer interface {
 // ---------------------------------------------------------------------------
 // Conv2D
 
-// Conv2D is a 2-D convolution with stride 1 and zero "same" padding,
-// computed as im2col + GEMM. NaiveForward/NaiveBackward retain the direct
+// Conv2D is a 2-D convolution with stride 1 and zero "same" padding.
+// Forward runs the fused padded-plane kernel (tensor.ConvFwdPad); Backward
+// lowers to im2col + GEMM. NaiveForward/NaiveBackward retain the direct
 // 6-loop formulation as the parity reference.
 type Conv2D struct {
 	InC, OutC, K int
@@ -55,7 +58,9 @@ type Conv2D struct {
 
 	arena *Arena
 	x     *tensor.Tensor // cached input
-	cols  []float64      // im2col(x), kept for Backward
+	pad   []float64      // zero-padded input planes (ConvFwdPad)
+	pout  []float64      // gapped output accumulation row (ConvFwdPad)
+	cols  []float64      // im2col(x), built by Backward
 	dcols []float64
 	out   *tensor.Tensor
 	dx    *tensor.Tensor
@@ -72,10 +77,11 @@ type Conv2D struct {
 	// its scratch is the padded input copy rather than a column matrix.
 	tx    *tensor.Tensor // cached batched input
 	tpad  []float64      // zero-padded input planes, kept for BackwardBatch
-	tpout []float64      // gapped output accumulation row (ConvFwdPad)
+	tpout []float64      // gapped accumulation row (ConvFwdPad, ConvDXPad)
 	tgp   []float64      // zero-padded gradient planes, rebuilt per sample
+	tgT   []float64      // row-interleaved gradient spans (ConvDWPad)
 	trow  []float64      // gathered cols row (ConvDWPad leftover columns)
-	tsrow []float64      // one-output-row scratch (ConvDXPad, outC > 4)
+	tsrow []float64      // gapped grouped-outC scratch (ConvDXPad, outC > 4)
 	tout  *tensor.Tensor
 	tdx   *tensor.Tensor
 }
@@ -93,8 +99,10 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k int) *Conv2D {
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
-// Forward implements Layer: out = W·im2col(x) + b, one GEMM of the
-// (OutC, InC·K·K) weight matrix against the (InC·K·K, H·W) column matrix.
+// Forward implements Layer: out = W∗x + b through tensor.PadPlane +
+// tensor.ConvFwdPad, bit-identical to the lowered W·im2col(x) GEMM but
+// without materializing the (InC·K·K, H·W) column matrix. Like the batched
+// path it needs H·W > 1; the networks never pool below 2×2.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	if len(x.Shape) != 3 || x.Shape[0] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D input shape %v, want (%d,H,W)", x.Shape, c.InC))
@@ -102,12 +110,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	c.x = x
 	h, w := x.Shape[1], x.Shape[2]
 	hw := h * w
-	ickk := c.InC * c.K * c.K
+	hpwp := (h + c.K - 1) * (w + c.K - 1)
 	a := ensureArena(&c.arena)
-	cols := a.slice(&c.cols, ickk*hw)
-	tensor.Im2col(x.Data, c.InC, h, w, c.K, (c.K-1)/2, cols)
+	xp := a.slice(&c.pad, c.InC*hpwp)
+	for ic := 0; ic < c.InC; ic++ {
+		tensor.PadPlane(x.Data[ic*hw:(ic+1)*hw], h, w, c.K, xp[ic*hpwp:(ic+1)*hpwp])
+	}
+	pout := a.slice(&c.pout, (h-1)*(w+c.K-1)+w)
 	out := a.tensorFor(&c.out, c.OutC, h, w)
-	tensor.GemmNN(c.OutC, hw, ickk, c.Weight.W.Data, cols, out.Data, false)
+	tensor.ConvFwdPad(c.Weight.W.Data, c.OutC, c.InC, xp, hpwp, h, w, c.K, out.Data, hw, pout)
 	for oc := 0; oc < c.OutC; oc++ {
 		b := c.Bias.W.Data[oc]
 		if b == 0 {
@@ -122,12 +133,17 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 // Backward implements Layer: dW += dY·im2col(x)ᵀ, db += row-sums of dY,
-// and dX = col2im(Wᵀ·dY), reusing the column matrix cached by Forward.
+// and dX = col2im(Wᵀ·dY), lowering the cached input to its column matrix.
+// Training runs BackwardBatch; this per-sample path is the sequential
+// oracle the batched trainer is tested against.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.x
 	h, w := x.Shape[1], x.Shape[2]
 	hw := h * w
 	ickk := c.InC * c.K * c.K
+	a := ensureArena(&c.arena)
+	cols := a.slice(&c.cols, ickk*hw)
+	tensor.Im2col(x.Data, c.InC, h, w, c.K, (c.K-1)/2, cols)
 	for oc := 0; oc < c.OutC; oc++ {
 		s := 0.0
 		for _, g := range grad.Data[oc*hw : (oc+1)*hw] {
@@ -135,8 +151,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		c.Bias.G.Data[oc] += s
 	}
-	tensor.GemmNT(c.OutC, ickk, hw, grad.Data, c.cols, c.Weight.G.Data, true)
-	a := ensureArena(&c.arena)
+	tensor.GemmNT(c.OutC, ickk, hw, grad.Data, cols, c.Weight.G.Data, true)
 	dcols := a.slice(&c.dcols, ickk*hw)
 	tensor.GemmTN(ickk, hw, c.OutC, c.Weight.W.Data, grad.Data, dcols, false)
 	dx := a.tensorFor(&c.dx, x.Shape...)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"routerless/internal/topo"
 )
 
 // Momentum is SGD with classical momentum, useful for the longer searches
@@ -112,10 +114,38 @@ func MarshalModel(net *PolicyValueNet) ([]byte, error) {
 	return json.Marshal(m)
 }
 
-// UnmarshalModel reconstructs a network from MarshalModel output.
+// maxModelChannels bounds the BaseChannels a model file may declare. The
+// widest network the CLIs build is the paper's (-full-dnn, 16 channels);
+// the bound leaves headroom while keeping the largest acceptable
+// architecture (18×18, 32 channels) to tens of megabytes of weights.
+const maxModelChannels = 32
+
+// checkModelConfig rejects architectures outside the range this repo
+// builds. UnmarshalModel must build the network before it can compare
+// weight counts, so an unchecked Config would let a few bytes of JSON
+// panic NewPolicyValueNet or allocate the N⁴-float input of an enormous
+// NoC. N is bounded like a topology file's side (topo.MaxJSONSide).
+func checkModelConfig(c Config) error {
+	if c.N < 2 || c.N > topo.MaxJSONSide {
+		return fmt.Errorf("nn: model NoC side %d out of range 2..%d", c.N, topo.MaxJSONSide)
+	}
+	if c.BaseChannels < 1 || c.BaseChannels > maxModelChannels {
+		return fmt.Errorf("nn: model base channels %d out of range 1..%d", c.BaseChannels, maxModelChannels)
+	}
+	if c.Pools < 0 {
+		return fmt.Errorf("nn: model pool count %d is negative", c.Pools)
+	}
+	return nil
+}
+
+// UnmarshalModel reconstructs a network from MarshalModel output. It
+// returns an error, never panics, on malformed or out-of-range input.
 func UnmarshalModel(data []byte) (*PolicyValueNet, error) {
 	var m modelJSON
 	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, err
+	}
+	if err := checkModelConfig(m.Config); err != nil {
 		return nil, err
 	}
 	net := NewPolicyValueNet(m.Config, 0)

@@ -161,3 +161,65 @@ func TestUnmarshalModelRejectsWrongLengthRunStats(t *testing.T) {
 		})
 	}
 }
+
+// Model files name the architecture UnmarshalModel builds, so their Config
+// is checked before any allocation sized by it.
+func TestUnmarshalModelRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct{ name, in string }{
+		{"side 1", `{"config":{"N":1,"BaseChannels":4,"Pools":3},"weights":[]}`},
+		{"side 0", `{"config":{"N":0,"BaseChannels":4,"Pools":3},"weights":[]}`},
+		{"side above max", `{"config":{"N":19,"BaseChannels":4,"Pools":3},"weights":[]}`},
+		{"huge side", `{"config":{"N":100000,"BaseChannels":4,"Pools":3},"weights":[]}`},
+		{"zero channels", `{"config":{"N":4,"BaseChannels":0,"Pools":2},"weights":[]}`},
+		{"negative channels", `{"config":{"N":4,"BaseChannels":-3,"Pools":2},"weights":[]}`},
+		{"too many channels", `{"config":{"N":4,"BaseChannels":33,"Pools":2},"weights":[]}`},
+		{"negative pools", `{"config":{"N":4,"BaseChannels":2,"Pools":-1},"weights":[]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := UnmarshalModel([]byte(tc.in)); err == nil {
+				t.Fatalf("accepted %s", tc.in)
+			}
+		})
+	}
+	// The bounds admit every network the CLIs write: the default narrow
+	// net and the paper's full-width one, at the largest searched side.
+	for _, cfg := range []Config{{N: 18, BaseChannels: 4, Pools: 3}, DefaultConfig(18), TestConfig(2)} {
+		if err := checkModelConfig(cfg); err != nil {
+			t.Errorf("rejected %+v: %v", cfg, err)
+		}
+	}
+}
+
+// FuzzUnmarshalModel feeds arbitrary bytes to the decoder nocexplore
+// -load-model uses. It must never panic, and every model it accepts must
+// survive an encode/decode round trip unchanged.
+func FuzzUnmarshalModel(f *testing.F) {
+	seed, err := MarshalModel(NewPolicyValueNet(TestConfig(4), 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"config":{"N":1,"BaseChannels":4,"Pools":3},"weights":[]}`))
+	f.Add([]byte(`{"config":{"N":2,"BaseChannels":1,"Pools":0},"weights":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, err := UnmarshalModel(data)
+		if err != nil {
+			return
+		}
+		enc, err := MarshalModel(net)
+		if err != nil {
+			t.Fatalf("encode accepted model: %v", err)
+		}
+		back, err := UnmarshalModel(enc)
+		if err != nil {
+			t.Fatalf("re-decode of accepted model: %v", err)
+		}
+		again, err := MarshalModel(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(enc) != string(again) {
+			t.Fatal("round trip changed the model")
+		}
+	})
+}

@@ -144,14 +144,19 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDX bool) *tensor.Tensor 
 		}
 	}
 	wpad := w + c.K - 1
+	span := (h-1)*wpad + w
 	lead := c.K - 1 - (c.K-1)/2 // gradient planes lead with the larger border
 	rowBuf := a.slice(&c.trow, hw)
+	gT := a.slice(&c.tgT, (c.OutC&^3)*span)
 	gpad := a.slice(&c.tgp, c.OutC*hpwp)
 	var dx *tensor.Tensor
-	var srow []float64
+	var pacc, srow []float64
 	if needDX {
 		dx = a.tensorFor(&c.tdx, x.Shape...)
-		srow = a.slice(&c.tsrow, w)
+		pacc = a.slice(&c.tpout, span)
+		if c.OutC > 4 {
+			srow = a.slice(&c.tsrow, span)
+		}
 	}
 	// The interior rows of the padded gradient planes, viewed from the first
 	// pixel at stride wpad, are exactly the zero-gapped span ConvDWPad walks.
@@ -162,11 +167,11 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDX bool) *tensor.Tensor 
 		}
 		tensor.ConvDWPad(grad.Data[bi*hw:], nb*hw, gp, hpwp,
 			c.tpad[bi*hpwp:], nb*hpwp,
-			c.OutC, c.InC, h, w, c.K, c.Weight.G.Data, rowBuf)
+			c.OutC, c.InC, h, w, c.K, c.Weight.G.Data, gT, rowBuf)
 		if needDX {
 			tensor.ConvDXPad(c.Weight.W.Data, c.OutC, c.InC,
 				gpad, hpwp, h, w, c.K,
-				dx.Data[bi*hw:], nb*hw, srow)
+				dx.Data[bi*hw:], nb*hw, pacc, srow)
 		}
 	}
 	return dx

@@ -29,8 +29,8 @@ import "fmt"
 //     GemmNT: position of the output column within its jc panel selects the
 //     sequential or the four-lane dot; GemmTN: aligned 4-lane groups over
 //     the reduction dim), all of which these kernels reproduce exactly.
-//     ConvDXPad blocks by output row so the accumulating row stays
-//     cache-resident; per element that changes nothing.
+//     ConvDXPad accumulates one gapped plane per input channel, as
+//     ConvFwdPad does per output channel; per element that changes nothing.
 //
 //  3. Zero terms may be inserted into a chain. ConvDWPad walks the gradient
 //     plane as one (h-1)·wp+w span whose k-1 inter-row gap elements are
@@ -43,13 +43,16 @@ import "fmt"
 //  4. A dcols value's sign of zero never reaches dX (the accumulating dX
 //     element is never -0, and t+(+0) == t+(-0) for such t), which licenses
 //     evaluating the grouped-outC expression straight into dX for outC ≤ 4
-//     and assigning the first group into the outC > 4 scratch row instead
-//     of adding it to a cleared one.
+//     instead of adding it to a cleared dcols element first.
 //
 // The zero-term argument assumes finite inputs: a gap term is av·b with one
 // operand exactly ±0, which is ±0 only when the other operand is finite
 // (0·Inf = NaN). Training data, weights, and gradients are finite by
 // invariant — the lowered path produces garbage on non-finite values anyway.
+//
+// The long inner loops run on the SIMD primitives of simd.go, which
+// vectorize across independent output elements only, so none of the above
+// depends on whether their AVX2 or Go body runs.
 //
 // All kernels require h·w > 1: at h·w == 1 the lowered path would take the
 // GEMM matrix–vector fast paths, whose accumulator patterns differ. The
@@ -125,13 +128,7 @@ func ConvFwdPad(weights []float64, outC, inC int, xp []float64, xpStride int, h,
 			kk := k0
 			for ; kk+3 < k1; kk += 4 {
 				a0, a1, a2, a3 := wrow[kk], wrow[kk+1], wrow[kk+2], wrow[kk+3]
-				p0 := xp[base(kk):][:span]
-				p1 := xp[base(kk+1):][:span]
-				p2 := xp[base(kk+2):][:span]
-				p3 := xp[base(kk+3):][:span]
-				for t := range pp {
-					pp[t] += a0*p0[t] + a1*p1[t] + a2*p2[t] + a3*p3[t]
-				}
+				axpy4(pp, a0, a1, a2, a3, xp[base(kk):], xp[base(kk+1):], xp[base(kk+2):], xp[base(kk+3):])
 			}
 			for ; kk < k1; kk++ {
 				av := wrow[kk]
@@ -156,16 +153,19 @@ func ConvFwdPad(weights []float64, outC, inC int, xp []float64, xpStride int, h,
 // interleaved dot; which flavor an element gets depends only on its column's
 // position within its panel, which this kernel reproduces. The four-wide
 // dots run one long loop over the zero-gapped gradient span gp (gap terms
-// add ±0 — no-ops); the leftover columns gather their cols row into rowBuf
-// (h·w scratch) and run the exact four-lane dot over the compact row, whose
-// lane phase the gapped layout would shift.
+// add ±0 — no-ops): four output rows at a time through dot4x4 over a
+// row-interleaved copy of their spans in gT (scratch, at least
+// (outC&^3)·span long, span = (h-1)·(w+k-1)+w), and the outC%4 remaining
+// rows four columns at a time. The leftover columns gather their cols row
+// into rowBuf (h·w scratch) and run the exact four-lane dot over the compact
+// row, whose lane phase the gapped layout would shift.
 //
 // grad holds outC compact rows of h·w starting at grad[oc*gStride]; gp holds
 // the same gradient rows at stride wp = w+k-1 with exact zeros in the k-1
 // gap elements between rows (the interior view of a PadPlaneLead plane),
 // channel oc starting at gp[oc*gpStride]; xp as in ConvFwdPad; wGrad is the
 // dense (outC, inC·k²) gradient, accumulated.
-func ConvDWPad(grad []float64, gStride int, gp []float64, gpStride int, xp []float64, xpStride int, outC, inC, h, w, k int, wGrad []float64, rowBuf []float64) {
+func ConvDWPad(grad []float64, gStride int, gp []float64, gpStride int, xp []float64, xpStride int, outC, inC, h, w, k int, wGrad []float64, gT, rowBuf []float64) {
 	hw := h * w
 	if hw <= 1 {
 		panic("tensor: ConvDWPad requires h*w > 1")
@@ -174,27 +174,50 @@ func ConvDWPad(grad []float64, gStride int, gp []float64, gpStride int, xp []flo
 	ickk := inC * kk2
 	wp := w + k - 1
 	span := (h-1)*wp + w
+	rows4 := outC &^ 3
 	if len(grad) < (outC-1)*gStride+hw || len(gp) < (outC-1)*gpStride+span ||
 		len(xp) < (inC-1)*xpStride+(h+k-1)*wp ||
-		len(wGrad) < outC*ickk || len(rowBuf) < hw {
+		len(wGrad) < outC*ickk || len(gT) < rows4*span || len(rowBuf) < hw {
 		panic("tensor: ConvDWPad buffer lengths too short")
 	}
 	base := func(r int) int {
 		ic, rem := r/kk2, r%kk2
 		return ic*xpStride + (rem/k)*wp + rem%k
 	}
+	for i := 0; i < rows4; i++ {
+		g := gT[(i&^3)*span:]
+		r := i & 3
+		for t, v := range gp[i*gpStride : i*gpStride+span] {
+			g[4*t+r] = v
+		}
+	}
+	var s [16]float64
 	jc := max(4, 32768/hw)
 	for j0 := 0; j0 < ickk; j0 += jc {
 		j1 := min(j0+jc, ickk)
-		for i := 0; i < outC; i++ {
+		jq := j0 + (j1-j0)&^3 // end of the panel's four-wide columns
+		// The four-wide panel flavor: per element, one accumulator over the
+		// reduction in ascending order, as in GemmNT's panel loop.
+		for i := 0; i < rows4; i += 4 {
+			g := gT[i*span : (i+4)*span]
+			c0 := wGrad[i*ickk : (i+1)*ickk]
+			c1 := wGrad[(i+1)*ickk : (i+2)*ickk]
+			c2 := wGrad[(i+2)*ickk : (i+3)*ickk]
+			c3 := wGrad[(i+3)*ickk : (i+4)*ickk]
+			for j := j0; j < jq; j += 4 {
+				dot4x4(g, xp[base(j):], xp[base(j+1):], xp[base(j+2):], xp[base(j+3):], &s)
+				for c := 0; c < 4; c++ {
+					c0[j+c] += s[4*c]
+					c1[j+c] += s[4*c+1]
+					c2[j+c] += s[4*c+2]
+					c3[j+c] += s[4*c+3]
+				}
+			}
+		}
+		for i := rows4; i < outC; i++ {
 			crow := wGrad[i*ickk : (i+1)*ickk]
 			gprow := gp[i*gpStride : i*gpStride+span]
-			j := j0
-			for ; j+3 < j1; j += 4 {
-				// The four-wide panel flavor: per element, one accumulator
-				// over the reduction in ascending order — four independent
-				// chains interleaved exactly as GemmNT's panel loop, which
-				// is what keeps four FP adds in flight.
+			for j := j0; j < jq; j += 4 {
 				p0 := xp[base(j):][:span]
 				p1 := xp[base(j+1):][:span]
 				p2 := xp[base(j+2):][:span]
@@ -211,11 +234,14 @@ func ConvDWPad(grad []float64, gStride int, gp []float64, gpStride int, xp []flo
 				crow[j+2] += s2
 				crow[j+3] += s3
 			}
-			if j >= j1 {
-				continue
-			}
+		}
+		if jq == j1 {
+			continue
+		}
+		for i := 0; i < outC; i++ {
+			crow := wGrad[i*ickk : (i+1)*ickk]
 			arow := grad[i*gStride : i*gStride+hw]
-			for ; j < j1; j++ {
+			for j := jq; j < j1; j++ {
 				// The leftover flavor: the four-lane interleaved dot. Gather
 				// the cols row once so the lane phase matches the dense
 				// layout even when w is not a multiple of four.
@@ -246,18 +272,22 @@ func ConvDWPad(grad []float64, gStride int, gp []float64, gpStride int, xp []flo
 // GemmTN(inC·k², h·w, outC, weights, grad, dcols, false) followed by
 // Col2im(dcols, ...). It runs col2im as a gather: a dX element's lowered
 // chain is "for r ascending, add the grouped-outC dcols value", and that
-// dcols value lives at a fixed offset in the zero-padded gradient planes —
-// so each w-length dX row accumulates all k² reduction indices of its plane
-// while cache-hot. Positions Col2im would have clipped read pad zeros and
-// add ±0 (no-ops); each grouped value is GemmTN's exact per-element pattern
-// (aligned four-lane groups over outC plus leftover singles), evaluated
-// straight into dX for outC ≤ 4 and via the w-length scratch row srow for
-// outC > 4 (see the package comment for the sign-of-zero licenses).
+// dcols value lives at a fixed offset in the zero-padded gradient planes.
+// Built like ConvFwdPad, each input channel accumulates all k² reduction
+// indices into the gapped scratch row pacc (length ≥ span = (h-1)·(w+k-1)+w,
+// clobbered) in single long sweeps — one per (ic, ky, kx) — whose gap
+// elements collect garbage the final interior copy discards. Positions
+// Col2im would have clipped read pad zeros and add ±0 (no-ops); each grouped
+// value is GemmTN's exact per-element pattern (aligned four-lane groups over
+// outC plus leftover singles), evaluated straight into pacc for outC ≤ 4
+// (fact 4 of the package comment) and summed from +0 in the span-length
+// scratch row srow (needed only for outC > 4) otherwise, as GemmTN sums
+// into its cleared dcols row.
 //
 // gpad holds outC gradient planes padded by PadPlaneLead with
 // lead = k-1-(k-1)/2, plane oc starting at gpad[oc*gpadStride]; dx receives
 // inC compact planes of h·w starting at dx[ic*dxStride], overwritten.
-func ConvDXPad(weights []float64, outC, inC int, gpad []float64, gpadStride int, h, w, k int, dx []float64, dxStride int, srow []float64) {
+func ConvDXPad(weights []float64, outC, inC int, gpad []float64, gpadStride int, h, w, k int, dx []float64, dxStride int, pacc, srow []float64) {
 	hw := h * w
 	if hw <= 1 {
 		panic("tensor: ConvDXPad requires h*w > 1")
@@ -265,93 +295,71 @@ func ConvDXPad(weights []float64, outC, inC int, gpad []float64, gpadStride int,
 	kk2 := k * k
 	ickk := inC * kk2
 	wp := w + k - 1
+	span := (h-1)*wp + w
 	if len(weights) < outC*ickk || len(gpad) < (outC-1)*gpadStride+(h+k-1)*wp ||
-		len(dx) < (inC-1)*dxStride+hw || len(srow) < w {
+		len(dx) < (inC-1)*dxStride+hw || len(pacc) < span || (outC > 4 && len(srow) < span) {
 		panic("tensor: ConvDXPad buffer lengths too short")
 	}
-	sr := srow[:w]
+	pp := pacc[:span]
 	for ic := 0; ic < inC; ic++ {
-		for y := 0; y < h; y++ {
-			drow := dx[ic*dxStride+y*w : ic*dxStride+(y+1)*w]
-			clear(drow)
-			ky, kx := 0, 0
-			for rr := 0; rr < kk2; rr++ {
-				r := ic*kk2 + rr
-				// dcols row r at output row oy = y+pad-ky reads the padded
-				// gradient at plane row oy+lead = y+(k-1)-ky, column offset
-				// pad-kx+lead = (k-1)-kx: always in bounds, zeros where the
-				// lowered path had no contribution.
-				gbase := (y+k-1-ky)*wp + (k - 1 - kx)
-				if kx++; kx == k {
-					kx, ky = 0, ky+1
+		clear(pp)
+		for rr := 0; rr < kk2; rr++ {
+			r := ic*kk2 + rr
+			// dcols row r at output pixel (y, x) reads the padded gradient
+			// at plane row y+(k-1)-ky, column x+(k-1)-kx — gapped position
+			// t = y*wp + x plus gb. Always in bounds, zeros where the
+			// lowered path had no contribution.
+			gb := (k-1-rr/k)*wp + (k - 1 - rr%k)
+			switch {
+			case outC == 1:
+				a0 := weights[r]
+				g0 := gpad[gb:][:span]
+				for t := range pp {
+					pp[t] += a0 * g0[t]
 				}
-				switch {
-				case outC == 1:
-					a0 := weights[r]
-					g0 := gpad[gbase:][:w]
-					for x := range drow {
-						drow[x] += a0 * g0[x]
+			case outC == 2:
+				a0, a1 := weights[r], weights[ickk+r]
+				g0 := gpad[gb:][:span]
+				g1 := gpad[gpadStride+gb:][:span]
+				for t := range pp {
+					pp[t] += a0*g0[t] + a1*g1[t]
+				}
+			case outC == 3:
+				a0, a1, a2 := weights[r], weights[ickk+r], weights[2*ickk+r]
+				g0 := gpad[gb:][:span]
+				g1 := gpad[gpadStride+gb:][:span]
+				g2 := gpad[2*gpadStride+gb:][:span]
+				for t := range pp {
+					pp[t] += a0*g0[t] + a1*g1[t] + a2*g2[t]
+				}
+			case outC == 4:
+				axpy4(pp, weights[r], weights[ickk+r], weights[2*ickk+r], weights[3*ickk+r],
+					gpad[gb:], gpad[gpadStride+gb:], gpad[2*gpadStride+gb:], gpad[3*gpadStride+gb:])
+			default:
+				// GemmTN's aligned four-lane groups over outC, then
+				// leftover singles, summed in sr before joining dX.
+				sr := srow[:span]
+				clear(sr)
+				l := 0
+				for ; l+3 < outC; l += 4 {
+					axpy4(sr, weights[l*ickk+r], weights[(l+1)*ickk+r], weights[(l+2)*ickk+r], weights[(l+3)*ickk+r],
+						gpad[l*gpadStride+gb:], gpad[(l+1)*gpadStride+gb:], gpad[(l+2)*gpadStride+gb:], gpad[(l+3)*gpadStride+gb:])
+				}
+				for ; l < outC; l++ {
+					av := weights[l*ickk+r]
+					grow := gpad[l*gpadStride+gb:][:span]
+					for t := range sr {
+						sr[t] += av * grow[t]
 					}
-				case outC == 2:
-					a0, a1 := weights[r], weights[ickk+r]
-					g0 := gpad[gbase:][:w]
-					g1 := gpad[gpadStride+gbase:][:w]
-					for x := range drow {
-						drow[x] += a0*g0[x] + a1*g1[x]
-					}
-				case outC == 3:
-					a0, a1, a2 := weights[r], weights[ickk+r], weights[2*ickk+r]
-					g0 := gpad[gbase:][:w]
-					g1 := gpad[gpadStride+gbase:][:w]
-					g2 := gpad[2*gpadStride+gbase:][:w]
-					for x := range drow {
-						drow[x] += a0*g0[x] + a1*g1[x] + a2*g2[x]
-					}
-				case outC == 4:
-					a0, a1, a2, a3 := weights[r], weights[ickk+r], weights[2*ickk+r], weights[3*ickk+r]
-					g0 := gpad[gbase:][:w]
-					g1 := gpad[gpadStride+gbase:][:w]
-					g2 := gpad[2*gpadStride+gbase:][:w]
-					g3 := gpad[3*gpadStride+gbase:][:w]
-					for x := range drow {
-						drow[x] += a0*g0[x] + a1*g1[x] + a2*g2[x] + a3*g3[x]
-					}
-				default:
-					// GemmTN's aligned four-lane groups over outC, then
-					// leftover singles. The first group assigns; outC >= 5
-					// here, so it always exists.
-					l := 0
-					for ; l+3 < outC; l += 4 {
-						a0 := weights[l*ickk+r]
-						a1 := weights[(l+1)*ickk+r]
-						a2 := weights[(l+2)*ickk+r]
-						a3 := weights[(l+3)*ickk+r]
-						g0 := gpad[l*gpadStride+gbase:][:w]
-						g1 := gpad[(l+1)*gpadStride+gbase:][:w]
-						g2 := gpad[(l+2)*gpadStride+gbase:][:w]
-						g3 := gpad[(l+3)*gpadStride+gbase:][:w]
-						if l == 0 {
-							for x := range sr {
-								sr[x] = a0*g0[x] + a1*g1[x] + a2*g2[x] + a3*g3[x]
-							}
-						} else {
-							for x := range sr {
-								sr[x] += a0*g0[x] + a1*g1[x] + a2*g2[x] + a3*g3[x]
-							}
-						}
-					}
-					for ; l < outC; l++ {
-						av := weights[l*ickk+r]
-						grow := gpad[l*gpadStride+gbase:][:w]
-						for x := range sr {
-							sr[x] += av * grow[x]
-						}
-					}
-					for x := range drow {
-						drow[x] += sr[x]
-					}
+				}
+				for t := range pp {
+					pp[t] += sr[t]
 				}
 			}
+		}
+		dplane := dx[ic*dxStride : ic*dxStride+hw]
+		for y := 0; y < h; y++ {
+			copy(dplane[y*w:(y+1)*w], pp[y*wp:y*wp+w])
 		}
 	}
 }

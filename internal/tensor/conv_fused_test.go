@@ -93,14 +93,15 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 			// The gapped view ConvDWPad walks is the padded planes' interior.
 			gp := gpad[lead*wp+lead:]
 			rowBuf := make([]float64, hw)
-			ConvDWPad(gs, oStride, gp, gpadStride, xp, xpStride, sz.outC, sz.inC, h, w, k, gotDW, rowBuf)
+			gT := make([]float64, sz.outC*len(pout))
+			ConvDWPad(gs, oStride, gp, gpadStride, xp, xpStride, sz.outC, sz.inC, h, w, k, gotDW, gT, rowBuf)
 			dxStride := hw + 7
 			gotDX := make([]float64, sz.inC*dxStride)
 			for i := range gotDX {
 				gotDX[i] = 1e30 // ConvDXPad must overwrite its planes
 			}
-			srow := make([]float64, w)
-			ConvDXPad(weights, sz.outC, sz.inC, gpad, gpadStride, h, w, k, gotDX, dxStride, srow)
+			srow := make([]float64, len(pout))
+			ConvDXPad(weights, sz.outC, sz.inC, gpad, gpadStride, h, w, k, gotDX, dxStride, pout, srow)
 
 			for oc := 0; oc < sz.outC; oc++ {
 				for i := 0; i < hw; i++ {
@@ -123,4 +124,50 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 			}
 		})
 	}
+}
+
+// benchConvFused runs one fused kernel on every conv layer of the default
+// 8×8 search net, once per SIMD primitive body: the avx2 rows (skipped on
+// hosts without AVX2) and the portable go rows.
+func benchConvFused(b *testing.B, kernel func(o *convOperands)) {
+	rng := rand.New(rand.NewSource(53))
+	for _, s := range defaultNetShapes[8] {
+		o := newConvOperands(rng, s)
+		o.out = make([]float64, max(s.outC, s.inC)*s.h*s.w)
+		o.dw = make([]float64, s.outC*s.inC*s.k*s.k)
+		for _, body := range []string{"avx2", "go"} {
+			b.Run(s.String()+"/"+body, func(b *testing.B) {
+				b.ReportAllocs()
+				run := func() {
+					for i := 0; i < b.N; i++ {
+						kernel(o)
+					}
+				}
+				if body == "go" {
+					forceGo(run)
+					return
+				}
+				requireAVX2(b)
+				run()
+			})
+		}
+	}
+}
+
+func BenchmarkConvFusedFwd(b *testing.B) {
+	benchConvFused(b, func(o *convOperands) {
+		ConvFwdPad(o.weights, o.outC, o.inC, o.xp, o.hpwp, o.h, o.w, o.k, o.out, o.h*o.w, o.pout)
+	})
+}
+
+func BenchmarkConvFusedDW(b *testing.B) {
+	benchConvFused(b, func(o *convOperands) {
+		ConvDWPad(o.grad, o.h*o.w, o.gp, o.hpwp, o.xp, o.hpwp, o.outC, o.inC, o.h, o.w, o.k, o.dw, o.gT, o.rowBuf)
+	})
+}
+
+func BenchmarkConvFusedDX(b *testing.B) {
+	benchConvFused(b, func(o *convOperands) {
+		ConvDXPad(o.weights, o.outC, o.inC, o.gpad, o.hpwp, o.h, o.w, o.k, o.out, o.h*o.w, o.pout, o.srow)
+	})
 }

@@ -67,14 +67,8 @@ func GemmNN(m, n, k int, a, b, c []float64, acc bool) {
 				crow := c[i*n+j0 : i*n+j1]
 				kk := k0
 				for ; kk+3 < k1; kk += 4 {
-					a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-					b0 := b[kk*n+j0 : kk*n+j1]
-					b1 := b[(kk+1)*n+j0 : (kk+1)*n+j1]
-					b2 := b[(kk+2)*n+j0 : (kk+2)*n+j1]
-					b3 := b[(kk+3)*n+j0 : (kk+3)*n+j1]
-					for j := range crow {
-						crow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
+					axpy4(crow, arow[kk], arow[kk+1], arow[kk+2], arow[kk+3],
+						b[kk*n+j0:], b[(kk+1)*n+j0:], b[(kk+2)*n+j0:], b[(kk+3)*n+j0:])
 				}
 				for ; kk < k1; kk++ {
 					av := arow[kk]
