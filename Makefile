@@ -4,9 +4,13 @@
 
 GO ?= go
 
-.PHONY: ci vet vet-arm64 build test race bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke fuzz-smoke
+.PHONY: ci fmt vet vet-arm64 build test race bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke fuzz-smoke
 
-ci: vet vet-arm64 build test race
+ci: fmt vet vet-arm64 build test race
+
+# Every Go file must be gofmt-clean; the step lists offenders and fails.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -29,13 +33,15 @@ race:
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' .
 
-# Quick kernel-iteration loop for the DNN hot path (im2col/GEMM convs,
-# scratch arenas): just the DNN/GEMM micro-benchmarks, with allocation
-# counts, then the fused conv kernels per layer shape of the default 8×8
-# net on both SIMD bodies (avx2 and the portable go rows). Before/after
-# numbers for PR 2 live in BENCH_PR2.json; the AVX2 rows in CHANGES.md.
+# Quick kernel-iteration loop for the DNN hot path (fused padded-plane
+# convs, GEMM, scratch arenas): the DNN/GEMM micro-benchmarks with
+# allocation counts, the conv layer against its naive reference, then the
+# fused conv kernels per layer shape of the default 8×8 net on both SIMD
+# bodies (avx2 and the portable go rows). Baseline numbers live in
+# BENCH_PR2.json; the AVX2 rows in CHANGES.md.
 bench-nn:
-	$(GO) test -bench 'BenchmarkDNN|BenchmarkGemm|BenchmarkIm2col' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkDNN|BenchmarkGemm' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkConvNaive' -benchmem -run '^$$' ./internal/nn/
 	$(GO) test -bench 'BenchmarkConvFused' -benchmem -run '^$$' ./internal/tensor/
 
 # Quick iteration loop for the simulator hot path (zero-alloc Step/Run:
@@ -62,12 +68,11 @@ bench-drl:
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/
 
 # Quick iteration loop for the batched-inference service (internal/infer
-# broker, nn.ForwardBatch + the f32 InferNet, fingerprint-keyed evaluation
-# cache). Runs both precisions side by side: BenchmarkDNNForwardBatch (f64)
-# vs BenchmarkDNNForwardBatchF32 per-sample at B=1/8/32, and broker-routed
-# episodes under f64 vs f32. The PR 7 gate is f32 B=8/32 ns/sample strictly
-# below single-sample f64 Forward on the 8×8 and 10×10 nets. Before/after
-# numbers: BENCH_PR5.json (f64 baseline), BENCH_PR7.json (f64 vs f32).
+# broker, nn.ForwardBatch on the fused conv body, fingerprint-keyed
+# evaluation cache): BenchmarkDNNForwardBatch per-sample at B=1/8/32
+# against single-sample BenchmarkDNNForward, and broker-routed episodes.
+# Baseline numbers live in BENCH_PR5.json; the f32-vs-f64 measurement
+# that retired the float32 engine is in README.md.
 bench-infer:
 	$(GO) test -bench 'BenchmarkDNNForwardBatch|BenchmarkDNNForward$$' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/

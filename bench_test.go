@@ -300,7 +300,7 @@ func BenchmarkDNNForward(b *testing.B) {
 // internal/infer broker runs: one ForwardBatch over B stacked states,
 // reported per batch (divide by B for the per-sample cost against
 // BenchmarkDNNForward). Before/after numbers for PR 5 live in
-// BENCH_PR5.json; the f64-vs-f32 comparison for PR 7 in BENCH_PR7.json.
+// BENCH_PR5.json.
 func BenchmarkDNNForwardBatch(b *testing.B) {
 	for _, n := range []int{4, 8, 10} {
 		for _, bs := range []int{1, 8, 32} {
@@ -332,32 +332,6 @@ func benchStates(n, bs int) [][]float64 {
 		states[s] = in
 	}
 	return states
-}
-
-// BenchmarkDNNForwardBatchF32 is BenchmarkDNNForwardBatch on the float32
-// inference engine (nn.InferNet: quantized weights, folded BatchNorm,
-// depth-blocked scheduling) — the broker's Precision: F32 hot path. The
-// PR 7 gate compares its ns/sample at B=8/32 against single-sample f64
-// Forward on the 8×8 and 10×10 nets (BENCH_PR7.json).
-func BenchmarkDNNForwardBatchF32(b *testing.B) {
-	for _, n := range []int{4, 8, 10} {
-		for _, bs := range []int{1, 8, 32} {
-			b.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n)+"/B"+strconv.Itoa(bs), func(b *testing.B) {
-				net := nn.NewPolicyValueNet(nn.Config{N: n, BaseChannels: 4, Pools: 3}, 1)
-				inf := nn.NewInferNet(net)
-				states := benchStates(n, bs)
-				outs := make([]nn.Output, bs)
-				inf.Warm(bs)
-				inf.ForwardBatch(states, outs) // populate the output slices
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					inf.ForwardBatch(states, outs)
-				}
-				b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(bs)*1e9, "ns/sample")
-			})
-		}
-	}
 }
 
 func BenchmarkDNNTrainStep(b *testing.B) {
@@ -414,33 +388,6 @@ func BenchmarkGemm(b *testing.B) {
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
-}
-
-// BenchmarkIm2colConv pits the im2col+GEMM convolution against the
-// retained naive reference on one mid-sized layer (16→32 channels, 3×3
-// kernel, 32×32 map), forward plus backward.
-func BenchmarkIm2colConv(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	x := tensor.Randn(rng, 1, 16, 32, 32)
-	grad := tensor.Randn(rng, 1, 32, 32, 32)
-	b.Run("gemm", func(b *testing.B) {
-		l := nn.NewConv2D(rng, "c", 16, 32, 3)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l.Forward(x, true)
-			l.Backward(grad)
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		l := nn.NewConv2D(rng, "c", 16, 32, 3)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l.NaiveForward(x)
-			l.NaiveBackward(grad)
-		}
-	})
 }
 
 func BenchmarkGreedyScan(b *testing.B) {

@@ -9,7 +9,7 @@
 //	nocexplore -n 8 -episodes 500 -metrics search.json -events search.jsonl
 //	nocexplore -n 8 -episodes 200 -cpuprofile search.pprof
 //	nocexplore -n 8 -episodes 200 -threads 4 -infer-batch 8
-//	nocexplore -n 8 -episodes 200 -threads 4 -infer-batch 16 -infer-f32 -infer-flush 200us
+//	nocexplore -n 8 -episodes 200 -threads 4 -infer-batch 16 -infer-flush 200us
 package main
 
 import (
@@ -32,7 +32,6 @@ func main() {
 	episodes := flag.Int("episodes", 100, "exploration cycles")
 	threads := flag.Int("threads", 1, "learner threads (§4.6)")
 	inferBatch := flag.Int("infer-batch", 0, "route DNN evaluations through the shared batched-inference broker with this max batch size (0 = per-worker forwards)")
-	inferF32 := flag.Bool("infer-f32", false, "evaluate brokered requests on the float32 inference engine (half the working set, ≤1e-4 relative drift; training stays float64)")
 	inferFlush := flag.Duration("infer-flush", 0, "broker batch top-up window: wait up to this long for more requests before flushing a partial batch (0 = flush on quiescence; longer waits raise batch occupancy but add latency)")
 	epsilon := flag.Float64("epsilon", 0.1, "ε-greedy factor")
 	cpuct := flag.Float64("c", 1.5, "MCTS exploration constant")
@@ -94,7 +93,6 @@ func main() {
 	cfg.Episodes = *episodes
 	cfg.Threads = *threads
 	cfg.InferBatch = *inferBatch
-	cfg.InferF32 = *inferF32
 	cfg.InferFlush = *inferFlush
 	cfg.Epsilon = *epsilon
 	cfg.CPuct = *cpuct
@@ -133,7 +131,6 @@ func main() {
 		manifest.Set("episodes", *episodes)
 		manifest.Set("threads", *threads)
 		manifest.Set("infer_batch", *inferBatch)
-		manifest.Set("infer_f32", *inferF32)
 		manifest.Set("infer_flush", inferFlush.String())
 		manifest.Set("epsilon", *epsilon)
 		manifest.Set("cpuct", *cpuct)

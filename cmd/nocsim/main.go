@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -50,6 +51,10 @@ func main() {
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention pprof profile of the simulation to this file")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine-blocking pprof profile of the simulation to this file")
 	flag.Parse()
+	rateList, err := checkFlags(*meshN, *delay, *warmup, *measure, *rates)
+	if err != nil {
+		fatal(err)
+	}
 
 	var reg *obs.Registry
 	if *metricsPath != "" || *debugAddr != "" || *manifestPath != "" {
@@ -226,14 +231,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var rateList []float64
-	for _, rs := range strings.Split(*rates, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(rs), 64)
-		if err != nil {
-			fatal(err)
-		}
-		rateList = append(rateList, r)
-	}
 	// The sweep points are independent (each builds its own network and
 	// injector with the same seed), so fan them across -j workers; results
 	// land by rate index and are printed/logged in order afterwards, so
@@ -292,6 +289,37 @@ func main() {
 		fmt.Printf("sweep written to %s\n", *csvPath)
 	}
 	writeMetrics()
+}
+
+// checkFlags rejects the numeric flags the simulator cannot run before
+// anything is built, and returns the parsed -rates list. A mesh side is
+// bounded like a topology file's (topo.MaxJSONSide), so -mesh cannot ask
+// for a network too large to allocate.
+func checkFlags(meshN, delay, warmup, measure int, rates string) ([]float64, error) {
+	if meshN != 0 && (meshN < 2 || meshN > topo.MaxJSONSide) {
+		return nil, fmt.Errorf("-mesh %d out of range 2..%d", meshN, topo.MaxJSONSide)
+	}
+	if delay < 0 {
+		return nil, fmt.Errorf("-delay %d is negative", delay)
+	}
+	if warmup < 0 {
+		return nil, fmt.Errorf("-warmup %d is negative", warmup)
+	}
+	if measure < 1 {
+		return nil, fmt.Errorf("-measure %d must be at least 1", measure)
+	}
+	var list []float64
+	for _, rs := range strings.Split(rates, ",") {
+		r, err := strconv.ParseFloat(strings.TrimSpace(rs), 64)
+		if err != nil {
+			return nil, fmt.Errorf("-rates: %v", err)
+		}
+		if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
+			return nil, fmt.Errorf("-rates: %v is not a positive finite injection rate", r)
+		}
+		list = append(list, r)
+	}
+	return list, nil
 }
 
 func fatal(err error) {

@@ -59,27 +59,6 @@ func BenchmarkDRLEpisodeTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkDRLEpisodeBroker is BenchmarkDRLEpisode with evaluations routed
-// through the shared inference broker: four concurrent workers split b.N
-// episodes, their policy/value requests coalesce, batch, and hit the
-// fingerprint-keyed cache. Like BenchmarkDRLEpisode it omits the training
-// step between episodes, so the cache lives across episodes (the search/
-// inference regime); in a training run each weight sync invalidates it.
-// Reports the cache hit rate alongside ns/op. Before/after numbers for
-// PR 5 live in BENCH_PR5.json.
-func BenchmarkDRLEpisodeBroker(b *testing.B) {
-	benchEpisodeBroker(b, false)
-}
-
-// BenchmarkDRLEpisodeBrokerF32 is BenchmarkDRLEpisodeBroker with the
-// broker evaluating on the float32 inference engine — the end-to-end view
-// of the f32 working-set reduction under real coalescing/caching. PR 7's
-// before/after (against BenchmarkDRLEpisodeBroker and the PR 5 baseline)
-// lives in BENCH_PR7.json.
-func BenchmarkDRLEpisodeBrokerF32(b *testing.B) {
-	benchEpisodeBroker(b, true)
-}
-
 // BenchmarkParamServerRoundTrip measures the per-episode parameter exchange
 // at a realistic parameter count: applyAndFetch, which clips, steps, and
 // copies out in one pass, at both the whole-vector and the default chunked
@@ -180,7 +159,15 @@ func BenchmarkDRLSearchThreads(b *testing.B) {
 	}
 }
 
-func benchEpisodeBroker(b *testing.B, f32 bool) {
+// BenchmarkDRLEpisodeBroker is BenchmarkDRLEpisode with evaluations routed
+// through the shared inference broker: four concurrent workers split b.N
+// episodes, their policy/value requests coalesce, batch, and hit the
+// fingerprint-keyed cache. Like BenchmarkDRLEpisode it omits the training
+// step between episodes, so the cache lives across episodes (the search/
+// inference regime); in a training run each weight sync invalidates it.
+// Reports the cache hit rate alongside ns/op. Baseline numbers live in
+// BENCH_PR5.json.
+func BenchmarkDRLEpisodeBroker(b *testing.B) {
 	const workers = 4
 	for _, n := range []int{8, 10} {
 		b.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n), func(b *testing.B) {
@@ -188,7 +175,6 @@ func benchEpisodeBroker(b *testing.B, f32 bool) {
 			cfg.NN = nn.Config{N: n, BaseChannels: 2, Pools: 2}
 			cfg.Threads = workers
 			cfg.InferBatch = 8
-			cfg.InferF32 = f32
 			s := MustNew(cfg)
 			stop := s.startBroker()
 			defer stop()

@@ -74,12 +74,6 @@ type Config struct {
 	// legacy per-worker Forward path (the single-thread determinism
 	// oracle).
 	InferBatch int
-	// InferF32 routes brokered evaluations through the float32 inference
-	// engine (nn.InferNet, re-quantized from the f64 weights on every
-	// sync): about half the inference working set in exchange for ≤1e-4
-	// relative drift on priors and value. Training and the legacy
-	// per-worker path stay f64. Ignored when InferBatch == 0.
-	InferF32 bool
 	// InferFlush, when > 0, is the broker's batch top-up window: after the
 	// first request of a batch arrives the collector waits up to this long
 	// for more before flushing. Zero flushes on quiescence. Longer waits
@@ -165,8 +159,10 @@ type Searcher struct {
 
 // New validates the configuration and builds a searcher.
 func New(cfg Config) (*Searcher, error) {
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("drl: NoC size %d too small", cfg.N)
+	// topo.MaxJSONSide is also the largest N nn.UnmarshalModel accepts, so
+	// every search can save a model it can load back.
+	if cfg.N < 2 || cfg.N > topo.MaxJSONSide {
+		return nil, fmt.Errorf("drl: NoC size %d out of range 2..%d", cfg.N, topo.MaxJSONSide)
 	}
 	if cfg.OverlapCap < 1 {
 		return nil, fmt.Errorf("drl: search requires a node overlapping cap (got %d)", cfg.OverlapCap)
@@ -299,15 +295,10 @@ func (s *Searcher) Run() *Result {
 func (s *Searcher) startBroker() func() {
 	net := nn.NewPolicyValueNet(s.cfg.NN, s.cfg.Seed)
 	net.SetWeights(s.server.snapshot())
-	prec := infer.F64
-	if s.cfg.InferF32 {
-		prec = infer.F32
-	}
 	br := infer.New(infer.Config{
 		Net:       net,
 		Batch:     s.cfg.InferBatch,
 		FlushWait: s.cfg.InferFlush,
-		Precision: prec,
 		Metrics:   s.cfg.Metrics,
 		Trace:     s.cfg.Trace,
 	})

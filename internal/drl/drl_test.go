@@ -30,6 +30,27 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 }
 
+// N is bounded by topo.MaxJSONSide on both sides of the range, so a search
+// never runs on a grid whose saved model nn.UnmarshalModel would reject.
+func TestNewBoundsNoCSize(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{
+		{-1, false},
+		{1, false},
+		{2, true},
+		{topo.MaxJSONSide, true},
+		{topo.MaxJSONSide + 1, false},
+		{40, false},
+	} {
+		_, err := New(DefaultConfig(tc.n, 2*max(tc.n-1, 1)))
+		if (err == nil) != tc.ok {
+			t.Errorf("N=%d: err = %v, want ok=%v", tc.n, err, tc.ok)
+		}
+	}
+}
+
 // TestChooseActionPrunesStaleEdges is the regression test for the stale-edge
 // leak: penalized (never-legal) actions enter the tree through Backup, and a
 // high backed-up return can make such an edge the selection argmax forever.

@@ -36,31 +36,11 @@ type Eval struct {
 	Value       float64
 }
 
-// Precision selects the broker's inference arithmetic.
-type Precision int
-
-const (
-	// F64 (the default) evaluates on the f64 net; brokered results are
-	// byte-identical to direct Forward calls — the oracle path.
-	F64 Precision = iota
-	// F32 evaluates on a float32 shadow (nn.InferNet) quantized from the
-	// f64 net on every weight sync. Half the working set, depth-blocked
-	// batch scheduling, tolerance parity (≤1e-4 rel) instead of byte
-	// identity. Inference-only: the f64 net still holds the authoritative
-	// weights and is what Sync updates.
-	F32
-)
-
 // Config parameterizes a Broker.
 type Config struct {
 	// Net is the dedicated evaluator network. The broker owns it (and its
 	// scratch arena) exclusively after New; nobody else may call into it.
 	Net *nn.PolicyValueNet
-	// Precision selects the evaluation arithmetic (default F64). Under F32
-	// the broker builds a float32 inference shadow of Net; every staged
-	// weight sync is re-quantized into it before the next forward, so f32
-	// evaluations obey the same never-outlive-the-weights protocol.
-	Precision Precision
 	// Batch caps how many requests one forward evaluates (clamped to ≥ 1).
 	Batch int
 	// FlushWait, when > 0, tops up partial batches: after the first request
@@ -106,10 +86,7 @@ type flight struct {
 // Broker is the shared inference service. All methods are safe for
 // concurrent use, except that Close must not race with Submit.
 type Broker struct {
-	net *nn.PolicyValueNet
-	// inferNet is the f32 shadow under Precision: F32 (nil under F64). Only
-	// the evaluation goroutine touches it after New.
-	inferNet  *nn.InferNet
+	net       *nn.PolicyValueNet
 	bmax      int
 	flushWait time.Duration
 	reqCh     chan *request
@@ -180,15 +157,7 @@ func New(cfg Config) *Broker {
 		trace:   cfg.Trace.Shard("infer.broker"),
 		queueTr: cfg.Trace.Shard("infer.queue"),
 	}
-	// Warm the f64 scratch in every mode (a later precision fallback or
-	// debug path must not pay first-batch allocation), and under F32 build
-	// and warm the quantized shadow so the first brokered batch is 0-alloc
-	// on the hot path too.
 	b.net.WarmBatch(b.bmax)
-	if cfg.Precision == F32 {
-		b.inferNet = nn.NewInferNet(b.net)
-		b.inferNet.Warm(b.bmax)
-	}
 	b.wg.Add(1)
 	go b.run()
 	return b
@@ -339,23 +308,15 @@ func (b *Broker) evaluate(batch []*request, states [][]float64, outs []nn.Output
 	// the (weights, generation) pair this batch computes under is
 	// consistent even when Sync races with it.
 	b.mu.Lock()
-	applied := false
 	if b.haveSync {
 		b.net.SetWeights(b.pendingW)
 		if len(b.pendingS) > 0 {
 			b.net.SetStats(b.pendingS)
 		}
 		b.haveSync = false
-		applied = true
 	}
 	gen := b.gen.Load()
 	b.mu.Unlock()
-	// Re-quantize the f32 shadow from the freshly-applied f64 weights. Safe
-	// outside the mutex: only this goroutine mutates the net, Sync() only
-	// stages into pendingW/pendingS.
-	if applied && b.inferNet != nil {
-		b.inferNet.Sync()
-	}
 
 	n := len(batch)
 	now := time.Now()
@@ -369,28 +330,27 @@ func (b *Broker) evaluate(batch []*request, states [][]float64, outs []nn.Output
 		b.queueTr.Record(obs.SpanInferQueueWait, traceNow-wait.Nanoseconds(), traceNow)
 	}
 	fw := b.trace.Start(obs.SpanInferForward)
-	if b.inferNet != nil {
-		b.inferNet.ForwardBatch(states[:n], outs[:n])
-	} else {
-		b.net.ForwardBatch(states[:n], outs[:n])
-	}
+	b.net.ForwardBatch(states[:n], outs[:n])
 	fw.End()
 	b.batches.Inc()
 	b.evaluated.Add(int64(n))
 	b.occupancy.Observe(float64(n))
 
+	// Cache, then retire the flight, then wake its submitters: a submitter
+	// that resubmits the fingerprint as soon as it wakes must find the
+	// result cached (or, with caching off, no finished flight to join).
 	for i, r := range batch {
 		fl := r.fl
 		fl.ev = newEval(&outs[i])
-		close(fl.done)
+		if b.cache.put(fl.fp, fl.ev, gen, &b.gen) {
+			b.evictions.Inc()
+		}
 		b.mu.Lock()
 		if b.pending[fl.fp] == fl {
 			delete(b.pending, fl.fp)
 		}
 		b.mu.Unlock()
-		if b.cache.put(fl.fp, fl.ev, gen, &b.gen) {
-			b.evictions.Inc()
-		}
+		close(fl.done)
 	}
 }
 

@@ -268,3 +268,31 @@ func TestBrokerConcurrentSubmitSyncRace(t *testing.T) {
 		t.Fatalf("no deduplication: %d evaluated for %d requests", st.Evaluated, st.Requests)
 	}
 }
+
+// A submitter woken by its delivered flight may resubmit the fingerprint
+// at once. The broker caches the result and retires the flight before
+// waking anyone, so the resubmit is a cache hit; with caching disabled it
+// is a fresh evaluation. It never joins the finished flight.
+func TestResubmitAfterDeliveryNeverJoinsFinishedFlight(t *testing.T) {
+	const rounds = 1000
+	rng := rand.New(rand.NewSource(9))
+	state := randState(rng, 4)
+	for _, size := range []int{0, -1} {
+		br := New(Config{Net: testNet(9), Batch: 1, CacheSize: size})
+		for i := 0; i < rounds; i++ {
+			fp := "fp-" + strconv.Itoa(i)
+			br.Submit(fp, state)
+			br.Submit(fp, state)
+		}
+		br.Close()
+		st := br.Stats()
+		wantHits, wantEval := int64(rounds), int64(rounds)
+		if size < 0 {
+			wantHits, wantEval = 0, 2*rounds
+		}
+		if st.Coalesced != 0 || st.Hits != wantHits || st.Evaluated != wantEval {
+			t.Errorf("CacheSize %d: stats %+v, want 0 coalesced, %d hits, %d evaluated",
+				size, st, wantHits, wantEval)
+		}
+	}
+}

@@ -219,11 +219,11 @@ func TestStripedMatchesWholeLockTrace(t *testing.T) {
 func TestLockStatsSingleThread(t *testing.T) {
 	tr := NewTree(1.5)
 	a := act(0, 0, 1, 1, topo.Clockwise)
-	tr.Expand("s1", []rl.Action{a}, []float64{1}) // 1 acquisition
-	tr.Expand("s2", []rl.Action{a}, []float64{1}) // 1
+	tr.Expand("s1", []rl.Action{a}, []float64{1})                              // 1 acquisition
+	tr.Expand("s2", []rl.Action{a}, []float64{1})                              // 1
 	tr.Backup([]PathStep{{"s1", a}, {"s2", a}, {"s1", a}}, []float64{1, 2, 3}) // 3
-	tr.Select("s1") // 1
-	tr.Known("s2")  // 1
+	tr.Select("s1")                                                            // 1
+	tr.Known("s2")                                                             // 1
 	ls := tr.LockStats()
 	if ls.Acquires != 7 {
 		t.Fatalf("Acquires = %d, want 7", ls.Acquires)

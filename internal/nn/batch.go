@@ -8,34 +8,26 @@ import (
 )
 
 // Batched inference path. Spatial activations use a channel-major batched
-// layout (C, B, H, W): all B samples of a channel are contiguous, so a
-// batched convolution is one wide GEMM of the (OutC, InC·K·K) weight matrix
-// against the (InC·K·K, B·H·W) column matrix from tensor.Im2colBatch, and
+// layout (C, B, H, W): all B samples of a channel are contiguous, so
 // per-channel layers (BatchNorm, bias add) sweep one contiguous row per
-// channel. Fully connected head layers repack to sample-major (B, features)
-// rows and run tensor.MatVecBatch.
+// channel. Convolutions run the same fused padded-plane body as the
+// per-sample Forward and the batched trainer (Conv2D.forwardPad), one
+// tensor.ConvFwdPad per sample. Fully connected head layers repack to
+// sample-major (B, features) rows and run tensor.MatVecBatch.
 //
 // The path is inference-only: BatchNorm reads running statistics (so
 // samples are independent), and no training caches (ReLU masks, BatchNorm
-// x̂, MaxPool argmax, im2col columns for Backward) are written — that is a
-// real fraction of the per-sample Forward cost. Every per-sample result is
-// bit-identical to Forward on that sample: the conv GEMM's per-element
-// reduction order depends only on the k index (never the column count),
-// MatVecBatch replicates GemmNN's n==1 dot-product order, and the
-// remaining layers are elementwise with unchanged expressions. The legacy
-// Forward therefore stays the determinism oracle for this path.
+// x̂, MaxPool argmax) are written — that is a real fraction of the
+// per-sample Forward cost. Every per-sample result is bit-identical to
+// Forward on that sample: the conv body is shared, MatVecBatch replicates
+// GemmNN's n==1 dot-product order, and the remaining layers are
+// elementwise with unchanged expressions. The legacy Forward therefore
+// stays the determinism oracle for this path.
 //
 // All batch scratch comes from the network's Arena through separate
-// per-layer handles (bout/bcols/bsum …), so a warmed-up ForwardBatch
+// per-layer handles (bout/bpad/bsum …), so a warmed-up ForwardBatch
 // allocates nothing and interleaving with training Forward/Backward on the
 // same net never aliases buffers.
-
-// batchColsBudget bounds, in float64s, the im2col column panel one batched
-// convolution materializes at a time (4 MiB by default). Wide stem
-// convolutions split the batch into chunks under this budget so the GEMM
-// operands stay cache-resident instead of scaling the working set by B; a
-// package variable so tests can force the chunked path.
-var batchColsBudget = 1 << 19
 
 // batchLayer is implemented by every layer that supports the batched
 // inference layout.
@@ -56,49 +48,14 @@ func (s *Sequential) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardBatch implements batchLayer: x is (InC, B, H, W), the result
-// (OutC, B, H, W). The batch is processed in chunks whose column matrix
-// fits batchColsBudget; a full-batch chunk writes its GEMM output directly
-// into the result tensor, partial chunks go through a scatter buffer.
+// (OutC, B, H, W), through forwardPad.
 func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[0] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D batched input shape %v, want (%d,B,H,W)", x.Shape, c.InC))
 	}
 	nb, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	hw := h * w
-	ickk := c.InC * c.K * c.K
-	a := ensureArena(&c.arena)
-	out := a.tensorFor(&c.bout, c.OutC, nb, h, w)
-	chunk := nb
-	if m := batchColsBudget / (ickk * hw); m < chunk {
-		chunk = max(1, m)
-	}
-	cols := a.slice(&c.bcols, ickk*chunk*hw)
-	var tmp []float64
-	if chunk < nb {
-		tmp = a.slice(&c.btmp, c.OutC*chunk*hw)
-	}
-	for s0 := 0; s0 < nb; s0 += chunk {
-		cb := min(chunk, nb-s0)
-		tensor.Im2colBatch(x.Data, c.InC, nb, s0, cb, h, w, c.K, (c.K-1)/2, cols)
-		if cb == nb {
-			tensor.GemmNN(c.OutC, cb*hw, ickk, c.Weight.W.Data, cols, out.Data, false)
-		} else {
-			tensor.GemmNN(c.OutC, cb*hw, ickk, c.Weight.W.Data, cols, tmp, false)
-			for oc := 0; oc < c.OutC; oc++ {
-				copy(out.Data[(oc*nb+s0)*hw:(oc*nb+s0+cb)*hw], tmp[oc*cb*hw:(oc+1)*cb*hw])
-			}
-		}
-	}
-	for oc := 0; oc < c.OutC; oc++ {
-		b := c.Bias.W.Data[oc]
-		if b == 0 {
-			continue
-		}
-		row := out.Data[oc*nb*hw : (oc+1)*nb*hw]
-		for i := range row {
-			row[i] += b
-		}
-	}
+	out := ensureArena(&c.arena).tensorFor(&c.bout, c.OutC, nb, h, w)
+	c.forwardPad(x.Data, nb, h, w, &c.bpad, &c.bpout, out.Data)
 	return out
 }
 

@@ -1,11 +1,12 @@
 package nn
 
-// Tests pinning the im2col + GEMM convolution path against the retained
-// naive reference (NaiveForward/NaiveBackward), checking its gradients by
-// central differences, and guarding the zero-allocation steady state of
-// the whole network.
+// Tests pinning the convolution layer (fused forward, im2col + GEMM
+// backward) against the direct 6-loop reference (naiveForward/
+// naiveBackward), checking its gradients by central differences, and
+// guarding the zero-allocation steady state of the whole network.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -35,6 +36,86 @@ func maxAbsDiffT(a, b *tensor.Tensor) float64 {
 	return d
 }
 
+// naiveForward computes the convolution by direct summation — the
+// reference the fused path is pinned against to 1e-9 — allocating a
+// fresh output tensor. It caches x, so naiveBackward (or Backward) may
+// follow it.
+func (c *Conv2D) naiveForward(x *tensor.Tensor) *tensor.Tensor {
+	if len(x.Shape) != 3 || x.Shape[0] != c.InC {
+		panic(fmt.Sprintf("nn: Conv2D input shape %v, want (%d,H,W)", x.Shape, c.InC))
+	}
+	c.x = x
+	h, w := x.Shape[1], x.Shape[2]
+	pad := (c.K - 1) / 2
+	out := tensor.New(c.OutC, h, w)
+	for oc := 0; oc < c.OutC; oc++ {
+		b := c.Bias.W.Data[oc]
+		for oy := 0; oy < h; oy++ {
+			for ox := 0; ox < w; ox++ {
+				s := b
+				for ic := 0; ic < c.InC; ic++ {
+					for ky := 0; ky < c.K; ky++ {
+						iy := oy + ky - pad
+						if iy < 0 || iy >= h {
+							continue
+						}
+						for kx := 0; kx < c.K; kx++ {
+							ix := ox + kx - pad
+							if ix < 0 || ix >= w {
+								continue
+							}
+							s += c.Weight.W.Data[((oc*c.InC+ic)*c.K+ky)*c.K+kx] *
+								x.Data[(ic*h+iy)*w+ix]
+						}
+					}
+				}
+				out.Data[(oc*h+oy)*w+ox] = s
+			}
+		}
+	}
+	return out
+}
+
+// naiveBackward back-propagates by direct summation from the most recent
+// (naive)Forward, accumulating into Weight.G/Bias.G and returning a fresh
+// dX tensor.
+func (c *Conv2D) naiveBackward(grad *tensor.Tensor) *tensor.Tensor {
+	x := c.x
+	h, w := x.Shape[1], x.Shape[2]
+	pad := (c.K - 1) / 2
+	dx := x.ZerosLike()
+	for oc := 0; oc < c.OutC; oc++ {
+		for oy := 0; oy < h; oy++ {
+			for ox := 0; ox < w; ox++ {
+				g := grad.Data[(oc*h+oy)*w+ox]
+				if g == 0 {
+					continue
+				}
+				c.Bias.G.Data[oc] += g
+				for ic := 0; ic < c.InC; ic++ {
+					for ky := 0; ky < c.K; ky++ {
+						iy := oy + ky - pad
+						if iy < 0 || iy >= h {
+							continue
+						}
+						for kx := 0; kx < c.K; kx++ {
+							ix := ox + kx - pad
+							if ix < 0 || ix >= w {
+								continue
+							}
+							wi := ((oc*c.InC+ic)*c.K+ky)*c.K + kx
+							xi := (ic*h+iy)*w + ix
+							c.Weight.G.Data[wi] += g * x.Data[xi]
+							dx.Data[xi] += g * c.Weight.W.Data[wi]
+						}
+					}
+				}
+			}
+		}
+	}
+	return dx
+}
+
 func TestConvForwardParityWithNaive(t *testing.T) {
 	for _, sh := range convParityShapes {
 		rng := rand.New(rand.NewSource(int64(sh.inC*100 + sh.k)))
@@ -45,7 +126,7 @@ func TestConvForwardParityWithNaive(t *testing.T) {
 		}
 		x := tensor.Randn(rng, 1, sh.inC, sh.h, sh.w)
 		fast := l.Forward(x, true)
-		naive := l.NaiveForward(x)
+		naive := l.naiveForward(x)
 		if fast.Size() != naive.Size() {
 			t.Fatalf("%+v: size %d vs %d", sh, fast.Size(), naive.Size())
 		}
@@ -70,11 +151,11 @@ func TestConvBackwardParityWithNaive(t *testing.T) {
 		dwFast := l.Weight.G.Clone()
 		dbFast := l.Bias.G.Clone()
 
-		l.NaiveForward(x)
+		l.naiveForward(x)
 		for _, p := range l.Params() {
 			p.G.Fill(0)
 		}
-		dxNaive := l.NaiveBackward(grad)
+		dxNaive := l.naiveBackward(grad)
 
 		if d := maxAbsDiffT(dxFast, dxNaive); d > 1e-9 {
 			t.Fatalf("%+v: dX diff %g > 1e-9", sh, d)
@@ -242,4 +323,31 @@ func TestScratchFootprintReported(t *testing.T) {
 	if got := net.Scratch().ScratchFloats(); got != before {
 		t.Fatalf("scratch grew across identical forwards: %d -> %d", before, got)
 	}
+}
+
+// BenchmarkConvNaive pits the production convolution (fused forward,
+// im2col + GEMM backward) against the naive reference on one mid-sized
+// layer (16→32 channels, 3×3 kernel, 32×32 map), forward plus backward.
+func BenchmarkConvNaive(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	x := tensor.Randn(rng, 1, 16, 32, 32)
+	grad := tensor.Randn(rng, 1, 32, 32, 32)
+	b.Run("fast", func(b *testing.B) {
+		l := NewConv2D(rng, "c", 16, 32, 3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.Forward(x, true)
+			l.Backward(grad)
+		}
+	})
+	b.Run("naive", func(b *testing.B) {
+		l := NewConv2D(rng, "c", 16, 32, 3)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.naiveForward(x)
+			l.naiveBackward(grad)
+		}
+	})
 }

@@ -5,14 +5,16 @@
 // shape (channels, height, width); training operates on single examples,
 // matching the paper's per-step actor-critic updates.
 //
-// The compute core is kernelized: convolutions run as fused padded-plane
-// kernels (tensor.ConvFwdPad and friends) or, for inference batches and
-// the per-sample backward, as im2col + cache-blocked GEMM (tensor.Im2col /
-// tensor.GemmNN and friends); fully connected layers route through the
-// same GEMM kernels. Every layer draws its outputs, gradients, and conv
-// scratch from an Arena, so steady-state Forward/Backward cycles allocate
-// nothing; the tensors a layer returns are owned by the layer and valid
-// until its next Forward/Backward call.
+// The compute core is kernelized: every conv forward (per-sample,
+// batched inference, batched training) and the batched backward run the
+// fused padded-plane kernels (tensor.ConvFwdPad and friends); only the
+// per-sample backward, the sequential training oracle, lowers to im2col +
+// cache-blocked GEMM (tensor.Im2col / tensor.GemmNT / tensor.GemmTN).
+// Fully connected layers route through the same GEMM kernels. Every layer
+// draws its outputs, gradients, and conv scratch from an Arena, so
+// steady-state Forward/Backward cycles allocate nothing; the tensors a
+// layer returns are owned by the layer and valid until its next
+// Forward/Backward call.
 package nn
 
 import (
@@ -48,9 +50,8 @@ type Layer interface {
 // Conv2D
 
 // Conv2D is a 2-D convolution with stride 1 and zero "same" padding.
-// Forward runs the fused padded-plane kernel (tensor.ConvFwdPad); Backward
-// lowers to im2col + GEMM. NaiveForward/NaiveBackward retain the direct
-// 6-loop formulation as the parity reference.
+// Every forward runs the fused padded-plane kernel (tensor.ConvFwdPad)
+// through forwardPad; the per-sample Backward lowers to im2col + GEMM.
 type Conv2D struct {
 	InC, OutC, K int
 	Weight       *Param // shape (OutC, InC, K, K)
@@ -66,15 +67,12 @@ type Conv2D struct {
 	dx    *tensor.Tensor
 	// Batched-inference scratch (see batch.go); separate from the training
 	// buffers so ForwardBatch never clobbers state a pending Backward needs.
-	bcols []float64
-	btmp  []float64
+	bpad  []float64
+	bpout []float64
 	bout  *tensor.Tensor
 	// Batched-training scratch (train_batch.go); separate from both the
 	// per-sample training buffers and the inference-batch buffers so an
 	// interleaved ForwardBatch can never clobber a pending BackwardBatch.
-	// The batched train path runs the fused padded-plane kernels
-	// (tensor.ConvFwdPad/ConvDWPad/ConvDXPad) instead of im2col + GEMM, so
-	// its scratch is the padded input copy rather than a column matrix.
 	tx    *tensor.Tensor // cached batched input
 	tpad  []float64      // zero-padded input planes, kept for BackwardBatch
 	tpout []float64      // gapped accumulation row (ConvFwdPad, ConvDXPad)
@@ -99,37 +97,54 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k int) *Conv2D {
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
-// Forward implements Layer: out = W∗x + b through tensor.PadPlane +
-// tensor.ConvFwdPad, bit-identical to the lowered W·im2col(x) GEMM but
-// without materializing the (InC·K·K, H·W) column matrix. Like the batched
-// path it needs H·W > 1; the networks never pool below 2×2.
+// Forward implements Layer: out = W∗x + b, the one-sample case of
+// forwardPad. Like the batched paths it needs H·W > 1; the networks never
+// pool below 2×2.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	if len(x.Shape) != 3 || x.Shape[0] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D input shape %v, want (%d,H,W)", x.Shape, c.InC))
 	}
 	c.x = x
 	h, w := x.Shape[1], x.Shape[2]
+	out := ensureArena(&c.arena).tensorFor(&c.out, c.OutC, h, w)
+	c.forwardPad(x.Data, 1, h, w, &c.pad, &c.pout, out.Data)
+	return out
+}
+
+// forwardPad is the one f64 conv-forward body behind Forward, ForwardBatch
+// and ForwardBatchTrain. x holds nb samples in the channel-major layout
+// (InC, nb, h, w) and out receives (OutC, nb, h, w): the input planes are
+// copied once into zero-padded planes in *pad, each sample runs
+// tensor.ConvFwdPad, and the bias is added. ConvFwdPad is bit-identical
+// to the lowered W·im2col(x) GEMM (tensor's TestConvFusedMatchesLowered)
+// and its per-element reduction order does not depend on nb, so every
+// caller's per-sample result is the same bits. Callers pass their own
+// arena handles for the padded planes and the ConvFwdPad scratch row, so
+// the three paths never share buffers; the batched trainer keeps its
+// padded planes for BackwardBatch.
+func (c *Conv2D) forwardPad(x []float64, nb, h, w int, pad, pout *[]float64, out []float64) {
 	hw := h * w
 	hpwp := (h + c.K - 1) * (w + c.K - 1)
 	a := ensureArena(&c.arena)
-	xp := a.slice(&c.pad, c.InC*hpwp)
-	for ic := 0; ic < c.InC; ic++ {
-		tensor.PadPlane(x.Data[ic*hw:(ic+1)*hw], h, w, c.K, xp[ic*hpwp:(ic+1)*hpwp])
+	xp := a.slice(pad, c.InC*nb*hpwp)
+	for p := 0; p < c.InC*nb; p++ {
+		tensor.PadPlane(x[p*hw:(p+1)*hw], h, w, c.K, xp[p*hpwp:(p+1)*hpwp])
 	}
-	pout := a.slice(&c.pout, (h-1)*(w+c.K-1)+w)
-	out := a.tensorFor(&c.out, c.OutC, h, w)
-	tensor.ConvFwdPad(c.Weight.W.Data, c.OutC, c.InC, xp, hpwp, h, w, c.K, out.Data, hw, pout)
+	row := a.slice(pout, (h-1)*(w+c.K-1)+w)
+	for bi := 0; bi < nb; bi++ {
+		tensor.ConvFwdPad(c.Weight.W.Data, c.OutC, c.InC, xp[bi*hpwp:], nb*hpwp, h, w, c.K,
+			out[bi*hw:], nb*hw, row)
+	}
 	for oc := 0; oc < c.OutC; oc++ {
 		b := c.Bias.W.Data[oc]
 		if b == 0 {
 			continue
 		}
-		row := out.Data[oc*hw : (oc+1)*hw]
-		for i := range row {
-			row[i] += b
+		orow := out[oc*nb*hw : (oc+1)*nb*hw]
+		for i := range orow {
+			orow[i] += b
 		}
 	}
-	return out
 }
 
 // Backward implements Layer: dW += dY·im2col(x)ᵀ, db += row-sums of dY,

@@ -11,8 +11,8 @@ import (
 // path in batch.go. Spatial activations use the same channel-major batched
 // layout (C, B, H, W); fully connected head layers run on sample-major
 // (B, features) rows. Unlike ForwardBatch, every layer writes its training
-// caches (im2col columns, BatchNorm x̂ and per-sample statistics, ReLU
-// masks, MaxPool argmax) so BackwardBatch can back-propagate the whole
+// caches (conv padded input planes, BatchNorm x̂ and per-sample statistics,
+// ReLU masks, MaxPool argmax) so BackwardBatch can back-propagate the whole
 // batch in one pass.
 //
 // Two contracts keep the path exactly equivalent to running the per-sample
@@ -79,45 +79,18 @@ func (s *Sequential) BackwardBatch(grad *tensor.Tensor, needDX bool) *tensor.Ten
 }
 
 // ForwardBatchTrain implements trainBatchLayer: x is (InC, B, H, W), the
-// result (OutC, B, H, W). Unlike the inference batch path, no column matrix
-// is lowered: the input is copied once into zero-padded planes (kept for
-// BackwardBatch) and each sample runs tensor.ConvFwdPad, which is
-// bit-identical to Im2col + GemmNN but touches K²× less memory — at paper
-// scale the cols matrix is megabytes per sample, and eliminating it is
-// where the batched path's speedup over the sequential loop comes from.
+// result (OutC, B, H, W), through forwardPad. The zero-padded input planes
+// stay in tpad for BackwardBatch; no column matrix is lowered — at paper
+// scale it is megabytes per sample, and eliminating it is where the
+// batched trainer's speedup over the sequential loop comes from.
 func (c *Conv2D) ForwardBatchTrain(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[0] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D batched train input shape %v, want (%d,B,H,W)", x.Shape, c.InC))
 	}
 	nb, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
-	hw := h * w
-	hpwp := (h + c.K - 1) * (w + c.K - 1)
-	a := ensureArena(&c.arena)
 	c.tx = x
-	out := a.tensorFor(&c.tout, c.OutC, nb, h, w)
-	xp := a.slice(&c.tpad, c.InC*nb*hpwp)
-	for ic := 0; ic < c.InC; ic++ {
-		for bi := 0; bi < nb; bi++ {
-			plane := (ic*nb + bi)
-			tensor.PadPlane(x.Data[plane*hw:(plane+1)*hw], h, w, c.K, xp[plane*hpwp:(plane+1)*hpwp])
-		}
-	}
-	pout := a.slice(&c.tpout, (h-1)*(w+c.K-1)+w)
-	for bi := 0; bi < nb; bi++ {
-		tensor.ConvFwdPad(c.Weight.W.Data, c.OutC, c.InC,
-			xp[bi*hpwp:], nb*hpwp, h, w, c.K,
-			out.Data[bi*hw:], nb*hw, pout)
-	}
-	for oc := 0; oc < c.OutC; oc++ {
-		b := c.Bias.W.Data[oc]
-		if b == 0 {
-			continue
-		}
-		row := out.Data[oc*nb*hw : (oc+1)*nb*hw]
-		for i := range row {
-			row[i] += b
-		}
-	}
+	out := ensureArena(&c.arena).tensorFor(&c.tout, c.OutC, nb, h, w)
+	c.forwardPad(x.Data, nb, h, w, &c.tpad, &c.tpout, out.Data)
 	return out
 }
 

@@ -132,10 +132,9 @@ func TestBackwardBatchByteIdenticalGradients(t *testing.T) {
 }
 
 // The train path runs the fused padded-plane conv kernels and never lowers
-// a column matrix, so unlike the inference batch path there is no
-// batchColsBudget chunking to exercise; the kernel-level equivalence to the
-// lowered path is pinned by tensor's TestConvFusedMatchesLowered, and the
-// odd-size shapes here (B=5 on a 4×4 grid) cover the partial-group edges.
+// a column matrix; the kernel-level equivalence to the lowered path is
+// pinned by tensor's TestConvFusedMatchesLowered, and the odd-size shapes
+// here (B=5 on a 4×4 grid) cover the partial-group edges.
 func TestTrainBatchFusedConvByteIdentical(t *testing.T) {
 	seq := NewPolicyValueNet(TestConfig(4), 5)
 	bat := NewPolicyValueNet(TestConfig(4), 5)

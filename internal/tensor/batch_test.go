@@ -6,155 +6,6 @@ import (
 	"testing"
 )
 
-// Im2colBatch must reproduce, for every sample in the chunk, exactly the
-// column block Im2col produces for that sample alone — this is the
-// foundation of the batched forward's byte-identity guarantee.
-func TestIm2colBatchMatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const (
-		inC, nb, h, w = 3, 5, 6, 7
-		k             = 3
-		pad           = (k - 1) / 2
-	)
-	hw := h * w
-	ickk := inC * k * k
-	// Channel-major batched input: sample bi of channel ic at (ic*nb+bi)*hw.
-	x := make([]float64, inC*nb*hw)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	single := make([]float64, inC*hw)
-	want := make([]float64, ickk*hw)
-	for s0 := 0; s0 < nb; s0++ {
-		for cb := 1; s0+cb <= nb; cb++ {
-			cols := make([]float64, ickk*cb*hw)
-			Im2colBatch(x, inC, nb, s0, cb, h, w, k, pad, cols)
-			for bi := 0; bi < cb; bi++ {
-				for ic := 0; ic < inC; ic++ {
-					copy(single[ic*hw:(ic+1)*hw], x[(ic*nb+s0+bi)*hw:(ic*nb+s0+bi+1)*hw])
-				}
-				Im2col(single, inC, h, w, k, pad, want)
-				for r := 0; r < ickk; r++ {
-					got := cols[r*cb*hw+bi*hw : r*cb*hw+(bi+1)*hw]
-					for j, v := range got {
-						if v != want[r*hw+j] {
-							t.Fatalf("s0=%d cb=%d sample %d row %d col %d: got %v want %v",
-								s0, cb, bi, r, j, v, want[r*hw+j])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// Col2imBatch must reproduce, for every sample in the chunk, exactly the
-// map Col2im produces from that sample's column block alone — the batched
-// conv backward's dX byte-identity rests on this.
-func TestCol2imBatchMatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const (
-		inC, nb, h, w = 3, 5, 6, 7
-		k             = 3
-		pad           = (k - 1) / 2
-	)
-	hw := h * w
-	ickk := inC * k * k
-	x := make([]float64, inC*nb*hw)
-	single := make([]float64, ickk*hw)
-	want := make([]float64, inC*hw)
-	for s0 := 0; s0 < nb; s0++ {
-		for cb := 1; s0+cb <= nb; cb++ {
-			cols := make([]float64, ickk*cb*hw)
-			for i := range cols {
-				cols[i] = rng.NormFloat64()
-			}
-			// Poison x so the clear inside Col2imBatch is exercised.
-			for i := range x {
-				x[i] = 1e30
-			}
-			Col2imBatch(cols, inC, nb, s0, cb, h, w, k, pad, x)
-			for bi := 0; bi < cb; bi++ {
-				for r := 0; r < ickk; r++ {
-					copy(single[r*hw:(r+1)*hw], cols[r*cb*hw+bi*hw:r*cb*hw+(bi+1)*hw])
-				}
-				Col2im(single, inC, h, w, k, pad, want)
-				for ic := 0; ic < inC; ic++ {
-					got := x[(ic*nb+s0+bi)*hw : (ic*nb+s0+bi+1)*hw]
-					for j, v := range got {
-						if v != want[ic*hw+j] {
-							t.Fatalf("s0=%d cb=%d sample %d chan %d idx %d: got %v want %v",
-								s0, cb, bi, ic, j, v, want[ic*hw+j])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// GemmNTStrided with dense strides (lda = ldb = k) must be bit-identical to
-// GemmNT, and with batched strides it must reproduce per-sample GemmNT
-// calls exactly — the contract that keeps the batched conv dW accumulation
-// byte-identical to the sequential trajectory loop.
-func TestGemmNTStridedMatchesGemmNT(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, sz := range []struct{ m, n, k int }{
-		{2, 81, 37}, {4, 18, 100}, {1, 1, 1}, {16, 144, 256}, {3, 7, 1}, {5, 9, 4096},
-	} {
-		t.Run(strconv.Itoa(sz.m)+"x"+strconv.Itoa(sz.n)+"x"+strconv.Itoa(sz.k), func(t *testing.T) {
-			a := make([]float64, sz.m*sz.k)
-			b := make([]float64, sz.n*sz.k)
-			for i := range a {
-				a[i] = rng.NormFloat64()
-			}
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			want := make([]float64, sz.m*sz.n)
-			got := make([]float64, sz.m*sz.n)
-			for i := range want {
-				want[i] = rng.NormFloat64()
-				got[i] = want[i]
-			}
-			GemmNT(sz.m, sz.n, sz.k, a, b, want, true)
-			GemmNTStrided(sz.m, sz.n, sz.k, a, sz.k, b, sz.k, got, true)
-			for i, v := range got {
-				if v != want[i] {
-					t.Fatalf("dense strides elem %d: got %v want %v", i, v, want[i])
-				}
-			}
-
-			// Strided operands: embed each row at a wider pitch and check
-			// against the dense call.
-			lda, ldb := sz.k+5, sz.k+11
-			as := make([]float64, sz.m*lda)
-			bs := make([]float64, sz.n*ldb)
-			for i := range as {
-				as[i] = 1e30 // poison the gaps
-			}
-			for i := range bs {
-				bs[i] = 1e30
-			}
-			for i := 0; i < sz.m; i++ {
-				copy(as[i*lda:i*lda+sz.k], a[i*sz.k:(i+1)*sz.k])
-			}
-			for j := 0; j < sz.n; j++ {
-				copy(bs[j*ldb:j*ldb+sz.k], b[j*sz.k:(j+1)*sz.k])
-			}
-			clear(got)
-			GemmNTStrided(sz.m, sz.n, sz.k, as, lda, bs, ldb, got, false)
-			clear(want)
-			GemmNT(sz.m, sz.n, sz.k, a, b, want, false)
-			for i, v := range got {
-				if v != want[i] {
-					t.Fatalf("wide strides elem %d: got %v want %v", i, v, want[i])
-				}
-			}
-		})
-	}
-}
-
 // MatVecBatch must be bit-identical, per sample, to GemmNN's n==1
 // matrix–vector fast path (the kernel Dense.Forward uses).
 func TestMatVecBatchMatchesGemmNN(t *testing.T) {

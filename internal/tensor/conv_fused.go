@@ -2,10 +2,11 @@ package tensor
 
 import "fmt"
 
-// Fused (materialization-free) convolution kernels for the batched training
-// path. The im2col formulation moves K²× the input volume through cols/dcols
-// buffers that are megabytes per sample at paper scale; these kernels read a
-// zero-padded copy of the input plane instead, so every value the GEMM would
+// Fused (materialization-free) convolution kernels: ConvFwdPad runs every
+// conv forward in internal/nn, ConvDWPad/ConvDXPad the batched training
+// backward. The im2col formulation moves K²× the input volume through
+// cols/dcols buffers that are megabytes per sample at paper scale; these
+// kernels read a zero-padded copy of the input plane instead, so every value the GEMM would
 // have loaded from a cols row is loaded from the padded plane at a computed
 // offset — the same value, in the same place in the same per-element
 // reduction chain. That makes each kernel bit-identical to its lowered

@@ -3,10 +3,10 @@ package tensor
 import "fmt"
 
 // Cache-blocked f64 GEMM kernels over row-major slices. These back the
-// im2col convolution path in internal/nn; all three transpose variants the
-// conv forward/backward passes need are provided. The kernels write into
-// caller-owned output buffers so steady-state training performs no heap
-// allocation.
+// Dense layers and the per-sample im2col conv backward in internal/nn, and
+// are the lowered oracles the fused conv kernels are pinned to. The
+// kernels write into caller-owned output buffers so steady-state training
+// performs no heap allocation.
 //
 // Blocking: the j (column) dimension is tiled so the C and B panels
 // touched by the inner loops stay cache-resident, and the k (reduction)
@@ -167,77 +167,6 @@ func GemmNT(m, n, k int, a, b, c []float64, acc bool) {
 			}
 			for ; j < j1; j++ {
 				brow := b[j*k : j*k+k]
-				var s0, s1, s2, s3 float64
-				kk := 0
-				for ; kk+3 < k; kk += 4 {
-					s0 += arow[kk] * brow[kk]
-					s1 += arow[kk+1] * brow[kk+1]
-					s2 += arow[kk+2] * brow[kk+2]
-					s3 += arow[kk+3] * brow[kk+3]
-				}
-				s := s0 + s1 + s2 + s3
-				for ; kk < k; kk++ {
-					s += arow[kk] * brow[kk]
-				}
-				crow[j] += s
-			}
-		}
-	}
-}
-
-// GemmNTStrided is GemmNT with explicit row strides: row i of A starts at
-// a[i*lda], row j of B at b[j*ldb] (both rows still contiguous and k long);
-// C is m×n row-major as in GemmNT. The panel structure and per-element
-// accumulator pattern are copied verbatim from GemmNT, so for equal
-// (m, n, k) the result is bit-identical to GemmNT on densely packed
-// operands — this is what lets the batched conv backward accumulate dW one
-// sample at a time, in trajectory order, straight out of the channel-major
-// batched gradient and column matrices (row strides nb·h·w and cb·h·w)
-// while staying byte-identical to the sequential per-step GemmNT calls.
-func GemmNTStrided(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, acc bool) {
-	if lda < k || ldb < k {
-		panic(fmt.Sprintf("tensor: GemmNTStrided strides (%d,%d) below k=%d", lda, ldb, k))
-	}
-	gemmCheck("GemmNTStrided", a, b, c, (m-1)*lda+k, (n-1)*ldb+k, m*n)
-	if !acc {
-		clear(c[:m*n])
-	}
-	if k == 1 {
-		for i := 0; i < m; i++ {
-			av := a[i*lda]
-			crow := c[i*n : i*n+n]
-			for j := range crow {
-				crow[j] += av * b[j*ldb]
-			}
-		}
-		return
-	}
-	jc := max(4, 32768/k)
-	for j0 := 0; j0 < n; j0 += jc {
-		j1 := min(j0+jc, n)
-		for i := 0; i < m; i++ {
-			arow := a[i*lda : i*lda+k]
-			crow := c[i*n : i*n+n]
-			j := j0
-			for ; j+3 < j1; j += 4 {
-				b0 := b[j*ldb : j*ldb+k]
-				b1 := b[(j+1)*ldb : (j+1)*ldb+k]
-				b2 := b[(j+2)*ldb : (j+2)*ldb+k]
-				b3 := b[(j+3)*ldb : (j+3)*ldb+k]
-				var s0, s1, s2, s3 float64
-				for kk, av := range arow {
-					s0 += av * b0[kk]
-					s1 += av * b1[kk]
-					s2 += av * b2[kk]
-					s3 += av * b3[kk]
-				}
-				crow[j] += s0
-				crow[j+1] += s1
-				crow[j+2] += s2
-				crow[j+3] += s3
-			}
-			for ; j < j1; j++ {
-				brow := b[j*ldb : j*ldb+k]
 				var s0, s1, s2, s3 float64
 				kk := 0
 				for ; kk+3 < k; kk += 4 {

@@ -55,104 +55,6 @@ func Im2col(x []float64, inC, h, w, k, pad int, cols []float64) {
 	}
 }
 
-// Im2colBatch unrolls cb consecutive samples (starting at s0) of a batched
-// channel-major feature map into one wide column matrix, lowering a batched
-// convolution to a single GEMM over the batch dimension. x is laid out
-// (inC, nb, h, w) — sample bi of channel ic starts at (ic·nb+bi)·h·w — and
-// cols is (inC·k·k, cb·h·w), with sample bi's columns occupying the
-// contiguous block [bi·h·w, (bi+1)·h·w) of every row. Each sample's column
-// block is exactly what Im2col would produce for that sample alone, which
-// is what keeps batched convolution outputs bit-identical to the
-// per-sample path (GemmNN's per-element reduction order depends only on
-// the k index, never on the column count).
-func Im2colBatch(x []float64, inC, nb, s0, cb, h, w, k, pad int, cols []float64) {
-	if inC < 1 || h < 1 || w < 1 || k < 1 || pad < 0 || nb < 1 || cb < 1 ||
-		s0 < 0 || s0+cb > nb {
-		panic(fmt.Sprintf("tensor: Im2colBatch invalid geometry inC=%d nb=%d s0=%d cb=%d h=%d w=%d k=%d pad=%d",
-			inC, nb, s0, cb, h, w, k, pad))
-	}
-	hw := h * w
-	if len(x) < inC*nb*hw || len(cols) < inC*k*k*cb*hw {
-		panic(fmt.Sprintf("tensor: Im2colBatch buffers (%d,%d), need (%d,%d)",
-			len(x), len(cols), inC*nb*hw, inC*k*k*cb*hw))
-	}
-	r := 0
-	for ic := 0; ic < inC; ic++ {
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				rowBase := r * cb * hw
-				ox0 := max(0, pad-kx)
-				ox1 := min(w, w+pad-kx)
-				for bi := 0; bi < cb; bi++ {
-					xc := x[(ic*nb+s0+bi)*hw : (ic*nb+s0+bi+1)*hw]
-					dst := cols[rowBase+bi*hw : rowBase+(bi+1)*hw]
-					for oy := 0; oy < h; oy++ {
-						iy := oy + ky - pad
-						drow := dst[oy*w : (oy+1)*w]
-						if iy < 0 || iy >= h || ox0 >= ox1 {
-							clear(drow)
-							continue
-						}
-						clear(drow[:ox0])
-						copy(drow[ox0:ox1], xc[iy*w+ox0+kx-pad:iy*w+ox1+kx-pad])
-						clear(drow[ox1:])
-					}
-				}
-				r++
-			}
-		}
-	}
-}
-
-// Col2imBatch is the adjoint of Im2colBatch: it scatter-adds the
-// (inC·k·k, cb·h·w) column matrix cols back into samples s0..s0+cb of the
-// channel-major batched map x (laid out (inC, nb, h, w)), overwriting those
-// sample planes. Each sample's scatter order matches Col2im exactly — for a
-// fixed (channel, sample) plane, contributions land in ascending
-// (ky, kx, oy) order — so the batched conv backward's dX stays bit-identical
-// to running Col2im per sample.
-func Col2imBatch(cols []float64, inC, nb, s0, cb, h, w, k, pad int, x []float64) {
-	if inC < 1 || h < 1 || w < 1 || k < 1 || pad < 0 || nb < 1 || cb < 1 ||
-		s0 < 0 || s0+cb > nb {
-		panic(fmt.Sprintf("tensor: Col2imBatch invalid geometry inC=%d nb=%d s0=%d cb=%d h=%d w=%d k=%d pad=%d",
-			inC, nb, s0, cb, h, w, k, pad))
-	}
-	hw := h * w
-	if len(x) < inC*nb*hw || len(cols) < inC*k*k*cb*hw {
-		panic(fmt.Sprintf("tensor: Col2imBatch buffers (%d,%d), need (%d,%d)",
-			len(x), len(cols), inC*nb*hw, inC*k*k*cb*hw))
-	}
-	for ic := 0; ic < inC; ic++ {
-		clear(x[(ic*nb+s0)*hw : (ic*nb+s0+cb)*hw])
-	}
-	r := 0
-	for ic := 0; ic < inC; ic++ {
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				rowBase := r * cb * hw
-				ox0 := max(0, pad-kx)
-				ox1 := min(w, w+pad-kx)
-				for bi := 0; bi < cb; bi++ {
-					src := cols[rowBase+bi*hw : rowBase+(bi+1)*hw]
-					xc := x[(ic*nb+s0+bi)*hw : (ic*nb+s0+bi+1)*hw]
-					for oy := 0; oy < h; oy++ {
-						iy := oy + ky - pad
-						if iy < 0 || iy >= h || ox0 >= ox1 {
-							continue
-						}
-						srow := src[oy*w+ox0 : oy*w+ox1]
-						xrow := xc[iy*w+ox0+kx-pad : iy*w+ox1+kx-pad]
-						for j, v := range srow {
-							xrow[j] += v
-						}
-					}
-				}
-				r++
-			}
-		}
-	}
-}
-
 // Col2im is the adjoint of Im2col: it scatter-adds the (inC·k·k, h·w)
 // column matrix cols back into the (inC, h, w) map x, overwriting x. It
 // maps column-matrix gradients back to input-map gradients in the conv
