@@ -36,9 +36,10 @@ bench:
 # Quick kernel-iteration loop for the DNN hot path (fused padded-plane
 # convs, GEMM, scratch arenas): the DNN/GEMM micro-benchmarks with
 # allocation counts, the conv layer against its naive reference, then the
-# fused conv kernels per layer shape of the default 8×8 net on both SIMD
-# bodies (avx2 and the portable go rows). Baseline numbers live in
-# BENCH_PR2.json; the AVX2 rows in CHANGES.md.
+# fused conv kernels per layer shape of the default 8×8 and 10×10 nets on
+# both bodies (avx2: the register-tiled rows for Fwd/DX, the axpy4/dot4x4
+# primitives for DW; go: the portable loops), each row reporting GMAC/s.
+# Baseline numbers live in BENCH_PR2.json; the AVX2 rows in CHANGES.md.
 bench-nn:
 	$(GO) test -bench 'BenchmarkDNN|BenchmarkGemm' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkConvNaive' -benchmem -run '^$$' ./internal/nn/

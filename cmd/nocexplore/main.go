@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -53,6 +54,10 @@ func main() {
 	manifestPath := flag.String("manifest", "", "append a JSONL run-provenance manifest (config, seed, git rev, wall time, metrics) to this path")
 	progress := flag.Duration("progress", 10*time.Second, "interval between progress lines on stderr (0 = off)")
 	flag.Parse()
+	if err := checkFlags(*episodes, *threads, *epsilon, *lr, *cpuct); err != nil {
+		fmt.Fprintln(os.Stderr, "nocexplore:", err)
+		os.Exit(1)
+	}
 
 	var reg *obs.Registry
 	if *metricsPath != "" || *debugAddr != "" || *manifestPath != "" {
@@ -257,13 +262,14 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nocexplore: save model:", err)
-		} else {
-			events.Info(obs.EventCheckpoint, map[string]any{
-				"path":     *saveModel,
-				"episodes": res.Episodes,
-			})
-			fmt.Printf("model saved to %s\n", *saveModel)
+			events.Close() // os.Exit skips the deferred Close
+			os.Exit(1)
 		}
+		events.Info(obs.EventCheckpoint, map[string]any{
+			"path":     *saveModel,
+			"episodes": res.Episodes,
+		})
+		fmt.Printf("model saved to %s\n", *saveModel)
 	}
 
 	fmt.Printf("episodes: %d   tree states: %d   valid designs: %d\n",
@@ -292,4 +298,27 @@ func main() {
 	fmt.Print(viz.TopologySummary(res.Best.Topo))
 	fmt.Println("node overlapping:")
 	fmt.Print(viz.OverlapGrid(res.Best.Topo))
+}
+
+// checkFlags rejects the numeric flags the search cannot run with before
+// anything is built: fewer than one episode or learner thread, an ε
+// outside [0, 1], a learning rate that is not a positive finite number,
+// and a negative or non-finite exploration constant.
+func checkFlags(episodes, threads int, epsilon, lr, cpuct float64) error {
+	if episodes < 1 {
+		return fmt.Errorf("-episodes %d must be at least 1", episodes)
+	}
+	if threads < 1 {
+		return fmt.Errorf("-threads %d must be at least 1", threads)
+	}
+	if !(epsilon >= 0 && epsilon <= 1) {
+		return fmt.Errorf("-epsilon %v is outside [0, 1]", epsilon)
+	}
+	if math.IsNaN(lr) || math.IsInf(lr, 0) || lr <= 0 {
+		return fmt.Errorf("-lr %v is not a positive finite learning rate", lr)
+	}
+	if math.IsNaN(cpuct) || math.IsInf(cpuct, 0) || cpuct < 0 {
+		return fmt.Errorf("-c %v is not a finite non-negative exploration constant", cpuct)
+	}
+	return nil
 }

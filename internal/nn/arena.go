@@ -16,6 +16,10 @@ import (
 // multi-threaded searches never share scratch.
 type Arena struct {
 	floats int // total float64 capacity handed out (high-water bookkeeping)
+	// The conv kernels' scratch, shared by every Conv2D on the arena: its
+	// contents never outlive one tensor.ConvFwdPad or ConvDXPad call.
+	convWork []float64
+	convOffs []int
 }
 
 // NewArena returns an empty arena.
@@ -75,6 +79,13 @@ func panicBadDim(s int) {
 	panic(fmt.Sprintf("nn: arena tensor with invalid dimension %d", s))
 }
 
+// convScratch returns the scratch tensor.ConvFwdPad and tensor.ConvDXPad
+// need for a conv layer of this shape (contents unspecified).
+func (a *Arena) convScratch(outC, inC, h, w, k int) ([]float64, []int) {
+	nf, ni := tensor.ConvWork(outC, inC, h, w, k)
+	return a.slice(&a.convWork, nf), a.ints(&a.convOffs, ni)
+}
+
 // ints resizes *p to n (contents unspecified).
 func (a *Arena) ints(p *[]int, n int) []int {
 	s := *p
@@ -108,8 +119,8 @@ func ensureArena(pp **Arena) *Arena {
 }
 
 // attachArena points every layer in the tree at the network-owned arena.
-// Layers keep per-field buffer handles, so sharing one arena only shares
-// the bookkeeping, never the buffers themselves.
+// Layers keep per-field buffer handles, so sharing one arena shares only
+// the bookkeeping and the conv kernels' call-local scratch.
 func attachArena(a *Arena, l Layer) {
 	switch v := l.(type) {
 	case *Conv2D:

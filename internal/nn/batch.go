@@ -12,7 +12,7 @@ import (
 // per-channel layers (BatchNorm, bias add) sweep one contiguous row per
 // channel. Convolutions run the same fused padded-plane body as the
 // per-sample Forward and the batched trainer (Conv2D.forwardPad), one
-// tensor.ConvFwdPad per sample. Fully connected head layers repack to
+// tensor.ConvFwdPad call over the batch. Fully connected head layers repack to
 // sample-major (B, features) rows and run tensor.MatVecBatch.
 //
 // The path is inference-only: BatchNorm reads running statistics (so
@@ -55,7 +55,7 @@ func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	}
 	nb, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	out := ensureArena(&c.arena).tensorFor(&c.bout, c.OutC, nb, h, w)
-	c.forwardPad(x.Data, nb, h, w, &c.bpad, &c.bpout, out.Data)
+	c.forwardPad(x.Data, nb, h, w, &c.bpad, out.Data)
 	return out
 }
 

@@ -60,28 +60,24 @@ type Conv2D struct {
 	arena *Arena
 	x     *tensor.Tensor // cached input
 	pad   []float64      // zero-padded input planes (ConvFwdPad)
-	pout  []float64      // gapped output accumulation row (ConvFwdPad)
 	cols  []float64      // im2col(x), built by Backward
 	dcols []float64
 	out   *tensor.Tensor
 	dx    *tensor.Tensor
 	// Batched-inference scratch (see batch.go); separate from the training
 	// buffers so ForwardBatch never clobbers state a pending Backward needs.
-	bpad  []float64
-	bpout []float64
-	bout  *tensor.Tensor
+	bpad []float64
+	bout *tensor.Tensor
 	// Batched-training scratch (train_batch.go); separate from both the
 	// per-sample training buffers and the inference-batch buffers so an
 	// interleaved ForwardBatch can never clobber a pending BackwardBatch.
-	tx    *tensor.Tensor // cached batched input
-	tpad  []float64      // zero-padded input planes, kept for BackwardBatch
-	tpout []float64      // gapped accumulation row (ConvFwdPad, ConvDXPad)
-	tgp   []float64      // zero-padded gradient planes, rebuilt per sample
-	tgT   []float64      // row-interleaved gradient spans (ConvDWPad)
-	trow  []float64      // gathered cols row (ConvDWPad leftover columns)
-	tsrow []float64      // gapped grouped-outC scratch (ConvDXPad, outC > 4)
-	tout  *tensor.Tensor
-	tdx   *tensor.Tensor
+	tx   *tensor.Tensor // cached batched input
+	tpad []float64      // zero-padded input planes, kept for BackwardBatch
+	tgp  []float64      // zero-padded gradient planes of one sample
+	tgT  []float64      // row-interleaved gradient spans (ConvDWPad)
+	trow []float64      // gathered cols row (ConvDWPad leftover columns)
+	tout *tensor.Tensor
+	tdx  *tensor.Tensor
 }
 
 // NewConv2D builds a conv layer with He-initialized weights.
@@ -107,22 +103,22 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	c.x = x
 	h, w := x.Shape[1], x.Shape[2]
 	out := ensureArena(&c.arena).tensorFor(&c.out, c.OutC, h, w)
-	c.forwardPad(x.Data, 1, h, w, &c.pad, &c.pout, out.Data)
+	c.forwardPad(x.Data, 1, h, w, &c.pad, out.Data)
 	return out
 }
 
 // forwardPad is the one f64 conv-forward body behind Forward, ForwardBatch
 // and ForwardBatchTrain. x holds nb samples in the channel-major layout
 // (InC, nb, h, w) and out receives (OutC, nb, h, w): the input planes are
-// copied once into zero-padded planes in *pad, each sample runs
-// tensor.ConvFwdPad, and the bias is added. ConvFwdPad is bit-identical
-// to the lowered W·im2col(x) GEMM (tensor's TestConvFusedMatchesLowered)
-// and its per-element reduction order does not depend on nb, so every
-// caller's per-sample result is the same bits. Callers pass their own
-// arena handles for the padded planes and the ConvFwdPad scratch row, so
-// the three paths never share buffers; the batched trainer keeps its
-// padded planes for BackwardBatch.
-func (c *Conv2D) forwardPad(x []float64, nb, h, w int, pad, pout *[]float64, out []float64) {
+// copied once into zero-padded planes in *pad, one tensor.ConvFwdPad call
+// runs all nb samples, and the bias is added. ConvFwdPad is bit-identical
+// per sample to the lowered W·im2col(x) GEMM (tensor's
+// TestConvFusedMatchesLowered) and its per-element reduction order does
+// not depend on nb, so every caller's per-sample result is the same bits.
+// Callers pass their own arena handle for the padded planes, so the three
+// paths never share them; the batched trainer keeps its padded planes for
+// BackwardBatch.
+func (c *Conv2D) forwardPad(x []float64, nb, h, w int, pad *[]float64, out []float64) {
 	hw := h * w
 	hpwp := (h + c.K - 1) * (w + c.K - 1)
 	a := ensureArena(&c.arena)
@@ -130,11 +126,8 @@ func (c *Conv2D) forwardPad(x []float64, nb, h, w int, pad, pout *[]float64, out
 	for p := 0; p < c.InC*nb; p++ {
 		tensor.PadPlane(x[p*hw:(p+1)*hw], h, w, c.K, xp[p*hpwp:(p+1)*hpwp])
 	}
-	row := a.slice(pout, (h-1)*(w+c.K-1)+w)
-	for bi := 0; bi < nb; bi++ {
-		tensor.ConvFwdPad(c.Weight.W.Data, c.OutC, c.InC, xp[bi*hpwp:], nb*hpwp, h, w, c.K,
-			out[bi*hw:], nb*hw, row)
-	}
+	work, offs := a.convScratch(c.OutC, c.InC, h, w, c.K)
+	tensor.ConvFwdPad(c.Weight.W.Data, c.OutC, c.InC, nb, xp, hpwp, h, w, c.K, out, hw, work, offs)
 	for oc := 0; oc < c.OutC; oc++ {
 		b := c.Bias.W.Data[oc]
 		if b == 0 {

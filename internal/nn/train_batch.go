@@ -30,9 +30,10 @@ import (
 //     being trained.
 //
 //  2. Accumulated gradients are bit-identical, preserving the sequential
-//     per-step reduction order for every parameter. Conv dW and dX run one
-//     sample at a time in ascending bi through tensor.ConvDWPad and
-//     tensor.ConvDXPad, fused kernels bit-identical to the sequential
+//     per-step reduction order for every parameter. Conv dW accumulates
+//     one sample at a time in ascending bi through tensor.ConvDWPad, and
+//     dX (per sample, so order-free) comes from one tensor.ConvDXPad call;
+//     both are fused kernels bit-identical to the sequential
 //     GemmNT-over-cols and GemmTN + Col2im calls; Dense heads accumulate
 //     per-sample rank-1 updates in bi order through the same k==1/n==1
 //     GemmNT/GemmTN fast paths Dense.Backward uses; BatchNorm and bias
@@ -90,17 +91,17 @@ func (c *Conv2D) ForwardBatchTrain(x *tensor.Tensor) *tensor.Tensor {
 	nb, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	c.tx = x
 	out := ensureArena(&c.arena).tensorFor(&c.tout, c.OutC, nb, h, w)
-	c.forwardPad(x.Data, nb, h, w, &c.tpad, &c.tpout, out.Data)
+	c.forwardPad(x.Data, nb, h, w, &c.tpad, out.Data)
 	return out
 }
 
-// BackwardBatch implements trainBatchLayer: one sample at a time, in
-// ascending sample (= trajectory) order, through the fused padded-plane
-// kernels — tensor.ConvDWPad accumulates dW bit-identical to the sequential
-// per-step GemmNT calls, and tensor.ConvDXPad produces dX bit-identical to
-// GemmTN + Col2im, with neither the cols nor the dcols matrix ever
-// materialized. Bias gradients accumulate per (channel, sample) plane in
-// sample order.
+// BackwardBatch implements trainBatchLayer through the fused padded-plane
+// kernels: tensor.ConvDWPad, one sample at a time in ascending sample
+// (= trajectory) order, accumulates dW bit-identical to the sequential
+// per-step GemmNT calls, and one tensor.ConvDXPad call over all samples
+// produces dX bit-identical to GemmTN + Col2im, with neither the cols nor
+// the dcols matrix ever materialized. Bias gradients accumulate per
+// (channel, sample) plane in sample order.
 func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDX bool) *tensor.Tensor {
 	x := c.tx
 	nb, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
@@ -121,16 +122,7 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDX bool) *tensor.Tensor 
 	lead := c.K - 1 - (c.K-1)/2 // gradient planes lead with the larger border
 	rowBuf := a.slice(&c.trow, hw)
 	gT := a.slice(&c.tgT, (c.OutC&^3)*span)
-	gpad := a.slice(&c.tgp, c.OutC*hpwp)
-	var dx *tensor.Tensor
-	var pacc, srow []float64
-	if needDX {
-		dx = a.tensorFor(&c.tdx, x.Shape...)
-		pacc = a.slice(&c.tpout, span)
-		if c.OutC > 4 {
-			srow = a.slice(&c.tsrow, span)
-		}
-	}
+	gpad := a.slice(&c.tgp, c.OutC*hpwp) // also ConvDXPad's padding scratch
 	// The interior rows of the padded gradient planes, viewed from the first
 	// pixel at stride wpad, are exactly the zero-gapped span ConvDWPad walks.
 	gp := gpad[lead*wpad+lead:]
@@ -141,12 +133,14 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDX bool) *tensor.Tensor 
 		tensor.ConvDWPad(grad.Data[bi*hw:], nb*hw, gp, hpwp,
 			c.tpad[bi*hpwp:], nb*hpwp,
 			c.OutC, c.InC, h, w, c.K, c.Weight.G.Data, gT, rowBuf)
-		if needDX {
-			tensor.ConvDXPad(c.Weight.W.Data, c.OutC, c.InC,
-				gpad, hpwp, h, w, c.K,
-				dx.Data[bi*hw:], nb*hw, pacc, srow)
-		}
 	}
+	if !needDX {
+		return nil
+	}
+	dx := a.tensorFor(&c.tdx, x.Shape...)
+	work, offs := a.convScratch(c.OutC, c.InC, h, w, c.K)
+	tensor.ConvDXPad(c.Weight.W.Data, c.OutC, c.InC, nb, grad.Data, hw, h, w, c.K,
+		dx.Data, hw, gpad, work, offs)
 	return dx
 }
 

@@ -51,9 +51,10 @@ import "fmt"
 // (0·Inf = NaN). Training data, weights, and gradients are finite by
 // invariant — the lowered path produces garbage on non-finite values anyway.
 //
-// The long inner loops run on the SIMD primitives of simd.go, which
-// vectorize across independent output elements only, so none of the above
-// depends on whether their AVX2 or Go body runs.
+// With AVX2, ConvFwdPad and ConvDXPad run the register-tiled row kernel
+// of conv_tile.go and the other long inner loops the SIMD primitives of
+// simd.go. Both vectorize across independent output elements only, so none
+// of the above depends on whether an AVX2 or a Go body runs.
 //
 // All kernels require h·w > 1: at h·w == 1 the lowered path would take the
 // GEMM matrix–vector fast paths, whose accumulator patterns differ. The
@@ -89,59 +90,93 @@ func PadPlaneLead(src []float64, h, w, k, lead int, dst []float64) {
 	clear(dst[(h+lead)*wp : hp*wp])
 }
 
-// ConvFwdPad computes the stride-1 "same" convolution out = W∗x directly
-// from padded input planes, bit-identical to GemmNN(outC, h·w, inC·k²,
-// weights, im2col(x), out, false): per output element, reduction indices are
-// consumed in aligned four-term grouped expressions within gemmKC panels,
-// exactly as GemmNN's inner loops emit them. Each output channel accumulates
-// into the gapped scratch row pout (length ≥ (h-1)·(w+k-1)+w, clobbered) in
-// single long sweeps — the gap elements collect garbage cross-products that
-// the final interior copy discards. No bias is applied.
+// ConvWork returns the lengths of the float64 and int scratch that
+// ConvFwdPad and ConvDXPad need for a layer of this shape; one pair of
+// buffers of these lengths serves both kernels.
+func ConvWork(outC, inC, h, w, k int) (floats, ints int) {
+	kk2 := k * k
+	span := (h-1)*(w+k-1) + w
+	if outC > 4 {
+		span *= 2 // ConvDXPad's Go body sums grouped values in a second row
+	}
+	floats = max(span, (outC+3)/4*4*inC*kk2, (inC+3)/4*4*kk2*outC)
+	return floats, max(inC, outC) * kk2
+}
+
+// ConvFwdPad computes the stride-1 "same" convolution out = W∗x for nb
+// samples directly from padded input planes, bit-identical per sample to
+// GemmNN(outC, h·w, inC·k², weights, im2col(x), out, false): per output
+// element, reduction indices are consumed in aligned four-term grouped
+// expressions within gemmKC panels, exactly as GemmNN's inner loops emit
+// them. No bias is applied.
 //
-// xp holds inC padded planes of (h+k-1)×(w+k-1); plane ic starts at
-// xp[ic*xpStride]. out receives outC rows of h·w; row oc starts at
-// out[oc*outStride] and is overwritten.
-func ConvFwdPad(weights []float64, outC, inC int, xp []float64, xpStride int, h, w, k int, out []float64, outStride int, pout []float64) {
+// Planes are channel-major: xp holds inC·nb padded planes of
+// (h+k-1)×(w+k-1), plane (ic, bi) starting at xp[(ic*nb+bi)*xpStride], and
+// out receives outC·nb planes of h·w, plane (oc, bi) at
+// out[(oc*nb+bi)*outStride], overwritten. work and offs are scratch sized
+// by ConvWork, clobbered.
+//
+// With AVX2 and outC > 1 the register-tiled kernel of conv_tile.go runs.
+// Otherwise each output channel accumulates into a gapped row of work
+// ((h-1)·(w+k-1)+w long) in single long axpy4 sweeps, whose gap elements
+// collect garbage cross-products that the final interior copy discards.
+// For one output channel those sweeps fill all four SIMD lanes, where the
+// tiled kernel would fill one.
+func ConvFwdPad(weights []float64, outC, inC, nb int, xp []float64, xpStride, h, w, k int, out []float64, outStride int, work []float64, offs []int) {
 	hw := h * w
 	if hw <= 1 {
 		panic("tensor: ConvFwdPad requires h*w > 1")
 	}
-	kk2 := k * k
-	ickk := inC * kk2
+	ickk := inC * k * k
 	wp := w + k - 1
-	span := (h-1)*wp + w
-	if len(weights) < outC*ickk || len(xp) < (inC-1)*xpStride+(h+k-1)*wp ||
-		len(out) < (outC-1)*outStride+hw || len(pout) < span {
+	nf, ni := ConvWork(outC, inC, h, w, k)
+	if nb < 1 || len(weights) < outC*ickk || len(xp) < (inC*nb-1)*xpStride+(h+k-1)*wp ||
+		len(out) < (outC*nb-1)*outStride+hw || len(work) < nf || len(offs) < ni {
 		panic("tensor: ConvFwdPad buffer lengths too short")
 	}
-	// base(r) is the padded-plane offset of reduction index r = (ic, ky, kx)
-	// at output pixel (0, 0); gapped position t = oy*wp + ox adds t.
-	base := func(r int) int {
-		ic, rem := r/kk2, r%kk2
-		return ic*xpStride + (rem/k)*wp + rem%k
-	}
-	pp := pout[:span]
-	for oc := 0; oc < outC; oc++ {
-		wrow := weights[oc*ickk : (oc+1)*ickk]
-		clear(pp)
-		for k0 := 0; k0 < ickk; k0 += gemmKC {
-			k1 := min(k0+gemmKC, ickk)
-			kk := k0
-			for ; kk+3 < k1; kk += 4 {
-				a0, a1, a2, a3 := wrow[kk], wrow[kk+1], wrow[kk+2], wrow[kk+3]
-				axpy4(pp, a0, a1, a2, a3, xp[base(kk):], xp[base(kk+1):], xp[base(kk+2):], xp[base(kk+3):])
-			}
-			for ; kk < k1; kk++ {
-				av := wrow[kk]
-				prow := xp[base(kk):][:span]
-				for t := range pp {
-					pp[t] += av * prow[t]
-				}
+	// offs[r] is the padded-plane offset of reduction index r = (ic, ky, kx)
+	// at output pixel (0, 0) of a sample; gapped position t = oy*wp + ox
+	// adds t.
+	offs = offs[:ickk]
+	r := 0
+	for ic := 0; ic < inC; ic++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				offs[r] = ic*nb*xpStride + ky*wp + kx
+				r++
 			}
 		}
-		orow := out[oc*outStride : oc*outStride+hw]
-		for oy := 0; oy < h; oy++ {
-			copy(orow[oy*w:(oy+1)*w], pp[oy*wp:oy*wp+w])
+	}
+	if useAVX2 && outC > 1 {
+		convFwdTiled(weights, outC, ickk, nb, xp, xpStride, h, w, k, out, outStride, work, offs)
+		return
+	}
+	span := (h-1)*wp + w
+	pp := work[:span]
+	for bi := 0; bi < nb; bi++ {
+		xs := xp[bi*xpStride:]
+		for oc := 0; oc < outC; oc++ {
+			wrow := weights[oc*ickk : (oc+1)*ickk]
+			clear(pp)
+			for k0 := 0; k0 < ickk; k0 += gemmKC {
+				k1 := min(k0+gemmKC, ickk)
+				kk := k0
+				for ; kk+3 < k1; kk += 4 {
+					a0, a1, a2, a3 := wrow[kk], wrow[kk+1], wrow[kk+2], wrow[kk+3]
+					axpy4(pp, a0, a1, a2, a3, xs[offs[kk]:], xs[offs[kk+1]:], xs[offs[kk+2]:], xs[offs[kk+3]:])
+				}
+				for ; kk < k1; kk++ {
+					av := wrow[kk]
+					prow := xs[offs[kk]:][:span]
+					for t := range pp {
+						pp[t] += av * prow[t]
+					}
+				}
+			}
+			orow := out[(oc*nb+bi)*outStride:][:hw]
+			for oy := 0; oy < h; oy++ {
+				copy(orow[oy*w:(oy+1)*w], pp[oy*wp:oy*wp+w])
+			}
 		}
 	}
 }
@@ -269,26 +304,31 @@ func ConvDWPad(grad []float64, gStride int, gp []float64, gpStride int, xp []flo
 }
 
 // ConvDXPad computes the convolution input gradient dX = col2im(Wᵀ·dY)
-// without materializing the (inC·k², h·w) dcols matrix, bit-identical to
-// GemmTN(inC·k², h·w, outC, weights, grad, dcols, false) followed by
-// Col2im(dcols, ...). It runs col2im as a gather: a dX element's lowered
-// chain is "for r ascending, add the grouped-outC dcols value", and that
-// dcols value lives at a fixed offset in the zero-padded gradient planes.
-// Built like ConvFwdPad, each input channel accumulates all k² reduction
-// indices into the gapped scratch row pacc (length ≥ span = (h-1)·(w+k-1)+w,
-// clobbered) in single long sweeps — one per (ic, ky, kx) — whose gap
-// elements collect garbage the final interior copy discards. Positions
-// Col2im would have clipped read pad zeros and add ±0 (no-ops); each grouped
-// value is GemmTN's exact per-element pattern (aligned four-lane groups over
-// outC plus leftover singles), evaluated straight into pacc for outC ≤ 4
-// (fact 4 of the package comment) and summed from +0 in the span-length
-// scratch row srow (needed only for outC > 4) otherwise, as GemmTN sums
-// into its cleared dcols row.
+// for nb samples without materializing the (inC·k², h·w) dcols matrix,
+// bit-identical per sample to GemmTN(inC·k², h·w, outC, weights, grad,
+// dcols, false) followed by Col2im(dcols, ...). It runs col2im as a
+// gather: a dX element's lowered chain is "for r ascending, add the
+// grouped-outC dcols value", and that dcols value lives at a fixed offset
+// in the sample's gradient planes, copied with a zero border into gpad by
+// PadPlaneLead (lead = k-1-(k-1)/2). Positions Col2im would have clipped
+// read pad zeros and add ±0 (no-ops); each grouped value is GemmTN's exact
+// per-element pattern (aligned four-lane groups over outC plus leftover
+// singles), evaluated straight into the accumulator for outC ≤ 4 (fact 4
+// of the package comment) and summed from +0 otherwise, as GemmTN sums
+// into its cleared dcols row, before joining the accumulator.
 //
-// gpad holds outC gradient planes padded by PadPlaneLead with
-// lead = k-1-(k-1)/2, plane oc starting at gpad[oc*gpadStride]; dx receives
-// inC compact planes of h·w starting at dx[ic*dxStride], overwritten.
-func ConvDXPad(weights []float64, outC, inC int, gpad []float64, gpadStride int, h, w, k int, dx []float64, dxStride int, pacc, srow []float64) {
+// grad holds outC·nb compact gradient planes of h·w, plane (oc, bi) at
+// grad[(oc*nb+bi)*gStride]; dx receives inC·nb planes of h·w, plane
+// (ic, bi) at dx[(ic*nb+bi)*dxStride], overwritten. gpad (outC padded
+// planes of (h+k-1)×(w+k-1)), work and offs (sized by ConvWork) are
+// scratch, clobbered.
+//
+// With AVX2 and inC > 1 the register-tiled kernel of conv_tile.go runs
+// (one input channel would fill one lane of its four). Otherwise each
+// input channel accumulates all k² reduction indices into a gapped row
+// (span = (h-1)·(w+k-1)+w) in single long sweeps — one per (ic, ky, kx) —
+// whose gap elements collect garbage the final interior copy discards.
+func ConvDXPad(weights []float64, outC, inC, nb int, grad []float64, gStride, h, w, k int, dx []float64, dxStride int, gpad, work []float64, offs []int) {
 	hw := h * w
 	if hw <= 1 {
 		panic("tensor: ConvDXPad requires h*w > 1")
@@ -296,71 +336,99 @@ func ConvDXPad(weights []float64, outC, inC int, gpad []float64, gpadStride int,
 	kk2 := k * k
 	ickk := inC * kk2
 	wp := w + k - 1
+	hpwp := (h + k - 1) * wp
 	span := (h-1)*wp + w
-	if len(weights) < outC*ickk || len(gpad) < (outC-1)*gpadStride+(h+k-1)*wp ||
-		len(dx) < (inC-1)*dxStride+hw || len(pacc) < span || (outC > 4 && len(srow) < span) {
+	nf, ni := ConvWork(outC, inC, h, w, k)
+	if nb < 1 || len(weights) < outC*ickk || len(grad) < (outC*nb-1)*gStride+hw ||
+		len(dx) < (inC*nb-1)*dxStride+hw || len(gpad) < outC*hpwp || len(work) < nf || len(offs) < ni {
 		panic("tensor: ConvDXPad buffer lengths too short")
 	}
-	pp := pacc[:span]
-	for ic := 0; ic < inC; ic++ {
-		clear(pp)
-		for rr := 0; rr < kk2; rr++ {
-			r := ic*kk2 + rr
-			// dcols row r at output pixel (y, x) reads the padded gradient
-			// at plane row y+(k-1)-ky, column x+(k-1)-kx — gapped position
-			// t = y*wp + x plus gb. Always in bounds, zeros where the
-			// lowered path had no contribution.
-			gb := (k-1-rr/k)*wp + (k - 1 - rr%k)
-			switch {
-			case outC == 1:
-				a0 := weights[r]
-				g0 := gpad[gb:][:span]
-				for t := range pp {
-					pp[t] += a0 * g0[t]
-				}
-			case outC == 2:
-				a0, a1 := weights[r], weights[ickk+r]
-				g0 := gpad[gb:][:span]
-				g1 := gpad[gpadStride+gb:][:span]
-				for t := range pp {
-					pp[t] += a0*g0[t] + a1*g1[t]
-				}
-			case outC == 3:
-				a0, a1, a2 := weights[r], weights[ickk+r], weights[2*ickk+r]
-				g0 := gpad[gb:][:span]
-				g1 := gpad[gpadStride+gb:][:span]
-				g2 := gpad[2*gpadStride+gb:][:span]
-				for t := range pp {
-					pp[t] += a0*g0[t] + a1*g1[t] + a2*g2[t]
-				}
-			case outC == 4:
-				axpy4(pp, weights[r], weights[ickk+r], weights[2*ickk+r], weights[3*ickk+r],
-					gpad[gb:], gpad[gpadStride+gb:], gpad[2*gpadStride+gb:], gpad[3*gpadStride+gb:])
-			default:
-				// GemmTN's aligned four-lane groups over outC, then
-				// leftover singles, summed in sr before joining dX.
-				sr := srow[:span]
-				clear(sr)
-				l := 0
-				for ; l+3 < outC; l += 4 {
-					axpy4(sr, weights[l*ickk+r], weights[(l+1)*ickk+r], weights[(l+2)*ickk+r], weights[(l+3)*ickk+r],
-						gpad[l*gpadStride+gb:], gpad[(l+1)*gpadStride+gb:], gpad[(l+2)*gpadStride+gb:], gpad[(l+3)*gpadStride+gb:])
-				}
-				for ; l < outC; l++ {
-					av := weights[l*ickk+r]
-					grow := gpad[l*gpadStride+gb:][:span]
-					for t := range sr {
-						sr[t] += av * grow[t]
-					}
-				}
-				for t := range pp {
-					pp[t] += sr[t]
-				}
+	// offs[rr*outC+l]: the offset of dcols row (ic, rr)'s value for output
+	// channel l at pixel (0, 0) — gradient plane l, row k-1-ky, column
+	// k-1-kx. Gapped position t = y*wp + x adds t. Always in bounds, zeros
+	// where the lowered path had no contribution.
+	offs = offs[:kk2*outC]
+	i := 0
+	for ky := 0; ky < k; ky++ {
+		for kx := 0; kx < k; kx++ {
+			gb := (k-1-ky)*wp + (k - 1 - kx)
+			for l := 0; l < outC; l++ {
+				offs[i] = l*hpwp + gb
+				i++
 			}
 		}
-		dplane := dx[ic*dxStride : ic*dxStride+hw]
-		for y := 0; y < h; y++ {
-			copy(dplane[y*w:(y+1)*w], pp[y*wp:y*wp+w])
+	}
+	lead := k - 1 - (k-1)/2
+	tiled := useAVX2 && inC > 1
+	var wpk []float64
+	if tiled {
+		wpk = packDX(weights, outC, inC, kk2, work)
+	}
+	for bi := 0; bi < nb; bi++ {
+		for oc := 0; oc < outC; oc++ {
+			PadPlaneLead(grad[(oc*nb+bi)*gStride:], h, w, k, lead, gpad[oc*hpwp:])
+		}
+		if tiled {
+			convDXTiled(wpk, outC, inC, nb, bi, gpad, h, w, k, dx, dxStride, offs)
+			continue
+		}
+		pp := work[:span]
+		for ic := 0; ic < inC; ic++ {
+			clear(pp)
+			for rr := 0; rr < kk2; rr++ {
+				r := ic*kk2 + rr
+				o := offs[rr*outC:]
+				switch {
+				case outC == 1:
+					a0 := weights[r]
+					g0 := gpad[o[0]:][:span]
+					for t := range pp {
+						pp[t] += a0 * g0[t]
+					}
+				case outC == 2:
+					a0, a1 := weights[r], weights[ickk+r]
+					g0 := gpad[o[0]:][:span]
+					g1 := gpad[o[1]:][:span]
+					for t := range pp {
+						pp[t] += a0*g0[t] + a1*g1[t]
+					}
+				case outC == 3:
+					a0, a1, a2 := weights[r], weights[ickk+r], weights[2*ickk+r]
+					g0 := gpad[o[0]:][:span]
+					g1 := gpad[o[1]:][:span]
+					g2 := gpad[o[2]:][:span]
+					for t := range pp {
+						pp[t] += a0*g0[t] + a1*g1[t] + a2*g2[t]
+					}
+				case outC == 4:
+					axpy4(pp, weights[r], weights[ickk+r], weights[2*ickk+r], weights[3*ickk+r],
+						gpad[o[0]:], gpad[o[1]:], gpad[o[2]:], gpad[o[3]:])
+				default:
+					// GemmTN's aligned four-lane groups over outC, then
+					// leftover singles, summed in sr before joining dX.
+					sr := work[span : 2*span]
+					clear(sr)
+					l := 0
+					for ; l+3 < outC; l += 4 {
+						axpy4(sr, weights[l*ickk+r], weights[(l+1)*ickk+r], weights[(l+2)*ickk+r], weights[(l+3)*ickk+r],
+							gpad[o[l]:], gpad[o[l+1]:], gpad[o[l+2]:], gpad[o[l+3]:])
+					}
+					for ; l < outC; l++ {
+						av := weights[l*ickk+r]
+						grow := gpad[o[l]:][:span]
+						for t := range sr {
+							sr[t] += av * grow[t]
+						}
+					}
+					for t := range pp {
+						pp[t] += sr[t]
+					}
+				}
+			}
+			dplane := dx[(ic*nb+bi)*dxStride:][:hw]
+			for y := 0; y < h; y++ {
+				copy(dplane[y*w:(y+1)*w], pp[y*wp:y*wp+w])
+			}
 		}
 	}
 }

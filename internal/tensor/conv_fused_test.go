@@ -76,11 +76,12 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 			for oc := 0; oc < sz.outC; oc++ {
 				copy(gs[oc*oStride:oc*oStride+hw], grad[oc*hw:(oc+1)*hw])
 			}
-			pout := make([]float64, (h-1)*wp+w)
-			for i := range pout {
-				pout[i] = 1e30 // scratch must be clobbered, not trusted
+			nf, ni := ConvWork(sz.outC, sz.inC, h, w, k)
+			work, offs := make([]float64, nf), make([]int, ni)
+			for i := range work {
+				work[i] = 1e30 // scratch must be clobbered, not trusted
 			}
-			ConvFwdPad(weights, sz.outC, sz.inC, xp, xpStride, h, w, k, gotOut, oStride, pout)
+			ConvFwdPad(weights, sz.outC, sz.inC, 1, xp, xpStride, h, w, k, gotOut, oStride, work, offs)
 			lead := k - 1 - pad
 			gpadStride := hp*wp + 2
 			gpad := make([]float64, sz.outC*gpadStride)
@@ -93,15 +94,19 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 			// The gapped view ConvDWPad walks is the padded planes' interior.
 			gp := gpad[lead*wp+lead:]
 			rowBuf := make([]float64, hw)
-			gT := make([]float64, sz.outC*len(pout))
+			gT := make([]float64, sz.outC*((h-1)*wp+w))
 			ConvDWPad(gs, oStride, gp, gpadStride, xp, xpStride, sz.outC, sz.inC, h, w, k, gotDW, gT, rowBuf)
 			dxStride := hw + 7
 			gotDX := make([]float64, sz.inC*dxStride)
 			for i := range gotDX {
 				gotDX[i] = 1e30 // ConvDXPad must overwrite its planes
 			}
-			srow := make([]float64, len(pout))
-			ConvDXPad(weights, sz.outC, sz.inC, gpad, gpadStride, h, w, k, gotDX, dxStride, pout, srow)
+			for i := range work {
+				work[i] = 1e30
+			}
+			// gpad, still holding the last plane set, is ConvDXPad's padding
+			// scratch: it must be overwritten, not trusted.
+			ConvDXPad(weights, sz.outC, sz.inC, 1, gs, oStride, h, w, k, gotDX, dxStride, gpad, work, offs)
 
 			for oc := 0; oc < sz.outC; oc++ {
 				for i := 0; i < hw; i++ {
@@ -127,14 +132,17 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 }
 
 // benchConvFused runs one fused kernel on every conv layer of the default
-// 8×8 search net, once per SIMD primitive body: the avx2 rows (skipped on
-// hosts without AVX2) and the portable go rows.
+// 8×8 and 10×10 search nets (the 10×10 planes — 50, 25 and 12 wide — end
+// in 4- and 1-wide row tails), once per body: the avx2 rows (skipped on
+// hosts without AVX2) and the portable go rows. Each row reports its
+// throughput in GMAC/s; every kernel does outC·inC·k²·h·w MACs per sample.
 func benchConvFused(b *testing.B, kernel func(o *convOperands)) {
 	rng := rand.New(rand.NewSource(53))
-	for _, s := range defaultNetShapes[8] {
-		o := newConvOperands(rng, s)
+	for _, s := range append(append([]convShape(nil), defaultNetShapes[8]...), defaultNetShapes[10]...) {
+		o := newConvOperands(rng, s, 1)
 		o.out = make([]float64, max(s.outC, s.inC)*s.h*s.w)
 		o.dw = make([]float64, s.outC*s.inC*s.k*s.k)
+		macs := float64(s.outC * s.inC * s.k * s.k * s.h * s.w)
 		for _, body := range []string{"avx2", "go"} {
 			b.Run(s.String()+"/"+body, func(b *testing.B) {
 				b.ReportAllocs()
@@ -145,19 +153,18 @@ func benchConvFused(b *testing.B, kernel func(o *convOperands)) {
 				}
 				if body == "go" {
 					forceGo(run)
-					return
+				} else {
+					requireAVX2(b)
+					run()
 				}
-				requireAVX2(b)
-				run()
+				b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
 		}
 	}
 }
 
 func BenchmarkConvFusedFwd(b *testing.B) {
-	benchConvFused(b, func(o *convOperands) {
-		ConvFwdPad(o.weights, o.outC, o.inC, o.xp, o.hpwp, o.h, o.w, o.k, o.out, o.h*o.w, o.pout)
-	})
+	benchConvFused(b, func(o *convOperands) { o.fwd(o.out) })
 }
 
 func BenchmarkConvFusedDW(b *testing.B) {
@@ -167,7 +174,5 @@ func BenchmarkConvFusedDW(b *testing.B) {
 }
 
 func BenchmarkConvFusedDX(b *testing.B) {
-	benchConvFused(b, func(o *convOperands) {
-		ConvDXPad(o.weights, o.outC, o.inC, o.gpad, o.hpwp, o.h, o.w, o.k, o.out, o.h*o.w, o.pout, o.srow)
-	})
+	benchConvFused(b, func(o *convOperands) { o.dx(o.out) })
 }

@@ -152,3 +152,444 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	XGETBV
 	MOVL   AX, eax+0(FP)
 	RET
+
+// Register-tiled conv row kernel. YMM lane l carries channel l of a block
+// of four (output channels for ConvFwdPad, input channels for ConvDXPad),
+// and Y0..Y7 hold up to eight consecutive output positions for the whole
+// reduction. A term is one (offset, packed weight vector) pair: offs[i] is
+// the element offset of term i's input from the position's base, and
+// wpk[4i:4i+4] its weights, one per lane. A group of m terms updates
+// every position p exactly as the scalar Go loops do:
+//
+//	acc[p] += ((W0*x0[p] + W1*x1[p]) + W2*x2[p]) + W3*x3[p]	(m = 4)
+//
+// with the shorter left-to-right expressions for m = 1..3, each input value
+// broadcast to all four lanes. Products and sums are rounded by VMULPD and
+// VADDPD in that order with the left Go operand as the first source, and
+// there is no FMA.
+
+// Position macros: one group of m terms for the position at byte offset
+// off, accumulating into acc with temporaries t0 and t1. The group's
+// inputs are at SI + 8*R8..R11 and its weights in Y8..Y11.
+#define POS4(off, acc, t0, t1) \
+	VBROADCASTSD off(SI)(R8*8), t0;  \
+	VMULPD       t0, Y8, t0;         \
+	VBROADCASTSD off(SI)(R9*8), t1;  \
+	VMULPD       t1, Y9, t1;         \
+	VADDPD       t1, t0, t0;         \
+	VBROADCASTSD off(SI)(R10*8), t1; \
+	VMULPD       t1, Y10, t1;        \
+	VADDPD       t1, t0, t0;         \
+	VBROADCASTSD off(SI)(R11*8), t1; \
+	VMULPD       t1, Y11, t1;        \
+	VADDPD       t1, t0, t0;         \
+	VADDPD       t0, acc, acc
+
+#define POS3(off, acc, t0, t1) \
+	VBROADCASTSD off(SI)(R8*8), t0;  \
+	VMULPD       t0, Y8, t0;         \
+	VBROADCASTSD off(SI)(R9*8), t1;  \
+	VMULPD       t1, Y9, t1;         \
+	VADDPD       t1, t0, t0;         \
+	VBROADCASTSD off(SI)(R10*8), t1; \
+	VMULPD       t1, Y10, t1;        \
+	VADDPD       t1, t0, t0;         \
+	VADDPD       t0, acc, acc
+
+#define POS2(off, acc, t0, t1) \
+	VBROADCASTSD off(SI)(R8*8), t0; \
+	VMULPD       t0, Y8, t0;        \
+	VBROADCASTSD off(SI)(R9*8), t1; \
+	VMULPD       t1, Y9, t1;        \
+	VADDPD       t1, t0, t0;        \
+	VADDPD       t0, acc, acc
+
+#define POS1(off, acc, t0) \
+	VBROADCASTSD off(SI)(R8*8), t0; \
+	VMULPD       t0, Y8, t0;        \
+	VADDPD       t0, acc, acc
+
+// Group prologues: load the next m term offsets into R8.. and their
+// weight vectors into Y8.., then advance DI and BX past them.
+#define TERMS4 \
+	MOVQ    (DI), R8;    \
+	MOVQ    8(DI), R9;   \
+	MOVQ    16(DI), R10; \
+	MOVQ    24(DI), R11; \
+	VMOVUPD (BX), Y8;    \
+	VMOVUPD 32(BX), Y9;  \
+	VMOVUPD 64(BX), Y10; \
+	VMOVUPD 96(BX), Y11; \
+	ADDQ    $32, DI;     \
+	ADDQ    $128, BX
+
+#define TERMS3 \
+	MOVQ    (DI), R8;    \
+	MOVQ    8(DI), R9;   \
+	MOVQ    16(DI), R10; \
+	VMOVUPD (BX), Y8;    \
+	VMOVUPD 32(BX), Y9;  \
+	VMOVUPD 64(BX), Y10; \
+	ADDQ    $24, DI;     \
+	ADDQ    $96, BX
+
+#define TERMS2 \
+	MOVQ    (DI), R8;   \
+	MOVQ    8(DI), R9;  \
+	VMOVUPD (BX), Y8;   \
+	VMOVUPD 32(BX), Y9; \
+	ADDQ    $16, DI;    \
+	ADDQ    $64, BX
+
+#define TERMS1 \
+	MOVQ    (DI), R8; \
+	VMOVUPD (BX), Y8; \
+	ADDQ    $8, DI;   \
+	ADDQ    $32, BX
+
+// With reps > 0 a tile's accumulators live at 0..224(SP) while the
+// registers hold the current sub-sums s: ACC adds one into its
+// accumulator (acc = acc + s), and the tile loads them back to store.
+#define ACC(j, y, t) \
+	VMOVUPD j(SP), t; \
+	VADDPD  y, t, t;  \
+	VMOVUPD t, j(SP)
+
+// TRANS4 turns four position vectors a..d (lane = channel) into four
+// channel vectors (lane = position), in place: a gets channel 0.
+#define TRANS4(a, b, c, d) \
+	VUNPCKLPD  b, a, Y12;         \
+	VUNPCKHPD  b, a, Y13;         \
+	VUNPCKLPD  d, c, Y14;         \
+	VUNPCKHPD  d, c, Y15;         \
+	VPERM2F128 $0x20, Y14, Y12, a; \
+	VPERM2F128 $0x20, Y15, Y13, b; \
+	VPERM2F128 $0x31, Y14, Y12, c; \
+	VPERM2F128 $0x31, Y15, Y13, d
+
+// func convRowAVX2(x []float64, offs []int, wpk []float64, o0, o1, o2, o3 []float64, w, n4, m, nm, reps int)
+//
+// For each of the w positions p of one output row: with reps == 0,
+// acc = +0, then n4 groups of four terms, then nm groups of m terms, and
+// lane l of acc is stored to ol[p]. With reps > 0 the same pass (m = 1)
+// runs reps times over consecutive terms, each from a +0 sub-sum that is
+// then added to the accumulator, and the accumulator is stored. Lanes are
+// stored 3, 2, 1, 0, so a lane row aliased to o0 is overwritten by lane 0.
+TEXT ·convRowAVX2(SB), NOSPLIT, $256-208
+
+// LANES points R8..R11 at output position AX of the four lane rows.
+#define LANES \
+	MOVQ o0_base+72(FP), R8;  \
+	MOVQ o1_base+96(FP), R9;  \
+	MOVQ o2_base+120(FP), R10; \
+	MOVQ o3_base+144(FP), R11; \
+	LEAQ (R8)(AX*8), R8;      \
+	LEAQ (R9)(AX*8), R9;      \
+	LEAQ (R10)(AX*8), R10;    \
+	LEAQ (R11)(AX*8), R11
+
+// TILE sets up a tile at position AX: SI at its inputs, DI and BX at the
+// first term, R13 the sub-sum repetition count (0 = none).
+#define TILE \
+	MOVQ x_base+0(FP), SI;     \
+	LEAQ (SI)(AX*8), SI;       \
+	MOVQ offs_base+24(FP), DI; \
+	MOVQ wpk_base+48(FP), BX;  \
+	MOVQ reps+200(FP), R13
+
+	MOVQ w+168(FP), R12
+	XORQ AX, AX
+
+next8:
+	MOVQ R12, DX
+	SUBQ AX, DX
+	CMPQ DX, $8
+	JLT  try4
+	TILE
+	TESTQ R13, R13
+	JZ    t8rep
+	VXORPD  Y0, Y0, Y0
+	VMOVUPD Y0, 0(SP)
+	VMOVUPD Y0, 32(SP)
+	VMOVUPD Y0, 64(SP)
+	VMOVUPD Y0, 96(SP)
+	VMOVUPD Y0, 128(SP)
+	VMOVUPD Y0, 160(SP)
+	VMOVUPD Y0, 192(SP)
+	VMOVUPD Y0, 224(SP)
+
+t8rep:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   n4+176(FP), CX
+	TESTQ  CX, CX
+	JZ     t8m
+
+t8g4:
+	TERMS4
+	POS4(0, Y0, Y12, Y13)
+	POS4(8, Y1, Y14, Y15)
+	POS4(16, Y2, Y12, Y13)
+	POS4(24, Y3, Y14, Y15)
+	POS4(32, Y4, Y12, Y13)
+	POS4(40, Y5, Y14, Y15)
+	POS4(48, Y6, Y12, Y13)
+	POS4(56, Y7, Y14, Y15)
+	DECQ CX
+	JNZ  t8g4
+
+t8m:
+	MOVQ  nm+192(FP), CX
+	TESTQ CX, CX
+	JZ    t8sum
+	MOVQ  m+184(FP), DX
+	CMPQ  DX, $2
+	JEQ   t8g2
+	JGT   t8g3
+
+t8g1:
+	TERMS1
+	POS1(0, Y0, Y12)
+	POS1(8, Y1, Y13)
+	POS1(16, Y2, Y14)
+	POS1(24, Y3, Y15)
+	POS1(32, Y4, Y12)
+	POS1(40, Y5, Y13)
+	POS1(48, Y6, Y14)
+	POS1(56, Y7, Y15)
+	DECQ CX
+	JNZ  t8g1
+	JMP  t8sum
+
+t8g2:
+	TERMS2
+	POS2(0, Y0, Y12, Y13)
+	POS2(8, Y1, Y14, Y15)
+	POS2(16, Y2, Y12, Y13)
+	POS2(24, Y3, Y14, Y15)
+	POS2(32, Y4, Y12, Y13)
+	POS2(40, Y5, Y14, Y15)
+	POS2(48, Y6, Y12, Y13)
+	POS2(56, Y7, Y14, Y15)
+	DECQ CX
+	JNZ  t8g2
+	JMP  t8sum
+
+t8g3:
+	TERMS3
+	POS3(0, Y0, Y12, Y13)
+	POS3(8, Y1, Y14, Y15)
+	POS3(16, Y2, Y12, Y13)
+	POS3(24, Y3, Y14, Y15)
+	POS3(32, Y4, Y12, Y13)
+	POS3(40, Y5, Y14, Y15)
+	POS3(48, Y6, Y12, Y13)
+	POS3(56, Y7, Y14, Y15)
+	DECQ CX
+	JNZ  t8g3
+
+t8sum:
+	TESTQ R13, R13
+	JZ    t8store
+	ACC(0, Y0, Y12)
+	ACC(32, Y1, Y13)
+	ACC(64, Y2, Y14)
+	ACC(96, Y3, Y15)
+	ACC(128, Y4, Y12)
+	ACC(160, Y5, Y13)
+	ACC(192, Y6, Y14)
+	ACC(224, Y7, Y15)
+	DECQ    R13
+	JNZ     t8rep
+	VMOVUPD 0(SP), Y0
+	VMOVUPD 32(SP), Y1
+	VMOVUPD 64(SP), Y2
+	VMOVUPD 96(SP), Y3
+	VMOVUPD 128(SP), Y4
+	VMOVUPD 160(SP), Y5
+	VMOVUPD 192(SP), Y6
+	VMOVUPD 224(SP), Y7
+
+t8store:
+	LANES
+	TRANS4(Y0, Y1, Y2, Y3)
+	TRANS4(Y4, Y5, Y6, Y7)
+	VMOVUPD Y3, (R11)
+	VMOVUPD Y7, 32(R11)
+	VMOVUPD Y2, (R10)
+	VMOVUPD Y6, 32(R10)
+	VMOVUPD Y1, (R9)
+	VMOVUPD Y5, 32(R9)
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y4, 32(R8)
+	ADDQ    $8, AX
+	JMP     next8
+
+try4:
+	CMPQ DX, $4
+	JLT  try1
+	TILE
+	TESTQ R13, R13
+	JZ    t4rep
+	VXORPD  Y0, Y0, Y0
+	VMOVUPD Y0, 0(SP)
+	VMOVUPD Y0, 32(SP)
+	VMOVUPD Y0, 64(SP)
+	VMOVUPD Y0, 96(SP)
+
+t4rep:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   n4+176(FP), CX
+	TESTQ  CX, CX
+	JZ     t4m
+
+t4g4:
+	TERMS4
+	POS4(0, Y0, Y12, Y13)
+	POS4(8, Y1, Y14, Y15)
+	POS4(16, Y2, Y12, Y13)
+	POS4(24, Y3, Y14, Y15)
+	DECQ CX
+	JNZ  t4g4
+
+t4m:
+	MOVQ  nm+192(FP), CX
+	TESTQ CX, CX
+	JZ    t4sum
+	MOVQ  m+184(FP), DX
+	CMPQ  DX, $2
+	JEQ   t4g2
+	JGT   t4g3
+
+t4g1:
+	TERMS1
+	POS1(0, Y0, Y12)
+	POS1(8, Y1, Y13)
+	POS1(16, Y2, Y14)
+	POS1(24, Y3, Y15)
+	DECQ CX
+	JNZ  t4g1
+	JMP  t4sum
+
+t4g2:
+	TERMS2
+	POS2(0, Y0, Y12, Y13)
+	POS2(8, Y1, Y14, Y15)
+	POS2(16, Y2, Y12, Y13)
+	POS2(24, Y3, Y14, Y15)
+	DECQ CX
+	JNZ  t4g2
+	JMP  t4sum
+
+t4g3:
+	TERMS3
+	POS3(0, Y0, Y12, Y13)
+	POS3(8, Y1, Y14, Y15)
+	POS3(16, Y2, Y12, Y13)
+	POS3(24, Y3, Y14, Y15)
+	DECQ CX
+	JNZ  t4g3
+
+t4sum:
+	TESTQ R13, R13
+	JZ    t4store
+	ACC(0, Y0, Y12)
+	ACC(32, Y1, Y13)
+	ACC(64, Y2, Y14)
+	ACC(96, Y3, Y15)
+	DECQ    R13
+	JNZ     t4rep
+	VMOVUPD 0(SP), Y0
+	VMOVUPD 32(SP), Y1
+	VMOVUPD 64(SP), Y2
+	VMOVUPD 96(SP), Y3
+
+t4store:
+	LANES
+	TRANS4(Y0, Y1, Y2, Y3)
+	VMOVUPD Y3, (R11)
+	VMOVUPD Y2, (R10)
+	VMOVUPD Y1, (R9)
+	VMOVUPD Y0, (R8)
+	ADDQ    $4, AX
+
+try1:
+	CMPQ AX, R12
+	JGE  rowdone
+	TILE
+	TESTQ  R13, R13
+	JZ     t1rep
+	VXORPD Y0, Y0, Y0
+	VMOVUPD Y0, 0(SP)
+
+t1rep:
+	VXORPD Y0, Y0, Y0
+	MOVQ   n4+176(FP), CX
+	TESTQ  CX, CX
+	JZ     t1m
+
+t1g4:
+	TERMS4
+	POS4(0, Y0, Y12, Y13)
+	DECQ CX
+	JNZ  t1g4
+
+t1m:
+	MOVQ  nm+192(FP), CX
+	TESTQ CX, CX
+	JZ    t1sum
+	MOVQ  m+184(FP), DX
+	CMPQ  DX, $2
+	JEQ   t1g2
+	JGT   t1g3
+
+t1g1:
+	TERMS1
+	POS1(0, Y0, Y12)
+	DECQ CX
+	JNZ  t1g1
+	JMP  t1sum
+
+t1g2:
+	TERMS2
+	POS2(0, Y0, Y12, Y13)
+	DECQ CX
+	JNZ  t1g2
+	JMP  t1sum
+
+t1g3:
+	TERMS3
+	POS3(0, Y0, Y12, Y13)
+	DECQ CX
+	JNZ  t1g3
+
+t1sum:
+	TESTQ R13, R13
+	JZ    t1store
+	ACC(0, Y0, Y12)
+	DECQ    R13
+	JNZ     t1rep
+	VMOVUPD 0(SP), Y0
+
+t1store:
+	LANES
+	VEXTRACTF128 $1, Y0, X12
+	VMOVHPD      X12, (R11)
+	VMOVSD       X12, (R10)
+	VMOVHPD      X0, (R9)
+	VMOVSD       X0, (R8)
+	INCQ         AX
+	JMP          try1
+
+rowdone:
+	VZEROUPPER
+	RET

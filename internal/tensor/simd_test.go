@@ -136,24 +136,29 @@ var defaultNetShapes = map[int][]convShape{
 	},
 }
 
-// convOperands holds one layer's inputs in the layouts the fused kernels
-// read, plus the scratch they need.
+// convOperands holds one layer's inputs for nb samples in the layouts the
+// fused kernels read, plus the scratch they need. Planes are channel-major,
+// plane (c, bi) at c*nb+bi; the ConvDWPad operands (grad, gpad, gp) are
+// sample 0's.
 type convOperands struct {
 	convShape
-	weights, cols, grad, xp, gpad, gp []float64
-	pout, gT, rowBuf, srow            []float64
-	out, dw                           []float64 // benchmark outputs
-	hpwp                              int
+	nb                      int
+	weights, cols, grads    []float64
+	grad, xp, gpad, gp      []float64
+	work, dxpad, gT, rowBuf []float64
+	offs                    []int
+	out, dw                 []float64 // benchmark outputs
+	hpwp                    int
 }
 
-func newConvOperands(rng *rand.Rand, s convShape) *convOperands {
-	o := &convOperands{convShape: s}
+func newConvOperands(rng *rand.Rand, s convShape, nb int) *convOperands {
+	o := &convOperands{convShape: s, nb: nb}
 	hw := s.h * s.w
 	ickk := s.inC * s.k * s.k
 	wp := s.w + s.k - 1
 	o.hpwp = (s.h + s.k - 1) * wp
 	span := (s.h-1)*wp + s.w
-	x := make([]float64, s.inC*hw)
+	x := make([]float64, s.inC*nb*hw)
 	for i := range x {
 		if rng.Intn(4) != 0 { // post-ReLU inputs: a quarter exact zeros
 			x[i] = rng.NormFloat64()
@@ -163,15 +168,23 @@ func newConvOperands(rng *rand.Rand, s convShape) *convOperands {
 	for i := range o.weights {
 		o.weights[i] = rng.NormFloat64()
 	}
+	o.grads = make([]float64, s.outC*nb*hw)
+	for i := range o.grads {
+		o.grads[i] = rng.NormFloat64()
+	}
 	o.grad = make([]float64, s.outC*hw)
-	for i := range o.grad {
-		o.grad[i] = rng.NormFloat64()
+	for oc := 0; oc < s.outC; oc++ {
+		copy(o.grad[oc*hw:(oc+1)*hw], o.grads[oc*nb*hw:])
+	}
+	x0 := make([]float64, s.inC*hw)
+	for ic := 0; ic < s.inC; ic++ {
+		copy(x0[ic*hw:(ic+1)*hw], x[ic*nb*hw:])
 	}
 	o.cols = make([]float64, ickk*hw)
-	Im2col(x, s.inC, s.h, s.w, s.k, (s.k-1)/2, o.cols)
-	o.xp = make([]float64, s.inC*o.hpwp)
-	for ic := 0; ic < s.inC; ic++ {
-		PadPlane(x[ic*hw:], s.h, s.w, s.k, o.xp[ic*o.hpwp:])
+	Im2col(x0, s.inC, s.h, s.w, s.k, (s.k-1)/2, o.cols)
+	o.xp = make([]float64, s.inC*nb*o.hpwp)
+	for p := 0; p < s.inC*nb; p++ {
+		PadPlane(x[p*hw:], s.h, s.w, s.k, o.xp[p*o.hpwp:])
 	}
 	lead := s.k - 1 - (s.k-1)/2
 	o.gpad = make([]float64, s.outC*o.hpwp)
@@ -179,37 +192,79 @@ func newConvOperands(rng *rand.Rand, s convShape) *convOperands {
 		PadPlaneLead(o.grad[oc*hw:], s.h, s.w, s.k, lead, o.gpad[oc*o.hpwp:])
 	}
 	o.gp = o.gpad[lead*wp+lead:]
-	o.pout = make([]float64, span)
+	nf, ni := ConvWork(s.outC, s.inC, s.h, s.w, s.k)
+	o.work, o.offs = make([]float64, nf), make([]int, ni)
+	o.dxpad = make([]float64, s.outC*o.hpwp)
 	o.gT = make([]float64, (s.outC&^3)*span)
 	o.rowBuf = make([]float64, hw)
-	o.srow = make([]float64, span)
 	return o
 }
 
-// run evaluates ConvFwdPad, ConvDWPad, ConvDXPad and GemmNN, in that
-// order, and returns their outputs.
+// nanSlice returns n NaNs: kernel outputs start poisoned, so an element a
+// body fails to write cannot match by accident.
+func nanSlice(n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = math.NaN()
+	}
+	return s
+}
+
+// fwd runs ConvFwdPad on all nb samples.
+func (o *convOperands) fwd(out []float64) {
+	ConvFwdPad(o.weights, o.outC, o.inC, o.nb, o.xp, o.hpwp, o.h, o.w, o.k, out, o.h*o.w, o.work, o.offs)
+}
+
+// dx runs ConvDXPad on all nb samples.
+func (o *convOperands) dx(dx []float64) {
+	hw := o.h * o.w
+	ConvDXPad(o.weights, o.outC, o.inC, o.nb, o.grads, hw, o.h, o.w, o.k, dx, hw, o.dxpad, o.work, o.offs)
+}
+
+// run evaluates ConvFwdPad, ConvDWPad (sample 0), ConvDXPad and GemmNN
+// (sample 0), in that order, and returns their outputs.
 func (o *convOperands) run() [4][]float64 {
 	hw := o.h * o.w
 	ickk := o.inC * o.k * o.k
-	fwd := make([]float64, o.outC*hw)
-	ConvFwdPad(o.weights, o.outC, o.inC, o.xp, o.hpwp, o.h, o.w, o.k, fwd, hw, o.pout)
+	fwd := nanSlice(o.outC * o.nb * hw)
+	o.fwd(fwd)
 	dw := make([]float64, o.outC*ickk)
 	for i := range dw {
 		dw[i] = float64(i%7) - 3 // dW accumulates
 	}
-	ConvDWPad(o.grad, hw, o.gp, o.hpwp, o.xp, o.hpwp, o.outC, o.inC, o.h, o.w, o.k, dw, o.gT, o.rowBuf)
-	dx := make([]float64, o.inC*hw)
-	ConvDXPad(o.weights, o.outC, o.inC, o.gpad, o.hpwp, o.h, o.w, o.k, dx, hw, o.pout, o.srow)
+	ConvDWPad(o.grad, hw, o.gp, o.hpwp, o.xp, o.nb*o.hpwp, o.outC, o.inC, o.h, o.w, o.k, dw, o.gT, o.rowBuf)
+	dx := nanSlice(o.inC * o.nb * hw)
+	o.dx(dx)
 	gemm := make([]float64, o.outC*hw)
 	GemmNN(o.outC, hw, ickk, o.weights, o.cols, gemm, false)
 	return [4][]float64{fwd, dw, dx, gemm}
 }
 
+// tileEdgeShapes exercise the tiled kernel's edges: widths that leave 4-
+// and 1-wide row tails (and w = 1, all tail), every channel count either
+// side of the four-lane blocks for both the lane dimension and the grouped
+// reduction (dX's outC ≤ 4 straight groups and outC > 4 sub-sums), and
+// reductions that end in singles: 15·3² = 135 (a second gemmKC panel of
+// 7) and 2·5² = 50.
+func tileEdgeShapes() []convShape {
+	var shapes []convShape
+	for _, w := range []int{1, 2, 3, 5, 7, 9, 12, 25} {
+		shapes = append(shapes, convShape{6, 5, 3, w, 3})
+	}
+	for _, inC := range []int{1, 2, 3, 5, 6} {
+		for _, outC := range []int{1, 2, 3, 5, 6} {
+			shapes = append(shapes, convShape{inC, outC, 2, 13, 3})
+		}
+	}
+	return append(shapes, convShape{15, 6, 5, 12, 3}, convShape{15, 3, 4, 9, 3},
+		convShape{2, 3, 6, 7, 5}, convShape{2, 6, 3, 10, 5}, convShape{3, 5, 5, 5, 4})
+}
+
 // TestConvKernelsAVX2MatchGo runs ConvFwdPad, ConvDWPad, ConvDXPad and
-// GemmNN on every conv layer of the default 8×8 and 10×10 networks, and on
+// GemmNN on every conv layer of the default 8×8 and 10×10 networks, on
 // the channel counts either side of the four-lane groups and the smallest
-// plane the nets allow, on both primitive bodies, and requires bit-equal
-// results.
+// plane the nets allow, and on the tile edges of tileEdgeShapes, on both
+// bodies, and requires bit-equal results.
 func TestConvKernelsAVX2MatchGo(t *testing.T) {
 	requireAVX2(t)
 	shapes := append(append([]convShape(nil), defaultNetShapes[8]...), defaultNetShapes[10]...)
@@ -217,10 +272,11 @@ func TestConvKernelsAVX2MatchGo(t *testing.T) {
 		convShape{3, 1, 6, 7, 3}, convShape{3, 2, 6, 7, 3}, convShape{3, 3, 6, 7, 3},
 		convShape{3, 5, 6, 7, 3}, convShape{5, 5, 2, 2, 3}, convShape{8, 4, 2, 2, 3},
 	)
+	shapes = append(shapes, tileEdgeShapes()...)
 	rng := rand.New(rand.NewSource(47))
 	for _, s := range shapes {
 		t.Run(s.String(), func(t *testing.T) {
-			o := newConvOperands(rng, s)
+			o := newConvOperands(rng, s, 1)
 			got := o.run()
 			var want [4][]float64
 			forceGo(func() { want = o.run() })
@@ -230,5 +286,48 @@ func TestConvKernelsAVX2MatchGo(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConvKernelsBatchMatchPerSample requires ConvFwdPad and ConvDXPad on
+// nb samples to give each sample the bits of a one-sample call on that
+// sample's planes, on every body the host runs.
+func TestConvKernelsBatchMatchPerSample(t *testing.T) {
+	const nb = 3
+	rng := rand.New(rand.NewSource(59))
+	bodies := map[string]func(func()){"go": forceGo}
+	if useAVX2 {
+		bodies["avx2"] = func(f func()) { f() }
+	}
+	for _, s := range []convShape{{6, 5, 3, 13, 3}, {3, 2, 4, 5, 3}, {5, 4, 2, 9, 3}, {1, 4, 9, 9, 9}} {
+		for body, run := range bodies {
+			t.Run(s.String()+"/"+body, func(t *testing.T) {
+				o := newConvOperands(rng, s, nb)
+				hw := s.h * s.w
+				fwd := make([]float64, s.outC*nb*hw)
+				dx := make([]float64, s.inC*nb*hw)
+				one := make([]float64, max(s.outC, s.inC)*hw)
+				run(func() {
+					o.fwd(fwd)
+					o.dx(dx)
+					for bi := 0; bi < nb; bi++ {
+						ConvFwdPad(o.weights, s.outC, s.inC, 1, o.xp[bi*o.hpwp:], nb*o.hpwp, s.h, s.w, s.k,
+							one, hw, o.work, o.offs)
+						for oc := 0; oc < s.outC; oc++ {
+							if e := sameBits(fwd[(oc*nb+bi)*hw:][:hw], one[oc*hw:][:hw]); e >= 0 {
+								t.Fatalf("ConvFwdPad sample %d channel %d elem %d differs", bi, oc, e)
+							}
+						}
+						ConvDXPad(o.weights, s.outC, s.inC, 1, o.grads[bi*hw:], nb*hw, s.h, s.w, s.k,
+							one, hw, o.dxpad, o.work, o.offs)
+						for ic := 0; ic < s.inC; ic++ {
+							if e := sameBits(dx[(ic*nb+bi)*hw:][:hw], one[ic*hw:][:hw]); e >= 0 {
+								t.Fatalf("ConvDXPad sample %d channel %d elem %d differs", bi, ic, e)
+							}
+						}
+					}
+				})
+			})
+		}
 	}
 }

@@ -64,18 +64,6 @@ func (t *Tensor) Clone() *Tensor {
 // ZerosLike returns a zero tensor with t's shape.
 func (t *Tensor) ZerosLike() *Tensor { return New(t.Shape...) }
 
-// Reshape returns a view with a new shape of equal size.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	v := &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
-	if v.Size() != t.Size() {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v changes size", t.Shape, shape))
-	}
-	return v
-}
-
-// At reads the element at the given indices.
-func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
-
 // Set writes the element at the given indices.
 func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
 
@@ -103,23 +91,6 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	}
 }
 
-// ScaleInPlace multiplies every element by s.
-func (t *Tensor) ScaleInPlace(s float64) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
-// AxpyInPlace computes t += a*o.
-func (t *Tensor) AxpyInPlace(a float64, o *Tensor) {
-	if t.Size() != o.Size() {
-		panic("tensor: size mismatch in AxpyInPlace")
-	}
-	for i, v := range o.Data {
-		t.Data[i] += a * v
-	}
-}
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float64) {
 	if v == 0 {
@@ -129,64 +100,6 @@ func (t *Tensor) Fill(v float64) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
-}
-
-// Norm returns the L2 norm of the tensor.
-func (t *Tensor) Norm() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// ClipInPlace clamps every element to [-c, c].
-func (t *Tensor) ClipInPlace(c float64) {
-	for i, v := range t.Data {
-		if v > c {
-			t.Data[i] = c
-		} else if v < -c {
-			t.Data[i] = -c
-		}
-	}
-}
-
-// MatVec computes y = A·x for a 2-D tensor A (m×n) and a vector x (n).
-func MatVec(a *Tensor, x []float64) []float64 {
-	if len(a.Shape) != 2 || a.Shape[1] != len(x) {
-		panic(fmt.Sprintf("tensor: MatVec shapes %v · %d", a.Shape, len(x)))
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	y := make([]float64, m)
-	for i := 0; i < m; i++ {
-		s := 0.0
-		row := a.Data[i*n : (i+1)*n]
-		for j, w := range row {
-			s += w * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// MatVecT computes y = Aᵀ·x for a 2-D tensor A (m×n) and vector x (m).
-func MatVecT(a *Tensor, x []float64) []float64 {
-	if len(a.Shape) != 2 || a.Shape[0] != len(x) {
-		panic(fmt.Sprintf("tensor: MatVecT shapes %vᵀ · %d", a.Shape, len(x)))
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	y := make([]float64, n)
-	for i := 0; i < m; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := a.Data[i*n : (i+1)*n]
-		for j, w := range row {
-			y[j] += w * xi
-		}
-	}
-	return y
 }
 
 // Softmax returns the softmax of xs (numerically stable).

@@ -1,11 +1,102 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// The helpers below have no caller outside the tests that pin their
+// behaviour; they live here rather than in the package API.
+
+// Reshape returns a view with a new shape of equal size.
+func (t *Tensor) Reshape(shape ...int) *Tensor {
+	v := &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
+	if v.Size() != t.Size() {
+		panic(fmt.Sprintf("tensor: reshape %v -> %v changes size", t.Shape, shape))
+	}
+	return v
+}
+
+// At reads the element at the given indices.
+func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
+
+// ScaleInPlace multiplies every element by s.
+func (t *Tensor) ScaleInPlace(s float64) {
+	for i := range t.Data {
+		t.Data[i] *= s
+	}
+}
+
+// AxpyInPlace computes t += a*o.
+func (t *Tensor) AxpyInPlace(a float64, o *Tensor) {
+	if t.Size() != o.Size() {
+		panic("tensor: size mismatch in AxpyInPlace")
+	}
+	for i, v := range o.Data {
+		t.Data[i] += a * v
+	}
+}
+
+// Norm returns the L2 norm of the tensor.
+func (t *Tensor) Norm() float64 {
+	s := 0.0
+	for _, v := range t.Data {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
+// ClipInPlace clamps every element to [-c, c].
+func (t *Tensor) ClipInPlace(c float64) {
+	for i, v := range t.Data {
+		if v > c {
+			t.Data[i] = c
+		} else if v < -c {
+			t.Data[i] = -c
+		}
+	}
+}
+
+// MatVec computes y = A·x for a 2-D tensor A (m×n) and a vector x (n).
+func MatVec(a *Tensor, x []float64) []float64 {
+	if len(a.Shape) != 2 || a.Shape[1] != len(x) {
+		panic(fmt.Sprintf("tensor: MatVec shapes %v · %d", a.Shape, len(x)))
+	}
+	m, n := a.Shape[0], a.Shape[1]
+	y := make([]float64, m)
+	for i := 0; i < m; i++ {
+		s := 0.0
+		row := a.Data[i*n : (i+1)*n]
+		for j, w := range row {
+			s += w * x[j]
+		}
+		y[i] = s
+	}
+	return y
+}
+
+// MatVecT computes y = Aᵀ·x for a 2-D tensor A (m×n) and vector x (m).
+func MatVecT(a *Tensor, x []float64) []float64 {
+	if len(a.Shape) != 2 || a.Shape[0] != len(x) {
+		panic(fmt.Sprintf("tensor: MatVecT shapes %vᵀ · %d", a.Shape, len(x)))
+	}
+	m, n := a.Shape[0], a.Shape[1]
+	y := make([]float64, n)
+	for i := 0; i < m; i++ {
+		xi := x[i]
+		if xi == 0 {
+			continue
+		}
+		row := a.Data[i*n : (i+1)*n]
+		for j, w := range row {
+			y[j] += w * xi
+		}
+	}
+	return y
+}
 
 func TestNewAndSize(t *testing.T) {
 	x := New(2, 3, 4)
