@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet vet-arm64 build test race bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke fuzz-smoke
+.PHONY: ci fmt vet vet-arm64 build test race loc bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke fuzz-smoke
 
 ci: fmt vet vet-arm64 build test race
 
@@ -30,20 +30,29 @@ test:
 race:
 	$(GO) test -race ./internal/drl/... ./internal/sim/... ./internal/obs/... ./internal/mcts/... ./internal/exp/... ./internal/rl/... ./internal/infer/...
 
+# Non-test Go lines per internal/ package and their total, the unit the
+# ROADMAP measures code size in (assembly and _test.go files excluded).
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' $$(cat $$(ls $$d*.go | grep -v '_test\.go$$') | wc -l) $${d%/}; \
+	done
+	@printf '%6d total\n' $$(cat $$(ls internal/*/*.go | grep -v '_test\.go$$') | wc -l)
+
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' .
 
 # Quick kernel-iteration loop for the DNN hot path (fused padded-plane
-# convs, GEMM, scratch arenas): the DNN/GEMM micro-benchmarks with
-# allocation counts, the conv layer against its naive reference, then the
-# fused conv kernels per layer shape of the default 8×8 and 10×10 nets on
-# both bodies (avx2: the register-tiled rows for Fwd/DX, the axpy4/dot4x4
-# primitives for DW; go: the portable loops), each row reporting GMAC/s.
-# Baseline numbers live in BENCH_PR2.json; the AVX2 rows in CHANGES.md.
+# convs, scratch arenas): the DNN micro-benchmarks with allocation counts,
+# the conv layer against its naive reference, then the fused conv kernels
+# per layer shape of the default 8×8 and 10×10 nets on both bodies (avx2:
+# the register-tiled rows for Fwd/DX, the axpy4/dot4x4 primitives for DW;
+# go: the portable loops), each row reporting GMAC/s, and the lowered GEMM
+# oracle. Baseline numbers live in BENCH_PR2.json; the AVX2 rows in
+# CHANGES.md.
 bench-nn:
-	$(GO) test -bench 'BenchmarkDNN|BenchmarkGemm' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkDNN' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkConvNaive' -benchmem -run '^$$' ./internal/nn/
-	$(GO) test -bench 'BenchmarkConvFused' -benchmem -run '^$$' ./internal/tensor/
+	$(GO) test -bench 'BenchmarkConvFused|BenchmarkGemm' -benchmem -run '^$$' ./internal/tensor/
 
 # Quick iteration loop for the simulator hot path (zero-alloc Step/Run:
 # flit pools, head-index queues, routing caches, active-set sparse
@@ -69,9 +78,9 @@ bench-drl:
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/
 
 # Quick iteration loop for the batched-inference service (internal/infer
-# broker, nn.ForwardBatch on the fused conv body, fingerprint-keyed
-# evaluation cache): BenchmarkDNNForwardBatch per-sample at B=1/8/32
-# against single-sample BenchmarkDNNForward, and broker-routed episodes.
+# broker, inference nn.Forward on the fused conv body, fingerprint-keyed
+# evaluation cache): BenchmarkDNNForwardBatch per-sample at B=8/32 against
+# the B=1 call BenchmarkDNNForward, and broker-routed episodes.
 # Baseline numbers live in BENCH_PR5.json; the f32-vs-f64 measurement
 # that retired the float32 engine is in README.md.
 bench-infer:
@@ -79,8 +88,8 @@ bench-infer:
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/
 
 # Quick iteration loop for the batched trajectory trainer (rl.A2C tiles
-# driving nn.ForwardBatchTrain/BackwardBatch over the fused padded-plane
-# conv kernels): the test-only sequential oracle vs the batched
+# driving training nn.Forward/Backward over the fused padded-plane conv
+# kernels): the test-only one-sample-per-step oracle vs the batched
 # A2CAccumulate at H ∈ {8,16,32} on the
 # 8×8 and 10×10 nets, plus the end-to-end episode benchmark. The regression
 # signals are allocs/op = 0 on the warmed trainer and the seq/batched

@@ -23,7 +23,6 @@ import (
 	"routerless/internal/rl"
 	"routerless/internal/search"
 	"routerless/internal/sim"
-	"routerless/internal/tensor"
 	"routerless/internal/topo"
 	"routerless/internal/traffic"
 )
@@ -278,42 +277,42 @@ func BenchmarkSimRunTraced(b *testing.B) {
 	}
 }
 
+// BenchmarkDNNForward measures the one-sample inference call each drl
+// worker makes per policy evaluation when no broker runs.
 func BenchmarkDNNForward(b *testing.B) {
 	for _, n := range []int{4, 8, 10} {
 		b.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n), func(b *testing.B) {
 			net := nn.NewPolicyValueNet(nn.Config{N: n, BaseChannels: 4, Pools: 3}, 1)
-			in := make([]float64, n*n*n*n)
-			rng := rand.New(rand.NewSource(2))
-			for i := range in {
-				in[i] = rng.Float64() * 40
-			}
+			states := benchStates(n, 1)
+			outs := make([]nn.Output, 1)
+			net.Forward(states, outs, false) // populate the output slices
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				net.Forward(in, false)
+				net.Forward(states, outs, false)
 			}
 		})
 	}
 }
 
-// BenchmarkDNNForwardBatch measures the batched inference path the
-// internal/infer broker runs: one ForwardBatch over B stacked states,
-// reported per batch (divide by B for the per-sample cost against
-// BenchmarkDNNForward). Before/after numbers for PR 5 live in
-// BENCH_PR5.json.
+// BenchmarkDNNForwardBatch measures the batched inference call the
+// internal/infer broker runs: one Forward over B stacked states, reported
+// per batch (divide by B for the per-sample cost against
+// BenchmarkDNNForward, the B=1 case). Before/after numbers for PR 5 live
+// in BENCH_PR5.json.
 func BenchmarkDNNForwardBatch(b *testing.B) {
 	for _, n := range []int{4, 8, 10} {
-		for _, bs := range []int{1, 8, 32} {
+		for _, bs := range []int{8, 32} {
 			b.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n)+"/B"+strconv.Itoa(bs), func(b *testing.B) {
 				net := nn.NewPolicyValueNet(nn.Config{N: n, BaseChannels: 4, Pools: 3}, 1)
 				states := benchStates(n, bs)
 				outs := make([]nn.Output, bs)
 				net.WarmBatch(bs)
-				net.ForwardBatch(states, outs) // populate the output slices
+				net.Forward(states, outs, false) // populate the output slices
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					net.ForwardBatch(states, outs)
+					net.Forward(states, outs, false)
 				}
 				b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)/float64(bs)*1e9, "ns/sample")
 			})
@@ -334,59 +333,27 @@ func benchStates(n, bs int) [][]float64 {
 	return states
 }
 
+// BenchmarkDNNTrainStep measures one one-sample training step: a training
+// Forward, Backward, and SGD update.
 func BenchmarkDNNTrainStep(b *testing.B) {
 	net := nn.NewPolicyValueNet(nn.Config{N: 4, BaseChannels: 4, Pools: 3}, 1)
 	env := rl.NewEnv(4, 6)
-	st := env.State()
-	var dl [4][]float64
-	for g := range dl {
-		dl[g] = make([]float64, 4)
-		dl[g][g%4] = 0.5
+	states := [][]float64{env.State()}
+	outs := make([]nn.Output, 1)
+	dl := make([]float64, 4*4)
+	for g := 0; g < 4; g++ {
+		dl[g*4+g%4] = 0.5
 	}
+	dDir, dVal := []float64{0.1}, []float64{-0.5}
 	// Tiny learning rate with clipping: the bench repeats one gradient
 	// thousands of times, which would diverge at training rates.
 	sgd := nn.SGD{LR: 1e-6, Clip: 0.1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(st, true)
-		net.Backward(dl, 0.1, -0.5)
+		net.Forward(states, outs, true)
+		net.Backward(dl, dDir, dVal)
 		sgd.Step(net)
-	}
-}
-
-// BenchmarkGemm measures the blocked GEMM kernels on the shapes the conv
-// layers actually produce: "stem8x8" is the 8×8 net's stem convolution
-// (16 output channels, 9×9 kernel on a 64×64 map) and "conv2_8x8" its
-// second stage; "square128" is a reference cube. Reports GFLOP/s.
-func BenchmarkGemm(b *testing.B) {
-	for _, sz := range []struct {
-		name    string
-		m, n, k int
-	}{
-		{"stem8x8_16x4096x81", 16, 4096, 81},
-		{"conv2_8x8_32x1024x144", 32, 1024, 144},
-		{"square128", 128, 128, 128},
-	} {
-		b.Run(sz.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			a := make([]float64, sz.m*sz.k)
-			bb := make([]float64, sz.k*sz.n)
-			c := make([]float64, sz.m*sz.n)
-			for i := range a {
-				a[i] = rng.NormFloat64()
-			}
-			for i := range bb {
-				bb[i] = rng.NormFloat64()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.GemmNN(sz.m, sz.n, sz.k, a, bb, c, false)
-			}
-			flops := 2 * float64(sz.m) * float64(sz.n) * float64(sz.k)
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
 	}
 }
 

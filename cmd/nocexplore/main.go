@@ -305,14 +305,8 @@ func main() {
 // outside [0, 1], a learning rate that is not a positive finite number,
 // and a negative or non-finite exploration constant.
 func checkFlags(episodes, threads int, epsilon, lr, cpuct float64) error {
-	if episodes < 1 {
-		return fmt.Errorf("-episodes %d must be at least 1", episodes)
-	}
-	if threads < 1 {
-		return fmt.Errorf("-threads %d must be at least 1", threads)
-	}
-	if !(epsilon >= 0 && epsilon <= 1) {
-		return fmt.Errorf("-epsilon %v is outside [0, 1]", epsilon)
+	if err := drl.CheckRunFlags(episodes, threads, epsilon); err != nil {
+		return err
 	}
 	if math.IsNaN(lr) || math.IsInf(lr, 0) || lr <= 0 {
 		return fmt.Errorf("-lr %v is not a positive finite learning rate", lr)

@@ -35,9 +35,9 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress the topology summary")
 	flag.Parse()
 
-	if *n < 1 || *n > topo.MaxJSONSide {
-		fmt.Fprintf(os.Stderr, "nocgen: -n %d out of range 1..%d (the largest grid nocsim -topo reads)\n", *n, topo.MaxJSONSide)
-		os.Exit(2)
+	if err := checkFlags(*n, *cap, *episodes, *threads, *epsilon); err != nil {
+		fmt.Fprintln(os.Stderr, "nocgen:", err)
+		os.Exit(1)
 	}
 	overlap := *cap
 	if overlap == 0 {
@@ -103,4 +103,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nocgen:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flags no method can run with before anything is
+// built: a side outside 2..topo.MaxJSONSide (the largest grid nocsim
+// -topo reads), a negative overlap cap (0 selects the default), and the
+// DRL run settings drl.CheckRunFlags rejects.
+func checkFlags(n, overlapCap, episodes, threads int, epsilon float64) error {
+	if n < 2 || n > topo.MaxJSONSide {
+		return fmt.Errorf("-n %d out of range 2..%d (the largest grid nocsim -topo reads)", n, topo.MaxJSONSide)
+	}
+	if overlapCap < 0 {
+		return fmt.Errorf("-cap %d is negative", overlapCap)
+	}
+	return drl.CheckRunFlags(episodes, threads, epsilon)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"routerless/internal/nn"
 	"routerless/internal/obs"
 )
 
@@ -78,4 +79,20 @@ func TestEpisodeAllocBudgetWithTracing(t *testing.T) {
 			t.Fatalf("episode with live tracer allocates %.1f times, budget %d", allocs, budget)
 		}
 	})
+}
+
+// TestPolicyEvalZeroAlloc pins the per-worker evaluation route: the
+// one-sample inference Forward runs from the episode arena's one-element
+// batch, so a warmed call allocates nothing.
+func TestPolicyEvalZeroAlloc(t *testing.T) {
+	s := MustNew(DefaultConfig(4, 6))
+	net := nn.NewPolicyValueNet(s.cfg.NN, 1)
+	ar := s.newArena()
+	state := ar.env.StateInto(nil)
+	s.policyEval(net, "", state, ar) // warm the arena's output slots
+	if allocs := testing.AllocsPerRun(20, func() {
+		s.policyEval(net, "", state, ar)
+	}); allocs != 0 {
+		t.Fatalf("warmed policyEval allocates %.1f times, want 0", allocs)
+	}
 }

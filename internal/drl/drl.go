@@ -194,6 +194,23 @@ func New(cfg Config) (*Searcher, error) {
 	return s, nil
 }
 
+// CheckRunFlags rejects run settings the command-line tools must not start
+// a search with: fewer than one episode or learner thread, or an ε outside
+// [0, 1] (NaN included). New would silently raise a zero episode or thread
+// count to one. The errors name the flags nocexplore and nocgen share.
+func CheckRunFlags(episodes, threads int, epsilon float64) error {
+	if episodes < 1 {
+		return fmt.Errorf("-episodes %d must be at least 1", episodes)
+	}
+	if threads < 1 {
+		return fmt.Errorf("-threads %d must be at least 1", threads)
+	}
+	if !(epsilon >= 0 && epsilon <= 1) {
+		return fmt.Errorf("-epsilon %v is outside [0, 1]", epsilon)
+	}
+	return nil
+}
+
 // ModelWeights returns the parameter server's current weights (nil when
 // the search runs without a DNN); save them with nn.MarshalModel via a
 // network constructed from the same nn.Config to resume training later.
@@ -335,7 +352,7 @@ func (s *Searcher) worker(tid, episodes int) {
 	var weights, grads, stats []float64
 	if s.cfg.UseDNN {
 		// Each worker owns its network — and with it the network's scratch
-		// arena (im2col buffers, activation/gradient tensors), which is
+		// arena (padded conv planes, activation/gradient tensors), which is
 		// not goroutine-safe. Only flat weight/grad vectors cross the
 		// worker boundary, through these per-worker reusable buffers, so
 		// the steady-state training loop performs no heap allocation.
@@ -498,6 +515,11 @@ type episodeArena struct {
 	// priors holds the prior weight of each legal action, aligned with the
 	// slice LegalActions returned.
 	priors []float64
+	// evalIn and evalOut are the one-element batch of the worker's own
+	// network evaluation (policyEval), reused so that call allocates
+	// nothing.
+	evalIn  [1][]float64
+	evalOut [1]nn.Output
 	// trace is the worker's span recorder (nil when tracing is off); owned
 	// by the worker goroutine like every other arena buffer.
 	trace *obs.TraceShard
@@ -558,7 +580,7 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 		case first && net != nil:
 			// The DNN proposes the initial action raw (Fig. 4); it may
 			// be penalized, teaching constraint compliance.
-			a, ok = s.sampleRaw(net, fp, state, rng, ar.trace), true
+			a, ok = s.sampleRaw(net, fp, state, rng, ar), true
 		default:
 			a, ok = s.chooseAction(net, env, fp, state, rng, ar)
 		}
@@ -649,18 +671,22 @@ func (s *Searcher) chooseAction(net *nn.PolicyValueNet, env *rl.Env, fp string, 
 // the tanh direction) for the given state: through the shared inference
 // broker when one is running — concurrent learners then batch into one
 // forward and share cached evaluations keyed by the canonical topology
-// fingerprint — or via the worker's own network on the legacy path. Both
-// paths are byte-identical for equal weights and running statistics.
-func (s *Searcher) policyEval(net *nn.PolicyValueNet, fp string, state []float64, sh *obs.TraceShard) (probs *[4][]float64, dir float64) {
+// fingerprint — or via a one-sample Forward on the worker's own network
+// on the legacy path. Both paths are byte-identical for equal weights and
+// running statistics. The returned probabilities alias arena or broker
+// buffers valid until the next call.
+func (s *Searcher) policyEval(net *nn.PolicyValueNet, fp string, state []float64, ar *episodeArena) (probs *[4][]float64, dir float64) {
 	if s.broker != nil {
-		sub := sh.Start(obs.SpanInferSubmit)
+		sub := ar.trace.Start(obs.SpanInferSubmit)
 		ev := s.broker.Submit(fp, state)
 		sub.End()
 		return &ev.CoordProbs, ev.Dir
 	}
-	fw := sh.Start(obs.SpanNNForward)
-	out := net.Forward(state, false)
+	fw := ar.trace.Start(obs.SpanNNForward)
+	ar.evalIn[0] = state
+	net.Forward(ar.evalIn[:], ar.evalOut[:], false)
 	fw.End()
+	out := &ar.evalOut[0]
 	return &out.CoordProbs, out.Dir
 }
 
@@ -679,7 +705,7 @@ func (s *Searcher) priorsInto(net *nn.PolicyValueNet, fp string, state []float64
 		}
 		return priors
 	}
-	probs, dir := s.policyEval(net, fp, state, ar.trace)
+	probs, dir := s.policyEval(net, fp, state, ar)
 	pcw := (1 + dir) / 2
 	for i, a := range legal {
 		p := probs[0][a.X1] * probs[1][a.Y1] *
@@ -696,8 +722,8 @@ func (s *Searcher) priorsInto(net *nn.PolicyValueNet, fp string, state []float64
 
 // sampleRaw draws an action directly from the DNN output heads, the
 // paper's raw policy sample for the episode's initial action.
-func (s *Searcher) sampleRaw(net *nn.PolicyValueNet, fp string, state []float64, rng *rand.Rand, sh *obs.TraceShard) rl.Action {
-	probs, dirPCW := s.policyEval(net, fp, state, sh)
+func (s *Searcher) sampleRaw(net *nn.PolicyValueNet, fp string, state []float64, rng *rand.Rand, ar *episodeArena) rl.Action {
+	probs, dirPCW := s.policyEval(net, fp, state, ar)
 	pick := func(probs []float64) int {
 		r := rng.Float64()
 		acc := 0.0

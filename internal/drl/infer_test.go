@@ -45,8 +45,8 @@ func assertResultsEqual(t *testing.T, a, b *Result) {
 // The determinism satellite: a single-threaded broker-routed search (batch
 // forwards of size 1, cache hits and all) must produce a Result identical
 // to the legacy per-worker Forward path — same designs, same per-episode
-// value errors, same tree. This holds because ForwardBatch(B=1) is
-// byte-identical to Forward, every weight sync also carries the BatchNorm
+// value errors, same tree. This holds because a sample's Forward result
+// does not depend on the batch size, every weight sync also carries the BatchNorm
 // running statistics, and cached evaluations equal re-evaluations within a
 // weight generation.
 func TestSearchBrokerMatchesLegacySingleThread(t *testing.T) {

@@ -2,7 +2,7 @@
 // learners (§4.5–4.6). Worker goroutines submit (fingerprint, state)
 // evaluation requests to a Broker; the broker coalesces duplicate in-flight
 // fingerprints, gathers concurrent requests into batches of up to B, runs
-// one batch-N nn.ForwardBatch on a dedicated evaluator network, and
+// one batch-N inference nn.Forward on a dedicated evaluator network, and
 // scatters per-sample results back to the waiting workers. A sharded
 // fingerprint-keyed LRU cache fronts the evaluator — the canonical topology
 // fingerprint is an O(1) cached read, so it doubles as a transposition-
@@ -330,7 +330,7 @@ func (b *Broker) evaluate(batch []*request, states [][]float64, outs []nn.Output
 		b.queueTr.Record(obs.SpanInferQueueWait, traceNow-wait.Nanoseconds(), traceNow)
 	}
 	fw := b.trace.Start(obs.SpanInferForward)
-	b.net.ForwardBatch(states[:n], outs[:n])
+	b.net.Forward(states[:n], outs[:n], false)
 	fw.End()
 	b.batches.Inc()
 	b.evaluated.Add(int64(n))

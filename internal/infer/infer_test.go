@@ -17,6 +17,13 @@ func testNet(seed int64) *nn.PolicyValueNet {
 	return nn.NewPolicyValueNet(nn.TestConfig(4), seed)
 }
 
+// forward1 evaluates one state in inference mode on net.
+func forward1(net *nn.PolicyValueNet, s []float64) *nn.Output {
+	outs := make([]nn.Output, 1)
+	net.Forward([][]float64{s}, outs, false)
+	return &outs[0]
+}
+
 func randState(rng *rand.Rand, n int) []float64 {
 	s := make([]float64, n*n*n*n)
 	for i := range s {
@@ -56,7 +63,7 @@ func TestBrokerMatchesDirectForward(t *testing.T) {
 	check := func(phase string) {
 		for i, s := range states {
 			ev := br.Submit("fp-"+phase+"-"+strconv.Itoa(i), s)
-			assertEvalMatches(t, phase+" sample "+strconv.Itoa(i), ev, ref.Forward(s, false))
+			assertEvalMatches(t, phase+" sample "+strconv.Itoa(i), ev, forward1(ref, s))
 		}
 	}
 	check("init")
@@ -125,7 +132,7 @@ func TestSyncBumpsGenerationAndInvalidatesCache(t *testing.T) {
 	if s1.Invalidations != 1 {
 		t.Fatalf("invalidations = %d, want 1", s1.Invalidations)
 	}
-	assertEvalMatches(t, "post-sync", ev, ref.Forward(state, false))
+	assertEvalMatches(t, "post-sync", ev, forward1(ref, state))
 }
 
 // LRU eviction: with a tiny capacity, distinct fingerprints must evict.

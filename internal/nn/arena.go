@@ -6,7 +6,7 @@ import (
 	"routerless/internal/tensor"
 )
 
-// Arena owns a network's scratch memory: im2col column matrices, layer
+// Arena owns a network's scratch memory: padded conv planes, layer
 // outputs, and gradient tensors. Buffers are handed out through layer-held
 // handles and reused across steps, so a warmed-up Forward/Backward cycle
 // performs no heap allocation. An arena (and therefore a network and its

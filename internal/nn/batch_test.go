@@ -63,17 +63,8 @@ func assertOutputsEqual(t *testing.T, tag string, got, want *Output) {
 	}
 }
 
-func copyOutput(out *Output) *Output {
-	cp := &Output{DirPre: out.DirPre, Dir: out.Dir, Value: out.Value}
-	for g := 0; g < 4; g++ {
-		cp.CoordLogits[g] = append([]float64(nil), out.CoordLogits[g]...)
-		cp.CoordProbs[g] = append([]float64(nil), out.CoordProbs[g]...)
-	}
-	return cp
-}
-
-// The byte-identity satellite: ForwardBatch over B stacked states must
-// reproduce B independent Forward calls bit-for-bit — policy logits and
+// The byte-identity gate for inference: one Forward over B stacked states
+// must reproduce B independent one-sample Forward calls bit-for-bit — policy logits and
 // softmax groups, pre-tanh direction, and value — across batch sizes,
 // including B=1. The narrow TestConfig nets keep every conv reduction
 // under one gemmKC = 128 panel; the nets the broker benchmark runs
@@ -99,10 +90,10 @@ func TestForwardBatchMatchesForwardByteIdentical(t *testing.T) {
 				states := randStates(rng, n, bs)
 				want := make([]*Output, bs)
 				for i, s := range states {
-					want[i] = copyOutput(net.Forward(s, false))
+					want[i] = forward1(net, s, false)
 				}
 				outs := make([]Output, bs)
-				net.ForwardBatch(states, outs)
+				net.Forward(states, outs, false)
 				for i := range outs {
 					assertOutputsEqual(t, "B="+strconv.Itoa(bs)+" sample "+strconv.Itoa(i),
 						&outs[i], want[i])
@@ -112,40 +103,7 @@ func TestForwardBatchMatchesForwardByteIdentical(t *testing.T) {
 	}
 }
 
-// Interleaving batched inference with a training step must not corrupt
-// either path: the batch scratch is disjoint from the training caches.
-func TestForwardBatchDoesNotDisturbTraining(t *testing.T) {
-	cfg := TestConfig(4)
-	ref := NewPolicyValueNet(cfg, 7)
-	mix := NewPolicyValueNet(cfg, 7)
-	rng := rand.New(rand.NewSource(37))
-	states := randStates(rng, 4, 4)
-	var dl [4][]float64
-	for g := range dl {
-		dl[g] = make([]float64, cfg.N)
-		dl[g][g%cfg.N] = 0.5
-	}
-	outs := make([]Output, len(states))
-	for step := 0; step < 3; step++ {
-		// ref: pure training. mix: batched inference wedged mid-cycle.
-		ref.Forward(states[0], true)
-		mix.Forward(states[0], true)
-		mix.ForwardBatch(states, outs)
-		ref.Backward(dl, 0.1, -0.2)
-		mix.Backward(dl, 0.1, -0.2)
-		refG := ref.GetGrads()
-		mixG := mix.GetGrads()
-		for i := range refG {
-			if refG[i] != mixG[i] {
-				t.Fatalf("step %d grad %d diverged: %v vs %v", step, i, refG[i], mixG[i])
-			}
-		}
-		SGD{LR: 0.01}.Step(ref)
-		SGD{LR: 0.01}.Step(mix)
-	}
-}
-
-// The 0-alloc satellite: a warmed-up batched forward allocates nothing.
+// The 0-alloc pin: a warmed-up inference forward allocates nothing.
 func TestForwardBatchZeroAllocWarm(t *testing.T) {
 	net := NewPolicyValueNet(TestConfig(4), 9)
 	perturbNet(net, 41)
@@ -153,17 +111,17 @@ func TestForwardBatchZeroAllocWarm(t *testing.T) {
 	states := randStates(rng, 4, 8)
 	outs := make([]Output, 8)
 	net.WarmBatch(8)
-	net.ForwardBatch(states, outs) // populate the output slices too
+	net.Forward(states, outs, false) // populate the output slices too
 	if allocs := testing.AllocsPerRun(50, func() {
-		net.ForwardBatch(states, outs)
+		net.Forward(states, outs, false)
 	}); allocs != 0 {
-		t.Fatalf("warmed ForwardBatch allocates %.0f times per batch, want 0", allocs)
+		t.Fatalf("warmed inference Forward allocates %.0f times per batch, want 0", allocs)
 	}
 	// Smaller batches reuse the same warmed scratch.
 	if allocs := testing.AllocsPerRun(50, func() {
-		net.ForwardBatch(states[:3], outs[:3])
+		net.Forward(states[:3], outs[:3], false)
 	}); allocs != 0 {
-		t.Fatalf("warmed ForwardBatch(B=3) allocates %.0f times per batch, want 0", allocs)
+		t.Fatalf("warmed inference Forward(B=3) allocates %.0f times per batch, want 0", allocs)
 	}
 }
 
@@ -180,8 +138,8 @@ func TestStatsRoundTripReproducesEval(t *testing.T) {
 	dst.SetStats(st)
 	rng := rand.New(rand.NewSource(53))
 	for _, s := range randStates(rng, 4, 3) {
-		want := copyOutput(src.Forward(s, false))
-		got := dst.Forward(s, false)
+		want := forward1(src, s, false)
+		got := forward1(dst, s, false)
 		assertOutputsEqual(t, "stats round trip", got, want)
 	}
 }

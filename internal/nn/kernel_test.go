@@ -1,8 +1,7 @@
 package nn
 
-// Tests pinning the convolution layer (fused forward, im2col + GEMM
-// backward) against the direct 6-loop reference (naiveForward/
-// naiveBackward), checking its gradients by central differences, and
+// Tests pinning the convolution layer (fused forward and backward kernels)
+// against the direct 6-loop reference (naiveForward/naiveBackward), checking its gradients by central differences, and
 // guarding the zero-allocation steady state of the whole network.
 
 import (
@@ -36,18 +35,18 @@ func maxAbsDiffT(a, b *tensor.Tensor) float64 {
 	return d
 }
 
-// naiveForward computes the convolution by direct summation — the
-// reference the fused path is pinned against to 1e-9 — allocating a
-// fresh output tensor. It caches x, so naiveBackward (or Backward) may
-// follow it.
+// naiveForward computes the convolution of one sample (InC, 1, H, W) by
+// direct summation — the reference the fused path is pinned against to
+// 1e-9 — allocating a fresh output tensor. It caches x, so naiveBackward
+// may follow it.
 func (c *Conv2D) naiveForward(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 3 || x.Shape[0] != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D input shape %v, want (%d,H,W)", x.Shape, c.InC))
+	if len(x.Shape) != 4 || x.Shape[0] != c.InC || x.Shape[1] != 1 {
+		panic(fmt.Sprintf("nn: Conv2D input shape %v, want (%d,1,H,W)", x.Shape, c.InC))
 	}
 	c.x = x
-	h, w := x.Shape[1], x.Shape[2]
+	h, w := x.Shape[2], x.Shape[3]
 	pad := (c.K - 1) / 2
-	out := tensor.New(c.OutC, h, w)
+	out := tensor.New(c.OutC, 1, h, w)
 	for oc := 0; oc < c.OutC; oc++ {
 		b := c.Bias.W.Data[oc]
 		for oy := 0; oy < h; oy++ {
@@ -81,7 +80,7 @@ func (c *Conv2D) naiveForward(x *tensor.Tensor) *tensor.Tensor {
 // dX tensor.
 func (c *Conv2D) naiveBackward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.x
-	h, w := x.Shape[1], x.Shape[2]
+	h, w := x.Shape[2], x.Shape[3]
 	pad := (c.K - 1) / 2
 	dx := x.ZerosLike()
 	for oc := 0; oc < c.OutC; oc++ {
@@ -124,7 +123,7 @@ func TestConvForwardParityWithNaive(t *testing.T) {
 		for i := range l.Bias.W.Data {
 			l.Bias.W.Data[i] = rng.NormFloat64()
 		}
-		x := tensor.Randn(rng, 1, sh.inC, sh.h, sh.w)
+		x := tensor.Randn(rng, 1, sh.inC, 1, sh.h, sh.w)
 		fast := l.Forward(x, true)
 		naive := l.naiveForward(x)
 		if fast.Size() != naive.Size() {
@@ -140,14 +139,14 @@ func TestConvBackwardParityWithNaive(t *testing.T) {
 	for _, sh := range convParityShapes {
 		rng := rand.New(rand.NewSource(int64(sh.outC*100 + sh.h)))
 		l := NewConv2D(rng, "c", sh.inC, sh.outC, sh.k)
-		x := tensor.Randn(rng, 1, sh.inC, sh.h, sh.w)
-		grad := tensor.Randn(rng, 1, sh.outC, sh.h, sh.w)
+		x := tensor.Randn(rng, 1, sh.inC, 1, sh.h, sh.w)
+		grad := tensor.Randn(rng, 1, sh.outC, 1, sh.h, sh.w)
 
 		l.Forward(x, true)
 		for _, p := range l.Params() {
 			p.G.Fill(0)
 		}
-		dxFast := l.Backward(grad).Clone()
+		dxFast := l.Backward(grad, true).Clone()
 		dwFast := l.Weight.G.Clone()
 		dbFast := l.Bias.G.Clone()
 
@@ -170,7 +169,7 @@ func TestConvBackwardParityWithNaive(t *testing.T) {
 }
 
 // TestConvGradientCheckSmall runs the central-difference check on small
-// conv layers through the GEMM path, including K=1 and a non-square map
+// conv layers through the fused kernels, including K=1 and a non-square map
 // (TestConv2DGradients in layer_test.go covers the 3×3 case).
 func TestConvGradientCheckSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -179,18 +178,18 @@ func TestConvGradientCheckSmall(t *testing.T) {
 		{2, 3, 3, 4, 5},
 	} {
 		l := NewConv2D(rng, "c", sh.inC, sh.outC, sh.k)
-		x := tensor.Randn(rng, 1, sh.inC, sh.h, sh.w)
+		x := tensor.Randn(rng, 1, sh.inC, 1, sh.h, sh.w)
 		checkLayerGradients(t, l, x, 1e-4)
 	}
 }
 
 // TestTrainBatchGradientCheck validates the batched training path against
-// ground truth rather than against the sequential oracle: parameter
-// gradients accumulated by one ForwardBatchTrain + BackwardBatch must match
+// ground truth rather than against the one-sample calls: parameter
+// gradients accumulated by one training Forward + Backward must match
 // central differences of a scalar loss over the batch. The loss reads each
 // head through an invertible link — Σ c·log p for the softmax groups (so
 // dL/dlogit_j = c_j − p_j·Σc), c·atanh(Dir) for the tanh direction head (so
-// dL/dz = c at the pre-activation BackwardBatch expects), and c·V for the
+// dL/dz = c at the pre-activation Backward expects), and c·V for the
 // linear value head — making the exact head gradients computable from the
 // forward outputs alone. Train-mode BatchNorm only advances its running EMA
 // (per-sample batch statistics feed the normalization), so the repeated
@@ -214,7 +213,7 @@ func TestTrainBatchGradientCheck(t *testing.T) {
 
 	outs := make([]Output, nb)
 	loss := func() float64 {
-		net.ForwardBatchTrain(states, outs)
+		net.Forward(states, outs, true)
 		s := 0.0
 		for b := range outs {
 			o := &outs[b]
@@ -229,7 +228,7 @@ func TestTrainBatchGradientCheck(t *testing.T) {
 	}
 
 	net.ZeroGrads()
-	net.ForwardBatchTrain(states, outs)
+	net.Forward(states, outs, true)
 	flat := make([]float64, nb*4*nc)
 	for b := range outs {
 		for g := 0; g < 4; g++ {
@@ -243,7 +242,7 @@ func TestTrainBatchGradientCheck(t *testing.T) {
 			}
 		}
 	}
-	net.BackwardBatch(flat, cd, cv)
+	net.Backward(flat, cd, cv)
 	grads := net.GetGrads()
 
 	weights := net.GetWeights()
@@ -266,27 +265,29 @@ func TestTrainBatchGradientCheck(t *testing.T) {
 	}
 }
 
-// TestNetworkSteadyStateAllocs asserts the warmed-up hot path allocates
-// nothing: every tensor, im2col matrix, and output slice is arena-owned
-// and reused. The bound is exactly 0 allocations per Forward+Backward
-// cycle; raise it only with a comment justifying each new allocation.
+// TestNetworkSteadyStateAllocs asserts the warmed-up one-sample hot path
+// allocates nothing: every tensor, padded plane, and output slice is
+// arena-owned and reused. The bound is exactly 0 allocations per
+// Forward+Backward cycle; raise it only with a comment justifying each new
+// allocation.
 func TestNetworkSteadyStateAllocs(t *testing.T) {
 	net := NewPolicyValueNet(TestConfig(4), 1)
-	in := randomHopMatrix(rand.New(rand.NewSource(5)), 4)
-	var dl [4][]float64
-	for g := range dl {
-		dl[g] = make([]float64, 4)
-		dl[g][g] = 0.3
+	states := [][]float64{randomHopMatrix(rand.New(rand.NewSource(5)), 4)}
+	outs := make([]Output, 1)
+	dl := make([]float64, 4*4)
+	for g := 0; g < 4; g++ {
+		dl[g*4+g] = 0.3
 	}
+	dDir, dVal := []float64{0.2}, []float64{-0.4}
 	// Warm up: size every scratch buffer in the arena.
 	for i := 0; i < 3; i++ {
-		net.Forward(in, true)
-		net.Backward(dl, 0.2, -0.4)
+		net.Forward(states, outs, true)
+		net.Backward(dl, dDir, dVal)
 	}
 	const maxAllocs = 0.0
 	avg := testing.AllocsPerRun(20, func() {
-		net.Forward(in, true)
-		net.Backward(dl, 0.2, -0.4)
+		net.Forward(states, outs, true)
+		net.Backward(dl, dDir, dVal)
 	})
 	if avg > maxAllocs {
 		t.Fatalf("steady-state forward+backward allocates %.1f times per run, want <= %v",
@@ -314,31 +315,32 @@ func TestWorkerLoopSteadyStateAllocs(t *testing.T) {
 func TestScratchFootprintReported(t *testing.T) {
 	net := NewPolicyValueNet(TestConfig(4), 1)
 	in := randomHopMatrix(rand.New(rand.NewSource(6)), 4)
-	net.Forward(in, true)
+	forward1(net, in, true)
 	if net.Scratch().ScratchFloats() == 0 {
 		t.Fatal("arena reports no scratch after a forward pass")
 	}
 	before := net.Scratch().ScratchFloats()
-	net.Forward(in, true)
+	forward1(net, in, true)
 	if got := net.Scratch().ScratchFloats(); got != before {
 		t.Fatalf("scratch grew across identical forwards: %d -> %d", before, got)
 	}
 }
 
-// BenchmarkConvNaive pits the production convolution (fused forward,
-// im2col + GEMM backward) against the naive reference on one mid-sized
-// layer (16→32 channels, 3×3 kernel, 32×32 map), forward plus backward.
+// BenchmarkConvNaive pits the production convolution (the fused forward
+// and backward kernels, one sample) against the naive reference on one
+// mid-sized layer (16→32 channels, 3×3 kernel, 32×32 map), forward plus
+// backward.
 func BenchmarkConvNaive(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	x := tensor.Randn(rng, 1, 16, 32, 32)
-	grad := tensor.Randn(rng, 1, 32, 32, 32)
+	x := tensor.Randn(rng, 1, 16, 1, 32, 32)
+	grad := tensor.Randn(rng, 1, 32, 1, 32, 32)
 	b.Run("fast", func(b *testing.B) {
 		l := NewConv2D(rng, "c", 16, 32, 3)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			l.Forward(x, true)
-			l.Backward(grad)
+			l.Backward(grad, true)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {

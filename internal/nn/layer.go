@@ -1,20 +1,36 @@
 // Package nn is a from-scratch neural-network library implementing exactly
 // the components the paper's DNN needs (Fig. 6): 2-D convolutions, batch
 // normalization, max pooling, ReLU, fully connected layers, residual
-// blocks, softmax/tanh heads, and plain SGD. Feature maps are tensors with
-// shape (channels, height, width); training operates on single examples,
-// matching the paper's per-step actor-critic updates.
+// blocks, softmax/tanh heads, and plain SGD.
 //
-// The compute core is kernelized: every conv forward (per-sample,
-// batched inference, batched training) and the batched backward run the
-// fused padded-plane kernels (tensor.ConvFwdPad and friends); only the
-// per-sample backward, the sequential training oracle, lowers to im2col +
-// cache-blocked GEMM (tensor.Im2col / tensor.GemmNT / tensor.GemmTN).
-// Fully connected layers route through the same GEMM kernels. Every layer
-// draws its outputs, gradients, and conv scratch from an Arena, so
-// steady-state Forward/Backward cycles allocate nothing; the tensors a
-// layer returns are owned by the layer and valid until its next
-// Forward/Backward call.
+// Every layer has one batched Forward(x, train) and one Backward(grad,
+// needDX); a single example is the B=1 call. Spatial activations use the
+// channel-major layout (C, B, H, W): all B samples of a channel are
+// contiguous, so per-channel layers sweep one contiguous row per channel
+// and one fused conv kernel call covers the whole batch. Fully connected
+// layers take sample-major (B, In) rows.
+//
+// train selects the BatchNorm rule and whether training caches are
+// written. In training mode each (channel, sample) plane is normalized by
+// its own statistics and the running-statistics EMA advances once per
+// sample in ascending sample order, and every layer keeps what Backward
+// reads: the conv's zero-padded input planes, BatchNorm x̂, the ReLU mask,
+// the MaxPool argmax. Inference reads the running statistics and writes
+// no cache. Each mode has its own scratch set, so an inference Forward
+// between a training Forward and its Backward disturbs nothing.
+//
+// A sample's result does not depend on B or on its position in the batch:
+// the conv kernels (tensor.ConvFwdPad, ConvDWPad, ConvDXPad) keep each
+// element's reduction order fixed, Dense rows run one dot product each,
+// and the remaining layers are elementwise or per plane. Backward
+// accumulates parameter gradients one sample at a time in ascending
+// sample order, so one batch of B accumulates the same bits as B
+// in-order B=1 steps; rl.A2C relies on this to train in tiles.
+//
+// Every layer draws outputs, gradients, and conv scratch from an Arena,
+// so warmed-up Forward/Backward cycles allocate nothing; a returned
+// tensor is owned by the layer and valid until its next call in the same
+// mode.
 package nn
 
 import (
@@ -36,48 +52,43 @@ func newParam(name string, w *tensor.Tensor) *Param {
 	return &Param{Name: name, W: w, G: w.ZerosLike()}
 }
 
-// Layer is a differentiable module. Backward consumes dL/d(output),
-// accumulates parameter gradients, and returns dL/d(input). Layers cache
-// their most recent Forward inputs and reuse their output/gradient buffers
-// across calls; they are not reentrant and not goroutine-safe.
+// Layer is a differentiable module. Backward consumes dL/d(output) of the
+// most recent training Forward, accumulates parameter gradients, and
+// returns dL/d(input); with needDX false it may skip the input gradient
+// and return nil. Layers are not reentrant and not goroutine-safe.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
-	Backward(grad *tensor.Tensor) *tensor.Tensor
+	Backward(grad *tensor.Tensor, needDX bool) *tensor.Tensor
 	Params() []*Param
+}
+
+// mode indexes a layer's per-mode scratch: 0 serves inference forwards,
+// 1 training forwards.
+func mode(train bool) int {
+	if train {
+		return 1
+	}
+	return 0
 }
 
 // ---------------------------------------------------------------------------
 // Conv2D
 
-// Conv2D is a 2-D convolution with stride 1 and zero "same" padding.
-// Every forward runs the fused padded-plane kernel (tensor.ConvFwdPad)
-// through forwardPad; the per-sample Backward lowers to im2col + GEMM.
+// Conv2D is a 2-D convolution with stride 1 and zero "same" padding, run
+// by the fused padded-plane kernels of internal/tensor.
 type Conv2D struct {
 	InC, OutC, K int
 	Weight       *Param // shape (OutC, InC, K, K)
 	Bias         *Param // shape (OutC)
 
 	arena *Arena
-	x     *tensor.Tensor // cached input
-	pad   []float64      // zero-padded input planes (ConvFwdPad)
-	cols  []float64      // im2col(x), built by Backward
-	dcols []float64
-	out   *tensor.Tensor
+	out   [2]*tensor.Tensor
+	pad   [2][]float64   // zero-padded input planes; pad[1] is kept for Backward
+	x     *tensor.Tensor // input of the last training Forward
+	gp    []float64      // zero-padded gradient planes of one sample
+	gT    []float64      // row-interleaved gradient spans (ConvDWPad)
+	row   []float64      // gathered cols row (ConvDWPad leftover columns)
 	dx    *tensor.Tensor
-	// Batched-inference scratch (see batch.go); separate from the training
-	// buffers so ForwardBatch never clobbers state a pending Backward needs.
-	bpad []float64
-	bout *tensor.Tensor
-	// Batched-training scratch (train_batch.go); separate from both the
-	// per-sample training buffers and the inference-batch buffers so an
-	// interleaved ForwardBatch can never clobber a pending BackwardBatch.
-	tx   *tensor.Tensor // cached batched input
-	tpad []float64      // zero-padded input planes, kept for BackwardBatch
-	tgp  []float64      // zero-padded gradient planes of one sample
-	tgT  []float64      // row-interleaved gradient spans (ConvDWPad)
-	trow []float64      // gathered cols row (ConvDWPad leftover columns)
-	tout *tensor.Tensor
-	tdx  *tensor.Tensor
 }
 
 // NewConv2D builds a conv layer with He-initialized weights.
@@ -93,85 +104,97 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k int) *Conv2D {
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
-// Forward implements Layer: out = W∗x + b, the one-sample case of
-// forwardPad. Like the batched paths it needs H·W > 1; the networks never
-// pool below 2×2.
-func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	if len(x.Shape) != 3 || x.Shape[0] != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D input shape %v, want (%d,H,W)", x.Shape, c.InC))
+// Forward implements Layer: x is (InC, B, H, W), the result (OutC, B, H,
+// W) = W∗x + b. The input planes are copied once into zero-padded planes
+// and one tensor.ConvFwdPad call runs all B samples; ConvFwdPad is
+// bit-identical per sample to the lowered W·im2col(x) GEMM (tensor's
+// TestConvFusedMatchesLowered). It needs H·W > 1; the networks never pool
+// below 2×2.
+func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if len(x.Shape) != 4 || x.Shape[0] != c.InC {
+		panic(fmt.Sprintf("nn: Conv2D input shape %v, want (%d,B,H,W)", x.Shape, c.InC))
 	}
-	c.x = x
-	h, w := x.Shape[1], x.Shape[2]
-	out := ensureArena(&c.arena).tensorFor(&c.out, c.OutC, h, w)
-	c.forwardPad(x.Data, 1, h, w, &c.pad, out.Data)
-	return out
-}
-
-// forwardPad is the one f64 conv-forward body behind Forward, ForwardBatch
-// and ForwardBatchTrain. x holds nb samples in the channel-major layout
-// (InC, nb, h, w) and out receives (OutC, nb, h, w): the input planes are
-// copied once into zero-padded planes in *pad, one tensor.ConvFwdPad call
-// runs all nb samples, and the bias is added. ConvFwdPad is bit-identical
-// per sample to the lowered W·im2col(x) GEMM (tensor's
-// TestConvFusedMatchesLowered) and its per-element reduction order does
-// not depend on nb, so every caller's per-sample result is the same bits.
-// Callers pass their own arena handle for the padded planes, so the three
-// paths never share them; the batched trainer keeps its padded planes for
-// BackwardBatch.
-func (c *Conv2D) forwardPad(x []float64, nb, h, w int, pad *[]float64, out []float64) {
+	nb, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
+	m := mode(train)
+	if train {
+		c.x = x
+	}
 	hw := h * w
 	hpwp := (h + c.K - 1) * (w + c.K - 1)
 	a := ensureArena(&c.arena)
-	xp := a.slice(pad, c.InC*nb*hpwp)
+	out := a.tensorFor(&c.out[m], c.OutC, nb, h, w)
+	xp := a.slice(&c.pad[m], c.InC*nb*hpwp)
 	for p := 0; p < c.InC*nb; p++ {
-		tensor.PadPlane(x[p*hw:(p+1)*hw], h, w, c.K, xp[p*hpwp:(p+1)*hpwp])
+		tensor.PadPlane(x.Data[p*hw:(p+1)*hw], h, w, c.K, xp[p*hpwp:(p+1)*hpwp])
 	}
 	work, offs := a.convScratch(c.OutC, c.InC, h, w, c.K)
-	tensor.ConvFwdPad(c.Weight.W.Data, c.OutC, c.InC, nb, xp, hpwp, h, w, c.K, out, hw, work, offs)
+	tensor.ConvFwdPad(c.Weight.W.Data, c.OutC, c.InC, nb, xp, hpwp, h, w, c.K, out.Data, hw, work, offs)
 	for oc := 0; oc < c.OutC; oc++ {
 		b := c.Bias.W.Data[oc]
 		if b == 0 {
 			continue
 		}
-		orow := out[oc*nb*hw : (oc+1)*nb*hw]
+		orow := out.Data[oc*nb*hw : (oc+1)*nb*hw]
 		for i := range orow {
 			orow[i] += b
 		}
 	}
+	return out
 }
 
-// Backward implements Layer: dW += dY·im2col(x)ᵀ, db += row-sums of dY,
-// and dX = col2im(Wᵀ·dY), lowering the cached input to its column matrix.
-// Training runs BackwardBatch; this per-sample path is the sequential
-// oracle the batched trainer is tested against.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// Backward implements Layer through the fused padded-plane kernels:
+// tensor.ConvDWPad, one sample at a time in ascending sample order,
+// accumulates dW bit-identical to GemmNT over the im2col columns, and one
+// tensor.ConvDXPad call over all samples produces dX bit-identical to
+// GemmTN + Col2im, with neither column matrix materialized. Bias
+// gradients accumulate per (channel, sample) plane in sample order.
+func (c *Conv2D) Backward(grad *tensor.Tensor, needDX bool) *tensor.Tensor {
 	x := c.x
-	h, w := x.Shape[1], x.Shape[2]
+	nb, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	hw := h * w
-	ickk := c.InC * c.K * c.K
+	hpwp := (h + c.K - 1) * (w + c.K - 1)
 	a := ensureArena(&c.arena)
-	cols := a.slice(&c.cols, ickk*hw)
-	tensor.Im2col(x.Data, c.InC, h, w, c.K, (c.K-1)/2, cols)
 	for oc := 0; oc < c.OutC; oc++ {
-		s := 0.0
-		for _, g := range grad.Data[oc*hw : (oc+1)*hw] {
-			s += g
+		for bi := 0; bi < nb; bi++ {
+			s := 0.0
+			for _, g := range grad.Data[(oc*nb+bi)*hw : (oc*nb+bi+1)*hw] {
+				s += g
+			}
+			c.Bias.G.Data[oc] += s
 		}
-		c.Bias.G.Data[oc] += s
 	}
-	tensor.GemmNT(c.OutC, ickk, hw, grad.Data, cols, c.Weight.G.Data, true)
-	dcols := a.slice(&c.dcols, ickk*hw)
-	tensor.GemmTN(ickk, hw, c.OutC, c.Weight.W.Data, grad.Data, dcols, false)
+	wpad := w + c.K - 1
+	span := (h-1)*wpad + w
+	lead := c.K - 1 - (c.K-1)/2 // gradient planes lead with the larger border
+	rowBuf := a.slice(&c.row, hw)
+	gT := a.slice(&c.gT, (c.OutC&^3)*span)
+	gpad := a.slice(&c.gp, c.OutC*hpwp) // also ConvDXPad's padding scratch
+	// The interior rows of the padded gradient planes, viewed from the first
+	// pixel at stride wpad, are exactly the zero-gapped span ConvDWPad walks.
+	gp := gpad[lead*wpad+lead:]
+	for bi := 0; bi < nb; bi++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			tensor.PadPlaneLead(grad.Data[(oc*nb+bi)*hw:], h, w, c.K, lead, gpad[oc*hpwp:])
+		}
+		tensor.ConvDWPad(grad.Data[bi*hw:], nb*hw, gp, hpwp,
+			c.pad[1][bi*hpwp:], nb*hpwp,
+			c.OutC, c.InC, h, w, c.K, c.Weight.G.Data, gT, rowBuf)
+	}
+	if !needDX {
+		return nil
+	}
 	dx := a.tensorFor(&c.dx, x.Shape...)
-	tensor.Col2im(dcols, c.InC, h, w, c.K, (c.K-1)/2, dx.Data)
+	work, offs := a.convScratch(c.OutC, c.InC, h, w, c.K)
+	tensor.ConvDXPad(c.Weight.W.Data, c.OutC, c.InC, nb, grad.Data, hw, h, w, c.K,
+		dx.Data, hw, gpad, work, offs)
 	return dx
 }
 
 // ---------------------------------------------------------------------------
-// BatchNorm (per-channel over spatial dims; batch of one)
+// BatchNorm
 
-// BatchNorm normalizes each channel over its spatial extent, with learnable
-// scale/shift and running statistics for evaluation mode.
+// BatchNorm normalizes each (channel, sample) plane over its spatial
+// extent, with learnable scale/shift and running statistics for inference.
 type BatchNorm struct {
 	C     int
 	Gamma *Param
@@ -183,20 +206,10 @@ type BatchNorm struct {
 	Eps      float64
 
 	arena *Arena
-	x     *tensor.Tensor
-	xhat  []float64
-	mean  []float64
-	invSD []float64
-	out   *tensor.Tensor
+	out   [2]*tensor.Tensor
+	xhat  []float64 // x̂ of the last training Forward
+	invSD []float64 // per (channel, sample) 1/σ of the last training Forward
 	dx    *tensor.Tensor
-	bout  *tensor.Tensor // batched-inference scratch (batch.go)
-	// Batched-training scratch (train_batch.go): per-(channel, sample)
-	// statistics and normalized activations.
-	txhat  []float64
-	tmean  []float64
-	tinvSD []float64
-	tout   *tensor.Tensor
-	tdx    *tensor.Tensor
 }
 
 // NewBatchNorm builds a batch-norm layer for c channels.
@@ -221,23 +234,36 @@ func NewBatchNorm(name string, c int) *BatchNorm {
 // Params implements Layer.
 func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
-// Forward implements Layer.
+// Forward implements Layer on (C, B, H, W). Training normalizes every
+// plane by its own mean and variance, so samples stay independent; batch
+// statistics would silently change the model being trained.
 func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if len(x.Shape) != 3 || x.Shape[0] != b.C {
-		panic(fmt.Sprintf("nn: BatchNorm input %v, want (%d,H,W)", x.Shape, b.C))
+	if len(x.Shape) != 4 || x.Shape[0] != b.C {
+		panic(fmt.Sprintf("nn: BatchNorm input %v, want (%d,B,H,W)", x.Shape, b.C))
 	}
-	h, w := x.Shape[1], x.Shape[2]
-	n := h * w
+	nb := x.Shape[1]
+	n := x.Shape[2] * x.Shape[3]
 	a := ensureArena(&b.arena)
-	out := a.tensorFor(&b.out, x.Shape...)
-	b.x = x
-	xhat := a.slice(&b.xhat, x.Size())
-	a.slice(&b.mean, b.C)
-	a.slice(&b.invSD, b.C)
+	out := a.tensorFor(&b.out[mode(train)], x.Shape...)
+	if train {
+		a.slice(&b.xhat, x.Size())
+		a.slice(&b.invSD, b.C*nb)
+	}
 	for c := 0; c < b.C; c++ {
-		ch := x.Data[c*n : (c+1)*n]
-		var mean, varc float64
-		if train {
+		g, beta := b.Gamma.W.Data[c], b.Beta.W.Data[c]
+		for bi := 0; bi < nb; bi++ {
+			p := (c*nb + bi) * n
+			ch := x.Data[p : p+n]
+			dst := out.Data[p : p+n]
+			if !train {
+				mean := b.RunMean[c]
+				inv := 1 / math.Sqrt(b.RunVar[c]+b.Eps)
+				for i, v := range ch {
+					dst[i] = g*((v-mean)*inv) + beta
+				}
+				continue
+			}
+			var mean, varc float64
 			for _, v := range ch {
 				mean += v
 			}
@@ -249,42 +275,45 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			varc /= float64(n)
 			b.RunMean[c] = b.Momentum*b.RunMean[c] + (1-b.Momentum)*mean
 			b.RunVar[c] = b.Momentum*b.RunVar[c] + (1-b.Momentum)*varc
-		} else {
-			mean, varc = b.RunMean[c], b.RunVar[c]
-		}
-		inv := 1 / math.Sqrt(varc+b.Eps)
-		b.mean[c], b.invSD[c] = mean, inv
-		g, beta := b.Gamma.W.Data[c], b.Beta.W.Data[c]
-		for i, v := range ch {
-			xh := (v - mean) * inv
-			xhat[c*n+i] = xh
-			out.Data[c*n+i] = g*xh + beta
+			inv := 1 / math.Sqrt(varc+b.Eps)
+			b.invSD[c*nb+bi] = inv
+			xhat := b.xhat[p : p+n]
+			for i, v := range ch {
+				xh := (v - mean) * inv
+				xhat[i] = xh
+				dst[i] = g*xh + beta
+			}
 		}
 	}
 	return out
 }
 
-// Backward implements Layer (training-mode gradient).
-func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	h, w := b.x.Shape[1], b.x.Shape[2]
-	n := h * w
-	dx := ensureArena(&b.arena).tensorFor(&b.dx, b.x.Shape...)
+// Backward implements Layer: the training-mode gradient applied plane by
+// plane, with Gamma/Beta accumulating in ascending sample order per
+// channel.
+func (b *BatchNorm) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
+	nb := grad.Shape[1]
+	n := grad.Shape[2] * grad.Shape[3]
+	dx := ensureArena(&b.arena).tensorFor(&b.dx, grad.Shape...)
 	for c := 0; c < b.C; c++ {
 		g := b.Gamma.W.Data[c]
-		var sumDy, sumDyXhat float64
-		for i := 0; i < n; i++ {
-			dy := grad.Data[c*n+i]
-			sumDy += dy
-			sumDyXhat += dy * b.xhat[c*n+i]
-		}
-		b.Gamma.G.Data[c] += sumDyXhat
-		b.Beta.G.Data[c] += sumDy
-		inv := b.invSD[c]
-		for i := 0; i < n; i++ {
-			dy := grad.Data[c*n+i]
-			xh := b.xhat[c*n+i]
-			dx.Data[c*n+i] = g * inv / float64(n) *
-				(float64(n)*dy - sumDy - xh*sumDyXhat)
+		for bi := 0; bi < nb; bi++ {
+			p := (c*nb + bi) * n
+			var sumDy, sumDyXhat float64
+			for i := 0; i < n; i++ {
+				dy := grad.Data[p+i]
+				sumDy += dy
+				sumDyXhat += dy * b.xhat[p+i]
+			}
+			b.Gamma.G.Data[c] += sumDyXhat
+			b.Beta.G.Data[c] += sumDy
+			inv := b.invSD[c*nb+bi]
+			for i := 0; i < n; i++ {
+				dy := grad.Data[p+i]
+				xh := b.xhat[p+i]
+				dx.Data[p+i] = g * inv / float64(n) *
+					(float64(n)*dy - sumDy - xh*sumDyXhat)
+			}
 		}
 	}
 	return dx
@@ -293,17 +322,13 @@ func (b *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // ---------------------------------------------------------------------------
 // ReLU
 
-// ReLU is the rectified linear activation.
+// ReLU is the rectified linear activation; elementwise, so it takes any
+// layout.
 type ReLU struct {
 	arena *Arena
-	mask  []bool
-	out   *tensor.Tensor
+	out   [2]*tensor.Tensor
+	mask  []bool // of the last training Forward
 	dx    *tensor.Tensor
-	bout  *tensor.Tensor // batched-inference scratch (batch.go)
-	// Batched-training scratch (train_batch.go).
-	tmask []bool
-	tout  *tensor.Tensor
-	tdx   *tensor.Tensor
 }
 
 // NewReLU builds a ReLU layer.
@@ -313,9 +338,20 @@ func NewReLU() *ReLU { return &ReLU{} }
 func (r *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	a := ensureArena(&r.arena)
-	out := a.tensorFor(&r.out, x.Shape...)
+	out := a.tensorFor(&r.out[mode(train)], x.Shape...)
+	if !train {
+		for i, v := range x.Data {
+			if v <= 0 {
+				out.Data[i] = 0
+			} else {
+				out.Data[i] = v
+			}
+		}
+		return out
+	}
+	// One pass writes the output and the mask; a NaN input passes both.
 	mask := a.bools(&r.mask, x.Size())
 	for i, v := range x.Data {
 		if v <= 0 {
@@ -330,7 +366,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (r *ReLU) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 	dx := ensureArena(&r.arena).tensorFor(&r.dx, grad.Shape...)
 	for i, v := range grad.Data {
 		if r.mask[i] {
@@ -349,16 +385,10 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // rows/columns are dropped, as in the paper's "pool, /2" stages).
 type MaxPool struct {
 	arena  *Arena
-	argmax []int
+	out    [2]*tensor.Tensor
+	argmax []int // of the last training Forward
 	inSh   []int
-	out    *tensor.Tensor
 	dx     *tensor.Tensor
-	bout   *tensor.Tensor // batched-inference scratch (batch.go)
-	// Batched-training scratch (train_batch.go).
-	targmax []int
-	tinSh   []int
-	tout    *tensor.Tensor
-	tdx     *tensor.Tensor
 }
 
 // NewMaxPool builds the pooling layer.
@@ -367,38 +397,47 @@ func NewMaxPool() *MaxPool { return &MaxPool{} }
 // Params implements Layer.
 func (p *MaxPool) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (p *MaxPool) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+// Forward implements Layer: 2×2/stride-2 pooling per (channel, sample)
+// plane of (C, B, H, W).
+func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if len(x.Shape) != 4 {
+		panic(fmt.Sprintf("nn: MaxPool input %v, want (C,B,H,W)", x.Shape))
+	}
+	c, nb, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := h/2, w/2
 	if oh < 1 || ow < 1 {
 		panic(fmt.Sprintf("nn: MaxPool input %v too small", x.Shape))
 	}
 	a := ensureArena(&p.arena)
-	out := a.tensorFor(&p.out, c, oh, ow)
-	argmax := a.ints(&p.argmax, out.Size())
-	inSh := a.ints(&p.inSh, 3)
-	copy(inSh, x.Shape)
-	for ci := 0; ci < c; ci++ {
+	out := a.tensorFor(&p.out[mode(train)], c, nb, oh, ow)
+	var argmax []int
+	if train {
+		argmax = a.ints(&p.argmax, out.Size())
+		p.inSh = append(p.inSh[:0], x.Shape...)
+	}
+	for plane := 0; plane < c*nb; plane++ {
+		src := x.Data[plane*h*w : (plane+1)*h*w]
+		pbase := plane * oh * ow
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
-				// Initialize from the first window element so NaN inputs
-				// (diverged training) degrade gracefully instead of
-				// leaving the argmax unset.
-				bestIdx := (ci*h+2*oy)*w + 2*ox
-				best := x.Data[bestIdx]
+				// Start from the first window element so NaN inputs
+				// (diverged training) still leave a valid argmax.
+				bestIdx := 2*oy*w + 2*ox
+				best := src[bestIdx]
 				for dy := 0; dy < 2; dy++ {
 					for dx := 0; dx < 2; dx++ {
-						idx := (ci*h+2*oy+dy)*w + 2*ox + dx
-						if x.Data[idx] > best {
-							best = x.Data[idx]
+						idx := (2*oy+dy)*w + 2*ox + dx
+						if src[idx] > best {
+							best = src[idx]
 							bestIdx = idx
 						}
 					}
 				}
-				oi := (ci*oh+oy)*ow + ox
+				oi := pbase + oy*ow + ox
 				out.Data[oi] = best
-				argmax[oi] = bestIdx
+				if train {
+					argmax[oi] = plane*h*w + bestIdx
+				}
 			}
 		}
 	}
@@ -406,7 +445,7 @@ func (p *MaxPool) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (p *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (p *MaxPool) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 	dx := ensureArena(&p.arena).tensorFor(&p.dx, p.inSh...)
 	dx.Fill(0)
 	for oi, idx := range p.argmax {
@@ -418,22 +457,16 @@ func (p *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // ---------------------------------------------------------------------------
 // Dense (fully connected)
 
-// Dense is a fully connected layer on flattened inputs, routed through the
-// same GEMM kernels as the convolutions (n=1 column).
+// Dense is a fully connected layer on sample-major rows.
 type Dense struct {
 	In, Out int
 	Weight  *Param // (Out, In)
 	Bias    *Param // (Out)
 
 	arena *Arena
-	x     *tensor.Tensor
-	out   *tensor.Tensor
+	out   [2]*tensor.Tensor
+	x     *tensor.Tensor // input of the last training Forward
 	dx    *tensor.Tensor
-	bout  *tensor.Tensor // batched-inference scratch (batch.go)
-	// Batched-training scratch (train_batch.go): sample-major rows.
-	tx   *tensor.Tensor
-	tout *tensor.Tensor
-	tdx  *tensor.Tensor
 }
 
 // NewDense builds an FC layer with Xavier-initialized weights.
@@ -449,29 +482,59 @@ func NewDense(rng *rand.Rand, name string, in, out int) *Dense {
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.Weight, d.Bias} }
 
-// Forward implements Layer; the input is flattened regardless of shape.
-func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	if x.Size() != d.In {
-		panic(fmt.Sprintf("nn: Dense input size %d, want %d", x.Size(), d.In))
+// Forward implements Layer: x is read as x.Size()/In sample-major rows of
+// In features (so a single sample may keep its spatial shape), the result
+// is (B, Out). tensor.MatVecBatch streams each weight row once across the
+// batch with one fixed dot-product order per output.
+func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	nb := x.Size() / d.In
+	if nb < 1 || nb*d.In != x.Size() {
+		panic(fmt.Sprintf("nn: Dense input %v, want rows of %d", x.Shape, d.In))
 	}
-	d.x = x
-	y := ensureArena(&d.arena).tensorFor(&d.out, d.Out)
-	tensor.GemmNN(d.Out, 1, d.In, d.Weight.W.Data, x.Data, y.Data, false)
-	for i := range y.Data {
-		y.Data[i] += d.Bias.W.Data[i]
+	if train {
+		d.x = x
+	}
+	y := ensureArena(&d.arena).tensorFor(&d.out[mode(train)], nb, d.Out)
+	tensor.MatVecBatch(d.Out, d.In, nb, d.Weight.W.Data, x.Data, y.Data)
+	for bi := 0; bi < nb; bi++ {
+		row := y.Data[bi*d.Out : (bi+1)*d.Out]
+		for o := range row {
+			row[o] += d.Bias.W.Data[o]
+		}
 	}
 	return y
 }
 
-// Backward implements Layer: dW += dY·xᵀ (outer product), db += dY,
-// dX = Wᵀ·dY, shaped like the cached input.
-func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	tensor.GemmNT(d.Out, d.In, 1, grad.Data, d.x.Data, d.Weight.G.Data, true)
-	for o := 0; o < d.Out; o++ {
-		d.Bias.G.Data[o] += grad.Data[o]
+// Backward implements Layer: per sample, in ascending order, dW += dy·xᵀ
+// (rank-1), db += dy and dX = Wᵀ·dy, the result shaped like the cached
+// input.
+func (d *Dense) Backward(grad *tensor.Tensor, needDX bool) *tensor.Tensor {
+	nb := grad.Size() / d.Out
+	var dx *tensor.Tensor
+	if needDX {
+		dx = ensureArena(&d.arena).tensorFor(&d.dx, d.x.Shape...)
 	}
-	dx := ensureArena(&d.arena).tensorFor(&d.dx, d.x.Shape...)
-	tensor.GemmTN(d.In, 1, d.Out, d.Weight.W.Data, grad.Data, dx.Data, false)
+	for bi := 0; bi < nb; bi++ {
+		grow := grad.Data[bi*d.Out : (bi+1)*d.Out]
+		xrow := d.x.Data[bi*d.In : (bi+1)*d.In]
+		for o, g := range grow {
+			wg := d.Weight.G.Data[o*d.In : (o+1)*d.In]
+			for i, v := range xrow {
+				wg[i] += g * v
+			}
+			d.Bias.G.Data[o] += g
+		}
+		if !needDX {
+			continue
+		}
+		drow := dx.Data[bi*d.In : (bi+1)*d.In]
+		clear(drow)
+		for o, g := range grow {
+			for i, wv := range d.Weight.W.Data[o*d.In : (o+1)*d.In] {
+				drow[i] += wv * g
+			}
+		}
+	}
 	return dx
 }
 
@@ -503,10 +566,12 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward implements Layer.
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// Backward implements Layer: layers run in reverse, and only the first
+// inherits needDX (every other layer's dX is its predecessor's incoming
+// gradient).
+func (s *Sequential) Backward(grad *tensor.Tensor, needDX bool) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
+		grad = s.Layers[i].Backward(grad, needDX || i > 0)
 	}
 	return grad
 }
@@ -518,13 +583,8 @@ type Residual struct {
 	Body  *Sequential
 	relu  *ReLU
 	arena *Arena
-	x     *tensor.Tensor
-	sum   *tensor.Tensor
+	sum   [2]*tensor.Tensor
 	dx    *tensor.Tensor
-	bsum  *tensor.Tensor // batched-inference scratch (batch.go)
-	// Batched-training scratch (train_batch.go).
-	tsum *tensor.Tensor
-	tdx  *tensor.Tensor
 }
 
 // NewResidual builds a residual block of two 3×3 convolutions on c
@@ -547,9 +607,8 @@ func (r *Residual) Params() []*Param { return r.Body.Params() }
 
 // Forward implements Layer.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	r.x = x
 	f := r.Body.Forward(x, train)
-	sum := ensureArena(&r.arena).tensorFor(&r.sum, x.Shape...)
+	sum := ensureArena(&r.arena).tensorFor(&r.sum[mode(train)], x.Shape...)
 	copy(sum.Data, f.Data)
 	sum.AddInPlace(x)
 	return r.relu.Forward(sum, train)
@@ -558,10 +617,10 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer. The post-sum ReLU gradient g feeds both the
 // body and the shortcut; g lives in r.relu's buffer, which no body layer
 // writes, so it can be passed through and reread without copying.
-func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := r.relu.Backward(grad)
-	dxBody := r.Body.Backward(g)
-	dx := ensureArena(&r.arena).tensorFor(&r.dx, r.x.Shape...)
+func (r *Residual) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
+	g := r.relu.Backward(grad, true)
+	dxBody := r.Body.Backward(g, true)
+	dx := ensureArena(&r.arena).tensorFor(&r.dx, g.Shape...)
 	copy(dx.Data, dxBody.Data)
 	dx.AddInPlace(g) // shortcut path
 	return dx

@@ -45,7 +45,7 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 	_ = out
 	grad := tensor.FromSlice(append([]float64(nil), lossW...), out.Shape...)
 	l.Forward(x, true) // refresh caches
-	dx := l.Backward(grad)
+	dx := l.Backward(grad, true)
 
 	// Check input gradient at sampled positions.
 	for k := 0; k < 10 && k < x.Size(); k++ {
@@ -71,16 +71,16 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 func TestConv2DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewConv2D(rng, "c", 2, 3, 3)
-	x := tensor.Randn(rng, 1, 2, 5, 5)
+	x := tensor.Randn(rng, 1, 2, 1, 5, 5)
 	checkLayerGradients(t, l, x, 1e-4)
 }
 
 func TestConv2DShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := NewConv2D(rng, "c", 1, 4, 5)
-	x := tensor.Randn(rng, 1, 1, 8, 8)
+	x := tensor.Randn(rng, 1, 1, 1, 8, 8)
 	out := l.Forward(x, true)
-	if out.Shape[0] != 4 || out.Shape[1] != 8 || out.Shape[2] != 8 {
+	if out.Shape[0] != 4 || out.Shape[2] != 8 || out.Shape[3] != 8 {
 		t.Fatalf("shape = %v", out.Shape)
 	}
 }
@@ -95,7 +95,7 @@ func TestDenseGradients(t *testing.T) {
 func TestReLUGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	l := NewReLU()
-	x := tensor.Randn(rng, 1, 3, 4, 4)
+	x := tensor.Randn(rng, 1, 3, 1, 4, 4)
 	// Avoid kink points.
 	for i := range x.Data {
 		if math.Abs(x.Data[i]) < 1e-3 {
@@ -108,16 +108,16 @@ func TestReLUGradients(t *testing.T) {
 func TestMaxPoolGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := NewMaxPool()
-	x := tensor.Randn(rng, 1, 2, 6, 6)
+	x := tensor.Randn(rng, 1, 2, 1, 6, 6)
 	checkLayerGradients(t, l, x, 1e-6)
 }
 
 func TestMaxPoolShapeOddInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	l := NewMaxPool()
-	x := tensor.Randn(rng, 1, 1, 5, 7)
+	x := tensor.Randn(rng, 1, 1, 1, 5, 7)
 	out := l.Forward(x, true)
-	if out.Shape[1] != 2 || out.Shape[2] != 3 {
+	if out.Shape[2] != 2 || out.Shape[3] != 3 {
 		t.Fatalf("shape = %v", out.Shape)
 	}
 }
@@ -125,14 +125,14 @@ func TestMaxPoolShapeOddInput(t *testing.T) {
 func TestBatchNormGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	l := NewBatchNorm("bn", 3)
-	x := tensor.Randn(rng, 1, 3, 4, 4)
+	x := tensor.Randn(rng, 1, 3, 1, 4, 4)
 	checkLayerGradients(t, l, x, 1e-3)
 }
 
 func TestBatchNormNormalizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	l := NewBatchNorm("bn", 2)
-	x := tensor.Randn(rng, 3, 2, 8, 8)
+	x := tensor.Randn(rng, 3, 2, 1, 8, 8)
 	for i := range x.Data {
 		x.Data[i] += 5 // offset mean
 	}
@@ -155,14 +155,14 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	l := NewBatchNorm("bn", 1)
 	// Train on shifted data to move the running stats.
 	for i := 0; i < 50; i++ {
-		x := tensor.Randn(rng, 1, 1, 4, 4)
+		x := tensor.Randn(rng, 1, 1, 1, 4, 4)
 		for j := range x.Data {
 			x.Data[j] += 3
 		}
 		l.Forward(x, true)
 	}
 	// Eval on the same distribution: output should be near zero-mean.
-	x := tensor.Randn(rng, 0.01, 1, 4, 4)
+	x := tensor.Randn(rng, 0.01, 1, 1, 4, 4)
 	for j := range x.Data {
 		x.Data[j] += 3
 	}
@@ -180,7 +180,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 func TestResidualGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	l := NewResidual(rng, "res", 2)
-	x := tensor.Randn(rng, 1, 2, 4, 4)
+	x := tensor.Randn(rng, 1, 2, 1, 4, 4)
 	checkLayerGradients(t, l, x, 1e-3)
 }
 
@@ -194,7 +194,7 @@ func TestResidualShortcutCarriesSignal(t *testing.T) {
 			p.W.Fill(0)
 		}
 	}
-	x := tensor.Randn(rng, 1, 2, 4, 4)
+	x := tensor.Randn(rng, 1, 2, 1, 4, 4)
 	out := l.Forward(x, true)
 	for i, v := range x.Data {
 		want := v
@@ -215,6 +215,6 @@ func TestSequentialGradients(t *testing.T) {
 		NewMaxPool(),
 		NewDense(rng, "d", 2*2*2, 3),
 	)
-	x := tensor.Randn(rng, 1, 1, 4, 4)
+	x := tensor.Randn(rng, 1, 1, 1, 4, 4)
 	checkLayerGradients(t, l, x, 1e-4)
 }

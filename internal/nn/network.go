@@ -58,56 +58,25 @@ type PolicyValueNet struct {
 	vConv *Sequential
 	vFC   *Dense // -> 1
 
-	trunkOut *tensor.Tensor
-	pConvOut *tensor.Tensor
-	dConvOut *tensor.Tensor
-	vConvOut *tensor.Tensor
-
 	params []*Param
-
-	// Scratch owned by this network instance (one arena per network; one
-	// network per learner goroutine — see Arena). in and out are the
-	// reusable input tensor and output struct, flat/dDirT/dValT back the
-	// head-gradient tensors fed into Backward.
-	arena *Arena
-	in    *tensor.Tensor
-	out   Output
-	flat  *tensor.Tensor
-	dDirT *tensor.Tensor
-	dValT *tensor.Tensor
-
-	// Batched-inference scratch (batch.go): the (1, B, N², N²) input tensor
-	// and the sample-major head repack buffers.
-	bin *tensor.Tensor
-	bpX *tensor.Tensor
-	bdX *tensor.Tensor
-	bvX *tensor.Tensor
-
-	// Batched-training scratch (train_batch.go): input tensor, sample-major
-	// head repack/unpack buffers, and the head-gradient row tensors fed into
-	// BackwardBatch. Disjoint from both the per-sample and inference-batch
-	// handles so the three paths can interleave on one net.
-	tbin   *tensor.Tensor
-	tpX    *tensor.Tensor
-	tdX    *tensor.Tensor
-	tvX    *tensor.Tensor
-	tpUn   *tensor.Tensor
-	tdUn   *tensor.Tensor
-	tvUn   *tensor.Tensor
-	tflat  *tensor.Tensor
-	tdDirT *tensor.Tensor
-	tdValT *tensor.Tensor
-	// Head conv outputs of the last ForwardBatchTrain (references, not
-	// handles): BackwardBatch reads their shapes to unpack the FC row
-	// gradients back into the channel-major layout.
-	tbpOut *tensor.Tensor
-	tbdOut *tensor.Tensor
-	tbvOut *tensor.Tensor
-
 	// bns lists every BatchNorm in construction order, backing the running-
 	// statistics vector (NumStats/CopyStatsInto/SetStats) that inference
-	// evaluators sync alongside the weights.
+	// evaluators sync alongside the weights, and the model file's run_stats.
 	bns []*BatchNorm
+
+	// Scratch owned by this network instance (one arena per network; one
+	// network per learner goroutine — see Arena). in and the head-input rows
+	// are per mode, like the layers' own buffers.
+	arena      *Arena
+	in         [2]*tensor.Tensor // (1, B, N², N²)
+	pX, dX, vX [2]*tensor.Tensor // sample-major head-conv rows
+	// Head conv outputs of the last training Forward (references, not
+	// handles): Backward reads their shapes to unpack the FC row gradients
+	// back into the channel-major layout.
+	pOut, dOut, vOut *tensor.Tensor
+	// Backward's head-gradient rows and unpacked head-conv gradients.
+	flat, dDirT, dValT *tensor.Tensor
+	pUn, dUn, vUn      *tensor.Tensor
 }
 
 // NewPolicyValueNet constructs the network with the given seed.
@@ -191,8 +160,7 @@ func NewPolicyValueNet(cfg Config, seed int64) *PolicyValueNet {
 	net.params = append(net.params, net.vConv.Params()...)
 	net.params = append(net.params, net.vFC.Params()...)
 
-	// Thread one scratch arena through every layer and pre-size the
-	// persistent input/output/head-gradient buffers, so steady-state
+	// Thread one scratch arena through every layer, so steady-state
 	// Forward/Backward cycles allocate nothing.
 	net.arena = NewArena()
 	for _, l := range []Layer{net.trunk, net.pConv, net.pFC1, net.pReLU,
@@ -200,14 +168,6 @@ func NewPolicyValueNet(cfg Config, seed int64) *PolicyValueNet {
 		attachArena(net.arena, l)
 		collectBatchNorms(l, &net.bns)
 	}
-	net.in = tensor.New(1, side, side)
-	for g := 0; g < 4; g++ {
-		net.out.CoordLogits[g] = make([]float64, cfg.N)
-		net.out.CoordProbs[g] = make([]float64, cfg.N)
-	}
-	net.flat = tensor.New(4 * cfg.N)
-	net.dDirT = tensor.New(1)
-	net.dValT = tensor.New(1)
 	return net
 }
 
@@ -227,68 +187,157 @@ func (n *PolicyValueNet) NumParams() int {
 	return total
 }
 
-// Forward evaluates the network on a hop-count matrix (flattened N²×N²,
-// as produced by topo.HopMatrix). Inputs are normalized by 5N so values
-// lie in [0, 1].
+// Forward evaluates len(states) hop-count matrices (each flattened
+// N²×N², as produced by topo.HopMatrix), filling outs[i] with the result
+// for states[i]; outs must have at least len(states) elements. Inputs are
+// normalized by 5N so values lie in [0, 1]. With train set, BatchNorm uses
+// per-sample statistics and advances its running statistics in ascending
+// sample order, and every layer keeps its caches for one Backward over
+// the same batch.
 //
-// The returned Output (and its logit/probability slices) is owned by the
-// network and overwritten by the next Forward call; callers that retain it
-// across evaluations must copy what they need.
-func (n *PolicyValueNet) Forward(hopMatrix []float64, train bool) *Output {
+// Per-sample outputs do not depend on the batch size. Output slices
+// already present in outs are reused, so a warmed-up call allocates
+// nothing; the filled Outputs do not alias network buffers.
+func (n *PolicyValueNet) Forward(states [][]float64, outs []Output, train bool) {
+	nb := len(states)
+	if nb == 0 {
+		return
+	}
+	if len(outs) < nb {
+		panic(fmt.Sprintf("nn: Forward got %d outputs for %d states", len(outs), nb))
+	}
+	m := mode(train)
 	side := n.Cfg.N * n.Cfg.N
-	if len(hopMatrix) != side*side {
-		panic(fmt.Sprintf("nn: input length %d, want %d", len(hopMatrix), side*side))
-	}
-	x := n.in
+	x := n.arena.tensorFor(&n.in[m], 1, nb, side, side)
 	norm := 5 * float64(n.Cfg.N)
-	for i, v := range hopMatrix {
-		x.Data[i] = v / norm
+	for bi, st := range states {
+		if len(st) != side*side {
+			panic(fmt.Sprintf("nn: input length %d, want %d", len(st), side*side))
+		}
+		dst := x.Data[bi*side*side : (bi+1)*side*side]
+		for i, v := range st {
+			dst[i] = v / norm
+		}
 	}
-	n.trunkOut = n.trunk.Forward(x, train)
+	tb := n.trunk.Forward(x, train)
 
-	out := &n.out
 	// Policy coordinates.
-	n.pConvOut = n.pConv.Forward(n.trunkOut, train)
-	h1 := n.pReLU.Forward(n.pFC1.Forward(n.pConvOut, train), train)
+	pc := n.pConv.Forward(tb, train)
+	h1 := n.pReLU.Forward(n.pFC1.Forward(packSamples(n.arena, &n.pX[m], pc), train), train)
 	logits := n.pFC2.Forward(h1, train)
-	for g := 0; g < 4; g++ {
-		copy(out.CoordLogits[g], logits.Data[g*n.Cfg.N:(g+1)*n.Cfg.N])
-		tensor.SoftmaxInto(out.CoordProbs[g], out.CoordLogits[g])
-	}
 	// Direction.
-	n.dConvOut = n.dConv.Forward(n.trunkOut, train)
-	dpre := n.dFC.Forward(n.dConvOut, train)
-	out.DirPre = dpre.Data[0]
-	out.Dir = math.Tanh(out.DirPre)
+	dc := n.dConv.Forward(tb, train)
+	dpre := n.dFC.Forward(packSamples(n.arena, &n.dX[m], dc), train)
 	// Value.
-	n.vConvOut = n.vConv.Forward(n.trunkOut, train)
-	out.Value = n.vFC.Forward(n.vConvOut, train).Data[0]
-	return out
+	vc := n.vConv.Forward(tb, train)
+	val := n.vFC.Forward(packSamples(n.arena, &n.vX[m], vc), train)
+	if train {
+		n.pOut, n.dOut, n.vOut = pc, dc, vc
+	}
+
+	nc := n.Cfg.N
+	for bi := 0; bi < nb; bi++ {
+		out := &outs[bi]
+		lrow := logits.Data[bi*4*nc : (bi+1)*4*nc]
+		for g := 0; g < 4; g++ {
+			if cap(out.CoordLogits[g]) < nc {
+				out.CoordLogits[g] = make([]float64, nc)
+				out.CoordProbs[g] = make([]float64, nc)
+			}
+			out.CoordLogits[g] = out.CoordLogits[g][:nc]
+			out.CoordProbs[g] = out.CoordProbs[g][:nc]
+			copy(out.CoordLogits[g], lrow[g*nc:(g+1)*nc])
+			tensor.SoftmaxInto(out.CoordProbs[g], out.CoordLogits[g])
+		}
+		out.DirPre = dpre.Data[bi]
+		out.Dir = math.Tanh(out.DirPre)
+		out.Value = val.Data[bi]
+	}
 }
 
-// Backward back-propagates head gradients from the most recent Forward:
-// dLogits are dL/d(coordinate logits) (4 groups of N), dDirPre is
-// dL/d(pre-tanh direction), dValue is dL/d(value).
-func (n *PolicyValueNet) Backward(dLogits [4][]float64, dDirPre, dValue float64) {
-	for g := 0; g < 4; g++ {
-		copy(n.flat.Data[g*n.Cfg.N:], dLogits[g])
+// WarmBatch runs one throwaway inference Forward of b blank states so the
+// arena's inference scratch is sized for batches up to b; subsequent
+// inference calls of any size ≤ b are allocation-free.
+func (n *PolicyValueNet) WarmBatch(b int) {
+	if b < 1 {
+		return
 	}
-	// Dense.Backward returns gradients already shaped like the cached
-	// input (the conv-head output), so no reshaping is needed. gTrunk is
-	// the p-head conv's dx buffer; the d/v head backward passes write
-	// their own buffers, so accumulating into it is alias-free.
-	gp := n.pFC2.Backward(n.flat)
-	gp = n.pReLU.Backward(gp)
-	gp = n.pFC1.Backward(gp)
-	gTrunk := n.pConv.Backward(gp)
+	side := n.Cfg.N * n.Cfg.N
+	states := make([][]float64, b)
+	for i := range states {
+		states[i] = make([]float64, side*side)
+	}
+	n.Forward(states, make([]Output, b), false)
+}
 
-	n.dDirT.Data[0] = dDirPre
-	gTrunk.AddInPlace(n.dConv.Backward(n.dFC.Backward(n.dDirT)))
+// Backward back-propagates head gradients for the batch of the most recent
+// training Forward. dLogits holds sample-major rows of dL/d(coordinate
+// logits) — one row of 4N per sample — and dDirPre (dL/d(pre-tanh
+// direction)) and dValue one scalar per sample. Parameter gradients
+// accumulate one sample at a time in ascending order, so a batch of B
+// accumulates the same bits as B in-order one-sample calls.
+func (n *PolicyValueNet) Backward(dLogits, dDirPre, dValue []float64) {
+	nb := len(dDirPre)
+	if len(dValue) != nb || len(dLogits) != nb*4*n.Cfg.N {
+		panic(fmt.Sprintf("nn: Backward got %d logit rows, %d dirs, %d values",
+			len(dLogits)/(4*n.Cfg.N), nb, len(dValue)))
+	}
+	flat := n.arena.tensorFor(&n.flat, nb, 4*n.Cfg.N)
+	copy(flat.Data, dLogits)
 
-	n.dValT.Data[0] = dValue
-	gTrunk.AddInPlace(n.vConv.Backward(n.vFC.Backward(n.dValT)))
+	// Policy head: FC rows back to the conv head's channel-major layout.
+	// gTrunk is the p-head conv's dx buffer; the d/v head backward passes
+	// write their own buffers, so accumulating into it is alias-free.
+	gp := n.pFC2.Backward(flat, true)
+	gp = n.pReLU.Backward(gp, true)
+	gp = n.pFC1.Backward(gp, true)
+	gTrunk := n.pConv.Backward(unpackSamples(n.arena, &n.pUn, gp, n.pOut), true)
 
-	n.trunk.Backward(gTrunk)
+	// Direction head.
+	dDirT := n.arena.tensorFor(&n.dDirT, nb, 1)
+	copy(dDirT.Data, dDirPre)
+	gd := n.dFC.Backward(dDirT, true)
+	gTrunk.AddInPlace(n.dConv.Backward(unpackSamples(n.arena, &n.dUn, gd, n.dOut), true))
+
+	// Value head.
+	dValT := n.arena.tensorFor(&n.dValT, nb, 1)
+	copy(dValT.Data, dValue)
+	gv := n.vFC.Backward(dValT, true)
+	gTrunk.AddInPlace(n.vConv.Backward(unpackSamples(n.arena, &n.vUn, gv, n.vOut), true))
+
+	// The stem conv's input gradient has no consumer.
+	n.trunk.Backward(gTrunk, false)
+}
+
+// packSamples transposes a channel-major (C, B, H, W) activation into
+// sample-major (B, C·H·W) rows — each row the flattening of one sample's
+// (C, H, W) map — with one contiguous copy per (channel, sample) plane.
+func packSamples(a *Arena, p **tensor.Tensor, src *tensor.Tensor) *tensor.Tensor {
+	c, nb := src.Shape[0], src.Shape[1]
+	hw := src.Shape[2] * src.Shape[3]
+	dst := a.tensorFor(p, nb, c*hw)
+	for ci := 0; ci < c; ci++ {
+		for bi := 0; bi < nb; bi++ {
+			copy(dst.Data[bi*c*hw+ci*hw:bi*c*hw+(ci+1)*hw],
+				src.Data[(ci*nb+bi)*hw:(ci*nb+bi+1)*hw])
+		}
+	}
+	return dst
+}
+
+// unpackSamples is the inverse of packSamples: it transposes sample-major
+// rows back into a channel-major activation shaped like like.
+func unpackSamples(a *Arena, p **tensor.Tensor, rows, like *tensor.Tensor) *tensor.Tensor {
+	c, nb := like.Shape[0], like.Shape[1]
+	hw := like.Shape[2] * like.Shape[3]
+	dst := a.tensorFor(p, like.Shape...)
+	for ci := 0; ci < c; ci++ {
+		for bi := 0; bi < nb; bi++ {
+			copy(dst.Data[(ci*nb+bi)*hw:(ci*nb+bi+1)*hw],
+				rows.Data[bi*c*hw+ci*hw:bi*c*hw+(ci+1)*hw])
+		}
+	}
+	return dst
 }
 
 // ZeroGrads clears every parameter gradient.
@@ -392,26 +441,6 @@ func (n *PolicyValueNet) CopyGradsInto(dst []float64) {
 	}
 	if off != len(dst) {
 		panic(fmt.Sprintf("nn: CopyGradsInto length %d, want %d", len(dst), off))
-	}
-}
-
-// ApplyGrads performs an SGD step with the given flat gradient and
-// learning rate, clipping each component to clip (0 disables clipping).
-func (n *PolicyValueNet) ApplyGrads(grads []float64, lr, clip float64) {
-	off := 0
-	for _, p := range n.params {
-		w := p.W.Data
-		g := grads[off : off+len(w)]
-		if clip > 0 {
-			for i, gv := range g {
-				w[i] -= lr * min(max(gv, -clip), clip)
-			}
-		} else {
-			for i, gv := range g {
-				w[i] -= lr * gv
-			}
-		}
-		off += len(w)
 	}
 }
 

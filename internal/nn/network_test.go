@@ -15,9 +15,27 @@ func randomHopMatrix(rng *rand.Rand, n int) []float64 {
 	return m
 }
 
+// forward1 is the one-sample call: it evaluates s and returns a fresh
+// Output.
+func forward1(net *PolicyValueNet, s []float64, train bool) *Output {
+	outs := make([]Output, 1)
+	net.Forward([][]float64{s}, outs, train)
+	return &outs[0]
+}
+
+// backward1 back-propagates one sample's head gradients, the logit
+// gradients given as the four coordinate groups.
+func backward1(net *PolicyValueNet, dLogits [4][]float64, dDirPre, dValue float64) {
+	flat := make([]float64, 0, 4*net.Cfg.N)
+	for _, g := range dLogits {
+		flat = append(flat, g...)
+	}
+	net.Backward(flat, []float64{dDirPre}, []float64{dValue})
+}
+
 func TestNetworkOutputShapes(t *testing.T) {
 	net := NewPolicyValueNet(TestConfig(4), 1)
-	out := net.Forward(randomHopMatrix(rand.New(rand.NewSource(2)), 4), false)
+	out := forward1(net, randomHopMatrix(rand.New(rand.NewSource(2)), 4), false)
 	for g := 0; g < 4; g++ {
 		if len(out.CoordProbs[g]) != 4 {
 			t.Fatalf("group %d length %d", g, len(out.CoordProbs[g]))
@@ -48,17 +66,17 @@ func TestNetworkRejectsBadInput(t *testing.T) {
 			t.Fatal("no panic on wrong input size")
 		}
 	}()
-	net.Forward(make([]float64, 10), false)
+	net.Forward([][]float64{make([]float64, 10)}, make([]Output, 1), false)
 }
 
 func TestNetworkDeterministicPerSeed(t *testing.T) {
 	in := randomHopMatrix(rand.New(rand.NewSource(3)), 4)
-	a := NewPolicyValueNet(TestConfig(4), 7).Forward(in, false)
-	b := NewPolicyValueNet(TestConfig(4), 7).Forward(in, false)
+	a := forward1(NewPolicyValueNet(TestConfig(4), 7), in, false)
+	b := forward1(NewPolicyValueNet(TestConfig(4), 7), in, false)
 	if a.Value != b.Value || a.Dir != b.Dir {
 		t.Fatal("same seed, different outputs")
 	}
-	c := NewPolicyValueNet(TestConfig(4), 8).Forward(in, false)
+	c := forward1(NewPolicyValueNet(TestConfig(4), 8), in, false)
 	if a.Value == c.Value {
 		t.Fatal("different seeds produced identical value (suspicious)")
 	}
@@ -68,14 +86,14 @@ func TestWeightsRoundTrip(t *testing.T) {
 	a := NewPolicyValueNet(TestConfig(4), 1)
 	b := NewPolicyValueNet(TestConfig(4), 2)
 	in := randomHopMatrix(rand.New(rand.NewSource(4)), 4)
-	if a.Forward(in, false).Value == b.Forward(in, false).Value {
+	if forward1(a, in, false).Value == forward1(b, in, false).Value {
 		t.Fatal("nets should differ before sync")
 	}
 	b.SetWeights(a.GetWeights())
 	// Running stats are not weights; use train=false after syncing BN run
 	// stats too... they start identical (fresh nets), so eval matches.
-	av := a.Forward(in, false)
-	bv := b.Forward(in, false)
+	av := forward1(a, in, false)
+	bv := forward1(b, in, false)
 	if av.Value != bv.Value || av.Dir != bv.Dir {
 		t.Fatalf("weight sync failed: %v vs %v", av.Value, bv.Value)
 	}
@@ -102,7 +120,7 @@ func TestNetworkBackwardGradientCheck(t *testing.T) {
 	wd, wv := rng.NormFloat64(), rng.NormFloat64()
 
 	loss := func() float64 {
-		o := net.Forward(in, true)
+		o := forward1(net, in, true)
 		s := 0.0
 		for g := 0; g < 4; g++ {
 			for i, w := range lw[g] {
@@ -113,8 +131,8 @@ func TestNetworkBackwardGradientCheck(t *testing.T) {
 	}
 
 	net.ZeroGrads()
-	net.Forward(in, true)
-	net.Backward(lw, wd, wv)
+	forward1(net, in, true)
+	backward1(net, lw, wd, wv)
 
 	checked := 0
 	for _, p := range net.Params() {
@@ -149,7 +167,7 @@ func TestPolicyGradientIncreasesActionProbability(t *testing.T) {
 	action := [4]int{1, 2, 3, 0}
 
 	prob := func() float64 {
-		o := net.Forward(in, false)
+		o := forward1(net, in, false)
 		p := 1.0
 		for g := 0; g < 4; g++ {
 			p *= o.CoordProbs[g][action[g]]
@@ -159,7 +177,7 @@ func TestPolicyGradientIncreasesActionProbability(t *testing.T) {
 	before := prob()
 	sgd := SGD{LR: 0.05}
 	for step := 0; step < 20; step++ {
-		o := net.Forward(in, true)
+		o := forward1(net, in, true)
 		var dLogits [4][]float64
 		for g := 0; g < 4; g++ {
 			dLogits[g] = make([]float64, 4)
@@ -172,7 +190,7 @@ func TestPolicyGradientIncreasesActionProbability(t *testing.T) {
 			}
 		}
 		net.ZeroGrads()
-		net.Backward(dLogits, 0, 0)
+		backward1(net, dLogits, 0, 0)
 		sgd.Step(net)
 	}
 	after := prob()
@@ -191,15 +209,15 @@ func TestValueHeadLearnsTarget(t *testing.T) {
 	for g := range zero {
 		zero[g] = make([]float64, 4)
 	}
-	first := math.Abs(net.Forward(in, false).Value - target)
+	first := math.Abs(forward1(net, in, false).Value - target)
 	for step := 0; step < 300; step++ {
-		o := net.Forward(in, true)
+		o := forward1(net, in, true)
 		// loss = (target - V)^2, dL/dV = 2(V - target)
 		net.ZeroGrads()
-		net.Backward(zero, 0, 2*(o.Value-target))
+		backward1(net, zero, 0, 2*(o.Value-target))
 		sgd.Step(net)
 	}
-	last := math.Abs(net.Forward(in, false).Value - target)
+	last := math.Abs(forward1(net, in, false).Value - target)
 	if last >= first {
 		t.Fatalf("value error did not shrink: %v -> %v", first, last)
 	}
@@ -208,35 +226,10 @@ func TestValueHeadLearnsTarget(t *testing.T) {
 	}
 }
 
-func TestApplyGradsMatchesSGDStep(t *testing.T) {
-	a := NewPolicyValueNet(TestConfig(4), 20)
-	b := NewPolicyValueNet(TestConfig(4), 21)
-	b.SetWeights(a.GetWeights())
-	in := randomHopMatrix(rand.New(rand.NewSource(22)), 4)
-	var dl [4][]float64
-	for g := range dl {
-		dl[g] = []float64{0.1, -0.2, 0.3, 0}
-	}
-	// a: local SGD step.
-	a.ZeroGrads()
-	a.Forward(in, true)
-	a.Backward(dl, 0.5, -1)
-	grads := a.GetGrads()
-	SGD{LR: 0.01}.Step(a)
-	// b: apply the extracted flat gradients (the parameter-server path).
-	b.ApplyGrads(grads, 0.01, 0)
-	wa, wb := a.GetWeights(), b.GetWeights()
-	for i := range wa {
-		if math.Abs(wa[i]-wb[i]) > 1e-12 {
-			t.Fatalf("weight %d differs: %v vs %v", i, wa[i], wb[i])
-		}
-	}
-}
-
 func TestPoolsClampedForSmallInputs(t *testing.T) {
 	// N=2 -> input 4x4; three pools would erase it. Must not panic.
 	net := NewPolicyValueNet(Config{N: 2, BaseChannels: 1, Pools: 3}, 1)
-	out := net.Forward(randomHopMatrix(rand.New(rand.NewSource(1)), 2), false)
+	out := forward1(net, randomHopMatrix(rand.New(rand.NewSource(1)), 2), false)
 	if len(out.CoordProbs[0]) != 2 {
 		t.Fatalf("bad output for N=2")
 	}

@@ -25,19 +25,15 @@ func headGrads(net *PolicyValueNet, nb int, seed int64) (flat []float64, dDir, d
 	return flat, dDir, dVal
 }
 
-// runSequentialSteps drives the per-sample training loop: Forward(train) +
-// Backward per sample in order, with the given head gradients. Returns the
-// per-sample outputs.
+// runSequentialSteps drives the one-sample training loop: a training
+// Forward + Backward per sample in order, with the given head gradients.
+// Returns the per-sample outputs.
 func runSequentialSteps(net *PolicyValueNet, states [][]float64, flat, dDir, dVal []float64) []*Output {
-	nc := net.Cfg.N
+	row := 4 * net.Cfg.N
 	outs := make([]*Output, len(states))
-	var dl [4][]float64
 	for t, s := range states {
-		outs[t] = copyOutput(net.Forward(s, true))
-		for g := 0; g < 4; g++ {
-			dl[g] = flat[t*4*nc+g*nc : t*4*nc+(g+1)*nc]
-		}
-		net.Backward(dl, dDir[t], dVal[t])
+		outs[t] = forward1(net, s, true)
+		net.Backward(flat[t*row:(t+1)*row], dDir[t:t+1], dVal[t:t+1])
 	}
 	return outs
 }
@@ -71,9 +67,9 @@ func assertGradsEqual(t *testing.T, tag string, a, b *PolicyValueNet) {
 	}
 }
 
-// The tentpole byte-identity gate, forward half: ForwardBatchTrain over B
-// stacked states must reproduce B in-order Forward(·, true) calls
-// bit-for-bit — head outputs AND the BatchNorm running-statistics EMA
+// The byte-identity gate for training, forward half: one training Forward
+// over B stacked states must reproduce B in-order one-sample training
+// calls bit-for-bit — head outputs AND the BatchNorm running-statistics EMA
 // trajectory (per-sample statistics, ascending sample order).
 func TestForwardBatchTrainMatchesForwardByteIdentical(t *testing.T) {
 	for _, n := range []int{4, 5} {
@@ -87,10 +83,10 @@ func TestForwardBatchTrainMatchesForwardByteIdentical(t *testing.T) {
 				states := randStates(rng, n, bs)
 				want := make([]*Output, bs)
 				for i, s := range states {
-					want[i] = copyOutput(seq.Forward(s, true))
+					want[i] = forward1(seq, s, true)
 				}
 				outs := make([]Output, bs)
-				bat.ForwardBatchTrain(states, outs)
+				bat.Forward(states, outs, true)
 				for i := range outs {
 					assertOutputsEqual(t, "B="+strconv.Itoa(bs)+" sample "+strconv.Itoa(i),
 						&outs[i], want[i])
@@ -101,9 +97,9 @@ func TestForwardBatchTrainMatchesForwardByteIdentical(t *testing.T) {
 	}
 }
 
-// The tentpole byte-identity gate, backward half: one ForwardBatchTrain +
-// BackwardBatch must accumulate parameter gradients bit-identical to the
-// sequential per-step loop over the same samples in the same order —
+// The byte-identity gate for training, backward half: one training
+// Forward + Backward over B samples must accumulate parameter gradients
+// bit-identical to the one-sample loop over the same samples in the same order —
 // including across repeated batches on live (non-zeroed) gradient buffers,
 // which pins the trajectory-order reduction contract.
 func TestBackwardBatchByteIdenticalGradients(t *testing.T) {
@@ -120,8 +116,8 @@ func TestBackwardBatchByteIdenticalGradients(t *testing.T) {
 					states := randStates(rng, n, bs)
 					flat, dDir, dVal := headGrads(seq, bs, 31+int64(round))
 					runSequentialSteps(seq, states, flat, dDir, dVal)
-					bat.ForwardBatchTrain(states, outs)
-					bat.BackwardBatch(flat, dDir, dVal)
+					bat.Forward(states, outs, true)
+					bat.Backward(flat, dDir, dVal)
 					tag := "B=" + strconv.Itoa(bs) + " round " + strconv.Itoa(round)
 					assertGradsEqual(t, tag, bat, seq)
 					assertStatsEqual(t, tag, bat, seq)
@@ -131,10 +127,9 @@ func TestBackwardBatchByteIdenticalGradients(t *testing.T) {
 	}
 }
 
-// The train path runs the fused padded-plane conv kernels and never lowers
-// a column matrix; the kernel-level equivalence to the lowered path is
-// pinned by tensor's TestConvFusedMatchesLowered, and the odd-size shapes
-// here (B=5 on a 4×4 grid) cover the partial-group edges.
+// The kernel-level equivalence of the fused conv kernels to the lowered
+// path is pinned by tensor's TestConvFusedMatchesLowered; the odd-size
+// shapes here (B=5 on a 4×4 grid) cover the partial-group edges.
 func TestTrainBatchFusedConvByteIdentical(t *testing.T) {
 	seq := NewPolicyValueNet(TestConfig(4), 5)
 	bat := NewPolicyValueNet(TestConfig(4), 5)
@@ -145,8 +140,8 @@ func TestTrainBatchFusedConvByteIdentical(t *testing.T) {
 	flat, dDir, dVal := headGrads(seq, len(states), 43)
 	want := runSequentialSteps(seq, states, flat, dDir, dVal)
 	outs := make([]Output, len(states))
-	bat.ForwardBatchTrain(states, outs)
-	bat.BackwardBatch(flat, dDir, dVal)
+	bat.Forward(states, outs, true)
+	bat.Backward(flat, dDir, dVal)
 	for i := range outs {
 		assertOutputsEqual(t, "sample "+strconv.Itoa(i), &outs[i], want[i])
 	}
@@ -154,35 +149,40 @@ func TestTrainBatchFusedConvByteIdentical(t *testing.T) {
 	assertStatsEqual(t, "fused", bat, seq)
 }
 
-// Interleaving a batched inference ForwardBatch between ForwardBatchTrain
-// and BackwardBatch must not disturb the pending training caches: the
-// t-prefixed train scratch is disjoint from the inference-batch handles.
+// An inference Forward wedged between a training Forward and its Backward
+// must not disturb the pending training caches: each layer keeps separate
+// inference and training scratch. The one-sample case is the per-step
+// training loop with batched inference interleaved.
 func TestTrainBatchSurvivesInterleavedInference(t *testing.T) {
-	cfg := TestConfig(4)
-	ref := NewPolicyValueNet(cfg, 7)
-	mix := NewPolicyValueNet(cfg, 7)
-	perturbNet(ref, 47)
-	perturbNet(mix, 47)
-	rng := rand.New(rand.NewSource(53))
-	states := randStates(rng, 4, 4)
-	inferStates := randStates(rng, 4, 6)
-	flat, dDir, dVal := headGrads(ref, len(states), 59)
-	outs := make([]Output, len(states))
-	inferOuts := make([]Output, len(inferStates))
-	for step := 0; step < 3; step++ {
-		ref.ForwardBatchTrain(states, outs)
-		ref.BackwardBatch(flat, dDir, dVal)
-		mix.ForwardBatchTrain(states, outs)
-		mix.ForwardBatch(inferStates, inferOuts) // wedged mid-cycle
-		mix.BackwardBatch(flat, dDir, dVal)
-		assertGradsEqual(t, "step "+strconv.Itoa(step), mix, ref)
-		SGD{LR: 0.01}.Step(ref)
-		SGD{LR: 0.01}.Step(mix)
+	for _, bs := range []int{1, 4} {
+		t.Run("B"+strconv.Itoa(bs), func(t *testing.T) {
+			cfg := TestConfig(4)
+			ref := NewPolicyValueNet(cfg, 7)
+			mix := NewPolicyValueNet(cfg, 7)
+			perturbNet(ref, 47)
+			perturbNet(mix, 47)
+			rng := rand.New(rand.NewSource(53))
+			states := randStates(rng, 4, bs)
+			inferStates := randStates(rng, 4, 6)
+			flat, dDir, dVal := headGrads(ref, len(states), 59)
+			outs := make([]Output, len(states))
+			inferOuts := make([]Output, len(inferStates))
+			for step := 0; step < 3; step++ {
+				ref.Forward(states, outs, true)
+				ref.Backward(flat, dDir, dVal)
+				mix.Forward(states, outs, true)
+				mix.Forward(inferStates, inferOuts, false) // wedged mid-cycle
+				mix.Backward(flat, dDir, dVal)
+				assertGradsEqual(t, "step "+strconv.Itoa(step), mix, ref)
+				SGD{LR: 0.01}.Step(ref)
+				SGD{LR: 0.01}.Step(mix)
+			}
+		})
 	}
 }
 
 // The 0-alloc pin for the batched train step: once warmed, a full
-// ForwardBatchTrain + BackwardBatch cycle allocates nothing, including for
+// training Forward + Backward cycle allocates nothing, including for
 // smaller batches reusing the same scratch.
 func TestTrainBatchZeroAllocWarm(t *testing.T) {
 	net := NewPolicyValueNet(TestConfig(4), 9)
@@ -191,17 +191,17 @@ func TestTrainBatchZeroAllocWarm(t *testing.T) {
 	states := randStates(rng, 4, 8)
 	flat, dDir, dVal := headGrads(net, 8, 71)
 	outs := make([]Output, 8)
-	net.ForwardBatchTrain(states, outs) // warm
-	net.BackwardBatch(flat, dDir, dVal)
+	net.Forward(states, outs, true) // warm
+	net.Backward(flat, dDir, dVal)
 	if allocs := testing.AllocsPerRun(20, func() {
-		net.ForwardBatchTrain(states, outs)
-		net.BackwardBatch(flat, dDir, dVal)
+		net.Forward(states, outs, true)
+		net.Backward(flat, dDir, dVal)
 	}); allocs != 0 {
 		t.Fatalf("warmed batched train step allocates %.0f times, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		net.ForwardBatchTrain(states[:3], outs[:3])
-		net.BackwardBatch(flat[:3*4*net.Cfg.N], dDir[:3], dVal[:3])
+		net.Forward(states[:3], outs[:3], true)
+		net.Backward(flat[:3*4*net.Cfg.N], dDir[:3], dVal[:3])
 	}); allocs != 0 {
 		t.Fatalf("warmed batched train step (B=3) allocates %.0f times, want 0", allocs)
 	}

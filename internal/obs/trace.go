@@ -49,11 +49,11 @@ const (
 	SpanTrain // A2C accumulate + parameter-server apply + resync
 
 	// Inference phases.
-	SpanNNForward          // legacy per-worker Forward
+	SpanNNForward          // per-worker one-sample Forward
 	SpanInferSubmit        // worker-side Submit (blocks for the Eval)
 	SpanInferQueueWait     // request enqueue -> batch pickup (broker side)
 	SpanInferBatchAssemble // first request -> batch complete
-	SpanInferForward       // one nn.ForwardBatch
+	SpanInferForward       // one batched inference nn.Forward
 
 	// Simulator phases.
 	SpanSimRun

@@ -40,8 +40,8 @@ type A2C struct {
 	ValueCoeff float64
 
 	// tile is the trajectory-update tile size: steps are processed in
-	// t-ordered tiles of up to tile samples, each tile one ForwardBatchTrain
-	// + BackwardBatch pass. Zero selects defaultTrainTile. Every tile size
+	// t-ordered tiles of up to tile samples, each tile one training Forward
+	// + Backward pass. Zero selects defaultTrainTile. Every tile size
 	// accumulates bit-identical gradients, running statistics, and MSE.
 	tile int
 
@@ -81,13 +81,12 @@ func (a *A2C) returnsToGo(traj Trajectory) []float64 {
 // It returns the mean squared value error, a training-progress signal.
 //
 // The update runs in tile-sized batched passes: each tile of consecutive
-// steps runs one ForwardBatchTrain (per-layer activations cached for every
-// sample) and one BackwardBatch, with the head gradients for the whole tile
+// steps runs one training Forward (per-layer activations cached for every
+// sample) and one Backward, with the head gradients for the whole tile
 // computed in one sweep between the two network calls. The batched passes
-// reduce in ascending sample (= trajectory) order with the same kernels as
-// a per-step Forward/Backward loop, so gradients, BatchNorm running
-// statistics, and MSE are byte-identical to it (the per-step loop is the
-// test oracle).
+// reduce in ascending sample (= trajectory) order, so gradients, BatchNorm
+// running statistics, and MSE are byte-identical to a per-step loop of
+// one-sample calls (the test oracle).
 func (a *A2C) Accumulate(net *nn.PolicyValueNet, traj Trajectory) float64 {
 	n := len(traj.Steps)
 	if n == 0 {
@@ -129,7 +128,7 @@ func (a *A2C) Accumulate(net *nn.PolicyValueNet, traj Trajectory) float64 {
 		for bi := 0; bi < nb; bi++ {
 			states[bi] = traj.Steps[t0+bi].State
 		}
-		net.ForwardBatchTrain(states, outs)
+		net.Forward(states, outs, true)
 
 		flat := a.flat[:nb*4*nc]
 		dDir := a.dDir[:nb]
@@ -163,7 +162,7 @@ func (a *A2C) Accumulate(net *nn.PolicyValueNet, traj Trajectory) float64 {
 			dVal[bi] = 2 * a.ValueCoeff * (out.Value - returns[t0+bi])
 			mse += (out.Value - returns[t0+bi]) * (out.Value - returns[t0+bi])
 		}
-		net.BackwardBatch(flat, dDir, dVal)
+		net.Backward(flat, dDir, dVal)
 	}
 	return mse / float64(n)
 }

@@ -8,6 +8,13 @@ import (
 	"routerless/internal/topo"
 )
 
+// forward1 evaluates one state in inference mode.
+func forward1(net *nn.PolicyValueNet, s []float64) *nn.Output {
+	outs := make([]nn.Output, 1)
+	net.Forward([][]float64{s}, outs, false)
+	return &outs[0]
+}
+
 func smallTraj(e *Env) Trajectory {
 	var traj Trajectory
 	actions := []Action{
@@ -84,7 +91,7 @@ func TestA2CPolicyDirection(t *testing.T) {
 	act := Action{1, 1, 2, 2, topo.Clockwise}
 	net := nn.NewPolicyValueNet(nn.TestConfig(4), 7)
 	prob := func() float64 {
-		o := net.Forward(st, false)
+		o := forward1(net, st)
 		return o.CoordProbs[0][act.X1] * o.CoordProbs[1][act.Y1] *
 			o.CoordProbs[2][act.X2] * o.CoordProbs[3][act.Y2] * (1 + o.Dir) / 2
 	}
@@ -123,7 +130,7 @@ func TestA2CDiscounting(t *testing.T) {
 	// After training, V(s_last) should approach r_last + 0 = -1? The last
 	// step was valid (reward 0)... verify against computed target.
 	want := traj.Steps[len(traj.Steps)-1].Reward
-	got := net.Forward(traj.Steps[len(traj.Steps)-1].State, false).Value
+	got := forward1(net, traj.Steps[len(traj.Steps)-1].State).Value
 	if math.Abs(got-want) > 1.0 {
 		t.Fatalf("gamma=0 value = %v, want near %v", got, want)
 	}

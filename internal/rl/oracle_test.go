@@ -48,29 +48,34 @@ func bruteGreedySearch(e *Env) GreedyResult {
 	return GreedyResult{Action: bestLoop, NewPairs: bestCount, Gain: bestImprv, OK: found}
 }
 
-// accumulateSequential is the per-step A2C update: one Forward and one
-// Backward per trajectory step, in trajectory order. It is the parity
-// oracle for the batched Accumulate, which must match its gradients,
-// BatchNorm running statistics, and MSE bit for bit.
+// accumulateSequential is the per-step A2C update: one training Forward and
+// one Backward per trajectory step, each a one-sample call, in trajectory
+// order, with its own per-step head-gradient math. It is the parity oracle
+// for the tiled Accumulate, which must match its gradients, BatchNorm
+// running statistics, and MSE bit for bit; the layers' equivalence to the
+// lowered and naive convolutions and to central differences is pinned in
+// internal/nn and internal/tensor.
 func (a *A2C) accumulateSequential(net *nn.PolicyValueNet, traj Trajectory) float64 {
 	if len(traj.Steps) == 0 {
 		return 0
 	}
 	returns := a.returnsToGo(traj)
-	var dLogits [4][]float64
+	outs := make([]nn.Output, 1)
 	mse := 0.0
 	for t, s := range traj.Steps {
-		out := net.Forward(s.State, true)
+		net.Forward([][]float64{s.State}, outs, true)
+		out := &outs[0]
 		adv := returns[t] - out.Value // A_t (Eq. 16)
 
 		chosen := [4]int{s.Action.X1, s.Action.Y1, s.Action.X2, s.Action.Y2}
+		var dLogits []float64
 		for gi := 0; gi < 4; gi++ {
 			dl := make([]float64, len(out.CoordProbs[gi]))
 			for i, p := range out.CoordProbs[gi] {
 				dl[i] = adv * p
 			}
 			dl[chosen[gi]] -= adv
-			dLogits[gi] = dl
+			dLogits = append(dLogits, dl...)
 		}
 		var dDir float64
 		if s.Action.Dir == topo.Clockwise {
@@ -81,7 +86,7 @@ func (a *A2C) accumulateSequential(net *nn.PolicyValueNet, traj Trajectory) floa
 		dValue := 2 * a.ValueCoeff * (out.Value - returns[t])
 		mse += (out.Value - returns[t]) * (out.Value - returns[t])
 
-		net.Backward(dLogits, dDir, dValue)
+		net.Backward(dLogits, []float64{dDir}, []float64{dValue})
 	}
 	return mse / float64(len(traj.Steps))
 }

@@ -3,8 +3,8 @@ package tensor
 import "fmt"
 
 // Fused (materialization-free) convolution kernels: ConvFwdPad runs every
-// conv forward in internal/nn, ConvDWPad/ConvDXPad the batched training
-// backward. The im2col formulation moves K²× the input volume through
+// conv forward in internal/nn, ConvDWPad/ConvDXPad every conv backward.
+// The im2col formulation moves K²× the input volume through
 // cols/dcols buffers that are megabytes per sample at paper scale; these
 // kernels read a zero-padded copy of the input plane instead, so every value the GEMM would
 // have loaded from a cols row is loaded from the padded plane at a computed
@@ -17,7 +17,7 @@ import "fmt"
 //	ConvDXPad   ≡ GemmTN + Col2im      (conv input gradient)
 //
 // The equivalences are pinned by TestConvFusedMatchesLowered, which runs the
-// lowered kernels as oracles. Four structural facts carry the proofs:
+// lowered kernels (kept in this package's tests) as oracles. Four structural facts carry the proofs:
 //
 //  1. Pad zeros participate. The padded plane holds explicit +0 entries
 //     where im2col writes zeros, so grouped expressions such as

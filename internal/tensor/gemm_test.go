@@ -188,3 +188,32 @@ func TestSoftmaxIntoMatchesSoftmax(t *testing.T) {
 		t.Fatalf("SoftmaxInto differs from Softmax by %g", d)
 	}
 }
+
+// BenchmarkGemm measures the lowered GemmNN on the shapes the conv layers
+// would produce lowered: "stem8x8" is the 8×8 net's stem convolution (16
+// output channels, 9×9 kernel on a 64×64 map) and "conv2_8x8" its second
+// stage; "square128" is a reference cube. Reports GFLOP/s.
+func BenchmarkGemm(b *testing.B) {
+	for _, sz := range []struct {
+		name    string
+		m, n, k int
+	}{
+		{"stem8x8_16x4096x81", 16, 4096, 81},
+		{"conv2_8x8_32x1024x144", 32, 1024, 144},
+		{"square128", 128, 128, 128},
+	} {
+		b.Run(sz.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			a := randSlice(rng, sz.m*sz.k)
+			bb := randSlice(rng, sz.k*sz.n)
+			c := make([]float64, sz.m*sz.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				GemmNN(sz.m, sz.n, sz.k, a, bb, c, false)
+			}
+			flops := 2 * float64(sz.m) * float64(sz.n) * float64(sz.k)
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}

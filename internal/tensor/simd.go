@@ -22,8 +22,9 @@ var useAVX2 = hasAVX2()
 //	dst[t] += a0*p0[t] + a1*p1[t] + a2*p2[t] + a3*p3[t]
 //
 // for every t in dst, evaluated left to right exactly as written. It is the
-// inner loop of GemmNN's four-row reduction groups and of the fused conv
-// kernels built on the same grouping. Each p must be at least len(dst) long.
+// inner loop of the fused conv kernels and of the lowered GemmNN (a test
+// oracle) whose four-row reduction groups they replicate. Each p must be
+// at least len(dst) long.
 func axpy4(dst []float64, a0, a1, a2, a3 float64, p0, p1, p2, p3 []float64) {
 	n := len(dst)
 	p0, p1, p2, p3 = p0[:n], p1[:n], p2[:n], p3[:n]
