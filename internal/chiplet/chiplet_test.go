@@ -1,6 +1,11 @@
 package chiplet
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"routerless/internal/search"
@@ -116,5 +121,40 @@ func TestGreedyBridgesDisconnectedFirst(t *testing.T) {
 	}
 	if e.Step(a) != 0 {
 		t.Fatal("greedy proposed an illegal link")
+	}
+}
+
+// exploreDigest folds one Explore run into h: every Outcome (Final bits,
+// Steps, Episode), the best Outcome, the tree size and the best design's
+// links, in order.
+func exploreDigest(h hash.Hash64, best *Design, res *search.Result) {
+	w := func(v uint64) { binary.Write(h, binary.LittleEndian, v) }
+	for _, o := range append([]search.Outcome{res.Best}, res.Outcomes...) {
+		w(math.Float64bits(o.Final))
+		w(uint64(o.Steps))
+		w(uint64(o.Episode))
+	}
+	w(uint64(res.TreeSize))
+	for _, l := range best.Links() {
+		w(uint64(l[0]))
+		w(uint64(l[1]))
+	}
+}
+
+// TestExploreGolden pins same-seed search results byte for byte across
+// seeds and ε ∈ {0, 0.3, 1} (pure tree, mixed, pure greedy), so a change
+// to the search engine that alters what it visits or finds shows here.
+func TestExploreGolden(t *testing.T) {
+	h := fnv.New64a()
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, eps := range []float64{0, 0.3, 1} {
+			cfg := search.DefaultConfig()
+			cfg.Episodes, cfg.Epsilon, cfg.MaxSteps, cfg.Seed = 12, eps, 32, seed
+			best, res := Explore(DefaultSystem(), cfg)
+			exploreDigest(h, best, res)
+		}
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "c0b62acc2875e7e2"; got != want {
+		t.Fatalf("digest = %s, want %s", got, want)
 	}
 }

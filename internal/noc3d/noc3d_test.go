@@ -1,6 +1,11 @@
 package noc3d
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"routerless/internal/search"
@@ -124,5 +129,41 @@ func TestGreedyPicksDistantPair(t *testing.T) {
 	d := NewDesign(4, 1, prob.Cons)
 	if d.Hop(x, y) != 6 {
 		t.Fatalf("greedy chose pair at distance %d, want 6", d.Hop(x, y))
+	}
+}
+
+// exploreDigest folds one Explore run into h: every Outcome (Final bits,
+// Steps, Episode), the best Outcome, the tree size and the best design's
+// links, in order.
+func exploreDigest(h hash.Hash64, best *Design, res *search.Result) {
+	w := func(v uint64) { binary.Write(h, binary.LittleEndian, v) }
+	for _, o := range append([]search.Outcome{res.Best}, res.Outcomes...) {
+		w(math.Float64bits(o.Final))
+		w(uint64(o.Steps))
+		w(uint64(o.Episode))
+	}
+	w(uint64(res.TreeSize))
+	for _, l := range best.Links() {
+		w(uint64(l[0]))
+		w(uint64(l[1]))
+	}
+}
+
+// TestExploreGolden pins same-seed search results byte for byte across
+// seeds and ε ∈ {0, 0.3, 1} (pure tree, mixed, pure greedy), so a change
+// to the search engine that alters what it visits or finds shows here.
+func TestExploreGolden(t *testing.T) {
+	h := fnv.New64a()
+	cons := Constraints{ExtraPorts: 2, MaxLen: 4, Budget: 6}
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, eps := range []float64{0, 0.3, 1} {
+			cfg := search.DefaultConfig()
+			cfg.Episodes, cfg.Epsilon, cfg.MaxSteps, cfg.Seed = 12, eps, 32, seed
+			best, _, res := Explore(4, 2, cons, cfg)
+			exploreDigest(h, best, res)
+		}
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "33b34cbd8dff4f10"; got != want {
+		t.Fatalf("digest = %s, want %s", got, want)
 	}
 }
