@@ -147,11 +147,15 @@ profile-smoke:
 	$(GO) tool pprof -top /tmp/routerless-mutex.pprof > /dev/null
 	$(GO) tool pprof -top /tmp/routerless-block.pprof > /dev/null
 
-# Decoder fuzz smoke: run FuzzTopologyJSON (the nocsim -topo decoder) and
-# FuzzUnmarshalModel (the nocexplore -load-model decoder) for a short
-# budget each. Input minimization is capped so a new coverage find does
+# Decoder fuzz smoke: run FuzzTopologyJSON (the nocsim -topo decoder),
+# FuzzUnmarshalModel (the nocexplore -load-model decoder), FuzzParsePattern
+# and FuzzParsecProfile (the nocsim -pattern and -app names) and
+# FuzzTraceCheck (the tracecheck trace decoder) for a short budget each. Input minimization is capped so a new coverage find does
 # not spend the budget shrinking itself. For a longer run, call go test
 # -fuzz directly.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTopologyJSON$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/topo/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalModel$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/nn/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/traffic/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsecProfile$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/traffic/
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceCheck$$' -fuzztime 10s -fuzzminimizetime 100x ./cmd/tracecheck/

@@ -53,9 +53,31 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	var names []string
+	if *require != "" {
+		names = strings.Split(*require, ",")
+	}
+	sum, err := check(data, names, *minSpans)
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", path, err))
+	}
+	fmt.Printf("tracecheck: %s ok — %d spans on %d tracks, %d distinct names\n",
+		path, sum.spans, sum.tracks, sum.names)
+}
+
+// summary counts what a trace that passed check holds.
+type summary struct {
+	spans, tracks, names int
+}
+
+// check decodes trace JSON and validates it: every event is a complete
+// ("X") or metadata ("M") event, complete events are named, have a
+// non-negative duration and nest strictly within their track, there are at
+// least minSpans of them, and every non-blank name in require appears.
+func check(data []byte, require []string, minSpans int) (summary, error) {
 	var tf traceFile
 	if err := json.Unmarshal(data, &tf); err != nil {
-		fatal(fmt.Errorf("%s: not valid trace JSON: %w", path, err))
+		return summary{}, fmt.Errorf("not valid trace JSON: %w", err)
 	}
 
 	tracks := map[int][]traceEvent{} // X events per tid
@@ -65,10 +87,10 @@ func main() {
 		switch ev.Phase {
 		case "X":
 			if ev.Dur < 0 {
-				fatal(fmt.Errorf("%s: event %d (%q) has negative dur %.3f", path, i, ev.Name, ev.Dur))
+				return summary{}, fmt.Errorf("event %d (%q) has negative dur %.3f", i, ev.Name, ev.Dur)
 			}
 			if ev.Name == "" {
-				fatal(fmt.Errorf("%s: event %d has empty name", path, i))
+				return summary{}, fmt.Errorf("event %d has empty name", i)
 			}
 			tracks[ev.TID] = append(tracks[ev.TID], ev)
 			names[ev.Name]++
@@ -79,7 +101,7 @@ func main() {
 			_ = json.Unmarshal(ev.Args, &args)
 			trackNames[ev.TID] = args.Name
 		default:
-			fatal(fmt.Errorf("%s: event %d has unexpected phase %q", path, i, ev.Phase))
+			return summary{}, fmt.Errorf("event %d has unexpected phase %q", i, ev.Phase)
 		}
 	}
 
@@ -87,27 +109,23 @@ func main() {
 	for tid, evs := range tracks {
 		total += len(evs)
 		if err := checkNesting(evs); err != nil {
-			fatal(fmt.Errorf("%s: track %d (%s): %w", path, tid, trackNames[tid], err))
+			return summary{}, fmt.Errorf("track %d (%s): %w", tid, trackNames[tid], err)
 		}
 	}
-	if total < *minSpans {
-		fatal(fmt.Errorf("%s: only %d complete events, want at least %d", path, total, *minSpans))
+	if total < minSpans {
+		return summary{}, fmt.Errorf("only %d complete events, want at least %d", total, minSpans)
 	}
-	if *require != "" {
-		var missing []string
-		for _, want := range strings.Split(*require, ",") {
-			want = strings.TrimSpace(want)
-			if want != "" && names[want] == 0 {
-				missing = append(missing, want)
-			}
-		}
-		if len(missing) > 0 {
-			fatal(fmt.Errorf("%s: required span names missing: %s", path, strings.Join(missing, ", ")))
+	var missing []string
+	for _, want := range require {
+		want = strings.TrimSpace(want)
+		if want != "" && names[want] == 0 {
+			missing = append(missing, want)
 		}
 	}
-
-	fmt.Printf("tracecheck: %s ok — %d spans on %d tracks, %d distinct names\n",
-		path, total, len(tracks), len(names))
+	if len(missing) > 0 {
+		return summary{}, fmt.Errorf("required span names missing: %s", strings.Join(missing, ", "))
+	}
+	return summary{spans: total, tracks: len(tracks), names: len(names)}, nil
 }
 
 // checkNesting verifies that within one track, event intervals form a

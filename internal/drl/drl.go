@@ -145,7 +145,7 @@ type Result struct {
 // Searcher runs the framework.
 type Searcher struct {
 	cfg  Config
-	tree *mcts.Tree
+	tree *mcts.Tree[rl.Action]
 
 	server *paramServer
 	// broker is the shared batched-inference service, non-nil only while a
@@ -179,7 +179,7 @@ func New(cfg Config) (*Searcher, error) {
 	if cfg.NN.N != cfg.N {
 		return nil, fmt.Errorf("drl: NN config N=%d mismatches NoC N=%d", cfg.NN.N, cfg.N)
 	}
-	s := &Searcher{cfg: cfg, tree: mcts.NewTree(cfg.CPuct)}
+	s := &Searcher{cfg: cfg, tree: mcts.NewTree(cfg.CPuct, rl.ActionLess)}
 	if cfg.UseDNN {
 		master := nn.NewPolicyValueNet(cfg.NN, cfg.Seed)
 		init := cfg.InitWeights
@@ -505,7 +505,7 @@ func (s *Searcher) worker(tid, episodes int) {
 type episodeArena struct {
 	env     *rl.Env
 	traj    rl.Trajectory
-	path    []mcts.PathStep
+	path    []mcts.PathStep[rl.Action]
 	returns []float64
 	// states holds one reusable hop-matrix buffer per trajectory step;
 	// StepRecord.State aliases these until the next episode overwrites
@@ -556,7 +556,7 @@ func (ar *episodeArena) stateBuf(i int) []float64 {
 // actions ... to complete the design"). The final return reflects the
 // whole design, so guided prefixes leading to poor completions are
 // penalized through training.
-func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int, ar *episodeArena) (rl.Trajectory, []mcts.PathStep, *Design) {
+func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int, ar *episodeArena) (rl.Trajectory, []mcts.PathStep[rl.Action], *Design) {
 	env := ar.env
 	env.Reset()
 	ar.traj.Steps = ar.traj.Steps[:0]
@@ -590,7 +590,7 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 		}
 		r, kind := env.Step(a)
 		ar.traj.Steps = append(ar.traj.Steps, rl.StepRecord{State: state, Action: a, Reward: r})
-		ar.path = append(ar.path, mcts.PathStep{Fingerprint: fp, Action: a})
+		ar.path = append(ar.path, mcts.PathStep[rl.Action]{Fingerprint: fp, Action: a})
 		if kind == rl.Valid {
 			penalties = 0
 			valid++

@@ -82,7 +82,7 @@ func TestChooseActionPrunesStaleEdges(t *testing.T) {
 	if env.Legal(stale) {
 		t.Fatal("degenerate action unexpectedly legal")
 	}
-	s.tree.Backup([]mcts.PathStep{{Fingerprint: fp, Action: stale}}, []float64{1e6})
+	s.tree.Backup([]mcts.PathStep[rl.Action]{{Fingerprint: fp, Action: stale}}, []float64{1e6})
 	if a, ok := s.tree.Select(fp); !ok || a != stale {
 		t.Fatalf("setup: Select returned %v, want the stale edge %v", a, stale)
 	}
@@ -193,7 +193,7 @@ func assertSameResult(t *testing.T, label string, a, b *Result) {
 // weights. Lock shapes are a test-only axis: production always runs the
 // defaults.
 func withLockShape(s *Searcher, stripes, chunk int) *Searcher {
-	s.tree = mcts.NewTreeStripes(s.cfg.CPuct, stripes)
+	s.tree = mcts.NewTreeStripes(s.cfg.CPuct, rl.ActionLess, stripes)
 	s.server = newParamServer(s.server.snapshot(), s.cfg.LR, s.cfg.GradClip, chunk, s.cfg.Metrics)
 	return s
 }

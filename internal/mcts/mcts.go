@@ -1,10 +1,13 @@
-// Package mcts implements the Monte Carlo tree search of §4.5: nodes are
-// previously seen routerless NoC designs (keyed by canonical loop-set
-// fingerprints), edges are loop additions, and each edge tracks the prior
-// P(a;s) supplied by the DNN policy, the visit count N(a;s), and the mean
-// cumulative return V of the subtree it leads to. Selection follows the
-// upper-confidence rule of Eqs. 21–22; an ε-greedy override defers to the
-// greedy search of Algorithm 1 (implemented in package rl).
+// Package mcts implements the Monte Carlo tree search of §4.5 as one
+// generic tree, Tree[A]: nodes are previously seen designs keyed by a
+// canonical fingerprint string, edges are actions of any comparable type A
+// kept in the order of a caller-supplied less function, and each edge
+// tracks the prior P(a;s), the visit count N(a;s), and the mean cumulative
+// return V of the subtree it leads to. Selection follows the
+// upper-confidence rule of Eqs. 21–22. The routerless search (package drl)
+// runs it over rl.Action loop additions ordered by rl.ActionLess; the
+// generic §6.8 framework (package search) runs it over string actions in
+// byte order. The ε-greedy override lives with each caller.
 //
 // The tree is shared by the multi-threaded learners of §4.6, so its node
 // map is split into hash-striped shards (FNV-1a over the fingerprint), each
@@ -17,11 +20,8 @@ package mcts
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"routerless/internal/rl"
 )
 
 // Edge is the statistics triple for one action out of one state.
@@ -41,37 +41,46 @@ func (e *Edge) V() float64 {
 
 // EdgeEntry pairs an action with its edge statistics in a node's flat edge
 // list.
-type EdgeEntry struct {
-	Action rl.Action
+type EdgeEntry[A comparable] struct {
+	Action A
 	Edge
 }
 
 // Node is a previously explored design. Its edges live in one slice sorted
-// by rl.ActionLess rather than a map: Select's argmax is a linear scan whose
-// lexicographic tie-break falls out of the order (no per-candidate ActionLess
-// calls, no map iteration-order hazard), lookups are binary searches over
-// contiguous memory, and a node costs one allocation instead of one per edge.
-type Node struct {
-	Edges []EdgeEntry
+// by the tree's less function rather than a map: Select's argmax is a
+// linear scan whose tie-break toward the least action falls out of the
+// order (no per-candidate less calls, no map iteration-order hazard),
+// lookups are binary searches over contiguous memory, and a node costs one
+// allocation instead of one per edge.
+type Node[A comparable] struct {
+	Edges []EdgeEntry[A]
 	// SumN caches Σ_j N(a_j; s) for the U term.
 	SumN int
 }
 
-// find returns the index of action a in the sorted edge slice, or
-// (insertion point, false) when absent.
-func (n *Node) find(a rl.Action) (int, bool) {
-	i := sort.Search(len(n.Edges), func(i int) bool {
-		return !rl.ActionLess(n.Edges[i].Action, a)
-	})
-	return i, i < len(n.Edges) && n.Edges[i].Action == a
+// find returns the index of action a in the edge slice sorted by less, or
+// (insertion point, false) when absent. The binary search is written out
+// rather than taken from sort.Search, whose closure would put a second
+// indirect call around less on every probe of the hot Backup path.
+func (n *Node[A]) find(a A, less func(a, b A) bool) (int, bool) {
+	lo, hi := 0, len(n.Edges)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if less(n.Edges[m].Action, a) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(n.Edges) && n.Edges[lo].Action == a
 }
 
 // insert places a new edge for action a at sorted position i (as returned by
 // find) and returns a pointer to it, valid until the next insert.
-func (n *Node) insert(i int, a rl.Action, e Edge) *Edge {
-	n.Edges = append(n.Edges, EdgeEntry{})
+func (n *Node[A]) insert(i int, a A, e Edge) *Edge {
+	n.Edges = append(n.Edges, EdgeEntry[A]{})
 	copy(n.Edges[i+1:], n.Edges[i:])
-	n.Edges[i] = EdgeEntry{Action: a, Edge: e}
+	n.Edges[i] = EdgeEntry[A]{Action: a, Edge: e}
 	return &n.Edges[i].Edge
 }
 
@@ -83,9 +92,9 @@ const DefaultStripes = 64
 // stripe is one shard of the node map with its own lock. A fingerprint's
 // owning stripe is fixed by its FNV-1a hash, so every operation on a state
 // contends only with operations on states sharing its stripe.
-type stripe struct {
+type stripe[A comparable] struct {
 	mu    sync.Mutex
-	nodes map[string]*Node
+	nodes map[string]*Node[A]
 
 	// Lock telemetry, maintained with the TryLock-first pattern: acquires
 	// counts every acquisition, contended the subset that found the stripe
@@ -96,7 +105,7 @@ type stripe struct {
 
 // lock acquires the stripe mutex, counting the acquisition and whether it
 // contended. The uncontended path is one CAS (TryLock) plus one atomic add.
-func (s *stripe) lock() {
+func (s *stripe[A]) lock() {
 	if !s.mu.TryLock() {
 		s.contended.Add(1)
 		s.mu.Lock()
@@ -104,27 +113,28 @@ func (s *stripe) lock() {
 	s.acquires.Add(1)
 }
 
-// Tree is the shared search tree. All methods are safe for concurrent use
-// by the multi-threaded learners of §4.6.
-type Tree struct {
+// Tree is the shared search tree over actions of type A. All methods are
+// safe for concurrent use by the multi-threaded learners of §4.6.
+type Tree[A comparable] struct {
 	// C is the exploration constant c of Eq. 22.
 	C float64
 
-	stripes []stripe
+	less    func(a, b A) bool
+	stripes []stripe[A]
 	mask    uint64
 
-	// Aggregate counters maintained alongside the maps so telemetry reads
-	// (Size, Stats) never take a stripe lock or walk the node maps —
-	// learners polling them per episode cannot serialize against each
-	// other's expansions and backups.
-	nodeCount  atomic.Int64
-	edgeCount  atomic.Int64
-	visitCount atomic.Int64
+	// nodeCount is maintained alongside the maps so Size never takes a
+	// stripe lock — learners polling it per episode cannot serialize
+	// against each other's expansions and backups.
+	nodeCount atomic.Int64
 }
 
-// NewTree builds an empty tree with exploration constant c and the default
-// stripe count.
-func NewTree(c float64) *Tree { return NewTreeStripes(c, 0) }
+// NewTree builds an empty tree with exploration constant c, actions ordered
+// by less (a strict weak order; it also fixes Select's tie-break), and the
+// default stripe count.
+func NewTree[A comparable](c float64, less func(a, b A) bool) *Tree[A] {
+	return NewTreeStripes(c, less, 0)
+}
 
 // NewTreeStripes builds an empty tree with n lock stripes (rounded up to a
 // power of two so stripe selection is a mask; n <= 0 selects
@@ -133,7 +143,7 @@ func NewTree(c float64) *Tree { return NewTreeStripes(c, 0) }
 // count never changes results, only which operations can overlap in time:
 // per-node logic is identical, and within one goroutine operations happen
 // in program order regardless of how the map is sharded.
-func NewTreeStripes(c float64, n int) *Tree {
+func NewTreeStripes[A comparable](c float64, less func(a, b A) bool, n int) *Tree[A] {
 	if n <= 0 {
 		n = DefaultStripes
 	}
@@ -141,21 +151,21 @@ func NewTreeStripes(c float64, n int) *Tree {
 	for pow < n {
 		pow <<= 1
 	}
-	t := &Tree{C: c, stripes: make([]stripe, pow), mask: uint64(pow - 1)}
+	t := &Tree[A]{C: c, less: less, stripes: make([]stripe[A], pow), mask: uint64(pow - 1)}
 	for i := range t.stripes {
-		t.stripes[i].nodes = make(map[string]*Node)
+		t.stripes[i].nodes = make(map[string]*Node[A])
 	}
 	return t
 }
 
 // Stripes returns the tree's lock-stripe count.
-func (t *Tree) Stripes() int { return len(t.stripes) }
+func (t *Tree[A]) Stripes() int { return len(t.stripes) }
 
 // stripeFor returns the stripe owning fingerprint fp: FNV-1a over the
 // canonical fingerprint bytes, masked to the stripe count. The fingerprint
 // is canonical per design (package topo), so every learner resolves a
 // state to the same stripe.
-func (t *Tree) stripeFor(fp string) *stripe {
+func (t *Tree[A]) stripeFor(fp string) *stripe[A] {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -169,28 +179,8 @@ func (t *Tree) stripeFor(fp string) *stripe {
 }
 
 // Size returns the number of stored states. Lock-free.
-func (t *Tree) Size() int {
+func (t *Tree[A]) Size() int {
 	return int(t.nodeCount.Load())
-}
-
-// TreeStats summarizes the tree for telemetry: stored states, total edges,
-// and the total visit count across all edges.
-type TreeStats struct {
-	Nodes  int
-	Edges  int
-	Visits int
-}
-
-// Stats returns the current tree statistics. The totals are maintained
-// incrementally by Expand and Backup, so this is a lock-free read rather
-// than a walk of the node maps; concurrent mutation may make the three
-// counters reflect slightly different instants.
-func (t *Tree) Stats() TreeStats {
-	return TreeStats{
-		Nodes:  int(t.nodeCount.Load()),
-		Edges:  int(t.edgeCount.Load()),
-		Visits: int(t.visitCount.Load()),
-	}
 }
 
 // LockStats aggregates the per-stripe lock telemetry: total acquisitions,
@@ -207,7 +197,7 @@ type LockStats struct {
 }
 
 // LockStats returns the tree's lock-contention telemetry.
-func (t *Tree) LockStats() LockStats {
+func (t *Tree[A]) LockStats() LockStats {
 	ls := LockStats{Stripes: len(t.stripes)}
 	for i := range t.stripes {
 		s := &t.stripes[i]
@@ -225,7 +215,7 @@ func (t *Tree) LockStats() LockStats {
 }
 
 // Known reports whether the state has been expanded.
-func (t *Tree) Known(fp string) bool {
+func (t *Tree[A]) Known(fp string) bool {
 	s := t.stripeFor(fp)
 	s.lock()
 	defer s.mu.Unlock()
@@ -237,7 +227,7 @@ func (t *Tree) Known(fp string) bool {
 // prior weights; priors[i] belongs to actions[i] and normalization happens
 // here. Expanding an existing node refreshes priors for new actions only,
 // so concurrent learners cannot erase each other's statistics.
-func (t *Tree) Expand(fp string, actions []rl.Action, priors []float64) {
+func (t *Tree[A]) Expand(fp string, actions []A, priors []float64) {
 	if len(actions) != len(priors) {
 		panic("mcts: actions/priors length mismatch")
 	}
@@ -250,15 +240,15 @@ func (t *Tree) Expand(fp string, actions []rl.Action, priors []float64) {
 	defer s.mu.Unlock()
 	node, ok := s.nodes[fp]
 	if !ok {
-		node = &Node{Edges: make([]EdgeEntry, 0, len(actions))}
+		node = &Node[A]{Edges: make([]EdgeEntry[A], 0, len(actions))}
 		s.nodes[fp] = node
 		t.nodeCount.Add(1)
 	}
-	// LegalActions enumerates in canonical order, so on a fresh node every
+	// Callers enumerate actions in less order, so on a fresh node every
 	// insertion point is the tail and this loop is one append per action;
 	// re-expansions binary-search the existing edges.
 	for i, a := range actions {
-		if at, exists := node.find(a); !exists {
+		if at, exists := node.find(a, t.less); !exists {
 			np := priors[i]
 			if sum > 0 {
 				np = np / sum
@@ -266,24 +256,24 @@ func (t *Tree) Expand(fp string, actions []rl.Action, priors []float64) {
 				np = 1 / float64(len(actions))
 			}
 			node.insert(at, a, Edge{P: np})
-			t.edgeCount.Add(1)
 		}
 	}
 }
 
 // Select applies Eq. 21 at the state: argmax over edges of
 // U(s,a) + V(s_next) with U = C·P(a;s)·√(Σ_j N_j)/(1+N(a;s)).
-// The edge slice is sorted by rl.ActionLess and the strict > keeps the first
-// maximum, so exact score ties break toward the lexicographically smallest
-// action by construction. The boolean is false when the state is unknown or
-// has no edges.
-func (t *Tree) Select(fp string) (rl.Action, bool) {
+// The edge slice is sorted by less and the strict > keeps the first
+// maximum, so exact score ties break toward the least action by
+// construction. The boolean is false when the state is unknown or has no
+// edges.
+func (t *Tree[A]) Select(fp string) (A, bool) {
 	s := t.stripeFor(fp)
 	s.lock()
 	defer s.mu.Unlock()
 	node, ok := s.nodes[fp]
 	if !ok || len(node.Edges) == 0 {
-		return rl.Action{}, false
+		var zero A
+		return zero, false
 	}
 	sqrtSum := math.Sqrt(float64(node.SumN) + 1)
 	best := 0
@@ -300,12 +290,11 @@ func (t *Tree) Select(fp string) (rl.Action, bool) {
 }
 
 // Prune removes the edge for action a from the state, unwinding its
-// contribution to the node's visit sum and the telemetry counters, and
-// reports whether an edge was removed. Learners call it when a selected edge
+// contribution to the node's visit sum, and reports whether an edge was removed. Learners call it when a selected edge
 // turns out to be unplayable under the current constraints (the overlap cap
 // evolves with the design, so edges recorded on one episode's path can be
 // forbidden on another's), then re-Select among the survivors.
-func (t *Tree) Prune(fp string, a rl.Action) bool {
+func (t *Tree[A]) Prune(fp string, a A) bool {
 	s := t.stripeFor(fp)
 	s.lock()
 	defer s.mu.Unlock()
@@ -313,22 +302,19 @@ func (t *Tree) Prune(fp string, a rl.Action) bool {
 	if !ok {
 		return false
 	}
-	i, ok := node.find(a)
+	i, ok := node.find(a, t.less)
 	if !ok {
 		return false
 	}
-	visits := node.Edges[i].N
+	node.SumN -= node.Edges[i].N
 	node.Edges = append(node.Edges[:i], node.Edges[i+1:]...)
-	node.SumN -= visits
-	t.edgeCount.Add(-1)
-	t.visitCount.Add(-int64(visits))
 	return true
 }
 
 // PathStep identifies one traversed (state, action) pair for Backup.
-type PathStep struct {
+type PathStep[A comparable] struct {
 	Fingerprint string
-	Action      rl.Action
+	Action      A
 }
 
 // Backup propagates the episode's returns through the traversed edges
@@ -339,7 +325,7 @@ type PathStep struct {
 // not stall selections and expansions on unrelated states; concurrent
 // backups interleave at step granularity, which is safe because each step's
 // update is self-contained.
-func (t *Tree) Backup(path []PathStep, returns []float64) {
+func (t *Tree[A]) Backup(path []PathStep[A], returns []float64) {
 	if len(path) != len(returns) {
 		panic("mcts: path/returns length mismatch")
 	}
@@ -351,17 +337,15 @@ func (t *Tree) Backup(path []PathStep, returns []float64) {
 			s.mu.Unlock()
 			continue
 		}
-		at, found := node.find(ps.Action)
+		at, found := node.find(ps.Action, t.less)
 		var e *Edge
 		if found {
 			e = &node.Edges[at].Edge
 		} else {
 			e = node.insert(at, ps.Action, Edge{P: 0})
-			t.edgeCount.Add(1)
 		}
 		e.N++
 		node.SumN++
-		t.visitCount.Add(1)
 		e.W += returns[i]
 		s.mu.Unlock()
 	}
@@ -369,7 +353,7 @@ func (t *Tree) Backup(path []PathStep, returns []float64) {
 
 // EdgeStats returns a copy of the edge statistics for a state, for tests
 // and diagnostics.
-func (t *Tree) EdgeStats(fp string) map[rl.Action]Edge {
+func (t *Tree[A]) EdgeStats(fp string) map[A]Edge {
 	s := t.stripeFor(fp)
 	s.lock()
 	defer s.mu.Unlock()
@@ -377,7 +361,7 @@ func (t *Tree) EdgeStats(fp string) map[rl.Action]Edge {
 	if !ok {
 		return nil
 	}
-	out := make(map[rl.Action]Edge, len(node.Edges))
+	out := make(map[A]Edge, len(node.Edges))
 	for i := range node.Edges {
 		out[node.Edges[i].Action] = node.Edges[i].Edge
 	}

@@ -21,7 +21,7 @@ import (
 func BenchmarkTreeContention(b *testing.B) {
 	for _, stripes := range []int{1, 64} {
 		b.Run(fmt.Sprintf("stripes=%d", stripes), func(b *testing.B) {
-			tr := NewTreeStripes(1.5, stripes)
+			tr := NewTreeStripes(1.5, rl.ActionLess, stripes)
 			const states = 128
 			fps := make([]string, states)
 			acts := []rl.Action{
@@ -39,12 +39,12 @@ func BenchmarkTreeContention(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
-				path := make([]PathStep, 1)
+				path := make([]step, 1)
 				ret := []float64{1}
 				for pb.Next() {
 					fp := fps[i%states]
 					a, _ := tr.Select(fp)
-					path[0] = PathStep{Fingerprint: fp, Action: a}
+					path[0] = step{Fingerprint: fp, Action: a}
 					tr.Backup(path, ret)
 					i++
 				}
@@ -74,7 +74,7 @@ func BenchmarkTreeContention(b *testing.B) {
 func BenchmarkTreeContentionPinned(b *testing.B) {
 	const states = 128
 	pinnedFp := "state-pinned"
-	probe := NewTreeStripes(1.5, 64)
+	probe := NewTreeStripes(1.5, rl.ActionLess, 64)
 	pinStripe := probe.stripeFor(pinnedFp)
 	fps := make([]string, 0, states)
 	for i := 0; len(fps) < states; i++ {
@@ -85,7 +85,7 @@ func BenchmarkTreeContentionPinned(b *testing.B) {
 	}
 	for _, stripes := range []int{1, 64} {
 		b.Run(fmt.Sprintf("stripes=%d", stripes), func(b *testing.B) {
-			tr := NewTreeStripes(1.5, stripes)
+			tr := NewTreeStripes(1.5, rl.ActionLess, stripes)
 			acts := []rl.Action{
 				act(0, 0, 1, 1, topo.Clockwise),
 				act(0, 0, 2, 2, topo.Clockwise),
@@ -119,12 +119,12 @@ func BenchmarkTreeContentionPinned(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
-				path := make([]PathStep, 1)
+				path := make([]step, 1)
 				ret := []float64{1}
 				for pb.Next() {
 					fp := fps[i%states]
 					a, _ := tr.Select(fp)
-					path[0] = PathStep{Fingerprint: fp, Action: a}
+					path[0] = step{Fingerprint: fp, Action: a}
 					tr.Backup(path, ret)
 					i++
 					runtime.Gosched()

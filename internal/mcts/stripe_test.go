@@ -22,11 +22,11 @@ func TestNewTreeStripesRounding(t *testing.T) {
 		{65, 128},
 	}
 	for _, tc := range cases {
-		if got := NewTreeStripes(1.5, tc.in).Stripes(); got != tc.want {
+		if got := NewTreeStripes(1.5, rl.ActionLess, tc.in).Stripes(); got != tc.want {
 			t.Fatalf("NewTreeStripes(%d): stripes = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	if got := NewTree(1.5).Stripes(); got != DefaultStripes {
+	if got := NewTree(1.5, rl.ActionLess).Stripes(); got != DefaultStripes {
 		t.Fatalf("NewTree stripes = %d, want %d", got, DefaultStripes)
 	}
 }
@@ -34,7 +34,7 @@ func TestNewTreeStripesRounding(t *testing.T) {
 // stripeFingerprints returns count fingerprints that all land on the same
 // stripe as base (colliding) and count that each land elsewhere
 // (non-colliding), by brute-forcing synthetic fingerprint strings.
-func stripeFingerprints(t *testing.T, tr *Tree, base string, count int) (colliding, others []string) {
+func stripeFingerprints(t *testing.T, tr *Tree[rl.Action], base string, count int) (colliding, others []string) {
 	t.Helper()
 	home := tr.stripeFor(base)
 	for i := 0; len(colliding) < count || len(others) < count; i++ {
@@ -58,7 +58,7 @@ func stripeFingerprints(t *testing.T, tr *Tree, base string, count int) (collidi
 // fingerprints spread across the others (run under -race in make ci). Every
 // worker replays the same op mix, so the final visit counts are exact.
 func TestTreeConcurrentStripes(t *testing.T) {
-	tr := NewTreeStripes(1.5, 8)
+	tr := NewTreeStripes(1.5, rl.ActionLess, 8)
 	colliding, others := stripeFingerprints(t, tr, "base", 4)
 	fps := append(append([]string{}, colliding...), others...)
 
@@ -72,12 +72,12 @@ func TestTreeConcurrentStripes(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			path := make([]PathStep, 1)
+			path := make([]step, 1)
 			ret := []float64{1}
 			for i := 0; i < iters; i++ {
 				for _, fp := range fps {
 					tr.Expand(fp, []rl.Action{a, b}, []float64{3, 1})
-					path[0] = PathStep{Fingerprint: fp, Action: a}
+					path[0] = step{Fingerprint: fp, Action: a}
 					tr.Backup(path, ret)
 					tr.Select(fp)
 					tr.Known(fp)
@@ -91,13 +91,12 @@ func TestTreeConcurrentStripes(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := tr.Stats()
-	if st.Nodes != len(fps) {
-		t.Fatalf("nodes = %d, want %d", st.Nodes, len(fps))
+	if n := tr.Size(); n != len(fps) {
+		t.Fatalf("nodes = %d, want %d", n, len(fps))
 	}
 	wantVisits := workers * iters * len(fps)
-	if st.Visits != wantVisits {
-		t.Fatalf("visits = %d, want %d", st.Visits, wantVisits)
+	if _, visits := totals(tr, fps...); visits != wantVisits {
+		t.Fatalf("visits = %d, want %d", visits, wantVisits)
 	}
 	for _, fp := range fps {
 		es := tr.EdgeStats(fp)
@@ -140,12 +139,12 @@ func randomAction(rng *rand.Rand) rl.Action {
 // 64-stripe tree and to the whole-lock (1-stripe) tree must produce
 // identical observable traces — every Select result, every Prune result,
 // every Known answer, and at the end identical per-state edge statistics
-// and aggregate counters. Striping only changes which mutex guards a
-// state, never what happens under it.
+// and tree sizes. Striping only changes which mutex guards a state, never
+// what happens under it.
 func TestStripedMatchesWholeLockTrace(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		striped := NewTreeStripes(1.5, 64)
-		whole := NewTreeStripes(1.5, 1)
+		striped := NewTreeStripes(1.5, rl.ActionLess, 64)
+		whole := NewTreeStripes(1.5, rl.ActionLess, 1)
 		rng := rand.New(rand.NewSource(seed))
 		fps := make([]string, 24)
 		for i := range fps {
@@ -170,10 +169,10 @@ func TestStripedMatchesWholeLockTrace(t *testing.T) {
 				whole.Expand(fp, acts, priors)
 			case 1:
 				steps := 1 + rng.Intn(3)
-				path := make([]PathStep, steps)
+				path := make([]step, steps)
 				rets := make([]float64, steps)
 				for i := range path {
-					path[i] = PathStep{Fingerprint: fps[rng.Intn(len(fps))], Action: actions[rng.Intn(len(actions))]}
+					path[i] = step{Fingerprint: fps[rng.Intn(len(fps))], Action: actions[rng.Intn(len(actions))]}
 					rets[i] = rng.NormFloat64()
 				}
 				striped.Backup(path, rets)
@@ -196,8 +195,8 @@ func TestStripedMatchesWholeLockTrace(t *testing.T) {
 				}
 			}
 		}
-		if s1, s2 := striped.Stats(), whole.Stats(); s1 != s2 {
-			t.Fatalf("seed %d: stats diverged: %+v vs %+v", seed, s1, s2)
+		if n1, n2 := striped.Size(), whole.Size(); n1 != n2 {
+			t.Fatalf("seed %d: sizes diverged: %d vs %d", seed, n1, n2)
 		}
 		for _, fp := range fps {
 			e1, e2 := striped.EdgeStats(fp), whole.EdgeStats(fp)
@@ -217,13 +216,13 @@ func TestStripedMatchesWholeLockTrace(t *testing.T) {
 // goroutine never contends, and acquisitions are counted per operation
 // (Backup once per path step).
 func TestLockStatsSingleThread(t *testing.T) {
-	tr := NewTree(1.5)
+	tr := NewTree(1.5, rl.ActionLess)
 	a := act(0, 0, 1, 1, topo.Clockwise)
-	tr.Expand("s1", []rl.Action{a}, []float64{1})                              // 1 acquisition
-	tr.Expand("s2", []rl.Action{a}, []float64{1})                              // 1
-	tr.Backup([]PathStep{{"s1", a}, {"s2", a}, {"s1", a}}, []float64{1, 2, 3}) // 3
-	tr.Select("s1")                                                            // 1
-	tr.Known("s2")                                                             // 1
+	tr.Expand("s1", []rl.Action{a}, []float64{1})                          // 1 acquisition
+	tr.Expand("s2", []rl.Action{a}, []float64{1})                          // 1
+	tr.Backup([]step{{"s1", a}, {"s2", a}, {"s1", a}}, []float64{1, 2, 3}) // 3
+	tr.Select("s1")                                                        // 1
+	tr.Known("s2")                                                         // 1
 	ls := tr.LockStats()
 	if ls.Acquires != 7 {
 		t.Fatalf("Acquires = %d, want 7", ls.Acquires)

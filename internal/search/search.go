@@ -3,15 +3,21 @@
 // can present states, candidate actions, rewards, and a final score can be
 // driven by the same DNN-prior Monte Carlo tree search with ε-greedy
 // heuristic overrides. The routerless case study (internal/drl) is the
-// paper's instantiation; internal/noc3d demonstrates a second one (3-D
-// NoC link placement, the paper's first suggested application).
+// paper's instantiation; internal/noc3d (3-D NoC link placement, the
+// paper's first suggested application) and internal/chiplet (interposer
+// links) are two more.
+//
+// The searcher is a thin episode loop over the same tree the routerless
+// search uses, mcts.Tree[string]: states are keyed by fingerprint and the
+// string actions are kept in byte order, which also fixes Select's
+// tie-break.
 package search
 
 import (
-	"math"
 	"math/rand"
-	"sort"
-	"sync"
+	"slices"
+
+	"routerless/internal/mcts"
 )
 
 // Environment is one design episode's mutable state.
@@ -44,7 +50,6 @@ type Problem interface {
 // Config tunes the generic searcher.
 type Config struct {
 	Episodes int
-	Threads  int
 	Epsilon  float64
 	CPuct    float64
 	Gamma    float64
@@ -55,7 +60,7 @@ type Config struct {
 
 // DefaultConfig returns reasonable generic defaults.
 func DefaultConfig() Config {
-	return Config{Episodes: 30, Threads: 1, Epsilon: 0.2, CPuct: 1.5, Gamma: 0.99, MaxSteps: 256, Seed: 1}
+	return Config{Episodes: 30, Epsilon: 0.2, CPuct: 1.5, Gamma: 0.99, MaxSteps: 256, Seed: 1}
 }
 
 // Outcome records one finished episode.
@@ -69,180 +74,100 @@ type Outcome struct {
 type Result struct {
 	// Best is the highest final reward observed.
 	Best Outcome
-	// Outcomes lists every episode in completion order.
+	// Outcomes lists every episode in order.
 	Outcomes []Outcome
 	// TreeSize counts distinct expanded states.
 	TreeSize int
 }
 
-// edge mirrors the MCTS statistics of Eqs. 21–22 over string actions.
-type edge struct {
-	p float64
-	n int
-	w float64
-}
-
-type node struct {
-	edges map[string]*edge
-	sumN  int
-}
-
-// Searcher runs the generic framework.
+// Searcher runs the generic framework on one goroutine.
 type Searcher struct {
-	cfg  Config
-	prob Problem
-
-	mu    sync.Mutex
-	nodes map[string]*node
-
-	resMu   sync.Mutex
-	result  Result
-	episode int
-	// onBest, when set, observes strictly improving episodes (under
-	// resMu); domains use it to snapshot the best design.
+	cfg    Config
+	prob   Problem
+	tree   *mcts.Tree[string]
+	result Result
+	// onBest, when set, observes strictly improving episodes; domains use
+	// it to snapshot the best design.
 	onBest func(env Environment, out Outcome)
 }
 
 // New builds a searcher for the problem.
 func New(cfg Config, prob Problem) *Searcher {
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
 	if cfg.Episodes < 1 {
 		cfg.Episodes = 1
 	}
 	if cfg.MaxSteps < 1 {
 		cfg.MaxSteps = 256
 	}
-	return &Searcher{cfg: cfg, prob: prob, nodes: make(map[string]*node)}
+	less := func(a, b string) bool { return a < b }
+	return &Searcher{cfg: cfg, prob: prob, tree: mcts.NewTree(cfg.CPuct, less)}
 }
 
-// OnBest registers a callback fired (serialized) whenever an episode
-// strictly improves on the best final reward; the environment passed is
-// the finished episode's.
+// OnBest registers a callback fired whenever an episode strictly improves
+// on the best final reward; the environment passed is the finished
+// episode's.
 func (s *Searcher) OnBest(fn func(env Environment, out Outcome)) { s.onBest = fn }
 
-// Run executes the configured episodes.
+// Run executes the configured episodes. The run is deterministic in Seed.
 func (s *Searcher) Run() *Result {
-	var wg sync.WaitGroup
-	per := s.cfg.Episodes / s.cfg.Threads
-	extra := s.cfg.Episodes % s.cfg.Threads
-	for t := 0; t < s.cfg.Threads; t++ {
-		n := per
-		if t < extra {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(tid, episodes int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(s.cfg.Seed + int64(tid)*104729))
-			for e := 0; e < episodes; e++ {
-				s.runEpisode(rng)
-			}
-		}(t, n)
+	rng := rand.New(rand.NewSource(s.cfg.Seed))
+	for e := 0; e < s.cfg.Episodes; e++ {
+		s.runEpisode(rng)
 	}
-	wg.Wait()
-	s.mu.Lock()
-	size := len(s.nodes)
-	s.mu.Unlock()
-	s.resMu.Lock()
-	defer s.resMu.Unlock()
-	s.result.TreeSize = size
+	s.result.TreeSize = s.tree.Size()
 	out := s.result
 	return &out
 }
 
-type pathStep struct {
-	fp     string
-	action string
-	reward float64
-}
-
 func (s *Searcher) runEpisode(rng *rand.Rand) {
 	env := s.prob.NewEpisode()
-	var path []pathStep
+	var path []mcts.PathStep[string]
+	var returns []float64
 	for steps := 0; steps < s.cfg.MaxSteps && !env.Done(); steps++ {
 		fp := env.Fingerprint()
 		action, ok := s.choose(env, fp, rng)
 		if !ok {
 			break
 		}
-		r := env.Step(action)
-		path = append(path, pathStep{fp: fp, action: action, reward: r})
+		path = append(path, mcts.PathStep[string]{Fingerprint: fp, Action: action})
+		returns = append(returns, env.Step(action))
 	}
 	final := env.FinalReward()
 
-	// Backup discounted returns-to-go.
+	// Turn the step rewards into discounted returns-to-go in place.
 	g := final
-	returns := make([]float64, len(path))
-	for i := len(path) - 1; i >= 0; i-- {
-		g = path[i].reward + s.cfg.Gamma*g
+	for i := len(returns) - 1; i >= 0; i-- {
+		g = returns[i] + s.cfg.Gamma*g
 		returns[i] = g
 	}
-	s.mu.Lock()
-	for i, st := range path {
-		nd, ok := s.nodes[st.fp]
-		if !ok {
-			continue
-		}
-		e, ok := nd.edges[st.action]
-		if !ok {
-			e = &edge{}
-			nd.edges[st.action] = e
-		}
-		e.n++
-		nd.sumN++
-		e.w += returns[i]
-	}
-	s.mu.Unlock()
+	s.tree.Backup(path, returns)
 
-	s.resMu.Lock()
-	s.episode++
-	out := Outcome{Final: final, Steps: len(path), Episode: s.episode}
+	out := Outcome{Final: final, Steps: len(path), Episode: len(s.result.Outcomes) + 1}
 	s.result.Outcomes = append(s.result.Outcomes, out)
-	improved := len(s.result.Outcomes) == 1 || final > s.result.Best.Final
-	if improved {
+	if len(s.result.Outcomes) == 1 || final > s.result.Best.Final {
 		s.result.Best = out
 		if s.onBest != nil {
 			s.onBest(env, out)
 		}
 	}
-	s.resMu.Unlock()
 }
 
 // choose mirrors the routerless action policy: ε-greedy heuristic, tree
-// selection at known states, expansion with priors at leaves.
+// selection at known states, expansion with priors at leaves. A selected
+// edge that is no longer legal (stale) falls through to sampling from the
+// priors; the state keeps the edge set it was first expanded with.
 func (s *Searcher) choose(env Environment, fp string, rng *rand.Rand) (string, bool) {
 	if rng.Float64() < s.cfg.Epsilon {
-		if a, ok := s.prob.Greedy(env); ok {
-			return a, true
-		}
-		return "", false
+		return s.prob.Greedy(env)
 	}
-	s.mu.Lock()
-	nd, known := s.nodes[fp]
-	if known && len(nd.edges) > 0 {
-		a := s.selectLocked(nd)
-		s.mu.Unlock()
-		// Verify the edge is still playable.
-		for _, legal := range env.Actions() {
-			if legal == a {
-				return a, true
-			}
-		}
-		// Stale edge: fall through to expansion below.
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
-
 	actions := env.Actions()
+	if a, ok := s.tree.Select(fp); ok && slices.Contains(actions, a) {
+		return a, true
+	}
 	if len(actions) == 0 {
 		return "", false
 	}
-	sort.Strings(actions)
+	slices.Sort(actions)
 	priors := s.prob.Priors(env, actions)
 	if priors == nil {
 		priors = make([]float64, len(actions))
@@ -250,25 +175,15 @@ func (s *Searcher) choose(env Environment, fp string, rng *rand.Rand) (string, b
 			priors[i] = 1
 		}
 	}
+	if !s.tree.Known(fp) {
+		s.tree.Expand(fp, actions, priors)
+	}
+
+	// Sample proportionally to priors.
 	sum := 0.0
 	for _, p := range priors {
 		sum += p
 	}
-	s.mu.Lock()
-	if _, ok := s.nodes[fp]; !ok {
-		nd := &node{edges: make(map[string]*edge, len(actions))}
-		for i, a := range actions {
-			p := 1 / float64(len(actions))
-			if sum > 0 {
-				p = priors[i] / sum
-			}
-			nd.edges[a] = &edge{p: p}
-		}
-		s.nodes[fp] = nd
-	}
-	s.mu.Unlock()
-
-	// Sample proportionally to priors.
 	if sum <= 0 {
 		return actions[rng.Intn(len(actions))], true
 	}
@@ -281,30 +196,4 @@ func (s *Searcher) choose(env Environment, fp string, rng *rand.Rand) (string, b
 		}
 	}
 	return actions[len(actions)-1], true
-}
-
-// selectLocked applies Eq. 21 on a node (caller holds s.mu).
-func (s *Searcher) selectLocked(nd *node) string {
-	sqrtSum := math.Sqrt(float64(nd.sumN) + 1)
-	best := ""
-	bestScore := math.Inf(-1)
-	// Deterministic iteration order for reproducibility.
-	keys := make([]string, 0, len(nd.edges))
-	for a := range nd.edges {
-		keys = append(keys, a)
-	}
-	sort.Strings(keys)
-	for _, a := range keys {
-		e := nd.edges[a]
-		v := 0.0
-		if e.n > 0 {
-			v = e.w / float64(e.n)
-		}
-		score := s.cfg.CPuct*e.p*sqrtSum/(1+float64(e.n)) + v
-		if score > bestScore {
-			bestScore = score
-			best = a
-		}
-	}
-	return best
 }

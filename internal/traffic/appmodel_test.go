@@ -132,3 +132,27 @@ func TestExecutionTimeGuardsZeroIdeal(t *testing.T) {
 		t.Fatalf("zero ideal latency produced %v", got)
 	}
 }
+
+// FuzzParsecProfile feeds arbitrary names to the decoder nocsim -app uses.
+// Every Parsec profile must be found by its name, and anything else must
+// return an error.
+func FuzzParsecProfile(f *testing.F) {
+	names := map[string]AppProfile{}
+	for _, p := range Parsec() {
+		names[p.Name] = p
+		f.Add(p.Name)
+	}
+	for _, s := range []string{"", "Canneal", "canneal ", "x264", "parsec"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsecProfile(s)
+		want, known := names[s]
+		switch {
+		case known && (err != nil || p != want):
+			t.Fatalf("ParsecProfile(%q) = %+v, %v; want %+v", s, p, err, want)
+		case !known && err == nil:
+			t.Fatalf("ParsecProfile(%q) accepted an unknown name as %+v", s, p)
+		}
+	})
+}

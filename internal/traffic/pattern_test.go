@@ -150,3 +150,27 @@ func TestInjectorSkipsSelf(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParsePattern feeds arbitrary names to the decoder nocsim -pattern
+// uses. Every name String prints must round-trip to its pattern, and
+// anything else must return an error.
+func FuzzParsePattern(f *testing.F) {
+	names := map[string]Pattern{}
+	for _, p := range Patterns {
+		names[p.String()] = p
+		f.Add(p.String())
+	}
+	for _, s := range []string{"", "uniform", "Tornado", "tornado ", "pattern(6)", "pattern(0)"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePattern(s)
+		want, known := names[s]
+		switch {
+		case known && (err != nil || p != want):
+			t.Fatalf("ParsePattern(%q) = %v, %v; want %v", s, p, err, want)
+		case !known && err == nil:
+			t.Fatalf("ParsePattern(%q) accepted an unknown name as %v", s, p)
+		}
+	})
+}
