@@ -98,18 +98,13 @@ bench-train:
 	$(GO) test -bench 'BenchmarkA2CAccumulate' -benchmem -run '^$$' ./internal/rl/
 	$(GO) test -bench 'BenchmarkDRLEpisode$$' -benchmem -run '^$$' ./internal/drl/
 
-# Quick iteration loop for the multi-threaded search stack (PR 10): the
-# lock-striped MCTS tree and chunked parameter server under concurrent
-# learner traffic, the fused applyAndFetch round-trip at whole-vector and
-# chunked lock shapes, and the end-to-end thread-scaling rows (Threads ∈
-# {1,2,4,8}). The regression signals are the round-trip ns/update,
-# contended_frac on the striped structures vs their whole-lock before
-# columns, and flat single-thread episode cost. On a 1-CPU host the
-# thread-scaling wall-clock is honestly flat — contended_frac carries the
-# story (ROADMAP policy, as PR 3/5). Numbers live in BENCH_PR10.json.
+# Quick iteration loop for the multi-threaded search stack: the fused
+# applyAndFetch round-trip on the one-lock parameter server, and the
+# end-to-end thread-scaling rows (Threads ∈ {1,2,4,8}). The regression
+# signals are the round-trip ns/update and flat single-thread episode
+# cost. The PR 10 lock-striped numbers live in BENCH_PR10.json.
 bench-search:
-	$(GO) test -bench 'BenchmarkTreeContention' -benchmem -run '^$$' ./internal/mcts/
-	$(GO) test -bench 'BenchmarkParamServer' -benchmem -run '^$$' ./internal/drl/
+	$(GO) test -bench 'BenchmarkParamServerRoundTrip' -benchmem -run '^$$' ./internal/drl/
 	$(GO) test -bench 'BenchmarkDRLSearchThreads' -benchmem -benchtime 5x -run '^$$' ./internal/drl/
 
 # Tracing-overhead gate (PR 6): traced vs untraced episode and sim-run

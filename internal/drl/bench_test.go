@@ -61,9 +61,8 @@ func BenchmarkDRLEpisodeTraced(b *testing.B) {
 
 // BenchmarkParamServerRoundTrip measures the per-episode parameter exchange
 // at a realistic parameter count: applyAndFetch, which clips, steps, and
-// copies out in one pass, at both the whole-vector and the default chunked
-// lock shapes. BENCH_PR10.json also records the retired apply+snapshotInto
-// pair as the before column.
+// copies out in one pass under the server lock. BENCH_PR10.json also
+// records the retired apply+snapshotInto pair as the before column.
 func BenchmarkParamServerRoundTrip(b *testing.B) {
 	const dim = 1 << 16
 	init := make([]float64, dim)
@@ -72,89 +71,30 @@ func BenchmarkParamServerRoundTrip(b *testing.B) {
 		grads[i] = 0.01 * float64(i%7)
 	}
 	dst := make([]float64, dim)
-	b.Run("fused/whole-lock", func(b *testing.B) {
-		ps := newParamServer(init, 1e-3, 1.0, wholeLock, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ps.applyAndFetch(grads, dst)
-		}
-	})
-	b.Run("fused/chunked", func(b *testing.B) {
-		ps := newParamServer(init, 1e-3, 1.0, defaultParamChunk, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ps.applyAndFetch(grads, dst)
-		}
-	})
-}
-
-// BenchmarkParamServerContention measures concurrent workers pushing fused
-// round-trips through the whole-vector lock (the "before" regime) versus
-// the default chunk striping, where workers pipeline through the vector
-// chunk by chunk. SetParallelism forces real goroutine multiplexing on a
-// 1-CPU host; contended_frac is the portable signal there.
-func BenchmarkParamServerContention(b *testing.B) {
-	const dim = 1 << 16
-	init := make([]float64, dim)
-	grads := make([]float64, dim)
-	for i := range grads {
-		grads[i] = 0.01 * float64(i%7)
-	}
-	for _, tc := range []struct {
-		name  string
-		chunk int
-	}{{"whole-lock", wholeLock}, {"chunked", defaultParamChunk}} {
-		b.Run(tc.name, func(b *testing.B) {
-			ps := newParamServer(init, 1e-3, 1.0, tc.chunk, nil)
-			b.SetParallelism(8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				dst := make([]float64, dim)
-				for pb.Next() {
-					ps.applyAndFetch(grads, dst)
-				}
-			})
-			b.StopTimer()
-			ls := ps.lockStats()
-			if ls.Acquires > 0 {
-				b.ReportMetric(float64(ls.Contended)/float64(ls.Acquires), "contended_frac")
-			}
-		})
+	ps := newParamServer(init, 1e-3, 1.0, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ps.applyAndFetch(grads, dst)
 	}
 }
 
 // BenchmarkDRLSearchThreads is the end-to-end §4.6 scaling row: one op is a
 // complete 16-episode search (DNN + MCTS + parameter server) split across
-// the given learner-thread count, exercising the striped tree and chunked
-// server exactly as production Run does. On a multi-core host ns/op should
-// fall with threads; on a 1-CPU bench host wall-clock is honestly flat and
-// the contended_frac metrics (tree and server) carry the story.
+// the given learner-thread count, sharing the tree and server exactly as
+// production Run does. ns/op falls with threads up to the host's core
+// count.
 func BenchmarkDRLSearchThreads(b *testing.B) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			b.ReportAllocs()
-			var treeFrac, servFrac float64
 			for i := 0; i < b.N; i++ {
 				cfg := DefaultConfig(8, 14)
 				cfg.NN = nn.Config{N: 8, BaseChannels: 2, Pools: 2}
 				cfg.Episodes = 16
 				cfg.Threads = threads
-				s := MustNew(cfg)
-				s.Run()
-				ts := s.tree.LockStats()
-				if ts.Acquires > 0 {
-					treeFrac = float64(ts.Contended) / float64(ts.Acquires)
-				}
-				ss := s.server.lockStats()
-				if ss.Acquires > 0 {
-					servFrac = float64(ss.Contended) / float64(ss.Acquires)
-				}
+				MustNew(cfg).Run()
 			}
-			b.ReportMetric(treeFrac, "tree_contended_frac")
-			b.ReportMetric(servFrac, "server_contended_frac")
 		})
 	}
 }

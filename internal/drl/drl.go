@@ -189,7 +189,7 @@ func New(cfg Config) (*Searcher, error) {
 			return nil, fmt.Errorf("drl: InitWeights has %d values, network needs %d",
 				len(init), master.NumParams())
 		}
-		s.server = newParamServer(init, cfg.LR, cfg.GradClip, defaultParamChunk, cfg.Metrics)
+		s.server = newParamServer(init, cfg.LR, cfg.GradClip, cfg.Metrics)
 	}
 	return s, nil
 }
@@ -279,20 +279,6 @@ func (s *Searcher) Run() *Result {
 	s.result.TreeSize = s.tree.Size()
 	out := s.result
 	s.mu.Unlock()
-	// Contention telemetry: how often learners queued on a tree stripe or a
-	// parameter chunk this run. Gauge handles are nil-safe no-ops without a
-	// registry, so this costs nothing un-instrumented.
-	reg := s.cfg.Metrics
-	ts := s.tree.LockStats()
-	reg.Gauge("mcts.lock_stripes").Set(float64(ts.Stripes))
-	reg.Gauge("mcts.lock_acquires").Set(float64(ts.Acquires))
-	reg.Gauge("mcts.lock_contended").Set(float64(ts.Contended))
-	if s.server != nil {
-		ss := s.server.lockStats()
-		reg.Gauge("drl.server_lock_chunks").Set(float64(ss.Chunks))
-		reg.Gauge("drl.server_lock_acquires").Set(float64(ss.Acquires))
-		reg.Gauge("drl.server_lock_contended").Set(float64(ss.Contended))
-	}
 	stop := map[string]any{
 		"episodes":  out.Episodes,
 		"valid":     len(out.Valid),
@@ -424,12 +410,9 @@ func (s *Searcher) worker(tid, episodes int) {
 			net.ZeroGrads()
 			mse = a2c.Accumulate(net, traj)
 			net.CopyGradsInto(grads)
-			// Fused push/pull: one chunk-walk clips, applies the SGD step,
-			// and copies the updated weights back out — replacing the former
-			// apply + snapshotInto pair (two lock acquisitions, three O(P)
-			// sweeps per episode). Single-threaded this is bit-identical to
-			// the pair; multi-threaded the fetch is exactly this worker's
-			// post-update view per chunk.
+			// Fused push/pull: one pass clips, applies the SGD step, and
+			// copies the updated weights back out under one lock, so the
+			// fetch is exactly this worker's post-update weights.
 			s.server.applyAndFetch(grads, weights)
 			net.ZeroGrads()
 			net.SetWeights(weights)

@@ -3,63 +3,19 @@ package drl
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"routerless/internal/obs"
 )
 
-// defaultParamChunk is the lock-chunk length (in weights) New gives the
-// parameter server: long enough that the per-chunk lock cost is noise
-// against the O(chunk) float work it guards, short enough that the
-// multi-megabyte nets split into several chunks concurrent workers can
-// pipeline through.
-const defaultParamChunk = 16384
-
-// paramChunk is the lock guarding one fixed-length chunk of the weight
-// vector, with the same TryLock-first contention telemetry as the MCTS tree
-// stripes: acquires counts every acquisition, contended the subset that
-// found the chunk held and had to queue.
-type paramChunk struct {
-	mu        sync.Mutex
-	acquires  atomic.Int64
-	contended atomic.Int64
-}
-
-// lock acquires the chunk mutex, counting the acquisition and whether it
-// contended. The uncontended path is one CAS (TryLock) plus one atomic add.
-func (c *paramChunk) lock() {
-	if !c.mu.TryLock() {
-		c.contended.Add(1)
-		c.mu.Lock()
-	}
-	c.acquires.Add(1)
-}
-
 // paramServer is the parent thread's shared parameter store (§4.6, Fig. 8):
 // child learners pull weight snapshots and push gradients; the server
-// applies clipped SGD updates under per-chunk locks.
-//
-// The weight vector is striped into fixed chunks, each with its own mutex,
-// so concurrent workers pipeline through the vector chunk by chunk instead
-// of serializing on one whole-vector lock. Within a chunk every update is
-// atomic; across chunks concurrent readers can observe some chunks before
-// and some after an in-flight update ("hogwild over stripes" — the §4.6
-// relaxation, where asynchronous learners effectively average through the
-// shared parameters anyway). Single-threaded runs are bit-identical at any
-// chunk length: chunks are walked in index order, the per-element update
-// sequence is unchanged, and the norm accumulators are threaded through the
-// chunk walk in that same element order. A chunk length of at least the
-// vector length is the pre-striping whole-lock regime, which the tests keep
-// as the oracle.
+// applies clipped SGD updates under one mutex, so every snapshot and every
+// fetched copy holds exactly one update generation.
 type paramServer struct {
+	mu      sync.Mutex
 	weights []float64
 	lr      float64
 	clip    float64
-	// chunk is the stride in weights; chunks[i] guards
-	// weights[i*chunk : min((i+1)*chunk, len)].
-	chunk   int
-	chunks  []paramChunk
-	updates atomic.Int64
 
 	// Telemetry (nil-safe no-ops when the search runs without a registry):
 	// L2 gradient norms before and after element-wise clipping, and the
@@ -69,37 +25,16 @@ type paramServer struct {
 	updateC  *obs.Counter
 }
 
-// newParamServer builds a server over a copy of init, striped into lock
-// chunks of chunk weights (at least 1).
-func newParamServer(init []float64, lr, clip float64, chunk int, reg *obs.Registry) *paramServer {
-	if chunk < 1 {
-		panic("drl: parameter chunk length must be positive")
-	}
-	w := append([]float64(nil), init...)
-	n := (len(w) + chunk - 1) / chunk
-	if n < 1 {
-		n = 1
-	}
+// newParamServer builds a server over a copy of init.
+func newParamServer(init []float64, lr, clip float64, reg *obs.Registry) *paramServer {
 	return &paramServer{
-		weights:  w,
+		weights:  append([]float64(nil), init...),
 		lr:       lr,
 		clip:     clip,
-		chunk:    chunk,
-		chunks:   make([]paramChunk, n),
 		gradPre:  reg.Gauge("drl.grad_norm_preclip"),
 		gradPost: reg.Gauge("drl.grad_norm_postclip"),
 		updateC:  reg.Counter("drl.updates"),
 	}
-}
-
-// rangeOf returns the weight range [lo, hi) guarded by chunks[c].
-func (ps *paramServer) rangeOf(c int) (lo, hi int) {
-	lo = c * ps.chunk
-	hi = lo + ps.chunk
-	if hi > len(ps.weights) {
-		hi = len(ps.weights)
-	}
-	return lo, hi
 }
 
 // snapshot copies the current weights.
@@ -110,29 +45,20 @@ func (ps *paramServer) snapshot() []float64 {
 }
 
 // snapshotInto copies the current weights into dst, the allocation-free
-// variant workers use (dst is each worker's private buffer). Chunks are
-// copied under their own locks, so with multiple chunks a concurrent update
-// can be visible in some chunks and not others (never within a chunk).
+// variant workers use (dst is each worker's private buffer).
 func (ps *paramServer) snapshotInto(dst []float64) {
 	if len(dst) != len(ps.weights) {
 		panic("drl: snapshot buffer/weight length mismatch")
 	}
-	for c := range ps.chunks {
-		lo, hi := ps.rangeOf(c)
-		ck := &ps.chunks[c]
-		ck.lock()
-		copy(dst[lo:hi], ps.weights[lo:hi])
-		ck.mu.Unlock()
-	}
+	ps.mu.Lock()
+	copy(dst, ps.weights)
+	ps.mu.Unlock()
 }
 
 // applyAndFetch is the per-episode round-trip: one SGD step with the
 // child's gradients (Eqs. 19–20), clipping, applying, and copying each
-// updated weight into dst in one pass under one lock acquisition per chunk.
-// The fetched weights are exactly the post-update values this call produced
-// for each chunk. Chunks are walked in index order and the norm
-// accumulators thread through the walk, so telemetry sums in strict element
-// order — bit-identical at every chunk length.
+// updated weight into dst in one pass under one lock acquisition. The
+// fetched weights are exactly the post-update values this call produced.
 func (ps *paramServer) applyAndFetch(grads, dst []float64) {
 	if len(grads) != len(ps.weights) {
 		panic("drl: gradient/weight length mismatch")
@@ -143,16 +69,9 @@ func (ps *paramServer) applyAndFetch(grads, dst []float64) {
 	// Norms are only accumulated when a registry was attached, keeping the
 	// un-instrumented path free of the extra multiplies.
 	track := ps.gradPre != nil
-	preSq, postSq := 0.0, 0.0
-	for c := range ps.chunks {
-		lo, hi := ps.rangeOf(c)
-		ck := &ps.chunks[c]
-		ck.lock()
-		preSq, postSq = applyRange(ps.weights[lo:hi], grads[lo:hi], dst[lo:hi],
-			ps.lr, ps.clip, track, preSq, postSq)
-		ck.mu.Unlock()
-	}
-	ps.updates.Add(1)
+	ps.mu.Lock()
+	preSq, postSq := applyRange(ps.weights, grads, dst, ps.lr, ps.clip, track)
+	ps.mu.Unlock()
 	if track {
 		ps.gradPre.Set(math.Sqrt(preSq))
 		ps.gradPost.Set(math.Sqrt(postSq))
@@ -161,15 +80,14 @@ func (ps *paramServer) applyAndFetch(grads, dst []float64) {
 }
 
 // applyRange performs the element-wise clipped SGD update
-// w[i] -= lr*clip(g[i]) for one locked chunk, mirroring every updated
-// weight into dst in the same pass, and extends the running pre/post-clip
-// squared-norm accumulators. The clip and telemetry branches are hoisted
-// out of the per-element loop into four specialized loops; each performs
-// the identical per-element arithmetic in the identical order, so which
-// loop runs is bit-invisible. When clip <= 0 the post-clip additions equal
-// the pre-clip additions and the accumulators start equal (both sum the
-// same prefix), so one running sum serves both.
-func applyRange(w, g, dst []float64, lr, clip float64, track bool, preSq, postSq float64) (float64, float64) {
+// w[i] -= lr*clip(g[i]), mirroring every updated weight into dst in the
+// same pass, and returns the pre/post-clip squared gradient norms summed
+// in element order (zero unless track). The clip and telemetry branches
+// are hoisted out of the per-element loop into four specialized loops;
+// each performs the identical per-element arithmetic in the identical
+// order, so which loop runs is bit-invisible. When clip <= 0 the post-clip
+// sum equals the pre-clip sum.
+func applyRange(w, g, dst []float64, lr, clip float64, track bool) (preSq, postSq float64) {
 	switch {
 	case track && clip > 0:
 		for i, gi := range g {
@@ -211,23 +129,4 @@ func applyRange(w, g, dst []float64, lr, clip float64, track bool, preSq, postSq
 		}
 	}
 	return preSq, postSq
-}
-
-// serverLockStats aggregates the per-chunk lock telemetry, mirroring
-// mcts.LockStats: total acquisitions and how many of them contended.
-// Lock-free reads.
-type serverLockStats struct {
-	Chunks    int
-	Acquires  int64
-	Contended int64
-}
-
-// lockStats returns the server's lock-contention telemetry.
-func (ps *paramServer) lockStats() serverLockStats {
-	ls := serverLockStats{Chunks: len(ps.chunks)}
-	for c := range ps.chunks {
-		ls.Acquires += ps.chunks[c].acquires.Load()
-		ls.Contended += ps.chunks[c].contended.Load()
-	}
-	return ls
 }

@@ -9,19 +9,16 @@ import (
 	"routerless/internal/obs"
 )
 
-// wholeLock is a chunk length that puts any test vector under one lock —
-// the pre-striping regime the chunked server is held to.
-const wholeLock = math.MaxInt32
-
 // apply is one SGD step whose fetched weights are discarded, for tests
 // that read the server back through snapshot.
 func (ps *paramServer) apply(grads []float64) {
 	ps.applyAndFetch(grads, make([]float64, len(grads)))
 }
 
-// updateCount returns how many gradient pushes have been applied.
+// updateCount returns how many gradient pushes have been applied, as the
+// drl.updates counter records them (0 without a registry).
 func (ps *paramServer) updateCount() int {
-	return int(ps.updates.Load())
+	return int(ps.updateC.Value())
 }
 
 // TestParamServerClipBoundary pins the element-wise clipping behaviour at
@@ -45,7 +42,7 @@ func TestParamServerClipBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ps := newParamServer([]float64{0}, lr, clip, defaultParamChunk, nil)
+			ps := newParamServer([]float64{0}, lr, clip, obs.NewRegistry())
 			ps.apply([]float64{tc.grad})
 			got := ps.snapshot()[0]
 			if math.Abs(got-tc.want) > 1e-12 {
@@ -60,98 +57,67 @@ func TestParamServerClipBoundary(t *testing.T) {
 
 // TestParamServerNoClip verifies clip <= 0 disables clipping entirely.
 func TestParamServerNoClip(t *testing.T) {
-	ps := newParamServer([]float64{0}, 1, 0, defaultParamChunk, nil)
+	ps := newParamServer([]float64{0}, 1, 0, nil)
 	ps.apply([]float64{42})
 	if got := ps.snapshot()[0]; got != -42 {
 		t.Fatalf("weight = %v, want -42", got)
 	}
 }
 
-// TestParamServerConcurrentSnapshotApply hammers snapshot/apply from many
-// goroutines; run with -race to verify the lock discipline. The vector fits
-// one chunk (whole-lock mode), so every applied
-// gradient moves all weights in lockstep and any snapshot must be uniform —
-// the pre-striping atomicity contract this mode preserves.
+// TestParamServerConcurrentSnapshotApply hammers applyAndFetch and
+// snapshot from many goroutines; run with -race to verify the lock
+// discipline. Every gradient element is the same constant, so every applied
+// update moves all weights in lockstep: a fetched copy or snapshot holding
+// one update generation is uniform, and a torn one — some elements before
+// and some after a concurrent update — is not. Each fetch must also be its
+// own call's post-update generation, so no two fetches see the same one.
 func TestParamServerConcurrentSnapshotApply(t *testing.T) {
-	const dim, workers, iters = 64, 8, 200
-	ps := newParamServer(make([]float64, dim), 0.01, 1.0, wholeLock, nil)
+	const dim, workers, iters = 256, 8, 200
+	ps := newParamServer(make([]float64, dim), 0.01, 1.0, obs.NewRegistry())
 	grads := make([]float64, dim)
 	for i := range grads {
 		grads[i] = 0.5
 	}
+	fetched := make([][]float64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				ps.apply(grads)
-				snap := ps.snapshot()
-				for j := 1; j < dim; j++ {
-					if snap[j] != snap[0] {
-						t.Errorf("torn snapshot: w[%d]=%v != w[0]=%v", j, snap[j], snap[0])
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := ps.updateCount(); got != workers*iters {
-		t.Fatalf("updateCount = %d, want %d", got, workers*iters)
-	}
-	want := -0.01 * 0.5 * float64(workers*iters)
-	if got := ps.snapshot()[0]; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("final weight = %v, want %v", got, want)
-	}
-}
-
-// TestParamServerConcurrentChunked hammers the fused applyAndFetch and
-// snapshotInto across a deliberately tiny chunk length (many chunks per
-// vector) from many goroutines; run with -race in make ci. Every gradient
-// element is the same constant, so although readers may observe chunks at
-// different update counts mid-run (the documented hogwild-over-stripes
-// relaxation), each element's final value is the exact same subtraction
-// sequence regardless of interleaving — the chunk lock serializes the
-// element's updates and all deltas are equal.
-func TestParamServerConcurrentChunked(t *testing.T) {
-	const dim, chunk, workers, iters = 130, 7, 8, 200
-	ps := newParamServer(make([]float64, dim), 0.01, 1.0, chunk, nil)
-	if got, want := len(ps.chunks), (dim+chunk-1)/chunk; got != want {
-		t.Fatalf("chunks = %d, want %d", got, want)
-	}
-	grads := make([]float64, dim)
-	for i := range grads {
-		grads[i] = 0.5
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			dst := make([]float64, dim)
 			for i := 0; i < iters; i++ {
 				ps.applyAndFetch(grads, dst)
-				ps.snapshotInto(dst)
+				if j := firstTear(dst); j > 0 {
+					t.Errorf("torn fetch: w[%d]=%v != w[0]=%v", j, dst[j], dst[0])
+					return
+				}
+				fetched[w] = append(fetched[w], dst[0])
+				snap := ps.snapshot()
+				if j := firstTear(snap); j > 0 {
+					t.Errorf("torn snapshot: w[%d]=%v != w[0]=%v", j, snap[j], snap[0])
+					return
+				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 	if got := ps.updateCount(); got != workers*iters {
 		t.Fatalf("updateCount = %d, want %d", got, workers*iters)
 	}
-	// Read the lock telemetry before the verification snapshot below adds
-	// its own chunk walk: two walks per iteration per worker (applyAndFetch
-	// + snapshotInto).
-	ls := ps.lockStats()
-	if ls.Chunks != (dim+chunk-1)/chunk {
-		t.Fatalf("lockStats.Chunks = %d", ls.Chunks)
-	}
-	if want := int64(workers * iters * ls.Chunks * 2); ls.Acquires != want {
-		t.Fatalf("lockStats.Acquires = %d, want %d", ls.Acquires, want)
+	seen := make(map[float64]bool, workers*iters)
+	for _, vs := range fetched {
+		for _, v := range vs {
+			if seen[v] {
+				t.Fatalf("two fetches returned the same generation %v", v)
+			}
+			seen[v] = true
+		}
 	}
 	// All updates subtract the identical lr*0.5 delta, so the final value is
-	// exact for every element at every chunk length.
+	// the same subtraction sequence whatever the interleaving.
 	ref := 0.0
 	for i := 0; i < workers*iters; i++ {
 		ref -= 0.01 * 0.5
@@ -161,6 +127,17 @@ func TestParamServerConcurrentChunked(t *testing.T) {
 			t.Fatalf("w[%d] = %v, want %v", i, w, ref)
 		}
 	}
+}
+
+// firstTear returns the first index whose value differs from w[0], or 0
+// when w is uniform.
+func firstTear(w []float64) int {
+	for j := 1; j < len(w); j++ {
+		if w[j] != w[0] {
+			return j
+		}
+	}
+	return 0
 }
 
 // TestParamServerFusedMatchesPair is the byte-identity oracle for the fused
@@ -178,7 +155,7 @@ func TestParamServerFusedMatchesPair(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		fused := newParamServer(want, lr, clip, defaultParamChunk, reg)
+		fused := newParamServer(want, lr, clip, reg)
 		grads := make([]float64, dim)
 		dst := make([]float64, dim)
 		for step := 0; step < 50; step++ {
@@ -211,63 +188,11 @@ func TestParamServerFusedMatchesPair(t *testing.T) {
 	}
 }
 
-// TestParamServerChunkedMatchesWholeLock is the single-thread byte-identity
-// oracle for weight striping: identical gradient sequences applied at chunk
-// lengths 1, 3, 64, the default, and whole-vector must produce bit-equal
-// weights after every step and bit-equal norm telemetry — chunking only
-// changes which lock guards an element, never the update or the
-// accumulation order (the norm sums thread through the chunk walk).
-func TestParamServerChunkedMatchesWholeLock(t *testing.T) {
-	const dim = 200
-	rng := rand.New(rand.NewSource(7))
-	init := make([]float64, dim)
-	for i := range init {
-		init[i] = rng.NormFloat64()
-	}
-	regOracle := obs.NewRegistry()
-	oracle := newParamServer(init, 0.03, 0.9, wholeLock, regOracle)
-	type cand struct {
-		ps  *paramServer
-		reg *obs.Registry
-		n   int
-	}
-	var cands []cand
-	for _, chunk := range []int{1, 3, 64, defaultParamChunk} {
-		reg := obs.NewRegistry()
-		cands = append(cands, cand{newParamServer(init, 0.03, 0.9, chunk, reg), reg, chunk})
-	}
-	grads := make([]float64, dim)
-	buf := make([]float64, dim)
-	want := make([]float64, dim)
-	for step := 0; step < 40; step++ {
-		for i := range grads {
-			grads[i] = 3 * rng.NormFloat64()
-		}
-		oracle.applyAndFetch(grads, want)
-		so := regOracle.Snapshot()
-		for _, c := range cands {
-			c.ps.applyAndFetch(grads, buf)
-			for i := range want {
-				if buf[i] != want[i] {
-					t.Fatalf("chunk %d step %d: w[%d] = %v, oracle %v", c.n, step, i, buf[i], want[i])
-				}
-			}
-			sc := c.reg.Snapshot()
-			for _, g := range []string{"drl.grad_norm_preclip", "drl.grad_norm_postclip"} {
-				if sc.Gauges[g] != so.Gauges[g] {
-					t.Fatalf("chunk %d step %d: gauge %s = %v, oracle %v",
-						c.n, step, g, sc.Gauges[g], so.Gauges[g])
-				}
-			}
-		}
-	}
-}
-
 // TestParamServerGradNormGauges verifies the pre/post-clip L2 norms and
 // update counter reach the registry.
 func TestParamServerGradNormGauges(t *testing.T) {
 	reg := obs.NewRegistry()
-	ps := newParamServer(make([]float64, 2), 0.1, 1.0, defaultParamChunk, reg)
+	ps := newParamServer(make([]float64, 2), 0.1, 1.0, reg)
 	ps.apply([]float64{3, -4}) // pre-clip norm 5; clipped to (1,-1), norm sqrt(2)
 	s := reg.Snapshot()
 	if got := s.Gauges["drl.grad_norm_preclip"]; math.Abs(got-5) > 1e-12 {

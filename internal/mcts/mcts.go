@@ -9,19 +9,14 @@
 // generic §6.8 framework (package search) runs it over string actions in
 // byte order. The ε-greedy override lives with each caller.
 //
-// The tree is shared by the multi-threaded learners of §4.6, so its node
-// map is split into hash-striped shards (FNV-1a over the fingerprint), each
-// with its own mutex: operations on different states proceed concurrently,
-// and only learners touching the same stripe serialize. Striping is purely
-// a locking decomposition — per-node edge logic is identical at every
-// stripe count, so single-threaded runs are byte-identical whether the
-// tree has 1 stripe (the pre-striping whole-lock oracle) or 64.
+// The tree is shared by the multi-threaded learners of §4.6 and guarded by
+// one mutex: every method takes it once, for the whole operation (Backup
+// for its whole path), so each operation sees and leaves a consistent tree.
 package mcts
 
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Edge is the statistics triple for one action out of one state.
@@ -84,142 +79,35 @@ func (n *Node[A]) insert(i int, a A, e Edge) *Edge {
 	return &n.Edges[i].Edge
 }
 
-// DefaultStripes is the stripe count NewTree selects: enough that eight
-// learners rendezvousing on the same stripe is rare, small enough that the
-// per-stripe maps stay warm.
-const DefaultStripes = 64
-
-// stripe is one shard of the node map with its own lock. A fingerprint's
-// owning stripe is fixed by its FNV-1a hash, so every operation on a state
-// contends only with operations on states sharing its stripe.
-type stripe[A comparable] struct {
-	mu    sync.Mutex
-	nodes map[string]*Node[A]
-
-	// Lock telemetry, maintained with the TryLock-first pattern: acquires
-	// counts every acquisition, contended the subset that found the stripe
-	// already held and had to queue. Atomic so LockStats never takes locks.
-	acquires  atomic.Int64
-	contended atomic.Int64
-}
-
-// lock acquires the stripe mutex, counting the acquisition and whether it
-// contended. The uncontended path is one CAS (TryLock) plus one atomic add.
-func (s *stripe[A]) lock() {
-	if !s.mu.TryLock() {
-		s.contended.Add(1)
-		s.mu.Lock()
-	}
-	s.acquires.Add(1)
-}
-
 // Tree is the shared search tree over actions of type A. All methods are
 // safe for concurrent use by the multi-threaded learners of §4.6.
 type Tree[A comparable] struct {
 	// C is the exploration constant c of Eq. 22.
 	C float64
 
-	less    func(a, b A) bool
-	stripes []stripe[A]
-	mask    uint64
-
-	// nodeCount is maintained alongside the maps so Size never takes a
-	// stripe lock — learners polling it per episode cannot serialize
-	// against each other's expansions and backups.
-	nodeCount atomic.Int64
+	less  func(a, b A) bool
+	mu    sync.Mutex
+	nodes map[string]*Node[A]
 }
 
-// NewTree builds an empty tree with exploration constant c, actions ordered
-// by less (a strict weak order; it also fixes Select's tie-break), and the
-// default stripe count.
+// NewTree builds an empty tree with exploration constant c and actions
+// ordered by less (a strict weak order; it also fixes Select's tie-break).
 func NewTree[A comparable](c float64, less func(a, b A) bool) *Tree[A] {
-	return NewTreeStripes(c, less, 0)
+	return &Tree[A]{C: c, less: less, nodes: make(map[string]*Node[A])}
 }
 
-// NewTreeStripes builds an empty tree with n lock stripes (rounded up to a
-// power of two so stripe selection is a mask; n <= 0 selects
-// DefaultStripes). n == 1 degenerates to a single global mutex — the
-// whole-lock locking regime the striped tree is tested against. The stripe
-// count never changes results, only which operations can overlap in time:
-// per-node logic is identical, and within one goroutine operations happen
-// in program order regardless of how the map is sharded.
-func NewTreeStripes[A comparable](c float64, less func(a, b A) bool, n int) *Tree[A] {
-	if n <= 0 {
-		n = DefaultStripes
-	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
-	t := &Tree[A]{C: c, less: less, stripes: make([]stripe[A], pow), mask: uint64(pow - 1)}
-	for i := range t.stripes {
-		t.stripes[i].nodes = make(map[string]*Node[A])
-	}
-	return t
-}
-
-// Stripes returns the tree's lock-stripe count.
-func (t *Tree[A]) Stripes() int { return len(t.stripes) }
-
-// stripeFor returns the stripe owning fingerprint fp: FNV-1a over the
-// canonical fingerprint bytes, masked to the stripe count. The fingerprint
-// is canonical per design (package topo), so every learner resolves a
-// state to the same stripe.
-func (t *Tree[A]) stripeFor(fp string) *stripe[A] {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(fp); i++ {
-		h ^= uint64(fp[i])
-		h *= prime64
-	}
-	return &t.stripes[h&t.mask]
-}
-
-// Size returns the number of stored states. Lock-free.
+// Size returns the number of stored states.
 func (t *Tree[A]) Size() int {
-	return int(t.nodeCount.Load())
-}
-
-// LockStats aggregates the per-stripe lock telemetry: total acquisitions,
-// how many of them contended (found the stripe held), and the node count of
-// the fullest stripe (a quick skew check on the FNV-1a distribution —
-// with a healthy hash MaxStripeNodes ≈ Nodes/Stripes once the tree has
-// grown past the stripe count). Acquires/Contended are lock-free reads;
-// MaxStripeNodes briefly takes each stripe lock.
-type LockStats struct {
-	Stripes        int
-	Acquires       int64
-	Contended      int64
-	MaxStripeNodes int
-}
-
-// LockStats returns the tree's lock-contention telemetry.
-func (t *Tree[A]) LockStats() LockStats {
-	ls := LockStats{Stripes: len(t.stripes)}
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		ls.Acquires += s.acquires.Load()
-		ls.Contended += s.contended.Load()
-		// Raw mutex, not s.lock(): the telemetry walk must not count its
-		// own acquisitions as tree traffic.
-		s.mu.Lock()
-		if n := len(s.nodes); n > ls.MaxStripeNodes {
-			ls.MaxStripeNodes = n
-		}
-		s.mu.Unlock()
-	}
-	return ls
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.nodes)
 }
 
 // Known reports whether the state has been expanded.
 func (t *Tree[A]) Known(fp string) bool {
-	s := t.stripeFor(fp)
-	s.lock()
-	defer s.mu.Unlock()
-	_, ok := s.nodes[fp]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.nodes[fp]
 	return ok
 }
 
@@ -235,14 +123,12 @@ func (t *Tree[A]) Expand(fp string, actions []A, priors []float64) {
 	for _, p := range priors {
 		sum += p
 	}
-	s := t.stripeFor(fp)
-	s.lock()
-	defer s.mu.Unlock()
-	node, ok := s.nodes[fp]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	node, ok := t.nodes[fp]
 	if !ok {
 		node = &Node[A]{Edges: make([]EdgeEntry[A], 0, len(actions))}
-		s.nodes[fp] = node
-		t.nodeCount.Add(1)
+		t.nodes[fp] = node
 	}
 	// Callers enumerate actions in less order, so on a fresh node every
 	// insertion point is the tail and this loop is one append per action;
@@ -267,10 +153,9 @@ func (t *Tree[A]) Expand(fp string, actions []A, priors []float64) {
 // construction. The boolean is false when the state is unknown or has no
 // edges.
 func (t *Tree[A]) Select(fp string) (A, bool) {
-	s := t.stripeFor(fp)
-	s.lock()
-	defer s.mu.Unlock()
-	node, ok := s.nodes[fp]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	node, ok := t.nodes[fp]
 	if !ok || len(node.Edges) == 0 {
 		var zero A
 		return zero, false
@@ -295,10 +180,9 @@ func (t *Tree[A]) Select(fp string) (A, bool) {
 // evolves with the design, so edges recorded on one episode's path can be
 // forbidden on another's), then re-Select among the survivors.
 func (t *Tree[A]) Prune(fp string, a A) bool {
-	s := t.stripeFor(fp)
-	s.lock()
-	defer s.mu.Unlock()
-	node, ok := s.nodes[fp]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	node, ok := t.nodes[fp]
 	if !ok {
 		return false
 	}
@@ -320,21 +204,18 @@ type PathStep[A comparable] struct {
 // Backup propagates the episode's returns through the traversed edges
 // (§4.5 phase 3): each edge's visit count increments and its cumulative
 // return accumulates the discounted return-to-go from that step.
-// returns[i] must be the return-to-go at path[i]. The lock is taken per
-// path step (each step's state owns its own stripe), so a long backup does
-// not stall selections and expansions on unrelated states; concurrent
-// backups interleave at step granularity, which is safe because each step's
-// update is self-contained.
+// returns[i] must be the return-to-go at path[i]. The whole path is backed
+// up under one lock acquisition, so a concurrent Select sees either none or
+// all of an episode's visits.
 func (t *Tree[A]) Backup(path []PathStep[A], returns []float64) {
 	if len(path) != len(returns) {
 		panic("mcts: path/returns length mismatch")
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for i, ps := range path {
-		s := t.stripeFor(ps.Fingerprint)
-		s.lock()
-		node, ok := s.nodes[ps.Fingerprint]
+		node, ok := t.nodes[ps.Fingerprint]
 		if !ok {
-			s.mu.Unlock()
 			continue
 		}
 		at, found := node.find(ps.Action, t.less)
@@ -347,17 +228,15 @@ func (t *Tree[A]) Backup(path []PathStep[A], returns []float64) {
 		e.N++
 		node.SumN++
 		e.W += returns[i]
-		s.mu.Unlock()
 	}
 }
 
 // EdgeStats returns a copy of the edge statistics for a state, for tests
 // and diagnostics.
 func (t *Tree[A]) EdgeStats(fp string) map[A]Edge {
-	s := t.stripeFor(fp)
-	s.lock()
-	defer s.mu.Unlock()
-	node, ok := s.nodes[fp]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	node, ok := t.nodes[fp]
 	if !ok {
 		return nil
 	}

@@ -148,6 +148,71 @@ func TestTreeConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestTreeConcurrent hammers Expand/Backup/Select/Known/Prune from eight
+// goroutines (run under -race in make ci). Every worker replays the same op
+// mix, so the final visit counts are exact; and however the operations
+// interleave, every node's SumN must equal the sum of its edges' N — the
+// conservation Select's U term relies on, which Prune's unwinding of a
+// backed-up edge must preserve.
+func TestTreeConcurrent(t *testing.T) {
+	tr := NewTree(1.5, rl.ActionLess)
+	fps := []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"}
+	a := act(0, 0, 1, 1, topo.Clockwise)
+	b := act(0, 0, 2, 2, topo.Clockwise)
+	doomed := act(1, 1, 3, 3, topo.Counterclockwise)
+	for _, fp := range fps {
+		tr.Expand(fp, []rl.Action{a, b}, []float64{3, 1})
+	}
+
+	const workers, iters = 8, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				for k, fp := range fps {
+					next := fps[(k+1)%len(fps)]
+					tr.Expand(fp, []rl.Action{a, b}, []float64{3, 1})
+					// Back up a multi-state path that also visits an
+					// extra edge, then prune that edge again so Prune
+					// races concurrent Backups of the same node.
+					tr.Expand(fp, []rl.Action{doomed}, []float64{1})
+					tr.Backup([]step{{fp, a}, {next, b}, {fp, doomed}}, []float64{1, 0.5, -1})
+					tr.Select(fp)
+					tr.Known(next)
+					tr.Prune(fp, doomed)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if n := tr.Size(); n != len(fps) {
+		t.Fatalf("nodes = %d, want %d", n, len(fps))
+	}
+	for _, fp := range fps {
+		es := tr.EdgeStats(fp)
+		if es[a].N != workers*iters || es[b].N != workers*iters {
+			t.Fatalf("%s: N(a) = %d, N(b) = %d, want %d each", fp, es[a].N, es[b].N, workers*iters)
+		}
+		if _, ok := es[doomed]; ok {
+			t.Fatalf("%s: doomed edge survived", fp)
+		}
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for fp, node := range tr.nodes {
+		sum := 0
+		for _, e := range node.Edges {
+			sum += e.N
+		}
+		if node.SumN != sum {
+			t.Fatalf("%s: SumN = %d, edges sum to %d", fp, node.SumN, sum)
+		}
+	}
+}
+
 func TestEdgeVZeroVisits(t *testing.T) {
 	e := &Edge{P: 1}
 	if e.V() != 0 {
@@ -192,9 +257,8 @@ func TestEdgesStaySorted(t *testing.T) {
 	}, []float64{1, 1})
 	tr.Expand("s", []rl.Action{act(0, 0, 1, 1, topo.Clockwise)}, []float64{1})
 	tr.Backup([]step{{"s", act(2, 2, 3, 3, topo.Counterclockwise)}}, []float64{1})
-	st := tr.stripeFor("s")
-	st.mu.Lock()
-	edges := st.nodes["s"].Edges
+	tr.mu.Lock()
+	edges := tr.nodes["s"].Edges
 	if len(edges) != 4 {
 		t.Fatalf("edges = %d, want 4", len(edges))
 	}
@@ -203,7 +267,7 @@ func TestEdgesStaySorted(t *testing.T) {
 			t.Fatalf("edges out of order at %d: %v !< %v", i, edges[i-1].Action, edges[i].Action)
 		}
 	}
-	st.mu.Unlock()
+	tr.mu.Unlock()
 }
 
 // TestPruneRemovesEdge verifies Prune drops the edge, unwinds its visits
@@ -229,10 +293,9 @@ func TestPruneRemovesEdge(t *testing.T) {
 	if !ok || a != keep {
 		t.Fatalf("selected %v after prune, want %v", a, keep)
 	}
-	sp := tr.stripeFor("s")
-	sp.mu.Lock()
-	if sum := sp.nodes["s"].SumN; sum != 1 {
+	tr.mu.Lock()
+	if sum := tr.nodes["s"].SumN; sum != 1 {
 		t.Fatalf("SumN after prune = %d, want 1", sum)
 	}
-	sp.mu.Unlock()
+	tr.mu.Unlock()
 }

@@ -46,7 +46,7 @@ const DefaultMutexFraction = 5
 // call it explicitly before an os.Exit path; unlike the CPU variant it
 // returns an error because the profile body is written at stop time. The
 // profile answers "which locks did goroutines wait on, and for how long" —
-// the direct measure of search-tree stripe and parameter-chunk contention.
+// the direct measure of search-tree and parameter-server lock contention.
 func StartMutexProfile(path string, rate int) (func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
