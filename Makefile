@@ -1,12 +1,14 @@
 # Tier-1 verification gate (see ROADMAP.md): every PR must leave `make ci`
-# green. `make race` additionally race-tests the concurrent packages; `make
-# bench` is the quick no-regression smoke for the sim hot path.
+# green. `make race` additionally race-tests the concurrent packages, and
+# `make trace-smoke` drives the traced CLIs end to end (the only run of the
+# brokered nocexplore path); `make bench` is the quick no-regression smoke
+# for the sim hot path.
 
 GO ?= go
 
 .PHONY: ci fmt vet vet-arm64 build test race loc bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke fuzz-smoke
 
-ci: fmt vet vet-arm64 build test race
+ci: fmt vet vet-arm64 build test race trace-smoke
 
 # Every Go file must be gofmt-clean; the step lists offenders and fails.
 fmt:
@@ -78,11 +80,12 @@ bench-drl:
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/
 
 # Quick iteration loop for the batched-inference service (internal/infer
-# broker, inference nn.Forward on the fused conv body, fingerprint-keyed
-# evaluation cache): BenchmarkDNNForwardBatch per-sample at B=8/32 against
-# the B=1 call BenchmarkDNNForward, and broker-routed episodes.
-# Baseline numbers live in BENCH_PR5.json; the f32-vs-f64 measurement
-# that retired the float32 engine is in README.md.
+# broker, inference nn.Forward on the fused conv body):
+# BenchmarkDNNForwardBatch per-sample at B=8/32 against the B=1 call
+# BenchmarkDNNForward, and broker-routed episodes reporting mean batch
+# occupancy. Baseline numbers live in BENCH_PR5.json (taken when the
+# broker still had an evaluation cache); the f32-vs-f64 measurement that
+# retired the float32 engine is in README.md.
 bench-infer:
 	$(GO) test -bench 'BenchmarkDNNForwardBatch|BenchmarkDNNForward$$' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/

@@ -9,7 +9,10 @@
 //	nocexplore -n 8 -episodes 500 -metrics search.json -events search.jsonl
 //	nocexplore -n 8 -episodes 200 -cpuprofile search.pprof
 //	nocexplore -n 8 -episodes 200 -threads 4 -infer-batch 8
-//	nocexplore -n 8 -episodes 200 -threads 4 -infer-batch 16 -infer-flush 200us
+//
+// -infer-batch routes DNN evaluations through one shared evaluator that
+// batches concurrent learners' requests; a batch never holds more than
+// -threads requests, since each learner waits on at most one.
 package main
 
 import (
@@ -32,8 +35,7 @@ func main() {
 	cap := flag.Int("cap", 0, "node overlapping cap (default 2(n-1))")
 	episodes := flag.Int("episodes", 100, "exploration cycles")
 	threads := flag.Int("threads", 1, "learner threads (§4.6)")
-	inferBatch := flag.Int("infer-batch", 0, "route DNN evaluations through the shared batched-inference broker with this max batch size (0 = per-worker forwards)")
-	inferFlush := flag.Duration("infer-flush", 0, "broker batch top-up window: wait up to this long for more requests before flushing a partial batch (0 = flush on quiescence; longer waits raise batch occupancy but add latency)")
+	inferBatch := flag.Int("infer-batch", 0, "route DNN evaluations through the shared batched-inference broker with this max batch size, capped at -threads (0 = per-worker forwards)")
 	epsilon := flag.Float64("epsilon", 0.1, "ε-greedy factor")
 	cpuct := flag.Float64("c", 1.5, "MCTS exploration constant")
 	lr := flag.Float64("lr", 1e-3, "learning rate")
@@ -54,7 +56,7 @@ func main() {
 	manifestPath := flag.String("manifest", "", "append a JSONL run-provenance manifest (config, seed, git rev, wall time, metrics) to this path")
 	progress := flag.Duration("progress", 10*time.Second, "interval between progress lines on stderr (0 = off)")
 	flag.Parse()
-	if err := checkFlags(*episodes, *threads, *epsilon, *lr, *cpuct); err != nil {
+	if err := checkFlags(*episodes, *threads, *inferBatch, *epsilon, *lr, *cpuct); err != nil {
 		fmt.Fprintln(os.Stderr, "nocexplore:", err)
 		os.Exit(1)
 	}
@@ -98,7 +100,6 @@ func main() {
 	cfg.Episodes = *episodes
 	cfg.Threads = *threads
 	cfg.InferBatch = *inferBatch
-	cfg.InferFlush = *inferFlush
 	cfg.Epsilon = *epsilon
 	cfg.CPuct = *cpuct
 	cfg.LR = *lr
@@ -136,7 +137,6 @@ func main() {
 		manifest.Set("episodes", *episodes)
 		manifest.Set("threads", *threads)
 		manifest.Set("infer_batch", *inferBatch)
-		manifest.Set("infer_flush", inferFlush.String())
 		manifest.Set("epsilon", *epsilon)
 		manifest.Set("cpuct", *cpuct)
 		manifest.Set("lr", *lr)
@@ -301,12 +301,16 @@ func main() {
 }
 
 // checkFlags rejects the numeric flags the search cannot run with before
-// anything is built: fewer than one episode or learner thread, an ε
-// outside [0, 1], a learning rate that is not a positive finite number,
-// and a negative or non-finite exploration constant.
-func checkFlags(episodes, threads int, epsilon, lr, cpuct float64) error {
+// anything is built: fewer than one episode or learner thread, a negative
+// inference batch, an ε outside [0, 1], a learning rate that is not a
+// positive finite number, and a negative or non-finite exploration
+// constant.
+func checkFlags(episodes, threads, inferBatch int, epsilon, lr, cpuct float64) error {
 	if err := drl.CheckRunFlags(episodes, threads, epsilon); err != nil {
 		return err
+	}
+	if inferBatch < 0 {
+		return fmt.Errorf("-infer-batch %d must not be negative", inferBatch)
 	}
 	if math.IsNaN(lr) || math.IsInf(lr, 0) || lr <= 0 {
 		return fmt.Errorf("-lr %v is not a positive finite learning rate", lr)

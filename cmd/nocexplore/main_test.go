@@ -44,30 +44,32 @@ func runMain(t *testing.T, args ...string) (int, string) {
 
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name               string
-		episodes, threads  int
-		epsilon, lr, cpuct float64
-		ok                 bool
+		name                          string
+		episodes, threads, inferBatch int
+		epsilon, lr, cpuct            float64
+		ok                            bool
 	}{
-		{"defaults", 100, 1, 0.1, 1e-3, 1.5, true},
-		{"bounds", 1, 1, 0, 1e-300, 0, true},
-		{"epsilon one", 5, 8, 1, 10, 100, true},
-		{"zero episodes", 0, 1, 0.1, 1e-3, 1.5, false},
-		{"negative episodes", -5, 1, 0.1, 1e-3, 1.5, false},
-		{"zero threads", 10, 0, 0.1, 1e-3, 1.5, false},
-		{"negative threads", 10, -2, 0.1, 1e-3, 1.5, false},
-		{"epsilon above one", 10, 1, 2, 1e-3, 1.5, false},
-		{"negative epsilon", 10, 1, -0.1, 1e-3, 1.5, false},
-		{"NaN epsilon", 10, 1, math.NaN(), 1e-3, 1.5, false},
-		{"NaN lr", 10, 1, 0.1, math.NaN(), 1.5, false},
-		{"infinite lr", 10, 1, 0.1, math.Inf(1), 1.5, false},
-		{"zero lr", 10, 1, 0.1, 0, 1.5, false},
-		{"negative lr", 10, 1, 0.1, -1e-3, 1.5, false},
-		{"negative c", 10, 1, 0.1, 1e-3, -1, false},
-		{"NaN c", 10, 1, 0.1, 1e-3, math.NaN(), false},
-		{"infinite c", 10, 1, 0.1, 1e-3, math.Inf(1), false},
+		{"defaults", 100, 1, 0, 0.1, 1e-3, 1.5, true},
+		{"bounds", 1, 1, 0, 0, 1e-300, 0, true},
+		{"epsilon one", 5, 8, 0, 1, 10, 100, true},
+		{"huge infer batch", 5, 2, 1 << 62, 0.1, 1e-3, 1.5, true},
+		{"zero episodes", 0, 1, 0, 0.1, 1e-3, 1.5, false},
+		{"negative episodes", -5, 1, 0, 0.1, 1e-3, 1.5, false},
+		{"zero threads", 10, 0, 0, 0.1, 1e-3, 1.5, false},
+		{"negative threads", 10, -2, 0, 0.1, 1e-3, 1.5, false},
+		{"negative infer batch", 10, 1, -3, 0.1, 1e-3, 1.5, false},
+		{"epsilon above one", 10, 1, 0, 2, 1e-3, 1.5, false},
+		{"negative epsilon", 10, 1, 0, -0.1, 1e-3, 1.5, false},
+		{"NaN epsilon", 10, 1, 0, math.NaN(), 1e-3, 1.5, false},
+		{"NaN lr", 10, 1, 0, 0.1, math.NaN(), 1.5, false},
+		{"infinite lr", 10, 1, 0, 0.1, math.Inf(1), 1.5, false},
+		{"zero lr", 10, 1, 0, 0.1, 0, 1.5, false},
+		{"negative lr", 10, 1, 0, 0.1, -1e-3, 1.5, false},
+		{"negative c", 10, 1, 0, 0.1, 1e-3, -1, false},
+		{"NaN c", 10, 1, 0, 0.1, 1e-3, math.NaN(), false},
+		{"infinite c", 10, 1, 0, 0.1, 1e-3, math.Inf(1), false},
 	} {
-		err := checkFlags(tc.episodes, tc.threads, tc.epsilon, tc.lr, tc.cpuct)
+		err := checkFlags(tc.episodes, tc.threads, tc.inferBatch, tc.epsilon, tc.lr, tc.cpuct)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}

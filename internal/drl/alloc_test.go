@@ -89,9 +89,9 @@ func TestPolicyEvalZeroAlloc(t *testing.T) {
 	net := nn.NewPolicyValueNet(s.cfg.NN, 1)
 	ar := s.newArena()
 	state := ar.env.StateInto(nil)
-	s.policyEval(net, "", state, ar) // warm the arena's output slots
+	s.policyEval(net, state, ar) // warm the arena's output slots
 	if allocs := testing.AllocsPerRun(20, func() {
-		s.policyEval(net, "", state, ar)
+		s.policyEval(net, state, ar)
 	}); allocs != 0 {
 		t.Fatalf("warmed policyEval allocates %.1f times, want 0", allocs)
 	}

@@ -101,12 +101,10 @@ func BenchmarkDRLSearchThreads(b *testing.B) {
 
 // BenchmarkDRLEpisodeBroker is BenchmarkDRLEpisode with evaluations routed
 // through the shared inference broker: four concurrent workers split b.N
-// episodes, their policy/value requests coalesce, batch, and hit the
-// fingerprint-keyed cache. Like BenchmarkDRLEpisode it omits the training
-// step between episodes, so the cache lives across episodes (the search/
-// inference regime); in a training run each weight sync invalidates it.
-// Reports the cache hit rate alongside ns/op. Baseline numbers live in
-// BENCH_PR5.json.
+// episodes and their policy/value requests batch into shared forwards.
+// Like BenchmarkDRLEpisode it omits the training step between episodes.
+// Reports the mean batch occupancy alongside ns/op. Baseline numbers live
+// in BENCH_PR5.json.
 func BenchmarkDRLEpisodeBroker(b *testing.B) {
 	const workers = 4
 	for _, n := range []int{8, 10} {
@@ -115,6 +113,8 @@ func BenchmarkDRLEpisodeBroker(b *testing.B) {
 			cfg.NN = nn.Config{N: n, BaseChannels: 2, Pools: 2}
 			cfg.Threads = workers
 			cfg.InferBatch = 8
+			reg := obs.NewRegistry()
+			cfg.Metrics = reg
 			s := MustNew(cfg)
 			stop := s.startBroker()
 			defer stop()
@@ -140,9 +140,8 @@ func BenchmarkDRLEpisodeBroker(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			st := s.InferStats()
-			if st.Requests > 0 {
-				b.ReportMetric(float64(st.Hits)/float64(st.Requests), "cache_hit_rate")
+			if occ := reg.Snapshot().Histograms["infer.batch_occupancy"]; occ.Count > 0 {
+				b.ReportMetric(occ.Mean(), "batch_occupancy")
 			}
 		})
 	}

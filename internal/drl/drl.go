@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"routerless/internal/infer"
 	"routerless/internal/mcts"
@@ -68,19 +67,11 @@ type Config struct {
 	MaxLoopLen int
 	// InferBatch, when > 0, routes policy/value evaluations through a
 	// shared batched-inference broker (internal/infer): learner goroutines
-	// submit fingerprint-keyed requests that are coalesced, batched up to
-	// this size, evaluated in one batch forward, and fronted by an LRU
-	// cache invalidated on every parameter-server sync. Zero keeps the
-	// legacy per-worker Forward path (the single-thread determinism
-	// oracle).
+	// submit requests that are batched and evaluated in one forward. The
+	// batch cap is the smaller of InferBatch and the number of learners,
+	// since each learner has at most one request outstanding. Zero keeps
+	// the per-worker Forward path (the single-thread determinism oracle).
 	InferBatch int
-	// InferFlush, when > 0, is the broker's batch top-up window: after the
-	// first request of a batch arrives the collector waits up to this long
-	// for more before flushing. Zero flushes on quiescence. Longer waits
-	// raise batch occupancy (amortizing the forward) at the cost of
-	// latency on the first request of each batch. Ignored when
-	// InferBatch == 0.
-	InferFlush time.Duration
 	// Seed makes single-threaded runs fully deterministic.
 	Seed int64
 	// InitWeights, when non-nil, warm-starts the policy/value network
@@ -149,7 +140,8 @@ type Searcher struct {
 
 	server *paramServer
 	// broker is the shared batched-inference service, non-nil only while a
-	// Run with cfg.InferBatch > 0 is in progress.
+	// Run with cfg.InferBatch > 0 is in progress. Run sets it before the
+	// workers start and clears it after they finish.
 	broker *infer.Broker
 
 	mu      sync.Mutex
@@ -293,40 +285,22 @@ func (s *Searcher) Run() *Result {
 }
 
 // startBroker builds the dedicated evaluator network from the parameter
-// server's current weights and starts the shared inference broker. The
-// returned stop function closes the broker after the workers have drained.
+// server's current weights and starts the shared inference broker. It
+// must run before the workers start; the returned stop function closes the
+// broker after they have finished.
 func (s *Searcher) startBroker() func() {
 	net := nn.NewPolicyValueNet(s.cfg.NN, s.cfg.Seed)
 	net.SetWeights(s.server.snapshot())
-	br := infer.New(infer.Config{
-		Net:       net,
-		Batch:     s.cfg.InferBatch,
-		FlushWait: s.cfg.InferFlush,
-		Metrics:   s.cfg.Metrics,
-		Trace:     s.cfg.Trace,
+	s.broker = infer.New(infer.Config{
+		Net:     net,
+		Batch:   min(s.cfg.InferBatch, s.cfg.Threads),
+		Metrics: s.cfg.Metrics,
+		Trace:   s.cfg.Trace,
 	})
-	s.mu.Lock()
-	s.broker = br
-	s.mu.Unlock()
 	return func() {
-		s.mu.Lock()
+		s.broker.Close()
 		s.broker = nil
-		s.mu.Unlock()
-		br.Close()
 	}
-}
-
-// InferStats reports the inference broker's counters; the zero Stats when
-// no broker is running (InferBatch == 0 or outside Run). Safe to call
-// concurrently with Run, like Progress.
-func (s *Searcher) InferStats() infer.Stats {
-	s.mu.Lock()
-	br := s.broker
-	s.mu.Unlock()
-	if br == nil {
-		return infer.Stats{}
-	}
-	return br.Stats()
 }
 
 // worker is one learner thread (§4.6): it keeps a private copy of the DNN,
@@ -419,8 +393,7 @@ func (s *Searcher) worker(tid, episodes int) {
 			if s.broker != nil {
 				// Publish the refreshed weights (and the running statistics
 				// the training forwards just advanced) to the shared
-				// evaluator; this bumps the broker generation and drops
-				// every cached evaluation computed under the old weights.
+				// evaluator, which applies them before its next forward.
 				net.CopyStatsInto(stats)
 				s.broker.Sync(weights, stats)
 			}
@@ -503,6 +476,9 @@ type episodeArena struct {
 	// nothing.
 	evalIn  [1][]float64
 	evalOut [1]nn.Output
+	// eval is the worker's result slot on the broker route, reused by
+	// every Submit.
+	eval infer.Eval
 	// trace is the worker's span recorder (nil when tracing is off); owned
 	// by the worker goroutine like every other arena buffer.
 	trace *obs.TraceShard
@@ -563,7 +539,7 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 		case first && net != nil:
 			// The DNN proposes the initial action raw (Fig. 4); it may
 			// be penalized, teaching constraint compliance.
-			a, ok = s.sampleRaw(net, fp, state, rng, ar), true
+			a, ok = s.sampleRaw(net, state, rng, ar), true
 		default:
 			a, ok = s.chooseAction(net, env, fp, state, rng, ar)
 		}
@@ -642,7 +618,7 @@ func (s *Searcher) chooseAction(net *nn.PolicyValueNet, env *rl.Env, fp string, 
 		ex.End()
 		return rl.Action{}, false
 	}
-	priors := s.priorsInto(net, fp, state, legal, ar)
+	priors := s.priorsInto(net, state, legal, ar)
 	if s.cfg.UseMCTS {
 		s.tree.Expand(fp, legal, priors)
 	}
@@ -652,18 +628,17 @@ func (s *Searcher) chooseAction(net *nn.PolicyValueNet, env *rl.Env, fp string, 
 
 // policyEval returns the policy heads (four coordinate softmax groups and
 // the tanh direction) for the given state: through the shared inference
-// broker when one is running — concurrent learners then batch into one
-// forward and share cached evaluations keyed by the canonical topology
-// fingerprint — or via a one-sample Forward on the worker's own network
-// on the legacy path. Both paths are byte-identical for equal weights and
-// running statistics. The returned probabilities alias arena or broker
-// buffers valid until the next call.
-func (s *Searcher) policyEval(net *nn.PolicyValueNet, fp string, state []float64, ar *episodeArena) (probs *[4][]float64, dir float64) {
+// broker when one is running, so that concurrent learners batch into one
+// forward, or via a one-sample Forward on the worker's own network
+// otherwise. Both paths are byte-identical for equal weights and running
+// statistics. The returned probabilities alias arena buffers valid until
+// the next call.
+func (s *Searcher) policyEval(net *nn.PolicyValueNet, state []float64, ar *episodeArena) (probs *[4][]float64, dir float64) {
 	if s.broker != nil {
 		sub := ar.trace.Start(obs.SpanInferSubmit)
-		ev := s.broker.Submit(fp, state)
+		s.broker.Submit(state, &ar.eval)
 		sub.End()
-		return &ev.CoordProbs, ev.Dir
+		return &ar.eval.CoordProbs, ar.eval.Dir
 	}
 	fw := ar.trace.Start(obs.SpanNNForward)
 	ar.evalIn[0] = state
@@ -676,7 +651,7 @@ func (s *Searcher) policyEval(net *nn.PolicyValueNet, fp string, state []float64
 // priorsInto fills the arena's prior buffer with each legal action's
 // (unnormalized) policy probability, aligned with legal; without a DNN,
 // priors are uniform.
-func (s *Searcher) priorsInto(net *nn.PolicyValueNet, fp string, state []float64, legal []rl.Action, ar *episodeArena) []float64 {
+func (s *Searcher) priorsInto(net *nn.PolicyValueNet, state []float64, legal []rl.Action, ar *episodeArena) []float64 {
 	if cap(ar.priors) < len(legal) {
 		ar.priors = make([]float64, len(legal))
 	}
@@ -688,7 +663,7 @@ func (s *Searcher) priorsInto(net *nn.PolicyValueNet, fp string, state []float64
 		}
 		return priors
 	}
-	probs, dir := s.policyEval(net, fp, state, ar)
+	probs, dir := s.policyEval(net, state, ar)
 	pcw := (1 + dir) / 2
 	for i, a := range legal {
 		p := probs[0][a.X1] * probs[1][a.Y1] *
@@ -705,8 +680,8 @@ func (s *Searcher) priorsInto(net *nn.PolicyValueNet, fp string, state []float64
 
 // sampleRaw draws an action directly from the DNN output heads, the
 // paper's raw policy sample for the episode's initial action.
-func (s *Searcher) sampleRaw(net *nn.PolicyValueNet, fp string, state []float64, rng *rand.Rand, ar *episodeArena) rl.Action {
-	probs, dirPCW := s.policyEval(net, fp, state, ar)
+func (s *Searcher) sampleRaw(net *nn.PolicyValueNet, state []float64, rng *rand.Rand, ar *episodeArena) rl.Action {
+	probs, dirPCW := s.policyEval(net, state, ar)
 	pick := func(probs []float64) int {
 		r := rng.Float64()
 		acc := 0.0

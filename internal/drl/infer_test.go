@@ -2,9 +2,7 @@ package drl
 
 import (
 	"testing"
-	"time"
 
-	"routerless/internal/infer"
 	"routerless/internal/obs"
 )
 
@@ -43,12 +41,11 @@ func assertResultsEqual(t *testing.T, a, b *Result) {
 }
 
 // The determinism satellite: a single-threaded broker-routed search (batch
-// forwards of size 1, cache hits and all) must produce a Result identical
-// to the legacy per-worker Forward path — same designs, same per-episode
-// value errors, same tree. This holds because a sample's Forward result
-// does not depend on the batch size, every weight sync also carries the BatchNorm
-// running statistics, and cached evaluations equal re-evaluations within a
-// weight generation.
+// forwards of size 1) must produce a Result identical to the legacy
+// per-worker Forward path — same designs, same per-episode value errors,
+// same tree. This holds because a sample's Forward result does not depend
+// on the batch size and every weight sync also carries the BatchNorm
+// running statistics.
 func TestSearchBrokerMatchesLegacySingleThread(t *testing.T) {
 	legacy := MustNew(quickCfg(4, 6, 6)).Run()
 
@@ -59,14 +56,11 @@ func TestSearchBrokerMatchesLegacySingleThread(t *testing.T) {
 }
 
 // Broker-routed multithreaded search completes and reports broker activity
-// through the shared metrics registry. The flush window is set so the
-// FlushWait plumbing (Config.InferFlush → infer.Config.FlushWait) is
-// exercised on the timer top-up path rather than quiescence drains.
+// through the shared metrics registry.
 func TestSearchBrokerMultiThread(t *testing.T) {
 	cfg := quickCfg(4, 6, 12)
 	cfg.Threads = 4
 	cfg.InferBatch = 4
-	cfg.InferFlush = 200 * time.Microsecond
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 	s := MustNew(cfg)
@@ -77,8 +71,8 @@ func TestSearchBrokerMultiThread(t *testing.T) {
 	if len(res.Valid) == 0 {
 		t.Fatal("broker-routed multithreaded search found nothing")
 	}
-	if s.InferStats() != (infer.Stats{}) {
-		t.Fatal("InferStats should be zero after Run closes the broker")
+	if s.broker != nil {
+		t.Fatal("Run left the broker running")
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["infer.requests"] == 0 {
@@ -87,7 +81,25 @@ func TestSearchBrokerMultiThread(t *testing.T) {
 	if snap.Counters["infer.batches"] == 0 {
 		t.Fatal("broker evaluated no batches")
 	}
-	if snap.Counters["infer.cache_invalidations"] == 0 {
-		t.Fatal("per-episode weight syncs should have invalidated the cache")
+}
+
+// An -infer-batch far beyond any real learner count must not size anything
+// by it: the broker's batch cap is the number of workers, so a 4×4 search
+// with InferBatch 1<<62 runs to completion like any other.
+func TestSearchBrokerHugeInferBatch(t *testing.T) {
+	cfg := quickCfg(4, 6, 4)
+	cfg.Threads = 2
+	cfg.InferBatch = 1 << 62
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	res := MustNew(cfg).Run()
+	if res.Episodes != 4 {
+		t.Fatalf("episodes = %d, want 4", res.Episodes)
+	}
+	snap := reg.Snapshot()
+	occ := snap.Histograms["infer.batch_occupancy"]
+	if occ.Count == 0 || occ.Sum != float64(snap.Counters["infer.requests"]) || occ.Mean() > 2 {
+		t.Fatalf("batch occupancy %+v for %d requests, want every request evaluated in batches of at most 2 (the worker count)",
+			occ, snap.Counters["infer.requests"])
 	}
 }

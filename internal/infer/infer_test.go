@@ -3,7 +3,6 @@ package infer
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -32,25 +31,39 @@ func randState(rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-func assertEvalMatches(t *testing.T, tag string, ev *Eval, want *nn.Output) {
-	t.Helper()
+// evalEquals reports whether ev holds exactly (bit for bit) want.
+func evalEquals(ev *Eval, want *nn.Output) bool {
 	for g := 0; g < 4; g++ {
+		if len(ev.CoordProbs[g]) != len(want.CoordProbs[g]) {
+			return false
+		}
 		for i := range want.CoordProbs[g] {
 			if ev.CoordProbs[g][i] != want.CoordProbs[g][i] {
-				t.Fatalf("%s: prob group %d idx %d: got %v want %v",
-					tag, g, i, ev.CoordProbs[g][i], want.CoordProbs[g][i])
+				return false
 			}
 		}
 	}
-	if ev.DirPre != want.DirPre || ev.Dir != want.Dir || ev.Value != want.Value {
-		t.Fatalf("%s: (dirpre,dir,value) got (%v,%v,%v) want (%v,%v,%v)",
-			tag, ev.DirPre, ev.Dir, ev.Value, want.DirPre, want.Dir, want.Value)
+	return ev.DirPre == want.DirPre && ev.Dir == want.Dir && ev.Value == want.Value
+}
+
+// perturbed returns net's weights and BatchNorm running statistics, both
+// shifted so that a net synced to them evaluates differently.
+func perturbed(net *nn.PolicyValueNet) (w, st []float64) {
+	w = net.GetWeights()
+	for i := range w {
+		w[i] += 0.01 * math.Sin(float64(i))
 	}
+	st = make([]float64, net.NumStats())
+	net.CopyStatsInto(st)
+	for i := range st {
+		st[i] += 0.1 * float64(i%3)
+	}
+	return w, st
 }
 
 // Broker-delivered evaluations must be bit-identical to direct Forward
-// calls on an identically-parameterized reference net — before and after a
-// weight sync, and on cache hits.
+// calls on an identically-parameterized reference net, before and after a
+// weight sync.
 func TestBrokerMatchesDirectForward(t *testing.T) {
 	br := New(Config{Net: testNet(1), Batch: 4})
 	defer br.Close()
@@ -60,246 +73,175 @@ func TestBrokerMatchesDirectForward(t *testing.T) {
 	for i := range states {
 		states[i] = randState(rng, 4)
 	}
+	var ev Eval
 	check := func(phase string) {
 		for i, s := range states {
-			ev := br.Submit("fp-"+phase+"-"+strconv.Itoa(i), s)
-			assertEvalMatches(t, phase+" sample "+strconv.Itoa(i), ev, forward1(ref, s))
+			br.Submit(s, &ev)
+			if !evalEquals(&ev, forward1(ref, s)) {
+				t.Fatalf("%s sample %d: broker result differs from direct Forward", phase, i)
+			}
 		}
 	}
 	check("init")
 
 	// Sync new weights and perturbed BatchNorm stats; both nets must track.
-	w := ref.GetWeights()
-	for i := range w {
-		w[i] += 0.01 * math.Sin(float64(i))
-	}
+	w, st := perturbed(ref)
 	ref.SetWeights(w)
-	st := make([]float64, ref.NumStats())
-	ref.CopyStatsInto(st)
-	for i := range st {
-		st[i] += 0.1 * float64(i%3)
-	}
 	ref.SetStats(st)
 	br.Sync(w, st)
 	check("synced")
-
-	// Resubmitting an already-cached fingerprint returns the same values.
-	ev1 := br.Submit("dup", states[0])
-	ev2 := br.Submit("dup", states[0])
-	if ev1 != ev2 {
-		t.Fatal("cache hit did not return the cached Eval")
-	}
-	if hitStats := br.Stats(); hitStats.Hits < 1 {
-		t.Fatalf("expected at least one cache hit, stats %+v", hitStats)
-	}
 }
 
-// The stale-cache satellite: a parameter-server sync bumps the generation
-// and a post-sync lookup of a pre-sync fingerprint misses (and re-evaluates
-// under the new weights).
-func TestSyncBumpsGenerationAndInvalidatesCache(t *testing.T) {
+// A warmed Submit reuses the caller's Eval, the broker's request slot and
+// the evaluator's arena, so it allocates nothing on either goroutine.
+func TestSubmitZeroAlloc(t *testing.T) {
 	br := New(Config{Net: testNet(3), Batch: 2})
 	defer br.Close()
-	ref := testNet(3)
-	rng := rand.New(rand.NewSource(4))
-	state := randState(rng, 4)
-
-	br.Submit("fp", state)
-	br.Submit("fp", state)
-	s0 := br.Stats()
-	if s0.Hits != 1 || s0.Misses != 1 {
-		t.Fatalf("pre-sync stats: %+v, want 1 hit / 1 miss", s0)
-	}
-	if br.Generation() != 0 {
-		t.Fatalf("generation before sync = %d", br.Generation())
-	}
-
-	w := ref.GetWeights()
-	for i := range w {
-		w[i] *= 1.01
-	}
-	ref.SetWeights(w)
-	br.Sync(w, nil)
-	if br.Generation() != 1 {
-		t.Fatalf("generation after sync = %d, want 1", br.Generation())
-	}
-
-	ev := br.Submit("fp", state)
-	s1 := br.Stats()
-	if s1.Misses != s0.Misses+1 {
-		t.Fatalf("post-sync lookup hit a stale cache: stats %+v", s1)
-	}
-	if s1.Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1", s1.Invalidations)
-	}
-	assertEvalMatches(t, "post-sync", ev, forward1(ref, state))
-}
-
-// LRU eviction: with a tiny capacity, distinct fingerprints must evict.
-func TestCacheEvictsLRU(t *testing.T) {
-	br := New(Config{Net: testNet(5), Batch: 1, CacheSize: 16}) // 1 entry/shard
-	defer br.Close()
-	rng := rand.New(rand.NewSource(6))
-	state := randState(rng, 4)
-	for i := 0; i < 64; i++ {
-		br.Submit("fp-"+strconv.Itoa(i), state)
-	}
-	if st := br.Stats(); st.Evictions == 0 {
-		t.Fatalf("no evictions across 64 distinct fingerprints at capacity 16: %+v", st)
+	state := randState(rand.New(rand.NewSource(4)), 4)
+	var ev Eval
+	br.Submit(state, &ev)
+	if allocs := testing.AllocsPerRun(50, func() { br.Submit(state, &ev) }); allocs != 0 {
+		t.Fatalf("warmed Submit allocates %.1f times, want 0", allocs)
 	}
 }
 
-// CacheSize < 0 disables caching entirely: identical resubmits re-evaluate,
-// and each evaluation equals what a caching broker returns for the state,
-// on its miss and on its hit.
-func TestCacheDisabled(t *testing.T) {
-	br := New(Config{Net: testNet(7), Batch: 1, CacheSize: -1})
-	defer br.Close()
-	cached := New(Config{Net: testNet(7), Batch: 1})
-	defer cached.Close()
-	rng := rand.New(rand.NewSource(8))
-	state := randState(rng, 4)
-	miss := cached.Submit("fp", state)
-	hit := cached.Submit("fp", state)
-	for i := 0; i < 2; i++ {
-		got := br.Submit("fp", state)
-		if !reflect.DeepEqual(got, miss) || !reflect.DeepEqual(got, hit) {
-			t.Fatalf("uncached submit %d differs from the caching broker: got %+v, cached %+v", i, got, miss)
-		}
-	}
-	if st := br.Stats(); st.Hits != 0 || st.Evaluated != 2 {
-		t.Fatalf("disabled cache stats: %+v, want 0 hits / 2 evaluated", st)
-	}
-}
-
-// The FlushWait path batches requests that arrive while the collector
-// waits: four concurrent submitters of distinct fingerprints should land
-// in far fewer than four batches.
-func TestFlushWaitBatchesConcurrentRequests(t *testing.T) {
-	br := New(Config{Net: testNet(9), Batch: 8, FlushWait: 100 * time.Millisecond})
-	defer br.Close()
-	rng := rand.New(rand.NewSource(10))
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		state := randState(rng, 4)
-		fp := "fp-" + strconv.Itoa(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			br.Submit(fp, state)
-		}()
-	}
-	wg.Wait()
-	st := br.Stats()
-	if st.Evaluated != 4 {
-		t.Fatalf("evaluated %d samples, want 4", st.Evaluated)
-	}
-	if st.Batches >= 4 {
-		t.Fatalf("no batching happened: %d batches for 4 requests", st.Batches)
-	}
-}
-
-// The -race satellite: concurrent submitters (mixing repeated and fresh
-// fingerprints) against periodic weight syncs. Every delivered evaluation
-// must be internally consistent and every request accounted for.
+// The -race test: concurrent submitters against a syncer that alternates
+// between two weight sets. Every batch is evaluated under one staged set,
+// so every delivered result must bit-equal a direct Forward under one of
+// the two, and every request must be evaluated exactly once.
 func TestBrokerConcurrentSubmitSyncRace(t *testing.T) {
 	reg := obs.NewRegistry()
-	br := New(Config{Net: testNet(11), Batch: 4, CacheSize: 32, Metrics: reg})
+	br := New(Config{Net: testNet(11), Batch: 4, Metrics: reg})
 	defer br.Close()
 	ref := testNet(11)
-	baseW := ref.GetWeights()
+	wA := ref.GetWeights()
+	stA := make([]float64, ref.NumStats())
+	ref.CopyStatsInto(stA)
+	wB, stB := perturbed(ref)
 
-	const workers = 8
-	const perWorker = 150
 	pool := make([][]float64, 10)
+	wantA := make([]*nn.Output, len(pool))
+	wantB := make([]*nn.Output, len(pool))
 	rng := rand.New(rand.NewSource(12))
 	for i := range pool {
 		pool[i] = randState(rng, 4)
+		wantA[i] = forward1(ref, pool[i])
 	}
+	ref.SetWeights(wB)
+	ref.SetStats(stB)
+	for i := range pool {
+		wantB[i] = forward1(ref, pool[i])
+		if wantA[i].Value == wantB[i].Value {
+			t.Fatalf("state %d has the same value under both weight sets", i)
+		}
+	}
+
 	stop := make(chan struct{})
 	var syncs sync.WaitGroup
 	syncs.Add(1)
 	go func() {
 		defer syncs.Done()
-		w := append([]float64(nil), baseW...)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			for j := range w {
-				w[j] = baseW[j] * (1 + 0.001*float64(i%7))
+			if i%2 == 0 {
+				br.Sync(wB, stB)
+			} else {
+				br.Sync(wA, stA)
 			}
-			br.Sync(w, nil)
-			time.Sleep(time.Millisecond)
+			time.Sleep(100 * time.Microsecond)
 		}
 	}()
+	const workers = 8
+	const perWorker = 150
 	var wg sync.WaitGroup
-	for t2 := 0; t2 < workers; t2++ {
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
+			var ev Eval
 			for i := 0; i < perWorker; i++ {
 				idx := r.Intn(len(pool))
-				ev := br.Submit("fp-"+strconv.Itoa(idx), pool[idx])
-				if ev == nil {
-					panic("nil eval")
-				}
-				sum := 0.0
-				for _, p := range ev.CoordProbs[0] {
-					sum += p
-				}
-				if math.Abs(sum-1) > 1e-9 {
-					panic("coordinate probabilities do not sum to 1")
+				br.Submit(pool[idx], &ev)
+				if !evalEquals(&ev, wantA[idx]) && !evalEquals(&ev, wantB[idx]) {
+					errs <- "request " + strconv.Itoa(i) + " on state " + strconv.Itoa(idx) +
+						" matches neither weight set"
+					return
 				}
 			}
-		}(int64(100 + t2))
+		}(int64(100 + w))
 	}
 	wg.Wait()
 	close(stop)
 	syncs.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 
-	st := br.Stats()
-	if st.Requests != workers*perWorker {
-		t.Fatalf("requests = %d, want %d", st.Requests, workers*perWorker)
+	snap := reg.Snapshot()
+	if got := snap.Counters["infer.requests"]; got != workers*perWorker {
+		t.Fatalf("requests = %d, want %d", got, workers*perWorker)
 	}
-	if st.Hits+st.Misses != st.Requests {
-		t.Fatalf("hits %d + misses %d != requests %d", st.Hits, st.Misses, st.Requests)
-	}
-	// The dedup layers (cache + coalescing) must have removed work: with 10
-	// distinct states and 1200 requests, evaluations should be well below
-	// the request count.
-	if st.Evaluated >= st.Requests {
-		t.Fatalf("no deduplication: %d evaluated for %d requests", st.Evaluated, st.Requests)
+	if occ := snap.Histograms["infer.batch_occupancy"]; occ.Sum != workers*perWorker ||
+		occ.Count != snap.Counters["infer.batches"] {
+		t.Fatalf("occupancy %+v over %d batches, want %d requests evaluated",
+			occ, snap.Counters["infer.batches"], workers*perWorker)
 	}
 }
 
-// A submitter woken by its delivered flight may resubmit the fingerprint
-// at once. The broker caches the result and retires the flight before
-// waking anyone, so the resubmit is a cache hit; with caching disabled it
-// is a fresh evaluation. It never joins the finished flight.
-func TestResubmitAfterDeliveryNeverJoinsFinishedFlight(t *testing.T) {
-	const rounds = 1000
-	rng := rand.New(rand.NewSource(9))
-	state := randState(rng, 4)
-	for _, size := range []int{0, -1} {
-		br := New(Config{Net: testNet(9), Batch: 1, CacheSize: size})
-		for i := 0; i < rounds; i++ {
-			fp := "fp-" + strconv.Itoa(i)
-			br.Submit(fp, state)
-			br.Submit(fp, state)
+// With tracing on, recordWaits reorders each batch by enqueue time, and
+// submitters can reach the queue in the reverse of that order: each reads
+// the clock before it sends. Requests queued in reverse enqueue order must
+// each still get the evaluation of their own state.
+func TestTracedBrokerDeliversOwnResults(t *testing.T) {
+	br := New(Config{Net: testNet(13), Batch: 3, Trace: obs.NewTracer(256)})
+	defer br.Close()
+	ref := testNet(13)
+	rng := rand.New(rand.NewSource(14))
+	states := make([][]float64, 3)
+	evs := make([]Eval, 3)
+	now := time.Now()
+	// Holding mu stalls the evaluation goroutine before its first forward,
+	// so at least two of the requests share a batch.
+	br.mu.Lock()
+	for i := range evs {
+		states[i] = randState(rng, 4)
+		evs[i].done = make(chan struct{}, 1)
+		br.reqCh <- request{state: states[i], ev: &evs[i], enq: now.Add(-time.Duration(i) * time.Second)}
+	}
+	br.mu.Unlock()
+	for i := range evs {
+		<-evs[i].done
+		if !evalEquals(&evs[i], forward1(ref, states[i])) {
+			t.Errorf("request %d got another request's evaluation", i)
 		}
-		br.Close()
-		st := br.Stats()
-		wantHits, wantEval := int64(rounds), int64(rounds)
-		if size < 0 {
-			wantHits, wantEval = 0, 2*rounds
-		}
-		if st.Coalesced != 0 || st.Hits != wantHits || st.Evaluated != wantEval {
-			t.Errorf("CacheSize %d: stats %+v, want 0 coalesced, %d hits, %d evaluated",
-				size, st, wantHits, wantEval)
+	}
+}
+
+// waitSpan keeps a batch's queue waits inside (lastPickup, pickup], ending
+// 1 ns apart with the earliest-enqueued (longest) wait outermost, so they
+// nest. make trace-smoke checks the exported track with cmd/tracecheck.
+func TestWaitSpan(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		pickup, last, wait int64
+		j                  int
+		wantStart, wantEnd int64
+	}{
+		{"whole wait", 1000, 100, 300, 0, 700, 1000},
+		{"later rank ends earlier", 1000, 100, 200, 2, 800, 998},
+		{"clamped to previous pickup", 1000, 100, 5000, 0, 101, 1000},
+		{"no room left", 1000, 998, 0, 3, 997, 997},
+	} {
+		start, end := waitSpan(tc.pickup, tc.last, tc.wait, tc.j)
+		if start != tc.wantStart || end != tc.wantEnd {
+			t.Errorf("%s: span [%d, %d], want [%d, %d]", tc.name, start, end, tc.wantStart, tc.wantEnd)
 		}
 	}
 }
