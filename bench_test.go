@@ -338,7 +338,7 @@ func benchStates(n, bs int) [][]float64 {
 func BenchmarkDNNTrainStep(b *testing.B) {
 	net := nn.NewPolicyValueNet(nn.Config{N: 4, BaseChannels: 4, Pools: 3}, 1)
 	env := rl.NewEnv(4, 6)
-	states := [][]float64{env.State()}
+	states := [][]float64{env.StateInto(nil)}
 	outs := make([]nn.Output, 1)
 	dl := make([]float64, 4*4)
 	for g := 0; g < 4; g++ {
@@ -347,13 +347,19 @@ func BenchmarkDNNTrainStep(b *testing.B) {
 	dDir, dVal := []float64{0.1}, []float64{-0.5}
 	// Tiny learning rate with clipping: the bench repeats one gradient
 	// thousands of times, which would diverge at training rates.
-	sgd := nn.SGD{LR: 1e-6, Clip: 0.1}
+	const lr, clip = 1e-6, 0.1
+	w, g := net.GetWeights(), make([]float64, net.NumParams())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Forward(states, outs, true)
 		net.Backward(dl, dDir, dVal)
-		sgd.Step(net)
+		net.CopyGradsInto(g)
+		for j, gv := range g {
+			w[j] -= lr * min(max(gv, -clip), clip)
+		}
+		net.SetWeights(w)
+		net.ZeroGrads()
 	}
 }
 
@@ -410,7 +416,7 @@ func BenchmarkHopMatrix(b *testing.B) {
 	t := rec.MustGenerate(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.HopMatrix()
+		t.HopMatrixInto(nil)
 	}
 }
 

@@ -57,6 +57,10 @@ func main() {
 		fmt.Println("IMR  IMR GA baseline comparison")
 		return
 	}
+	if err := checkFlags(*id, *jobs); err != nil {
+		fmt.Fprintln(os.Stderr, "benchtab:", err)
+		os.Exit(1)
+	}
 
 	var reg *obs.Registry
 	if *metricsPath != "" || *debugAddr != "" || *manifestPath != "" {
@@ -198,4 +202,16 @@ func main() {
 		fmt.Printf("rows written to %s\n", *csvPath)
 	}
 	writeMetrics()
+}
+
+// checkFlags rejects an -exp that names no experiment and a -j below 1
+// before any experiment starts.
+func checkFlags(id string, jobs int) error {
+	if jobs < 1 {
+		return fmt.Errorf("-j %d must be at least 1", jobs)
+	}
+	if id != "all" && !exp.Known(id) {
+		return fmt.Errorf("-exp %q is not an experiment id (see -list)", id)
+	}
+	return nil
 }

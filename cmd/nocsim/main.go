@@ -51,7 +51,7 @@ func main() {
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention pprof profile of the simulation to this file")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine-blocking pprof profile of the simulation to this file")
 	flag.Parse()
-	rateList, err := checkFlags(*meshN, *delay, *warmup, *measure, *rates)
+	rateList, err := checkFlags(*meshN, *delay, *warmup, *measure, *jobs, *rates)
 	if err != nil {
 		fatal(err)
 	}
@@ -294,13 +294,17 @@ func main() {
 // checkFlags rejects the numeric flags the simulator cannot run before
 // anything is built, and returns the parsed -rates list. A mesh side is
 // bounded like a topology file's (topo.MaxJSONSide), so -mesh cannot ask
-// for a network too large to allocate.
-func checkFlags(meshN, delay, warmup, measure int, rates string) ([]float64, error) {
+// for a network too large to allocate. A node injects at most one flit
+// per cycle, so a rate above 1 flit/node/cycle cannot be offered.
+func checkFlags(meshN, delay, warmup, measure, jobs int, rates string) ([]float64, error) {
 	if meshN != 0 && (meshN < 2 || meshN > topo.MaxJSONSide) {
 		return nil, fmt.Errorf("-mesh %d out of range 2..%d", meshN, topo.MaxJSONSide)
 	}
-	if delay < 0 {
-		return nil, fmt.Errorf("-delay %d is negative", delay)
+	if delay < 0 || delay > 2 {
+		return nil, fmt.Errorf("-delay %d out of range 0..2", delay)
+	}
+	if jobs < 1 {
+		return nil, fmt.Errorf("-j %d must be at least 1", jobs)
 	}
 	if warmup < 0 {
 		return nil, fmt.Errorf("-warmup %d is negative", warmup)
@@ -314,8 +318,8 @@ func checkFlags(meshN, delay, warmup, measure int, rates string) ([]float64, err
 		if err != nil {
 			return nil, fmt.Errorf("-rates: %v", err)
 		}
-		if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
-			return nil, fmt.Errorf("-rates: %v is not a positive finite injection rate", r)
+		if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 || r > 1 {
+			return nil, fmt.Errorf("-rates: %v is not an injection rate in (0, 1] flits/node/cycle", r)
 		}
 		list = append(list, r)
 	}

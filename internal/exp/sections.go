@@ -259,20 +259,28 @@ func All(o Options) []*Report {
 	}
 }
 
+// experiments maps each report ID to the function that produces it.
+var experiments = map[string]func(Options) *Report{
+	"T1": Table1Epsilon, "T2": Table2LargerNoCs, "T3": Table3Overlap8x8,
+	"T4": Table4Overlap10x10, "T5": Table5ParsecExecTime,
+	"F9": Figure9Topology, "F10": Figure10SyntheticLatency,
+	"F11": Figure11ParsecLatency, "F12": Figure12ParsecHops,
+	"F13": Figure13PowerPerf, "F14": Figure14ParsecPower,
+	"F15": Figure15Area, "F16": Figure16Scaling,
+	"S6.1": Section61Threads, "S6.7": Section67Reliability,
+	"S6.8": Section68Broad,
+	"A":    AblationNoDNN, "IMR": IMRComparison,
+}
+
+// Known reports whether ByID can run the experiment with this ID.
+func Known(id string) bool {
+	_, ok := experiments[id]
+	return ok
+}
+
 // ByID resolves one experiment by its report ID.
 func ByID(id string, o Options) (*Report, error) {
-	fns := map[string]func(Options) *Report{
-		"T1": Table1Epsilon, "T2": Table2LargerNoCs, "T3": Table3Overlap8x8,
-		"T4": Table4Overlap10x10, "T5": Table5ParsecExecTime,
-		"F9": Figure9Topology, "F10": Figure10SyntheticLatency,
-		"F11": Figure11ParsecLatency, "F12": Figure12ParsecHops,
-		"F13": Figure13PowerPerf, "F14": Figure14ParsecPower,
-		"F15": Figure15Area, "F16": Figure16Scaling,
-		"S6.1": Section61Threads, "S6.7": Section67Reliability,
-		"S6.8": Section68Broad,
-		"A":    AblationNoDNN, "IMR": IMRComparison,
-	}
-	fn, ok := fns[id]
+	fn, ok := experiments[id]
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown experiment %q", id)
 	}

@@ -12,8 +12,9 @@ import (
 	"routerless/internal/obs"
 )
 
+// testNet builds a narrow 4×4 network for fast tests.
 func testNet(seed int64) *nn.PolicyValueNet {
-	return nn.NewPolicyValueNet(nn.TestConfig(4), seed)
+	return nn.NewPolicyValueNet(nn.Config{N: 4, BaseChannels: 2, Pools: 2}, seed)
 }
 
 // forward1 evaluates one state in inference mode on net.

@@ -42,25 +42,6 @@ func AverageHops(rows, cols int) float64 {
 	return float64(total) / float64(n*(n-1))
 }
 
-// AverageHopsClosed returns the closed-form mean Manhattan distance
-// (rows+cols)/3 * (n/(n-1))-corrected; provided for cross-checking
-// AverageHops in tests. For a P×Q mesh the exact mean over ordered pairs is
-// (P²−1)/(3P) + (Q²−1)/(3Q), scaled by n/(n−1)... the direct closed form
-// below sums per-dimension expectations over all pairs including self and
-// rescales to exclude self-pairs.
-func AverageHopsClosed(rows, cols int) float64 {
-	n := float64(rows * cols)
-	if n < 2 {
-		return 0
-	}
-	// E[|r1-r2|] over all ordered pairs (including equal) of a dimension
-	// of size k is (k²-1)/(3k).
-	er := float64(rows*rows-1) / (3 * float64(rows))
-	ec := float64(cols*cols-1) / (3 * float64(cols))
-	// Total over n² ordered pairs, self-pairs contribute 0.
-	return (er + ec) * n * n / (n * (n - 1))
-}
-
 // XYNextHop returns the next node on the dimension-ordered (X-first, i.e.
 // column-first) route from cur to dst. It panics when cur == dst.
 func XYNextHop(cur, dst topo.Node) topo.Node {

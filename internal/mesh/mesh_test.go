@@ -124,3 +124,21 @@ func TestPortString(t *testing.T) {
 		}
 	}
 }
+
+// AverageHopsClosed is the closed-form mean Manhattan distance over the
+// ordered pairs of distinct nodes of a rows×cols mesh, the oracle
+// AverageHops is checked against. A dimension of size k contributes
+// (k²−1)/(3k) averaged over all k² ordered pairs, self-pairs included;
+// scaling by n/(n−1) excludes the self-pairs.
+func AverageHopsClosed(rows, cols int) float64 {
+	n := float64(rows * cols)
+	if n < 2 {
+		return 0
+	}
+	// E[|r1-r2|] over all ordered pairs (including equal) of a dimension
+	// of size k is (k²-1)/(3k).
+	er := float64(rows*rows-1) / (3 * float64(rows))
+	ec := float64(cols*cols-1) / (3 * float64(cols))
+	// Total over n² ordered pairs, self-pairs contribute 0.
+	return (er + ec) * n * n / (n * (n - 1))
+}

@@ -25,10 +25,6 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// ScratchFloats reports the total float64 scratch capacity this arena has
-// allocated, an observability hook for sizing the steady-state footprint.
-func (a *Arena) ScratchFloats() int { return a.floats }
-
 // slice resizes *p to length n, allocating only when capacity is
 // insufficient. Contents are unspecified: callers must fully overwrite or
 // zero the result.

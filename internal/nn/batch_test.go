@@ -66,7 +66,7 @@ func assertOutputsEqual(t *testing.T, tag string, got, want *Output) {
 // The byte-identity gate for inference: one Forward over B stacked states
 // must reproduce B independent one-sample Forward calls bit-for-bit — policy logits and
 // softmax groups, pre-tanh direction, and value — across batch sizes,
-// including B=1. The narrow TestConfig nets keep every conv reduction
+// including B=1. The narrow testConfig nets keep every conv reduction
 // under one gemmKC = 128 panel; the nets the broker benchmark runs
 // ({8,10}×{8,10}, BaseChannels 4, Pools 3) reach 16-channel 3×3 layers,
 // whose 144-term reductions cross it.
@@ -76,8 +76,8 @@ func TestForwardBatchMatchesForwardByteIdentical(t *testing.T) {
 		cfg     Config
 		batches []int
 	}{
-		{"4x4", TestConfig(4), []int{1, 3, 8}},
-		{"5x5", TestConfig(5), []int{1, 3, 8}},
+		{"4x4", testConfig(4), []int{1, 3, 8}},
+		{"5x5", testConfig(5), []int{1, 3, 8}},
 		{"8x8-broker", Config{N: 8, BaseChannels: 4, Pools: 3}, []int{1, 8}},
 		{"10x10-broker", Config{N: 10, BaseChannels: 4, Pools: 3}, []int{1, 8}},
 	} {
@@ -105,7 +105,7 @@ func TestForwardBatchMatchesForwardByteIdentical(t *testing.T) {
 
 // The 0-alloc pin: a warmed-up inference forward allocates nothing.
 func TestForwardBatchZeroAllocWarm(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 9)
+	net := NewPolicyValueNet(testConfig(4), 9)
 	perturbNet(net, 41)
 	rng := rand.New(rand.NewSource(43))
 	states := randStates(rng, 4, 8)
@@ -128,7 +128,7 @@ func TestForwardBatchZeroAllocWarm(t *testing.T) {
 // Running-statistics round trip: the flat vector restores eval-mode
 // behavior exactly on a fresh net.
 func TestStatsRoundTripReproducesEval(t *testing.T) {
-	cfg := TestConfig(4)
+	cfg := testConfig(4)
 	src := NewPolicyValueNet(cfg, 11)
 	perturbNet(src, 47)
 	dst := NewPolicyValueNet(cfg, 999) // different init everywhere

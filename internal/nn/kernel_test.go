@@ -146,9 +146,9 @@ func TestConvBackwardParityWithNaive(t *testing.T) {
 		for _, p := range l.Params() {
 			p.G.Fill(0)
 		}
-		dxFast := l.Backward(grad, true).Clone()
-		dwFast := l.Weight.G.Clone()
-		dbFast := l.Bias.G.Clone()
+		dxFast := cloneT(l.Backward(grad, true))
+		dwFast := cloneT(l.Weight.G)
+		dbFast := cloneT(l.Bias.G)
 
 		l.naiveForward(x)
 		for _, p := range l.Params() {
@@ -195,7 +195,7 @@ func TestConvGradientCheckSmall(t *testing.T) {
 // (per-sample batch statistics feed the normalization), so the repeated
 // numeric evaluations do not perturb what is being differentiated.
 func TestTrainBatchGradientCheck(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 11)
+	net := NewPolicyValueNet(testConfig(4), 11)
 	perturbNet(net, 13)
 	rng := rand.New(rand.NewSource(17))
 	const nb = 3
@@ -271,7 +271,7 @@ func TestTrainBatchGradientCheck(t *testing.T) {
 // Forward+Backward cycle; raise it only with a comment justifying each new
 // allocation.
 func TestNetworkSteadyStateAllocs(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 1)
+	net := NewPolicyValueNet(testConfig(4), 1)
 	states := [][]float64{randomHopMatrix(rand.New(rand.NewSource(5)), 4)}
 	outs := make([]Output, 1)
 	dl := make([]float64, 4*4)
@@ -299,7 +299,7 @@ func TestNetworkSteadyStateAllocs(t *testing.T) {
 // machinery the drl workers run per episode: gradient extraction and
 // weight loading must also be allocation-free.
 func TestWorkerLoopSteadyStateAllocs(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 1)
+	net := NewPolicyValueNet(testConfig(4), 1)
 	grads := make([]float64, net.NumParams())
 	weights := net.GetWeights()
 	avg := testing.AllocsPerRun(20, func() {
@@ -313,7 +313,7 @@ func TestWorkerLoopSteadyStateAllocs(t *testing.T) {
 }
 
 func TestScratchFootprintReported(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 1)
+	net := NewPolicyValueNet(testConfig(4), 1)
 	in := randomHopMatrix(rand.New(rand.NewSource(6)), 4)
 	forward1(net, in, true)
 	if net.Scratch().ScratchFloats() == 0 {
@@ -352,4 +352,11 @@ func BenchmarkConvNaive(b *testing.B) {
 			l.naiveBackward(grad)
 		}
 	})
+}
+
+// cloneT deep-copies a tensor.
+func cloneT(x *tensor.Tensor) *tensor.Tensor {
+	c := x.ZerosLike()
+	copy(c.Data, x.Data)
+	return c
 }

@@ -1,7 +1,8 @@
 // Package nn is a from-scratch neural-network library implementing exactly
 // the components the paper's DNN needs (Fig. 6): 2-D convolutions, batch
 // normalization, max pooling, ReLU, fully connected layers, residual
-// blocks, softmax/tanh heads, and plain SGD.
+// blocks and softmax/tanh heads. The SGD update itself runs on the flat
+// weight vector of drl's parameter server.
 //
 // Every layer has one batched Forward(x, train) and one Backward(grad,
 // needDX); a single example is the B=1 call. Spatial activations use the

@@ -43,7 +43,7 @@ func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, tol float64) {
 		p.G.Fill(0)
 	}
 	_ = out
-	grad := tensor.FromSlice(append([]float64(nil), lossW...), out.Shape...)
+	grad := &tensor.Tensor{Shape: out.Shape, Data: append([]float64(nil), lossW...)}
 	l.Forward(x, true) // refresh caches
 	dx := l.Backward(grad, true)
 

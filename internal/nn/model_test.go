@@ -12,7 +12,7 @@ var (
 )
 
 func TestModelRoundTrip(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 17)
+	net := NewPolicyValueNet(testConfig(4), 17)
 	// Touch BN running stats so they are nontrivial.
 	in := randomHopMatrix(rand.New(rand.NewSource(18)), 4)
 	for i := 0; i < 5; i++ {
@@ -46,7 +46,7 @@ func TestUnmarshalModelRejectsCorrupt(t *testing.T) {
 	if _, err := UnmarshalModel([]byte("{")); err == nil {
 		t.Fatal("accepted malformed JSON")
 	}
-	net := NewPolicyValueNet(TestConfig(4), 1)
+	net := NewPolicyValueNet(testConfig(4), 1)
 	data, _ := MarshalModel(net)
 	// Truncate the weights array by re-marshalling a tampered struct.
 	var m map[string]interface{}
@@ -64,7 +64,7 @@ func TestUnmarshalModelRejectsCorrupt(t *testing.T) {
 // short one would leave the layer's earlier statistics in place, a long one
 // would be cut short, and either way the model would load without error.
 func TestUnmarshalModelRejectsWrongLengthRunStats(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 1)
+	net := NewPolicyValueNet(testConfig(4), 1)
 	data, err := MarshalModel(net)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestUnmarshalModelRejectsBadConfig(t *testing.T) {
 	}
 	// The bounds admit every network the CLIs write: the default narrow
 	// net and the paper's full-width one, at the largest searched side.
-	for _, cfg := range []Config{{N: 18, BaseChannels: 4, Pools: 3}, DefaultConfig(18), TestConfig(2)} {
+	for _, cfg := range []Config{{N: 18, BaseChannels: 4, Pools: 3}, DefaultConfig(18), testConfig(2)} {
 		if err := checkModelConfig(cfg); err != nil {
 			t.Errorf("rejected %+v: %v", cfg, err)
 		}
@@ -126,7 +126,7 @@ func TestUnmarshalModelRejectsBadConfig(t *testing.T) {
 // -load-model uses. It must never panic, and every model it accepts must
 // survive an encode/decode round trip unchanged.
 func FuzzUnmarshalModel(f *testing.F) {
-	seed, err := MarshalModel(NewPolicyValueNet(TestConfig(4), 1))
+	seed, err := MarshalModel(NewPolicyValueNet(testConfig(4), 1))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -23,9 +23,6 @@ type Config struct {
 // DefaultConfig returns the paper's architecture for an N×N NoC.
 func DefaultConfig(n int) Config { return Config{N: n, BaseChannels: 16, Pools: 3} }
 
-// TestConfig returns a narrow variant for fast tests.
-func TestConfig(n int) Config { return Config{N: n, BaseChannels: 2, Pools: 2} }
-
 // Output is one forward pass's result.
 type Output struct {
 	// CoordLogits/CoordProbs hold the four softmax groups for
@@ -171,13 +168,6 @@ func NewPolicyValueNet(cfg Config, seed int64) *PolicyValueNet {
 	return net
 }
 
-// Scratch returns the network's arena, an observability handle for the
-// steady-state scratch footprint.
-func (n *PolicyValueNet) Scratch() *Arena { return n.arena }
-
-// Params returns every learnable parameter.
-func (n *PolicyValueNet) Params() []*Param { return n.params }
-
 // NumParams returns the total scalar parameter count.
 func (n *PolicyValueNet) NumParams() int {
 	total := 0
@@ -188,7 +178,7 @@ func (n *PolicyValueNet) NumParams() int {
 }
 
 // Forward evaluates len(states) hop-count matrices (each flattened
-// N²×N², as produced by topo.HopMatrix), filling outs[i] with the result
+// N²×N², as produced by topo.HopMatrixInto), filling outs[i] with the result
 // for states[i]; outs must have at least len(states) elements. Inputs are
 // normalized by 5N so values lie in [0, 1]. With train set, BatchNorm uses
 // per-sample statistics and advances its running statistics in ascending
@@ -424,16 +414,8 @@ func (n *PolicyValueNet) SetStats(src []float64) {
 	}
 }
 
-// GetGrads flattens all gradients.
-func (n *PolicyValueNet) GetGrads() []float64 {
-	out := make([]float64, n.NumParams())
-	n.CopyGradsInto(out)
-	return out
-}
-
 // CopyGradsInto writes the flattened gradients into dst, which must have
-// length NumParams. It is the allocation-free variant of GetGrads for the
-// per-worker training loop.
+// length NumParams.
 func (n *PolicyValueNet) CopyGradsInto(dst []float64) {
 	off := 0
 	for _, p := range n.params {
@@ -441,33 +423,5 @@ func (n *PolicyValueNet) CopyGradsInto(dst []float64) {
 	}
 	if off != len(dst) {
 		panic(fmt.Sprintf("nn: CopyGradsInto length %d, want %d", len(dst), off))
-	}
-}
-
-// SGD is the plain stochastic-gradient optimizer (Eqs. 19–20).
-type SGD struct {
-	LR   float64
-	Clip float64
-}
-
-// Step applies accumulated gradients to the network's own parameters and
-// clears them.
-func (s SGD) Step(n *PolicyValueNet) {
-	lr, clip := s.LR, s.Clip
-	for _, p := range n.params {
-		w := p.W.Data
-		g := p.G.Data[:len(w)]
-		// The clip test is hoisted out of the per-element loop; min/max
-		// compile to MINSD/MAXSD, keeping the update branch-free.
-		if clip > 0 {
-			for i, gv := range g {
-				w[i] -= lr * min(max(gv, -clip), clip)
-			}
-		} else {
-			for i, gv := range g {
-				w[i] -= lr * gv
-			}
-		}
-		clear(p.G.Data)
 	}
 }

@@ -6,6 +6,47 @@ import (
 	"testing"
 )
 
+// The helpers below have no caller outside the tests; they live here
+// rather than in the package API.
+
+// testConfig returns a narrow network for fast tests.
+func testConfig(n int) Config { return Config{N: n, BaseChannels: 2, Pools: 2} }
+
+// Params returns every learnable parameter.
+func (n *PolicyValueNet) Params() []*Param { return n.params }
+
+// GetGrads flattens all gradients.
+func (n *PolicyValueNet) GetGrads() []float64 {
+	out := make([]float64, n.NumParams())
+	n.CopyGradsInto(out)
+	return out
+}
+
+// Scratch returns the network's arena.
+func (n *PolicyValueNet) Scratch() *Arena { return n.arena }
+
+// ScratchFloats reports the total float64 scratch capacity this arena has
+// allocated, an observability hook for sizing the steady-state footprint.
+func (a *Arena) ScratchFloats() int { return a.floats }
+
+// SGD is a plain clipped stochastic-gradient step (Eqs. 19–20) on a
+// network's own parameters; production training updates the drl
+// parameter server's flat weight vector instead.
+type SGD struct{ LR, Clip float64 }
+
+// Step applies the accumulated gradients and clears them.
+func (s SGD) Step(n *PolicyValueNet) {
+	for _, p := range n.params {
+		for i, gv := range p.G.Data[:len(p.W.Data)] {
+			if s.Clip > 0 {
+				gv = min(max(gv, -s.Clip), s.Clip)
+			}
+			p.W.Data[i] -= s.LR * gv
+		}
+		clear(p.G.Data)
+	}
+}
+
 func randomHopMatrix(rng *rand.Rand, n int) []float64 {
 	side := n * n
 	m := make([]float64, side*side)
@@ -34,7 +75,7 @@ func backward1(net *PolicyValueNet, dLogits [4][]float64, dDirPre, dValue float6
 }
 
 func TestNetworkOutputShapes(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 1)
+	net := NewPolicyValueNet(testConfig(4), 1)
 	out := forward1(net, randomHopMatrix(rand.New(rand.NewSource(2)), 4), false)
 	for g := 0; g < 4; g++ {
 		if len(out.CoordProbs[g]) != 4 {
@@ -60,7 +101,7 @@ func TestNetworkOutputShapes(t *testing.T) {
 }
 
 func TestNetworkRejectsBadInput(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 1)
+	net := NewPolicyValueNet(testConfig(4), 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on wrong input size")
@@ -71,20 +112,20 @@ func TestNetworkRejectsBadInput(t *testing.T) {
 
 func TestNetworkDeterministicPerSeed(t *testing.T) {
 	in := randomHopMatrix(rand.New(rand.NewSource(3)), 4)
-	a := forward1(NewPolicyValueNet(TestConfig(4), 7), in, false)
-	b := forward1(NewPolicyValueNet(TestConfig(4), 7), in, false)
+	a := forward1(NewPolicyValueNet(testConfig(4), 7), in, false)
+	b := forward1(NewPolicyValueNet(testConfig(4), 7), in, false)
 	if a.Value != b.Value || a.Dir != b.Dir {
 		t.Fatal("same seed, different outputs")
 	}
-	c := forward1(NewPolicyValueNet(TestConfig(4), 8), in, false)
+	c := forward1(NewPolicyValueNet(testConfig(4), 8), in, false)
 	if a.Value == c.Value {
 		t.Fatal("different seeds produced identical value (suspicious)")
 	}
 }
 
 func TestWeightsRoundTrip(t *testing.T) {
-	a := NewPolicyValueNet(TestConfig(4), 1)
-	b := NewPolicyValueNet(TestConfig(4), 2)
+	a := NewPolicyValueNet(testConfig(4), 1)
+	b := NewPolicyValueNet(testConfig(4), 2)
 	in := randomHopMatrix(rand.New(rand.NewSource(4)), 4)
 	if forward1(a, in, false).Value == forward1(b, in, false).Value {
 		t.Fatal("nets should differ before sync")
@@ -162,7 +203,7 @@ func TestNetworkBackwardGradientCheck(t *testing.T) {
 // Policy-gradient sanity: pushing the gradient of -log π(a) for a fixed
 // action must increase that action's probability.
 func TestPolicyGradientIncreasesActionProbability(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 9)
+	net := NewPolicyValueNet(testConfig(4), 9)
 	in := randomHopMatrix(rand.New(rand.NewSource(10)), 4)
 	action := [4]int{1, 2, 3, 0}
 
@@ -201,7 +242,7 @@ func TestPolicyGradientIncreasesActionProbability(t *testing.T) {
 
 // Value-head regression sanity: training V toward a target reduces error.
 func TestValueHeadLearnsTarget(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 11)
+	net := NewPolicyValueNet(testConfig(4), 11)
 	in := randomHopMatrix(rand.New(rand.NewSource(12)), 4)
 	target := -2.5
 	sgd := SGD{LR: 0.02}

@@ -75,8 +75,8 @@ func TestForwardBatchTrainMatchesForwardByteIdentical(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		t.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n), func(t *testing.T) {
 			for _, bs := range []int{1, 3, 8} {
-				seq := NewPolicyValueNet(TestConfig(n), 3)
-				bat := NewPolicyValueNet(TestConfig(n), 3)
+				seq := NewPolicyValueNet(testConfig(n), 3)
+				bat := NewPolicyValueNet(testConfig(n), 3)
 				perturbNet(seq, 17)
 				perturbNet(bat, 17)
 				rng := rand.New(rand.NewSource(23 + int64(bs)))
@@ -106,8 +106,8 @@ func TestBackwardBatchByteIdenticalGradients(t *testing.T) {
 	for _, n := range []int{4, 5} {
 		t.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n), func(t *testing.T) {
 			for _, bs := range []int{1, 2, 7} {
-				seq := NewPolicyValueNet(TestConfig(n), 3)
-				bat := NewPolicyValueNet(TestConfig(n), 3)
+				seq := NewPolicyValueNet(testConfig(n), 3)
+				bat := NewPolicyValueNet(testConfig(n), 3)
 				perturbNet(seq, 19)
 				perturbNet(bat, 19)
 				rng := rand.New(rand.NewSource(29 + int64(bs)))
@@ -131,8 +131,8 @@ func TestBackwardBatchByteIdenticalGradients(t *testing.T) {
 // path is pinned by tensor's TestConvFusedMatchesLowered; the odd-size
 // shapes here (B=5 on a 4×4 grid) cover the partial-group edges.
 func TestTrainBatchFusedConvByteIdentical(t *testing.T) {
-	seq := NewPolicyValueNet(TestConfig(4), 5)
-	bat := NewPolicyValueNet(TestConfig(4), 5)
+	seq := NewPolicyValueNet(testConfig(4), 5)
+	bat := NewPolicyValueNet(testConfig(4), 5)
 	perturbNet(seq, 37)
 	perturbNet(bat, 37)
 	rng := rand.New(rand.NewSource(41))
@@ -156,7 +156,7 @@ func TestTrainBatchFusedConvByteIdentical(t *testing.T) {
 func TestTrainBatchSurvivesInterleavedInference(t *testing.T) {
 	for _, bs := range []int{1, 4} {
 		t.Run("B"+strconv.Itoa(bs), func(t *testing.T) {
-			cfg := TestConfig(4)
+			cfg := testConfig(4)
 			ref := NewPolicyValueNet(cfg, 7)
 			mix := NewPolicyValueNet(cfg, 7)
 			perturbNet(ref, 47)
@@ -185,7 +185,7 @@ func TestTrainBatchSurvivesInterleavedInference(t *testing.T) {
 // training Forward + Backward cycle allocates nothing, including for
 // smaller batches reusing the same scratch.
 func TestTrainBatchZeroAllocWarm(t *testing.T) {
-	net := NewPolicyValueNet(TestConfig(4), 9)
+	net := NewPolicyValueNet(testConfig(4), 9)
 	perturbNet(net, 61)
 	rng := rand.New(rand.NewSource(67))
 	states := randStates(rng, 4, 8)

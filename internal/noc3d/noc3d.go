@@ -208,9 +208,6 @@ func (d *Design) AvgHops() float64 {
 	return float64(total) / float64(pairs)
 }
 
-// Hop returns the shortest-path distance between two nodes.
-func (d *Design) Hop(a, b int) int { return int(d.distances()[a][b]) }
-
 // ---------------------------------------------------------------------------
 // search.Problem instantiation
 

@@ -167,3 +167,6 @@ func TestExploreGolden(t *testing.T) {
 		t.Fatalf("digest = %s, want %s", got, want)
 	}
 }
+
+// Hop returns the shortest-path distance between two nodes.
+func (d *Design) Hop(a, b int) int { return int(d.distances()[a][b]) }

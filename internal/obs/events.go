@@ -160,6 +160,3 @@ func (l *Logger) Info(kind string, fields map[string]any) { l.Log(LevelInfo, kin
 
 // Debug logs at LevelDebug.
 func (l *Logger) Debug(kind string, fields map[string]any) { l.Log(LevelDebug, kind, fields) }
-
-// Warn logs at LevelWarn.
-func (l *Logger) Warn(kind string, fields map[string]any) { l.Log(LevelWarn, kind, fields) }

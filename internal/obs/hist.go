@@ -91,22 +91,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Value()
-}
-
 // Merge adds src's buckets into h. Both sides may keep observing
 // concurrently; the merge is atomic per bucket, not across the histogram.
 func (h *Histogram) Merge(src *Histogram) {

@@ -14,7 +14,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 	"math"
 	"sync"
@@ -186,11 +185,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// ExpvarVar returns the registry as an expvar-compatible variable whose
-// String() is the JSON snapshot; publish it with expvar.Publish or serve
-// it from a custom /debug/vars map.
-func (r *Registry) ExpvarVar() expvar.Var {
-	return expvar.Func(func() any { return r.Snapshot() })
 }

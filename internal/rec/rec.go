@@ -144,33 +144,6 @@ func GenerateLite(n int) (*topo.Topology, error) {
 	return t, nil
 }
 
-// MustGenerateLite is GenerateLite that panics on error.
-func MustGenerateLite(n int) *topo.Topology {
-	t, err := GenerateLite(n)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// LoopCount returns the number of loops REC generates for an n×n NoC
-// without building the topology: sum over levels of (4d-7) for d >= 3,
-// plus 1 for a d=2 level.
-func LoopCount(n int) int {
-	total := 0
-	for o := (n - 1) / 2; o >= 0; o-- {
-		d := n - 2*o
-		switch {
-		case d < 2:
-		case d == 2:
-			total++
-		default:
-			total += 4*d - 7
-		}
-	}
-	return total
-}
-
 // MaxOverlap returns REC's wiring requirement for an n×n NoC: 2(n-1).
 // REC cannot be generated under any smaller node-overlapping cap.
 func MaxOverlap(n int) int { return 2 * (n - 1) }

@@ -171,3 +171,30 @@ func TestDirectionsBalanced(t *testing.T) {
 		t.Fatalf("strongly unbalanced directions: cw=%d ccw=%d", cw, ccw)
 	}
 }
+
+// MustGenerateLite is GenerateLite that panics on error.
+func MustGenerateLite(n int) *topo.Topology {
+	t, err := GenerateLite(n)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// LoopCount returns the number of loops REC generates for an n×n NoC
+// without building the topology: sum over levels of (4d-7) for d >= 3,
+// plus 1 for a d=2 level.
+func LoopCount(n int) int {
+	total := 0
+	for o := (n - 1) / 2; o >= 0; o-- {
+		d := n - 2*o
+		switch {
+		case d < 2:
+		case d == 2:
+			total++
+		default:
+			total += 4*d - 7
+		}
+	}
+	return total
+}

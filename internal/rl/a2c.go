@@ -6,15 +6,11 @@ import (
 )
 
 // StepRecord is one trajectory element: the state observed, the action
-// taken, the immediate reward, and the network outputs at decision time.
+// taken and the immediate reward.
 type StepRecord struct {
 	State  []float64
 	Action Action
 	Reward float64
-	// Out is the network evaluation used to choose the action (nil when
-	// the action came from greedy search or the tree; the trainer
-	// re-evaluates in that case).
-	Out *nn.Output
 }
 
 // Trajectory is an episode's step sequence plus its final return.
@@ -55,9 +51,6 @@ type A2C struct {
 	dVal    []float64
 }
 
-// DefaultA2C mirrors the paper's formulation with γ close to one.
-func DefaultA2C() A2C { return A2C{Gamma: 0.99, ValueCoeff: 0.5} }
-
 // returnsToGo fills the returns scratch with the discounted returns-to-go,
 // seeding with the final return after the last step: G_t = r_t + γ G_{t+1},
 // G_n = Final.
@@ -76,8 +69,8 @@ func (a *A2C) returnsToGo(traj Trajectory) []float64 {
 }
 
 // Accumulate back-propagates the trajectory through net. Gradients are
-// summed into net's parameter gradient buffers; callers then apply them
-// locally (SGD.Step) or ship them to the parameter server (§4.6).
+// summed into net's parameter gradient buffers; callers then ship them to
+// the parameter server (§4.6), which applies the SGD update.
 // It returns the mean squared value error, a training-progress signal.
 //
 // The update runs in tile-sized batched passes: each tile of consecutive

@@ -20,7 +20,7 @@ func randomTraj(e *Env, rng *rand.Rand, maxSteps int) Trajectory {
 			break
 		}
 		a := acts[rng.Intn(len(acts))]
-		st := e.State()
+		st := e.StateInto(nil)
 		r, _ := e.Step(a)
 		traj.Steps = append(traj.Steps, StepRecord{State: st, Action: a, Reward: r})
 	}
@@ -39,8 +39,8 @@ func TestA2CBatchedMatchesSequentialByteIdentical(t *testing.T) {
 		t.Run("tile"+strconv.Itoa(tile), func(t *testing.T) {
 			e := NewEnv(5, 8)
 			rng := rand.New(rand.NewSource(int64(97 + tile)))
-			seqNet := nn.NewPolicyValueNet(nn.TestConfig(5), 11)
-			batNet := nn.NewPolicyValueNet(nn.TestConfig(5), 11)
+			seqNet := nn.NewPolicyValueNet(testConfig(5), 11)
+			batNet := nn.NewPolicyValueNet(testConfig(5), 11)
 			seq := DefaultA2C()
 			bat := DefaultA2C()
 			bat.tile = tile
@@ -54,7 +54,7 @@ func TestA2CBatchedMatchesSequentialByteIdentical(t *testing.T) {
 				if mseSeq != mseBat {
 					t.Fatalf("round %d: mse diverged: sequential %v, batched %v", round, mseSeq, mseBat)
 				}
-				gs, gb := seqNet.GetGrads(), batNet.GetGrads()
+				gs, gb := grads(seqNet), grads(batNet)
 				for i := range gs {
 					if gs[i] != gb[i] {
 						t.Fatalf("round %d: grad %d diverged: sequential %v, batched %v", round, i, gs[i], gb[i])
@@ -70,8 +70,8 @@ func TestA2CBatchedMatchesSequentialByteIdentical(t *testing.T) {
 					}
 				}
 				// Step both nets so later rounds run on evolved weights.
-				nn.SGD{LR: 1e-3, Clip: 1}.Step(seqNet)
-				nn.SGD{LR: 1e-3, Clip: 1}.Step(batNet)
+				plainSGD{LR: 1e-3, Clip: 1}.Step(seqNet)
+				plainSGD{LR: 1e-3, Clip: 1}.Step(batNet)
 			}
 		})
 	}
@@ -84,12 +84,12 @@ func TestA2CBatchedMatchesSequentialByteIdentical(t *testing.T) {
 func TestA2CBatchedNoSearchDrift(t *testing.T) {
 	e := NewEnv(4, 6)
 	rng := rand.New(rand.NewSource(131))
-	seqNet := nn.NewPolicyValueNet(nn.TestConfig(4), 13)
-	batNet := nn.NewPolicyValueNet(nn.TestConfig(4), 13)
+	seqNet := nn.NewPolicyValueNet(testConfig(4), 13)
+	batNet := nn.NewPolicyValueNet(testConfig(4), 13)
 	seq := DefaultA2C()
 	bat := DefaultA2C() // default tile
-	sgdS := nn.SGD{LR: 5e-3, Clip: 1}
-	sgdB := nn.SGD{LR: 5e-3, Clip: 1}
+	sgdS := plainSGD{LR: 5e-3, Clip: 1}
+	sgdB := plainSGD{LR: 5e-3, Clip: 1}
 	for ep := 0; ep < 10; ep++ {
 		traj := randomTraj(e, rng, 24)
 		seqNet.ZeroGrads()
@@ -113,7 +113,7 @@ func TestA2CBatchedNoSearchDrift(t *testing.T) {
 func TestA2CBatchedZeroAllocWarm(t *testing.T) {
 	e := NewEnv(4, 6)
 	rng := rand.New(rand.NewSource(151))
-	net := nn.NewPolicyValueNet(nn.TestConfig(4), 17)
+	net := nn.NewPolicyValueNet(testConfig(4), 17)
 	a2c := DefaultA2C()
 	traj := randomTraj(e, rng, 20)
 	a2c.Accumulate(net, traj) // warm scratch and arena

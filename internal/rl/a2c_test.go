@@ -8,6 +8,36 @@ import (
 	"routerless/internal/topo"
 )
 
+// DefaultA2C mirrors the paper's formulation with γ close to one.
+func DefaultA2C() A2C { return A2C{Gamma: 0.99, ValueCoeff: 0.5} }
+
+// testConfig returns a narrow network for fast tests.
+func testConfig(n int) nn.Config { return nn.Config{N: n, BaseChannels: 2, Pools: 2} }
+
+// grads returns a copy of net's flattened gradients.
+func grads(net *nn.PolicyValueNet) []float64 {
+	g := make([]float64, net.NumParams())
+	net.CopyGradsInto(g)
+	return g
+}
+
+// plainSGD is a clipped stochastic-gradient step w -= LR·clip(g) on a
+// network's flat weights, the update the drl parameter server applies.
+type plainSGD struct{ LR, Clip float64 }
+
+// Step applies net's accumulated gradients and clears them.
+func (s plainSGD) Step(net *nn.PolicyValueNet) {
+	w, g := net.GetWeights(), grads(net)
+	for i, gv := range g {
+		if s.Clip > 0 {
+			gv = min(max(gv, -s.Clip), s.Clip)
+		}
+		w[i] -= s.LR * gv
+	}
+	net.SetWeights(w)
+	net.ZeroGrads()
+}
+
 // forward1 evaluates one state in inference mode.
 func forward1(net *nn.PolicyValueNet, s []float64) *nn.Output {
 	outs := make([]nn.Output, 1)
@@ -23,7 +53,7 @@ func smallTraj(e *Env) Trajectory {
 		{0, 0, 1, 1, topo.Counterclockwise},
 	}
 	for _, a := range actions {
-		st := e.State()
+		st := e.StateInto(nil)
 		r, _ := e.Step(a)
 		traj.Steps = append(traj.Steps, StepRecord{State: st, Action: a, Reward: r})
 	}
@@ -34,7 +64,7 @@ func smallTraj(e *Env) Trajectory {
 func TestA2CAccumulatesGradients(t *testing.T) {
 	e := NewEnv(4, 6)
 	traj := smallTraj(e)
-	net := nn.NewPolicyValueNet(nn.TestConfig(4), 3)
+	net := nn.NewPolicyValueNet(testConfig(4), 3)
 	net.ZeroGrads()
 	a2c := DefaultA2C()
 	mse := a2c.Accumulate(net, traj)
@@ -42,7 +72,7 @@ func TestA2CAccumulatesGradients(t *testing.T) {
 		t.Fatalf("mse = %v, want > 0 for an untrained net", mse)
 	}
 	nonzero := 0
-	for _, g := range net.GetGrads() {
+	for _, g := range grads(net) {
 		if g != 0 {
 			nonzero++
 		}
@@ -53,7 +83,7 @@ func TestA2CAccumulatesGradients(t *testing.T) {
 }
 
 func TestA2CEmptyTrajectory(t *testing.T) {
-	net := nn.NewPolicyValueNet(nn.TestConfig(4), 3)
+	net := nn.NewPolicyValueNet(testConfig(4), 3)
 	a2c := DefaultA2C()
 	if got := a2c.Accumulate(net, Trajectory{}); got != 0 {
 		t.Fatalf("empty trajectory mse = %v", got)
@@ -65,9 +95,9 @@ func TestA2CEmptyTrajectory(t *testing.T) {
 func TestA2CValueLearning(t *testing.T) {
 	e := NewEnv(4, 6)
 	traj := smallTraj(e)
-	net := nn.NewPolicyValueNet(nn.TestConfig(4), 5)
+	net := nn.NewPolicyValueNet(testConfig(4), 5)
 	a2c := DefaultA2C()
-	sgd := nn.SGD{LR: 5e-3, Clip: 1}
+	sgd := plainSGD{LR: 5e-3, Clip: 1}
 	first := -1.0
 	var last float64
 	for i := 0; i < 40; i++ {
@@ -87,9 +117,9 @@ func TestA2CValueLearning(t *testing.T) {
 // the chosen action's probability.
 func TestA2CPolicyDirection(t *testing.T) {
 	e := NewEnv(4, 6)
-	st := e.State()
+	st := e.StateInto(nil)
 	act := Action{1, 1, 2, 2, topo.Clockwise}
-	net := nn.NewPolicyValueNet(nn.TestConfig(4), 7)
+	net := nn.NewPolicyValueNet(testConfig(4), 7)
 	prob := func() float64 {
 		o := forward1(net, st)
 		return o.CoordProbs[0][act.X1] * o.CoordProbs[1][act.Y1] *
@@ -102,7 +132,7 @@ func TestA2CPolicyDirection(t *testing.T) {
 		Final: 50, // >> value estimate -> positive advantage
 	}
 	a2c := DefaultA2C()
-	sgd := nn.SGD{LR: 2e-3, Clip: 1}
+	sgd := plainSGD{LR: 2e-3, Clip: 1}
 	for i := 0; i < 30; i++ {
 		net.ZeroGrads()
 		a2c.Accumulate(net, traj)
@@ -119,9 +149,9 @@ func TestA2CDiscounting(t *testing.T) {
 	// for the last step is r + 0*Final = r.
 	e := NewEnv(4, 6)
 	traj := smallTraj(e)
-	net := nn.NewPolicyValueNet(nn.TestConfig(4), 9)
+	net := nn.NewPolicyValueNet(testConfig(4), 9)
 	a := A2C{Gamma: 0, ValueCoeff: 0.5}
-	sgd := nn.SGD{LR: 5e-3, Clip: 1}
+	sgd := plainSGD{LR: 5e-3, Clip: 1}
 	for i := 0; i < 80; i++ {
 		net.ZeroGrads()
 		a.Accumulate(net, traj)

@@ -151,20 +151,6 @@ func (e *Env) Reset() {
 // mutate it directly).
 func (e *Env) Topology() *topo.Topology { return e.topo }
 
-// Clone deep-copies the environment. The greedy score cache is not
-// carried over; the clone rebuilds it lazily on first search.
-func (e *Env) Clone() *Env {
-	return &Env{
-		N: e.N, OverlapCap: e.OverlapCap,
-		IllegalPenalty: e.IllegalPenalty,
-		MaxLoopLen:     e.MaxLoopLen,
-		topo:           e.topo.Clone(), meshHops: e.meshHops,
-	}
-}
-
-// State returns the hop-count matrix encoding (§4.2).
-func (e *Env) State() []float64 { return e.topo.HopMatrix() }
-
 // StateInto writes the hop-count matrix encoding into dst, reallocating
 // only when dst lacks capacity, and returns the destination slice. Reusing
 // one buffer per decision point keeps the episode hot path allocation-free.
@@ -172,9 +158,6 @@ func (e *Env) StateInto(dst []float64) []float64 { return e.topo.HopMatrixInto(d
 
 // Fingerprint keys the current design for MCTS node lookup.
 func (e *Env) Fingerprint() string { return e.topo.Fingerprint() }
-
-// MeshHops returns the reward reference: the mesh average hop count.
-func (e *Env) MeshHops() float64 { return e.meshHops }
 
 // allowed reports whether l obeys the environment's extra constraints
 // beyond what the topology enforces (currently MaxLoopLen).
@@ -238,19 +221,6 @@ func (e *Env) LegalActions() []Action {
 	}
 	e.legalBuf = out
 	return out
-}
-
-// HasLegalAction reports whether any loop can still be added. It is the
-// episode-termination predicate: "loops are added until no more can be
-// added without violating constraints".
-func (e *Env) HasLegalAction() bool {
-	s := e.scoresSynced()
-	for ri := range s.sc {
-		if s.sc[ri].cwOK || s.sc[ri].ccwOK {
-			return true
-		}
-	}
-	return false
 }
 
 // AverageHops returns the design's average hop count with unconnected

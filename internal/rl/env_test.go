@@ -112,21 +112,11 @@ func TestHasLegalActionExhaustion(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	e := NewEnv(4, 6)
-	e.Step(Action{0, 0, 3, 3, topo.Clockwise})
-	c := e.Clone()
-	c.Step(Action{0, 0, 1, 1, topo.Clockwise})
-	if e.Topology().NumLoops() != 1 || c.Topology().NumLoops() != 2 {
-		t.Fatal("clone shares topology")
-	}
-}
-
 func TestStateMatchesTopologyHopMatrix(t *testing.T) {
 	e := NewEnv(3, 0)
 	e.Step(Action{0, 0, 2, 2, topo.Clockwise})
-	s := e.State()
-	m := e.Topology().HopMatrix()
+	s := e.StateInto(nil)
+	m := e.Topology().HopMatrixInto(nil)
 	if len(s) != len(m) {
 		t.Fatal("length mismatch")
 	}
@@ -143,4 +133,17 @@ func TestActionKindString(t *testing.T) {
 			t.Errorf("%d -> %q", k, k.String())
 		}
 	}
+}
+
+// HasLegalAction reports whether any loop can still be added. It is the
+// episode-termination predicate: "loops are added until no more can be
+// added without violating constraints".
+func (e *Env) HasLegalAction() bool {
+	s := e.scoresSynced()
+	for ri := range s.sc {
+		if s.sc[ri].cwOK || s.sc[ri].ccwOK {
+			return true
+		}
+	}
+	return false
 }

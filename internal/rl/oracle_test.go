@@ -8,6 +8,69 @@ import (
 // The reference implementations the incremental and batched production
 // paths are held to bit for bit. They live only in tests.
 
+// CheckCount returns the number of ordered node pairs newly connected by
+// adding the rectangle of loop l (direction-independent: a loop connects
+// the same pairs either way).
+func CheckCount(t *topo.Topology, l topo.Loop) int {
+	nodes := l.Nodes()
+	count := 0
+	for _, u := range nodes {
+		for _, v := range nodes {
+			if u == v {
+				continue
+			}
+			if t.Dist(u, v) < 0 {
+				count++
+			}
+		}
+	}
+	return count
+}
+
+// Imprv evaluates the average-hop-count benefit of adding loop l in each
+// permitted direction and returns the larger improvement with its
+// direction. Improvement sums, over the loop's perimeter pairs, the
+// distance reduction relative to the current design (unconnected pairs
+// count as the 5N sentinel).
+func Imprv(t *topo.Topology, l topo.Loop, cwOK, ccwOK bool) (float64, topo.Direction) {
+	nodes := l.Nodes()
+	sentinel := topo.UnconnectedHops(t.Rows(), t.Cols())
+	evaluate := func(dir topo.Direction) float64 {
+		ld := l
+		ld.Dir = dir
+		sum := 0.0
+		for _, u := range nodes {
+			for _, v := range nodes {
+				if u == v {
+					continue
+				}
+				cur := float64(t.Dist(u, v))
+				if cur < 0 {
+					cur = sentinel
+				}
+				nd := float64(ld.Dist(u, v))
+				if nd < cur {
+					sum += cur - nd
+				}
+			}
+		}
+		return sum
+	}
+	switch {
+	case cwOK && ccwOK:
+		icw := evaluate(topo.Clockwise)
+		iccw := evaluate(topo.Counterclockwise)
+		if iccw > icw {
+			return iccw, topo.Counterclockwise
+		}
+		return icw, topo.Clockwise
+	case cwOK:
+		return evaluate(topo.Clockwise), topo.Clockwise
+	default:
+		return evaluate(topo.Counterclockwise), topo.Counterclockwise
+	}
+}
+
 // bruteGreedySearch is the original full O(N⁴) rescan of Algorithm 1, the
 // parity oracle for the incremental GreedySearch: the property tests
 // assert both return identical results on arbitrary partial designs.

@@ -10,9 +10,8 @@ package sim
 // Mutation discipline (what makes iteration safe without snapshots):
 // add() is only called at points where the set is not being iterated —
 // Inject, pipe landing, extension parking, post-advance injection — and
-// removals happen only in compaction sweeps at controlled points (end of
-// Step, or a full rebuild after FailLoop dirties the epoch). Both list
-// and mark are preallocated to the unit count, so steady-state
+// removals happen only in the compaction sweeps at the end of Step. Both
+// list and mark are preallocated to the unit count, so steady-state
 // maintenance never touches the heap.
 type activeSet struct {
 	list []int32
@@ -40,12 +39,4 @@ func (s *activeSet) add(i int) {
 		j--
 	}
 	s.list[j] = int32(i)
-}
-
-// clear empties the set.
-func (s *activeSet) clear() {
-	for _, v := range s.list {
-		s.mark[v] = false
-	}
-	s.list = s.list[:0]
 }

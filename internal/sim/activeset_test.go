@@ -74,3 +74,11 @@ func TestActiveSetAddNoAlloc(t *testing.T) {
 		t.Fatalf("add/clear allocates %.1f times, want 0", allocs)
 	}
 }
+
+// clear empties the set, keeping its preallocated list and marks.
+func (s *activeSet) clear() {
+	for _, v := range s.list {
+		s.mark[v] = false
+	}
+	s.list = s.list[:0]
+}

@@ -21,10 +21,7 @@ func (d denseRing) Step() { d.denseStep() }
 func (d denseRing) ActiveLoops() int {
 	r := d.Ring
 	n := 0
-	for li, ls := range r.loops {
-		if li < len(r.failed) && r.failed[li] {
-			continue
-		}
+	for _, ls := range r.loops {
 		for _, f := range ls.slot {
 			if f != nil {
 				n++
@@ -82,7 +79,7 @@ func meshNet(m *Mesh, dense bool) Network {
 
 // denseStep is the pre-sparse ring cycle: every loop slot and every node
 // is walked unconditionally. It reads none of the active-set state, so the
-// bookkeeping Inject and FailLoop keep up is inert here.
+// bookkeeping Inject keeps up is inert here.
 func (r *Ring) denseStep() {
 	ejected := r.ejected
 	for i := range ejected {
@@ -100,10 +97,7 @@ func (r *Ring) denseStep() {
 	}
 
 	// Phase 1+2: ejection decision and advance, per loop.
-	for li, ls := range r.loops {
-		if li < len(r.failed) && r.failed[li] {
-			continue
-		}
+	for _, ls := range r.loops {
 		for i := range ls.next {
 			ls.next[i] = nil
 		}
@@ -123,7 +117,6 @@ func (r *Ring) denseStep() {
 					continue
 				}
 				// No room: circulate the loop again.
-				r.circulations++
 			}
 			j := i + 1
 			if j == len(ls.slot) {
@@ -159,16 +152,12 @@ func (r *Ring) denseStep() {
 		}
 	}
 
-	// Utilization sampling (global and per loop).
-	for li, ls := range r.loops {
-		if li < len(r.failed) && r.failed[li] {
-			continue
-		}
+	// Utilization sampling.
+	for _, ls := range r.loops {
 		r.slotSamples += int64(len(ls.slot))
 		for _, f := range ls.slot {
 			if f != nil {
 				r.slotOccupied++
-				r.loopOccupied[li]++
 			}
 		}
 	}

@@ -39,24 +39,21 @@ type flit struct {
 // flits advance one position (single-cycle per hop — the defining
 // routerless property: no stalls on the ring).
 type loopState struct {
-	loop  topo.Loop
 	nodes []int // node IDs along traversal order
-	// posOf[nodeID] = perimeter index, or -1.
-	slot []*flit
-	next []*flit
+	slot  []*flit
+	next  []*flit
 }
 
 // Ring is the cycle-accurate routerless network simulator.
 type Ring struct {
 	topo  *topo.Topology
-	rt    *topo.RoutingTable
 	cfg   RingConfig
 	loops []*loopState
 	// posOf[loopIdx][nodeID] = perimeter index or -1.
 	posOf [][]int
 
 	// routeLoop/routeDist flatten the routing table by src*N+dst so the
-	// injection path is two array reads (rebuilt by FailLoop).
+	// injection path is two array reads.
 	routeLoop []int32
 	routeDist []int32
 
@@ -78,40 +75,28 @@ type Ring struct {
 	ejDirty []int32
 
 	// Active-set state for sparse stepping (see Step). occ[i] counts the
-	// occupied slots of loop i, maintained at every inject/eject/park/drop
+	// occupied slots of loop i, maintained at every inject/eject/park
 	// site; loopActive is exactly the loops with occ > 0, extActive the
 	// nodes with parked extension flits, injActive the nodes with queued
-	// source packets. liveSlots caches the summed slot count of all
-	// non-failed loops (the per-cycle slotSamples increment). FailLoop
-	// bumps dirtyEpoch; the next Step rebuilds everything from scratch
-	// when cleanEpoch lags, so mid-run failures keep the sets exact.
+	// source packets. liveSlots caches the summed slot count of all loops
+	// (the per-cycle slotSamples increment).
 	occ        []int32
 	loopActive activeSet
 	extActive  activeSet
 	injActive  activeSet
 	liveSlots  int64
-	dirtyEpoch uint64
-	cleanEpoch uint64
 
 	cycle    int
 	inFlight int
 
-	// failed[i] marks loop i disabled by FailLoop (reliability studies);
-	// nil until the first failure.
-	failed []bool
-	// onDeliver, when set, observes each completed packet (tracing).
-	onDeliver func(*Packet)
 	// recycle, when set, reclaims a completed packet (the Run packet
-	// freelist); invoked after onDeliver.
+	// freelist).
 	recycle func(*Packet)
 
 	slotSamples    int64
 	slotOccupied   int64
-	loopOccupied   []int64
-	circulations   int64 // ejection-miss re-circulations (diagnostics)
 	injectedFlits  int64
 	deliveredFlits int64
-	droppedFlits   int64
 }
 
 // NewRing builds a simulator for a routerless topology. The topology must
@@ -123,7 +108,6 @@ func NewRing(t *topo.Topology, cfg RingConfig) *Ring {
 	}
 	r := &Ring{
 		topo:      t,
-		rt:        topo.BuildRoutingTable(t),
 		cfg:       cfg,
 		srcQueue:  make([]queue[*injecting], t.N()),
 		extension: make([]ringBuf[*flit], t.N()),
@@ -135,7 +119,6 @@ func NewRing(t *topo.Topology, cfg RingConfig) *Ring {
 	}
 	for _, l := range t.Loops() {
 		ls := &loopState{
-			loop: l,
 			slot: make([]*flit, l.Len()),
 			next: make([]*flit, l.Len()),
 		}
@@ -143,6 +126,7 @@ func NewRing(t *topo.Topology, cfg RingConfig) *Ring {
 			ls.nodes = append(ls.nodes, n.ID(t.Cols()))
 		}
 		r.loops = append(r.loops, ls)
+		r.liveSlots += int64(l.Len())
 		pos := make([]int, t.N())
 		for i := range pos {
 			pos[i] = -1
@@ -152,70 +136,21 @@ func NewRing(t *topo.Topology, cfg RingConfig) *Ring {
 		}
 		r.posOf = append(r.posOf, pos)
 	}
-	r.loopOccupied = make([]int64, len(r.loops))
 	r.occ = make([]int32, len(r.loops))
 	r.loopActive = newActiveSet(len(r.loops))
 	r.extActive = newActiveSet(t.N())
 	r.injActive = newActiveSet(t.N())
-	r.rebuildActiveSets()
-	r.cacheRoutes()
-	return r
-}
-
-// cacheRoutes flattens the routing table into the injection-path arrays.
-func (r *Ring) cacheRoutes() {
-	n := r.topo.N()
-	if r.routeLoop == nil {
-		r.routeLoop = make([]int32, n*n)
-		r.routeDist = make([]int32, n*n)
-	}
+	rt := topo.BuildRoutingTable(t)
+	n := t.N()
+	r.routeLoop = make([]int32, n*n)
+	r.routeDist = make([]int32, n*n)
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			r.routeLoop[s*n+d] = int32(r.rt.LoopID(s, d))
-			r.routeDist[s*n+d] = int32(r.rt.DistID(s, d))
+			r.routeLoop[s*n+d] = int32(rt.LoopID(s, d))
+			r.routeDist[s*n+d] = int32(rt.DistID(s, d))
 		}
 	}
-}
-
-// rebuildActiveSets recomputes the occupancy counters and active sets
-// from the ground-truth slot/buffer/queue state. Called at construction
-// and whenever FailLoop has dirtied the epoch: a failure drops flits,
-// re-routes queued packets, and shrinks the live slot population, so one
-// O(topology) rebuild is simpler to prove correct than patching every
-// failure path incrementally.
-func (r *Ring) rebuildActiveSets() {
-	r.loopActive.clear()
-	r.extActive.clear()
-	r.injActive.clear()
-	r.liveSlots = 0
-	for li, ls := range r.loops {
-		if li < len(r.failed) && r.failed[li] {
-			r.occ[li] = 0
-			continue
-		}
-		r.liveSlots += int64(len(ls.slot))
-		n := int32(0)
-		for _, f := range ls.slot {
-			if f != nil {
-				n++
-			}
-		}
-		r.occ[li] = n
-		if n > 0 {
-			r.loopActive.add(li)
-		}
-	}
-	for n := range r.extension {
-		if r.extension[n].len() > 0 {
-			r.extActive.add(n)
-		}
-	}
-	for n := range r.srcQueue {
-		if r.srcQueue[n].len() > 0 {
-			r.injActive.add(n)
-		}
-	}
-	r.cleanEpoch = r.dirtyEpoch
+	return r
 }
 
 // injecting tracks a packet mid-injection at its source NI.
@@ -269,9 +204,6 @@ func (r *Ring) Inject(p *Packet) {
 // dense walk lives in dense_test.go as the oracle the parity tests hold
 // sparse stepping to.
 func (r *Ring) Step() {
-	if r.cleanEpoch != r.dirtyEpoch {
-		r.rebuildActiveSets()
-	}
 	// Reset the ejection-port counters dirtied last cycle.
 	for _, n := range r.ejDirty {
 		r.ejected[n] = 0
@@ -321,7 +253,6 @@ func (r *Ring) Step() {
 					continue
 				}
 				// No room: circulate the loop again.
-				r.circulations++
 			}
 			j := i + 1
 			if j == len(ls.slot) {
@@ -361,14 +292,11 @@ func (r *Ring) Step() {
 	}
 
 	// Utilization sampling from the occupancy counters: liveSlots is the
-	// summed length of all non-failed loops, and occ[li] the flits loop li
-	// carries after injection — integer sums identical to the dense
-	// per-slot walk.
+	// summed length of all loops, and occ[li] the flits loop li carries
+	// after injection — integer sums identical to the dense per-slot walk.
 	r.slotSamples += r.liveSlots
 	for _, v := range r.loopActive.list {
-		occ := int64(r.occ[v])
-		r.slotOccupied += occ
-		r.loopOccupied[v] += occ
+		r.slotOccupied += int64(r.occ[v])
 	}
 
 	// Compact the active sets in place (order-preserving): drop loops
@@ -421,9 +349,6 @@ func (r *Ring) bumpEject(n int) {
 func (r *Ring) finishFlit(f *flit) {
 	p, hops := f.pkt, f.hops
 	r.flits.put(f)
-	if p.remaining <= 0 {
-		return // packet already lost to a loop failure
-	}
 	p.remaining--
 	r.deliveredFlits++
 	if hops > p.Hops {
@@ -432,18 +357,11 @@ func (r *Ring) finishFlit(f *flit) {
 	if p.remaining == 0 {
 		p.Done = r.cycle
 		r.inFlight--
-		if r.onDeliver != nil {
-			r.onDeliver(p)
-		}
 		if r.recycle != nil {
 			r.recycle(p)
 		}
 	}
 }
-
-// OnDeliver registers an observer invoked once per completed packet, for
-// tracing and custom statistics. Pass nil to clear.
-func (r *Ring) OnDeliver(fn func(*Packet)) { r.onDeliver = fn }
 
 // LinkUtilization implements Network.
 func (r *Ring) LinkUtilization() float64 {
@@ -452,10 +370,6 @@ func (r *Ring) LinkUtilization() float64 {
 	}
 	return float64(r.slotOccupied) / float64(r.slotSamples)
 }
-
-// Circulations returns the count of ejection-miss re-circulations, a
-// diagnostic for undersized ejection resources.
-func (r *Ring) Circulations() int64 { return r.circulations }
 
 // InjectedFlits returns the number of flits placed onto rings so far.
 func (r *Ring) InjectedFlits() int64 { return r.injectedFlits }
@@ -477,16 +391,3 @@ func (r *Ring) BufferOccupancy() int {
 // ActiveLoops returns the number of loops carrying at least one flit as
 // of the last completed cycle — the units a sparse cycle actually steps.
 func (r *Ring) ActiveLoops() int { return r.loopActive.len() }
-
-// LoopUtilization returns the mean slot occupancy per loop, identifying
-// hot rings for power analysis and placement diagnostics.
-func (r *Ring) LoopUtilization() []float64 {
-	out := make([]float64, len(r.loops))
-	if r.cycle == 0 {
-		return out
-	}
-	for li, occ := range r.loopOccupied {
-		out[li] = float64(occ) / float64(int64(r.loops[li].loop.Len())*int64(r.cycle))
-	}
-	return out
-}

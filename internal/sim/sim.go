@@ -151,9 +151,7 @@ func Run(net Network, src Source, cfg RunConfig) Result {
 	// The hook fires for every completed packet, so it doubles as an O(1)
 	// in-flight counter for the drain phase: measuredLeft counts measured
 	// packets not yet delivered, replacing the per-drain-cycle rescan of
-	// the whole measured ledger. Packets lost to loop failures never
-	// complete and so never decrement it — exactly the packets the rescan
-	// also counted as pending for the full drain bound.
+	// the whole measured ledger.
 	pkts := pool[Packet]{}
 	measuredLeft := 0
 	hooked := false

@@ -7,7 +7,6 @@ import (
 
 	"routerless/internal/obs"
 	"routerless/internal/rec"
-	"routerless/internal/topo"
 	"routerless/internal/traffic"
 )
 
@@ -53,9 +52,7 @@ func runPair(t *testing.T, label string, mkNet func(dense bool) Network, mkSrc f
 }
 
 // TestRingSparseMatchesDenseRandomized sweeps grid sizes, traffic
-// patterns, seeds and rates from near-idle to past ring saturation. Some
-// trials fail a random loop at the first measurement interval, exercising
-// the dirty-epoch rebuild mid-run on both sides.
+// patterns, seeds and rates from near-idle to past ring saturation.
 func TestRingSparseMatchesDenseRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 12; trial++ {
@@ -69,100 +66,12 @@ func TestRingSparseMatchesDenseRandomized(t *testing.T) {
 		pattern := traffic.Patterns[rng.Intn(len(traffic.Patterns))]
 		rate := []float64{0.005, 0.02, 0.08, 0.3}[rng.Intn(4)]
 		seed := rng.Int63()
-		// Some trials fail a loop mid-run. Run injects without a
-		// reachability check, so pick a loop whose failure keeps the
-		// network connected (skip the failure if none exists).
-		failAt := -1
-		if trial%3 == 0 {
-			for _, cand := range rng.Perm(len(tp.Loops())) {
-				probe := NewRing(tp, cfg)
-				probe.FailLoop(cand)
-				if fullyConnected(probe, n) {
-					failAt = cand
-					break
-				}
-			}
-		}
-		var cur *Ring // the most recently built ring, for the failure hook
-		mkNet := func(dense bool) Network {
-			cur = NewRing(tp, cfg)
-			return ringNet(cur, dense)
-		}
+		mkNet := func(dense bool) Network { return ringNet(NewRing(tp, cfg), dense) }
 		mkSrc := func() Source {
 			return traffic.NewInjector(n, n, pattern, rate, 128, seed)
 		}
-		rcfg := RunConfig{WarmupCycles: 300, MeasureCycles: 1200, DrainCycles: 6000, ProbeEvery: 37}
-		if failAt >= 0 {
-			// Fail the same loop at the same interval in both runs: the
-			// probe cadence is identical, so the failure lands on the
-			// same cycle.
-			fired := false
-			rcfg.OnInterval = func(IntervalStats) {
-				if !fired {
-					fired = true
-					cur.FailLoop(failAt)
-				}
-			}
-			// runPair overrides OnInterval for its own capture; chain it
-			// by wrapping below instead.
-			inner := rcfg.OnInterval
-			rcfg.OnInterval = nil
-			runPairWithHook(t, "ring randomized+fail", mkNet, mkSrc, rcfg, func() func(IntervalStats) {
-				fired = false
-				return inner
-			})
-			continue
-		}
-		runPair(t, "ring randomized", mkNet, mkSrc, rcfg)
-	}
-}
-
-// fullyConnected reports whether every src->dst pair routes on the ring's
-// current (possibly degraded) routing table.
-func fullyConnected(r *Ring, grid int) bool {
-	n := grid * grid
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			if !r.Degraded().Reachable(topo.NodeFromID(s, grid), topo.NodeFromID(d, grid)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// runPairWithHook is runPair with a per-run OnInterval hook (rebuilt per
-// run so trigger state resets) chained before the capture callback.
-func runPairWithHook(t *testing.T, label string, mkNet func(dense bool) Network, mkSrc func() Source, cfg RunConfig, mkHook func() func(IntervalStats)) {
-	t.Helper()
-	var denseIv, sparseIv []IntervalStats
-	runOne := func(dense bool, sink *[]IntervalStats) Result {
-		c := cfg
-		hook := mkHook()
-		net := mkNet(dense)
-		c.OnInterval = func(s IntervalStats) {
-			if hook != nil {
-				hook(s)
-			}
-			*sink = append(*sink, s)
-		}
-		return Run(net, mkSrc(), c)
-	}
-	dres := runOne(true, &denseIv)
-	sres := runOne(false, &sparseIv)
-	if dres != sres {
-		t.Fatalf("%s: sparse Result diverges from dense\n dense:  %+v\n sparse: %+v", label, dres, sres)
-	}
-	if len(denseIv) != len(sparseIv) {
-		t.Fatalf("%s: interval count %d (dense) vs %d (sparse)", label, len(denseIv), len(sparseIv))
-	}
-	for i := range denseIv {
-		if denseIv[i] != sparseIv[i] {
-			t.Fatalf("%s: interval %d diverges\n dense:  %+v\n sparse: %+v", label, i, denseIv[i], sparseIv[i])
-		}
+		runPair(t, "ring randomized", mkNet, mkSrc,
+			RunConfig{WarmupCycles: 300, MeasureCycles: 1200, DrainCycles: 6000, ProbeEvery: 37})
 	}
 }
 
@@ -200,11 +109,11 @@ func TestSparseMatchesDenseHotspot(t *testing.T) {
 	tp := rec.MustGenerate(4)
 	runPair(t, "ring hotspot",
 		func(dense bool) Network { return ringNet(NewRing(tp, DefaultRingConfig()), dense) },
-		func() Source { return traffic.NewHotspotInjector(4, 4, 0.05, 0.6, []int{5}, 128, 7) },
+		func() Source { return hotspotSource(4, 0.05, 0.6, 5, 128, 7) },
 		RunConfig{WarmupCycles: 300, MeasureCycles: 1500, DrainCycles: 8000})
 	runPair(t, "mesh hotspot",
 		func(dense bool) Network { return meshNet(NewMesh(4, 4, MeshN(2)), dense) },
-		func() Source { return traffic.NewHotspotInjector(4, 4, 0.05, 0.6, []int{5}, 256, 7) },
+		func() Source { return hotspotSource(4, 0.05, 0.6, 5, 256, 7) },
 		RunConfig{WarmupCycles: 300, MeasureCycles: 1500, DrainCycles: 8000})
 }
 
@@ -227,12 +136,10 @@ func TestSparseMatchesDenseAppModel(t *testing.T) {
 		RunConfig{WarmupCycles: 300, MeasureCycles: 1500, DrainCycles: 8000})
 }
 
-// TestRingSparseMatchesDenseFailLoopManual drives dense and sparse rings
-// cycle by cycle with identical injections and a mid-run FailLoop,
-// checking every per-packet outcome and every counter — a finer-grained
-// comparison than Run's aggregates, covering the dropped-packet paths the
-// Result struct folds away.
-func TestRingSparseMatchesDenseFailLoopManual(t *testing.T) {
+// TestRingSparseMatchesDenseManual drives dense and sparse rings cycle by
+// cycle with identical injections, checking every per-packet outcome and
+// every counter — a finer-grained comparison than Run's aggregates.
+func TestRingSparseMatchesDenseManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	for trial := 0; trial < 6; trial++ {
 		n := 4
@@ -240,21 +147,9 @@ func TestRingSparseMatchesDenseFailLoopManual(t *testing.T) {
 		dnet := denseRing{NewRing(tp, DefaultRingConfig())}
 		snet := NewRing(tp, DefaultRingConfig())
 		src := traffic.NewInjector(n, n, traffic.UniformRandom, 0.08, 128, rng.Int63())
-		failCycle := 100 + rng.Intn(200)
-		failIdx := rng.Intn(len(tp.Loops()))
 		var dpkts, spkts []*Packet
 		for cyc := 0; cyc < 800; cyc++ {
-			if cyc == failCycle {
-				dnet.FailLoop(failIdx)
-				snet.FailLoop(failIdx)
-			}
 			for _, r := range src.Tick() {
-				// A failed loop can disconnect pairs; Inject panics on
-				// unroutable packets, so skip them (identically on both
-				// sides — Degraded reflects the same failure).
-				if !dnet.Degraded().Reachable(topo.NodeFromID(r.Src, n), topo.NodeFromID(r.Dst, n)) {
-					continue
-				}
 				dp := &Packet{Src: r.Src, Dst: r.Dst, NumFlits: r.NumFlits, Injected: dnet.Cycle(), Done: -1}
 				sp := &Packet{Src: r.Src, Dst: r.Dst, NumFlits: r.NumFlits, Injected: snet.Cycle(), Done: -1}
 				dnet.Inject(dp)
@@ -276,21 +171,13 @@ func TestRingSparseMatchesDenseFailLoopManual(t *testing.T) {
 		}
 		if dnet.InjectedFlits() != snet.InjectedFlits() ||
 			dnet.DeliveredFlits() != snet.DeliveredFlits() ||
-			dnet.DroppedFlits() != snet.DroppedFlits() ||
-			dnet.Circulations() != snet.Circulations() ||
 			dnet.InFlight() != snet.InFlight() ||
 			dnet.BufferOccupancy() != snet.BufferOccupancy() ||
 			dnet.LinkUtilization() != snet.LinkUtilization() {
-			t.Fatalf("trial %d: counters diverge: dense inj=%d del=%d drop=%d circ=%d inflight=%d buf=%d util=%v, sparse inj=%d del=%d drop=%d circ=%d inflight=%d buf=%d util=%v",
+			t.Fatalf("trial %d: counters diverge: dense inj=%d del=%d inflight=%d buf=%d util=%v, sparse inj=%d del=%d inflight=%d buf=%d util=%v",
 				trial,
-				dnet.InjectedFlits(), dnet.DeliveredFlits(), dnet.DroppedFlits(), dnet.Circulations(), dnet.InFlight(), dnet.BufferOccupancy(), dnet.LinkUtilization(),
-				snet.InjectedFlits(), snet.DeliveredFlits(), snet.DroppedFlits(), snet.Circulations(), snet.InFlight(), snet.BufferOccupancy(), snet.LinkUtilization())
-		}
-		du, su := dnet.LoopUtilization(), snet.LoopUtilization()
-		for li := range du {
-			if du[li] != su[li] {
-				t.Fatalf("trial %d loop %d: utilization dense %v sparse %v", trial, li, du[li], su[li])
-			}
+				dnet.InjectedFlits(), dnet.DeliveredFlits(), dnet.InFlight(), dnet.BufferOccupancy(), dnet.LinkUtilization(),
+				snet.InjectedFlits(), snet.DeliveredFlits(), snet.InFlight(), snet.BufferOccupancy(), snet.LinkUtilization())
 		}
 	}
 }

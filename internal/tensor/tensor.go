@@ -27,15 +27,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
 }
 
-// FromSlice wraps data with the given shape; data length must match.
-func FromSlice(data []float64, shape ...int) *Tensor {
-	t := &Tensor{Shape: append([]int(nil), shape...), Data: data}
-	if len(data) != t.Size() {
-		panic(fmt.Sprintf("tensor: data length %d != shape %v", len(data), shape))
-	}
-	return t
-}
-
 // Randn fills a new tensor with N(0, std²) samples.
 func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	t := New(shape...)
@@ -54,32 +45,8 @@ func (t *Tensor) Size() int {
 	return n
 }
 
-// Clone deep-copies the tensor.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
 // ZerosLike returns a zero tensor with t's shape.
 func (t *Tensor) ZerosLike() *Tensor { return New(t.Shape...) }
-
-// Set writes the element at the given indices.
-func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: %d indices for shape %v", len(idx), t.Shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
 
 // AddInPlace accumulates o into t elementwise.
 func (t *Tensor) AddInPlace(o *Tensor) {
@@ -100,13 +67,6 @@ func (t *Tensor) Fill(v float64) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
-}
-
-// Softmax returns the softmax of xs (numerically stable).
-func Softmax(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	SoftmaxInto(out, xs)
-	return out
 }
 
 // SoftmaxInto writes the softmax of xs into dst (len(dst) == len(xs)),

@@ -20,6 +20,46 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return v
 }
 
+// FromSlice wraps data with the given shape; data length must match.
+func FromSlice(data []float64, shape ...int) *Tensor {
+	t := &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	if len(data) != t.Size() {
+		panic(fmt.Sprintf("tensor: data length %d != shape %v", len(data), shape))
+	}
+	return t
+}
+
+// Clone deep-copies the tensor.
+func (t *Tensor) Clone() *Tensor {
+	c := New(t.Shape...)
+	copy(c.Data, t.Data)
+	return c
+}
+
+// Set writes the element at the given indices.
+func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
+
+func (t *Tensor) offset(idx []int) int {
+	if len(idx) != len(t.Shape) {
+		panic(fmt.Sprintf("tensor: %d indices for shape %v", len(idx), t.Shape))
+	}
+	off := 0
+	for i, x := range idx {
+		if x < 0 || x >= t.Shape[i] {
+			panic(fmt.Sprintf("tensor: index %v out of shape %v", idx, t.Shape))
+		}
+		off = off*t.Shape[i] + x
+	}
+	return off
+}
+
+// Softmax returns the softmax of xs (numerically stable).
+func Softmax(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	SoftmaxInto(out, xs)
+	return out
+}
+
 // At reads the element at the given indices.
 func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
 

@@ -11,7 +11,7 @@ func UnconnectedHops(rows, cols int) float64 {
 	return 5 * float64(n)
 }
 
-// HopMatrix encodes the topology as the paper's state representation: a
+// HopMatrixInto encodes the topology as the paper's state representation: a
 // matrix tiled from R×C submatrices, where submatrix (r,c) holds the hop
 // count from node (r,c) to every node in the network. Submatrix (sr,sc)
 // occupies block row sr and block column sc, so the full matrix is
@@ -19,16 +19,11 @@ func UnconnectedHops(rows, cols int) float64 {
 // matrix fed to the DNN. Unconnected pairs encode as UnconnectedHops; a
 // node's distance to itself is 0.
 //
-// The returned slice is row-major with height R² and width C². The matrix
-// is materialized once and maintained incrementally by AddLoop, so each
-// call costs one allocation plus a flat copy; use HopMatrixInto to skip
-// the allocation too.
-func (t *Topology) HopMatrix() []float64 { return t.HopMatrixInto(nil) }
-
-// HopMatrixInto writes the state matrix into dst, reallocating only when
-// dst lacks capacity, and returns the (resliced) destination. On a
-// topology whose matrix is already materialized this performs a single
-// copy and no allocation.
+// The matrix is row-major with height R² and width C². It is written into
+// dst, reallocating only when dst lacks capacity, and the (resliced)
+// destination is returned. The matrix is materialized once and maintained
+// incrementally by AddLoop, so a call with a large enough dst performs a
+// single copy and no allocation.
 func (t *Topology) HopMatrixInto(dst []float64) []float64 {
 	if t.hopM == nil {
 		t.hopM = make([]float64, t.rows*t.rows*t.cols*t.cols)
@@ -41,9 +36,6 @@ func (t *Topology) HopMatrixInto(dst []float64) []float64 {
 	copy(dst, t.hopM)
 	return dst
 }
-
-// HopMatrixDims returns the (height, width) of HopMatrix: (Rows², Cols²).
-func (t *Topology) HopMatrixDims() (int, int) { return t.rows * t.rows, t.cols * t.cols }
 
 // fillHopM rebuilds the materialized state matrix from the distance cache.
 func (t *Topology) fillHopM() {

@@ -28,14 +28,6 @@ func (d Direction) String() string {
 	return "CCW"
 }
 
-// Reverse returns the opposite direction.
-func (d Direction) Reverse() Direction {
-	if d == Clockwise {
-		return Counterclockwise
-	}
-	return Clockwise
-}
-
 // Node identifies a grid node by row and column.
 type Node struct {
 	Row, Col int
@@ -187,20 +179,4 @@ func (l Loop) Dist(src, dst Node) int {
 		d += l.Len()
 	}
 	return d
-}
-
-// Next returns the node that follows n along the loop circulation.
-// It panics if n is not on the loop.
-func (l Loop) Next(n Node) Node {
-	i := l.IndexOf(n)
-	if i < 0 {
-		panic(fmt.Sprintf("topo: %v not on loop %v", n, l))
-	}
-	nodes := l.Nodes()
-	return nodes[(i+1)%len(nodes)]
-}
-
-// Equal reports whether two loops have identical geometry and direction.
-func (l Loop) Equal(o Loop) bool {
-	return l.R1 == o.R1 && l.C1 == o.C1 && l.R2 == o.R2 && l.C2 == o.C2 && l.Dir == o.Dir
 }

@@ -158,12 +158,6 @@ func TestLoopContains(t *testing.T) {
 	}
 }
 
-func TestDirectionReverse(t *testing.T) {
-	if Clockwise.Reverse() != Counterclockwise || Counterclockwise.Reverse() != Clockwise {
-		t.Fatal("Reverse broken")
-	}
-}
-
 // quick-check: reversing direction reverses pairwise distances.
 func TestLoopReverseDistQuick(t *testing.T) {
 	f := func(h8, w8, i8, j8 uint8) bool {
@@ -192,4 +186,11 @@ func TestNodeIDRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Next returns the node that follows on-loop node n along the loop
+// circulation, the one-hop walk TestLoopDistProperties checks Dist against.
+func (l Loop) Next(n Node) Node {
+	nodes := l.Nodes()
+	return nodes[(l.IndexOf(n)+1)%len(nodes)]
 }

@@ -8,7 +8,6 @@ package topo
 // Real hardware stores a few bits per destination (§6.6); this table is the
 // behavioural equivalent consumed by the simulator.
 type RoutingTable struct {
-	cols  int
 	loops [][]int // [srcID][dstID] = loop index or -1
 	dist  [][]int // [srcID][dstID] = hop count or -1
 }
@@ -16,18 +15,8 @@ type RoutingTable struct {
 // BuildRoutingTable computes the minimum-hop loop selection for every
 // ordered pair.
 func BuildRoutingTable(t *Topology) *RoutingTable {
-	return BuildRoutingTableExcluding(t, nil)
-}
-
-// BuildRoutingTableExcluding computes the routing table while treating the
-// loops whose indices are set in failed as unusable — the degraded-mode
-// routing used by the reliability analysis (§6.7). failed is indexed by
-// loop; nil (or short) means no exclusions. Pairs connected only by failed
-// loops become unreachable.
-func BuildRoutingTableExcluding(t *Topology, failed []bool) *RoutingTable {
 	n := t.N()
 	rt := &RoutingTable{
-		cols:  t.Cols(),
 		loops: make([][]int, n),
 		dist:  make([][]int, n),
 	}
@@ -41,7 +30,7 @@ func BuildRoutingTableExcluding(t *Topology, failed []bool) *RoutingTable {
 				rt.dist[s][d] = 0
 				continue
 			}
-			li, h := bestLoopExcluding(t, src, NodeFromID(d, t.Cols()), failed)
+			li, h := t.BestLoop(src, NodeFromID(d, t.Cols()))
 			rt.loops[s][d] = li
 			rt.dist[s][d] = h
 		}
@@ -49,41 +38,10 @@ func BuildRoutingTableExcluding(t *Topology, failed []bool) *RoutingTable {
 	return rt
 }
 
-// bestLoopExcluding is Topology.BestLoop skipping failed loop indices.
-func bestLoopExcluding(t *Topology, src, dst Node, failed []bool) (loopIdx, dist int) {
-	loopIdx, dist = -1, -1
-	for _, li := range t.byNode[src.ID(t.cols)] {
-		if li < len(failed) && failed[li] {
-			continue
-		}
-		d := t.loops[li].Dist(src, dst)
-		if d > 0 && (dist < 0 || d < dist) {
-			dist = d
-			loopIdx = li
-		}
-	}
-	return loopIdx, dist
-}
-
-// Loop returns the loop index to use from src to dst, or -1.
-func (rt *RoutingTable) Loop(src, dst Node) int {
-	return rt.loops[src.ID(rt.cols)][dst.ID(rt.cols)]
-}
-
-// Dist returns the hop count from src to dst along the selected loop,
-// or -1 when unreachable.
-func (rt *RoutingTable) Dist(src, dst Node) int {
-	return rt.dist[src.ID(rt.cols)][dst.ID(rt.cols)]
-}
-
-// Reachable reports whether dst can be reached from src.
-func (rt *RoutingTable) Reachable(src, dst Node) bool {
-	return src == dst || rt.loops[src.ID(rt.cols)][dst.ID(rt.cols)] >= 0
-}
-
-// LoopID is Loop over raw node IDs, avoiding the Node round-trip on the
-// simulator's injection path.
+// LoopID returns the loop index to use from node ID src to node ID dst,
+// or -1.
 func (rt *RoutingTable) LoopID(src, dst int) int { return rt.loops[src][dst] }
 
-// DistID is Dist over raw node IDs.
+// DistID returns the hop count from node ID src to node ID dst along the
+// selected loop, or -1 when unreachable.
 func (rt *RoutingTable) DistID(src, dst int) int { return rt.dist[src][dst] }

@@ -47,9 +47,6 @@ type Rect struct {
 	Nodes []int32
 }
 
-// Len returns the perimeter length (node count) of the rectangle.
-func (r *Rect) Len() int { return len(r.Nodes) }
-
 // Loop returns the rectangle as a Loop in the given direction.
 func (r *Rect) Loop(dir Direction) Loop {
 	return Loop{R1: r.R1, C1: r.C1, R2: r.R2, C2: r.C2, Dir: dir}

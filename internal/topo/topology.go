@@ -42,11 +42,11 @@ type Topology struct {
 	// of Algorithm 1 and the simulator's routing tables rely on.
 	dist []int16
 	// connPairs counts ordered pairs of distinct nodes with dist >= 0, and
-	// hopTotal sums their distances; together they answer AverageHops,
-	// ConnectedCount and FullyConnected without scanning dist.
+	// hopTotal sums their distances; together they answer AverageHops
+	// and FullyConnected without scanning dist.
 	connPairs int
 	hopTotal  int
-	// hopM is the paper's state-matrix encoding (HopMatrix), materialized
+	// hopM is the paper's state-matrix encoding (HopMatrixInto), materialized
 	// on first request and updated in place as dist entries improve.
 	hopM []float64
 	// fpLoops holds the loop multiset in canonical order; fpStr caches the
@@ -124,9 +124,6 @@ func (t *Topology) NumLoops() int { return len(t.loops) }
 // Overlap returns the number of loops passing through node n.
 func (t *Topology) Overlap(n Node) int { return t.overlap[n.ID(t.cols)] }
 
-// OverlapID is Overlap for a linear node ID.
-func (t *Topology) OverlapID(id int) int { return t.overlap[id] }
-
 // MaxOverlap returns the maximum node overlapping across the grid.
 func (t *Topology) MaxOverlap() int {
 	m := 0
@@ -137,9 +134,6 @@ func (t *Topology) MaxOverlap() int {
 	}
 	return m
 }
-
-// LoopsAt returns indices (into Loops()) of loops through node n.
-func (t *Topology) LoopsAt(n Node) []int { return t.byNode[n.ID(t.cols)] }
 
 // HasLoop reports whether an identical loop is already present. It is an
 // O(1) set lookup.
@@ -316,11 +310,6 @@ func (t *Topology) Dist(src, dst Node) int {
 	return int(t.dist[src.ID(t.cols)*t.N()+dst.ID(t.cols)])
 }
 
-// DistID is Dist for linear node IDs.
-func (t *Topology) DistID(src, dst int) int {
-	return int(t.dist[src*t.N()+dst])
-}
-
 // DistData exposes the raw pairwise-distance cache, row-major [src*N+dst]
 // with -1 meaning unconnected, for read-only hot-loop access. Callers must
 // not mutate it.
@@ -386,11 +375,6 @@ func (t *Topology) UnconnectedPairs(max int) [][2]Node {
 	return out
 }
 
-// ConnectedCount returns the number of ordered (src,dst) pairs, src != dst,
-// joined by at least one loop. A fully connected N-node topology returns
-// N*(N-1). It reads the incremental pair count: O(1).
-func (t *Topology) ConnectedCount() int { return t.connPairs }
-
 // AverageHops returns the mean loop distance over all connected ordered
 // pairs and the number of unconnected pairs. The paper's "average hop
 // count" metric is this mean on a fully connected topology. Both values
@@ -434,16 +418,6 @@ func (t *Topology) AveragePathDiversity() float64 {
 		}
 	}
 	return float64(total) / float64(n*(n-1))
-}
-
-// TotalWiring returns the total number of node-loop incidences (the sum of
-// node overlapping over all nodes), a proxy for wiring resources.
-func (t *Topology) TotalWiring() int {
-	s := 0
-	for _, v := range t.overlap {
-		s += v
-	}
-	return s
 }
 
 // fpInsert places l at its canonical position, keeping fpLoops sorted so

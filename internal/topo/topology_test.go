@@ -132,7 +132,7 @@ func TestDistPicksShortestLoop(t *testing.T) {
 		t.Fatalf("dist = %d, want 3 via small loop", d)
 	}
 	li, d := tp.BestLoop(Node{0, 0}, Node{1, 0})
-	if d != 3 || !tp.Loops()[li].Equal(small) {
+	if d != 3 || tp.Loops()[li] != small {
 		t.Fatalf("BestLoop = loop %d dist %d", li, d)
 	}
 }
@@ -219,10 +219,9 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestHopMatrix2x2(t *testing.T) {
 	tp := twoByTwo()
-	m := tp.HopMatrix()
-	h, w := tp.HopMatrixDims()
-	if h != 4 || w != 4 {
-		t.Fatalf("dims = %dx%d", h, w)
+	m := tp.HopMatrixInto(nil)
+	if len(m) != 16 {
+		t.Fatalf("len = %d, want 4x4", len(m))
 	}
 	// Figure 5 of the paper: clockwise loop on 2x2. Submatrix for (0,0)
 	// is [[0 1],[3 2]].
@@ -243,8 +242,8 @@ func TestHopMatrix2x2(t *testing.T) {
 func TestHopMatrixUnconnectedSentinel(t *testing.T) {
 	tp := NewSquare(4, 0)
 	mustAdd(t, tp, MustLoop(0, 0, 1, 1, Clockwise))
-	m := tp.HopMatrix()
-	_, w := tp.HopMatrixDims()
+	m := tp.HopMatrixInto(nil)
+	w := 4 * 4
 	// (0,0) -> (3,3) unconnected: entry at block (0,0), inner (3,3).
 	v := m[(0*4+3)*w+(0*4+3)]
 	if v != UnconnectedHops(4, 4) {
@@ -255,7 +254,7 @@ func TestHopMatrixUnconnectedSentinel(t *testing.T) {
 	}
 }
 
-// Property: HopMatrix entries match Dist for random topologies.
+// Property: HopMatrixInto entries match Dist for random topologies.
 func TestHopMatrixMatchesDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -271,8 +270,8 @@ func TestHopMatrixMatchesDist(t *testing.T) {
 			}
 			mustAdd(t, tp, l)
 		}
-		m := tp.HopMatrix()
-		_, w := tp.HopMatrixDims()
+		m := tp.HopMatrixInto(nil)
+		w := n * n
 		for s := 0; s < tp.N(); s++ {
 			for d := 0; d < tp.N(); d++ {
 				src, dst := NodeFromID(s, n), NodeFromID(d, n)
@@ -294,19 +293,20 @@ func TestRoutingTable(t *testing.T) {
 	mustAdd(t, tp, MustLoop(0, 0, 3, 3, Clockwise))
 	mustAdd(t, tp, MustLoop(0, 0, 1, 1, Clockwise))
 	rt := BuildRoutingTable(tp)
-	if li := rt.Loop(Node{0, 0}, Node{1, 0}); li != 1 {
+	id := func(r, c int) int { return Node{r, c}.ID(4) }
+	if li := rt.LoopID(id(0, 0), id(1, 0)); li != 1 {
 		t.Fatalf("loop = %d, want 1 (small loop)", li)
 	}
-	if d := rt.Dist(Node{0, 0}, Node{1, 0}); d != 3 {
+	if d := rt.DistID(id(0, 0), id(1, 0)); d != 3 {
 		t.Fatalf("dist = %d", d)
 	}
-	if !rt.Reachable(Node{0, 0}, Node{0, 0}) {
-		t.Fatal("self not reachable")
+	if li, d := rt.LoopID(id(0, 0), id(0, 0)), rt.DistID(id(0, 0), id(0, 0)); li != -1 || d != 0 {
+		t.Fatalf("self entry = loop %d dist %d, want -1, 0", li, d)
 	}
-	if rt.Reachable(Node{1, 1}, Node{2, 2}) {
-		t.Fatal("(1,1)->(2,2) should be unreachable")
+	if li := rt.LoopID(id(1, 1), id(2, 2)); li != -1 {
+		t.Fatalf("(1,1)->(2,2) routes on loop %d, want unreachable", li)
 	}
-	if d := rt.Dist(Node{1, 1}, Node{2, 2}); d != -1 {
+	if d := rt.DistID(id(1, 1), id(2, 2)); d != -1 {
 		t.Fatalf("unreachable dist = %d", d)
 	}
 }
@@ -319,8 +319,16 @@ func TestAverageHopsCountsUnconnected(t *testing.T) {
 	if un != 60 {
 		t.Fatalf("unconnected = %d, want 60", un)
 	}
-	if cc := tp.ConnectedCount(); cc != 12 {
-		t.Fatalf("connected = %d, want 12", cc)
+	connected := 0
+	for s := 0; s < tp.N(); s++ {
+		for d := 0; d < tp.N(); d++ {
+			if s != d && tp.Dist(NodeFromID(s, 3), NodeFromID(d, 3)) > 0 {
+				connected++
+			}
+		}
+	}
+	if connected != 12 {
+		t.Fatalf("connected = %d, want 12", connected)
 	}
 }
 
@@ -329,4 +337,14 @@ func mustAdd(t *testing.T, tp *Topology, l Loop) {
 	if err := tp.AddLoop(l); err != nil {
 		t.Fatalf("AddLoop(%v): %v", l, err)
 	}
+}
+
+// TotalWiring returns the total number of node-loop incidences (the sum of
+// node overlapping over all nodes).
+func (t *Topology) TotalWiring() int {
+	s := 0
+	for _, v := range t.overlap {
+		s += v
+	}
+	return s
 }

@@ -1,6 +1,5 @@
-// Package viz renders topologies and result tables as ASCII for the cmd
-// tools, examples and EXPERIMENTS.md (e.g. the Figure 9 style loop
-// drawing).
+// Package viz renders topologies and result tables as ASCII (and tables
+// as CSV) for the cmd tools, examples and EXPERIMENTS.md.
 package viz
 
 import (
@@ -40,38 +39,6 @@ func OverlapGrid(t *topo.Topology) string {
 	return b.String()
 }
 
-// LoopDrawing draws a single loop on the grid: corner/edge glyphs trace the
-// rectangle, with arrows indicating circulation direction on the top edge.
-func LoopDrawing(t *topo.Topology, loopIdx int) string {
-	l := t.Loops()[loopIdx]
-	var b strings.Builder
-	for r := 0; r < t.Rows(); r++ {
-		for c := 0; c < t.Cols(); c++ {
-			n := topo.Node{Row: r, Col: c}
-			ch := " . "
-			if l.Contains(n) {
-				switch {
-				case r == l.R1 && l.Dir == topo.Clockwise:
-					ch = " > "
-				case r == l.R1:
-					ch = " < "
-				case r == l.R2 && l.Dir == topo.Clockwise:
-					ch = " < "
-				case r == l.R2:
-					ch = " > "
-				case c == l.C1:
-					ch = " | "
-				default:
-					ch = " | "
-				}
-			}
-			b.WriteString(ch)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Table renders rows with aligned columns; the first row is the header.
 func Table(rows [][]string) string {
 	if len(rows) == 0 {
@@ -101,30 +68,6 @@ func Table(rows [][]string) string {
 			}
 			b.WriteByte('\n')
 		}
-	}
-	return b.String()
-}
-
-// Curve renders (x, y) series as aligned columns for latency-vs-injection
-// plots in text form.
-func Curve(header string, xs []float64, series map[string][]float64, names []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s", header)
-	for _, n := range names {
-		fmt.Fprintf(&b, "%12s", n)
-	}
-	b.WriteByte('\n')
-	for i, x := range xs {
-		fmt.Fprintf(&b, "%-10.3f", x)
-		for _, n := range names {
-			ys := series[n]
-			if i < len(ys) {
-				fmt.Fprintf(&b, "%12.2f", ys[i])
-			} else {
-				fmt.Fprintf(&b, "%12s", "-")
-			}
-		}
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

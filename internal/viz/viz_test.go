@@ -34,20 +34,6 @@ func TestOverlapGrid(t *testing.T) {
 	}
 }
 
-func TestLoopDrawingMarksPerimeter(t *testing.T) {
-	tp := topo.NewSquare(4, 0)
-	if err := tp.AddLoop(topo.MustLoop(0, 0, 2, 2, topo.Clockwise)); err != nil {
-		t.Fatal(err)
-	}
-	d := LoopDrawing(tp, 0)
-	if !strings.Contains(d, ">") || !strings.Contains(d, "<") {
-		t.Fatalf("drawing lacks direction arrows:\n%s", d)
-	}
-	if !strings.Contains(d, ".") {
-		t.Fatal("off-loop nodes not drawn")
-	}
-}
-
 func TestTableAlignsColumns(t *testing.T) {
 	s := Table([][]string{
 		{"name", "hops"},
@@ -60,17 +46,5 @@ func TestTableAlignsColumns(t *testing.T) {
 	}
 	if Table(nil) != "" {
 		t.Fatal("empty table should render empty")
-	}
-}
-
-func TestCurve(t *testing.T) {
-	s := Curve("rate", []float64{0.01, 0.02},
-		map[string][]float64{"mesh": {10, 12}, "drl": {5}},
-		[]string{"mesh", "drl"})
-	if !strings.Contains(s, "mesh") || !strings.Contains(s, "drl") {
-		t.Fatal("missing series names")
-	}
-	if !strings.Contains(s, "-") {
-		t.Fatal("missing placeholder for short series")
 	}
 }
