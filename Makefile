@@ -71,12 +71,14 @@ bench-sim:
 	$(GO) test -bench 'BenchmarkSimRunDense' -benchmem -run '^$$' ./internal/sim/
 
 # Quick iteration loop for the DRL episode hot path (incremental greedy
-# score cache, episode arenas, cached fingerprints). Allocation counts are
+# score cache, episode arenas, cached fingerprints): a whole Algorithm 1
+# completion (GreedyComplete) and one steady-state greedy argmax over the
+# cached table (GreedyScan). Allocation counts are
 # the regression signal — internal/rl's and internal/drl's AllocsPerRun
 # tests pin the greedy step, state encoding, and fingerprint at zero.
 # Before/after numbers for PR 4 live in BENCH_PR4.json.
 bench-drl:
-	$(GO) test -bench 'BenchmarkGreedyComplete|BenchmarkFingerprint' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkGreedyComplete|BenchmarkGreedyScan|BenchmarkFingerprint' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/
 
 # Quick iteration loop for the batched-inference service (internal/infer
@@ -127,7 +129,7 @@ trace-smoke:
 	$(GO) run ./cmd/nocexplore -n 4 -episodes 6 -threads 2 -infer-batch 4 -progress 0 \
 		-trace /tmp/routerless-trace-explore.json -manifest /tmp/routerless-manifest.jsonl > /dev/null
 	$(GO) run ./cmd/tracecheck -require \
-		drl.run,drl.episode,mcts.select,mcts.expand,mcts.backup,infer.submit,infer.queue_wait,infer.batch_assemble,infer.forward_batch \
+		drl.run,drl.episode,rl.greedy,mcts.select,mcts.expand,mcts.backup,infer.submit,infer.queue_wait,infer.batch_assemble,infer.forward_batch \
 		/tmp/routerless-trace-explore.json
 	$(GO) run ./cmd/nocsim -mesh 4 -rates 0.01,0.02 -warmup 200 -measure 500 \
 		-trace /tmp/routerless-trace-sim.json -manifest /tmp/routerless-manifest.jsonl > /dev/null

@@ -535,7 +535,7 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 		var ok bool
 		switch {
 		case penalties > s.cfg.MaxPenalties:
-			a, ok = rl.Greedy(env)
+			a, ok = greedy(env, ar.trace)
 		case first && net != nil:
 			// The DNN proposes the initial action raw (Fig. 4); it may
 			// be penalized, teaching constraint compliance.
@@ -558,7 +558,7 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 		}
 	}
 
-	s.complete(env)
+	s.complete(env, ar.trace)
 
 	ar.traj.Final = env.FinalReward()
 	var design *Design
@@ -575,8 +575,18 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 // complete drives Algorithm 1 until the design stops improving: while not
 // fully connected every greedy addition helps; afterwards additions
 // continue only while they reduce average hops (MinGain/NoGainStreak).
-func (s *Searcher) complete(env *rl.Env) {
+func (s *Searcher) complete(env *rl.Env, trace *obs.TraceShard) {
+	sp := trace.Start(obs.SpanGreedy)
 	rl.GreedyImprove(env, s.cfg.MinGain, s.cfg.NoGainStreak)
+	sp.End()
+}
+
+// greedy is one Algorithm 1 pick, traced as an rl.greedy span.
+func greedy(env *rl.Env, trace *obs.TraceShard) (rl.Action, bool) {
+	sp := trace.Start(obs.SpanGreedy)
+	a, ok := rl.Greedy(env)
+	sp.End()
+	return a, ok
 }
 
 // chooseAction picks the next loop per the framework: ε-greedy Algorithm 1,
@@ -586,10 +596,7 @@ func (s *Searcher) complete(env *rl.Env) {
 // trajectory record).
 func (s *Searcher) chooseAction(net *nn.PolicyValueNet, env *rl.Env, fp string, state []float64, rng *rand.Rand, ar *episodeArena) (rl.Action, bool) {
 	if rng.Float64() < s.cfg.Epsilon {
-		if a, ok := rl.Greedy(env); ok {
-			return a, true
-		}
-		return rl.Action{}, false
+		return greedy(env, ar.trace)
 	}
 	if s.cfg.UseMCTS {
 		sel := ar.trace.Start(obs.SpanMCTSSelect)

@@ -46,7 +46,8 @@ const (
 	SpanMCTSSelect
 	SpanMCTSExpand
 	SpanMCTSBackup
-	SpanTrain // A2C accumulate + parameter-server apply + resync
+	SpanTrain  // A2C accumulate + parameter-server apply + resync
+	SpanGreedy // Algorithm 1: one greedy pick or a greedy completion
 
 	// Inference phases.
 	SpanNNForward          // per-worker one-sample Forward
@@ -75,6 +76,7 @@ var spanKindNames = [numSpanKinds]string{
 	SpanMCTSExpand:         "mcts.expand",
 	SpanMCTSBackup:         "mcts.backup",
 	SpanTrain:              "drl.train",
+	SpanGreedy:             "rl.greedy",
 	SpanNNForward:          "nn.forward",
 	SpanInferSubmit:        "infer.submit",
 	SpanInferQueueWait:     "infer.queue_wait",

@@ -28,31 +28,35 @@ func Greedy(e *Env) (Action, bool) {
 // It runs over the environment's cached per-rectangle score table: a step
 // perturbs only the rectangles whose legality, pair count, or memoized
 // hop-improvement actually depend on what changed (see scoreTable), and
-// the argmax walks the cached rows in brute-force enumeration order,
-// filling in missing improvement values only for rectangles whose count
-// ties or beats the running best — the same rectangles whose Imprv the
-// brute scan evaluates. The selection is byte-identical to the full O(N⁴)
-// rescan kept as the test oracle (bruteGreedySearch in oracle_test.go).
+// the argmax walks the cached rows in brute-force enumeration order.
+// Missing improvement values are filled in only for rectangles that could
+// still win: a count below the running best loses outright, and a count
+// that ties it loses when its memoized imprv — an upper bound even when
+// stale, since Imprv only falls as loops are added — does not beat the
+// running best, because the brute scan replaces a tied winner only on a
+// strictly larger Imprv.
+// Imprv is integer-valued and summed exactly (see ensureImprv), so the
+// selection is byte-identical to the full O(N⁴) rescan kept as the test
+// oracle (bruteGreedySearch in oracle_test.go).
 func GreedySearch(e *Env) GreedyResult {
 	s := e.scoresSynced()
 	rects := s.tab.Rects()
 	bestRect := -1
-	bestCount := -1
-	bestImprv := 0.0
+	bestCount := int32(-1)
+	bestImprv := int32(0)
 	for ri := range s.sc {
 		sc := &s.sc[ri]
 		if !sc.cwOK && !sc.ccwOK {
 			continue
 		}
-		count := int(sc.count)
-		if count < bestCount {
+		if sc.count < bestCount || sc.count == bestCount && sc.imprv <= bestImprv {
 			continue
 		}
 		if !sc.impOK {
 			s.ensureImprv(e, int32(ri))
 		}
-		if count > bestCount || sc.imprv > bestImprv {
-			bestCount = count
+		if sc.count > bestCount || sc.imprv > bestImprv {
+			bestCount = sc.count
 			bestImprv = sc.imprv
 			bestRect = ri
 		}
@@ -63,8 +67,8 @@ func GreedySearch(e *Env) GreedyResult {
 	r := &rects[bestRect]
 	return GreedyResult{
 		Action:   Action{r.R1, r.C1, r.R2, r.C2, s.sc[bestRect].dir},
-		NewPairs: bestCount,
-		Gain:     bestImprv,
+		NewPairs: int(bestCount),
+		Gain:     float64(bestImprv),
 		OK:       true,
 	}
 }

@@ -103,10 +103,11 @@ func TestLegalActionsMatchBruteRandomized(t *testing.T) {
 
 // TestGreedyCompleteTraceMatchesBrute drives two environments to wiring
 // exhaustion — one through the incremental search, one through the brute
-// oracle — and asserts the full added-loop sequences are identical.
+// oracle — and asserts the full added-loop sequences are identical. The
+// 8×8 cap-14 and 10×10 cap-18 cases are the benchmark workloads' grids.
 func TestGreedyCompleteTraceMatchesBrute(t *testing.T) {
 	for _, cfg := range []struct{ n, cap, maxLen int }{
-		{4, 6, 0}, {5, 8, 0}, {6, 10, 12},
+		{4, 6, 0}, {5, 8, 0}, {6, 10, 12}, {8, 14, 0}, {10, 18, 0},
 	} {
 		inc := NewEnv(cfg.n, cfg.cap)
 		brute := NewEnv(cfg.n, cfg.cap)
@@ -118,7 +119,9 @@ func TestGreedyCompleteTraceMatchesBrute(t *testing.T) {
 			if !r.OK {
 				break
 			}
-			inc.Step(r.Action)
+			if _, kind := inc.Step(r.Action); kind != Valid {
+				t.Fatalf("n=%d cap=%d: greedy action %v unplayable", cfg.n, cfg.cap, r.Action)
+			}
 			incTrace = append(incTrace, r.Action)
 		}
 		for {
@@ -140,6 +143,95 @@ func TestGreedyCompleteTraceMatchesBrute(t *testing.T) {
 		}
 		if inc.Fingerprint() != brute.Fingerprint() {
 			t.Fatalf("n=%d cap=%d: completed designs differ", cfg.n, cfg.cap)
+		}
+	}
+}
+
+// TestGreedySearchMatchesBruteNoPairIndex covers the grids too large for
+// the pair→rectangles index (15×15 and up), where noteAdded falls back to
+// re-scoring every rectangle through the added loop: after a random
+// prefix, a run of greedy steps must match the brute rescan.
+func TestGreedySearchMatchesBruteNoPairIndex(t *testing.T) {
+	const n = 15
+	e := NewEnv(n, 2*(n-1))
+	if e.Topology().Tables().HasPairIndex() {
+		t.Fatalf("%dx%d grid has a pair index; the test no longer covers the fallback", n, n)
+	}
+	seedRandomDesign(e, rand.New(rand.NewSource(15)), 12)
+	for step := 0; step < 8; step++ {
+		inc := GreedySearch(e)
+		brute := bruteGreedySearch(e)
+		if inc != brute {
+			t.Fatalf("step %d: incremental %+v != brute %+v", step, inc, brute)
+		}
+		if !inc.OK {
+			break
+		}
+		if _, kind := e.Step(inc.Action); kind != Valid {
+			t.Fatalf("step %d: greedy action unplayable", step)
+		}
+	}
+}
+
+// TestScoreTableMatchesRecompute checks the score table's invariants row
+// by row after every step of random episodes: legality and CheckCount
+// equal a fresh computation, an impOK imprv equals a fresh Imprv, and
+// every imprv, stale or not, is at least the fresh one — the monotonicity
+// the argmax's pruning relies on.
+func TestScoreTableMatchesRecompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 30; trial++ {
+		n := 3 + rng.Intn(6) // 3..8
+		cap := rng.Intn(2 * n)
+		e := NewEnv(n, cap)
+		if rng.Intn(3) == 0 {
+			e.MaxLoopLen = 4 + 2*rng.Intn(2*n)
+		}
+		for step := 0; step < 24; step++ {
+			// Greedy picks fill in imprv values; random actions, often
+			// illegal, perturb the design elsewhere.
+			r := GreedySearch(e)
+			if !r.OK {
+				break
+			}
+			a := r.Action
+			if rng.Intn(2) == 0 {
+				a = Action{rng.Intn(n), rng.Intn(n), rng.Intn(n), rng.Intn(n), topo.Direction(rng.Intn(2))}
+			}
+			e.Step(a)
+			checkScoreTable(t, e, trial, step)
+		}
+	}
+}
+
+func checkScoreTable(t *testing.T, e *Env, trial, step int) {
+	t.Helper()
+	s := e.scoresSynced()
+	for ri := range s.sc {
+		sc := &s.sc[ri]
+		r := &s.tab.Rects()[ri]
+		cw, ccw := r.Loop(topo.Clockwise), r.Loop(topo.Counterclockwise)
+		allowed := e.allowed(cw)
+		cwOK := allowed && e.topo.CheckAdd(cw) == nil
+		ccwOK := allowed && e.topo.CheckAdd(ccw) == nil
+		if sc.cwOK != cwOK || sc.ccwOK != ccwOK {
+			t.Fatalf("trial %d step %d rect %v: legality (%v,%v), fresh (%v,%v)",
+				trial, step, cw, sc.cwOK, sc.ccwOK, cwOK, ccwOK)
+		}
+		if !cwOK && !ccwOK {
+			continue
+		}
+		if count := CheckCount(e.topo, cw); int(sc.count) != count {
+			t.Fatalf("trial %d step %d rect %v: count %d, fresh %d", trial, step, cw, sc.count, count)
+		}
+		imprv, dir := Imprv(e.topo, cw, cwOK, ccwOK)
+		if sc.impOK && (float64(sc.imprv) != imprv || sc.dir != dir) {
+			t.Fatalf("trial %d step %d rect %v: imprv %d %v, fresh %v %v",
+				trial, step, cw, sc.imprv, sc.dir, imprv, dir)
+		}
+		if float64(sc.imprv) < imprv {
+			t.Fatalf("trial %d step %d rect %v: bound %d below fresh imprv %v",
+				trial, step, cw, sc.imprv, imprv)
 		}
 	}
 }

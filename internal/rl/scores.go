@@ -1,6 +1,8 @@
 package rl
 
 import (
+	"math"
+
 	"routerless/internal/topo"
 )
 
@@ -21,28 +23,38 @@ import (
 //     exactly what a recount would produce.
 //   - imprv is invalidated (impOK cleared) for rectangles containing both
 //     endpoints of any improved dist entry, and recomputed lazily — only
-//     when the argmax reaches a rectangle whose count ties or beats the
-//     running best, mirroring the brute scan's own skip of Imprv for
-//     uncompetitive rectangles.
-//   - legality is re-checked only for rectangles through a node whose
-//     overlap just reached the cap (overlap only grows, so legality flips
-//     nowhere else) and for the added rectangle itself, whose duplicate
-//     status flipped.
+//     when the argmax reaches a rectangle that could still win.
+//   - legality is cleared in place: overlap only grows, so a node whose
+//     overlap just reached the cap makes both directions of every
+//     rectangle through it illegal, and the added loop makes its own
+//     direction of its rectangle a duplicate. Legality flips nowhere else.
+//
+// Between resets a design only gains loops, so every dist entry only
+// shrinks and every legality flag only goes from true to false. Each Imprv
+// term max(0, cur − d) can therefore only fall, and a memoized imprv whose
+// impOK was cleared stays an upper bound on the current value. The argmax
+// uses that bound to skip rectangles that cannot win a tie.
 //
 // This makes the per-step cost proportional to the perturbed region
 // instead of the whole O(N⁴) design space. On grids too large for the
 // pair index the marking falls back to fully re-scoring every rectangle
 // sharing a node with the added loop — a strict superset, still sound.
 //
-// Re-scoring runs the same arithmetic in the same order as the brute-force
-// scan, so cached results are bit-identical to bruteGreedySearch (the
-// oracle in oracle_test.go) — the parity the property tests pin.
+// Cached results equal bruteGreedySearch's (the oracle in oracle_test.go)
+// bit for bit, because Imprv is a sum of integers that float64 adds
+// exactly in any order (see ensureImprv) — the parity the property tests
+// pin.
 type scoreTable struct {
 	tab      *topo.GridTables
 	sc       []rectScore
 	dirty    []int32
 	inDirty  []bool
 	allDirty bool
+	// pairNew is noteAdded's scratch over unordered pair keys: how many
+	// of the pair's two directions the last add newly connected, or -1
+	// once the pair's rectangles have been walked. Zero between adds; nil
+	// without the pair index.
+	pairNew []int8
 	// Constraint snapshot the scores were computed under; sync invalidates
 	// everything when a caller moves either knob between scans.
 	maxLoopLen int
@@ -52,15 +64,19 @@ type scoreTable struct {
 // rectScore is one cached evaluation. cwOK/ccwOK record per-direction
 // legality (length constraint, duplication, overlap cap); count is
 // CheckCount, maintained incrementally; imprv/dir memoize the winning
-// Imprv, valid only while impOK is set.
+// Imprv. imprv is always an upper bound on the current Imprv — noBound
+// until first computed — and exact while impOK is set.
 type rectScore struct {
-	imprv float64
+	imprv int32
 	count int32
 	dir   topo.Direction
 	cwOK  bool
 	ccwOK bool
 	impOK bool
 }
+
+// noBound is the trivial upper bound rescore leaves in imprv.
+const noBound = math.MaxInt32
 
 // scores returns the environment's score table, fully synchronized with
 // the current topology; it is built (all-dirty) on first use.
@@ -76,6 +92,9 @@ func (e *Env) scoresSynced() *scoreTable {
 			maxLoopLen: e.MaxLoopLen,
 			overlapCap: e.topo.OverlapCap(),
 		}
+		if tab.HasPairIndex() {
+			s.pairNew = make([]int8, e.topo.N()*e.topo.N())
+		}
 		e.scores = s
 	}
 	if s.maxLoopLen != e.MaxLoopLen || s.overlapCap != e.topo.OverlapCap() {
@@ -87,27 +106,17 @@ func (e *Env) scoresSynced() *scoreTable {
 	return s
 }
 
-// sync re-establishes every eager invariant (legality and count); imprv
-// stays lazy behind impOK.
+// sync re-scores every rectangle the table marked dirty (all of them
+// after a reset); imprv stays lazy behind impOK.
 func (s *scoreTable) sync(e *Env) {
 	if s.allDirty {
 		for ri := range s.sc {
 			s.rescore(e, int32(ri))
 		}
-		for i := range s.inDirty {
-			s.inDirty[i] = false
-		}
-		s.dirty = s.dirty[:0]
 		s.allDirty = false
-		return
 	}
-	legalityOnly := s.tab.HasPairIndex()
 	for _, ri := range s.dirty {
-		if legalityOnly {
-			s.rescoreLegality(e, ri)
-		} else {
-			s.rescore(e, ri)
-		}
+		s.rescore(e, ri)
 		s.inDirty[ri] = false
 	}
 	s.dirty = s.dirty[:0]
@@ -130,24 +139,51 @@ func (s *scoreTable) noteAdded(t *topo.Topology, l topo.Loop) {
 		}
 		return
 	}
+	// (u,v) and (v,u) lie on the same rectangles, so each unordered pair's
+	// rectangles are walked once, taking both directions' CheckCount
+	// decrements together.
+	n := int32(t.N())
+	for _, pk := range t.LastAddNewPairs() {
+		s.pairNew[unordered(pk, n)]++
+	}
 	for _, pk := range t.LastAddChangedPairs() {
-		for _, ri := range s.tab.RectsAtPair(pk) {
+		k := unordered(pk, n)
+		dec := int32(s.pairNew[k])
+		if dec < 0 {
+			continue
+		}
+		s.pairNew[k] = -1
+		for _, ri := range s.tab.RectsAtPair(k) {
 			s.sc[ri].impOK = false
+			s.sc[ri].count -= dec
 		}
 	}
-	for _, pk := range t.LastAddNewPairs() {
-		for _, ri := range s.tab.RectsAtPair(pk) {
-			s.sc[ri].count--
-		}
+	for _, pk := range t.LastAddChangedPairs() {
+		s.pairNew[unordered(pk, n)] = 0
 	}
 	for _, id := range t.LastAddSaturatedNodes() {
 		for _, ri := range s.tab.RectsAt(int(id)) {
-			s.mark(ri)
+			s.sc[ri].cwOK, s.sc[ri].ccwOK = false, false
 		}
 	}
 	if ri := s.tab.RectIndex(l); ri >= 0 {
-		s.mark(int32(ri))
+		sc := &s.sc[ri]
+		if l.Dir == topo.Clockwise {
+			sc.cwOK = false
+		} else {
+			sc.ccwOK = false
+		}
+		// The memoized winner may be the direction just taken.
+		sc.impOK = false
 	}
+}
+
+// unordered maps the packed pair key u*n+v to min(u,v)*n+max(u,v).
+func unordered(pk, n int32) int32 {
+	if u, v := pk/n, pk%n; v < u {
+		return v*n + u
+	}
+	return pk
 }
 
 func (s *scoreTable) mark(ri int32) {
@@ -158,22 +194,18 @@ func (s *scoreTable) mark(ri int32) {
 }
 
 // markAllDirty invalidates the whole table (topology reset or replaced).
+// Rows already marked dirty are re-scored twice by the next sync, which is
+// harmless.
 func (s *scoreTable) markAllDirty() {
 	s.allDirty = true
-	for i := range s.inDirty {
-		s.inDirty[i] = false
-	}
-	s.dirty = s.dirty[:0]
 }
 
 // rescore recomputes one rectangle's legality and count from scratch and
-// invalidates its memoized imprv. Together with ensureImprv this mirrors
-// the brute-force scan's per-rectangle logic (and arithmetic order)
-// exactly.
+// drops its memoized imprv, leaving only the trivial bound.
 func (s *scoreTable) rescore(e *Env, ri int32) {
 	r := &s.tab.Rects()[ri]
 	sc := &s.sc[ri]
-	*sc = rectScore{}
+	*sc = rectScore{imprv: noBound}
 	cw := r.Loop(topo.Clockwise)
 	if !e.allowed(cw) {
 		return
@@ -187,94 +219,56 @@ func (s *scoreTable) rescore(e *Env, ri int32) {
 	ids := r.Nodes
 	n := e.topo.N()
 	dist := e.topo.DistData()
-	count := 0
-	for i, u := range ids {
-		row := int(u) * n
-		for j, v := range ids {
-			if i == j {
-				continue
-			}
-			if dist[row+int(v)] < 0 {
-				count++
+	for _, u := range ids {
+		row := dist[int(u)*n : int(u)*n+n]
+		for _, v := range ids {
+			if row[v] < 0 { // a node's distance to itself is 0
+				sc.count++
 			}
 		}
 	}
-	sc.count = int32(count)
 }
 
-// rescoreLegality refreshes only the legality flags; the maintained count
-// stays valid, and the memoized imprv survives unless a flag flipped —
-// imprv's stored value depends on which directions were evaluated, so a
-// flip forces a lazy recompute. Used on the precise-dirty path, where a
-// rectangle lands in the dirty set only because a node saturated or its
-// duplicate status flipped.
-func (s *scoreTable) rescoreLegality(e *Env, ri int32) {
-	r := &s.tab.Rects()[ri]
-	sc := &s.sc[ri]
-	cw := r.Loop(topo.Clockwise)
-	cwOK, ccwOK := false, false
-	if e.allowed(cw) {
-		cwOK = e.topo.CheckAdd(cw) == nil
-		ccwOK = e.topo.CheckAdd(r.Loop(topo.Counterclockwise)) == nil
-	}
-	if cwOK != sc.cwOK || ccwOK != sc.ccwOK {
-		sc.impOK = false
-	}
-	sc.cwOK, sc.ccwOK = cwOK, ccwOK
-}
-
-// ensureImprv fills in the rectangle's memoized Imprv on demand. One fused
-// pass over the perimeter pairs computes both directions' sums: hop
-// distances along the candidate loop come from index gaps in the
-// precomputed clockwise ID list (the counterclockwise gap is the
-// complement); current distances come from the raw incremental cache. Each
-// accumulator sees the same pair order and summation order as the
-// brute-force scan, keeping results bit-identical.
+// ensureImprv fills in the rectangle's memoized Imprv. One fused pass over
+// the perimeter pairs computes both directions' sums: the clockwise hop
+// distance from perimeter position i to position i+k is the step count k
+// along the precomputed clockwise ID list, the counterclockwise one its
+// complement L − k; current distances come from the raw incremental cache,
+// with the 5N sentinel for unconnected pairs.
+//
+// Every term is max(0, cur − d) for integers cur ≤ 5N and d < L, and a
+// rectangle has at most L(L−1) < 2^13 ordered perimeter pairs on the
+// largest supported grid, so each sum stays far below 2^31. The brute-force
+// scan adds the same terms in float64: each of its partial sums is an
+// integer below 2^53, so every float addition is exact and its result is
+// the integer sum whatever the order. Accumulating in integers and
+// converting once (GreedyResult.Gain) therefore yields the oracle's bits.
 func (s *scoreTable) ensureImprv(e *Env, ri int32) {
 	sc := &s.sc[ri]
-	if sc.impOK {
-		return
-	}
 	ids := s.tab.Rects()[ri].Nodes
 	ll := len(ids)
 	n := e.topo.N()
 	dist := e.topo.DistData()
-	sentinel := topo.UnconnectedHops(e.topo.Rows(), e.topo.Cols())
-	icw, iccw := 0.0, 0.0
+	sentinel := int(topo.UnconnectedHops(e.topo.Rows(), e.topo.Cols()))
+	icw, iccw := 0, 0
 	for i, u := range ids {
-		row := int(u) * n
-		for j, v := range ids {
-			if i == j {
-				continue
+		row := dist[int(u)*n : int(u)*n+n]
+		j := i
+		for k := 1; k < ll; k++ {
+			if j++; j == ll {
+				j = 0
 			}
-			cd := int(dist[row+int(v)])
-			cur := float64(cd)
-			if cd < 0 {
+			cur := int(row[ids[j]])
+			if cur < 0 {
 				cur = sentinel
 			}
-			d := j - i
-			if d < 0 {
-				d += ll
-			}
-			if nd := float64(d); nd < cur {
-				icw += cur - nd
-			}
-			if nd := float64(ll - d); nd < cur {
-				iccw += cur - nd
-			}
+			icw += max(cur-k, 0)
+			iccw += max(cur-(ll-k), 0)
 		}
 	}
-	switch {
-	case sc.cwOK && sc.ccwOK:
-		if iccw > icw {
-			sc.imprv, sc.dir = iccw, topo.Counterclockwise
-		} else {
-			sc.imprv, sc.dir = icw, topo.Clockwise
-		}
-	case sc.cwOK:
-		sc.imprv, sc.dir = icw, topo.Clockwise
-	default:
-		sc.imprv, sc.dir = iccw, topo.Counterclockwise
+	sc.imprv, sc.dir = int32(icw), topo.Clockwise
+	if sc.ccwOK && (!sc.cwOK || iccw > icw) {
+		sc.imprv, sc.dir = int32(iccw), topo.Counterclockwise
 	}
 	sc.impOK = true
 }
