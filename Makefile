@@ -122,9 +122,10 @@ bench-obs:
 	$(GO) test -bench 'BenchmarkDRLEpisode$$|BenchmarkDRLEpisodeTraced' -benchmem -run '^$$' ./internal/drl/
 	$(GO) test -bench 'BenchmarkTraceSpan|BenchmarkHistogram' -benchmem -run '^$$' ./internal/obs/
 
-# End-to-end tracing smoke: run a tiny traced search and a tiny traced
-# sweep, then validate the Chrome trace JSON (well-formed, strictly nested
-# per track, all expected span kinds present) with cmd/tracecheck.
+# End-to-end tracing smoke: run a tiny traced search, a tiny traced sweep
+# and a traced benchtab experiment, then validate the Chrome trace JSON
+# (well-formed, strictly nested per track, all expected span kinds
+# present) with cmd/tracecheck.
 trace-smoke:
 	$(GO) run ./cmd/nocexplore -n 4 -episodes 6 -threads 2 -infer-batch 4 -progress 0 \
 		-trace /tmp/routerless-trace-explore.json -manifest /tmp/routerless-manifest.jsonl > /dev/null
@@ -135,10 +136,14 @@ trace-smoke:
 		-trace /tmp/routerless-trace-sim.json -manifest /tmp/routerless-manifest.jsonl > /dev/null
 	$(GO) run ./cmd/tracecheck -require sim.run,sim.warmup,sim.measure,sim.drain,exp.point \
 		/tmp/routerless-trace-sim.json
+	$(GO) run ./cmd/benchtab -exp T5 \
+		-trace /tmp/routerless-trace-benchtab.json -manifest /tmp/routerless-manifest.jsonl > /dev/null
+	$(GO) run ./cmd/tracecheck -require exp.point /tmp/routerless-trace-benchtab.json
 
-# End-to-end contention-profiling smoke (PR 10): run a threaded search with
-# -mutexprofile/-blockprofile and assert both profiles are non-empty and
-# parseable (pprof -top symbolizes runtime profiles without the binary).
+# End-to-end profiling smoke: run a threaded search with
+# -mutexprofile/-blockprofile and a sweep with -cpuprofile, and assert
+# every profile is non-empty and parseable (pprof -top symbolizes runtime
+# profiles without the binary).
 profile-smoke:
 	$(GO) run ./cmd/nocexplore -n 4 -episodes 8 -threads 4 -progress 0 \
 		-mutexprofile /tmp/routerless-mutex.pprof -blockprofile /tmp/routerless-block.pprof > /dev/null
@@ -146,6 +151,10 @@ profile-smoke:
 	test -s /tmp/routerless-block.pprof
 	$(GO) tool pprof -top /tmp/routerless-mutex.pprof > /dev/null
 	$(GO) tool pprof -top /tmp/routerless-block.pprof > /dev/null
+	$(GO) run ./cmd/nocsim -mesh 4 -rates 0.01,0.05 -warmup 200 -measure 2000 \
+		-cpuprofile /tmp/routerless-cpu.pprof > /dev/null
+	test -s /tmp/routerless-cpu.pprof
+	$(GO) tool pprof -top /tmp/routerless-cpu.pprof > /dev/null
 
 # Decoder fuzz smoke: run FuzzTopologyJSON (the nocsim -topo decoder),
 # FuzzUnmarshalModel (the nocexplore -load-model decoder), FuzzParsePattern

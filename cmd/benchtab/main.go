@@ -25,15 +25,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	csvPath := flag.String("csv", "", "also write the experiment rows as CSV to this path")
 	list := flag.Bool("list", false, "list experiment ids")
-	metricsPath := flag.String("metrics", "", "write a metrics snapshot as JSON to this path at exit")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address while running")
-	eventsPath := flag.String("events", "", "write structured JSONL run events to this path")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file of the experiment run (load in Perfetto) to this path")
-	manifestPath := flag.String("manifest", "", "append a JSONL run-provenance manifest to this path")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulation points run in parallel per experiment (1 = sequential; reports are identical either way)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention pprof profile of the experiment run to this file")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine-blocking pprof profile of the experiment run to this file")
+	tel := obs.NewSession(flag.CommandLine, "benchtab", "experiment run")
 	flag.Parse()
 
 	if *list {
@@ -57,151 +50,63 @@ func main() {
 		fmt.Println("IMR  IMR GA baseline comparison")
 		return
 	}
-	if err := checkFlags(*id, *jobs); err != nil {
+	// fatal ends the session first: os.Exit skips the deferred Close.
+	fatal := func(err error) {
+		tel.Close()
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
-
-	var reg *obs.Registry
-	if *metricsPath != "" || *debugAddr != "" || *manifestPath != "" {
-		reg = obs.NewRegistry()
+	if err := checkFlags(*id, *jobs); err != nil {
+		fatal(err)
 	}
-	var events *obs.Logger
-	if *eventsPath != "" {
-		f, err := os.Create(*eventsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		events = obs.NewLogger(f, obs.LevelDebug)
-		// Close flushes buffered events and closes the file on exit.
-		defer events.Close()
+	if err := tel.Start(); err != nil {
+		fatal(err)
 	}
-	var tracer *obs.Tracer
-	if *tracePath != "" || *debugAddr != "" {
-		tracer = obs.NewTracer(1 << 16)
-	}
-	if *debugAddr != "" {
-		d, err := obs.StartDebug(*debugAddr, reg, tracer)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		defer d.Close()
-		fmt.Fprintf(os.Stderr, "benchtab: debug endpoint on http://%s\n", d.Addr)
-	}
-	var manifest *obs.Manifest
-	if *manifestPath != "" {
-		manifest = obs.NewManifest("benchtab")
+	defer tel.Close()
+	if manifest := tel.Manifest; manifest != nil {
 		manifest.Seed = *seed
 		manifest.Set("exp", *id)
 		manifest.Set("full", *full)
 		manifest.Set("jobs", *jobs)
 	}
-	// finishRun exports the trace (only after every experiment worker has
-	// quiesced) and appends the provenance manifest.
-	finishRun := func() {
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchtab:", err)
-				os.Exit(1)
-			}
-			err = tracer.WriteTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchtab: write trace:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "benchtab: trace written to %s\n", *tracePath)
-		}
-		if manifest != nil {
-			manifest.Finish(reg)
-			if err := manifest.AppendFile(*manifestPath); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtab: write manifest:", err)
-			}
-		}
-	}
-	writeMetrics := func() {
-		if *metricsPath == "" {
-			return
-		}
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := reg.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics written to %s\n", *metricsPath)
-	}
 
 	// Bracket only the experiment run; report/CSV generation is excluded.
-	stopProfile := func() {}
-	if *cpuProfile != "" {
-		stop, err := obs.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		stopProfile = stop
+	if err := tel.StartProfiles(); err != nil {
+		fatal(err)
 	}
-	// Contention profiles share the bracket; the combined stop keeps both
-	// run paths below to a single call.
-	if *mutexProfile != "" || *blockProfile != "" {
-		stopContention, err := obs.StartContentionProfiles(*mutexProfile, *blockProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		stopCPU := stopProfile
-		stopProfile = func() {
-			stopCPU()
-			if err := stopContention(); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtab:", err)
-				os.Exit(1)
-			}
-		}
-	}
-	o := exp.Options{Quick: !*full, Seed: *seed, Workers: *jobs, Metrics: reg, Events: events, Trace: tracer}
+	o := exp.Options{Quick: !*full, Seed: *seed, Workers: *jobs, Metrics: tel.Registry, Events: tel.Events, Trace: tel.Tracer}
 	if *id == "all" {
 		rs := exp.All(o)
-		stopProfile()
-		finishRun()
+		tel.StopProfiles()
 		for _, r := range rs {
 			fmt.Println(r)
 		}
-		writeMetrics()
+		if err := tel.Finish(); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	r, err := exp.ByID(*id, o)
-	stopProfile()
-	finishRun()
+	tel.StopProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchtab:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Println(r)
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer f.Close()
 		rows := append([][]string{r.Header}, r.Rows...)
 		if err := viz.CSV(f, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("rows written to %s\n", *csvPath)
 	}
-	writeMetrics()
+	if err := tel.Finish(); err != nil {
+		fatal(err)
+	}
 }
 
 // checkFlags rejects an -exp that names no experiment and a -j below 1

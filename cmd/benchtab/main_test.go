@@ -1,6 +1,45 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain runs the command itself when the test binary is re-executed
+// with BENCHTAB_RUN_MAIN set, so tests can check its exit status.
+func TestMain(m *testing.M) {
+	if os.Getenv("BENCHTAB_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs benchtab with args in a child process and returns its exit
+// code, stdout and stderr.
+func runMain(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "BENCHTAB_RUN_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stdout.String(), stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stdout.String(), stderr.String()
+	default:
+		t.Fatalf("run benchtab: %v", err)
+		return 0, "", ""
+	}
+}
 
 // checkFlags runs before any experiment: an unknown -exp used to fail only
 // after the profiles and trace had started, and -j below 1 reached the
@@ -25,5 +64,18 @@ func TestCheckFlags(t *testing.T) {
 		if err := checkFlags(tc.id, tc.jobs); (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+}
+
+// TestManifestFailureExitsAfterReport checks that a -manifest that cannot
+// be written fails the run after the table is printed.
+func TestManifestFailureExitsAfterReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "m.jsonl")
+	code, stdout, stderr := runMain(t, "-exp", "T5", "-j", "1", "-manifest", path)
+	if code != 1 || !strings.Contains(stderr, "write manifest") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 reporting the manifest", code, stderr)
+	}
+	if !strings.Contains(stdout, "== T5:") {
+		t.Fatalf("report not printed before the failure: %q", stdout)
 	}
 }

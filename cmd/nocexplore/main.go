@@ -46,50 +46,19 @@ func main() {
 	saveModel := flag.String("save-model", "", "write the trained policy/value model to this path")
 	loadModel := flag.String("load-model", "", "warm-start from a model saved by -save-model")
 	verbose := flag.Bool("v", false, "print every valid design")
-	metricsPath := flag.String("metrics", "", "write a metrics snapshot as JSON to this path at exit")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address while running")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the search to this file (offline alternative to -debug-addr's /debug/pprof/)")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention pprof profile of the search to this file (which locks learners waited on)")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine-blocking pprof profile of the search to this file")
-	eventsPath := flag.String("events", "", "write structured JSONL run events to this path")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file of the search (load in Perfetto) to this path")
-	manifestPath := flag.String("manifest", "", "append a JSONL run-provenance manifest (config, seed, git rev, wall time, metrics) to this path")
 	progress := flag.Duration("progress", 10*time.Second, "interval between progress lines on stderr (0 = off)")
+	tel := obs.NewSession(flag.CommandLine, "nocexplore", "search")
 	flag.Parse()
+	// exit ends the session first: os.Exit skips the deferred Close.
+	exit := func(code int, err error) {
+		tel.Close()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "nocexplore:", err)
+		}
+		os.Exit(code)
+	}
 	if err := checkFlags(*episodes, *threads, *inferBatch, *epsilon, *lr, *cpuct); err != nil {
-		fmt.Fprintln(os.Stderr, "nocexplore:", err)
-		os.Exit(1)
-	}
-
-	var reg *obs.Registry
-	if *metricsPath != "" || *debugAddr != "" || *manifestPath != "" {
-		reg = obs.NewRegistry()
-	}
-	var events *obs.Logger
-	if *eventsPath != "" {
-		f, err := os.Create(*eventsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore:", err)
-			os.Exit(1)
-		}
-		events = obs.NewLogger(f, obs.LevelDebug)
-		// Close flushes buffered events and the file even on the os.Exit
-		// paths below (which skip defers), so it is also called explicitly
-		// before each of them.
-		defer events.Close()
-	}
-	var tracer *obs.Tracer
-	if *tracePath != "" || *debugAddr != "" {
-		tracer = obs.NewTracer(1 << 16)
-	}
-	if *debugAddr != "" {
-		d, err := obs.StartDebug(*debugAddr, reg, tracer)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore:", err)
-			os.Exit(1)
-		}
-		defer d.Close()
-		fmt.Fprintf(os.Stderr, "nocexplore: debug endpoint on http://%s\n", d.Addr)
+		exit(1, err)
 	}
 
 	overlap := *cap
@@ -112,25 +81,24 @@ func main() {
 	if *loadModel != "" {
 		data, err := os.ReadFile(*loadModel)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore:", err)
-			os.Exit(1)
+			exit(1, err)
 		}
 		net, err := nn.UnmarshalModel(data)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore:", err)
-			os.Exit(1)
+			exit(1, err)
 		}
 		cfg.NN = net.Cfg
 		cfg.InitWeights = net.GetWeights()
 	}
 
-	cfg.Metrics = reg
-	cfg.Events = events
-	cfg.Trace = tracer
-
-	var manifest *obs.Manifest
-	if *manifestPath != "" {
-		manifest = obs.NewManifest("nocexplore")
+	if err := tel.Start(); err != nil {
+		exit(1, err)
+	}
+	defer tel.Close()
+	cfg.Metrics = tel.Registry
+	cfg.Events = tel.Events
+	cfg.Trace = tel.Tracer
+	if manifest := tel.Manifest; manifest != nil {
 		manifest.Seed = *seed
 		manifest.Set("n", *n)
 		manifest.Set("cap", overlap)
@@ -146,8 +114,7 @@ func main() {
 
 	s, err := drl.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nocexplore:", err)
-		os.Exit(1)
+		exit(1, err)
 	}
 	if *progress > 0 {
 		done := make(chan struct{})
@@ -163,94 +130,23 @@ func main() {
 					ep, valid := s.Progress()
 					fmt.Fprintf(os.Stderr, "nocexplore: progress %d/%d episodes, %d valid designs\n",
 						ep, *episodes, valid)
-					if line := tracer.SummaryLine(4); line != "" {
+					if line := tel.Tracer.SummaryLine(4); line != "" {
 						fmt.Fprintf(os.Stderr, "nocexplore: %s\n", line)
 					}
 				}
 			}
 		}()
 	}
-	// The profile brackets exactly the search (not flag parsing or report
-	// generation) and is stopped explicitly: the no-valid-design path exits
-	// with os.Exit, which would skip a deferred stop.
-	stopProfile := func() {}
-	if *cpuProfile != "" {
-		stop, err := obs.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore:", err)
-			os.Exit(1)
-		}
-		stopProfile = stop
-	}
-	// Contention profiles share the search bracket: they answer which locks
-	// the learner goroutines queued on (mutex) and where goroutines blocked
-	// (block) during exactly the profiled search.
-	stopContention, err := obs.StartContentionProfiles(*mutexProfile, *blockProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nocexplore:", err)
-		os.Exit(1)
+	// The profiles bracket exactly the search (not flag parsing or report
+	// generation): the mutex and block profiles answer which locks the
+	// learner goroutines queued on and where goroutines blocked.
+	if err := tel.StartProfiles(); err != nil {
+		exit(1, err)
 	}
 	res := s.Run()
-	stopProfile()
-	if err := stopContention(); err != nil {
-		fmt.Fprintln(os.Stderr, "nocexplore:", err)
-		os.Exit(1)
-	}
-	if *cpuProfile != "" {
-		fmt.Fprintf(os.Stderr, "nocexplore: cpu profile written to %s\n", *cpuProfile)
-	}
-	if *mutexProfile != "" {
-		fmt.Fprintf(os.Stderr, "nocexplore: mutex profile written to %s\n", *mutexProfile)
-	}
-	if *blockProfile != "" {
-		fmt.Fprintf(os.Stderr, "nocexplore: block profile written to %s\n", *blockProfile)
-	}
-
-	// The trace is exported only after Run returns, when every worker
-	// shard has quiesced (WriteTrace's safety requirement).
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore:", err)
-			os.Exit(1)
-		}
-		err = tracer.WriteTrace(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore: write trace:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "nocexplore: trace written to %s\n", *tracePath)
-	}
-	if tracer != nil && *progress > 0 {
-		if table := tracer.AggregateTable(); table != "" {
-			fmt.Fprint(os.Stderr, table)
-		}
-	}
-	if manifest != nil {
-		manifest.Finish(reg)
-		if err := manifest.AppendFile(*manifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore: write manifest:", err)
-		}
-	}
-
-	writeMetrics := func() {
-		if *metricsPath == "" {
-			return
-		}
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := reg.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics written to %s\n", *metricsPath)
+	tel.StopProfiles()
+	if table := tel.Tracer.AggregateTable(); table != "" && *progress > 0 {
+		fmt.Fprint(os.Stderr, table)
 	}
 
 	if *saveModel != "" && cfg.UseDNN {
@@ -261,11 +157,9 @@ func main() {
 			err = os.WriteFile(*saveModel, data, 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nocexplore: save model:", err)
-			events.Close() // os.Exit skips the deferred Close
-			os.Exit(1)
+			exit(1, fmt.Errorf("save model: %w", err))
 		}
-		events.Info(obs.EventCheckpoint, map[string]any{
+		tel.Events.Info(obs.EventCheckpoint, map[string]any{
 			"path":     *saveModel,
 			"episodes": res.Episodes,
 		})
@@ -274,11 +168,15 @@ func main() {
 
 	fmt.Printf("episodes: %d   tree states: %d   valid designs: %d\n",
 		res.Episodes, res.TreeSize, len(res.Valid))
-	writeMetrics()
+	// The run has quiesced, so the trace can be written; a telemetry
+	// failure fails the run once the report is out.
+	finishErr := tel.Finish()
 	if len(res.Valid) == 0 {
 		fmt.Println("no fully connected design found; increase -episodes or relax -cap")
-		events.Close() // os.Exit skips the deferred Close
-		os.Exit(2)
+		if finishErr != nil {
+			exit(1, finishErr)
+		}
+		exit(2, nil)
 	}
 	hops := make([]float64, len(res.Valid))
 	for i, d := range res.Valid {
@@ -298,6 +196,9 @@ func main() {
 	fmt.Print(viz.TopologySummary(res.Best.Topo))
 	fmt.Println("node overlapping:")
 	fmt.Print(viz.OverlapGrid(res.Best.Topo))
+	if finishErr != nil {
+		exit(1, finishErr)
+	}
 }
 
 // checkFlags rejects the numeric flags the search cannot run with before

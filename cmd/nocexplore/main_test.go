@@ -22,23 +22,23 @@ func TestMain(m *testing.M) {
 }
 
 // runMain runs nocexplore with args in a child process and returns its
-// exit code and stderr.
-func runMain(t *testing.T, args ...string) (int, string) {
+// exit code, stdout and stderr.
+func runMain(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "NOCEXPLORE_RUN_MAIN=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, stderr.String()
+		return 0, stdout.String(), stderr.String()
 	case errors.As(err, &exit):
-		return exit.ExitCode(), stderr.String()
+		return exit.ExitCode(), stdout.String(), stderr.String()
 	default:
 		t.Fatalf("run nocexplore: %v", err)
-		return 0, ""
+		return 0, "", ""
 	}
 }
 
@@ -80,7 +80,7 @@ func TestCheckFlags(t *testing.T) {
 // NaN learning rate that used to train NaN weights for the whole run now
 // fails at once.
 func TestBadFlagsExitBeforeSearch(t *testing.T) {
-	code, stderr := runMain(t, "-n", "4", "-episodes", "1", "-lr", "NaN", "-progress", "0")
+	code, _, stderr := runMain(t, "-n", "4", "-episodes", "1", "-lr", "NaN", "-progress", "0")
 	if code != 1 || !strings.Contains(stderr, "-lr NaN") {
 		t.Fatalf("exit %d, stderr %q; want exit 1 naming -lr", code, stderr)
 	}
@@ -90,7 +90,7 @@ func TestBadFlagsExitBeforeSearch(t *testing.T) {
 // no file fails the run.
 func TestSaveModelFailureExitsNonZero(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "missing", "m.json")
-	code, stderr := runMain(t, "-n", "4", "-episodes", "1", "-progress", "0", "-save-model", path)
+	code, _, stderr := runMain(t, "-n", "4", "-episodes", "1", "-progress", "0", "-save-model", path)
 	if code != 1 || !strings.Contains(stderr, "save model") {
 		t.Fatalf("exit %d, stderr %q; want exit 1 reporting the failed save", code, stderr)
 	}
@@ -98,10 +98,23 @@ func TestSaveModelFailureExitsNonZero(t *testing.T) {
 		t.Fatal("model file written despite the failure")
 	}
 	ok := filepath.Join(t.TempDir(), "m.json")
-	if code, stderr := runMain(t, "-n", "4", "-episodes", "1", "-progress", "0", "-save-model", ok); code == 1 {
+	if code, _, stderr := runMain(t, "-n", "4", "-episodes", "1", "-progress", "0", "-save-model", ok); code == 1 {
 		t.Fatalf("exit 1 on a writable path: %s", stderr)
 	}
 	if _, err := os.Stat(ok); err != nil {
 		t.Fatalf("model not saved: %v", err)
+	}
+}
+
+// TestManifestFailureExitsAfterReport checks that a -manifest that cannot
+// be written fails the run after the report is printed.
+func TestManifestFailureExitsAfterReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "m.jsonl")
+	code, stdout, stderr := runMain(t, "-n", "4", "-episodes", "2", "-progress", "0", "-manifest", path)
+	if code != 1 || !strings.Contains(stderr, "write manifest") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 reporting the manifest", code, stderr)
+	}
+	if !strings.Contains(stdout, "episodes: 2") {
+		t.Fatalf("report not printed before the failure: %q", stdout)
 	}
 }

@@ -40,84 +40,19 @@ func main() {
 	measure := flag.Int("measure", 10000, "measured cycles")
 	seed := flag.Int64("seed", 1, "random seed")
 	csvPath := flag.String("csv", "", "also write the sweep as CSV to this path")
-	metricsPath := flag.String("metrics", "", "write a metrics snapshot as JSON to this path at exit")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address while running")
-	eventsPath := flag.String("events", "", "write structured JSONL run events to this path")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file of the run (load in Perfetto) to this path")
-	manifestPath := flag.String("manifest", "", "append a JSONL run-provenance manifest to this path")
 	progress := flag.Int("progress", 0, "print a progress line to stderr every N simulated cycles (0 = off)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "sweep points simulated in parallel (1 = sequential; output is identical either way)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention pprof profile of the simulation to this file")
-	blockProfile := flag.String("blockprofile", "", "write a goroutine-blocking pprof profile of the simulation to this file")
+	tel := obs.NewSession(flag.CommandLine, "nocsim", "simulation")
 	flag.Parse()
-	rateList, err := checkFlags(*meshN, *delay, *warmup, *measure, *jobs, *rates)
+	// fatal ends the session first: os.Exit skips the deferred Close.
+	fatal := func(err error) {
+		tel.Close()
+		fmt.Fprintln(os.Stderr, "nocsim:", err)
+		os.Exit(1)
+	}
+	rateList, p, profile, err := checkFlags(*meshN, *delay, *warmup, *measure, *jobs, *rates, *pattern, *app)
 	if err != nil {
 		fatal(err)
-	}
-
-	var reg *obs.Registry
-	if *metricsPath != "" || *debugAddr != "" || *manifestPath != "" {
-		reg = obs.NewRegistry()
-	}
-	var events *obs.Logger
-	if *eventsPath != "" {
-		f, err := os.Create(*eventsPath)
-		if err != nil {
-			fatal(err)
-		}
-		events = obs.NewLogger(f, obs.LevelDebug)
-		// Flushes buffered events and closes the file on normal exit;
-		// fatal() paths lose at most buffered debug events.
-		defer events.Close()
-	}
-	var tracer *obs.Tracer
-	if *tracePath != "" || *debugAddr != "" {
-		tracer = obs.NewTracer(1 << 16)
-	}
-	if *debugAddr != "" {
-		d, err := obs.StartDebug(*debugAddr, reg, tracer)
-		if err != nil {
-			fatal(err)
-		}
-		defer d.Close()
-		fmt.Fprintf(os.Stderr, "nocsim: debug endpoint on http://%s\n", d.Addr)
-	}
-	var manifest *obs.Manifest
-	if *manifestPath != "" {
-		manifest = obs.NewManifest("nocsim")
-		manifest.Seed = *seed
-		manifest.Set("topo", *topoPath)
-		manifest.Set("mesh", *meshN)
-		manifest.Set("pattern", *pattern)
-		manifest.Set("app", *app)
-		manifest.Set("rates", *rates)
-		manifest.Set("warmup", *warmup)
-		manifest.Set("measure", *measure)
-	}
-	// finishRun writes the trace and manifest once simulation is done (the
-	// trace only after all sweep workers have quiesced).
-	finishRun := func() {
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				fatal(err)
-			}
-			err = tracer.WriteTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "nocsim: trace written to %s\n", *tracePath)
-		}
-		if manifest != nil {
-			manifest.Finish(reg)
-			if err := manifest.AppendFile(*manifestPath); err != nil {
-				fatal(err)
-			}
-		}
 	}
 
 	var mk func() sim.Network
@@ -144,9 +79,24 @@ func main() {
 		fatal(fmt.Errorf("need -topo or -mesh"))
 	}
 
+	if err := tel.Start(); err != nil {
+		fatal(err)
+	}
+	defer tel.Close()
+	if manifest := tel.Manifest; manifest != nil {
+		manifest.Seed = *seed
+		manifest.Set("topo", *topoPath)
+		manifest.Set("mesh", *meshN)
+		manifest.Set("pattern", *pattern)
+		manifest.Set("app", *app)
+		manifest.Set("rates", *rates)
+		manifest.Set("warmup", *warmup)
+		manifest.Set("measure", *measure)
+	}
+	events := tel.Events
 	cfg := sim.RunConfig{
 		WarmupCycles: *warmup, MeasureCycles: *measure, DrainCycles: 2 * *measure,
-		Metrics: reg, Events: events,
+		Metrics: tel.Registry, Events: events,
 	}
 	// progressFn builds a per-run progress callback; each parallel sweep
 	// point gets its own (the prefix identifies whose line it is).
@@ -169,73 +119,29 @@ func main() {
 		cfg.ProbeEvery = *progress
 	}
 
-	writeMetrics := func() {
-		if *metricsPath == "" {
-			return
-		}
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := reg.WriteJSON(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics written to %s\n", *metricsPath)
+	// The profiles bracket only the simulation itself (both run paths),
+	// not flag parsing or report printing.
+	if err := tel.StartProfiles(); err != nil {
+		fatal(err)
 	}
-
-	// The profile brackets only the simulation itself (both run paths), not
-	// flag parsing or report printing; fatal exits via os.Exit, so the stop
-	// closure is also invoked before each post-profile section.
-	stopProfile := func() {}
-	if *cpuProfile != "" {
-		stop, err := obs.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		stopProfile = stop
-	}
-	// Contention profiles share the same bracket as the CPU profile; the
-	// combined stop keeps both run paths below to a single call.
-	if *mutexProfile != "" || *blockProfile != "" {
-		stopContention, err := obs.StartContentionProfiles(*mutexProfile, *blockProfile)
-		if err != nil {
-			fatal(err)
-		}
-		stopCPU := stopProfile
-		stopProfile = func() {
-			stopCPU()
-			if err := stopContention(); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
 	if *app != "" {
-		profile, err := traffic.ParsecProfile(*app)
-		if err != nil {
-			fatal(err)
-		}
 		src := traffic.NewAppInjector(profile, rows, cols, linkBits, *seed)
 		cfg.OnInterval = progressFn("")
-		cfg.Trace = tracer.Shard("sim.main")
+		cfg.Trace = tel.Tracer.Shard("sim.main")
 		res := sim.Run(mk(), src, cfg)
-		stopProfile()
+		tel.StopProfiles()
 		fmt.Printf("app=%s %v\n", profile.Name, res)
-		finishRun()
-		writeMetrics()
+		if err := tel.Finish(); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
-	p, err := traffic.ParsePattern(*pattern)
-	if err != nil {
-		fatal(err)
-	}
 	// The sweep points are independent (each builds its own network and
 	// injector with the same seed), so fan them across -j workers; results
 	// land by rate index and are printed/logged in order afterwards, so
 	// stdout and the events JSONL are identical at any -j.
-	results := exp.RunParallelTraced(len(rateList), *jobs, reg, tracer, func(i int, sh *obs.TraceShard) sim.Result {
+	results := exp.RunParallelTraced(len(rateList), *jobs, tel.Registry, tel.Tracer, func(i int, sh *obs.TraceShard) sim.Result {
 		r := rateList[i]
 		c := cfg
 		c.OnInterval = progressFn(fmt.Sprintf("rate=%.4f ", r))
@@ -243,8 +149,7 @@ func main() {
 		src := traffic.NewInjector(rows, cols, p, r, linkBits, *seed)
 		return sim.Run(mk(), src, c)
 	})
-	stopProfile()
-	finishRun()
+	tel.StopProfiles()
 	var points []sim.SweepPoint
 	fmt.Printf("%-10s %-10s %-12s %-10s %s\n", "rate", "latency", "throughput", "hops", "flags")
 	for i, res := range results {
@@ -288,45 +193,51 @@ func main() {
 		}
 		fmt.Printf("sweep written to %s\n", *csvPath)
 	}
-	writeMetrics()
+	if err := tel.Finish(); err != nil {
+		fatal(err)
+	}
 }
 
-// checkFlags rejects the numeric flags the simulator cannot run before
-// anything is built, and returns the parsed -rates list. A mesh side is
-// bounded like a topology file's (topo.MaxJSONSide), so -mesh cannot ask
-// for a network too large to allocate. A node injects at most one flit
-// per cycle, so a rate above 1 flit/node/cycle cannot be offered.
-func checkFlags(meshN, delay, warmup, measure, jobs int, rates string) ([]float64, error) {
+// checkFlags rejects the flags the simulator cannot run with before
+// anything is built, and returns the parsed -rates list, -pattern and
+// -app (the pattern only when -app is empty, since -app overrides it). A
+// mesh side is bounded like a topology file's (topo.MaxJSONSide), so
+// -mesh cannot ask for a network too large to allocate. A node injects at
+// most one flit per cycle, so a rate above 1 flit/node/cycle cannot be
+// offered.
+func checkFlags(meshN, delay, warmup, measure, jobs int, rates, pattern, app string) (list []float64, p traffic.Pattern, profile traffic.AppProfile, err error) {
 	if meshN != 0 && (meshN < 2 || meshN > topo.MaxJSONSide) {
-		return nil, fmt.Errorf("-mesh %d out of range 2..%d", meshN, topo.MaxJSONSide)
+		return nil, p, profile, fmt.Errorf("-mesh %d out of range 2..%d", meshN, topo.MaxJSONSide)
 	}
 	if delay < 0 || delay > 2 {
-		return nil, fmt.Errorf("-delay %d out of range 0..2", delay)
+		return nil, p, profile, fmt.Errorf("-delay %d out of range 0..2", delay)
 	}
 	if jobs < 1 {
-		return nil, fmt.Errorf("-j %d must be at least 1", jobs)
+		return nil, p, profile, fmt.Errorf("-j %d must be at least 1", jobs)
 	}
 	if warmup < 0 {
-		return nil, fmt.Errorf("-warmup %d is negative", warmup)
+		return nil, p, profile, fmt.Errorf("-warmup %d is negative", warmup)
 	}
 	if measure < 1 {
-		return nil, fmt.Errorf("-measure %d must be at least 1", measure)
+		return nil, p, profile, fmt.Errorf("-measure %d must be at least 1", measure)
 	}
-	var list []float64
 	for _, rs := range strings.Split(rates, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(rs), 64)
 		if err != nil {
-			return nil, fmt.Errorf("-rates: %v", err)
+			return nil, p, profile, fmt.Errorf("-rates: %v", err)
 		}
 		if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 || r > 1 {
-			return nil, fmt.Errorf("-rates: %v is not an injection rate in (0, 1] flits/node/cycle", r)
+			return nil, p, profile, fmt.Errorf("-rates: %v is not an injection rate in (0, 1] flits/node/cycle", r)
 		}
 		list = append(list, r)
 	}
-	return list, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nocsim:", err)
-	os.Exit(1)
+	if app != "" {
+		profile, err = traffic.ParsecProfile(app)
+	} else {
+		p, err = traffic.ParsePattern(pattern)
+	}
+	if err != nil {
+		return nil, p, profile, err
+	}
+	return list, p, profile, nil
 }

@@ -15,7 +15,6 @@ type Level int
 const (
 	LevelDebug Level = iota
 	LevelInfo
-	LevelWarn
 )
 
 // String implements fmt.Stringer.
@@ -25,8 +24,6 @@ func (l Level) String() string {
 		return "debug"
 	case LevelInfo:
 		return "info"
-	case LevelWarn:
-		return "warn"
 	}
 	return "unknown"
 }
@@ -70,8 +67,8 @@ func (e Event) MarshalJSON() ([]byte, error) {
 // one Logger safe to share across learner goroutines.
 //
 // High-volume Debug events are buffered (32 KiB) to keep per-episode and
-// per-interval logging off the syscall path; Info and Warn events flush
-// the buffer, so lifecycle milestones like run_stop always reach the file
+// per-interval logging off the syscall path; Info events flush the
+// buffer, so lifecycle milestones like run_stop always reach the file
 // immediately. Call Close (or at least Flush) when the run stops so
 // trailing Debug events are never lost — all three CLIs do.
 type Logger struct {

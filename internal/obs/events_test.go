@@ -11,7 +11,7 @@ import (
 
 func TestNopLoggerIsSafe(t *testing.T) {
 	var l *Logger
-	if l.Enabled(LevelWarn) {
+	if l.Enabled(LevelInfo) {
 		t.Fatal("nil logger must report disabled")
 	}
 	l.Info(EventRunStart, map[string]any{"x": 1})
