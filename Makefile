@@ -125,36 +125,40 @@ bench-obs:
 # End-to-end tracing smoke: run a tiny traced search, a tiny traced sweep
 # and a traced benchtab experiment, then validate the Chrome trace JSON
 # (well-formed, strictly nested per track, all expected span kinds
-# present) with cmd/tracecheck.
+# present) with cmd/tracecheck. Each run writes into its own temporary
+# directory, removed on exit.
 trace-smoke:
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) run ./cmd/nocexplore -n 4 -episodes 6 -threads 2 -infer-batch 4 -progress 0 \
-		-trace /tmp/routerless-trace-explore.json -manifest /tmp/routerless-manifest.jsonl > /dev/null
+		-trace $$d/trace-explore.json -manifest $$d/manifest.jsonl > /dev/null; \
 	$(GO) run ./cmd/tracecheck -require \
 		drl.run,drl.episode,rl.greedy,mcts.select,mcts.expand,mcts.backup,infer.submit,infer.queue_wait,infer.batch_assemble,infer.forward_batch \
-		/tmp/routerless-trace-explore.json
+		$$d/trace-explore.json; \
 	$(GO) run ./cmd/nocsim -mesh 4 -rates 0.01,0.02 -warmup 200 -measure 500 \
-		-trace /tmp/routerless-trace-sim.json -manifest /tmp/routerless-manifest.jsonl > /dev/null
+		-trace $$d/trace-sim.json -manifest $$d/manifest.jsonl > /dev/null; \
 	$(GO) run ./cmd/tracecheck -require sim.run,sim.warmup,sim.measure,sim.drain,exp.point \
-		/tmp/routerless-trace-sim.json
+		$$d/trace-sim.json; \
 	$(GO) run ./cmd/benchtab -exp T5 \
-		-trace /tmp/routerless-trace-benchtab.json -manifest /tmp/routerless-manifest.jsonl > /dev/null
-	$(GO) run ./cmd/tracecheck -require exp.point /tmp/routerless-trace-benchtab.json
+		-trace $$d/trace-benchtab.json -manifest $$d/manifest.jsonl > /dev/null; \
+	$(GO) run ./cmd/tracecheck -require exp.point $$d/trace-benchtab.json
 
 # End-to-end profiling smoke: run a threaded search with
 # -mutexprofile/-blockprofile and a sweep with -cpuprofile, and assert
 # every profile is non-empty and parseable (pprof -top symbolizes runtime
-# profiles without the binary).
+# profiles without the binary). The profiles go to a temporary directory,
+# removed on exit.
 profile-smoke:
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) run ./cmd/nocexplore -n 4 -episodes 8 -threads 4 -progress 0 \
-		-mutexprofile /tmp/routerless-mutex.pprof -blockprofile /tmp/routerless-block.pprof > /dev/null
-	test -s /tmp/routerless-mutex.pprof
-	test -s /tmp/routerless-block.pprof
-	$(GO) tool pprof -top /tmp/routerless-mutex.pprof > /dev/null
-	$(GO) tool pprof -top /tmp/routerless-block.pprof > /dev/null
+		-mutexprofile $$d/mutex.pprof -blockprofile $$d/block.pprof > /dev/null; \
+	test -s $$d/mutex.pprof; \
+	test -s $$d/block.pprof; \
+	$(GO) tool pprof -top $$d/mutex.pprof > /dev/null; \
+	$(GO) tool pprof -top $$d/block.pprof > /dev/null; \
 	$(GO) run ./cmd/nocsim -mesh 4 -rates 0.01,0.05 -warmup 200 -measure 2000 \
-		-cpuprofile /tmp/routerless-cpu.pprof > /dev/null
-	test -s /tmp/routerless-cpu.pprof
-	$(GO) tool pprof -top /tmp/routerless-cpu.pprof > /dev/null
+		-cpuprofile $$d/cpu.pprof > /dev/null; \
+	test -s $$d/cpu.pprof; \
+	$(GO) tool pprof -top $$d/cpu.pprof > /dev/null
 
 # Decoder fuzz smoke: run FuzzTopologyJSON (the nocsim -topo decoder),
 # FuzzUnmarshalModel (the nocexplore -load-model decoder), FuzzParsePattern

@@ -90,6 +90,10 @@ func main() {
 		cfg.NN = net.Cfg
 		cfg.InitWeights = net.GetWeights()
 	}
+	// Reject what drl.New would before Start creates any output file.
+	if err := drl.CheckConfig(cfg); err != nil {
+		exit(1, err)
+	}
 
 	if err := tel.Start(); err != nil {
 		exit(1, err)

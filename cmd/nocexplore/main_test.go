@@ -86,6 +86,23 @@ func TestBadFlagsExitBeforeSearch(t *testing.T) {
 	}
 }
 
+// TestBadConfigCreatesNoFiles checks that a configuration drl.New
+// rejects fails before the profile and events files are created.
+func TestBadConfigCreatesNoFiles(t *testing.T) {
+	for _, args := range [][]string{{"-n", "40"}, {"-n", "4", "-cap", "-2"}} {
+		dir := t.TempDir()
+		args = append(args, "-episodes", "1", "-progress", "0",
+			"-cpuprofile", filepath.Join(dir, "p.pprof"), "-events", filepath.Join(dir, "ev.jsonl"))
+		code, _, stderr := runMain(t, args...)
+		if code != 1 || !strings.Contains(stderr, "drl:") {
+			t.Fatalf("%v: exit %d, stderr %q; want exit 1 from the config check", args, code, stderr)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("%v: files left behind: %v", args, left)
+		}
+	}
+}
+
 // TestSaveModelFailureExitsNonZero checks that a -save-model that writes
 // no file fails the run.
 func TestSaveModelFailureExitsNonZero(t *testing.T) {

@@ -149,15 +149,31 @@ type Searcher struct {
 	episode int
 }
 
-// New validates the configuration and builds a searcher.
-func New(cfg Config) (*Searcher, error) {
+// CheckConfig reports the errors New returns for cfg without building
+// anything: a NoC size outside 2..topo.MaxJSONSide, an overlap cap below
+// one, and a network config for another NoC size. Only an InitWeights
+// length mismatch waits for New, which builds the network to count its
+// parameters. A command checks its configuration here before it creates
+// any output file.
+func CheckConfig(cfg Config) error {
 	// topo.MaxJSONSide is also the largest N nn.UnmarshalModel accepts, so
 	// every search can save a model it can load back.
 	if cfg.N < 2 || cfg.N > topo.MaxJSONSide {
-		return nil, fmt.Errorf("drl: NoC size %d out of range 2..%d", cfg.N, topo.MaxJSONSide)
+		return fmt.Errorf("drl: NoC size %d out of range 2..%d", cfg.N, topo.MaxJSONSide)
 	}
 	if cfg.OverlapCap < 1 {
-		return nil, fmt.Errorf("drl: search requires a node overlapping cap (got %d)", cfg.OverlapCap)
+		return fmt.Errorf("drl: search requires a node overlapping cap (got %d)", cfg.OverlapCap)
+	}
+	if cfg.NN.N != 0 && cfg.NN.N != cfg.N {
+		return fmt.Errorf("drl: NN config N=%d mismatches NoC N=%d", cfg.NN.N, cfg.N)
+	}
+	return nil
+}
+
+// New validates the configuration (CheckConfig) and builds a searcher.
+func New(cfg Config) (*Searcher, error) {
+	if err := CheckConfig(cfg); err != nil {
+		return nil, err
 	}
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
@@ -167,9 +183,6 @@ func New(cfg Config) (*Searcher, error) {
 	}
 	if cfg.NN.N == 0 {
 		cfg.NN = nn.Config{N: cfg.N, BaseChannels: 4, Pools: 3}
-	}
-	if cfg.NN.N != cfg.N {
-		return nil, fmt.Errorf("drl: NN config N=%d mismatches NoC N=%d", cfg.NN.N, cfg.N)
 	}
 	s := &Searcher{cfg: cfg, tree: mcts.NewTree(cfg.CPuct, rl.ActionLess)}
 	if cfg.UseDNN {
@@ -361,17 +374,9 @@ func (s *Searcher) worker(tid, episodes int) {
 			guided++
 		}
 
-		// Backup through the tree with discounted returns-to-go.
-		if cap(ar.returns) < len(traj.Steps) {
-			ar.returns = make([]float64, len(traj.Steps))
-		}
-		returns := ar.returns[:len(traj.Steps)]
-		ar.returns = returns
-		g := traj.Final
-		for i := len(traj.Steps) - 1; i >= 0; i-- {
-			g = traj.Steps[i].Reward + s.cfg.Gamma*g
-			returns[i] = g
-		}
+		// The discounted returns-to-go drive both the tree backup and
+		// training.
+		returns := a2c.ReturnsToGo(traj)
 		if s.cfg.UseMCTS {
 			bk := ar.trace.Start(obs.SpanMCTSBackup)
 			s.tree.Backup(path, returns)
@@ -382,7 +387,7 @@ func (s *Searcher) worker(tid, episodes int) {
 		if net != nil {
 			tr := ar.trace.Start(obs.SpanTrain)
 			net.ZeroGrads()
-			mse = a2c.Accumulate(net, traj)
+			mse = a2c.Accumulate(net, traj, returns)
 			net.CopyGradsInto(grads)
 			// Fused push/pull: one pass clips, applies the SGD step, and
 			// copies the updated weights back out under one lock, so the
@@ -454,15 +459,14 @@ func (s *Searcher) worker(tid, episodes int) {
 // episodeArena is one worker's reusable episode state. Every buffer an
 // episode needs — the environment itself (with its topology and greedy
 // score cache), the trajectory and tree path, one state matrix per
-// decision point, the flat prior weights, and the backup returns — is
-// allocated once per worker and recycled, so steady-state episodes touch
-// the heap only for results that outlive them (valid designs, new tree
-// nodes, fingerprint keys).
+// decision point, and the flat prior weights — is allocated once per
+// worker and recycled, so steady-state episodes touch the heap only for
+// results that outlive them (valid designs, new tree nodes, fingerprint
+// keys).
 type episodeArena struct {
-	env     *rl.Env
-	traj    rl.Trajectory
-	path    []mcts.PathStep[rl.Action]
-	returns []float64
+	env  *rl.Env
+	traj rl.Trajectory
+	path []mcts.PathStep[rl.Action]
 	// states holds one reusable hop-matrix buffer per trajectory step;
 	// StepRecord.State aliases these until the next episode overwrites
 	// them, which is safe because training consumes the trajectory before

@@ -30,9 +30,8 @@ type Options struct {
 	// Seed drives every stochastic component.
 	Seed int64
 	// Workers is the worker-pool width for the parallel experiment paths
-	// (RunParallel/ParallelSweep): 0 selects GOMAXPROCS, 1 forces the
-	// sequential path. Parallel and sequential runs of the same seed
-	// produce identical reports.
+	// (RunParallel): 0 selects GOMAXPROCS, 1 runs every point on one
+	// worker. Every width produces identical reports for the same seed.
 	Workers int
 	// Metrics/Events, when non-nil, are threaded into the DRL searches the
 	// experiments run, so benchtab's -metrics/-events/-debug-addr flags
@@ -235,14 +234,17 @@ func MeshRun(n, delay int, p traffic.Pattern, rate float64, o Options) sim.Resul
 // packets — a first point with zero completions (possible at very light
 // load under short Quick windows) must not freeze the baseline at 0 and
 // end the sweep on its successor. A saturated first point still stops the
-// sweep immediately. ParallelSweep applies the same conditions.
+// sweep immediately.
 func Sweep(run func(rate float64) sim.Result, rates []float64) []sim.SweepPoint {
 	var pts []sim.SweepPoint
-	var st sweepState
+	zeroLoad := 0.0
 	for _, r := range rates {
 		res := run(r)
 		pts = append(pts, sim.SweepPoint{Rate: r, Result: res})
-		if st.stop(res) {
+		if zeroLoad == 0 && res.PacketsDone > 0 {
+			zeroLoad = res.AvgLatency
+		}
+		if res.Saturated || (zeroLoad > 0 && res.AvgLatency > 3*zeroLoad) {
 			break
 		}
 	}

@@ -46,20 +46,7 @@ func RunParallelTraced[T any](n, j int, reg *obs.Registry, tr *obs.Tracer, fn fu
 	if n == 0 {
 		return out
 	}
-	if j > n {
-		j = n
-	}
-	if j <= 1 {
-		c := reg.Counter("exp.worker.0.points")
-		sh := tr.Shard("exp.worker.0")
-		for i := 0; i < n; i++ {
-			sp := sh.Start(obs.SpanExpPoint)
-			out[i] = fn(i, sh)
-			sp.End()
-			c.Inc()
-		}
-		return out
-	}
+	j = max(1, min(j, n))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < j; w++ {
@@ -90,48 +77,4 @@ func RunParallelTraced[T any](n, j int, reg *obs.Registry, tr *obs.Tracer, fn fu
 func runAll(o Options, jobs []func() sim.Result) []sim.Result {
 	return RunParallelTraced(len(jobs), o.jobs(), o.Metrics, o.Trace,
 		func(i int, _ *obs.TraceShard) sim.Result { return jobs[i]() })
-}
-
-// sweepState carries Sweep's stop conditions so the sequential and
-// speculative sweeps share them exactly: the zero-load baseline is the
-// first point that actually delivered packets, and the sweep stops on
-// saturation or once latency exceeds 3x that baseline.
-type sweepState struct{ zeroLoad float64 }
-
-// stop folds one in-order result into the state and reports whether the
-// sweep ends after this point.
-func (s *sweepState) stop(res sim.Result) bool {
-	if s.zeroLoad == 0 && res.PacketsDone > 0 {
-		s.zeroLoad = res.AvgLatency
-	}
-	return res.Saturated || (s.zeroLoad > 0 && res.AvgLatency > 3*s.zeroLoad)
-}
-
-// ParallelSweep is Sweep with speculative parallelism: rates are run in
-// batches of j across the worker pool, then scanned in order under the
-// same stop conditions as Sweep. Points past a stop are discarded, so
-// for a deterministic run function the result is identical to
-// Sweep(run, rates) — the speculation only trades (at most one batch of)
-// wasted simulation for wall-clock time. j <= 1 falls back to Sweep.
-func ParallelSweep(run func(rate float64) sim.Result, rates []float64, j int) []sim.SweepPoint {
-	if j <= 1 || len(rates) <= 1 {
-		return Sweep(run, rates)
-	}
-	pts := make([]sim.SweepPoint, 0, len(rates))
-	var st sweepState
-	for start := 0; start < len(rates); start += j {
-		end := start + j
-		if end > len(rates) {
-			end = len(rates)
-		}
-		batch := rates[start:end]
-		results := RunParallel(len(batch), j, nil, func(i int) sim.Result { return run(batch[i]) })
-		for i, res := range results {
-			pts = append(pts, sim.SweepPoint{Rate: batch[i], Result: res})
-			if st.stop(res) {
-				return pts
-			}
-		}
-	}
-	return pts
 }

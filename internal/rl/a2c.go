@@ -51,10 +51,11 @@ type A2C struct {
 	dVal    []float64
 }
 
-// returnsToGo fills the returns scratch with the discounted returns-to-go,
-// seeding with the final return after the last step: G_t = r_t + γ G_{t+1},
-// G_n = Final.
-func (a *A2C) returnsToGo(traj Trajectory) []float64 {
+// ReturnsToGo fills the A2C's returns scratch with the discounted
+// returns-to-go, seeding with the final return after the last step:
+// G_t = r_t + γ G_{t+1}, G_n = Final. They serve both the tree backup and
+// Accumulate; the slice is valid until the next ReturnsToGo call.
+func (a *A2C) ReturnsToGo(traj Trajectory) []float64 {
 	n := len(traj.Steps)
 	if cap(a.returns) < n {
 		a.returns = make([]float64, n)
@@ -68,9 +69,10 @@ func (a *A2C) returnsToGo(traj Trajectory) []float64 {
 	return returns
 }
 
-// Accumulate back-propagates the trajectory through net. Gradients are
-// summed into net's parameter gradient buffers; callers then ship them to
-// the parameter server (§4.6), which applies the SGD update.
+// Accumulate back-propagates the trajectory through net, with returns the
+// trajectory's ReturnsToGo. Gradients are summed into net's parameter
+// gradient buffers; callers then ship them to the parameter server (§4.6),
+// which applies the SGD update.
 // It returns the mean squared value error, a training-progress signal.
 //
 // The update runs in tile-sized batched passes: each tile of consecutive
@@ -80,12 +82,11 @@ func (a *A2C) returnsToGo(traj Trajectory) []float64 {
 // reduce in ascending sample (= trajectory) order, so gradients, BatchNorm
 // running statistics, and MSE are byte-identical to a per-step loop of
 // one-sample calls (the test oracle).
-func (a *A2C) Accumulate(net *nn.PolicyValueNet, traj Trajectory) float64 {
+func (a *A2C) Accumulate(net *nn.PolicyValueNet, traj Trajectory, returns []float64) float64 {
 	n := len(traj.Steps)
 	if n == 0 {
 		return 0
 	}
-	returns := a.returnsToGo(traj)
 	nc := net.Cfg.N
 	tile := a.tile
 	if tile <= 0 {

@@ -50,7 +50,7 @@ func TestA2CBatchedMatchesSequentialByteIdentical(t *testing.T) {
 					t.Fatalf("round %d: degenerate trajectory (%d steps)", round, len(traj.Steps))
 				}
 				mseSeq := seq.accumulateSequential(seqNet, traj)
-				mseBat := bat.Accumulate(batNet, traj)
+				mseBat := bat.train(batNet, traj)
 				if mseSeq != mseBat {
 					t.Fatalf("round %d: mse diverged: sequential %v, batched %v", round, mseSeq, mseBat)
 				}
@@ -95,7 +95,7 @@ func TestA2CBatchedNoSearchDrift(t *testing.T) {
 		seqNet.ZeroGrads()
 		batNet.ZeroGrads()
 		seq.accumulateSequential(seqNet, traj)
-		bat.Accumulate(batNet, traj)
+		bat.train(batNet, traj)
 		sgdS.Step(seqNet)
 		sgdB.Step(batNet)
 		ws, wb := seqNet.GetWeights(), batNet.GetWeights()
@@ -116,18 +116,18 @@ func TestA2CBatchedZeroAllocWarm(t *testing.T) {
 	net := nn.NewPolicyValueNet(testConfig(4), 17)
 	a2c := DefaultA2C()
 	traj := randomTraj(e, rng, 20)
-	a2c.Accumulate(net, traj) // warm scratch and arena
+	a2c.train(net, traj) // warm scratch and arena
 	allocs := testing.AllocsPerRun(10, func() {
-		a2c.Accumulate(net, traj)
+		a2c.train(net, traj)
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed batched Accumulate allocates %.1f times, want 0", allocs)
 	}
 	// A shorter trajectory (partial tile) must reuse the same scratch.
 	short := randomTraj(e, rng, 7)
-	a2c.Accumulate(net, short)
+	a2c.train(net, short)
 	allocs = testing.AllocsPerRun(10, func() {
-		a2c.Accumulate(net, short)
+		a2c.train(net, short)
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed batched Accumulate (short trajectory) allocates %.1f times, want 0", allocs)

@@ -11,6 +11,12 @@ import (
 // DefaultA2C mirrors the paper's formulation with γ close to one.
 func DefaultA2C() A2C { return A2C{Gamma: 0.99, ValueCoeff: 0.5} }
 
+// train is one learner's update: the trajectory's returns-to-go, then
+// Accumulate over them.
+func (a *A2C) train(net *nn.PolicyValueNet, traj Trajectory) float64 {
+	return a.Accumulate(net, traj, a.ReturnsToGo(traj))
+}
+
 // testConfig returns a narrow network for fast tests.
 func testConfig(n int) nn.Config { return nn.Config{N: n, BaseChannels: 2, Pools: 2} }
 
@@ -67,7 +73,7 @@ func TestA2CAccumulatesGradients(t *testing.T) {
 	net := nn.NewPolicyValueNet(testConfig(4), 3)
 	net.ZeroGrads()
 	a2c := DefaultA2C()
-	mse := a2c.Accumulate(net, traj)
+	mse := a2c.train(net, traj)
 	if mse <= 0 {
 		t.Fatalf("mse = %v, want > 0 for an untrained net", mse)
 	}
@@ -85,7 +91,7 @@ func TestA2CAccumulatesGradients(t *testing.T) {
 func TestA2CEmptyTrajectory(t *testing.T) {
 	net := nn.NewPolicyValueNet(testConfig(4), 3)
 	a2c := DefaultA2C()
-	if got := a2c.Accumulate(net, Trajectory{}); got != 0 {
+	if got := a2c.train(net, Trajectory{}); got != 0 {
 		t.Fatalf("empty trajectory mse = %v", got)
 	}
 }
@@ -102,7 +108,7 @@ func TestA2CValueLearning(t *testing.T) {
 	var last float64
 	for i := 0; i < 40; i++ {
 		net.ZeroGrads()
-		last = a2c.Accumulate(net, traj)
+		last = a2c.train(net, traj)
 		if first < 0 {
 			first = last
 		}
@@ -135,7 +141,7 @@ func TestA2CPolicyDirection(t *testing.T) {
 	sgd := plainSGD{LR: 2e-3, Clip: 1}
 	for i := 0; i < 30; i++ {
 		net.ZeroGrads()
-		a2c.Accumulate(net, traj)
+		a2c.train(net, traj)
 		sgd.Step(net)
 	}
 	after := prob()
@@ -154,7 +160,7 @@ func TestA2CDiscounting(t *testing.T) {
 	sgd := plainSGD{LR: 5e-3, Clip: 1}
 	for i := 0; i < 80; i++ {
 		net.ZeroGrads()
-		a.Accumulate(net, traj)
+		a.train(net, traj)
 		sgd.Step(net)
 	}
 	// After training, V(s_last) should approach r_last + 0 = -1? The last

@@ -41,7 +41,7 @@ func BenchmarkA2CAccumulate(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
 		train func(*A2C, *nn.PolicyValueNet, Trajectory) float64
-	}{{"seq", (*A2C).accumulateSequential}, {"batched", (*A2C).Accumulate}} {
+	}{{"seq", (*A2C).accumulateSequential}, {"batched", (*A2C).train}} {
 		for _, nc := range []int{8, 10} {
 			for _, h := range []int{8, 16, 32} {
 				b.Run(mode.name+"/"+strconv.Itoa(nc)+"x"+strconv.Itoa(nc)+"/H"+strconv.Itoa(h), func(b *testing.B) {

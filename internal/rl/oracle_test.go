@@ -122,7 +122,7 @@ func (a *A2C) accumulateSequential(net *nn.PolicyValueNet, traj Trajectory) floa
 	if len(traj.Steps) == 0 {
 		return 0
 	}
-	returns := a.returnsToGo(traj)
+	returns := a.ReturnsToGo(traj)
 	outs := make([]nn.Output, 1)
 	mse := 0.0
 	for t, s := range traj.Steps {

@@ -10,7 +10,7 @@ package sim
 // Mutation discipline (what makes iteration safe without snapshots):
 // add() is only called at points where the set is not being iterated —
 // Inject, pipe landing, extension parking, post-advance injection — and
-// removals happen only in the compaction sweeps at the end of Step. Both
+// removals happen only in compact, at the end of Step. Both
 // list and mark are preallocated to the unit count, so steady-state
 // maintenance never touches the heap.
 type activeSet struct {
@@ -39,4 +39,19 @@ func (s *activeSet) add(i int) {
 		j--
 	}
 	s.list[j] = int32(i)
+}
+
+// compact drops the members live reports as idle, in place and keeping
+// the ascending order.
+func (s *activeSet) compact(live func(i int) bool) {
+	w := 0
+	for _, v := range s.list {
+		if live(int(v)) {
+			s.list[w] = v
+			w++
+		} else {
+			s.mark[v] = false
+		}
+	}
+	s.list = s.list[:w]
 }

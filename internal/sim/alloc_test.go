@@ -20,13 +20,7 @@ func testZeroAllocCycle(t *testing.T, net Network, src Source) {
 	// One packet pool shared by warmup and the measured phase, recycled by
 	// the network on delivery — the same ownership structure Run sets up.
 	pkts := pool[Packet]{}
-	recycle := func(p *Packet) { pkts.put(p) }
-	switch n := net.(type) {
-	case *Ring:
-		n.recycle = recycle
-	case *Mesh:
-		n.recycle = recycle
-	}
+	net.base().recycle = func(p *Packet) { pkts.put(p) }
 	oneCycle := func(id int) {
 		for _, r := range src.Tick() {
 			p := pkts.get()

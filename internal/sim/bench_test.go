@@ -10,8 +10,8 @@ import (
 // BenchmarkSimRunDense is the root BenchmarkSimRun matrix (same rates,
 // sub-benchmark names and run budget) on the dense reference walk of
 // dense_test.go — the "before" column for BENCH_PR8.json's sparse-vs-dense
-// rows. The dense wrappers run without Run's packet recycle hook, so their
-// allocs/op include one packet per injection; compare ns/op only.
+// rows. The dense wrappers run with Run's packet recycle hook like the
+// production networks, so ns/op and allocs/op both compare.
 func BenchmarkSimRunDense(b *testing.B) {
 	// cfg and rates copy BenchmarkSimRun and simRunRates in the root
 	// bench_test.go, which this package cannot import; change both together.

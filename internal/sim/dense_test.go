@@ -7,9 +7,9 @@ package sim
 // denseRing and denseMesh wrap a production network and replace its Step
 // with the dense walk and its active-set gauge with a ground-truth count,
 // so comparing interval streams also audits the occupancy bookkeeping.
-// The wrappers are not *Ring/*Mesh, so Run drives them without its packet
-// recycle hook and stops the drain on the ledger rescan, which
-// TestDrainCounterMatchesRescan pins as equivalent to the counter.
+// Everything else — the shared fabric accounting, Run's packet recycle
+// hook and its drain counter — is the wrapped network's own, so dense and
+// sparse runs differ only in the stepping walk.
 
 // denseRing steps a Ring with the dense walk.
 type denseRing struct{ *Ring }
@@ -17,19 +17,18 @@ type denseRing struct{ *Ring }
 // Step runs the dense walk instead of the sparse cycle.
 func (d denseRing) Step() { d.denseStep() }
 
-// ActiveLoops counts loops carrying a flit from the slot arrays.
-func (d denseRing) ActiveLoops() int {
-	r := d.Ring
-	n := 0
-	for _, ls := range r.loops {
+// fillStats counts loops carrying a flit from the slot arrays.
+func (d denseRing) fillStats(s *IntervalStats) {
+	d.Ring.fillStats(s)
+	s.ActiveLoops = 0
+	for _, ls := range d.loops {
 		for _, f := range ls.slot {
 			if f != nil {
-				n++
+				s.ActiveLoops++
 				break
 			}
 		}
 	}
-	return n
 }
 
 // denseMesh steps a Mesh with the dense walk.
@@ -38,27 +37,26 @@ type denseMesh struct{ *Mesh }
 // Step runs the dense walk instead of the sparse cycle.
 func (d denseMesh) Step() { d.denseStep() }
 
-// ActiveRouters counts routers with buffered flits or queued source
-// packets from the FIFOs and queues themselves.
-func (d denseMesh) ActiveRouters() int {
-	m := d.Mesh
-	n := 0
-	for id, rt := range m.routers {
-		if m.srcQueue[id].len() > 0 {
-			n++
+// fillStats counts routers with buffered flits or queued source packets
+// from the FIFOs and queues themselves.
+func (d denseMesh) fillStats(s *IntervalStats) {
+	d.Mesh.fillStats(s)
+	s.ActiveRouters = 0
+	for id, rt := range d.routers {
+		if d.srcQueue[id].len() > 0 {
+			s.ActiveRouters++
 			continue
 		}
 	scan:
 		for _, ip := range rt.inputs {
 			for _, vc := range ip.vcs {
 				if vc.fifo.len() > 0 {
-					n++
+					s.ActiveRouters++
 					break scan
 				}
 			}
 		}
 	}
-	return n
 }
 
 // ringNet returns r as a Network, stepped densely when dense is set.
@@ -154,10 +152,10 @@ func (r *Ring) denseStep() {
 
 	// Utilization sampling.
 	for _, ls := range r.loops {
-		r.slotSamples += int64(len(ls.slot))
+		r.linkSamples += int64(len(ls.slot))
 		for _, f := range ls.slot {
 			if f != nil {
-				r.slotOccupied++
+				r.linkBusy++
 			}
 		}
 	}
@@ -198,7 +196,7 @@ func (m *Mesh) denseStep() {
 		m.injectOne(id)
 	}
 
-	m.utilSamps += int64(2 * m.Nodes()) // rough per-node link pair sample
-	m.util += int64(len(m.pipe))
+	m.linkSamples += int64(2 * m.Nodes()) // rough per-node link pair sample
+	m.linkBusy += int64(len(m.pipe))
 	m.cycle++
 }

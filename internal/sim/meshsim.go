@@ -89,8 +89,6 @@ type Mesh struct {
 	// flits recycles meshFlit records; steady-state injection and
 	// delivery never allocate.
 	flits pool[meshFlit]
-	// recycle, when set, reclaims a completed packet (the Run freelist).
-	recycle func(*Packet)
 
 	srcQueue []queue[*Packet]
 	srcSent  []int // flits of head packet already injected
@@ -105,13 +103,7 @@ type Mesh struct {
 	bufCount []int32
 	active   activeSet
 
-	cycle     int
-	inFlight  int
-	util      int64
-	utilSamps int64
-
-	injectedFlits  int64
-	deliveredFlits int64
+	fabric
 }
 
 // NewMesh builds a rows×cols mesh of VC wormhole routers.
@@ -154,18 +146,11 @@ func NewMesh(rows, cols int, cfg MeshConfig) *Mesh {
 // Nodes implements Network.
 func (m *Mesh) Nodes() int { return m.rows * m.cols }
 
-// Cycle implements Network.
-func (m *Mesh) Cycle() int { return m.cycle }
-
-// InFlight implements Network.
-func (m *Mesh) InFlight() int { return m.inFlight }
-
 // Inject implements Network.
 func (m *Mesh) Inject(p *Packet) {
-	p.remaining = p.NumFlits
 	m.srcQueue[p.Src].push(p)
 	m.active.add(p.Src)
-	m.inFlight++
+	m.admit(p)
 }
 
 // Step implements Network. Phases: deliver pipelined flits into downstream
@@ -218,20 +203,13 @@ func (m *Mesh) Step() {
 		m.injectOne(int(v))
 	}
 
-	// Compact (order-preserving): drop routers that went fully quiescent.
-	w := 0
-	for _, v := range list {
-		if m.bufCount[v] > 0 || m.srcQueue[v].len() > 0 {
-			list[w] = v
-			w++
-		} else {
-			m.active.mark[v] = false
-		}
-	}
-	m.active.list = list[:w]
+	// Drop routers that went fully quiescent.
+	m.active.compact(func(id int) bool { return m.bufCount[id] > 0 || m.srcQueue[id].len() > 0 })
 
-	m.utilSamps += int64(2 * m.Nodes()) // rough per-node link pair sample
-	m.util += int64(len(m.pipe))
+	// Link utilization: in-transit flits over a rough two links per node,
+	// a coarse activity factor for the power model.
+	m.linkSamples += int64(2 * m.Nodes())
+	m.linkBusy += int64(len(m.pipe))
 	m.cycle++
 }
 
@@ -254,26 +232,10 @@ func (m *Mesh) ejectOne(id int, rt *router) {
 			if p != mesh.Local {
 				m.creditReturnVC(id, p, v)
 			}
-			m.finish(f)
+			pkt, hops := f.pkt, f.hops
+			m.flits.put(f)
+			m.deliver(pkt, hops)
 			return
-		}
-	}
-}
-
-// finish retires a delivered flit and recycles it.
-func (m *Mesh) finish(f *meshFlit) {
-	p, hops := f.pkt, f.hops
-	m.flits.put(f)
-	p.remaining--
-	m.deliveredFlits++
-	if hops > p.Hops {
-		p.Hops = hops
-	}
-	if p.remaining == 0 {
-		p.Done = m.cycle
-		m.inFlight--
-		if m.recycle != nil {
-			m.recycle(p)
 		}
 	}
 }
@@ -423,37 +385,14 @@ func (m *Mesh) injectOne(id int) {
 	}
 }
 
-// InjectedFlits returns the number of flits placed into local input VCs.
-func (m *Mesh) InjectedFlits() int64 { return m.injectedFlits }
-
-// DeliveredFlits returns the number of flits ejected at destinations.
-func (m *Mesh) DeliveredFlits() int64 { return m.deliveredFlits }
-
-// BufferOccupancy returns the number of flits currently held in input-VC
-// FIFOs across all routers (flits in the pipeline registers excluded), the
-// per-interval congestion probe for the telemetry layer.
-func (m *Mesh) BufferOccupancy() int {
-	n := 0
-	for _, rt := range m.routers {
-		for _, ip := range rt.inputs {
-			for _, vc := range ip.vcs {
-				n += vc.fifo.len()
-			}
-		}
+// fillStats implements Network: the flits held in input-VC FIFOs across
+// all routers (flits in the pipeline registers excluded) and the routers
+// with buffered flits or queued source packets, the units a sparse cycle
+// steps.
+func (m *Mesh) fillStats(s *IntervalStats) {
+	s.BufferOccupancy = 0
+	for _, n := range m.bufCount {
+		s.BufferOccupancy += int(n)
 	}
-	return n
-}
-
-// ActiveRouters returns the number of routers with buffered flits or
-// queued source packets as of the last completed cycle — the units a
-// sparse cycle actually steps.
-func (m *Mesh) ActiveRouters() int { return m.active.len() }
-
-// LinkUtilization implements Network: mean in-transit flits per link
-// sample; a coarse activity factor for the power model.
-func (m *Mesh) LinkUtilization() float64 {
-	if m.utilSamps == 0 {
-		return 0
-	}
-	return float64(m.util) / float64(m.utilSamps)
+	s.ActiveRouters = m.active.len()
 }

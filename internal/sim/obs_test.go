@@ -100,10 +100,10 @@ func TestMeshReportsProbes(t *testing.T) {
 	if res.PacketsDone == 0 {
 		t.Fatal("no packets delivered")
 	}
-	if m.InjectedFlits() == 0 || m.DeliveredFlits() == 0 {
+	if m.injectedFlits == 0 || m.DeliveredFlits() == 0 {
 		t.Fatal("mesh flit counters did not advance")
 	}
-	if m.BufferOccupancy() < 0 {
+	if gauges(m).BufferOccupancy < 0 {
 		t.Fatal("negative buffer occupancy")
 	}
 	if reg.Snapshot().Counters["sim.flits_ejected"] == 0 {

@@ -79,24 +79,14 @@ type Ring struct {
 	// site; loopActive is exactly the loops with occ > 0, extActive the
 	// nodes with parked extension flits, injActive the nodes with queued
 	// source packets. liveSlots caches the summed slot count of all loops
-	// (the per-cycle slotSamples increment).
+	// (the per-cycle link-slot sample).
 	occ        []int32
 	loopActive activeSet
 	extActive  activeSet
 	injActive  activeSet
 	liveSlots  int64
 
-	cycle    int
-	inFlight int
-
-	// recycle, when set, reclaims a completed packet (the Run packet
-	// freelist).
-	recycle func(*Packet)
-
-	slotSamples    int64
-	slotOccupied   int64
-	injectedFlits  int64
-	deliveredFlits int64
+	fabric
 }
 
 // NewRing builds a simulator for a routerless topology. The topology must
@@ -164,12 +154,6 @@ type injecting struct {
 // Nodes implements Network.
 func (r *Ring) Nodes() int { return r.topo.N() }
 
-// Cycle implements Network.
-func (r *Ring) Cycle() int { return r.cycle }
-
-// InFlight implements Network.
-func (r *Ring) InFlight() int { return r.inFlight }
-
 // Inject implements Network: the packet joins its source queue and is
 // placed onto its loop as slots pass by.
 func (r *Ring) Inject(p *Packet) {
@@ -178,12 +162,11 @@ func (r *Ring) Inject(p *Packet) {
 	if li < 0 {
 		panic(fmt.Sprintf("sim: no loop connects %d -> %d", p.Src, p.Dst))
 	}
-	p.remaining = p.NumFlits
 	inj := r.injs.get()
 	inj.pkt, inj.loopIdx, inj.distance = p, li, int(r.routeDist[p.Src*n+p.Dst])
 	r.srcQueue[p.Src].push(inj)
 	r.injActive.add(p.Src)
-	r.inFlight++
+	r.admit(p)
 }
 
 // Step implements Network. Per-cycle phases:
@@ -194,7 +177,7 @@ func (r *Ring) Inject(p *Packet) {
 //  3. injection — source NIs place queued flits into empty slots.
 //
 // The cycle is *sparse*: only loops with occupied slots, nodes
-// with parked extension flits, and nodes with pending injections are
+// with parked extension flits, and nodes with queued injections are
 // visited, so the per-cycle cost is proportional to activity rather than
 // topology size. The invariant making this safe is that every skipped
 // unit's step is provably a no-op (an empty loop ejects nothing, advances
@@ -294,44 +277,16 @@ func (r *Ring) Step() {
 	// Utilization sampling from the occupancy counters: liveSlots is the
 	// summed length of all loops, and occ[li] the flits loop li carries
 	// after injection — integer sums identical to the dense per-slot walk.
-	r.slotSamples += r.liveSlots
+	r.linkSamples += r.liveSlots
 	for _, v := range r.loopActive.list {
-		r.slotOccupied += int64(r.occ[v])
+		r.linkBusy += int64(r.occ[v])
 	}
 
-	// Compact the active sets in place (order-preserving): drop loops
-	// that drained, nodes whose extension buffers emptied, and nodes
-	// whose source queues ran dry.
-	w := 0
-	for _, v := range r.loopActive.list {
-		if r.occ[v] > 0 {
-			r.loopActive.list[w] = v
-			w++
-		} else {
-			r.loopActive.mark[v] = false
-		}
-	}
-	r.loopActive.list = r.loopActive.list[:w]
-	w = 0
-	for _, v := range r.extActive.list {
-		if r.extension[v].len() > 0 {
-			r.extActive.list[w] = v
-			w++
-		} else {
-			r.extActive.mark[v] = false
-		}
-	}
-	r.extActive.list = r.extActive.list[:w]
-	w = 0
-	for _, v := range r.injActive.list {
-		if r.srcQueue[v].len() > 0 {
-			r.injActive.list[w] = v
-			w++
-		} else {
-			r.injActive.mark[v] = false
-		}
-	}
-	r.injActive.list = r.injActive.list[:w]
+	// Drop loops that drained, nodes whose extension buffers emptied, and
+	// nodes whose source queues ran dry.
+	r.loopActive.compact(func(li int) bool { return r.occ[li] > 0 })
+	r.extActive.compact(func(n int) bool { return r.extension[n].len() > 0 })
+	r.injActive.compact(func(n int) bool { return r.srcQueue[n].len() > 0 })
 
 	r.cycle++
 }
@@ -349,45 +304,16 @@ func (r *Ring) bumpEject(n int) {
 func (r *Ring) finishFlit(f *flit) {
 	p, hops := f.pkt, f.hops
 	r.flits.put(f)
-	p.remaining--
-	r.deliveredFlits++
-	if hops > p.Hops {
-		p.Hops = hops
-	}
-	if p.remaining == 0 {
-		p.Done = r.cycle
-		r.inFlight--
-		if r.recycle != nil {
-			r.recycle(p)
-		}
-	}
+	r.deliver(p, hops)
 }
 
-// LinkUtilization implements Network.
-func (r *Ring) LinkUtilization() float64 {
-	if r.slotSamples == 0 {
-		return 0
-	}
-	return float64(r.slotOccupied) / float64(r.slotSamples)
-}
-
-// InjectedFlits returns the number of flits placed onto rings so far.
-func (r *Ring) InjectedFlits() int64 { return r.injectedFlits }
-
-// DeliveredFlits returns the number of flits ejected at destinations.
-func (r *Ring) DeliveredFlits() int64 { return r.deliveredFlits }
-
-// BufferOccupancy returns the number of flits currently parked in
-// extension buffers across all nodes, the ring model's only buffering
-// beyond the loop slots themselves.
-func (r *Ring) BufferOccupancy() int {
-	n := 0
+// fillStats implements Network: the flits parked in extension buffers
+// (the ring's only buffering beyond the loop slots themselves) and the
+// loops carrying at least one flit, the units a sparse cycle steps.
+func (r *Ring) fillStats(s *IntervalStats) {
+	s.BufferOccupancy = 0
 	for i := range r.extension {
-		n += r.extension[i].len()
+		s.BufferOccupancy += r.extension[i].len()
 	}
-	return n
+	s.ActiveLoops = r.loopActive.len()
 }
-
-// ActiveLoops returns the number of loops carrying at least one flit as
-// of the last completed cycle — the units a sparse cycle actually steps.
-func (r *Ring) ActiveLoops() int { return r.loopActive.len() }

@@ -11,8 +11,9 @@
 //     routing, credit flow control and a configurable router pipeline
 //     depth (2, 1, or 0 cycles, the paper's Mesh-2/Mesh-1/Mesh-0).
 //
-// Both expose the same Network interface, driven by a Runner that injects
-// traffic, advances cycles, and collects statistics.
+// Both satisfy the Network interface and share its packet accounting
+// (fabric); Run injects traffic into either, advances cycles, and collects
+// statistics.
 package sim
 
 import (
@@ -42,7 +43,9 @@ type Packet struct {
 	measured bool
 }
 
-// Network is a cycle-accurate NoC model.
+// Network is a cycle-accurate NoC model. The contract is closed: its
+// unexported methods let only this package's models, Ring and Mesh,
+// satisfy it, so Run relies on their shared accounting without probing.
 type Network interface {
 	// Nodes returns the number of network endpoints.
 	Nodes() int
@@ -50,6 +53,17 @@ type Network interface {
 	Inject(p *Packet)
 	// Step advances the network by one cycle.
 	Step()
+	// fillStats sets the model-specific gauges of an interval sample:
+	// BufferOccupancy and the model's active-set size (ActiveLoops for
+	// the ring, ActiveRouters for the mesh).
+	fillStats(s *IntervalStats)
+
+	accounting
+}
+
+// accounting is the part of Network every model gets from its embedded
+// fabric.
+type accounting interface {
 	// Cycle returns the current cycle number.
 	Cycle() int
 	// InFlight returns the number of packets injected but not delivered.
@@ -57,6 +71,64 @@ type Network interface {
 	// LinkUtilization returns the mean fraction of link slots occupied
 	// since construction (for the dynamic-power model).
 	LinkUtilization() float64
+	// base returns the model's fabric.
+	base() *fabric
+}
+
+// fabric is the packet accounting every network model shares: the cycle
+// clock, the packets in flight, the flit and link-slot counters and the
+// delivery hook Run installs. Ring and Mesh embed it.
+type fabric struct {
+	cycle    int
+	inFlight int
+
+	injectedFlits  int64
+	deliveredFlits int64
+
+	// linkBusy and linkSamples sum, over every cycle, the occupied link
+	// slots and the slots sampled; each model defines its slots.
+	linkBusy, linkSamples int64
+
+	// recycle, when set, observes every completed packet (Run's packet
+	// freelist and drain counter).
+	recycle func(*Packet)
+}
+
+func (f *fabric) base() *fabric { return f }
+
+func (f *fabric) Cycle() int { return f.cycle }
+
+func (f *fabric) InFlight() int { return f.inFlight }
+
+func (f *fabric) LinkUtilization() float64 {
+	if f.linkSamples == 0 {
+		return 0
+	}
+	return float64(f.linkBusy) / float64(f.linkSamples)
+}
+
+// DeliveredFlits returns the number of flits ejected at destinations.
+func (f *fabric) DeliveredFlits() int64 { return f.deliveredFlits }
+
+// admit starts accounting for a packet entering its source queue.
+func (f *fabric) admit(p *Packet) {
+	p.remaining = p.NumFlits
+	f.inFlight++
+}
+
+// deliver retires one flit of p that reached its destination after hops
+// hops, completing the packet with its last flit.
+func (f *fabric) deliver(p *Packet, hops int) {
+	p.remaining--
+	f.deliveredFlits++
+	p.Hops = max(p.Hops, hops)
+	if p.remaining == 0 {
+		p.Done = f.cycle
+		f.inFlight--
+		if f.recycle != nil {
+			f.recycle(p)
+		}
+	}
 }
 
 // Result aggregates a simulation run's measurements. The latency
@@ -137,51 +209,34 @@ func DefaultRunConfig() RunConfig {
 // injected during the measurement window.
 //
 // Run owns a packet freelist for the duration of the run: warmup packets
-// are reclaimed as they deliver (via the in-package recycle hook on Ring
-// and Mesh) and reused for measurement traffic, so the steady-state
-// injection path performs no heap allocation. Measured packets are held
-// until statistics are computed and released with the run.
+// are reclaimed as they deliver (through the network's recycle hook) and
+// reused for measurement traffic, so the steady-state injection path
+// performs no heap allocation. Measured packets are held until statistics
+// are computed and released with the run.
 func Run(net Network, src Source, cfg RunConfig) Result {
 	probe := newRunProbe(net, cfg)
 
-	// One pool per run, one network per run: attach the reclaim hook for
-	// the network models this package owns. Unknown Network implementations
-	// simply skip recycling (packets fall to the GC as before).
-	//
-	// The hook fires for every completed packet, so it doubles as an O(1)
-	// in-flight counter for the drain phase: measuredLeft counts measured
-	// packets not yet delivered, replacing the per-drain-cycle rescan of
-	// the whole measured ledger.
+	// One pool per run, one network per run. The hook fires for every
+	// completed packet, so it doubles as the drain phase's O(1) stop
+	// condition: measuredLeft counts measured packets not yet delivered.
+	fab := net.base()
 	pkts := pool[Packet]{}
 	measuredLeft := 0
-	hooked := false
-	recycle := func(p *Packet) {
+	prev := fab.recycle
+	fab.recycle = func(p *Packet) {
 		if p.measured {
 			measuredLeft--
 		} else {
 			pkts.put(p)
 		}
 	}
-	switch n := net.(type) {
-	case *Ring:
-		prev := n.recycle
-		n.recycle = recycle
-		hooked = true
-		defer func() { n.recycle = prev }()
-	case *Mesh:
-		prev := n.recycle
-		n.recycle = recycle
-		hooked = true
-		defer func() { n.recycle = prev }()
-	}
+	defer func() { fab.recycle = prev }()
 
-	run := cfg.Trace.Start(obs.SpanSimRun)
-	defer run.End()
-
+	var measured []*Packet
 	nextID := 0
-	warmSent := 0
-	warm := cfg.Trace.Start(obs.SpanSimWarmup)
-	for i := 0; i < cfg.WarmupCycles; i++ {
+	// inject queues this cycle's requests; measured packets join the
+	// ledger and the drain count, warmup packets return to the pool.
+	inject := func(measuring bool) {
 		for _, r := range src.Tick() {
 			p := pkts.get()
 			*p = Packet{
@@ -189,13 +244,25 @@ func Run(net Network, src Source, cfg RunConfig) Result {
 				Src: r.Src, Dst: r.Dst,
 				Class:    r.Class,
 				NumFlits: r.NumFlits,
-				Injected: net.Cycle(),
+				Injected: fab.cycle,
 				Done:     -1,
+				measured: measuring,
 			}
 			nextID++
-			warmSent++
 			net.Inject(p)
+			if measuring {
+				measured = append(measured, p)
+				measuredLeft++
+			}
 		}
+	}
+
+	run := cfg.Trace.Start(obs.SpanSimRun)
+	defer run.End()
+
+	warm := cfg.Trace.Start(obs.SpanSimWarmup)
+	for i := 0; i < cfg.WarmupCycles; i++ {
+		inject(false)
 		net.Step()
 	}
 	warm.End()
@@ -204,46 +271,21 @@ func Run(net Network, src Source, cfg RunConfig) Result {
 	// appends stay within capacity in steady state.
 	expected := 64
 	if cfg.WarmupCycles > 0 {
-		expected += warmSent * cfg.MeasureCycles / cfg.WarmupCycles
+		expected += nextID * cfg.MeasureCycles / cfg.WarmupCycles
 		expected += expected / 8
 	}
-	measured := make([]*Packet, 0, expected)
-	res := Result{}
+	measured = make([]*Packet, 0, expected)
 	meas := cfg.Trace.Start(obs.SpanSimMeasure)
 	for i := 0; i < cfg.MeasureCycles; i++ {
-		for _, r := range src.Tick() {
-			p := pkts.get()
-			*p = Packet{
-				ID:  nextID,
-				Src: r.Src, Dst: r.Dst,
-				Class:    r.Class,
-				NumFlits: r.NumFlits,
-				Injected: net.Cycle(),
-				Done:     -1,
-				measured: true,
-			}
-			nextID++
-			net.Inject(p)
-			measured = append(measured, p)
-			measuredLeft++
-			res.PacketsSent++
-		}
+		inject(true)
 		net.Step()
 		probe.tick("measure")
 	}
 	meas.End()
-	// Drain: no further injection. With the recycle hook installed the
-	// stop condition is the O(1) counter; unknown Network implementations
-	// fall back to rescanning the ledger.
+	// Drain: no further injection, until the last measured packet
+	// delivers or the bound runs out.
 	drain := cfg.Trace.Start(obs.SpanSimDrain)
-	for i := 0; i < cfg.DrainCycles; i++ {
-		if hooked {
-			if measuredLeft == 0 {
-				break
-			}
-		} else if pending(measured) == 0 {
-			break
-		}
+	for i := 0; i < cfg.DrainCycles && measuredLeft > 0; i++ {
 		net.Step()
 		probe.tick("drain")
 	}
@@ -252,6 +294,7 @@ func Run(net Network, src Source, cfg RunConfig) Result {
 	// One pass over the ledger: running sums for the means (same
 	// accumulation order the old sample slices produced) and a run-local
 	// log-scaled histogram for the percentiles.
+	res := Result{PacketsSent: len(measured)}
 	latHist := obs.NewHistogram()
 	var latSum, hopSum float64
 	for _, p := range measured {
@@ -287,8 +330,7 @@ type IntervalStats struct {
 	// "drain".
 	Cycle int
 	Phase string
-	// InjectedFlits/EjectedFlits are deltas over the interval; zero when
-	// the network does not expose flit counters.
+	// InjectedFlits/EjectedFlits are deltas over the interval.
 	InjectedFlits, EjectedFlits int64
 	// InFlight is the number of packets injected but not delivered.
 	InFlight int
@@ -303,27 +345,12 @@ type IntervalStats struct {
 	Throughput float64
 }
 
-// flitCounts is implemented by networks that count flits on and off the
-// fabric (Ring and Mesh both do).
-type flitCounts interface {
-	InjectedFlits() int64
-	DeliveredFlits() int64
-}
-
-// bufferOccupancy is implemented by networks that can report how many
-// flits are currently parked in buffers.
-type bufferOccupancy interface {
-	BufferOccupancy() int
-}
-
-// activeLoops / activeRouters are implemented by networks with a sparse
-// stepping active set (Ring and Mesh respectively).
-type activeLoops interface {
-	ActiveLoops() int
-}
-
-type activeRouters interface {
-	ActiveRouters() int
+// gauges returns net's model-specific gauges (see Network.fillStats),
+// with -1 in every gauge the model does not report.
+func gauges(net Network) IntervalStats {
+	s := IntervalStats{BufferOccupancy: -1, ActiveLoops: -1, ActiveRouters: -1}
+	net.fillStats(&s)
+	return s
 }
 
 // runProbe samples the network every ProbeEvery cycles and fans the sample
@@ -334,11 +361,6 @@ type runProbe struct {
 	cfg   RunConfig
 	every int
 	since int // cycles since the last sample
-
-	fc  flitCounts      // nil when the network has no flit counters
-	occ bufferOccupancy // nil when the network has no occupancy probe
-	al  activeLoops     // nil when the network has no loop active set
-	ar  activeRouters   // nil when the network has no router active set
 
 	lastInj, lastEject int64
 
@@ -361,26 +383,22 @@ func newRunProbe(net Network, cfg RunConfig) *runProbe {
 			every = 1
 		}
 	}
-	p := &runProbe{net: net, cfg: cfg, every: every}
-	p.fc, _ = net.(flitCounts)
-	p.occ, _ = net.(bufferOccupancy)
-	p.al, _ = net.(activeLoops)
-	p.ar, _ = net.(activeRouters)
-	if p.fc != nil {
-		p.lastInj, p.lastEject = p.fc.InjectedFlits(), p.fc.DeliveredFlits()
-	}
+	fab := net.base()
+	p := &runProbe{net: net, cfg: cfg, every: every,
+		lastInj: fab.injectedFlits, lastEject: fab.deliveredFlits}
 	reg := cfg.Metrics
 	p.injected = reg.Counter("sim.flits_injected")
 	p.ejected = reg.Counter("sim.flits_ejected")
 	p.inFlight = reg.Gauge("sim.inflight_packets")
 	p.bufOcc = reg.Gauge("sim.buffer_occupancy")
-	// Register only the gauge the network actually reports, so ring
+	// Register only the active-set gauge the network reports, so ring
 	// snapshots don't carry a dead mesh gauge and vice versa (Set on a
 	// nil gauge is a no-op).
-	if p.al != nil {
+	g := gauges(net)
+	if g.ActiveLoops >= 0 {
 		p.actLoops = reg.Gauge("sim.active_loops")
 	}
-	if p.ar != nil {
+	if g.ActiveRouters >= 0 {
 		p.actRouters = reg.Gauge("sim.active_routers")
 	}
 	p.intervalThr = reg.Gauge("sim.interval_throughput")
@@ -407,29 +425,13 @@ func (p *runProbe) tick(phase string) {
 	}
 	p.since = 0
 
-	s := IntervalStats{
-		Cycle:           p.net.Cycle(),
-		Phase:           phase,
-		InFlight:        p.net.InFlight(),
-		BufferOccupancy: -1,
-		ActiveLoops:     -1,
-		ActiveRouters:   -1,
-	}
-	if p.fc != nil {
-		inj, eject := p.fc.InjectedFlits(), p.fc.DeliveredFlits()
-		s.InjectedFlits, s.EjectedFlits = inj-p.lastInj, eject-p.lastEject
-		p.lastInj, p.lastEject = inj, eject
-		s.Throughput = float64(s.EjectedFlits) / float64(p.every) / float64(p.net.Nodes())
-	}
-	if p.occ != nil {
-		s.BufferOccupancy = p.occ.BufferOccupancy()
-	}
-	if p.al != nil {
-		s.ActiveLoops = p.al.ActiveLoops()
-	}
-	if p.ar != nil {
-		s.ActiveRouters = p.ar.ActiveRouters()
-	}
+	fab := p.net.base()
+	s := gauges(p.net)
+	s.Cycle, s.Phase, s.InFlight = fab.cycle, phase, fab.inFlight
+	inj, eject := fab.injectedFlits, fab.deliveredFlits
+	s.InjectedFlits, s.EjectedFlits = inj-p.lastInj, eject-p.lastEject
+	p.lastInj, p.lastEject = inj, eject
+	s.Throughput = float64(s.EjectedFlits) / float64(p.every) / float64(p.net.Nodes())
 
 	p.injected.Add(s.InjectedFlits)
 	p.ejected.Add(s.EjectedFlits)
@@ -494,16 +496,6 @@ func (p *runProbe) finish(res Result, latHist *obs.Histogram) {
 		"link_util":   res.LinkUtilization,
 		"saturated":   res.Saturated,
 	})
-}
-
-func pending(ps []*Packet) int {
-	n := 0
-	for _, p := range ps {
-		if p.Done < 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // SweepPoint couples an injection rate with its Result.

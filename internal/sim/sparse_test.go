@@ -159,7 +159,7 @@ func TestRingSparseMatchesDenseManual(t *testing.T) {
 			}
 			dnet.Step()
 			snet.Step()
-			if da, sa := dnet.ActiveLoops(), snet.ActiveLoops(); da != sa {
+			if da, sa := gauges(dnet).ActiveLoops, gauges(snet).ActiveLoops; da != sa {
 				t.Fatalf("trial %d cycle %d: ActiveLoops dense %d sparse %d", trial, cyc, da, sa)
 			}
 		}
@@ -169,37 +169,74 @@ func TestRingSparseMatchesDenseManual(t *testing.T) {
 					trial, i, dpkts[i].Done, dpkts[i].Hops, spkts[i].Done, spkts[i].Hops)
 			}
 		}
-		if dnet.InjectedFlits() != snet.InjectedFlits() ||
+		if dnet.injectedFlits != snet.injectedFlits ||
 			dnet.DeliveredFlits() != snet.DeliveredFlits() ||
 			dnet.InFlight() != snet.InFlight() ||
-			dnet.BufferOccupancy() != snet.BufferOccupancy() ||
+			gauges(dnet).BufferOccupancy != gauges(snet).BufferOccupancy ||
 			dnet.LinkUtilization() != snet.LinkUtilization() {
 			t.Fatalf("trial %d: counters diverge: dense inj=%d del=%d inflight=%d buf=%d util=%v, sparse inj=%d del=%d inflight=%d buf=%d util=%v",
 				trial,
-				dnet.InjectedFlits(), dnet.DeliveredFlits(), dnet.InFlight(), dnet.BufferOccupancy(), dnet.LinkUtilization(),
-				snet.InjectedFlits(), snet.DeliveredFlits(), snet.InFlight(), snet.BufferOccupancy(), snet.LinkUtilization())
+				dnet.injectedFlits, dnet.DeliveredFlits(), dnet.InFlight(), gauges(dnet).BufferOccupancy, dnet.LinkUtilization(),
+				snet.injectedFlits, snet.DeliveredFlits(), snet.InFlight(), gauges(snet).BufferOccupancy, snet.LinkUtilization())
 		}
 	}
 }
 
-// opaqueNet hides the concrete network type from Run's recycle/counter
-// type switch, forcing the drain loop onto its pending() rescan fallback.
-type opaqueNet struct{ Network }
+// stepWatch records the network's in-flight packet count after every
+// Step Run makes.
+type stepWatch struct {
+	Network
+	inFlight []int
+}
 
-// TestDrainCounterMatchesRescan pins the drain-phase satellite: the O(1)
-// measured-in-flight counter must stop the drain on exactly the cycle the
-// old full-ledger rescan did. The opaque wrapper runs the rescan path;
-// the bare network runs the counter path; Results must match, including
-// a saturated case where the drain bound is what ends the run.
-func TestDrainCounterMatchesRescan(t *testing.T) {
+func (w *stepWatch) Step() {
+	w.Network.Step()
+	w.inFlight = append(w.inFlight, w.Network.InFlight())
+}
+
+// TestDrainStopsOnLastMeasuredDelivery pins the drain's stop condition:
+// the run stops stepping on the first drain cycle that finds no measured
+// packet in flight, or after DrainCycles when packets are still in flight
+// there (the heavy-load case, whose two-cycle bound always runs out).
+// With no warmup every packet is measured, so the network's own InFlight
+// count after each Step is the measured packets still in flight, and the
+// watch sees exactly where the drain should have stopped.
+func TestDrainStopsOnLastMeasuredDelivery(t *testing.T) {
 	tp := rec.MustGenerate(4)
-	for _, rate := range []float64{0.03, 0.4} {
-		mkSrc := func() Source { return traffic.NewInjector(4, 4, traffic.UniformRandom, rate, 128, 3) }
-		cfg := RunConfig{WarmupCycles: 200, MeasureCycles: 1000, DrainCycles: 3000}
-		hooked := Run(NewRing(tp, DefaultRingConfig()), mkSrc(), cfg)
-		fallback := Run(opaqueNet{NewRing(tp, DefaultRingConfig())}, mkSrc(), cfg)
-		if hooked != fallback {
-			t.Fatalf("rate %v: counter drain diverges from rescan drain\n counter: %+v\n rescan:  %+v", rate, hooked, fallback)
+	const measure = 1000
+	for _, tc := range []struct {
+		rate       float64
+		drainBound int
+		saturated  bool
+	}{{0.1, 3000, false}, {0.4, 2, true}} {
+		for _, mk := range []func() Network{
+			func() Network { return NewRing(tp, DefaultRingConfig()) },
+			func() Network { return denseRing{NewRing(tp, DefaultRingConfig())} },
+			func() Network { return NewMesh(4, 4, MeshN(2)) },
+		} {
+			w := &stepWatch{Network: mk()}
+			src := traffic.NewInjector(4, 4, traffic.UniformRandom, tc.rate, 128, 3)
+			res := Run(w, src, RunConfig{MeasureCycles: measure, DrainCycles: tc.drainBound})
+			if res.Saturated != tc.saturated {
+				t.Fatalf("rate %v %T: Saturated = %v, want %v", tc.rate, w.Network, res.Saturated, tc.saturated)
+			}
+			// Every drain Step follows one that left packets in flight, and
+			// the drain ends on the first that left none or at the bound.
+			ran := len(w.inFlight) - measure
+			for i := measure; i < len(w.inFlight); i++ {
+				if w.inFlight[i-1] == 0 {
+					t.Fatalf("rate %v %T: drain cycle %d ran with nothing in flight", tc.rate, w.Network, i-measure)
+				}
+			}
+			if left := w.inFlight[len(w.inFlight)-1]; left > 0 && ran < tc.drainBound {
+				t.Fatalf("rate %v %T: drain stopped after %d cycles with %d packets in flight", tc.rate, w.Network, ran, left)
+			}
+			if ran == 0 {
+				t.Fatalf("rate %v %T: no packet left in flight for the drain", tc.rate, w.Network)
+			}
+			if tc.saturated != (ran == tc.drainBound) {
+				t.Fatalf("rate %v %T: drain ran %d of %d cycles", tc.rate, w.Network, ran, tc.drainBound)
+			}
 		}
 	}
 }

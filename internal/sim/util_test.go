@@ -113,9 +113,9 @@ func TestFlitCountersConsistent(t *testing.T) {
 	r := NewRing(tp, DefaultRingConfig())
 	src := traffic.NewInjector(4, 4, traffic.UniformRandom, 0.05, 128, 14)
 	Run(r, src, RunConfig{WarmupCycles: 100, MeasureCycles: 1000, DrainCycles: 4000})
-	if r.DeliveredFlits() != r.InjectedFlits() {
+	if r.DeliveredFlits() != r.injectedFlits {
 		t.Fatalf("injected %d flits, delivered %d after drain",
-			r.InjectedFlits(), r.DeliveredFlits())
+			r.injectedFlits, r.DeliveredFlits())
 	}
 }
 
