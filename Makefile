@@ -45,15 +45,17 @@ bench:
 
 # Quick kernel-iteration loop for the DNN hot path (fused padded-plane
 # convs, scratch arenas): the DNN micro-benchmarks with allocation counts,
-# the conv layer against its naive reference, then the fused conv kernels
-# per layer shape of the default 8×8 and 10×10 nets on both bodies (avx2:
-# the register-tiled rows for Fwd/DX, the axpy4/dot4x4 primitives for DW;
-# go: the portable loops), each row reporting GMAC/s, and the lowered GEMM
-# oracle. Baseline numbers live in BENCH_PR2.json; the AVX2 rows in
-# CHANGES.md.
+# the conv layer against its naive reference, one training forward plus
+# backward of every ReLU, BatchNorm, MaxPool and conv layer shape of the
+# 8×8 net at the B=16 training tile (ns per output element), then the
+# fused conv kernels per layer shape of the default 8×8 and 10×10 nets on
+# both bodies (avx2: the register-tiled rows for Fwd/DX, the dwTileAVX2
+# register tile for DW; go: the portable loops), each row reporting
+# GMAC/s, and the lowered GEMM oracle. Baseline numbers live in
+# BENCH_PR2.json; the AVX2 and layer rows in CHANGES.md.
 bench-nn:
 	$(GO) test -bench 'BenchmarkDNN' -benchmem -run '^$$' .
-	$(GO) test -bench 'BenchmarkConvNaive' -benchmem -run '^$$' ./internal/nn/
+	$(GO) test -bench 'BenchmarkConvNaive|BenchmarkLayerTrain' -benchmem -run '^$$' ./internal/nn/
 	$(GO) test -bench 'BenchmarkConvFused|BenchmarkGemm' -benchmem -run '^$$' ./internal/tensor/
 
 # Quick iteration loop for the simulator hot path (zero-alloc Step/Run:

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"routerless/internal/nn"
 )
 
 // TestMain runs the command itself when the test binary is re-executed
@@ -120,6 +123,39 @@ func TestSaveModelFailureExitsNonZero(t *testing.T) {
 	}
 	if _, err := os.Stat(ok); err != nil {
 		t.Fatalf("model not saved: %v", err)
+	}
+}
+
+// TestNegativeRunVarModelExits checks that a -load-model file whose
+// BatchNorm running variance is negative, which would make every
+// inference of the model NaN, fails the run before the search.
+func TestNegativeRunVarModelExits(t *testing.T) {
+	data, err := nn.MarshalModel(nn.NewPolicyValueNet(nn.Config{N: 4, BaseChannels: 4, Pools: 3}, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	var stats [][]float64
+	if err := json.Unmarshal(m["run_stats"], &stats); err != nil {
+		t.Fatal(err)
+	}
+	stats[1][0] = -1
+	if m["run_stats"], err = json.Marshal(stats); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runMain(t, "-n", "4", "-episodes", "1", "-progress", "0", "-load-model", path)
+	if code != 1 || !strings.Contains(stderr, "variance") || stdout != "" {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 naming the variance before any output", code, stdout, stderr)
 	}
 }
 

@@ -16,10 +16,12 @@ import (
 // multi-threaded searches never share scratch.
 type Arena struct {
 	floats int // total float64 capacity handed out (high-water bookkeeping)
-	// The conv kernels' scratch, shared by every Conv2D on the arena: its
-	// contents never outlive one tensor.ConvFwdPad or ConvDXPad call.
+	// The conv kernels' scratch, shared by every Conv2D on the arena: the
+	// contents of convWork and convOffs never outlive one kernel call, and
+	// those of convGrad (the padded gradient planes) one Conv2D.Backward.
 	convWork []float64
 	convOffs []int
+	convGrad []float64
 }
 
 // NewArena returns an empty arena.
@@ -75,8 +77,8 @@ func panicBadDim(s int) {
 	panic(fmt.Sprintf("nn: arena tensor with invalid dimension %d", s))
 }
 
-// convScratch returns the scratch tensor.ConvFwdPad and tensor.ConvDXPad
-// need for a conv layer of this shape (contents unspecified).
+// convScratch returns the scratch tensor.ConvFwdPad, ConvDWPad and
+// ConvDXPad need for a conv layer of this shape (contents unspecified).
 func (a *Arena) convScratch(outC, inC, h, w, k int) ([]float64, []int) {
 	nf, ni := tensor.ConvWork(outC, inC, h, w, k)
 	return a.slice(&a.convWork, nf), a.ints(&a.convOffs, ni)
@@ -93,11 +95,11 @@ func (a *Arena) ints(p *[]int, n int) []int {
 	return s
 }
 
-// bools resizes *p to n (contents unspecified).
-func (a *Arena) bools(p *[]bool, n int) []bool {
+// bytes resizes *p to n (contents unspecified).
+func (a *Arena) bytes(p *[]uint8, n int) []uint8 {
 	s := *p
 	if cap(s) < n {
-		s = make([]bool, n)
+		s = make([]uint8, n)
 	}
 	s = s[:n]
 	*p = s

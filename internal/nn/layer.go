@@ -15,10 +15,11 @@
 // written. In training mode each (channel, sample) plane is normalized by
 // its own statistics and the running-statistics EMA advances once per
 // sample in ascending sample order, and every layer keeps what Backward
-// reads: the conv's zero-padded input planes, BatchNorm x̂, the ReLU mask,
-// the MaxPool argmax. Inference reads the running statistics and writes
-// no cache. Each mode has its own scratch set, so an inference Forward
-// between a training Forward and its Backward disturbs nothing.
+// reads: the conv's zero-padded input planes, BatchNorm x̂, the ReLU
+// output, the MaxPool argmax positions. Inference reads the running
+// statistics and writes no cache. Each mode has its own scratch set, so an
+// inference Forward between a training Forward and its Backward disturbs
+// nothing.
 //
 // A sample's result does not depend on B or on its position in the batch:
 // the conv kernels (tensor.ConvFwdPad, ConvDWPad, ConvDXPad) keep each
@@ -86,9 +87,6 @@ type Conv2D struct {
 	out   [2]*tensor.Tensor
 	pad   [2][]float64   // zero-padded input planes; pad[1] is kept for Backward
 	x     *tensor.Tensor // input of the last training Forward
-	gp    []float64      // zero-padded gradient planes of one sample
-	gT    []float64      // row-interleaved gradient spans (ConvDWPad)
-	row   []float64      // gathered cols row (ConvDWPad leftover columns)
 	dx    *tensor.Tensor
 }
 
@@ -117,12 +115,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	nb, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	m := mode(train)
-	if train {
-		c.x = x
-	}
 	hw := h * w
 	hpwp := (h + c.K - 1) * (w + c.K - 1)
 	a := ensureArena(&c.arena)
+	if train {
+		c.x = x
+		// Size the padded gradient planes Backward shares here: the forward
+		// pass reaches the widest layer (the stem) first, so the arena
+		// allocates them once instead of growing them layer by layer.
+		a.slice(&a.convGrad, c.OutC*nb*hpwp)
+	}
 	out := a.tensorFor(&c.out[m], c.OutC, nb, h, w)
 	xp := a.slice(&c.pad[m], c.InC*nb*hpwp)
 	for p := 0; p < c.InC*nb; p++ {
@@ -143,52 +145,75 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer through the fused padded-plane kernels:
-// tensor.ConvDWPad, one sample at a time in ascending sample order,
-// accumulates dW bit-identical to GemmNT over the im2col columns, and one
-// tensor.ConvDXPad call over all samples produces dX bit-identical to
-// GemmTN + Col2im, with neither column matrix materialized. Bias
-// gradients accumulate per (channel, sample) plane in sample order.
+// Backward implements Layer through the fused padded-plane kernels. Each
+// (channel, sample) gradient plane is padded once, by
+// tensor.PadGradPlane, and both kernels read the padded planes:
+// tensor.ConvDWPad accumulates dW one sample at a time in ascending sample
+// order, bit-identical to GemmNT over the im2col columns, and
+// tensor.ConvDXPad produces dX bit-identical to GemmTN + Col2im, with
+// neither column matrix materialized. Bias gradients accumulate per
+// (channel, sample) plane in ascending plane order.
 func (c *Conv2D) Backward(grad *tensor.Tensor, needDX bool) *tensor.Tensor {
 	x := c.x
 	nb, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	hw := h * w
 	hpwp := (h + c.K - 1) * (w + c.K - 1)
 	a := ensureArena(&c.arena)
-	for oc := 0; oc < c.OutC; oc++ {
-		for bi := 0; bi < nb; bi++ {
-			s := 0.0
-			for _, g := range grad.Data[(oc*nb+bi)*hw : (oc*nb+bi+1)*hw] {
-				s += g
-			}
-			c.Bias.G.Data[oc] += s
-		}
+	planeSums(grad.Data, hw, nb, c.Bias.G.Data)
+	gpad := a.slice(&a.convGrad, c.OutC*nb*hpwp)
+	for p := 0; p < c.OutC*nb; p++ {
+		tensor.PadGradPlane(grad.Data[p*hw:], h, w, c.K, gpad[p*hpwp:])
 	}
-	wpad := w + c.K - 1
-	span := (h-1)*wpad + w
-	lead := c.K - 1 - (c.K-1)/2 // gradient planes lead with the larger border
-	rowBuf := a.slice(&c.row, hw)
-	gT := a.slice(&c.gT, (c.OutC&^3)*span)
-	gpad := a.slice(&c.gp, c.OutC*hpwp) // also ConvDXPad's padding scratch
-	// The interior rows of the padded gradient planes, viewed from the first
-	// pixel at stride wpad, are exactly the zero-gapped span ConvDWPad walks.
-	gp := gpad[lead*wpad+lead:]
-	for bi := 0; bi < nb; bi++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			tensor.PadPlaneLead(grad.Data[(oc*nb+bi)*hw:], h, w, c.K, lead, gpad[oc*hpwp:])
-		}
-		tensor.ConvDWPad(grad.Data[bi*hw:], nb*hw, gp, hpwp,
-			c.pad[1][bi*hpwp:], nb*hpwp,
-			c.OutC, c.InC, h, w, c.K, c.Weight.G.Data, gT, rowBuf)
-	}
+	work, offs := a.convScratch(c.OutC, c.InC, h, w, c.K)
+	tensor.ConvDWPad(gpad, hpwp, c.pad[1], hpwp, c.OutC, c.InC, nb, h, w, c.K,
+		c.Weight.G.Data, work, offs)
 	if !needDX {
 		return nil
 	}
 	dx := a.tensorFor(&c.dx, x.Shape...)
-	work, offs := a.convScratch(c.OutC, c.InC, h, w, c.K)
-	tensor.ConvDXPad(c.Weight.W.Data, c.OutC, c.InC, nb, grad.Data, hw, h, w, c.K,
-		dx.Data, hw, gpad, work, offs)
+	tensor.ConvDXPad(c.Weight.W.Data, c.OutC, c.InC, nb, gpad, hpwp, h, w, c.K,
+		dx.Data, hw, work, offs)
 	return dx
+}
+
+// planeSums adds the sum of each n-element plane of x to acc[q/nb] in
+// ascending plane order q: the conv bias gradient. Each plane sums in one
+// chain from +0 in ascending order, four consecutive planes together.
+func planeSums(x []float64, n, nb int, acc []float64) {
+	np := len(x) / n
+	for q := 0; q < np; q += 4 {
+		s := sum4(fourPlanes(x, n, q, np))
+		for j := 0; j < min(4, np-q); j++ {
+			acc[(q+j)/nb] += s[j]
+		}
+	}
+}
+
+// fourPlanes returns planes q..q+3 of the np n-element planes of x. Past
+// the last plane it repeats that plane, whose extra results the callers
+// discard, so every pass carries four chains.
+func fourPlanes(x []float64, n, q, np int) [4][]float64 {
+	var p [4][]float64
+	for j := range p {
+		i := min(q+j, np-1)
+		p[j] = x[i*n : (i+1)*n]
+	}
+	return p
+}
+
+// sum4 returns the sums of four equal-length planes, each one chain from
+// +0 in ascending order; the four chains share each pass.
+func sum4(p [4][]float64) [4]float64 {
+	x0 := p[0]
+	x1, x2, x3 := p[1][:len(x0)], p[2][:len(x0)], p[3][:len(x0)]
+	var s0, s1, s2, s3 float64
+	for i := range x0 {
+		s0 += x0[i]
+		s1 += x1[i]
+		s2 += x2[i]
+		s3 += x3[i]
+	}
+	return [4]float64{s0, s1, s2, s3}
 }
 
 // ---------------------------------------------------------------------------
@@ -237,7 +262,9 @@ func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 // Forward implements Layer on (C, B, H, W). Training normalizes every
 // plane by its own mean and variance, so samples stay independent; batch
-// statistics would silently change the model being trained.
+// statistics would silently change the model being trained. Each plane's
+// statistics are one chain per sum, and the running statistics advance
+// once per plane in ascending (channel, sample) order.
 func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[0] != b.C {
 		panic(fmt.Sprintf("nn: BatchNorm input %v, want (%d,B,H,W)", x.Shape, b.C))
@@ -246,89 +273,123 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Shape[2] * x.Shape[3]
 	a := ensureArena(&b.arena)
 	out := a.tensorFor(&b.out[mode(train)], x.Shape...)
-	if train {
-		a.slice(&b.xhat, x.Size())
-		a.slice(&b.invSD, b.C*nb)
+	if !train {
+		// A channel's nb planes are contiguous and share its statistics.
+		for c := 0; c < b.C; c++ {
+			g, beta := b.Gamma.W.Data[c], b.Beta.W.Data[c]
+			mean := b.RunMean[c]
+			inv := 1 / math.Sqrt(b.RunVar[c]+b.Eps)
+			dst := out.Data[c*nb*n : (c+1)*nb*n]
+			for i, v := range x.Data[c*nb*n : (c+1)*nb*n] {
+				dst[i] = g*((v-mean)*inv) + beta
+			}
+		}
+		return out
 	}
-	for c := 0; c < b.C; c++ {
-		g, beta := b.Gamma.W.Data[c], b.Beta.W.Data[c]
-		for bi := 0; bi < nb; bi++ {
-			p := (c*nb + bi) * n
-			ch := x.Data[p : p+n]
-			dst := out.Data[p : p+n]
-			if !train {
-				mean := b.RunMean[c]
-				inv := 1 / math.Sqrt(b.RunVar[c]+b.Eps)
-				for i, v := range ch {
-					dst[i] = g*((v-mean)*inv) + beta
-				}
-				continue
-			}
-			var mean, varc float64
-			for _, v := range ch {
-				mean += v
-			}
-			mean /= float64(n)
-			for _, v := range ch {
-				d := v - mean
-				varc += d * d
-			}
-			varc /= float64(n)
-			b.RunMean[c] = b.Momentum*b.RunMean[c] + (1-b.Momentum)*mean
-			b.RunVar[c] = b.Momentum*b.RunVar[c] + (1-b.Momentum)*varc
-			inv := 1 / math.Sqrt(varc+b.Eps)
-			b.invSD[c*nb+bi] = inv
-			xhat := b.xhat[p : p+n]
-			for i, v := range ch {
-				xh := (v - mean) * inv
-				xhat[i] = xh
-				dst[i] = g*xh + beta
+	xhat := a.slice(&b.xhat, x.Size())
+	invSD := a.slice(&b.invSD, b.C*nb)
+	np := b.C * nb
+	for q := 0; q < np; q += 4 {
+		mean, varc := planeMoments(fourPlanes(x.Data, n, q, np))
+		for j := 0; j < min(4, np-q); j++ {
+			p, c := q+j, (q+j)/nb
+			b.RunMean[c] = b.Momentum*b.RunMean[c] + (1-b.Momentum)*mean[j]
+			b.RunVar[c] = b.Momentum*b.RunVar[c] + (1-b.Momentum)*varc[j]
+			inv := 1 / math.Sqrt(varc[j]+b.Eps)
+			invSD[p] = inv
+			g, beta, mu := b.Gamma.W.Data[c], b.Beta.W.Data[c], mean[j]
+			xh, dst := xhat[p*n:(p+1)*n], out.Data[p*n:(p+1)*n]
+			for i, v := range x.Data[p*n : (p+1)*n] {
+				h := (v - mu) * inv
+				xh[i] = h
+				dst[i] = g*h + beta
 			}
 		}
 	}
 	return out
 }
 
+// planeMoments returns the mean and variance of four equal-length
+// planes: the sum of each plane in one chain from +0, divided by its
+// length, then the squared deviations from that mean in one chain,
+// divided by its length. The four planes' chains share each pass.
+func planeMoments(p [4][]float64) (mean, varc [4]float64) {
+	x0 := p[0]
+	x1, x2, x3 := p[1][:len(x0)], p[2][:len(x0)], p[3][:len(x0)]
+	fn := float64(len(x0))
+	s := sum4(p)
+	m0, m1, m2, m3 := s[0]/fn, s[1]/fn, s[2]/fn, s[3]/fn
+	var v0, v1, v2, v3 float64
+	for i := range x0 {
+		d0, d1, d2, d3 := x0[i]-m0, x1[i]-m1, x2[i]-m2, x3[i]-m3
+		v0 += d0 * d0
+		v1 += d1 * d1
+		v2 += d2 * d2
+		v3 += d3 * d3
+	}
+	return [4]float64{m0, m1, m2, m3}, [4]float64{v0 / fn, v1 / fn, v2 / fn, v3 / fn}
+}
+
 // Backward implements Layer: the training-mode gradient applied plane by
 // plane, with Gamma/Beta accumulating in ascending sample order per
-// channel.
+// channel. Four planes' sums run together, one chain each, and each
+// plane's constant factor γ·(1/σ)/n is computed once.
 func (b *BatchNorm) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 	nb := grad.Shape[1]
 	n := grad.Shape[2] * grad.Shape[3]
 	dx := ensureArena(&b.arena).tensorFor(&b.dx, grad.Shape...)
-	for c := 0; c < b.C; c++ {
-		g := b.Gamma.W.Data[c]
-		for bi := 0; bi < nb; bi++ {
-			p := (c*nb + bi) * n
-			var sumDy, sumDyXhat float64
-			for i := 0; i < n; i++ {
-				dy := grad.Data[p+i]
-				sumDy += dy
-				sumDyXhat += dy * b.xhat[p+i]
-			}
-			b.Gamma.G.Data[c] += sumDyXhat
-			b.Beta.G.Data[c] += sumDy
-			inv := b.invSD[c*nb+bi]
-			for i := 0; i < n; i++ {
-				dy := grad.Data[p+i]
-				xh := b.xhat[p+i]
-				dx.Data[p+i] = g * inv / float64(n) *
-					(float64(n)*dy - sumDy - xh*sumDyXhat)
+	fn := float64(n)
+	np := b.C * nb
+	for q := 0; q < np; q += 4 {
+		sumDy, sumDyXhat := gradSums(fourPlanes(grad.Data, n, q, np), fourPlanes(b.xhat, n, q, np))
+		for j := 0; j < min(4, np-q); j++ {
+			p, c := q+j, (q+j)/nb
+			sdy, sdx := sumDy[j], sumDyXhat[j]
+			b.Gamma.G.Data[c] += sdx
+			b.Beta.G.Data[c] += sdy
+			k := b.Gamma.W.Data[c] * b.invSD[p] / fn
+			xh, dp := b.xhat[p*n:(p+1)*n], dx.Data[p*n:(p+1)*n]
+			for i, dy := range grad.Data[p*n : (p+1)*n] {
+				dp[i] = k * (fn*dy - sdy - xh[i]*sdx)
 			}
 		}
 	}
 	return dx
 }
 
+// gradSums returns, for four equal-length planes of the output gradient
+// dy and of x̂, Σdy and Σdy·x̂ per plane, each one chain from +0 in
+// ascending order; the eight chains share each pass.
+func gradSums(dy, xhat [4][]float64) (sumDy, sumDyXhat [4]float64) {
+	g0 := dy[0]
+	n := len(g0)
+	g1, g2, g3 := dy[1][:n], dy[2][:n], dy[3][:n]
+	h0, h1, h2, h3 := xhat[0][:n], xhat[1][:n], xhat[2][:n], xhat[3][:n]
+	var a0, a1, a2, a3, b0, b1, b2, b3 float64
+	for i := range g0 {
+		a0 += g0[i]
+		b0 += g0[i] * h0[i]
+		a1 += g1[i]
+		b1 += g1[i] * h1[i]
+		a2 += g2[i]
+		b2 += g2[i] * h2[i]
+		a3 += g3[i]
+		b3 += g3[i] * h3[i]
+	}
+	return [4]float64{a0, a1, a2, a3}, [4]float64{b0, b1, b2, b3}
+}
+
 // ---------------------------------------------------------------------------
 // ReLU
 
 // ReLU is the rectified linear activation; elementwise, so it takes any
-// layout.
+// layout. The forward is max(v, 0): +0 for v ≤ 0 (−0 included), v
+// otherwise, and NaN passes. So the training output is +0 exactly where
+// the forward did not pass its input, and Backward reads its mask from
+// the output's bits; neither direction branches on the data.
 type ReLU struct {
 	arena *Arena
-	out   [2]*tensor.Tensor
-	mask  []bool // of the last training Forward
+	out   [2]*tensor.Tensor // out[1] is kept for Backward
 	dx    *tensor.Tensor
 }
 
@@ -340,41 +401,24 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	a := ensureArena(&r.arena)
-	out := a.tensorFor(&r.out[mode(train)], x.Shape...)
-	if !train {
-		for i, v := range x.Data {
-			if v <= 0 {
-				out.Data[i] = 0
-			} else {
-				out.Data[i] = v
-			}
-		}
-		return out
-	}
-	// One pass writes the output and the mask; a NaN input passes both.
-	mask := a.bools(&r.mask, x.Size())
+	out := ensureArena(&r.arena).tensorFor(&r.out[mode(train)], x.Shape...)
+	dst := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v <= 0 {
-			out.Data[i] = 0
-			mask[i] = false
-		} else {
-			out.Data[i] = v
-			mask[i] = true
-		}
+		dst[i] = max(v, 0)
 	}
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dx = grad where the last training output is
+// not +0, else +0, by masking the gradient's bits.
 func (r *ReLU) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 	dx := ensureArena(&r.arena).tensorFor(&r.dx, grad.Shape...)
-	for i, v := range grad.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
-		}
+	out := r.out[1].Data[:len(grad.Data)]
+	dst := dx.Data[:len(grad.Data)]
+	for i, g := range grad.Data {
+		o := math.Float64bits(out[i])
+		keep := uint64(int64(o|-o) >> 63) // all ones iff o ≠ +0
+		dst[i] = math.Float64frombits(math.Float64bits(g) & keep)
 	}
 	return dx
 }
@@ -385,11 +429,11 @@ func (r *ReLU) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 // MaxPool halves spatial dimensions with 2×2 windows (odd trailing
 // rows/columns are dropped, as in the paper's "pool, /2" stages).
 type MaxPool struct {
-	arena  *Arena
-	out    [2]*tensor.Tensor
-	argmax []int // of the last training Forward
-	inSh   []int
-	dx     *tensor.Tensor
+	arena *Arena
+	out   [2]*tensor.Tensor
+	which []uint8 // argmax window position (0..3) of the last training Forward
+	inSh  []int
+	dx    *tensor.Tensor
 }
 
 // NewMaxPool builds the pooling layer.
@@ -399,7 +443,11 @@ func NewMaxPool() *MaxPool { return &MaxPool{} }
 func (p *MaxPool) Params() []*Param { return nil }
 
 // Forward implements Layer: 2×2/stride-2 pooling per (channel, sample)
-// plane of (C, B, H, W).
+// plane of (C, B, H, W). A window's maximum is its first element unless a
+// later one compares greater, in row-major order: the first maximum wins
+// ties, and a NaN is taken only as the first element (so diverged
+// training still leaves a valid argmax). The selection runs on compare
+// masks, without branching on the data.
 func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("nn: MaxPool input %v, want (C,B,H,W)", x.Shape))
@@ -411,33 +459,32 @@ func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	a := ensureArena(&p.arena)
 	out := a.tensorFor(&p.out[mode(train)], c, nb, oh, ow)
-	var argmax []int
+	var which []uint8
 	if train {
-		argmax = a.ints(&p.argmax, out.Size())
+		which = a.bytes(&p.which, out.Size())
 		p.inSh = append(p.inSh[:0], x.Shape...)
 	}
 	for plane := 0; plane < c*nb; plane++ {
-		src := x.Data[plane*h*w : (plane+1)*h*w]
-		pbase := plane * oh * ow
 		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				// Start from the first window element so NaN inputs
-				// (diverged training) still leave a valid argmax.
-				bestIdx := 2*oy*w + 2*ox
-				best := src[bestIdx]
-				for dy := 0; dy < 2; dy++ {
-					for dx := 0; dx < 2; dx++ {
-						idx := (2*oy+dy)*w + 2*ox + dx
-						if src[idx] > best {
-							best = src[idx]
-							bestIdx = idx
-						}
-					}
-				}
-				oi := pbase + oy*ow + ox
-				out.Data[oi] = best
+			r0 := x.Data[(plane*h+2*oy)*w:][:2*ow]
+			r1 := x.Data[(plane*h+2*oy+1)*w:][:2*ow]
+			o := plane*oh*ow + oy*ow
+			dst := out.Data[o : o+ow]
+			for ox := range dst {
+				v0, v1, v2, v3 := r0[2*ox], r0[2*ox+1], r1[2*ox], r1[2*ox+1]
+				best, k := math.Float64bits(v0), uint64(0)
+				m := -b2u(v1 > v0) // all ones where v1 takes over
+				best ^= (best ^ math.Float64bits(v1)) & m
+				k ^= (k ^ 1) & m
+				m = -b2u(v2 > math.Float64frombits(best))
+				best ^= (best ^ math.Float64bits(v2)) & m
+				k ^= (k ^ 2) & m
+				m = -b2u(v3 > math.Float64frombits(best))
+				best ^= (best ^ math.Float64bits(v3)) & m
+				k ^= (k ^ 3) & m
+				dst[ox] = math.Float64frombits(best)
 				if train {
-					argmax[oi] = plane*h*w + bestIdx
+					which[o+ox] = uint8(k)
 				}
 			}
 		}
@@ -445,14 +492,46 @@ func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: each window's argmax receives +0 + its
+// output's gradient, the rest of the input (odd trailing rows and columns
+// included) +0.
 func (p *MaxPool) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 	dx := ensureArena(&p.arena).tensorFor(&p.dx, p.inSh...)
-	dx.Fill(0)
-	for oi, idx := range p.argmax {
-		dx.Data[idx] += grad.Data[oi]
+	c, nb, h, w := p.inSh[0], p.inSh[1], p.inSh[2], p.inSh[3]
+	oh, ow := h/2, w/2
+	for plane := 0; plane < c*nb; plane++ {
+		for oy := 0; oy < oh; oy++ {
+			d0 := dx.Data[(plane*h+2*oy)*w:][:w]
+			d1 := dx.Data[(plane*h+2*oy+1)*w:][:w]
+			o := plane*oh*ow + oy*ow
+			which := p.which[o : o+ow]
+			for ox, g := range grad.Data[o : o+ow] {
+				bits := math.Float64bits(0 + g)
+				k := uint64(which[ox])
+				d0[2*ox] = math.Float64frombits(bits & -b2u(k == 0))
+				d0[2*ox+1] = math.Float64frombits(bits & -b2u(k == 1))
+				d1[2*ox] = math.Float64frombits(bits & -b2u(k == 2))
+				d1[2*ox+1] = math.Float64frombits(bits & -b2u(k == 3))
+			}
+			if w&1 == 1 {
+				d0[w-1], d1[w-1] = 0, 0
+			}
+		}
+		if h&1 == 1 {
+			clear(dx.Data[(plane*h+h-1)*w : (plane+1)*h*w])
+		}
 	}
 	return dx
+}
+
+// b2u is 1 for true and 0 for false; the compiler evaluates it without a
+// branch (SETcc), so masks built from it select without one.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // ---------------------------------------------------------------------------
@@ -610,8 +689,7 @@ func (r *Residual) Params() []*Param { return r.Body.Params() }
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f := r.Body.Forward(x, train)
 	sum := ensureArena(&r.arena).tensorFor(&r.sum[mode(train)], x.Shape...)
-	copy(sum.Data, f.Data)
-	sum.AddInPlace(x)
+	addInto(sum.Data, f.Data, x.Data)
 	return r.relu.Forward(sum, train)
 }
 
@@ -622,7 +700,14 @@ func (r *Residual) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 	g := r.relu.Backward(grad, true)
 	dxBody := r.Body.Backward(g, true)
 	dx := ensureArena(&r.arena).tensorFor(&r.dx, g.Shape...)
-	copy(dx.Data, dxBody.Data)
-	dx.AddInPlace(g) // shortcut path
+	addInto(dx.Data, dxBody.Data, g.Data) // body plus shortcut path
 	return dx
+}
+
+// addInto sets dst[i] = a[i] + b[i].
+func addInto(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] + b[i]
+	}
 }

@@ -78,6 +78,13 @@ func UnmarshalModel(data []byte) (*PolicyValueNet, error) {
 			return nil, fmt.Errorf("nn: BN layer %d stats have %d/%d values, want %d channels",
 				i, len(mean), len(vr), len(bn.RunMean))
 		}
+		for c, v := range vr {
+			// 1/√(var+ε) of a variance below -ε is NaN, and every inference
+			// of the model with it.
+			if v < 0 {
+				return nil, fmt.Errorf("nn: BN layer %d channel %d running variance %g is negative", i, c, v)
+			}
+		}
 		copy(bn.RunMean, mean)
 		copy(bn.RunVar, vr)
 	}

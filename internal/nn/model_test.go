@@ -2,7 +2,9 @@ package nn
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -94,6 +96,50 @@ func TestUnmarshalModelRejectsWrongLengthRunStats(t *testing.T) {
 	}
 }
 
+// negativeRunVarModel returns a valid model file whose second BatchNorm
+// statistics vector (the first layer's running variance) starts at -1.
+func negativeRunVarModel(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := MarshalModel(NewPolicyValueNet(testConfig(4), 1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var m modelJSON
+	if err := jsonUnmarshal(data, &m); err != nil {
+		tb.Fatal(err)
+	}
+	m.RunStats[1][0] = -1
+	bad, err := jsonMarshal(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bad
+}
+
+// A negative running variance makes 1/√(var+ε) NaN, so a model that
+// carried one would load and then give NaN priors and values on every
+// inference. It must be rejected; a zero variance stays legal (ε keeps the
+// square root positive).
+func TestUnmarshalModelRejectsNegativeRunVar(t *testing.T) {
+	if _, err := UnmarshalModel(negativeRunVarModel(t)); err == nil || !strings.Contains(err.Error(), "variance") {
+		t.Fatalf("err = %v, want a negative-variance error", err)
+	}
+	net := NewPolicyValueNet(testConfig(4), 1)
+	clear(net.bns[0].RunVar)
+	data, err := MarshalModel(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := UnmarshalModel(data)
+	if err != nil {
+		t.Fatalf("rejected zero variances: %v", err)
+	}
+	out := forward1(loaded, randomHopMatrix(rand.New(rand.NewSource(3)), 4), false)
+	if math.IsNaN(out.Value) || math.IsNaN(out.CoordProbs[0][0]) {
+		t.Fatalf("zero-variance model infers NaN: value %v", out.Value)
+	}
+}
+
 // Model files name the architecture UnmarshalModel builds, so their Config
 // is checked before any allocation sized by it.
 func TestUnmarshalModelRejectsBadConfig(t *testing.T) {
@@ -133,6 +179,7 @@ func FuzzUnmarshalModel(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte(`{"config":{"N":1,"BaseChannels":4,"Pools":3},"weights":[]}`))
 	f.Add([]byte(`{"config":{"N":2,"BaseChannels":1,"Pools":0},"weights":[]}`))
+	f.Add(negativeRunVarModel(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, err := UnmarshalModel(data)
 		if err != nil {

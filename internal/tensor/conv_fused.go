@@ -51,10 +51,15 @@ import "fmt"
 // (0·Inf = NaN). Training data, weights, and gradients are finite by
 // invariant — the lowered path produces garbage on non-finite values anyway.
 //
+// Every kernel finds its operands through offset tables built once per
+// call (colOffsets for the input planes, a term table for ConvDXPad's
+// gradient planes) instead of dividing each reduction index by k² and k.
+//
 // With AVX2, ConvFwdPad and ConvDXPad run the register-tiled row kernel
-// of conv_tile.go and the other long inner loops the SIMD primitives of
-// simd.go. Both vectorize across independent output elements only, so none
-// of the above depends on whether an AVX2 or a Go body runs.
+// of conv_tile.go, ConvDWPad the register tile dwTileAVX2 described there,
+// and the other long inner loops the SIMD primitives of simd.go. All of
+// them vectorize across independent output elements only, so none of the
+// above depends on whether an AVX2 or a Go body runs.
 //
 // All kernels require h·w > 1: at h·w == 1 the lowered path would take the
 // GEMM matrix–vector fast paths, whose accumulator patterns differ. The
@@ -66,41 +71,73 @@ import "fmt"
 // overwritten. The border is (k-1)/2 on the leading sides and k-1-(k-1)/2 on
 // the trailing sides, covering even k exactly as Im2col's bounds do.
 func PadPlane(src []float64, h, w, k int, dst []float64) {
-	PadPlaneLead(src, h, w, k, (k-1)/2, dst)
+	padPlane(src, h, w, k, (k-1)/2, dst)
 }
 
-// PadPlaneLead is PadPlane with an explicit leading border: source pixel
-// (y, x) lands at (y+lead, x+lead) in the (h+k-1, w+k-1) destination. The
-// gradient planes use lead = k-1-pad, which orients the plane for the
-// gather formulation of col2im (ConvDXPad) while its interior rows, viewed
-// from offset lead·wp+lead at stride wp, double as the zero-gapped span
-// ConvDWPad's long dots walk.
-func PadPlaneLead(src []float64, h, w, k, lead int, dst []float64) {
+// PadGradPlane is PadPlane for an output-gradient plane, which ConvDWPad
+// and ConvDXPad both read: the leading border is the larger one, lead =
+// gradLead(k), so source pixel (y, x) lands at (y+lead, x+lead). That
+// orients the plane for the gather formulation of col2im (ConvDXPad),
+// while its interior rows, viewed from offset lead·wp+lead at stride
+// wp = w+k-1, double as the zero-gapped span ConvDWPad's long dots walk.
+func PadGradPlane(src []float64, h, w, k int, dst []float64) {
+	padPlane(src, h, w, k, gradLead(k), dst)
+}
+
+// gradLead is the leading border of a PadGradPlane plane.
+func gradLead(k int) int { return k - 1 - (k-1)/2 }
+
+// padPlane copies src into dst with a leading border of lead zeros.
+func padPlane(src []float64, h, w, k, lead int, dst []float64) {
 	hp, wp := h+k-1, w+k-1
 	if len(src) < h*w || len(dst) < hp*wp {
-		panic(fmt.Sprintf("tensor: PadPlaneLead buffers (%d,%d), need (%d,%d)", len(src), len(dst), h*w, hp*wp))
+		panic(fmt.Sprintf("tensor: padPlane buffers (%d,%d), need (%d,%d)", len(src), len(dst), h*w, hp*wp))
 	}
-	clear(dst[:lead*wp])
+	// One clear of the plane, then one copy per row: on the small planes
+	// of the deep layers, per-row clears of the borders cost more calls
+	// than bytes.
+	clear(dst[:hp*wp])
 	for y := 0; y < h; y++ {
-		row := dst[(y+lead)*wp : (y+lead+1)*wp]
-		clear(row[:lead])
-		copy(row[lead:lead+w], src[y*w:(y+1)*w])
-		clear(row[lead+w:])
+		copy(dst[(y+lead)*wp+lead:][:w], src[y*w:(y+1)*w])
 	}
-	clear(dst[(h+lead)*wp : hp*wp])
 }
 
 // ConvWork returns the lengths of the float64 and int scratch that
-// ConvFwdPad and ConvDXPad need for a layer of this shape; one pair of
-// buffers of these lengths serves both kernels.
+// ConvFwdPad, ConvDWPad and ConvDXPad need for a layer of this shape; one
+// pair of buffers of these lengths serves all three kernels.
 func ConvWork(outC, inC, h, w, k int) (floats, ints int) {
 	kk2 := k * k
 	span := (h-1)*(w+k-1) + w
-	if outC > 4 {
-		span *= 2 // ConvDXPad's Go body sums grouped values in a second row
-	}
-	floats = max(span, (outC+3)/4*4*inC*kk2, (inC+3)/4*4*kk2*outC)
+	// ConvDWPad: the row-interleaved gradient spans of (outC+3)/4 blocks,
+	// a gradient row, a cols row, a four-row gradient block and a zero
+	// span. It also covers the one or two gapped rows of ConvFwdPad's and
+	// ConvDXPad's Go bodies.
+	dw := (outC+3)&^3*span + 2*h*w + 4*inC*kk2 + span
+	floats = max(dw, (outC+3)/4*4*inC*kk2, (inC+3)/4*4*kk2*outC)
 	return floats, max(inC, outC) * kk2
+}
+
+// colOffsets fills offs[:inC·k²] with the table both ConvFwdPad and
+// ConvDWPad index the padded input planes by: offs[r] is the offset of
+// reduction index (cols row) r = (ic, ky, kx) at output pixel (0, 0) of a
+// sample, ic·icStride + ky·wp + kx, and gapped position t = oy·wp + ox
+// adds t. Built once per kernel call, it replaces a division per index.
+func colOffsets(offs []int, inC, k, wp, icStride int) []int {
+	kk2 := k * k
+	offs = offs[:inC*kk2]
+	r := 0
+	for ky := 0; ky < k; ky++ {
+		for kx := 0; kx < k; kx++ {
+			offs[r] = ky*wp + kx
+			r++
+		}
+	}
+	// Each further input channel repeats the first channel's taps one
+	// plane stride on.
+	for r := kk2; r < len(offs); r++ {
+		offs[r] = offs[r-kk2] + icStride
+	}
+	return offs
 }
 
 // ConvFwdPad computes the stride-1 "same" convolution out = W∗x for nb
@@ -134,19 +171,7 @@ func ConvFwdPad(weights []float64, outC, inC, nb int, xp []float64, xpStride, h,
 		len(out) < (outC*nb-1)*outStride+hw || len(work) < nf || len(offs) < ni {
 		panic("tensor: ConvFwdPad buffer lengths too short")
 	}
-	// offs[r] is the padded-plane offset of reduction index r = (ic, ky, kx)
-	// at output pixel (0, 0) of a sample; gapped position t = oy*wp + ox
-	// adds t.
-	offs = offs[:ickk]
-	r := 0
-	for ic := 0; ic < inC; ic++ {
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				offs[r] = ic*nb*xpStride + ky*wp + kx
-				r++
-			}
-		}
-	}
+	offs = colOffsets(offs, inC, k, wp, nb*xpStride)
 	if useAVX2 && outC > 1 {
 		convFwdTiled(weights, outC, ickk, nb, xp, xpStride, h, w, k, out, outStride, work, offs)
 		return
@@ -181,125 +206,182 @@ func ConvFwdPad(weights []float64, outC, inC, nb int, xp []float64, xpStride, h,
 	}
 }
 
-// ConvDWPad accumulates the convolution weight gradient dW += dY·im2col(x)ᵀ
-// directly from padded input planes, bit-identical to GemmNT(outC, inC·k²,
-// h·w, grad, im2col(x), wGrad, true). GemmNT evaluates most output columns
-// with a strictly sequential single-accumulator dot (the four-wide column
-// panels) and the ≤3 leftover columns of each jc panel with the four-lane
-// interleaved dot; which flavor an element gets depends only on its column's
-// position within its panel, which this kernel reproduces. The four-wide
-// dots run one long loop over the zero-gapped gradient span gp (gap terms
-// add ±0 — no-ops): four output rows at a time through dot4x4 over a
-// row-interleaved copy of their spans in gT (scratch, at least
-// (outC&^3)·span long, span = (h-1)·(w+k-1)+w), and the outC%4 remaining
-// rows four columns at a time. The leftover columns gather their cols row
-// into rowBuf (h·w scratch) and run the exact four-lane dot over the compact
-// row, whose lane phase the gapped layout would shift.
+// ConvDWPad accumulates the convolution weight gradient of nb samples,
+// dW += dY·im2col(x)ᵀ one sample at a time in ascending sample order, each
+// sample's update bit-identical to GemmNT(outC, inC·k², h·w, grad,
+// im2col(x), wGrad, true). GemmNT evaluates most output columns with a
+// strictly sequential single-accumulator dot (the four-wide column panels)
+// and the ≤3 leftover columns of each jc panel with the four-lane
+// interleaved dot; which flavor an element gets depends only on its
+// column's position within its panel, which this kernel reproduces.
 //
-// grad holds outC compact rows of h·w starting at grad[oc*gStride]; gp holds
-// the same gradient rows at stride wp = w+k-1 with exact zeros in the k-1
-// gap elements between rows (the interior view of a PadPlaneLead plane),
-// channel oc starting at gp[oc*gpStride]; xp as in ConvFwdPad; wGrad is the
-// dense (outC, inC·k²) gradient, accumulated.
-func ConvDWPad(grad []float64, gStride int, gp []float64, gpStride int, xp []float64, xpStride int, outC, inC, h, w, k int, wGrad []float64, gT, rowBuf []float64) {
+// The four-wide dots run one long loop over the zero-gapped gradient span
+// (gap terms add ±0 — no-ops), four output rows at a time over a
+// row-interleaved copy of their spans (the lanes), against columns found
+// through the colOffsets table, built once per call. The leftover columns
+// gather their gradient row and cols row compactly and run the exact
+// four-lane dot, whose lane phase the gapped layout would shift.
+//
+// With AVX2 the four-wide columns run eight at a time through the
+// register tile dwTileAVX2 (a last four through dot4x4), which steps over
+// the span's gap terms instead of adding them, and the outC%4 remainder
+// rows run as the first lanes of a block whose rows past outC are zero;
+// what those lanes compute is discarded. The Go body runs four columns
+// per dot4x4 and the remainder rows one at a time.
+//
+// gpad holds outC·nb gradient planes padded by PadGradPlane, plane
+// (oc, bi) at gpad[(oc*nb+bi)*gpStride]; xp holds the padded input planes
+// as in ConvFwdPad; wGrad is the dense (outC, inC·k²) gradient,
+// accumulated. work and offs are scratch sized by ConvWork, clobbered.
+func ConvDWPad(gpad []float64, gpStride int, xp []float64, xpStride int, outC, inC, nb, h, w, k int, wGrad, work []float64, offs []int) {
 	hw := h * w
 	if hw <= 1 {
 		panic("tensor: ConvDWPad requires h*w > 1")
 	}
-	kk2 := k * k
-	ickk := inC * kk2
+	ickk := inC * k * k
 	wp := w + k - 1
+	hpwp := (h + k - 1) * wp
 	span := (h-1)*wp + w
-	rows4 := outC &^ 3
-	if len(grad) < (outC-1)*gStride+hw || len(gp) < (outC-1)*gpStride+span ||
-		len(xp) < (inC-1)*xpStride+(h+k-1)*wp ||
-		len(wGrad) < outC*ickk || len(gT) < rows4*span || len(rowBuf) < hw {
+	nf, ni := ConvWork(outC, inC, h, w, k)
+	if nb < 1 || len(gpad) < (outC*nb-1)*gpStride+hpwp || len(xp) < (inC*nb-1)*xpStride+hpwp ||
+		len(wGrad) < outC*ickk || len(work) < nf || len(offs) < ni {
 		panic("tensor: ConvDWPad buffer lengths too short")
 	}
-	base := func(r int) int {
-		ic, rem := r/kk2, r%kk2
-		return ic*xpStride + (rem/k)*wp + rem%k
+	offs = colOffsets(offs, inC, k, wp, nb*xpStride)
+	tiled := useAVX2
+	rows := outC &^ 3 // rows that run as lanes of a four-row block
+	if tiled {
+		rows = (outC + 3) &^ 3
 	}
-	for i := 0; i < rows4; i++ {
-		g := gT[(i&^3)*span:]
-		r := i & 3
-		for t, v := range gp[i*gpStride : i*gpStride+span] {
-			g[4*t+r] = v
-		}
+	gT := work[:rows*span]
+	arow := work[rows*span : rows*span+hw]
+	rowBuf := work[rows*span+hw : rows*span+2*hw]
+	// A partial last block reads zero spans for its rows past outC and
+	// accumulates in cT, four rows of which the first outC%4 are copies of
+	// its gradient rows, copied back after the last sample: per element
+	// the same chain of additions.
+	full := outC &^ 3
+	var cT, zero []float64
+	if rows > full {
+		cT = work[rows*span+2*hw:][:4*ickk]
+		copy(cT, wGrad[full*ickk:outC*ickk])
+		zero = work[rows*span+2*hw+4*ickk:][:span]
+		clear(zero)
 	}
-	var s [16]float64
+	lead := gradLead(k)
 	jc := max(4, 32768/hw)
-	for j0 := 0; j0 < ickk; j0 += jc {
-		j1 := min(j0+jc, ickk)
-		jq := j0 + (j1-j0)&^3 // end of the panel's four-wide columns
-		// The four-wide panel flavor: per element, one accumulator over the
-		// reduction in ascending order, as in GemmNT's panel loop.
-		for i := 0; i < rows4; i += 4 {
-			g := gT[i*span : (i+4)*span]
-			c0 := wGrad[i*ickk : (i+1)*ickk]
-			c1 := wGrad[(i+1)*ickk : (i+2)*ickk]
-			c2 := wGrad[(i+2)*ickk : (i+3)*ickk]
-			c3 := wGrad[(i+3)*ickk : (i+4)*ickk]
-			for j := j0; j < jq; j += 4 {
-				dot4x4(g, xp[base(j):], xp[base(j+1):], xp[base(j+2):], xp[base(j+3):], &s)
-				for c := 0; c < 4; c++ {
-					c0[j+c] += s[4*c]
-					c1[j+c] += s[4*c+1]
-					c2[j+c] += s[4*c+2]
-					c3[j+c] += s[4*c+3]
+	var s [16]float64
+	for bi := 0; bi < nb; bi++ {
+		xs := xp[bi*xpStride:]
+		gs := gpad[bi*gpStride+lead*wp+lead:] // sample bi's gapped spans
+		rowSpan := func(i int) []float64 {
+			if i >= outC {
+				return zero
+			}
+			return gs[i*nb*gpStride:][:span]
+		}
+		for i := 0; i < rows; i += 4 {
+			interleave4(gT[i*span:(i+4)*span], rowSpan(i), rowSpan(i+1), rowSpan(i+2), rowSpan(i+3))
+		}
+		for j0 := 0; j0 < ickk; j0 += jc {
+			j1 := min(j0+jc, ickk)
+			jq := j0 + (j1-j0)&^3 // end of the panel's four-wide columns
+			// The four-wide panel flavor: per element, one accumulator over
+			// the reduction in ascending order, as in GemmNT's panel loop.
+			for i := 0; i < rows; i += 4 {
+				g := gT[i*span : (i+4)*span]
+				cb := wGrad[i*ickk:] // the block's four rows, at stride ickk
+				if i == full {
+					cb = cT
+				}
+				j := j0
+				if tiled {
+					for ; j+7 < jq; j += 8 {
+						dwTileAVX2(g, xs, offs[j:j+8], cb[j:], ickk, w, k-1)
+					}
+				}
+				for ; j < jq; j += 4 {
+					dot4x4(g, xs[offs[j]:], xs[offs[j+1]:], xs[offs[j+2]:], xs[offs[j+3]:], &s)
+					for r := 0; r < 4; r++ {
+						crow := cb[r*ickk+j:][:4]
+						crow[0] += s[r]
+						crow[1] += s[4+r]
+						crow[2] += s[8+r]
+						crow[3] += s[12+r]
+					}
 				}
 			}
-		}
-		for i := rows4; i < outC; i++ {
-			crow := wGrad[i*ickk : (i+1)*ickk]
-			gprow := gp[i*gpStride : i*gpStride+span]
-			for j := j0; j < jq; j += 4 {
-				p0 := xp[base(j):][:span]
-				p1 := xp[base(j+1):][:span]
-				p2 := xp[base(j+2):][:span]
-				p3 := xp[base(j+3):][:span]
-				var s0, s1, s2, s3 float64
-				for t, av := range gprow {
-					s0 += av * p0[t]
-					s1 += av * p1[t]
-					s2 += av * p2[t]
-					s3 += av * p3[t]
+			for i := rows; i < outC; i++ {
+				crow := wGrad[i*ickk : (i+1)*ickk]
+				gprow := gs[i*nb*gpStride:][:span]
+				for j := j0; j < jq; j += 4 {
+					p0 := xs[offs[j]:][:span]
+					p1 := xs[offs[j+1]:][:span]
+					p2 := xs[offs[j+2]:][:span]
+					p3 := xs[offs[j+3]:][:span]
+					var s0, s1, s2, s3 float64
+					for t, av := range gprow {
+						s0 += av * p0[t]
+						s1 += av * p1[t]
+						s2 += av * p2[t]
+						s3 += av * p3[t]
+					}
+					crow[j] += s0
+					crow[j+1] += s1
+					crow[j+2] += s2
+					crow[j+3] += s3
 				}
-				crow[j] += s0
-				crow[j+1] += s1
-				crow[j+2] += s2
-				crow[j+3] += s3
 			}
-		}
-		if jq == j1 {
-			continue
-		}
-		for i := 0; i < outC; i++ {
-			crow := wGrad[i*ickk : (i+1)*ickk]
-			arow := grad[i*gStride : i*gStride+hw]
-			for j := jq; j < j1; j++ {
-				// The leftover flavor: the four-lane interleaved dot. Gather
-				// the cols row once so the lane phase matches the dense
-				// layout even when w is not a multiple of four.
-				rb := base(j)
+			if jq == j1 {
+				continue
+			}
+			for i := 0; i < outC; i++ {
+				crow := wGrad[i*ickk : (i+1)*ickk]
+				if i >= full && cT != nil {
+					crow = cT[(i-full)*ickk:][:ickk]
+				}
+				gprow := gs[i*nb*gpStride:]
 				for oy := 0; oy < h; oy++ {
-					copy(rowBuf[oy*w:(oy+1)*w], xp[rb+oy*wp:][:w])
+					copy(arow[oy*w:(oy+1)*w], gprow[oy*wp:][:w])
 				}
-				var s0, s1, s2, s3 float64
-				kk := 0
-				for ; kk+3 < hw; kk += 4 {
-					s0 += arow[kk] * rowBuf[kk]
-					s1 += arow[kk+1] * rowBuf[kk+1]
-					s2 += arow[kk+2] * rowBuf[kk+2]
-					s3 += arow[kk+3] * rowBuf[kk+3]
+				for j := jq; j < j1; j++ {
+					// The leftover flavor: the four-lane interleaved dot over
+					// the compact rows, so the lane phase matches the dense
+					// layout even when w is not a multiple of four.
+					rb := offs[j]
+					for oy := 0; oy < h; oy++ {
+						copy(rowBuf[oy*w:(oy+1)*w], xs[rb+oy*wp:][:w])
+					}
+					var s0, s1, s2, s3 float64
+					kk := 0
+					for ; kk+3 < hw; kk += 4 {
+						s0 += arow[kk] * rowBuf[kk]
+						s1 += arow[kk+1] * rowBuf[kk+1]
+						s2 += arow[kk+2] * rowBuf[kk+2]
+						s3 += arow[kk+3] * rowBuf[kk+3]
+					}
+					s := s0 + s1 + s2 + s3
+					for ; kk < hw; kk++ {
+						s += arow[kk] * rowBuf[kk]
+					}
+					crow[j] += s
 				}
-				s := s0 + s1 + s2 + s3
-				for ; kk < hw; kk++ {
-					s += arow[kk] * rowBuf[kk]
-				}
-				crow[j] += s
 			}
 		}
+	}
+	if cT != nil {
+		copy(wGrad[full*ickk:outC*ickk], cT)
+	}
+}
+
+// interleave4 writes four rows of one length into g as g[4t+r] = row r's
+// element t, the lane layout of dot4x4 and dwTileAVX2.
+func interleave4(g, r0, r1, r2, r3 []float64) {
+	n := len(r0)
+	g, r1, r2, r3 = g[:4*n], r1[:n], r2[:n], r3[:n]
+	for t, v := range r0 {
+		q := g[4*t : 4*t+4 : 4*t+4]
+		q[0], q[1], q[2], q[3] = v, r1[t], r2[t], r3[t]
 	}
 }
 
@@ -309,26 +391,27 @@ func ConvDWPad(grad []float64, gStride int, gp []float64, gpStride int, xp []flo
 // dcols, false) followed by Col2im(dcols, ...). It runs col2im as a
 // gather: a dX element's lowered chain is "for r ascending, add the
 // grouped-outC dcols value", and that dcols value lives at a fixed offset
-// in the sample's gradient planes, copied with a zero border into gpad by
-// PadPlaneLead (lead = k-1-(k-1)/2). Positions Col2im would have clipped
-// read pad zeros and add ±0 (no-ops); each grouped value is GemmTN's exact
-// per-element pattern (aligned four-lane groups over outC plus leftover
-// singles), evaluated straight into the accumulator for outC ≤ 4 (fact 4
-// of the package comment) and summed from +0 otherwise, as GemmTN sums
-// into its cleared dcols row, before joining the accumulator.
+// in the sample's PadGradPlane gradient planes. Positions Col2im would
+// have clipped read pad zeros and add ±0 (no-ops); each grouped value is
+// GemmTN's exact per-element pattern (aligned four-lane groups over outC
+// plus leftover singles), evaluated straight into the accumulator for
+// outC ≤ 4 (fact 4 of the package comment) and summed from +0 otherwise,
+// as GemmTN sums into its cleared dcols row, before joining the
+// accumulator.
 //
-// grad holds outC·nb compact gradient planes of h·w, plane (oc, bi) at
-// grad[(oc*nb+bi)*gStride]; dx receives inC·nb planes of h·w, plane
-// (ic, bi) at dx[(ic*nb+bi)*dxStride], overwritten. gpad (outC padded
-// planes of (h+k-1)×(w+k-1)), work and offs (sized by ConvWork) are
-// scratch, clobbered.
+// gpad holds outC·nb gradient planes padded by PadGradPlane, plane
+// (oc, bi) at gpad[(oc*nb+bi)*gpStride] — the planes ConvDWPad reads;
+// dx receives inC·nb planes of h·w, plane (ic, bi) at
+// dx[(ic*nb+bi)*dxStride], overwritten. work and offs (sized by ConvWork)
+// are scratch, clobbered.
 //
 // With AVX2 and inC > 1 the register-tiled kernel of conv_tile.go runs
-// (one input channel would fill one lane of its four). Otherwise each
-// input channel accumulates all k² reduction indices into a gapped row
-// (span = (h-1)·(w+k-1)+w) in single long sweeps — one per (ic, ky, kx) —
-// whose gap elements collect garbage the final interior copy discards.
-func ConvDXPad(weights []float64, outC, inC, nb int, grad []float64, gStride, h, w, k int, dx []float64, dxStride int, gpad, work []float64, offs []int) {
+// (one input channel would fill one lane of its four), on weights packed
+// once per call. Otherwise each input channel accumulates all k²
+// reduction indices into a gapped row (span = (h-1)·(w+k-1)+w) in single
+// long sweeps — one per (ic, ky, kx) — whose gap elements collect garbage
+// the final interior copy discards.
+func ConvDXPad(weights []float64, outC, inC, nb int, gpad []float64, gpStride, h, w, k int, dx []float64, dxStride int, work []float64, offs []int) {
 	hw := h * w
 	if hw <= 1 {
 		panic("tensor: ConvDXPad requires h*w > 1")
@@ -339,40 +422,35 @@ func ConvDXPad(weights []float64, outC, inC, nb int, grad []float64, gStride, h,
 	hpwp := (h + k - 1) * wp
 	span := (h-1)*wp + w
 	nf, ni := ConvWork(outC, inC, h, w, k)
-	if nb < 1 || len(weights) < outC*ickk || len(grad) < (outC*nb-1)*gStride+hw ||
-		len(dx) < (inC*nb-1)*dxStride+hw || len(gpad) < outC*hpwp || len(work) < nf || len(offs) < ni {
+	if nb < 1 || len(weights) < outC*ickk || len(gpad) < (outC*nb-1)*gpStride+hpwp ||
+		len(dx) < (inC*nb-1)*dxStride+hw || len(work) < nf || len(offs) < ni {
 		panic("tensor: ConvDXPad buffer lengths too short")
 	}
 	// offs[rr*outC+l]: the offset of dcols row (ic, rr)'s value for output
-	// channel l at pixel (0, 0) — gradient plane l, row k-1-ky, column
-	// k-1-kx. Gapped position t = y*wp + x adds t. Always in bounds, zeros
-	// where the lowered path had no contribution.
+	// channel l at pixel (0, 0) of a sample — gradient plane l, row k-1-ky,
+	// column k-1-kx. Gapped position t = y*wp + x adds t. Always in
+	// bounds, zeros where the lowered path had no contribution.
 	offs = offs[:kk2*outC]
 	i := 0
 	for ky := 0; ky < k; ky++ {
 		for kx := 0; kx < k; kx++ {
 			gb := (k-1-ky)*wp + (k - 1 - kx)
 			for l := 0; l < outC; l++ {
-				offs[i] = l*hpwp + gb
+				offs[i] = l*nb*gpStride + gb
 				i++
 			}
 		}
 	}
-	lead := k - 1 - (k-1)/2
-	tiled := useAVX2 && inC > 1
-	var wpk []float64
-	if tiled {
-		wpk = packDX(weights, outC, inC, kk2, work)
+	if useAVX2 && inC > 1 {
+		wpk := packDX(weights, outC, inC, kk2, work)
+		for bi := 0; bi < nb; bi++ {
+			convDXTiled(wpk, outC, inC, nb, bi, gpad[bi*gpStride:], h, w, k, dx, dxStride, offs)
+		}
+		return
 	}
+	pp := work[:span]
 	for bi := 0; bi < nb; bi++ {
-		for oc := 0; oc < outC; oc++ {
-			PadPlaneLead(grad[(oc*nb+bi)*gStride:], h, w, k, lead, gpad[oc*hpwp:])
-		}
-		if tiled {
-			convDXTiled(wpk, outC, inC, nb, bi, gpad, h, w, k, dx, dxStride, offs)
-			continue
-		}
-		pp := work[:span]
+		gs := gpad[bi*gpStride:]
 		for ic := 0; ic < inC; ic++ {
 			clear(pp)
 			for rr := 0; rr < kk2; rr++ {
@@ -381,28 +459,28 @@ func ConvDXPad(weights []float64, outC, inC, nb int, grad []float64, gStride, h,
 				switch {
 				case outC == 1:
 					a0 := weights[r]
-					g0 := gpad[o[0]:][:span]
+					g0 := gs[o[0]:][:span]
 					for t := range pp {
 						pp[t] += a0 * g0[t]
 					}
 				case outC == 2:
 					a0, a1 := weights[r], weights[ickk+r]
-					g0 := gpad[o[0]:][:span]
-					g1 := gpad[o[1]:][:span]
+					g0 := gs[o[0]:][:span]
+					g1 := gs[o[1]:][:span]
 					for t := range pp {
 						pp[t] += a0*g0[t] + a1*g1[t]
 					}
 				case outC == 3:
 					a0, a1, a2 := weights[r], weights[ickk+r], weights[2*ickk+r]
-					g0 := gpad[o[0]:][:span]
-					g1 := gpad[o[1]:][:span]
-					g2 := gpad[o[2]:][:span]
+					g0 := gs[o[0]:][:span]
+					g1 := gs[o[1]:][:span]
+					g2 := gs[o[2]:][:span]
 					for t := range pp {
 						pp[t] += a0*g0[t] + a1*g1[t] + a2*g2[t]
 					}
 				case outC == 4:
 					axpy4(pp, weights[r], weights[ickk+r], weights[2*ickk+r], weights[3*ickk+r],
-						gpad[o[0]:], gpad[o[1]:], gpad[o[2]:], gpad[o[3]:])
+						gs[o[0]:], gs[o[1]:], gs[o[2]:], gs[o[3]:])
 				default:
 					// GemmTN's aligned four-lane groups over outC, then
 					// leftover singles, summed in sr before joining dX.
@@ -411,11 +489,11 @@ func ConvDXPad(weights []float64, outC, inC, nb int, grad []float64, gStride, h,
 					l := 0
 					for ; l+3 < outC; l += 4 {
 						axpy4(sr, weights[l*ickk+r], weights[(l+1)*ickk+r], weights[(l+2)*ickk+r], weights[(l+3)*ickk+r],
-							gpad[o[l]:], gpad[o[l+1]:], gpad[o[l+2]:], gpad[o[l+3]:])
+							gs[o[l]:], gs[o[l+1]:], gs[o[l+2]:], gs[o[l+3]:])
 					}
 					for ; l < outC; l++ {
 						av := weights[l*ickk+r]
-						grow := gpad[o[l]:][:span]
+						grow := gs[o[l]:][:span]
 						for t := range sr {
 							sr[t] += av * grow[t]
 						}

@@ -23,6 +23,16 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 		{3, 3, 4, 4, 1},  // 1×1 conv
 		{5, 1, 9, 9, 3},  // single output channel: all-leftover GemmTN rows
 		{2, 4, 2, 33, 5}, // ickk=50 ≡ 2 (mod 4): trailing singles in GemmNN
+		// dW register tile: remainder rows as zero lanes (outC ∈ {1, 2, 3,
+		// 5, 6}), inC·k² not a multiple of the eight-column tile, and
+		// 540 columns across two jc panels.
+		{32, 1, 8, 8, 3},
+		{32, 2, 8, 8, 3},
+		{6, 3, 8, 8, 3},
+		{6, 5, 8, 8, 3},
+		{5, 6, 7, 9, 3},
+		{60, 5, 8, 8, 3},
+		{4, 8, 50, 50, 3}, // 10×10 net: jc = 13, leftover columns in every panel
 	} {
 		name := strconv.Itoa(sz.inC) + "c" + strconv.Itoa(sz.outC) + "_" +
 			strconv.Itoa(sz.h) + "x" + strconv.Itoa(sz.w) + "k" + strconv.Itoa(sz.k)
@@ -82,20 +92,18 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 				work[i] = 1e30 // scratch must be clobbered, not trusted
 			}
 			ConvFwdPad(weights, sz.outC, sz.inC, 1, xp, xpStride, h, w, k, gotOut, oStride, work, offs)
-			lead := k - 1 - pad
 			gpadStride := hp*wp + 2
 			gpad := make([]float64, sz.outC*gpadStride)
 			for i := range gpad {
-				gpad[i] = 1e30 // PadPlaneLead must overwrite rows AND borders
+				gpad[i] = 1e30 // PadGradPlane must overwrite rows AND borders
 			}
 			for oc := 0; oc < sz.outC; oc++ {
-				PadPlaneLead(gs[oc*oStride:], h, w, k, lead, gpad[oc*gpadStride:])
+				PadGradPlane(gs[oc*oStride:], h, w, k, gpad[oc*gpadStride:])
 			}
-			// The gapped view ConvDWPad walks is the padded planes' interior.
-			gp := gpad[lead*wp+lead:]
-			rowBuf := make([]float64, hw)
-			gT := make([]float64, sz.outC*((h-1)*wp+w))
-			ConvDWPad(gs, oStride, gp, gpadStride, xp, xpStride, sz.outC, sz.inC, h, w, k, gotDW, gT, rowBuf)
+			for i := range work {
+				work[i] = 1e30
+			}
+			ConvDWPad(gpad, gpadStride, xp, xpStride, sz.outC, sz.inC, 1, h, w, k, gotDW, work, offs)
 			dxStride := hw + 7
 			gotDX := make([]float64, sz.inC*dxStride)
 			for i := range gotDX {
@@ -104,9 +112,7 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 			for i := range work {
 				work[i] = 1e30
 			}
-			// gpad, still holding the last plane set, is ConvDXPad's padding
-			// scratch: it must be overwritten, not trusted.
-			ConvDXPad(weights, sz.outC, sz.inC, 1, gs, oStride, h, w, k, gotDX, dxStride, gpad, work, offs)
+			ConvDXPad(weights, sz.outC, sz.inC, 1, gpad, gpadStride, h, w, k, gotDX, dxStride, work, offs)
 
 			for oc := 0; oc < sz.outC; oc++ {
 				for i := 0; i < hw; i++ {
@@ -169,7 +175,7 @@ func BenchmarkConvFusedFwd(b *testing.B) {
 
 func BenchmarkConvFusedDW(b *testing.B) {
 	benchConvFused(b, func(o *convOperands) {
-		ConvDWPad(o.grad, o.h*o.w, o.gp, o.hpwp, o.xp, o.hpwp, o.outC, o.inC, o.h, o.w, o.k, o.dw, o.gT, o.rowBuf)
+		o.dW(o.dw)
 	})
 }
 

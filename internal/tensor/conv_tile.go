@@ -1,13 +1,13 @@
 package tensor
 
-// Register-tiled AVX2 paths of ConvFwdPad and ConvDXPad. The assembly
-// row kernel convRowAVX2 holds a tile of up to eight consecutive output
-// positions of one output row in YMM registers, one channel of a block of
-// four per lane (output channels forward, input channels for dX), for the
-// whole reduction: per group of terms it loads the block's packed weight
-// vectors once and broadcasts each input value to the four lanes. Rows run
-// in tiles of 8, then 4, then 1 positions, so the gap elements of the
-// padded layout are never computed.
+// Register-tiled AVX2 paths of the fused conv kernels. For ConvFwdPad and
+// ConvDXPad the assembly row kernel convRowAVX2 holds a tile of up to
+// eight consecutive output positions of one output row in YMM registers,
+// one channel of a block of four per lane (output channels forward, input
+// channels for dX), for the whole reduction: per group of terms it loads
+// the block's packed weight vectors once and broadcasts each input value
+// to the four lanes. Rows run in tiles of 8, then 4, then 1 positions, so
+// the gap elements of the padded layout are never computed.
 //
 // Only the loop order across independent outputs differs from the Go
 // bodies of conv_fused.go. Every element keeps its chain: the forward's
@@ -21,6 +21,23 @@ package tensor
 // Weights are packed once per call as [block][term][lane], zero in the
 // lanes past outC (or inC). The output row of such a lane aliases lane 0's,
 // which the kernel stores last, so what the lane computes is overwritten.
+//
+// ConvDWPad's AVX2 path is the tile dwTileAVX2 (simd_amd64.s), which
+// reduces over positions instead: its lanes are the four output channels
+// of a block, read from the row-interleaved copy of their zero-gapped
+// gradient spans, and it holds eight columns' accumulators — eight
+// independent add chains — in YMM registers for the whole span, each
+// column's input found through the colOffsets table. It walks the span
+// row by row and steps over the k-1 gap terms between rows, whose ±0
+// products the Go body's dot4x4 adds as no-ops (fact 3 of conv_fused.go),
+// so every element keeps GemmNT's strictly sequential +0-started chain;
+// the tile then transposes the accumulators into rows and adds each to its
+// gradient element, as the Go body adds each dot4x4 sum. The outC%4 head
+// rows (the 32→2 and 32→1 convs) run as the first lanes of a block whose
+// rows past outC are zero in the interleaved copy, accumulating in a
+// four-row copy of their gradient rows that is copied back after the last
+// sample; what the zero lanes compute is discarded, as with the aliased
+// lanes above.
 
 // convFwdTiled is ConvFwdPad's AVX2 body; offs holds the ickk reduction
 // offsets and work at least (outC+3)/4·4·ickk floats.
@@ -99,10 +116,10 @@ func packDX(weights []float64, outC, inC, kk2 int, work []float64) []float64 {
 	return wpk
 }
 
-// convDXTiled is ConvDXPad's AVX2 body for sample bi, whose gradient
-// planes gpad holds padded; wpk comes from packDX and offs holds the
+// convDXTiled is ConvDXPad's AVX2 body for sample bi, whose padded
+// gradient planes gs starts at; wpk comes from packDX and offs holds the
 // k²·outC term offsets.
-func convDXTiled(wpk []float64, outC, inC, nb, bi int, gpad []float64, h, w, k int, dx []float64, dxStride int, offs []int) {
+func convDXTiled(wpk []float64, outC, inC, nb, bi int, gs []float64, h, w, k int, dx []float64, dxStride int, offs []int) {
 	kk2 := k * k
 	terms := kk2 * outC
 	// Per (ky, kx): one group of outC terms straight into the accumulator
@@ -115,7 +132,7 @@ func convDXTiled(wpk []float64, outC, inC, nb, bi int, gpad []float64, h, w, k i
 		n4, m, nm, reps = outC/4, 1, outC%4, kk2
 	}
 	for b := 0; b < (inC+3)/4; b++ {
-		tileBlock(gpad, offs, wpk[b*4*terms:(b+1)*4*terms], dx, 4*b, inC, nb, bi, dxStride,
+		tileBlock(gs, offs, wpk[b*4*terms:(b+1)*4*terms], dx, 4*b, inC, nb, bi, dxStride,
 			h, w, w+k-1, n4, m, nm, reps)
 	}
 }

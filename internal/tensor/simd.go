@@ -14,7 +14,8 @@ package tensor
 // production path and the oracle the AVX2 parity tests compare against;
 // tests clear useAVX2 to force them.
 
-// useAVX2 selects the AVX2 assembly bodies of axpy4 and dot4x4.
+// useAVX2 selects the AVX2 assembly bodies of axpy4 and dot4x4 and the
+// register tiles of conv_tile.go.
 var useAVX2 = hasAVX2()
 
 // axpy4 is the grouped four-term update

@@ -9,6 +9,9 @@ func axpy4AVX2(dst []float64, a0, a1, a2, a3 float64, p0, p1, p2, p3 []float64)
 func dot4x4AVX2(g, p0, p1, p2, p3 []float64, s *[16]float64)
 
 //go:noescape
+func dwTileAVX2(g, x []float64, offs []int, c []float64, ldc, w, gap int)
+
+//go:noescape
 func convRowAVX2(x []float64, offs []int, wpk []float64, o0, o1, o2, o3 []float64, w, n4, m, nm, reps int)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

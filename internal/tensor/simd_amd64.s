@@ -593,3 +593,136 @@ t1store:
 rowdone:
 	VZEROUPPER
 	RET
+
+// func dwTileAVX2(g, x []float64, offs []int, c []float64, ldc, w, gap int)
+//
+// ConvDWPad's register tile: dot4x4 over eight columns, column j reading
+// x[offs[j]+t], accumulated into a 4×8 block of the weight gradient.
+// Accumulator Yj holds column j; its lane r is row r's chain
+// s += g[4t+r] * x[offs[j]+t], starting at +0, t ascending. The span is
+// rows of w steps separated by gap steps whose g entries are zero; those
+// terms would add ±0 to a chain that cannot hold -0, so the tile skips
+// them. Eight independent chains keep the multipliers and adders busy
+// where dot4x4's four wait on each other. At the end TRANS4 turns the
+// columns into rows and c[r*ldc+j] += s for rows r = 0..3 and columns
+// j = 0..7. The caller guarantees offs[j]+len(g)/4 ≤ len(x) and
+// 3*ldc+8 ≤ len(c).
+TEXT ·dwTileAVX2(SB), NOSPLIT, $0-120
+	MOVQ   g_base+0(FP), SI
+	MOVQ   g_len+8(FP), CX
+	SHRQ   $2, CX
+	MOVQ   x_base+24(FP), AX
+	MOVQ   offs_base+48(FP), DI
+	MOVQ   (DI), R8
+	MOVQ   8(DI), R9
+	MOVQ   16(DI), R10
+	MOVQ   24(DI), R11
+	MOVQ   32(DI), R12
+	MOVQ   40(DI), R13
+	MOVQ   48(DI), BX
+	MOVQ   56(DI), DX
+	LEAQ   (AX)(R8*8), R8
+	LEAQ   (AX)(R9*8), R9
+	LEAQ   (AX)(R10*8), R10
+	LEAQ   (AX)(R11*8), R11
+	LEAQ   (AX)(R12*8), R12
+	LEAQ   (AX)(R13*8), R13
+	LEAQ   (AX)(BX*8), BX
+	LEAQ   (AX)(DX*8), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   AX, AX
+	CMPQ   AX, CX
+	JGE    dwsum
+
+// DWSTEP multiplies the four-row g vector at goff(SI) by the eight
+// columns' inputs at step AX (plus xoff bytes) and adds each product to
+// its column's accumulator.
+#define DWSTEP(goff, xoff) \
+	VMOVUPD      goff(SI), Y8;          \
+	VBROADCASTSD xoff(R8)(AX*8), Y9;    \
+	VBROADCASTSD xoff(R9)(AX*8), Y10;   \
+	VBROADCASTSD xoff(R10)(AX*8), Y11;  \
+	VBROADCASTSD xoff(R11)(AX*8), Y12;  \
+	VMULPD       Y9, Y8, Y9;            \
+	VMULPD       Y10, Y8, Y10;          \
+	VMULPD       Y11, Y8, Y11;          \
+	VMULPD       Y12, Y8, Y12;          \
+	VADDPD       Y9, Y0, Y0;            \
+	VADDPD       Y10, Y1, Y1;           \
+	VADDPD       Y11, Y2, Y2;           \
+	VADDPD       Y12, Y3, Y3;           \
+	VBROADCASTSD xoff(R12)(AX*8), Y13;  \
+	VBROADCASTSD xoff(R13)(AX*8), Y14;  \
+	VBROADCASTSD xoff(BX)(AX*8), Y15;   \
+	VBROADCASTSD xoff(DX)(AX*8), Y9;    \
+	VMULPD       Y13, Y8, Y13;          \
+	VMULPD       Y14, Y8, Y14;          \
+	VMULPD       Y15, Y8, Y15;          \
+	VMULPD       Y9, Y8, Y9;            \
+	VADDPD       Y13, Y4, Y4;           \
+	VADDPD       Y14, Y5, Y5;           \
+	VADDPD       Y15, Y6, Y6;           \
+	VADDPD       Y9, Y7, Y7
+
+// Each row runs its w steps two at a time, then an odd last one.
+dwrow:
+	MOVQ w+104(FP), DI
+	SHRQ $1, DI
+	JZ   dwodd
+
+dwpair:
+	DWSTEP(0, 0)
+	DWSTEP(32, 8)
+	ADDQ $64, SI
+	ADDQ $2, AX
+	DECQ DI
+	JNZ  dwpair
+
+dwodd:
+	MOVQ  w+104(FP), DI
+	ANDQ  $1, DI
+	JZ    dwgap
+	DWSTEP(0, 0)
+	ADDQ  $32, SI
+	INCQ  AX
+
+	// Step over the gap: gap positions in x, gap four-row groups in g.
+dwgap:
+	MOVQ gap+112(FP), DI
+	ADDQ DI, AX
+	SHLQ $5, DI
+	ADDQ DI, SI
+	CMPQ AX, CX
+	JLT  dwrow
+
+dwsum:
+	TRANS4(Y0, Y1, Y2, Y3)
+	TRANS4(Y4, Y5, Y6, Y7)
+	MOVQ c_base+72(FP), DI
+	MOVQ ldc+96(FP), DX
+	SHLQ $3, DX
+
+// ROWACC adds row vectors lo (columns 0..3) and hi (4..7) into the row at
+// DI, then steps DI to the next row: c[j] + s, c the first source.
+#define ROWACC(lo, hi) \
+	VMOVUPD (DI), Y8;    \
+	VMOVUPD 32(DI), Y9;  \
+	VADDPD  lo, Y8, Y8;  \
+	VADDPD  hi, Y9, Y9;  \
+	VMOVUPD Y8, (DI);    \
+	VMOVUPD Y9, 32(DI);  \
+	ADDQ    DX, DI
+
+	ROWACC(Y0, Y4)
+	ROWACC(Y1, Y5)
+	ROWACC(Y2, Y6)
+	ROWACC(Y3, Y7)
+	VZEROUPPER
+	RET

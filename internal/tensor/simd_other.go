@@ -14,6 +14,10 @@ func dot4x4AVX2(g, p0, p1, p2, p3 []float64, s *[16]float64) {
 	panic("tensor: AVX2 kernel on a non-amd64 build")
 }
 
+func dwTileAVX2(g, x []float64, offs []int, c []float64, ldc, w, gap int) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
 func convRowAVX2(x []float64, offs []int, wpk []float64, o0, o1, o2, o3 []float64, w, n4, m, nm, reps int) {
 	panic("tensor: AVX2 kernel on a non-amd64 build")
 }

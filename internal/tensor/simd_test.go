@@ -111,6 +111,58 @@ func TestDot4x4AVX2MatchesGo(t *testing.T) {
 	}
 }
 
+// TestDWTileAVX2MatchesGo pins ConvDWPad's eight-column register tile to
+// two Go dot4x4 calls over its column halves, each sum then added to its
+// gradient element, on edge-case operands at misaligned bases, with
+// columns at arbitrary (overlapping) offsets into one input and gradient
+// rows at a stride. The spans are h rows of w steps separated by gap
+// steps whose g entries are zero, as in a padded gradient plane: dot4x4
+// adds their ±0 products and the tile skips them, with the same bits.
+func TestDWTileAVX2MatchesGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(61))
+	const ldc = 11
+	for h := 1; h <= 4; h++ {
+		for w := 1; w <= 9; w++ {
+			for gap := 0; gap <= 3; gap++ {
+				n := (h-1)*(w+gap) + w
+				g := edgeSlice(rng, 4*n, (w+gap)%4)
+				for t := 0; t < n; t++ {
+					if t%(w+gap) >= w {
+						clear(g[4*t : 4*t+4])
+					}
+				}
+				x := edgeSlice(rng, n+20, (h+w)%4)
+				var offs [8]int
+				var ps [8][]float64
+				for c := range offs {
+					offs[c] = rng.Intn(21)
+					ps[c] = x[offs[c]:]
+				}
+				got := edgeSlice(rng, 3*ldc+8, gap)
+				want := append([]float64(nil), got...)
+				dwTileAVX2(g, x, offs[:], got, ldc, w, gap)
+				forceGo(func() {
+					var s [16]float64
+					for half := 0; half < 2; half++ {
+						q := ps[4*half:]
+						dot4x4(g, q[0], q[1], q[2], q[3], &s)
+						for r := 0; r < 4; r++ {
+							for c := 0; c < 4; c++ {
+								want[r*ldc+4*half+c] += s[4*c+r]
+							}
+						}
+					}
+				})
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("h=%d w=%d gap=%d elem %d: avx2 %v (%#x), go %v (%#x)", h, w, gap, i,
+						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 // convShape is one conv layer: inC → outC channels, k×k kernel, h×w plane.
 type convShape struct{ inC, outC, h, w, k int }
 
@@ -138,17 +190,15 @@ var defaultNetShapes = map[int][]convShape{
 
 // convOperands holds one layer's inputs for nb samples in the layouts the
 // fused kernels read, plus the scratch they need. Planes are channel-major,
-// plane (c, bi) at c*nb+bi; the ConvDWPad operands (grad, gpad, gp) are
-// sample 0's.
+// plane (c, bi) at c*nb+bi.
 type convOperands struct {
 	convShape
-	nb                      int
-	weights, cols, grads    []float64
-	grad, xp, gpad, gp      []float64
-	work, dxpad, gT, rowBuf []float64
-	offs                    []int
-	out, dw                 []float64 // benchmark outputs
-	hpwp                    int
+	nb                          int
+	weights, cols, grads, gpads []float64
+	xp, work                    []float64
+	offs                        []int
+	out, dw                     []float64 // benchmark outputs
+	hpwp                        int
 }
 
 func newConvOperands(rng *rand.Rand, s convShape, nb int) *convOperands {
@@ -157,7 +207,6 @@ func newConvOperands(rng *rand.Rand, s convShape, nb int) *convOperands {
 	ickk := s.inC * s.k * s.k
 	wp := s.w + s.k - 1
 	o.hpwp = (s.h + s.k - 1) * wp
-	span := (s.h-1)*wp + s.w
 	x := make([]float64, s.inC*nb*hw)
 	for i := range x {
 		if rng.Intn(4) != 0 { // post-ReLU inputs: a quarter exact zeros
@@ -172,10 +221,6 @@ func newConvOperands(rng *rand.Rand, s convShape, nb int) *convOperands {
 	for i := range o.grads {
 		o.grads[i] = rng.NormFloat64()
 	}
-	o.grad = make([]float64, s.outC*hw)
-	for oc := 0; oc < s.outC; oc++ {
-		copy(o.grad[oc*hw:(oc+1)*hw], o.grads[oc*nb*hw:])
-	}
 	x0 := make([]float64, s.inC*hw)
 	for ic := 0; ic < s.inC; ic++ {
 		copy(x0[ic*hw:(ic+1)*hw], x[ic*nb*hw:])
@@ -186,17 +231,12 @@ func newConvOperands(rng *rand.Rand, s convShape, nb int) *convOperands {
 	for p := 0; p < s.inC*nb; p++ {
 		PadPlane(x[p*hw:], s.h, s.w, s.k, o.xp[p*o.hpwp:])
 	}
-	lead := s.k - 1 - (s.k-1)/2
-	o.gpad = make([]float64, s.outC*o.hpwp)
-	for oc := 0; oc < s.outC; oc++ {
-		PadPlaneLead(o.grad[oc*hw:], s.h, s.w, s.k, lead, o.gpad[oc*o.hpwp:])
+	o.gpads = make([]float64, s.outC*nb*o.hpwp)
+	for p := 0; p < s.outC*nb; p++ {
+		PadGradPlane(o.grads[p*hw:], s.h, s.w, s.k, o.gpads[p*o.hpwp:])
 	}
-	o.gp = o.gpad[lead*wp+lead:]
 	nf, ni := ConvWork(s.outC, s.inC, s.h, s.w, s.k)
 	o.work, o.offs = make([]float64, nf), make([]int, ni)
-	o.dxpad = make([]float64, s.outC*o.hpwp)
-	o.gT = make([]float64, (s.outC&^3)*span)
-	o.rowBuf = make([]float64, hw)
 	return o
 }
 
@@ -215,14 +255,18 @@ func (o *convOperands) fwd(out []float64) {
 	ConvFwdPad(o.weights, o.outC, o.inC, o.nb, o.xp, o.hpwp, o.h, o.w, o.k, out, o.h*o.w, o.work, o.offs)
 }
 
-// dx runs ConvDXPad on all nb samples.
-func (o *convOperands) dx(dx []float64) {
-	hw := o.h * o.w
-	ConvDXPad(o.weights, o.outC, o.inC, o.nb, o.grads, hw, o.h, o.w, o.k, dx, hw, o.dxpad, o.work, o.offs)
+// dW runs ConvDWPad on all nb samples.
+func (o *convOperands) dW(dw []float64) {
+	ConvDWPad(o.gpads, o.hpwp, o.xp, o.hpwp, o.outC, o.inC, o.nb, o.h, o.w, o.k, dw, o.work, o.offs)
 }
 
-// run evaluates ConvFwdPad, ConvDWPad (sample 0), ConvDXPad and GemmNN
-// (sample 0), in that order, and returns their outputs.
+// dx runs ConvDXPad on all nb samples.
+func (o *convOperands) dx(dx []float64) {
+	ConvDXPad(o.weights, o.outC, o.inC, o.nb, o.gpads, o.hpwp, o.h, o.w, o.k, dx, o.h*o.w, o.work, o.offs)
+}
+
+// run evaluates ConvFwdPad, ConvDWPad, ConvDXPad and GemmNN (sample 0),
+// in that order, and returns their outputs.
 func (o *convOperands) run() [4][]float64 {
 	hw := o.h * o.w
 	ickk := o.inC * o.k * o.k
@@ -232,7 +276,7 @@ func (o *convOperands) run() [4][]float64 {
 	for i := range dw {
 		dw[i] = float64(i%7) - 3 // dW accumulates
 	}
-	ConvDWPad(o.grad, hw, o.gp, o.hpwp, o.xp, o.nb*o.hpwp, o.outC, o.inC, o.h, o.w, o.k, dw, o.gT, o.rowBuf)
+	o.dW(dw)
 	dx := nanSlice(o.inC * o.nb * hw)
 	o.dx(dx)
 	gemm := make([]float64, o.outC*hw)
@@ -271,6 +315,11 @@ func TestConvKernelsAVX2MatchGo(t *testing.T) {
 	shapes = append(shapes,
 		convShape{3, 1, 6, 7, 3}, convShape{3, 2, 6, 7, 3}, convShape{3, 3, 6, 7, 3},
 		convShape{3, 5, 6, 7, 3}, convShape{5, 5, 2, 2, 3}, convShape{8, 4, 2, 2, 3},
+		// dW tile edges at the 8×8 net's plane: the remainder-row lanes of
+		// outC ∈ {1, 2, 3, 5, 6}, and inC·k² (54, 45, 27, 540) not a
+		// multiple of the eight-column tile, 540 across two jc panels.
+		convShape{6, 1, 8, 8, 3}, convShape{6, 2, 8, 8, 3}, convShape{3, 3, 8, 8, 3},
+		convShape{6, 5, 8, 8, 3}, convShape{5, 6, 8, 8, 3}, convShape{60, 5, 8, 8, 3},
 	)
 	shapes = append(shapes, tileEdgeShapes()...)
 	rng := rand.New(rand.NewSource(47))
@@ -291,7 +340,8 @@ func TestConvKernelsAVX2MatchGo(t *testing.T) {
 
 // TestConvKernelsBatchMatchPerSample requires ConvFwdPad and ConvDXPad on
 // nb samples to give each sample the bits of a one-sample call on that
-// sample's planes, on every body the host runs.
+// sample's planes, and ConvDWPad on nb samples to accumulate the bits of
+// nb one-sample calls in sample order, on every body the host runs.
 func TestConvKernelsBatchMatchPerSample(t *testing.T) {
 	const nb = 3
 	rng := rand.New(rand.NewSource(59))
@@ -307,9 +357,13 @@ func TestConvKernelsBatchMatchPerSample(t *testing.T) {
 				fwd := make([]float64, s.outC*nb*hw)
 				dx := make([]float64, s.inC*nb*hw)
 				one := make([]float64, max(s.outC, s.inC)*hw)
+				ickk := s.inC * s.k * s.k
+				dw := make([]float64, s.outC*ickk)
+				dwSeq := make([]float64, s.outC*ickk)
 				run(func() {
 					o.fwd(fwd)
 					o.dx(dx)
+					o.dW(dw)
 					for bi := 0; bi < nb; bi++ {
 						ConvFwdPad(o.weights, s.outC, s.inC, 1, o.xp[bi*o.hpwp:], nb*o.hpwp, s.h, s.w, s.k,
 							one, hw, o.work, o.offs)
@@ -318,13 +372,18 @@ func TestConvKernelsBatchMatchPerSample(t *testing.T) {
 								t.Fatalf("ConvFwdPad sample %d channel %d elem %d differs", bi, oc, e)
 							}
 						}
-						ConvDXPad(o.weights, s.outC, s.inC, 1, o.grads[bi*hw:], nb*hw, s.h, s.w, s.k,
-							one, hw, o.dxpad, o.work, o.offs)
+						ConvDXPad(o.weights, s.outC, s.inC, 1, o.gpads[bi*o.hpwp:], nb*o.hpwp, s.h, s.w, s.k,
+							one, hw, o.work, o.offs)
 						for ic := 0; ic < s.inC; ic++ {
 							if e := sameBits(dx[(ic*nb+bi)*hw:][:hw], one[ic*hw:][:hw]); e >= 0 {
 								t.Fatalf("ConvDXPad sample %d channel %d elem %d differs", bi, ic, e)
 							}
 						}
+						ConvDWPad(o.gpads[bi*o.hpwp:], nb*o.hpwp, o.xp[bi*o.hpwp:], nb*o.hpwp,
+							s.outC, s.inC, 1, s.h, s.w, s.k, dwSeq, o.work, o.offs)
+					}
+					if e := sameBits(dw, dwSeq); e >= 0 {
+						t.Fatalf("ConvDWPad elem %d differs from in-order one-sample calls", e)
 					}
 				})
 			})
