@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet vet-arm64 build test race loc bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search trace-smoke profile-smoke fuzz-smoke
+.PHONY: ci fmt vet vet-arm64 build test race loc bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search bench-explore trace-smoke profile-smoke fuzz-smoke
 
 ci: fmt vet vet-arm64 build test race trace-smoke
 
@@ -113,6 +113,15 @@ bench-train:
 bench-search:
 	$(GO) test -bench 'BenchmarkParamServerRoundTrip' -benchmem -run '^$$' ./internal/drl/
 	$(GO) test -bench 'BenchmarkDRLSearchThreads' -benchmem -benchtime 5x -run '^$$' ./internal/drl/
+
+# Quick iteration loop for the §6.8 link-placement searches (noc3d and
+# chiplet as two rule sets over the shared search.Graph and
+# search.Placement): one 50-episode Explore of each at the explore-generic
+# workload's ε and step caps, with allocation counts. The regression
+# signals are ns/op, allocs/op and an unchanged hops metric; the
+# benchmark's explore-generic workload is the end-to-end check.
+bench-explore:
+	$(GO) test -bench 'BenchmarkExplore' -benchmem -run '^$$' .
 
 # Tracing-overhead gate (PR 6): traced vs untraced episode and sim-run
 # pairs, plus the span/histogram micro-benchmarks. The disabled path must

@@ -166,6 +166,32 @@ func BenchmarkBroadChiplet(b *testing.B) {
 	}
 }
 
+// BenchmarkExplore is the §6.8 iteration loop (make bench-explore): one
+// op is one 50-episode search at the explore-generic workload's ε and
+// step caps, noc3d on DefaultConstraints(6, 2) and chiplet on
+// DefaultSystem(), both on the shared search.Graph/search.Placement core.
+func BenchmarkExplore(b *testing.B) {
+	cfg := func(eps float64, steps int) search.Config {
+		c := search.DefaultConfig()
+		c.Episodes, c.Epsilon, c.MaxSteps, c.Seed = 50, eps, steps, 1
+		return c
+	}
+	b.Run("noc3d-6x6x2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			best, base, _ := noc3d.Explore(6, 2, noc3d.DefaultConstraints(6, 2), cfg(0.3, 64))
+			b.ReportMetric(best.AvgHops()/base, "hops/base")
+		}
+	})
+	b.Run("chiplet", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			best, _ := chiplet.Explore(chiplet.DefaultSystem(), cfg(0.4, 48))
+			b.ReportMetric(best.AvgInterChipletHops(1000), "interchiplet_hops")
+		}
+	})
+}
+
 // --- Micro-benchmarks of the core components -------------------------------
 
 func BenchmarkRingStep(b *testing.B) {
@@ -420,11 +446,14 @@ func BenchmarkHopMatrix(b *testing.B) {
 	}
 }
 
-func BenchmarkRoutingTableBuild(b *testing.B) {
+// BenchmarkRingBuild times sim.NewRing on REC 8×8, which fills the
+// per-pair routing from Topology.BestLoop.
+func BenchmarkRingBuild(b *testing.B) {
 	t := rec.MustGenerate(8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		topo.BuildRoutingTable(t)
+		sim.NewRing(t, sim.DefaultRingConfig())
 	}
 }
 

@@ -5,16 +5,12 @@
 // each an internal mesh, sit on an interposer; every node can reach its
 // chiplet's boundary bumps, and the exploration places a budget of
 // interposer links between boundary bumps of different chiplets to
-// minimize the average inter-chiplet hop count.
+// minimize the average inter-chiplet hop count. The link-placement
+// machinery is search.Graph and search.Placement; this package adds the
+// package geometry, the bump rules and the inter-chiplet metric.
 package chiplet
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"routerless/internal/search"
-)
+import "routerless/internal/search"
 
 // System describes the package geometry: a ChipletsX×ChipletsY grid of
 // chiplets, each an M×M mesh of cores.
@@ -66,25 +62,15 @@ func (s System) Boundary(c Core) bool {
 
 // Design is a chiplet system plus placed interposer links.
 type Design struct {
-	Sys   System
-	adj   [][]int
-	bumps []int
-	links [][2]int
-	dirty bool
-	dist  [][]int16
+	*search.Graph
+	Sys System
 }
 
 // NewDesign builds the base system: chiplet-internal meshes only, so
 // inter-chiplet pairs start unreachable until interposer links exist.
 func NewDesign(sys System) *Design {
-	v := sys.Cores()
-	d := &Design{
-		Sys:   sys,
-		adj:   make([][]int, v),
-		bumps: make([]int, v),
-		dirty: true,
-	}
-	for id := 0; id < v; id++ {
+	adj := make([][]int, sys.Cores())
+	for id := range adj {
 		c := sys.CoreFromID(id)
 		for _, nb := range []Core{
 			{c.CX, c.CY, c.X + 1, c.Y}, {c.CX, c.CY, c.X - 1, c.Y},
@@ -93,110 +79,27 @@ func NewDesign(sys System) *Design {
 			if nb.X < 0 || nb.X >= sys.M || nb.Y < 0 || nb.Y >= sys.M {
 				continue
 			}
-			d.adj[id] = append(d.adj[id], sys.ID(nb))
+			adj[id] = append(adj[id], sys.ID(nb))
 		}
 	}
-	return d
-}
-
-// Links returns the placed interposer links.
-func (d *Design) Links() [][2]int { return d.links }
-
-// Clone deep-copies the design.
-func (d *Design) Clone() *Design {
-	c := &Design{
-		Sys:   d.Sys,
-		adj:   make([][]int, len(d.adj)),
-		bumps: append([]int(nil), d.bumps...),
-		links: append([][2]int(nil), d.links...),
-		dirty: true,
-	}
-	for i, a := range d.adj {
-		c.adj[i] = append([]int(nil), a...)
-	}
-	return c
-}
-
-// CanAdd validates an interposer link between two cores.
-func (d *Design) CanAdd(a, b int) error {
-	if a == b {
-		return fmt.Errorf("chiplet: self link")
-	}
-	if len(d.links) >= d.Sys.LinkBudget {
-		return fmt.Errorf("chiplet: link budget exhausted")
-	}
-	ca, cb := d.Sys.CoreFromID(a), d.Sys.CoreFromID(b)
-	if ca.CX == cb.CX && ca.CY == cb.CY {
-		return fmt.Errorf("chiplet: interposer links join different chiplets")
-	}
-	if !d.Sys.Boundary(ca) || !d.Sys.Boundary(cb) {
-		return fmt.Errorf("chiplet: links attach at boundary bumps only")
-	}
-	if d.bumps[a] >= d.Sys.BumpPorts || d.bumps[b] >= d.Sys.BumpPorts {
-		return fmt.Errorf("chiplet: bump port cap reached")
-	}
-	for _, nb := range d.adj[a] {
-		if nb == b {
-			return fmt.Errorf("chiplet: link exists")
+	bumps := func(a, b int) string {
+		ca, cb := sys.CoreFromID(a), sys.CoreFromID(b)
+		switch {
+		case ca.CX == cb.CX && ca.CY == cb.CY:
+			return "interposer links join different chiplets"
+		case !sys.Boundary(ca) || !sys.Boundary(cb):
+			return "links attach at boundary bumps only"
 		}
+		return ""
 	}
-	return nil
-}
-
-// AddLink places an interposer link.
-func (d *Design) AddLink(a, b int) error {
-	if err := d.CanAdd(a, b); err != nil {
-		return err
-	}
-	d.adj[a] = append(d.adj[a], b)
-	d.adj[b] = append(d.adj[b], a)
-	d.bumps[a]++
-	d.bumps[b]++
-	if a > b {
-		a, b = b, a
-	}
-	d.links = append(d.links, [2]int{a, b})
-	d.dirty = true
-	return nil
-}
-
-func (d *Design) distances() [][]int16 {
-	if !d.dirty {
-		return d.dist
-	}
-	v := d.Sys.Cores()
-	dist := make([][]int16, v)
-	queue := make([]int, 0, v)
-	for s := 0; s < v; s++ {
-		row := make([]int16, v)
-		for i := range row {
-			row[i] = -1
-		}
-		row[s] = 0
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, nb := range d.adj[u] {
-				if row[nb] < 0 {
-					row[nb] = row[u] + 1
-					queue = append(queue, nb)
-				}
-			}
-		}
-		dist[s] = row
-	}
-	d.dist = dist
-	d.dirty = false
-	return dist
+	return &Design{Graph: search.NewGraph(adj, sys.LinkBudget, sys.BumpPorts, bumps), Sys: sys}
 }
 
 // Connected reports whether every core pair is reachable.
-func (d *Design) Connected() bool {
-	dist := d.distances()
-	for s := range dist {
-		for _, h := range dist[s] {
-			if h < 0 {
+func (d Design) Connected() bool {
+	for s := 0; s < d.V(); s++ {
+		for t := 0; t < d.V(); t++ {
+			if d.Dist(s, t) < 0 {
 				return false
 			}
 		}
@@ -206,22 +109,18 @@ func (d *Design) Connected() bool {
 
 // AvgInterChipletHops returns the mean hop count over reachable
 // inter-chiplet core pairs; unreachable pairs are charged penalty hops.
-func (d *Design) AvgInterChipletHops(penalty float64) float64 {
-	dist := d.distances()
+func (d Design) AvgInterChipletHops(penalty float64) float64 {
 	total := 0.0
 	pairs := 0
-	for s := range dist {
+	for s := 0; s < d.V(); s++ {
 		cs := d.Sys.CoreFromID(s)
-		for t, h := range dist[s] {
-			if s == t {
-				continue
-			}
+		for t := 0; t < d.V(); t++ {
 			ct := d.Sys.CoreFromID(t)
-			if cs.CX == ct.CX && cs.CY == ct.CY {
+			if s == t || cs.CX == ct.CX && cs.CY == ct.CY {
 				continue
 			}
 			pairs++
-			if h < 0 {
+			if h := d.Dist(s, t); h < 0 {
 				total += penalty
 			} else {
 				total += float64(h)
@@ -234,110 +133,14 @@ func (d *Design) AvgInterChipletHops(penalty float64) float64 {
 	return total / float64(pairs)
 }
 
-// ---------------------------------------------------------------------------
-// search.Problem instantiation
-
-type env struct{ d *Design }
-
-func (e *env) Fingerprint() string {
-	keys := make([]string, len(e.d.links))
-	for i, l := range e.d.links {
-		keys[i] = fmt.Sprintf("%d-%d", l[0], l[1])
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
-}
-
-func (e *env) Actions() []string {
-	var out []string
-	v := e.d.Sys.Cores()
-	for a := 0; a < v; a++ {
-		for b := a + 1; b < v; b++ {
-			if e.d.CanAdd(a, b) == nil {
-				out = append(out, fmt.Sprintf("%d-%d", a, b))
-			}
-		}
-	}
-	return out
-}
-
-func (e *env) Step(action string) float64 {
-	var a, b int
-	fmt.Sscanf(action, "%d-%d", &a, &b)
-	if err := e.d.AddLink(a, b); err != nil {
-		return -1
-	}
-	return 0
-}
-
-func (e *env) Done() bool { return len(e.d.links) >= e.d.Sys.LinkBudget }
-
-func (e *env) FinalReward() float64 {
-	penalty := float64(4 * e.d.Sys.Cores())
-	return -e.d.AvgInterChipletHops(penalty)
-}
-
-// Problem adapts the system to the generic searcher.
-type Problem struct{ Sys System }
-
-// NewEpisode implements search.Problem.
-func (p Problem) NewEpisode() search.Environment { return &env{d: NewDesign(p.Sys)} }
-
-// Greedy implements search.Problem: join the chiplet pair whose cores are
-// currently farthest apart (or disconnected).
-func (p Problem) Greedy(se search.Environment) (string, bool) {
-	e := se.(*env)
-	dist := e.d.distances()
-	v := e.d.Sys.Cores()
-	bestA, bestB := -1, -1
-	bestScore := -1
-	for a := 0; a < v; a++ {
-		for b := a + 1; b < v; b++ {
-			if e.d.CanAdd(a, b) != nil {
-				continue
-			}
-			score := int(dist[a][b])
-			if score < 0 {
-				score = 4 * v // disconnected: highest priority
-			}
-			if score > bestScore {
-				bestScore = score
-				bestA, bestB = a, b
-			}
-		}
-	}
-	if bestA < 0 {
-		return "", false
-	}
-	return fmt.Sprintf("%d-%d", bestA, bestB), true
-}
-
-// Priors implements search.Problem: weight candidate links by current
-// separation, favouring links that bridge disconnected or distant pairs.
-func (p Problem) Priors(se search.Environment, actions []string) []float64 {
-	e := se.(*env)
-	dist := e.d.distances()
-	out := make([]float64, len(actions))
-	for i, s := range actions {
-		var a, b int
-		fmt.Sscanf(s, "%d-%d", &a, &b)
-		h := float64(dist[a][b])
-		if h < 0 {
-			h = float64(4 * e.d.Sys.Cores())
-		}
-		out[i] = h
-	}
-	return out
-}
-
-// Explore runs the searcher and returns the best design.
+// Explore runs the searcher and returns the best design. The reward is
+// the negated inter-chiplet hop count, charging an unreachable pair 4·cores
+// hops.
 func Explore(sys System, cfg search.Config) (*Design, *search.Result) {
-	prob := Problem{Sys: sys}
-	s := search.New(cfg, prob)
-	var best *Design
-	s.OnBest(func(se search.Environment, _ search.Outcome) {
-		best = se.(*env).d.Clone()
-	})
-	res := s.Run()
-	return best, res
+	penalty := float64(4 * sys.Cores())
+	best, res := search.Placement{
+		Base:   NewDesign(sys).Clone,
+		Reward: func(g *search.Graph) float64 { return -Design{Graph: g, Sys: sys}.AvgInterChipletHops(penalty) },
+	}.Explore(cfg)
+	return &Design{Graph: best, Sys: sys}, res
 }

@@ -29,8 +29,8 @@ func TestBaseSystemDisconnected(t *testing.T) {
 	sys := d.Sys
 	a := sys.ID(Core{CX: 0, CY: 0, X: 0, Y: 0})
 	b := sys.ID(Core{CX: 0, CY: 0, X: 2, Y: 2})
-	if d.distances()[a][b] != 4 {
-		t.Fatalf("intra-chiplet distance = %d, want 4", d.distances()[a][b])
+	if d.Dist(a, b) != 4 {
+		t.Fatalf("intra-chiplet distance = %d, want 4", d.Dist(a, b))
 	}
 }
 
@@ -113,7 +113,7 @@ func TestExploreConnectsPackage(t *testing.T) {
 }
 
 func TestGreedyBridgesDisconnectedFirst(t *testing.T) {
-	prob := Problem{Sys: DefaultSystem()}
+	prob := search.Placement{Base: NewDesign(DefaultSystem()).Clone}
 	e := prob.NewEpisode()
 	a, ok := prob.Greedy(e)
 	if !ok {

@@ -634,7 +634,9 @@ func (s *Searcher) chooseAction(net *nn.PolicyValueNet, env *rl.Env, fp string, 
 		s.tree.Expand(fp, legal, priors)
 	}
 	ex.End()
-	return samplePriors(legal, priors, rng), true
+	// legal arrives in LegalActions' canonical lexicographic order, so the
+	// draw is deterministic without any collection or sorting step.
+	return mcts.Sample(legal, priors, rng), true
 }
 
 // policyEval returns the policy heads (four coordinate softmax groups and
@@ -713,26 +715,4 @@ func (s *Searcher) sampleRaw(net *nn.PolicyValueNet, state []float64, rng *rand.
 		X2: pick(probs[2]), Y2: pick(probs[3]),
 		Dir: dir,
 	}
-}
-
-// samplePriors draws an action proportionally to the prior weights.
-// actions arrives in LegalActions' canonical lexicographic order, so the
-// draw is deterministic without any collection or sorting step.
-func samplePriors(actions []rl.Action, priors []float64, rng *rand.Rand) rl.Action {
-	total := 0.0
-	for _, p := range priors {
-		total += p
-	}
-	if total <= 0 {
-		return actions[rng.Intn(len(actions))]
-	}
-	r := rng.Float64() * total
-	acc := 0.0
-	for i, a := range actions {
-		acc += priors[i]
-		if r < acc {
-			return a
-		}
-	}
-	return actions[len(actions)-1]
 }

@@ -16,6 +16,7 @@ package mcts
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 )
 
@@ -245,4 +246,27 @@ func (t *Tree[A]) EdgeStats(fp string) map[A]Edge {
 		out[node.Edges[i].Action] = node.Edges[i].Edge
 	}
 	return out
+}
+
+// Sample draws one of actions with probability proportional to its prior,
+// or uniformly when the priors sum to zero or less; the last action
+// absorbs rounding. A caller that passes its actions in a canonical order
+// draws deterministically for a given rng state.
+func Sample[A any](actions []A, priors []float64, rng *rand.Rand) A {
+	total := 0.0
+	for _, p := range priors {
+		total += p
+	}
+	if total <= 0 {
+		return actions[rng.Intn(len(actions))]
+	}
+	r := rng.Float64() * total
+	acc := 0.0
+	for i, a := range actions {
+		acc += priors[i]
+		if r < acc {
+			return a
+		}
+	}
+	return actions[len(actions)-1]
 }

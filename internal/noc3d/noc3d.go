@@ -5,13 +5,13 @@
 // routerless loop placement — the generic searcher of internal/search —
 // places long-range intra-layer links and inter-layer vias on a 3-D mesh
 // under port, link-length and budget constraints, minimizing average hop
-// count.
+// count. The link-placement machinery is search.Graph and
+// search.Placement; this package adds the mesh, the length rule and the
+// hop-count metric.
 package noc3d
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"routerless/internal/search"
 )
@@ -60,14 +60,8 @@ func DefaultConstraints(n, layers int) Constraints {
 
 // Design is a 3-D mesh with inserted long-range links.
 type Design struct {
+	*search.Graph
 	N, Layers int
-	Cons      Constraints
-
-	adj   [][]int // adjacency lists (base mesh + extras)
-	extra []int   // per-node inserted-link count
-	links [][2]int
-	dirty bool
-	dist  [][]int16
 }
 
 // NewDesign builds the base n×n×layers 3-D mesh.
@@ -75,14 +69,8 @@ func NewDesign(n, layers int, cons Constraints) *Design {
 	if n < 2 || layers < 1 {
 		panic(fmt.Sprintf("noc3d: invalid grid %dx%dx%d", n, n, layers))
 	}
-	v := n * n * layers
-	d := &Design{
-		N: n, Layers: layers, Cons: cons,
-		adj:   make([][]int, v),
-		extra: make([]int, v),
-		dirty: true,
-	}
-	for id := 0; id < v; id++ {
+	adj := make([][]int, n*n*layers)
+	for id := range adj {
 		c := CoordFromID(id, n)
 		for _, nb := range []Coord{
 			{c.X + 1, c.Y, c.Z}, {c.X - 1, c.Y, c.Z},
@@ -92,236 +80,41 @@ func NewDesign(n, layers int, cons Constraints) *Design {
 			if nb.X < 0 || nb.X >= n || nb.Y < 0 || nb.Y >= n || nb.Z < 0 || nb.Z >= layers {
 				continue
 			}
-			d.adj[id] = append(d.adj[id], nb.ID(n, layers))
+			adj[id] = append(adj[id], nb.ID(n, layers))
 		}
 	}
-	return d
-}
-
-// V returns the node count.
-func (d *Design) V() int { return d.N * d.N * d.Layers }
-
-// Links returns the inserted links.
-func (d *Design) Links() [][2]int { return d.links }
-
-// Clone deep-copies the design.
-func (d *Design) Clone() *Design {
-	c := &Design{
-		N: d.N, Layers: d.Layers, Cons: d.Cons,
-		adj:   make([][]int, len(d.adj)),
-		extra: append([]int(nil), d.extra...),
-		links: append([][2]int(nil), d.links...),
-		dirty: true,
-	}
-	for i, a := range d.adj {
-		c.adj[i] = append([]int(nil), a...)
-	}
-	return c
-}
-
-// CanAdd validates an insertion against the constraints.
-func (d *Design) CanAdd(a, b int) error {
-	if a == b {
-		return fmt.Errorf("noc3d: self link")
-	}
-	if len(d.links) >= d.Cons.Budget {
-		return fmt.Errorf("noc3d: link budget exhausted")
-	}
-	if d.extra[a] >= d.Cons.ExtraPorts || d.extra[b] >= d.Cons.ExtraPorts {
-		return fmt.Errorf("noc3d: port cap reached")
-	}
-	ca, cb := CoordFromID(a, d.N), CoordFromID(b, d.N)
-	if l := Dist3D(ca, cb); l > d.Cons.MaxLen {
-		return fmt.Errorf("noc3d: link length %d exceeds cap %d", l, d.Cons.MaxLen)
-	}
-	for _, nb := range d.adj[a] {
-		if nb == b {
-			return fmt.Errorf("noc3d: link exists")
+	tooLong := func(a, b int) string {
+		if Dist3D(CoordFromID(a, n), CoordFromID(b, n)) > cons.MaxLen {
+			return "link longer than the length cap"
 		}
+		return ""
 	}
-	return nil
-}
-
-// AddLink inserts a bidirectional link.
-func (d *Design) AddLink(a, b int) error {
-	if err := d.CanAdd(a, b); err != nil {
-		return err
-	}
-	d.adj[a] = append(d.adj[a], b)
-	d.adj[b] = append(d.adj[b], a)
-	d.extra[a]++
-	d.extra[b]++
-	if a > b {
-		a, b = b, a
-	}
-	d.links = append(d.links, [2]int{a, b})
-	d.dirty = true
-	return nil
-}
-
-// distances lazily recomputes all-pairs BFS hops.
-func (d *Design) distances() [][]int16 {
-	if !d.dirty {
-		return d.dist
-	}
-	v := d.V()
-	dist := make([][]int16, v)
-	queue := make([]int, 0, v)
-	for s := 0; s < v; s++ {
-		row := make([]int16, v)
-		for i := range row {
-			row[i] = -1
-		}
-		row[s] = 0
-		queue = queue[:0]
-		queue = append(queue, s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, nb := range d.adj[u] {
-				if row[nb] < 0 {
-					row[nb] = row[u] + 1
-					queue = append(queue, nb)
-				}
-			}
-		}
-		dist[s] = row
-	}
-	d.dist = dist
-	d.dirty = false
-	return dist
+	return &Design{Graph: search.NewGraph(adj, cons.Budget, cons.ExtraPorts, tooLong), N: n, Layers: layers}
 }
 
 // AvgHops returns the mean shortest-path hop count over ordered pairs.
-func (d *Design) AvgHops() float64 {
-	dist := d.distances()
+func (d Design) AvgHops() float64 {
 	total, pairs := 0, 0
-	for s := range dist {
-		for t, h := range dist[s] {
-			if s == t {
-				continue
+	for s := 0; s < d.V(); s++ {
+		for t := 0; t < d.V(); t++ {
+			if s != t {
+				total += d.Dist(s, t)
+				pairs++
 			}
-			total += int(h)
-			pairs++
 		}
 	}
 	return float64(total) / float64(pairs)
 }
 
-// ---------------------------------------------------------------------------
-// search.Problem instantiation
-
-// env adapts Design to search.Environment.
-type env struct {
-	d *Design
-}
-
-func (e *env) Fingerprint() string {
-	keys := make([]string, len(e.d.links))
-	for i, l := range e.d.links {
-		keys[i] = fmt.Sprintf("%d-%d", l[0], l[1])
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
-}
-
-func (e *env) Actions() []string {
-	var out []string
-	v := e.d.V()
-	for a := 0; a < v; a++ {
-		for b := a + 1; b < v; b++ {
-			if e.d.CanAdd(a, b) == nil {
-				out = append(out, fmt.Sprintf("%d-%d", a, b))
-			}
-		}
-	}
-	return out
-}
-
-func parseAction(s string) (int, int) {
-	var a, b int
-	fmt.Sscanf(s, "%d-%d", &a, &b)
-	return a, b
-}
-
-func (e *env) Step(action string) float64 {
-	a, b := parseAction(action)
-	if err := e.d.AddLink(a, b); err != nil {
-		return -1 // illegal insertion
-	}
-	return 0
-}
-
-func (e *env) Done() bool { return len(e.d.links) >= e.d.Cons.Budget }
-
-func (e *env) FinalReward() float64 {
-	// Reward = hop reduction relative to the base mesh; positive when the
-	// inserted links shorten paths.
-	base := NewDesign(e.d.N, e.d.Layers, e.d.Cons).AvgHops()
-	return base - e.d.AvgHops()
-}
-
-// Problem is the search.Problem for 3-D link placement.
-type Problem struct {
-	N, Layers int
-	Cons      Constraints
-}
-
-// NewEpisode implements search.Problem.
-func (p Problem) NewEpisode() search.Environment {
-	return &env{d: NewDesign(p.N, p.Layers, p.Cons)}
-}
-
-// Greedy implements search.Problem: insert the link joining the currently
-// most distant reachable pair that the constraints allow.
-func (p Problem) Greedy(se search.Environment) (string, bool) {
-	e := se.(*env)
-	dist := e.d.distances()
-	bestA, bestB, bestGain := -1, -1, -1
-	v := e.d.V()
-	for a := 0; a < v; a++ {
-		for b := a + 1; b < v; b++ {
-			if int(dist[a][b]) <= 1 {
-				continue
-			}
-			if e.d.CanAdd(a, b) != nil {
-				continue
-			}
-			if g := int(dist[a][b]) - 1; g > bestGain {
-				bestGain = g
-				bestA, bestB = a, b
-			}
-		}
-	}
-	if bestA < 0 {
-		return "", false
-	}
-	return fmt.Sprintf("%d-%d", bestA, bestB), true
-}
-
-// Priors implements search.Problem: weight candidate links by the path
-// length they would shortcut, steering expansion toward useful insertions.
-func (p Problem) Priors(se search.Environment, actions []string) []float64 {
-	e := se.(*env)
-	dist := e.d.distances()
-	out := make([]float64, len(actions))
-	for i, s := range actions {
-		a, b := parseAction(s)
-		out[i] = float64(dist[a][b])
-	}
-	return out
-}
-
 // Explore runs the generic searcher on the 3-D problem and returns the
-// best design found plus the base-mesh hop count for comparison.
+// best design found plus the base-mesh hop count for comparison. The
+// reward is the hop reduction relative to the base mesh.
 func Explore(n, layers int, cons Constraints, cfg search.Config) (*Design, float64, *search.Result) {
-	prob := Problem{N: n, Layers: layers, Cons: cons}
-	s := search.New(cfg, prob)
-	var best *Design
-	s.OnBest(func(se search.Environment, _ search.Outcome) {
-		best = se.(*env).d.Clone()
-	})
-	res := s.Run()
-	base := NewDesign(n, layers, cons).AvgHops()
-	return best, base, res
+	base := NewDesign(n, layers, cons)
+	hops := base.AvgHops()
+	best, res := search.Placement{
+		Base:   base.Clone,
+		Reward: func(g *search.Graph) float64 { return hops - Design{Graph: g}.AvgHops() },
+	}.Explore(cfg)
+	return &Design{Graph: best, N: n, Layers: layers}, hops, res
 }

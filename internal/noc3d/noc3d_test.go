@@ -78,17 +78,6 @@ func TestAddLinkReducesHops(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	d := NewDesign(3, 2, DefaultConstraints(3, 2))
-	c := d.Clone()
-	if err := c.AddLink(0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Links()) != 0 || len(c.Links()) != 1 {
-		t.Fatal("clone shares links")
-	}
-}
-
 func TestExploreImprovesOnBaseMesh(t *testing.T) {
 	cfg := search.DefaultConfig()
 	cfg.Episodes = 8
@@ -118,15 +107,17 @@ func TestExploreImprovesOnBaseMesh(t *testing.T) {
 }
 
 func TestGreedyPicksDistantPair(t *testing.T) {
-	prob := Problem{N: 4, Layers: 1, Cons: Constraints{ExtraPorts: 2, MaxLen: 6, Budget: 3}}
-	e := prob.NewEpisode()
-	a, ok := prob.Greedy(e)
+	d := NewDesign(4, 1, Constraints{ExtraPorts: 2, MaxLen: 6, Budget: 3})
+	prob := search.Placement{Base: d.Clone}
+	a, ok := prob.Greedy(prob.NewEpisode())
 	if !ok {
 		t.Fatal("no greedy action")
 	}
-	x, y := parseAction(a)
+	var x, y int
+	if _, err := fmt.Sscanf(a, "%d-%d", &x, &y); err != nil {
+		t.Fatal(err)
+	}
 	// The most distant pair on a 4x4 mesh is a corner pair at distance 6.
-	d := NewDesign(4, 1, prob.Cons)
 	if d.Hop(x, y) != 6 {
 		t.Fatalf("greedy chose pair at distance %d, want 6", d.Hop(x, y))
 	}
@@ -169,4 +160,4 @@ func TestExploreGolden(t *testing.T) {
 }
 
 // Hop returns the shortest-path distance between two nodes.
-func (d *Design) Hop(a, b int) int { return int(d.distances()[a][b]) }
+func (d *Design) Hop(a, b int) int { return d.Dist(a, b) }

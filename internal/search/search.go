@@ -3,9 +3,10 @@
 // can present states, candidate actions, rewards, and a final score can be
 // driven by the same DNN-prior Monte Carlo tree search with ε-greedy
 // heuristic overrides. The routerless case study (internal/drl) is the
-// paper's instantiation; internal/noc3d (3-D NoC link placement, the
-// paper's first suggested application) and internal/chiplet (interposer
-// links) are two more.
+// paper's instantiation. Graph and Placement are the shared core of link
+// placement, the §6.8 problems: internal/noc3d (3-D NoC links, the paper's
+// first suggested application) and internal/chiplet (interposer links)
+// each supply only a base graph, a geometric rule and a reward.
 //
 // The searcher is a thin episode loop over the same tree the routerless
 // search uses, mcts.Tree[string]: states are keyed by fingerprint and the
@@ -42,8 +43,8 @@ type Problem interface {
 	// Greedy proposes the domain's heuristic action (Algorithm 1's role);
 	// ok is false when no action remains.
 	Greedy(env Environment) (action string, ok bool)
-	// Priors weights the legal actions for tree expansion; a nil return
-	// means uniform. This is where a learned policy plugs in.
+	// Priors weights the legal actions, given in byte order, for tree
+	// expansion and sampling. This is where a learned policy plugs in.
 	Priors(env Environment, actions []string) []float64
 }
 
@@ -169,31 +170,8 @@ func (s *Searcher) choose(env Environment, fp string, rng *rand.Rand) (string, b
 	}
 	slices.Sort(actions)
 	priors := s.prob.Priors(env, actions)
-	if priors == nil {
-		priors = make([]float64, len(actions))
-		for i := range priors {
-			priors[i] = 1
-		}
-	}
 	if !s.tree.Known(fp) {
 		s.tree.Expand(fp, actions, priors)
 	}
-
-	// Sample proportionally to priors.
-	sum := 0.0
-	for _, p := range priors {
-		sum += p
-	}
-	if sum <= 0 {
-		return actions[rng.Intn(len(actions))], true
-	}
-	r := rng.Float64() * sum
-	acc := 0.0
-	for i, a := range actions {
-		acc += priors[i]
-		if r < acc {
-			return a, true
-		}
-	}
-	return actions[len(actions)-1], true
+	return mcts.Sample(actions, priors, rng), true
 }

@@ -58,7 +58,11 @@ func (p counterProblem) Greedy(env Environment) (string, bool) {
 }
 
 func (p counterProblem) Priors(env Environment, actions []string) []float64 {
-	return nil // uniform
+	out := make([]float64, len(actions))
+	for i := range out {
+		out[i] = 1 // uniform
+	}
+	return out
 }
 
 func TestSearcherFindsGoodEpisodes(t *testing.T) {

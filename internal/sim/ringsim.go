@@ -130,14 +130,16 @@ func NewRing(t *topo.Topology, cfg RingConfig) *Ring {
 	r.loopActive = newActiveSet(len(r.loops))
 	r.extActive = newActiveSet(t.N())
 	r.injActive = newActiveSet(t.N())
-	rt := topo.BuildRoutingTable(t)
+	// The minimum-hop loop per ordered pair and its hop count, -1 where no
+	// loop connects the pair. That includes src == dst, on which Inject
+	// panics before it reads the distance.
 	n := t.N()
 	r.routeLoop = make([]int32, n*n)
 	r.routeDist = make([]int32, n*n)
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			r.routeLoop[s*n+d] = int32(rt.LoopID(s, d))
-			r.routeDist[s*n+d] = int32(rt.DistID(s, d))
+			li, h := t.BestLoop(topo.NodeFromID(s, t.Cols()), topo.NodeFromID(d, t.Cols()))
+			r.routeLoop[s*n+d], r.routeDist[s*n+d] = int32(li), int32(h)
 		}
 	}
 	return r

@@ -3,7 +3,8 @@
 //
 // It provides the state representation used by the DRL framework (hop-count
 // matrices), connectivity and node-overlapping accounting, and the
-// source-routing tables consumed by the cycle-accurate simulator.
+// minimum-hop loop per node pair (BestLoop) from which the cycle-accurate
+// simulator builds its source-routing table.
 package topo
 
 import (

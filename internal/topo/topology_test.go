@@ -135,6 +135,10 @@ func TestDistPicksShortestLoop(t *testing.T) {
 	if d != 3 || tp.Loops()[li] != small {
 		t.Fatalf("BestLoop = loop %d dist %d", li, d)
 	}
+	// (2,2) lies on neither loop.
+	if li, d := tp.BestLoop(Node{1, 1}, Node{2, 2}); li != -1 || d != -1 {
+		t.Fatalf("(1,1)->(2,2) BestLoop = loop %d dist %d, want -1, -1", li, d)
+	}
 }
 
 func TestRemoveLoopReindexes(t *testing.T) {
@@ -285,29 +289,6 @@ func TestHopMatrixMatchesDist(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestRoutingTable(t *testing.T) {
-	tp := NewSquare(4, 0)
-	mustAdd(t, tp, MustLoop(0, 0, 3, 3, Clockwise))
-	mustAdd(t, tp, MustLoop(0, 0, 1, 1, Clockwise))
-	rt := BuildRoutingTable(tp)
-	id := func(r, c int) int { return Node{r, c}.ID(4) }
-	if li := rt.LoopID(id(0, 0), id(1, 0)); li != 1 {
-		t.Fatalf("loop = %d, want 1 (small loop)", li)
-	}
-	if d := rt.DistID(id(0, 0), id(1, 0)); d != 3 {
-		t.Fatalf("dist = %d", d)
-	}
-	if li, d := rt.LoopID(id(0, 0), id(0, 0)), rt.DistID(id(0, 0), id(0, 0)); li != -1 || d != 0 {
-		t.Fatalf("self entry = loop %d dist %d, want -1, 0", li, d)
-	}
-	if li := rt.LoopID(id(1, 1), id(2, 2)); li != -1 {
-		t.Fatalf("(1,1)->(2,2) routes on loop %d, want unreachable", li)
-	}
-	if d := rt.DistID(id(1, 1), id(2, 2)); d != -1 {
-		t.Fatalf("unreachable dist = %d", d)
 	}
 }
 
