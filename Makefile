@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet vet-arm64 build test race loc bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search bench-explore trace-smoke profile-smoke fuzz-smoke
+.PHONY: ci fmt vet vet-arm64 build test bench-selftest race loc bench bench-nn bench-sim bench-drl bench-infer bench-obs bench-train bench-search bench-explore trace-smoke profile-smoke fuzz-smoke
 
-ci: fmt vet vet-arm64 build test race trace-smoke
+ci: fmt vet vet-arm64 build test bench-selftest race trace-smoke
 
 # Every Go file must be gofmt-clean; the step lists offenders and fails.
 fmt:
@@ -28,6 +28,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark's own vet and self-test (same-seed digests, output
+# checks). bench/ is a module of its own, so `go test ./...` never
+# reaches it.
+bench-selftest:
+	cd bench && $(GO) vet ./... && $(GO) test .
 
 race:
 	$(GO) test -race ./internal/drl/... ./internal/sim/... ./internal/obs/... ./internal/mcts/... ./internal/exp/... ./internal/rl/... ./internal/infer/...

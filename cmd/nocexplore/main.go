@@ -88,7 +88,7 @@ func main() {
 			exit(1, err)
 		}
 		cfg.NN = net.Cfg
-		cfg.InitWeights = net.GetWeights()
+		cfg.Init = net
 	}
 	// Reject what drl.New would before Start creates any output file.
 	if err := drl.CheckConfig(cfg); err != nil {
@@ -154,9 +154,7 @@ func main() {
 	}
 
 	if *saveModel != "" && cfg.UseDNN {
-		net := nn.NewPolicyValueNet(cfg.NN, cfg.Seed)
-		net.SetWeights(s.ModelWeights())
-		data, err := nn.MarshalModel(net)
+		data, err := nn.MarshalModel(s.Model())
 		if err == nil {
 			err = os.WriteFile(*saveModel, data, 0o644)
 		}

@@ -171,3 +171,44 @@ func TestManifestFailureExitsAfterReport(t *testing.T) {
 		t.Fatalf("report not printed before the failure: %q", stdout)
 	}
 }
+
+// TestDivergedMetricsFileParses runs a search whose learning rate drives
+// the value loss to NaN: the -metrics file it leaves must still parse,
+// with the non-finite gauges written as null, and the -events file keeps
+// the episode events, their value_mse null.
+func TestDivergedMetricsFileParses(t *testing.T) {
+	dir := t.TempDir()
+	path, events := filepath.Join(dir, "m.json"), filepath.Join(dir, "e.jsonl")
+	code, _, stderr := runMain(t, "-n", "6", "-episodes", "40", "-seed", "3", "-lr", "1e300", "-progress", "0",
+		"-metrics", path, "-events", events)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("exit %d, no metrics file: %v\n%s", code, err, stderr)
+	}
+	var m struct {
+		Gauges map[string]*float64 `json:"gauges"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("exit %d, metrics file does not parse: %v\n%s", code, err, data)
+	}
+	if v, ok := m.Gauges["drl.value_mse"]; !ok || v != nil {
+		t.Fatalf("drl.value_mse = %v (present %v), want null after divergence", v, ok)
+	}
+	log, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nulls := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(log)), "\n") {
+		var e map[string]any
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("event line does not parse: %v: %s", err, line)
+		}
+		if v, ok := e["value_mse"]; e["event"] == "episode" && ok && v == nil {
+			nulls++
+		}
+	}
+	if nulls == 0 {
+		t.Fatalf("no episode event with a null value_mse in:\n%s", log)
+	}
+}

@@ -63,13 +63,11 @@ func TestPipelineModelResume(t *testing.T) {
 	cfg.NN = nn.Config{N: 4, BaseChannels: 2, Pools: 2}
 	s := drl.MustNew(cfg)
 	s.Run()
-	w := s.ModelWeights()
-	if w == nil {
-		t.Fatal("no model weights after DNN search")
+	net := s.Model()
+	if net == nil {
+		t.Fatal("no model after DNN search")
 	}
 
-	net := nn.NewPolicyValueNet(cfg.NN, 0)
-	net.SetWeights(w)
 	blob, err := nn.MarshalModel(net)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +79,7 @@ func TestPipelineModelResume(t *testing.T) {
 
 	cfg2 := cfg
 	cfg2.Episodes = 3
-	cfg2.InitWeights = loaded.GetWeights()
+	cfg2.Init = loaded
 	s2, err := drl.New(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -90,11 +88,11 @@ func TestPipelineModelResume(t *testing.T) {
 		t.Fatalf("resumed search ran %d episodes", res.Episodes)
 	}
 
-	// Mismatched warm-start weights must be rejected.
+	// A warm-start model of another architecture must be rejected.
 	cfg3 := cfg
-	cfg3.InitWeights = []float64{1, 2, 3}
+	cfg3.Init = nn.NewPolicyValueNet(nn.Config{N: 4, BaseChannels: 3, Pools: 2}, 0)
 	if _, err := drl.New(cfg3); err == nil {
-		t.Fatal("accepted wrong-size InitWeights")
+		t.Fatal("accepted an Init model of another architecture")
 	}
 }
 

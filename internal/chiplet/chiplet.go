@@ -70,8 +70,11 @@ type Design struct {
 // inter-chiplet pairs start unreachable until interposer links exist.
 func NewDesign(sys System) *Design {
 	adj := make([][]int, sys.Cores())
+	chip := make([]int, len(adj))
+	bump := make([]bool, len(adj))
 	for id := range adj {
 		c := sys.CoreFromID(id)
+		chip[id], bump[id] = c.CY*sys.ChipletsX+c.CX, sys.Boundary(c)
 		for _, nb := range []Core{
 			{c.CX, c.CY, c.X + 1, c.Y}, {c.CX, c.CY, c.X - 1, c.Y},
 			{c.CX, c.CY, c.X, c.Y + 1}, {c.CX, c.CY, c.X, c.Y - 1},
@@ -83,11 +86,10 @@ func NewDesign(sys System) *Design {
 		}
 	}
 	bumps := func(a, b int) string {
-		ca, cb := sys.CoreFromID(a), sys.CoreFromID(b)
 		switch {
-		case ca.CX == cb.CX && ca.CY == cb.CY:
+		case chip[a] == chip[b]:
 			return "interposer links join different chiplets"
-		case !sys.Boundary(ca) || !sys.Boundary(cb):
+		case !bump[a] || !bump[b]:
 			return "links attach at boundary bumps only"
 		}
 		return ""
@@ -112,11 +114,11 @@ func (d Design) Connected() bool {
 func (d Design) AvgInterChipletHops(penalty float64) float64 {
 	total := 0.0
 	pairs := 0
+	per := d.Sys.M * d.Sys.M // a chiplet's cores have consecutive ids
 	for s := 0; s < d.V(); s++ {
-		cs := d.Sys.CoreFromID(s)
+		first := s / per * per
 		for t := 0; t < d.V(); t++ {
-			ct := d.Sys.CoreFromID(t)
-			if s == t || cs.CX == ct.CX && cs.CY == ct.CY {
+			if t >= first && t < first+per {
 				continue
 			}
 			pairs++

@@ -12,6 +12,7 @@ package drl
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"routerless/internal/infer"
@@ -74,9 +75,11 @@ type Config struct {
 	InferBatch int
 	// Seed makes single-threaded runs fully deterministic.
 	Seed int64
-	// InitWeights, when non-nil, warm-starts the policy/value network
-	// (e.g. from a model saved by a previous search).
-	InitWeights []float64
+	// Init, when non-nil, warm-starts the search from a model, e.g. one
+	// nn.UnmarshalModel read back from a previous search's Model: every
+	// network starts from its weights and its BatchNorm running
+	// statistics. Its Cfg must equal NN.
+	Init *nn.PolicyValueNet
 	// Metrics, when non-nil, receives search telemetry: per-worker episode
 	// counters, episode reward / value-MSE gauges, gradient norms pre/post
 	// clip, the update counter, and MCTS tree size.
@@ -139,6 +142,10 @@ type Searcher struct {
 	tree *mcts.Tree[rl.Action]
 
 	server *paramServer
+	// initStats are the BatchNorm running statistics every network starts
+	// from; lastStats are those of the learner that finished last, which
+	// Model saves (guarded by mu).
+	initStats, lastStats []float64
 	// broker is the shared batched-inference service, non-nil only while a
 	// Run with cfg.InferBatch > 0 is in progress. Run sets it before the
 	// workers start and clears it after they finish.
@@ -151,10 +158,10 @@ type Searcher struct {
 
 // CheckConfig reports the errors New returns for cfg without building
 // anything: a NoC size outside 2..topo.MaxJSONSide, an overlap cap below
-// one, and a network config for another NoC size. Only an InitWeights
-// length mismatch waits for New, which builds the network to count its
-// parameters. A command checks its configuration here before it creates
-// any output file.
+// one, and a network config for another NoC size. Only an Init model of
+// another architecture waits for New, which fills in the default network
+// config first. A command checks its configuration here before it
+// creates any output file.
 func CheckConfig(cfg Config) error {
 	// topo.MaxJSONSide is also the largest N nn.UnmarshalModel accepts, so
 	// every search can save a model it can load back.
@@ -186,15 +193,16 @@ func New(cfg Config) (*Searcher, error) {
 	}
 	s := &Searcher{cfg: cfg, tree: mcts.NewTree(cfg.CPuct, rl.ActionLess)}
 	if cfg.UseDNN {
-		master := nn.NewPolicyValueNet(cfg.NN, cfg.Seed)
-		init := cfg.InitWeights
+		init := cfg.Init
 		if init == nil {
-			init = master.GetWeights()
-		} else if len(init) != master.NumParams() {
-			return nil, fmt.Errorf("drl: InitWeights has %d values, network needs %d",
-				len(init), master.NumParams())
+			init = nn.NewPolicyValueNet(cfg.NN, cfg.Seed)
+		} else if init.Cfg != cfg.NN {
+			return nil, fmt.Errorf("drl: Init model config %+v mismatches NN config %+v", init.Cfg, cfg.NN)
 		}
-		s.server = newParamServer(init, cfg.LR, cfg.GradClip, cfg.Metrics)
+		s.server = newParamServer(init.GetWeights(), cfg.LR, cfg.GradClip, cfg.Metrics)
+		s.initStats = make([]float64, init.NumStats())
+		init.CopyStatsInto(s.initStats)
+		s.lastStats = slices.Clone(s.initStats)
 	}
 	return s, nil
 }
@@ -216,14 +224,21 @@ func CheckRunFlags(episodes, threads int, epsilon float64) error {
 	return nil
 }
 
-// ModelWeights returns the parameter server's current weights (nil when
-// the search runs without a DNN); save them with nn.MarshalModel via a
-// network constructed from the same nn.Config to resume training later.
-func (s *Searcher) ModelWeights() []float64 {
+// Model returns the search's model, nil when it runs without a DNN: the
+// parameter server's current weights with the BatchNorm running
+// statistics of the learner that finished last (with one learner, its
+// network exactly). Save it with nn.MarshalModel and pass it back as
+// Config.Init to resume training later.
+func (s *Searcher) Model() *nn.PolicyValueNet {
 	if s.server == nil {
 		return nil
 	}
-	return s.server.snapshot()
+	net := nn.NewPolicyValueNet(s.cfg.NN, s.cfg.Seed)
+	net.SetWeights(s.server.snapshot())
+	s.mu.Lock()
+	net.SetStats(s.lastStats)
+	s.mu.Unlock()
+	return net
 }
 
 // MustNew is New that panics on error.
@@ -304,6 +319,7 @@ func (s *Searcher) Run() *Result {
 func (s *Searcher) startBroker() func() {
 	net := nn.NewPolicyValueNet(s.cfg.NN, s.cfg.Seed)
 	net.SetWeights(s.server.snapshot())
+	net.SetStats(s.initStats)
 	s.broker = infer.New(infer.Config{
 		Net:     net,
 		Batch:   min(s.cfg.InferBatch, s.cfg.Threads),
@@ -314,6 +330,18 @@ func (s *Searcher) startBroker() func() {
 		s.broker.Close()
 		s.broker = nil
 	}
+}
+
+// workerNet builds learner tid's network with the parameter server's
+// current weights, returned as the learner's weight buffer, and the
+// search's initial BatchNorm running statistics.
+func (s *Searcher) workerNet(tid int) (net *nn.PolicyValueNet, weights []float64) {
+	net = nn.NewPolicyValueNet(s.cfg.NN, s.cfg.Seed+int64(tid))
+	weights = make([]float64, net.NumParams())
+	s.server.snapshotInto(weights)
+	net.SetWeights(weights)
+	net.SetStats(s.initStats)
+	return net, weights
 }
 
 // worker is one learner thread (§4.6): it keeps a private copy of the DNN,
@@ -329,11 +357,8 @@ func (s *Searcher) worker(tid, episodes int) {
 		// not goroutine-safe. Only flat weight/grad vectors cross the
 		// worker boundary, through these per-worker reusable buffers, so
 		// the steady-state training loop performs no heap allocation.
-		net = nn.NewPolicyValueNet(s.cfg.NN, s.cfg.Seed+int64(tid))
-		weights = make([]float64, net.NumParams())
-		grads = make([]float64, net.NumParams())
-		s.server.snapshotInto(weights)
-		net.SetWeights(weights)
+		net, weights = s.workerNet(tid)
+		grads = make([]float64, len(weights))
 		if s.broker != nil {
 			// The broker's evaluator must track not just the weights but the
 			// BatchNorm running statistics eval-mode inference reads (they
@@ -453,6 +478,11 @@ func (s *Searcher) worker(tid, episodes int) {
 			s.cfg.Events.Debug(obs.EventEpisode, fields)
 		}
 		epSpan.End()
+	}
+	if net != nil {
+		s.mu.Lock()
+		net.CopyStatsInto(s.lastStats)
+		s.mu.Unlock()
 	}
 }
 

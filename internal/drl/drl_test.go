@@ -1,7 +1,9 @@
 package drl
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"routerless/internal/mcts"
@@ -348,12 +350,12 @@ func TestWarmStartWeights(t *testing.T) {
 	cfg := quickCfg(4, 6, 3)
 	s := MustNew(cfg)
 	s.Run()
-	w := s.ModelWeights()
-	if w == nil {
-		t.Fatal("no weights")
+	m := s.Model()
+	if m == nil {
+		t.Fatal("no model")
 	}
 	cfg2 := quickCfg(4, 6, 2)
-	cfg2.InitWeights = w
+	cfg2.Init = m
 	s2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -361,19 +363,68 @@ func TestWarmStartWeights(t *testing.T) {
 	if res := s2.Run(); res.Episodes != 2 {
 		t.Fatalf("episodes = %d", res.Episodes)
 	}
-	// Wrong size rejected.
+	// Another architecture rejected.
 	cfg3 := quickCfg(4, 6, 2)
-	cfg3.InitWeights = []float64{1}
+	cfg3.Init = nn.NewPolicyValueNet(nn.Config{N: 4, BaseChannels: 3, Pools: 2}, 0)
 	if _, err := New(cfg3); err == nil {
-		t.Fatal("accepted bad InitWeights")
+		t.Fatal("accepted an Init model of another architecture")
 	}
-	// No-DNN searches have no weights.
+	// No-DNN searches have no model.
 	cfg4 := quickCfg(4, 6, 1)
 	cfg4.UseDNN = false
 	s4 := MustNew(cfg4)
 	s4.Run()
-	if s4.ModelWeights() != nil {
-		t.Fatal("weights present without DNN")
+	if s4.Model() != nil {
+		t.Fatal("model present without DNN")
+	}
+}
+
+// TestSavedModelResumesBitExact saves a searcher's model at the end of a
+// search and loads it into a new search: that search's first inference
+// forward, the empty design's policy evaluation on a learner's network,
+// is bit-equal to the saved network's eval forward. The saved running
+// statistics have moved away from their initial values, so the check
+// fails when a learner drops them.
+func TestSavedModelResumesBitExact(t *testing.T) {
+	cfg := quickCfg(4, 6, 3)
+	s := MustNew(cfg)
+	s.Run()
+	saved := s.Model()
+	state := s.newArena().env.StateInto(nil)
+	var want [1]nn.Output
+	saved.Forward([][]float64{state}, want[:], false)
+
+	initial := make([]float64, saved.NumStats())
+	nn.NewPolicyValueNet(cfg.NN, cfg.Seed).CopyStatsInto(initial)
+	trained := make([]float64, saved.NumStats())
+	saved.CopyStatsInto(trained)
+	if slices.Equal(initial, trained) {
+		t.Fatal("training left the BatchNorm running statistics at their initial values")
+	}
+
+	blob, err := nn.MarshalModel(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := nn.UnmarshalModel(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg2 := quickCfg(4, 6, 2)
+	cfg2.Init = loaded
+	s2 := MustNew(cfg2)
+	ar := s2.newArena()
+	net, _ := s2.workerNet(0)
+	probs, dir := s2.policyEval(net, ar.env.StateInto(nil), ar)
+	if math.Float64bits(dir) != math.Float64bits(want[0].Dir) {
+		t.Fatalf("direction %v after the round trip, %v saved", dir, want[0].Dir)
+	}
+	for g := range probs {
+		for i, p := range probs[g] {
+			if w := want[0].CoordProbs[g][i]; math.Float64bits(p) != math.Float64bits(w) {
+				t.Fatalf("coordinate group %d prob %d = %v after the round trip, %v saved", g, i, p, w)
+			}
+		}
 	}
 }
 

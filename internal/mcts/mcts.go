@@ -6,8 +6,9 @@
 // return V of the subtree it leads to. Selection follows the
 // upper-confidence rule of Eqs. 21–22. The routerless search (package drl)
 // runs it over rl.Action loop additions ordered by rl.ActionLess; the
-// generic §6.8 framework (package search) runs it over string actions in
-// byte order. The ε-greedy override lives with each caller.
+// generic §6.8 framework (package search) runs it over integer action ids
+// in ascending order, which for link placement is the byte order of the
+// link names "a-b". The ε-greedy override lives with each caller.
 //
 // The tree is shared by the multi-threaded learners of §4.6 and guarded by
 // one mutex: every method takes it once, for the whole operation (Backup

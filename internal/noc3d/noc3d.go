@@ -70,8 +70,10 @@ func NewDesign(n, layers int, cons Constraints) *Design {
 		panic(fmt.Sprintf("noc3d: invalid grid %dx%dx%d", n, n, layers))
 	}
 	adj := make([][]int, n*n*layers)
+	coords := make([]Coord, len(adj))
 	for id := range adj {
 		c := CoordFromID(id, n)
+		coords[id] = c
 		for _, nb := range []Coord{
 			{c.X + 1, c.Y, c.Z}, {c.X - 1, c.Y, c.Z},
 			{c.X, c.Y + 1, c.Z}, {c.X, c.Y - 1, c.Z},
@@ -84,7 +86,7 @@ func NewDesign(n, layers int, cons Constraints) *Design {
 		}
 	}
 	tooLong := func(a, b int) string {
-		if Dist3D(CoordFromID(a, n), CoordFromID(b, n)) > cons.MaxLen {
+		if Dist3D(coords[a], coords[b]) > cons.MaxLen {
 			return "link longer than the length cap"
 		}
 		return ""

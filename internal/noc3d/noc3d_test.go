@@ -108,15 +108,17 @@ func TestExploreImprovesOnBaseMesh(t *testing.T) {
 
 func TestGreedyPicksDistantPair(t *testing.T) {
 	d := NewDesign(4, 1, Constraints{ExtraPorts: 2, MaxLen: 6, Budget: 3})
-	prob := search.Placement{Base: d.Clone}
-	a, ok := prob.Greedy(prob.NewEpisode())
+	var g *search.Graph
+	prob := search.Placement{Base: func() *search.Graph { g = d.Clone(); return g }}
+	env := prob.NewEpisode()
+	a, ok := prob.Greedy(env)
 	if !ok {
 		t.Fatal("no greedy action")
 	}
-	var x, y int
-	if _, err := fmt.Sscanf(a, "%d-%d", &x, &y); err != nil {
-		t.Fatal(err)
+	if r := env.Step(a); r != 0 || len(g.Links()) != 1 {
+		t.Fatalf("greedy action %d: reward %v, %d links", a, r, len(g.Links()))
 	}
+	x, y := g.Links()[0][0], g.Links()[0][1]
 	// The most distant pair on a 4x4 mesh is a corner pair at distance 6.
 	if d.Hop(x, y) != 6 {
 		t.Fatalf("greedy chose pair at distance %d, want 6", d.Hop(x, y))

@@ -49,10 +49,14 @@ type Event struct {
 }
 
 // MarshalJSON flattens the envelope and fields into a single object.
-// Envelope keys win on collision.
+// Envelope keys win on collision. A non-finite float64 field is written as
+// null rather than failing the whole event.
 func (e Event) MarshalJSON() ([]byte, error) {
 	m := make(map[string]any, len(e.Fields)+3)
 	for k, v := range e.Fields {
+		if f, ok := v.(float64); ok {
+			v = jsonFloat(f)
+		}
 		m[k] = v
 	}
 	m["ts"] = e.Time.UTC().Format(time.RFC3339Nano)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +73,7 @@ func TestLoggerWritesJSONL(t *testing.T) {
 	l.now = func() time.Time { return time.Unix(1700000000, 0) }
 	l.Info(EventRunStart, map[string]any{"nodes": 64, "pattern": "uniform_random"})
 	l.Debug(EventEpisode, map[string]any{"episode": 1, "reward": -2.5})
+	l.Debug(EventEpisode, map[string]any{"episode": 2, "value_mse": math.NaN(), "reward": math.Inf(-1)})
 	l.Flush() // Debug events are buffered until a Flush/Close or an Info event
 
 	sc := bufio.NewScanner(&buf)
@@ -83,8 +85,8 @@ func TestLoggerWritesJSONL(t *testing.T) {
 		}
 		lines = append(lines, m)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3", len(lines))
 	}
 	if lines[0]["event"] != EventRunStart || lines[0]["level"] != "info" {
 		t.Fatalf("bad envelope: %v", lines[0])
@@ -94,6 +96,10 @@ func TestLoggerWritesJSONL(t *testing.T) {
 	}
 	if lines[1]["reward"] != -2.5 {
 		t.Fatalf("bad episode event: %v", lines[1])
+	}
+	// Non-finite fields are written as null, not dropped with the event.
+	if v, ok := lines[2]["value_mse"]; !ok || v != nil || lines[2]["reward"] != nil || lines[2]["episode"] != float64(2) {
+		t.Fatalf("bad non-finite episode event: %v", lines[2])
 	}
 	if _, err := time.Parse(time.RFC3339Nano, lines[0]["ts"].(string)); err != nil {
 		t.Fatalf("bad timestamp: %v", err)

@@ -27,14 +27,15 @@ const (
 	histLen     = histOctaves * histSub // buckets per sign
 )
 
-// histIndex maps v > 0 to its bucket. Out-of-range magnitudes clamp to the
-// end buckets (their counts stay right, their bounds saturate).
+// histIndex maps v > 0 to its bucket. Out-of-range magnitudes, +Inf
+// included, clamp to the end buckets (their counts stay right, their
+// bounds saturate).
 func histIndex(v float64) int {
-	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
+	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1); +Inf gives (+Inf, 0)
 	if exp < histMinExp {
 		return 0
 	}
-	if exp > histMaxExp {
+	if exp > histMaxExp || v > math.MaxFloat64 {
 		return histLen - 1
 	}
 	sub := int((frac - 0.5) * (2 * histSub))

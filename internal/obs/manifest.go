@@ -64,8 +64,9 @@ func (m *Manifest) Set(key string, v any) {
 }
 
 // Finish stamps the wall time and attaches the final metrics snapshot
-// (counters and gauges verbatim; histograms reduced to count/mean/p50/
-// p95/p99 so the record stays one line). reg may be nil.
+// (counters and gauges verbatim, a non-finite gauge or mean as null;
+// histograms reduced to count/mean/p50/p95/p99 so the record stays one
+// line). reg may be nil.
 func (m *Manifest) Finish(reg *Registry) {
 	if m == nil {
 		return
@@ -80,12 +81,12 @@ func (m *Manifest) Finish(reg *Registry) {
 		m.Metrics[k] = v
 	}
 	for k, v := range s.Gauges {
-		m.Metrics[k] = v
+		m.Metrics[k] = jsonFloat(v)
 	}
 	for k, h := range s.Histograms {
 		m.Metrics[k] = map[string]any{
 			"count": h.Count,
-			"mean":  h.Mean(),
+			"mean":  jsonFloat(h.Mean()),
 			"p50":   h.Quantile(0.50),
 			"p95":   h.Quantile(0.95),
 			"p99":   h.Quantile(0.99),

@@ -180,9 +180,39 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// WriteJSON renders the snapshot as indented JSON.
+// WriteJSON renders the snapshot as indented JSON. A non-finite gauge or
+// histogram sum is written as null, so one diverged value cannot fail the
+// whole document.
 func (r *Registry) WriteJSON(w io.Writer) error {
+	s := r.Snapshot()
+	type hist struct {
+		Count   int64     `json:"count"`
+		Sum     jsonFloat `json:"sum"`
+		Buckets []Bucket  `json:"buckets,omitempty"`
+	}
+	out := struct {
+		Counters   map[string]int64     `json:"counters,omitempty"`
+		Gauges     map[string]jsonFloat `json:"gauges,omitempty"`
+		Histograms map[string]hist      `json:"histograms,omitempty"`
+	}{s.Counters, make(map[string]jsonFloat, len(s.Gauges)), make(map[string]hist, len(s.Histograms))}
+	for name, v := range s.Gauges {
+		out.Gauges[name] = jsonFloat(v)
+	}
+	for name, h := range s.Histograms {
+		out.Histograms[name] = hist{h.Count, jsonFloat(h.Sum), h.Buckets}
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	return enc.Encode(out)
+}
+
+// jsonFloat encodes like a float64, except that NaN and ±Inf, which
+// encoding/json refuses, become null.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	if v := float64(f); math.IsNaN(v) || math.IsInf(v, 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(f))
 }

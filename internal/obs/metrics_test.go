@@ -300,3 +300,48 @@ func (h *Histogram) Sum() float64 {
 	}
 	return h.sum.Value()
 }
+
+// TestSnapshotJSONNonFinite checks that NaN and ±Inf gauges and an
+// infinite histogram sum are written as null while finite values keep
+// their encoding, so the document still parses. An infinite observation
+// lands in the end bucket.
+func TestSnapshotJSONNonFinite(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("nan").Set(math.NaN())
+	r.Gauge("inf").Set(math.Inf(1))
+	r.Gauge("ninf").Set(math.Inf(-1))
+	r.Gauge("ok").Set(0.25)
+	r.Histogram("h").Observe(math.Inf(1))
+	r.Histogram("h").Observe(math.Inf(-1))
+	r.Histogram("h").Observe(2)
+
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var s struct {
+		Gauges     map[string]*float64 `json:"gauges"`
+		Histograms map[string]struct {
+			Count int64    `json:"count"`
+			Sum   *float64 `json:"sum"`
+		} `json:"histograms"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
+		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, buf.String())
+	}
+	for _, name := range []string{"nan", "inf", "ninf"} {
+		if v, ok := s.Gauges[name]; !ok || v != nil {
+			t.Fatalf("gauge %s = %v (present %v), want null", name, v, ok)
+		}
+	}
+	if v := s.Gauges["ok"]; v == nil || *v != 0.25 {
+		t.Fatalf("finite gauge = %v, want 0.25", v)
+	}
+	if h := s.Histograms["h"]; h.Count != 3 || h.Sum != nil {
+		t.Fatalf("histogram = %+v, want count 3 and a null sum", h)
+	}
+	bs := r.Snapshot().Histograms["h"].Buckets
+	if len(bs) != 3 || bs[0].Hi != -bs[2].Lo || math.IsInf(bs[2].Hi, 0) {
+		t.Fatalf("±Inf observations should land in the finite end buckets: %+v", bs)
+	}
+}

@@ -1,0 +1,7 @@
+package search
+
+// LinkID and Link expose the link-id codec to the package's external
+// tests.
+func (g *Graph) LinkID(a, b int) int { return g.linkID(a, b) }
+
+func (g *Graph) Link(id int) (a, b int, ok bool) { return g.link(id) }

@@ -1,7 +1,10 @@
 package search
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -146,5 +149,34 @@ func TestLegalitySweepAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, sweep); n != 0 || legal != 0 {
 		t.Fatalf("full-budget sweep allocates %v times and finds %d legal pairs", n, legal)
+	}
+}
+
+// TestLinkIDsSortLikeNames pins the link-id contract for every node count
+// 2..300: sorting the ids of all pairs a < b orders them as sorting the
+// strings "a-b" byte-wise does, and each id decodes to its pair.
+func TestLinkIDsSortLikeNames(t *testing.T) {
+	var prev, cur []byte
+	for v := 2; v <= 300; v++ {
+		g := NewGraph(make([][]int, v), 0, 0, anyLink)
+		ids := make([]int, 0, v*(v-1)/2)
+		for a := 0; a < v; a++ {
+			for b := a + 1; b < v; b++ {
+				id := g.linkID(a, b)
+				if x, y, ok := g.link(id); !ok || x != a || y != b {
+					t.Fatalf("V=%d: id %d of %d-%d decodes to %d-%d (ok=%v)", v, id, a, b, x, y, ok)
+				}
+				ids = append(ids, id)
+			}
+		}
+		slices.Sort(ids)
+		for i, id := range ids {
+			a, b, _ := g.link(id)
+			cur = strconv.AppendInt(append(strconv.AppendInt(cur[:0], int64(a), 10), '-'), int64(b), 10)
+			if i > 0 && bytes.Compare(prev, cur) >= 0 {
+				t.Fatalf("V=%d: id %d (%s) sorts after id %d (%s), but its name does not", v, id, cur, ids[i-1], prev)
+			}
+			prev, cur = cur, prev
+		}
 	}
 }

@@ -9,14 +9,14 @@
 // each supply only a base graph, a geometric rule and a reward.
 //
 // The searcher is a thin episode loop over the same tree the routerless
-// search uses, mcts.Tree[string]: states are keyed by fingerprint and the
-// string actions are kept in byte order, which also fixes Select's
-// tie-break.
+// search uses, mcts.Tree[int]: states are keyed by fingerprint and actions
+// are integer ids kept in ascending order, which also fixes Select's
+// tie-break. A Placement's link ids ascend as the link names "a-b" do in
+// byte order, so its searches visit what a string-keyed tree would.
 package search
 
 import (
 	"math/rand"
-	"slices"
 
 	"routerless/internal/mcts"
 )
@@ -25,11 +25,14 @@ import (
 type Environment interface {
 	// Fingerprint canonically identifies the current design state.
 	Fingerprint() string
-	// Actions enumerates the currently legal actions as opaque keys.
-	Actions() []string
+	// Actions enumerates the currently legal actions as opaque ids, in
+	// ascending order.
+	Actions() []int
+	// Legal reports whether Actions would list the action.
+	Legal(action int) bool
 	// Step applies an action, returning its immediate reward. Illegal or
 	// wasted actions should return negative rewards (§4.3's shaping).
-	Step(action string) float64
+	Step(action int) float64
 	// Done reports whether the episode must end.
 	Done() bool
 	// FinalReward scores the finished design (higher is better).
@@ -42,10 +45,10 @@ type Problem interface {
 	NewEpisode() Environment
 	// Greedy proposes the domain's heuristic action (Algorithm 1's role);
 	// ok is false when no action remains.
-	Greedy(env Environment) (action string, ok bool)
-	// Priors weights the legal actions, given in byte order, for tree
+	Greedy(env Environment) (action int, ok bool)
+	// Priors weights the legal actions, given in ascending order, for tree
 	// expansion and sampling. This is where a learned policy plugs in.
-	Priors(env Environment, actions []string) []float64
+	Priors(env Environment, actions []int) []float64
 }
 
 // Config tunes the generic searcher.
@@ -85,7 +88,7 @@ type Result struct {
 type Searcher struct {
 	cfg    Config
 	prob   Problem
-	tree   *mcts.Tree[string]
+	tree   *mcts.Tree[int]
 	result Result
 	// onBest, when set, observes strictly improving episodes; domains use
 	// it to snapshot the best design.
@@ -100,7 +103,7 @@ func New(cfg Config, prob Problem) *Searcher {
 	if cfg.MaxSteps < 1 {
 		cfg.MaxSteps = 256
 	}
-	less := func(a, b string) bool { return a < b }
+	less := func(a, b int) bool { return a < b }
 	return &Searcher{cfg: cfg, prob: prob, tree: mcts.NewTree(cfg.CPuct, less)}
 }
 
@@ -122,7 +125,7 @@ func (s *Searcher) Run() *Result {
 
 func (s *Searcher) runEpisode(rng *rand.Rand) {
 	env := s.prob.NewEpisode()
-	var path []mcts.PathStep[string]
+	var path []mcts.PathStep[int]
 	var returns []float64
 	for steps := 0; steps < s.cfg.MaxSteps && !env.Done(); steps++ {
 		fp := env.Fingerprint()
@@ -130,7 +133,7 @@ func (s *Searcher) runEpisode(rng *rand.Rand) {
 		if !ok {
 			break
 		}
-		path = append(path, mcts.PathStep[string]{Fingerprint: fp, Action: action})
+		path = append(path, mcts.PathStep[int]{Fingerprint: fp, Action: action})
 		returns = append(returns, env.Step(action))
 	}
 	final := env.FinalReward()
@@ -156,19 +159,19 @@ func (s *Searcher) runEpisode(rng *rand.Rand) {
 // choose mirrors the routerless action policy: ε-greedy heuristic, tree
 // selection at known states, expansion with priors at leaves. A selected
 // edge that is no longer legal (stale) falls through to sampling from the
-// priors; the state keeps the edge set it was first expanded with.
-func (s *Searcher) choose(env Environment, fp string, rng *rand.Rand) (string, bool) {
+// priors; the state keeps the edge set it was first expanded with. Only
+// that fall-through enumerates the legal actions.
+func (s *Searcher) choose(env Environment, fp string, rng *rand.Rand) (int, bool) {
 	if rng.Float64() < s.cfg.Epsilon {
 		return s.prob.Greedy(env)
 	}
-	actions := env.Actions()
-	if a, ok := s.tree.Select(fp); ok && slices.Contains(actions, a) {
+	if a, ok := s.tree.Select(fp); ok && env.Legal(a) {
 		return a, true
 	}
+	actions := env.Actions()
 	if len(actions) == 0 {
-		return "", false
+		return 0, false
 	}
-	slices.Sort(actions)
 	priors := s.prob.Priors(env, actions)
 	if !s.tree.Known(fp) {
 		s.tree.Expand(fp, actions, priors)

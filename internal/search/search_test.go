@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"strconv"
 	"testing"
 )
 
@@ -18,16 +17,17 @@ type counterEnv struct {
 
 func (e *counterEnv) Fingerprint() string { return fmt.Sprint(e.picks) }
 
-func (e *counterEnv) Actions() []string {
-	out := make([]string, 10)
+func (e *counterEnv) Actions() []int {
+	out := make([]int, 10)
 	for i := range out {
-		out[i] = strconv.Itoa(i)
+		out[i] = i
 	}
 	return out
 }
 
-func (e *counterEnv) Step(a string) float64 {
-	v, _ := strconv.Atoi(a)
+func (e *counterEnv) Legal(v int) bool { return v >= 0 && v < 10 }
+
+func (e *counterEnv) Step(v int) float64 {
 	e.picks = append(e.picks, v)
 	if v > e.limit {
 		return -5
@@ -53,11 +53,11 @@ func (p counterProblem) NewEpisode() Environment {
 	return &counterEnv{limit: p.limit, steps: p.steps}
 }
 
-func (p counterProblem) Greedy(env Environment) (string, bool) {
-	return strconv.Itoa(p.limit), true
+func (p counterProblem) Greedy(env Environment) (int, bool) {
+	return p.limit, true
 }
 
-func (p counterProblem) Priors(env Environment, actions []string) []float64 {
+func (p counterProblem) Priors(env Environment, actions []int) []float64 {
 	out := make([]float64, len(actions))
 	for i := range out {
 		out[i] = 1 // uniform
@@ -141,25 +141,27 @@ func TestSearcherDeterministicSingleThread(t *testing.T) {
 
 // shrinkProblem is a one-step problem on a single root state whose legal
 // actions slide with the episode count: episode k may play pool[k-1] and
-// pool[k]. Priors favour "a" heavily, so the root's first expansion goes
-// stale: its favourite edge is illegal from the second episode on.
+// pool[k]. Priors favour action 0 heavily, so the root's first expansion
+// goes stale: its favourite edge is illegal from the second episode on.
 type shrinkProblem struct {
 	episodes int
-	illegal  []string // actions played while not legal
+	illegal  []int // actions played while not legal
 }
 
 type shrinkEnv struct {
 	p     *shrinkProblem
-	legal []string
+	legal []int
 	done  bool
 }
 
 func (e *shrinkEnv) Fingerprint() string { return "root" }
 
-func (e *shrinkEnv) Actions() []string { return slices.Clone(e.legal) }
+func (e *shrinkEnv) Actions() []int { return slices.Clone(e.legal) }
 
-func (e *shrinkEnv) Step(a string) float64 {
-	if !slices.Contains(e.legal, a) {
+func (e *shrinkEnv) Legal(a int) bool { return slices.Contains(e.legal, a) }
+
+func (e *shrinkEnv) Step(a int) float64 {
+	if !e.Legal(a) {
 		e.p.illegal = append(e.p.illegal, a)
 	}
 	e.done = true
@@ -171,19 +173,19 @@ func (e *shrinkEnv) Done() bool { return e.done }
 func (e *shrinkEnv) FinalReward() float64 { return 1 }
 
 func (p *shrinkProblem) NewEpisode() Environment {
-	pool := []string{"a", "b", "c", "d", "e", "f"}
+	pool := []int{0, 1, 2, 3, 4, 5}
 	k := min(p.episodes, len(pool)-2)
 	p.episodes++
 	return &shrinkEnv{p: p, legal: pool[k : k+2]}
 }
 
-func (p *shrinkProblem) Greedy(Environment) (string, bool) { return "", false }
+func (p *shrinkProblem) Greedy(Environment) (int, bool) { return 0, false }
 
-func (p *shrinkProblem) Priors(_ Environment, actions []string) []float64 {
+func (p *shrinkProblem) Priors(_ Environment, actions []int) []float64 {
 	out := make([]float64, len(actions))
 	for i, a := range actions {
 		out[i] = 1
-		if a == "a" {
+		if a == 0 {
 			out[i] = 100
 		}
 	}
@@ -208,14 +210,14 @@ func TestSearcherStaleEdgeFallsThrough(t *testing.T) {
 	if len(p.illegal) != 0 {
 		t.Fatalf("played illegal actions %v", p.illegal)
 	}
-	if a, ok := s.tree.Select("root"); !ok || a != "a" {
-		t.Fatalf("root selects %q, want the stale first-expansion favourite \"a\"", a)
+	if a, ok := s.tree.Select("root"); !ok || a != 0 {
+		t.Fatalf("root selects %d, want the stale first-expansion favourite 0", a)
 	}
-	first := map[string]float64{"a": 100.0 / 101, "b": 1.0 / 101}
+	first := map[int]float64{0: 100.0 / 101, 1: 1.0 / 101}
 	edges := s.tree.EdgeStats("root")
 	for a, e := range edges {
 		if e.P != first[a] {
-			t.Fatalf("edge %q prior = %v, want %v", a, e.P, first[a])
+			t.Fatalf("edge %d prior = %v, want %v", a, e.P, first[a])
 		}
 	}
 	if len(edges) <= len(first) {
