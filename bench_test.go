@@ -407,13 +407,17 @@ func BenchmarkGreedyScan(b *testing.B) {
 // BenchmarkGreedyComplete measures a full Algorithm 1 design construction
 // from a blank grid — the episode completion phase every DRL exploration
 // cycle runs (Fig. 4), and the unit the incremental score table speeds up.
-// Before/after numbers for PR 4 live in BENCH_PR4.json.
+// Before/after numbers for PR 4 live in BENCH_PR4.json. The 16×16 row
+// times one of Table 2's large grids; a process builds a grid's shared
+// rectangle tables once, so they are built before the timer starts.
 func BenchmarkGreedyComplete(b *testing.B) {
 	// Smallest caps under which Algorithm 1 reaches full connectivity.
-	for _, g := range []struct{ n, cap int }{{8, 14}, {10, 20}} {
+	for _, g := range []struct{ n, cap int }{{8, 14}, {10, 20}, {16, 39}} {
 		n, cap := g.n, g.cap
 		b.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n), func(b *testing.B) {
+			topo.Tables(n, n)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				env := rl.NewEnv(n, cap)
 				rl.GreedyComplete(env)

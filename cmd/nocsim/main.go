@@ -141,7 +141,7 @@ func main() {
 	// injector with the same seed), so fan them across -j workers; results
 	// land by rate index and are printed/logged in order afterwards, so
 	// stdout and the events JSONL are identical at any -j.
-	results := exp.RunParallelTraced(len(rateList), *jobs, tel.Registry, tel.Tracer, func(i int, sh *obs.TraceShard) sim.Result {
+	results := exp.RunParallel(len(rateList), *jobs, tel.Registry, tel.Tracer, func(i int, sh *obs.TraceShard) sim.Result {
 		r := rateList[i]
 		c := cfg
 		c.OnInterval = progressFn(fmt.Sprintf("rate=%.4f ", r))

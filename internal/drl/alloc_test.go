@@ -29,10 +29,10 @@ func TestEpisodeAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ar := s.newArena()
 	for i := 0; i < 5; i++ {
-		s.runEpisode(nil, rng, cfg.GuidedActions, ar)
+		s.runEpisode(nil, rng, guidedActions(cfg.N), ar)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		s.runEpisode(nil, rng, cfg.GuidedActions, ar)
+		s.runEpisode(nil, rng, guidedActions(cfg.N), ar)
 	})
 	const budget = 60
 	if allocs > budget {
@@ -63,10 +63,10 @@ func TestEpisodeAllocBudgetWithTracing(t *testing.T) {
 		ar := s.newArena()
 		ar.trace = tr.Shard("drl.worker.00") // nil tracer -> nil shard
 		for i := 0; i < 5; i++ {
-			s.runEpisode(nil, rng, cfg.GuidedActions, ar)
+			s.runEpisode(nil, rng, guidedActions(cfg.N), ar)
 		}
 		return testing.AllocsPerRun(20, func() {
-			s.runEpisode(nil, rng, cfg.GuidedActions, ar)
+			s.runEpisode(nil, rng, guidedActions(cfg.N), ar)
 		})
 	}
 	t.Run("disabled", func(t *testing.T) {

@@ -28,7 +28,7 @@ func BenchmarkDRLEpisode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.runEpisode(net, rng, cfg.GuidedActions, ar)
+				s.runEpisode(net, rng, guidedActions(cfg.N), ar)
 			}
 		})
 	}
@@ -53,7 +53,7 @@ func BenchmarkDRLEpisodeTraced(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.runEpisode(net, rng, cfg.GuidedActions, ar)
+				s.runEpisode(net, rng, guidedActions(cfg.N), ar)
 			}
 		})
 	}
@@ -134,7 +134,7 @@ func BenchmarkDRLEpisodeBroker(b *testing.B) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(7 + int64(w)))
 					for next.Add(1) <= int64(b.N) {
-						s.runEpisode(nets[w], rng, cfg.GuidedActions, arenas[w])
+						s.runEpisode(nets[w], rng, guidedActions(cfg.N), arenas[w])
 					}
 				}(w)
 			}

@@ -41,25 +41,8 @@ type Config struct {
 	// NN sizes the policy/value network; a zero value selects a
 	// reduced-width network appropriate for the overall budget.
 	NN nn.Config
-	// LR/GradClip/Gamma drive actor-critic training (Eqs. 17–20).
-	LR, GradClip, Gamma float64
-	// MaxPenalties bounds consecutive non-valid actions before the
-	// episode falls back to the greedy action.
-	MaxPenalties int
-	// GuidedActions is the number of valid loop additions chosen by the
-	// DNN/MCTS policy before the episode switches to Algorithm 1 to
-	// complete the design (Fig. 4: "additional actions can be taken, if
-	// necessary, to complete the design"). The guided prefix defines the
-	// design-space region being explored; completion makes the design
-	// evaluable. The per-worker value self-paces between 1 and this cap:
-	// episodes that dead-end shorten it, successes restore it. Zero means
-	// pure greedy completion with no guided exploration.
-	GuidedActions int
-	// MinGain/NoGainStreak end an episode early once the design is fully
-	// connected and successive additions stop improving average hops,
-	// trimming useless loop additions (§3.2).
-	MinGain      float64
-	NoGainStreak int
+	// LR is the actor-critic learning rate (Eqs. 17–20).
+	LR float64
 	// IllegalPenalty overrides the environment's −5N illegal-action
 	// reward when nonzero (the reward-shaping ablation).
 	IllegalPenalty float64
@@ -104,14 +87,32 @@ func DefaultConfig(n, overlapCap int) Config {
 		Episodes: 30, Threads: 1,
 		Epsilon: 0.1, CPuct: 1.5,
 		UseDNN: true, UseMCTS: true,
-		NN: nn.Config{N: n, BaseChannels: 4, Pools: 3},
-		LR: 1e-3, GradClip: 1.0, Gamma: 0.99,
-		MaxPenalties:  8,
-		GuidedActions: max(2, n/2),
-		MinGain:       1e-9, NoGainStreak: 2,
+		NN:   nn.Config{N: n, BaseChannels: 4, Pools: 3},
+		LR:   1e-3,
 		Seed: 1,
 	}
 }
+
+// Fixed training and episode settings.
+const (
+	// gradClip bounds each gradient element of an update (Eqs. 19–20).
+	gradClip = 1.0
+	// gamma discounts the returns-to-go that train the network and back
+	// up the tree.
+	gamma = 0.99
+	// maxPenalties bounds consecutive non-valid actions before the
+	// episode falls back to the greedy action.
+	maxPenalties = 8
+)
+
+// guidedActions is the number of valid loop additions an n×n episode's
+// DNN/MCTS policy chooses before Algorithm 1 completes the design (Fig. 4:
+// "additional actions can be taken, if necessary, to complete the
+// design"). The guided prefix defines the design-space region being
+// explored; completion makes the design evaluable. Each worker's value
+// self-paces between 1 and this cap: episodes that dead-end shorten it,
+// successes restore it.
+func guidedActions(n int) int { return max(2, n/2) }
 
 // Design is one fully connected design discovered during search.
 type Design struct {
@@ -199,7 +200,7 @@ func New(cfg Config) (*Searcher, error) {
 		} else if init.Cfg != cfg.NN {
 			return nil, fmt.Errorf("drl: Init model config %+v mismatches NN config %+v", init.Cfg, cfg.NN)
 		}
-		s.server = newParamServer(init.GetWeights(), cfg.LR, cfg.GradClip, cfg.Metrics)
+		s.server = newParamServer(init.GetWeights(), cfg.LR, gradClip, cfg.Metrics)
 		s.initStats = make([]float64, init.NumStats())
 		init.CopyStatsInto(s.initStats)
 		s.lastStats = slices.Clone(s.initStats)
@@ -369,7 +370,7 @@ func (s *Searcher) worker(tid, episodes int) {
 			s.broker.Sync(weights, stats)
 		}
 	}
-	a2c := rl.A2C{Gamma: s.cfg.Gamma, ValueCoeff: 0.5}
+	a2c := rl.A2C{Gamma: gamma, ValueCoeff: 0.5}
 	ar := s.newArena()
 	// One trace shard per worker goroutine (the ownership rule): all of
 	// this worker's spans land on one track.
@@ -386,8 +387,9 @@ func (s *Searcher) worker(tid, episodes int) {
 	// The guided-phase length self-paces: episodes that dead-end without
 	// a complete design shorten the guided prefix (exploring closer to
 	// the reliable completion heuristic); successes lengthen it back up
-	// to the configured value, recovering exploration breadth.
-	guided := s.cfg.GuidedActions
+	// to guidedActions, recovering exploration breadth.
+	maxGuided := guidedActions(s.cfg.N)
+	guided := maxGuided
 	for ep := 0; ep < episodes; ep++ {
 		epSpan := ar.trace.Start(obs.SpanEpisode)
 		traj, path, design := s.runEpisode(net, rng, guided, ar)
@@ -395,7 +397,7 @@ func (s *Searcher) worker(tid, episodes int) {
 			if guided > 1 {
 				guided--
 			}
-		} else if guided < s.cfg.GuidedActions {
+		} else if guided < maxGuided {
 			guided++
 		}
 
@@ -541,10 +543,10 @@ func (ar *episodeArena) stateBuf(i int) []float64 {
 // fully connected. The trajectory and path alias arena buffers valid until
 // the next runEpisode call on the same arena.
 //
-// Each episode has two phases. The guided phase takes up to GuidedActions
-// valid loop additions chosen by the DNN/MCTS policy (ε-greedy over
-// Algorithm 1); it is the exploratory part that gets trained and backed
-// up. The completion phase then adds loops with Algorithm 1 until the
+// Each episode has two phases. The guided phase takes up to guided (at
+// most guidedActions) valid loop additions chosen by the DNN/MCTS policy
+// (ε-greedy over Algorithm 1); it is the exploratory part that gets
+// trained and backed up. The completion phase then adds loops with Algorithm 1 until the
 // design cannot improve, making the episode's design evaluable ("additional
 // actions ... to complete the design"). The final return reflects the
 // whole design, so guided prefixes leading to poor completions are
@@ -556,7 +558,7 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 	ar.traj.Final = 0
 	ar.path = ar.path[:0]
 
-	maxSteps := guided + s.cfg.MaxPenalties*(guided+1) + 4
+	maxSteps := guided + maxPenalties*(guided+1) + 4
 	penalties := 0
 	valid := 0
 	first := true
@@ -568,7 +570,7 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 		var a rl.Action
 		var ok bool
 		switch {
-		case penalties > s.cfg.MaxPenalties:
+		case penalties > maxPenalties:
 			a, ok = greedy(env, ar.trace)
 		case first && net != nil:
 			// The DNN proposes the initial action raw (Fig. 4); it may
@@ -592,7 +594,7 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 		}
 	}
 
-	s.complete(env, ar.trace)
+	complete(env, ar.trace)
 
 	ar.traj.Final = env.FinalReward()
 	var design *Design
@@ -608,10 +610,11 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 
 // complete drives Algorithm 1 until the design stops improving: while not
 // fully connected every greedy addition helps; afterwards additions
-// continue only while they reduce average hops (MinGain/NoGainStreak).
-func (s *Searcher) complete(env *rl.Env, trace *obs.TraceShard) {
+// continue only while they reduce average hops (rl.GreedyImprove's
+// stopping rule).
+func complete(env *rl.Env, trace *obs.TraceShard) {
 	sp := trace.Start(obs.SpanGreedy)
-	rl.GreedyImprove(env, s.cfg.MinGain, s.cfg.NoGainStreak)
+	rl.GreedyImprove(env)
 	sp.End()
 }
 

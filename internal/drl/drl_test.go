@@ -446,7 +446,7 @@ func TestParamServer(t *testing.T) {
 }
 
 func TestParamServerLengthMismatchPanics(t *testing.T) {
-	ps := newParamServer([]float64{1}, 0.1, 0, nil)
+	ps := newParamServer([]float64{1}, 0.1, 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")

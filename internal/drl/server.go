@@ -25,7 +25,8 @@ type paramServer struct {
 	updateC  *obs.Counter
 }
 
-// newParamServer builds a server over a copy of init.
+// newParamServer builds a server over a copy of init that clips each
+// gradient element to ±clip (clip > 0; the search uses gradClip).
 func newParamServer(init []float64, lr, clip float64, reg *obs.Registry) *paramServer {
 	return &paramServer{
 		weights:  append([]float64(nil), init...),
@@ -80,16 +81,14 @@ func (ps *paramServer) applyAndFetch(grads, dst []float64) {
 }
 
 // applyRange performs the element-wise clipped SGD update
-// w[i] -= lr*clip(g[i]), mirroring every updated weight into dst in the
-// same pass, and returns the pre/post-clip squared gradient norms summed
-// in element order (zero unless track). The clip and telemetry branches
-// are hoisted out of the per-element loop into four specialized loops;
-// each performs the identical per-element arithmetic in the identical
-// order, so which loop runs is bit-invisible. When clip <= 0 the post-clip
-// sum equals the pre-clip sum.
+// w[i] -= lr*clip(g[i]) for clip > 0, mirroring every updated weight into
+// dst in the same pass, and returns the pre/post-clip squared gradient
+// norms summed in element order (zero unless track). The telemetry branch
+// is hoisted out of the per-element loop into two specialized loops; both
+// perform the identical per-element arithmetic in the identical order, so
+// which loop runs is bit-invisible.
 func applyRange(w, g, dst []float64, lr, clip float64, track bool) (preSq, postSq float64) {
-	switch {
-	case track && clip > 0:
+	if track {
 		for i, gi := range g {
 			preSq += gi * gi
 			if gi > clip {
@@ -102,31 +101,17 @@ func applyRange(w, g, dst []float64, lr, clip float64, track bool) (preSq, postS
 			w[i] = nw
 			dst[i] = nw
 		}
-	case track:
-		for i, gi := range g {
-			preSq += gi * gi
-			nw := w[i] - lr*gi
-			w[i] = nw
-			dst[i] = nw
-		}
-		postSq = preSq
-	case clip > 0:
-		for i, gi := range g {
-			if gi > clip {
-				gi = clip
-			} else if gi < -clip {
-				gi = -clip
-			}
-			nw := w[i] - lr*gi
-			w[i] = nw
-			dst[i] = nw
-		}
-	default:
-		for i, gi := range g {
-			nw := w[i] - lr*gi
-			w[i] = nw
-			dst[i] = nw
-		}
+		return preSq, postSq
 	}
-	return preSq, postSq
+	for i, gi := range g {
+		if gi > clip {
+			gi = clip
+		} else if gi < -clip {
+			gi = -clip
+		}
+		nw := w[i] - lr*gi
+		w[i] = nw
+		dst[i] = nw
+	}
+	return 0, 0
 }

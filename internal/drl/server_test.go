@@ -55,15 +55,6 @@ func TestParamServerClipBoundary(t *testing.T) {
 	}
 }
 
-// TestParamServerNoClip verifies clip <= 0 disables clipping entirely.
-func TestParamServerNoClip(t *testing.T) {
-	ps := newParamServer([]float64{0}, 1, 0, nil)
-	ps.apply([]float64{42})
-	if got := ps.snapshot()[0]; got != -42 {
-		t.Fatalf("weight = %v, want -42", got)
-	}
-}
-
 // TestParamServerConcurrentSnapshotApply hammers applyAndFetch and
 // snapshot from many goroutines; run with -race to verify the lock
 // discipline. Every gradient element is the same constant, so every applied
@@ -144,46 +135,41 @@ func firstTear(w []float64) int {
 // round-trip: applyAndFetch must leave the server weights and fill the
 // worker buffer with exactly the bits of a plain whole-vector update
 // w[i] -= lr*clip(g[i]) followed by a copy-out, and set the norm gauges to
-// the plain element-order sums, over randomized gradient sequences and
-// both clip regimes.
+// the plain element-order sums, over randomized gradient sequences.
 func TestParamServerFusedMatchesPair(t *testing.T) {
-	const dim, lr = 257, 0.05
-	for _, clip := range []float64{0, 0.8} {
-		reg := obs.NewRegistry()
-		rng := rand.New(rand.NewSource(42))
-		want := make([]float64, dim)
-		for i := range want {
-			want[i] = rng.NormFloat64()
+	const dim, lr, clip = 257, 0.05, 0.8
+	reg := obs.NewRegistry()
+	rng := rand.New(rand.NewSource(42))
+	want := make([]float64, dim)
+	for i := range want {
+		want[i] = rng.NormFloat64()
+	}
+	fused := newParamServer(want, lr, clip, reg)
+	grads := make([]float64, dim)
+	dst := make([]float64, dim)
+	for step := 0; step < 50; step++ {
+		for i := range grads {
+			grads[i] = 2 * rng.NormFloat64()
 		}
-		fused := newParamServer(want, lr, clip, reg)
-		grads := make([]float64, dim)
-		dst := make([]float64, dim)
-		for step := 0; step < 50; step++ {
-			for i := range grads {
-				grads[i] = 2 * rng.NormFloat64()
+		fused.applyAndFetch(grads, dst)
+		preSq, postSq := 0.0, 0.0
+		for i, g := range grads {
+			preSq += g * g
+			g = max(-clip, min(clip, g))
+			postSq += g * g
+			want[i] -= lr * g
+		}
+		held := fused.snapshot()
+		for i := range want {
+			if dst[i] != want[i] || held[i] != want[i] {
+				t.Fatalf("step %d: w[%d] fetched %v, held %v, want %v",
+					step, i, dst[i], held[i], want[i])
 			}
-			fused.applyAndFetch(grads, dst)
-			preSq, postSq := 0.0, 0.0
-			for i, g := range grads {
-				preSq += g * g
-				if clip > 0 {
-					g = max(-clip, min(clip, g))
-				}
-				postSq += g * g
-				want[i] -= lr * g
-			}
-			held := fused.snapshot()
-			for i := range want {
-				if dst[i] != want[i] || held[i] != want[i] {
-					t.Fatalf("clip %v step %d: w[%d] fetched %v, held %v, want %v",
-						clip, step, i, dst[i], held[i], want[i])
-				}
-			}
-			g := reg.Snapshot().Gauges
-			if g["drl.grad_norm_preclip"] != math.Sqrt(preSq) || g["drl.grad_norm_postclip"] != math.Sqrt(postSq) {
-				t.Fatalf("clip %v step %d: norm gauges %v/%v, want %v/%v", clip, step,
-					g["drl.grad_norm_preclip"], g["drl.grad_norm_postclip"], math.Sqrt(preSq), math.Sqrt(postSq))
-			}
+		}
+		g := reg.Snapshot().Gauges
+		if g["drl.grad_norm_preclip"] != math.Sqrt(preSq) || g["drl.grad_norm_postclip"] != math.Sqrt(postSq) {
+			t.Fatalf("step %d: norm gauges %v/%v, want %v/%v", step,
+				g["drl.grad_norm_preclip"], g["drl.grad_norm_postclip"], math.Sqrt(preSq), math.Sqrt(postSq))
 		}
 	}
 }

@@ -140,12 +140,12 @@ func DRLDesign(n, cap int, o Options) *topo.Topology {
 		// greedy exhausts wiring) seed with the lite recursive layering
 		// and let greedy spend the remaining slack.
 		env := rl.NewEnv(n, cap)
-		rl.GreedyImprove(env, 1e-9, 2)
+		rl.GreedyImprove(env)
 		if env.FullyConnected() {
 			t = env.Topology()
 		} else if lite, err := rec.GenerateLite(n); err == nil && lite.MaxOverlap() <= cap {
 			env := rl.NewEnvFrom(lite, cap)
-			rl.GreedyImprove(env, 1e-9, 2)
+			rl.GreedyImprove(env)
 			if env.FullyConnected() {
 				t = env.Topology()
 			}

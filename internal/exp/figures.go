@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"routerless/internal/obs"
 	"routerless/internal/power"
 	"routerless/internal/rec"
 	"routerless/internal/sim"
@@ -68,7 +69,7 @@ func Figure10SyntheticLatency(o Options) *Report {
 			func(rate float64) sim.Result { return RingRun(drlT, p, rate, o) },
 		)
 	}
-	cells := RunParallel(len(curves), o.jobs(), o.Metrics, func(i int) string {
+	cells := RunParallel(len(curves), o.jobs(), o.Metrics, o.Trace, func(i int, _ *obs.TraceShard) string {
 		pts := Sweep(curves[i], rates)
 		return fmt.Sprintf("%.1f/%.3f", ZeroLoad(pts), SatThroughput(pts))
 	})
@@ -292,7 +293,7 @@ func Figure16Scaling(o Options) *Report {
 			func(rate float64) sim.Result { return RingRun(recT, traffic.UniformRandom, rate, o) },
 			func(rate float64) sim.Result { return RingRun(drlT, traffic.UniformRandom, rate, o) })
 	}
-	sat := RunParallel(len(curves), o.jobs(), o.Metrics, func(i int) float64 {
+	sat := RunParallel(len(curves), o.jobs(), o.Metrics, o.Trace, func(i int, _ *obs.TraceShard) float64 {
 		return SatThroughput(Sweep(curves[i], rates))
 	})
 	var recFirst, recLast, drlFirst, drlLast float64

@@ -32,16 +32,11 @@ func (o Options) jobs() int {
 // calls and deterministic per index (every experiment helper in this
 // package is: each call constructs its own network and seeded injector).
 // Each worker counts completed points into the registry's
-// "exp.worker.<w>.points" counter; reg may be nil.
-func RunParallel[T any](n, j int, reg *obs.Registry, fn func(i int) T) []T {
-	return RunParallelTraced(n, j, reg, nil, func(i int, _ *obs.TraceShard) T { return fn(i) })
-}
-
-// RunParallelTraced is RunParallel with span recording: each worker owns
-// one trace shard ("exp.worker.<w>") and every point is wrapped in an
-// exp.point span. fn receives the worker's shard so the point's inner
-// phases (e.g. sim.Run via RunConfig.Trace) nest under it. tr may be nil.
-func RunParallelTraced[T any](n, j int, reg *obs.Registry, tr *obs.Tracer, fn func(i int, sh *obs.TraceShard) T) []T {
+// "exp.worker.<w>.points" counter and owns one trace shard
+// ("exp.worker.<w>"), wrapping every point in an exp.point span. fn
+// receives the worker's shard so the point's inner phases (e.g. sim.Run
+// via RunConfig.Trace) nest under it. reg and tr may be nil.
+func RunParallel[T any](n, j int, reg *obs.Registry, tr *obs.Tracer, fn func(i int, sh *obs.TraceShard) T) []T {
 	out := make([]T, n)
 	if n == 0 {
 		return out
@@ -75,6 +70,6 @@ func RunParallelTraced[T any](n, j int, reg *obs.Registry, tr *obs.Tracer, fn fu
 // worker pool, preserving input order. The figure/table generators use
 // it to fan their cells out while keeping row order deterministic.
 func runAll(o Options, jobs []func() sim.Result) []sim.Result {
-	return RunParallelTraced(len(jobs), o.jobs(), o.Metrics, o.Trace,
+	return RunParallel(len(jobs), o.jobs(), o.Metrics, o.Trace,
 		func(i int, _ *obs.TraceShard) sim.Result { return jobs[i]() })
 }

@@ -10,7 +10,7 @@ import (
 
 func TestRunParallelOrderAndWorkerCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	out := RunParallel(100, 8, reg, func(i int) int { return i * i })
+	out := RunParallel(100, 8, reg, nil, func(i int, _ *obs.TraceShard) int { return i * i })
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
@@ -27,6 +27,24 @@ func TestRunParallelOrderAndWorkerCounters(t *testing.T) {
 	}
 }
 
+// TestRunParallelRecordsPointSpans: every point is one exp.point span,
+// whatever the pool width, including widths above the point count.
+func TestRunParallelRecordsPointSpans(t *testing.T) {
+	for _, c := range []struct{ n, j int }{{1, 1}, {7, 1}, {7, 3}, {5, 8}} {
+		tr := obs.NewTracer(64)
+		RunParallel(c.n, c.j, nil, tr, func(i int, _ *obs.TraceShard) int { return i })
+		var points int64
+		for _, s := range tr.Aggregate() {
+			if s.Kind == "exp.point" {
+				points = s.Count
+			}
+		}
+		if points != int64(c.n) {
+			t.Fatalf("%d points on %d workers recorded %d exp.point spans", c.n, c.j, points)
+		}
+	}
+}
+
 // TestRunParallelSimsUnderRace exercises the worker pool with real
 // simulations and a shared metrics registry; `make ci` runs this package
 // under -race, so any sharing between worker networks or in the obs
@@ -34,7 +52,7 @@ func TestRunParallelOrderAndWorkerCounters(t *testing.T) {
 func TestRunParallelSimsUnderRace(t *testing.T) {
 	reg := obs.NewRegistry()
 	tpo := RECDesign(4)
-	res := RunParallel(16, 8, reg, func(i int) sim.Result {
+	res := RunParallel(16, 8, reg, nil, func(i int, _ *obs.TraceShard) sim.Result {
 		return RingRun(tpo, traffic.UniformRandom, 0.02+0.005*float64(i%4), testOpts)
 	})
 	for i, r := range res {

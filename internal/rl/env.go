@@ -99,7 +99,7 @@ type Env struct {
 	topo     *topo.Topology
 	meshHops float64
 	// scores is the lazily built per-rectangle greedy score cache (see
-	// scores.go); Step keeps it consistent through the dirty set.
+	// scores.go); Step keeps it consistent in place (noteAdded).
 	scores *scoreTable
 	// legalBuf backs LegalActions so steady-state enumeration is
 	// allocation-free.

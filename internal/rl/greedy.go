@@ -73,19 +73,28 @@ func GreedySearch(e *Env) GreedyResult {
 	}
 }
 
+// Algorithm 1's stopping rule for GreedyImprove: once the design is fully
+// connected, an addition that lowers average hops by less than minGain
+// gains nothing, and noGainPatience such additions in a row end the run.
+const (
+	minGain        = 1e-9
+	noGainPatience = 2
+)
+
 // GreedyComplete drives Greedy until no legal loop remains, returning the
 // number of loops added. It is the pure-heuristic baseline (and the
 // fallback used when DRL exploration exhausts its penalty budget).
-func GreedyComplete(e *Env) int {
-	return GreedyImprove(e, -1, 0)
-}
+func GreedyComplete(e *Env) int { return greedyRun(e, false) }
 
 // GreedyImprove drives Greedy until the design stops improving: while not
 // fully connected every addition helps; once connected, additions continue
-// only while they reduce average hops by at least minGain, ending after
-// patience consecutive no-gain additions. minGain < 0 disables the early
-// stop (run to wiring exhaustion). It returns the number of loops added.
-func GreedyImprove(e *Env, minGain float64, patience int) int {
+// until noGainPatience in a row each lower average hops by less than
+// minGain. It returns the number of loops added.
+func GreedyImprove(e *Env) int { return greedyRun(e, true) }
+
+// greedyRun plays Greedy's picks until none is legal or, when stopEarly,
+// until the stopping rule ends the run.
+func greedyRun(e *Env, stopEarly bool) int {
 	added := 0
 	noGain := 0
 	prev := e.AverageHops()
@@ -100,7 +109,7 @@ func GreedyImprove(e *Env, minGain float64, patience int) int {
 			panic("rl: greedy proposed an unplayable action")
 		}
 		added++
-		if minGain < 0 {
+		if !stopEarly {
 			continue
 		}
 		h := e.AverageHops()
@@ -110,7 +119,7 @@ func GreedyImprove(e *Env, minGain float64, patience int) int {
 			noGain = 0
 		}
 		prev = h
-		if patience > 0 && noGain >= patience {
+		if noGain >= noGainPatience {
 			return added
 		}
 	}

@@ -147,28 +147,27 @@ func TestGreedyCompleteTraceMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestGreedySearchMatchesBruteNoPairIndex covers the grids too large for
-// the pair→rectangles index (15×15 and up), where noteAdded falls back to
-// re-scoring every rectangle through the added loop: after a random
-// prefix, a run of greedy steps must match the brute rescan.
-func TestGreedySearchMatchesBruteNoPairIndex(t *testing.T) {
-	const n = 15
-	e := NewEnv(n, 2*(n-1))
-	if e.Topology().Tables().HasPairIndex() {
-		t.Fatalf("%dx%d grid has a pair index; the test no longer covers the fallback", n, n)
-	}
-	seedRandomDesign(e, rand.New(rand.NewSource(15)), 12)
-	for step := 0; step < 8; step++ {
-		inc := GreedySearch(e)
-		brute := bruteGreedySearch(e)
-		if inc != brute {
-			t.Fatalf("step %d: incremental %+v != brute %+v", step, inc, brute)
-		}
-		if !inc.OK {
-			break
-		}
-		if _, kind := e.Step(inc.Action); kind != Valid {
-			t.Fatalf("step %d: greedy action unplayable", step)
+// TestGreedySearchMatchesBruteLargeGrids covers the largest grids
+// topo.Tables serves, 15×15 up to 18×18: after a random prefix, a run of
+// greedy steps must match the brute rescan. The 18×18 run takes fewer
+// steps, each brute scan there walking 23k rectangles.
+func TestGreedySearchMatchesBruteLargeGrids(t *testing.T) {
+	for _, c := range []struct{ n, steps int }{{15, 8}, {18, 4}} {
+		n := c.n
+		e := NewEnv(n, 2*(n-1))
+		seedRandomDesign(e, rand.New(rand.NewSource(int64(n))), 12)
+		for step := 0; step < c.steps; step++ {
+			inc := GreedySearch(e)
+			brute := bruteGreedySearch(e)
+			if inc != brute {
+				t.Fatalf("n=%d step %d: incremental %+v != brute %+v", n, step, inc, brute)
+			}
+			if !inc.OK {
+				break
+			}
+			if _, kind := e.Step(inc.Action); kind != Valid {
+				t.Fatalf("n=%d step %d: greedy action unplayable", n, step)
+			}
 		}
 	}
 }
@@ -177,17 +176,21 @@ func TestGreedySearchMatchesBruteNoPairIndex(t *testing.T) {
 // by row after every step of random episodes: legality and CheckCount
 // equal a fresh computation, an impOK imprv equals a fresh Imprv, and
 // every imprv, stale or not, is at least the fresh one — the monotonicity
-// the argmax's pruning relies on.
+// the argmax's pruning relies on. The last trial runs on a 15×15 grid,
+// for fewer steps: each check there recomputes 11k rectangles.
 func TestScoreTableMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 30; trial++ {
-		n := 3 + rng.Intn(6) // 3..8
+	for trial := 0; trial <= 30; trial++ {
+		n, steps := 3+rng.Intn(6), 24 // 3..8
+		if trial == 30 {
+			n, steps = 15, 4
+		}
 		cap := rng.Intn(2 * n)
 		e := NewEnv(n, cap)
 		if rng.Intn(3) == 0 {
 			e.MaxLoopLen = 4 + 2*rng.Intn(2*n)
 		}
-		for step := 0; step < 24; step++ {
+		for step := 0; step < steps; step++ {
 			// Greedy picks fill in imprv values; random actions, often
 			// illegal, perturb the design elsewhere.
 			r := GreedySearch(e)

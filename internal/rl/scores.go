@@ -36,9 +36,9 @@ import (
 // uses that bound to skip rectangles that cannot win a tie.
 //
 // This makes the per-step cost proportional to the perturbed region
-// instead of the whole O(N⁴) design space. On grids too large for the
-// pair index the marking falls back to fully re-scoring every rectangle
-// sharing a node with the added loop — a strict superset, still sound.
+// instead of the whole O(N⁴) design space, on every grid topo.Tables
+// serves. Only a reset (or a constraint change) re-scores every row, in
+// the next sync.
 //
 // Cached results equal bruteGreedySearch's (the oracle in oracle_test.go)
 // bit for bit, because Imprv is a sum of integers that float64 adds
@@ -47,13 +47,10 @@ import (
 type scoreTable struct {
 	tab      *topo.GridTables
 	sc       []rectScore
-	dirty    []int32
-	inDirty  []bool
 	allDirty bool
 	// pairNew is noteAdded's scratch over unordered pair keys: how many
 	// of the pair's two directions the last add newly connected, or -1
-	// once the pair's rectangles have been walked. Zero between adds; nil
-	// without the pair index.
+	// once the pair's rectangles have been walked. Zero between adds.
 	pairNew []int8
 	// Constraint snapshot the scores were computed under; sync invalidates
 	// everything when a caller moves either knob between scans.
@@ -87,13 +84,10 @@ func (e *Env) scoresSynced() *scoreTable {
 		s = &scoreTable{
 			tab:        tab,
 			sc:         make([]rectScore, tab.NumRects()),
-			inDirty:    make([]bool, tab.NumRects()),
 			allDirty:   true,
+			pairNew:    make([]int8, e.topo.N()*e.topo.N()),
 			maxLoopLen: e.MaxLoopLen,
 			overlapCap: e.topo.OverlapCap(),
-		}
-		if tab.HasPairIndex() {
-			s.pairNew = make([]int8, e.topo.N()*e.topo.N())
 		}
 		e.scores = s
 	}
@@ -106,8 +100,8 @@ func (e *Env) scoresSynced() *scoreTable {
 	return s
 }
 
-// sync re-scores every rectangle the table marked dirty (all of them
-// after a reset); imprv stays lazy behind impOK.
+// sync re-scores every rectangle after a reset; between resets noteAdded
+// keeps the rows current in place. imprv stays lazy behind impOK.
 func (s *scoreTable) sync(e *Env) {
 	if s.allDirty {
 		for ri := range s.sc {
@@ -115,11 +109,6 @@ func (s *scoreTable) sync(e *Env) {
 		}
 		s.allDirty = false
 	}
-	for _, ri := range s.dirty {
-		s.rescore(e, ri)
-		s.inDirty[ri] = false
-	}
-	s.dirty = s.dirty[:0]
 }
 
 // noteAdded applies the new loop's exact perturbation to the cache,
@@ -127,16 +116,6 @@ func (s *scoreTable) sync(e *Env) {
 // (see the type comment for why this set is complete).
 func (s *scoreTable) noteAdded(t *topo.Topology, l topo.Loop) {
 	if s.allDirty {
-		return
-	}
-	if !s.tab.HasPairIndex() {
-		// Coarse superset fallback for grids without the pair index:
-		// fully re-score everything sharing a node with the loop.
-		for _, id := range s.tab.NodesOf(l) {
-			for _, ri := range s.tab.RectsAt(int(id)) {
-				s.mark(ri)
-			}
-		}
 		return
 	}
 	// (u,v) and (v,u) lie on the same rectangles, so each unordered pair's
@@ -186,16 +165,7 @@ func unordered(pk, n int32) int32 {
 	return pk
 }
 
-func (s *scoreTable) mark(ri int32) {
-	if !s.inDirty[ri] {
-		s.inDirty[ri] = true
-		s.dirty = append(s.dirty, ri)
-	}
-}
-
 // markAllDirty invalidates the whole table (topology reset or replaced).
-// Rows already marked dirty are re-scored twice by the next sync, which is
-// harmless.
 func (s *scoreTable) markAllDirty() {
 	s.allDirty = true
 }

@@ -56,7 +56,6 @@ type Config struct {
 	Episodes int
 	Epsilon  float64
 	CPuct    float64
-	Gamma    float64
 	// MaxSteps bounds one episode's actions.
 	MaxSteps int
 	Seed     int64
@@ -64,8 +63,12 @@ type Config struct {
 
 // DefaultConfig returns reasonable generic defaults.
 func DefaultConfig() Config {
-	return Config{Episodes: 30, Epsilon: 0.2, CPuct: 1.5, Gamma: 0.99, MaxSteps: 256, Seed: 1}
+	return Config{Episodes: 30, Epsilon: 0.2, CPuct: 1.5, MaxSteps: 256, Seed: 1}
 }
+
+// gamma discounts the step rewards into the returns-to-go the tree backs
+// up.
+const gamma = 0.99
 
 // Outcome records one finished episode.
 type Outcome struct {
@@ -141,7 +144,7 @@ func (s *Searcher) runEpisode(rng *rand.Rand) {
 	// Turn the step rewards into discounted returns-to-go in place.
 	g := final
 	for i := len(returns) - 1; i >= 0; i-- {
-		g = returns[i] + s.cfg.Gamma*g
+		g = returns[i] + gamma*g
 		returns[i] = g
 	}
 	s.tree.Backup(path, returns)

@@ -27,15 +27,15 @@ type GridTables struct {
 	at [][]int32
 	// pairRects[u*n+v] lists the rectangles whose perimeter includes both
 	// u and v — the rectangles whose greedy score depends on dist(u,v).
-	// It is the inverted index driving precise dirty-set maintenance; nil
-	// on grids above pairIndexMaxNodes, where callers fall back to the
-	// coarser (but still correct) per-node lists.
+	// It is the inverted index driving the score table's incremental
+	// maintenance. Its O(Σ perimeter²) footprint dominates the tables:
+	// about 25 MB in all on a 14×14 grid, 37 MB on 15×15 and 106 MB on
+	// 18×18, the largest side topo serves. Callers read only u < v, but
+	// storing that half alone made the search benchmarks' setup slower
+	// (the smaller heap moves the garbage collector's pacing), so both
+	// orders stay.
 	pairRects [][]int32
 }
-
-// pairIndexMaxNodes bounds the pair→rectangles index to grids where its
-// O(Σ perimeter²) footprint stays in the low megabytes (14×14 ≈ 7 MB).
-const pairIndexMaxNodes = 196
 
 // Rect is one precomputed rectangle.
 type Rect struct {
@@ -102,18 +102,16 @@ func buildTables(rows, cols int) *GridTables {
 			}
 		}
 	}
-	if n <= pairIndexMaxNodes {
-		g.pairRects = make([][]int32, n*n)
-		for idx := range g.rects {
-			ids := g.rects[idx].Nodes
-			for _, u := range ids {
-				row := int(u) * n
-				for _, v := range ids {
-					if u == v {
-						continue
-					}
-					g.pairRects[row+int(v)] = append(g.pairRects[row+int(v)], int32(idx))
+	g.pairRects = make([][]int32, n*n)
+	for idx := range g.rects {
+		ids := g.rects[idx].Nodes
+		for _, u := range ids {
+			row := int(u) * n
+			for _, v := range ids {
+				if u == v {
+					continue
 				}
+				g.pairRects[row+int(v)] = append(g.pairRects[row+int(v)], int32(idx))
 			}
 		}
 	}
@@ -165,14 +163,8 @@ func (g *GridTables) RectsAt(nodeID int) []int32 { return g.at[nodeID] }
 
 // RectsAtPair lists the rectangles whose perimeter contains both nodes of
 // the packed pair key u*N+v — exactly the rectangles whose greedy score
-// reads dist(u,v). Returns nil slices per pair when the pair index is
-// disabled for this grid size (check HasPairIndex first). The returned
-// slice must not be mutated.
+// reads dist(u,v). The returned slice must not be mutated.
 func (g *GridTables) RectsAtPair(packed int32) []int32 { return g.pairRects[packed] }
-
-// HasPairIndex reports whether the pair→rectangles index was built for
-// this grid (it is skipped on very large grids to bound memory).
-func (g *GridTables) HasPairIndex() bool { return g.pairRects != nil }
 
 // NodesOf returns the clockwise perimeter node IDs of l's rectangle, or
 // nil when l is not a rectangle of this grid. The slice must not be
