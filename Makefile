@@ -123,11 +123,16 @@ bench-search:
 # Quick iteration loop for the §6.8 link-placement searches (noc3d and
 # chiplet as two rule sets over the shared search.Graph and
 # search.Placement): one 50-episode Explore of each at the explore-generic
-# workload's ε and step caps, with allocation counts. The regression
-# signals are ns/op, allocs/op and an unchanged hops metric; the
-# benchmark's explore-generic workload is the end-to-end check.
+# workload's ε and step caps, with allocation counts, then the two tree
+# phases both searches share: Expand of the 8×8 root leaf (1,568 actions)
+# and Select at a visited node whose legality test rejects some edges
+# (first-legal: one argmax pass; prune-4: four rejected edges pruned per
+# op). The regression signals are ns/op, allocs/op and an unchanged hops
+# metric; the benchmark's explore-generic workload is the end-to-end
+# check.
 bench-explore:
 	$(GO) test -bench 'BenchmarkExplore' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkTreeExpand|BenchmarkTreeSelect' -benchmem -run '^$$' ./internal/mcts/
 
 # Tracing-overhead gate (PR 6): traced vs untraced episode and sim-run
 # pairs, plus the span/histogram micro-benchmarks. The disabled path must

@@ -19,7 +19,7 @@ import (
 // into their own package's _test.go files. Each entry names the tests that
 // need it.
 var keptForTests = map[string]string{
-	"mcts.Tree.EdgeStats": "drl TestChooseActionPrunesStaleEdges and search TestSearcherStaleEdgeFallsThrough read a tree's edge statistics",
+	"mcts.Tree.EdgeStats": "drl TestChooseActionPrunesStaleEdges and search TestSearcherPrunesStaleEdge check which edges a state kept after Select pruned the stale one",
 }
 
 // TestNoUnreferencedInternalCode type-checks every non-test package of this

@@ -637,24 +637,17 @@ func (s *Searcher) chooseAction(net *nn.PolicyValueNet, env *rl.Env, fp string, 
 	}
 	if s.cfg.UseMCTS {
 		sel := ar.trace.Start(obs.SpanMCTSSelect)
-		// Selected edges can be stale: the overlap cap constrains against
-		// the evolving design, so an action recorded on one episode's path
-		// may be forbidden on this one's. A stale selection is pruned from
-		// the node and selection retries among the survivors — abandoning
-		// the tree here would leak the dead edge (it stays the argmax and
-		// shadows its siblings forever) and waste the node's statistics.
-		for {
-			a, ok := s.tree.Select(fp)
-			if !ok {
-				break
-			}
-			if env.Legal(a) {
-				sel.End()
-				return a, true
-			}
-			s.tree.Prune(fp, a)
-		}
+		// The design pins the legal set, so the only edges Select can
+		// reject are penalized actions that Backup recorded, in practice
+		// the raw first DNN sample at the root. Select prunes each one it
+		// meets and selects again among the survivors; left in place, a
+		// dead edge with a high backed-up return would stay the argmax and
+		// shadow its siblings forever.
+		a, ok := s.tree.Select(fp, env.Legal)
 		sel.End()
+		if ok {
+			return a, true
+		}
 	}
 	ex := ar.trace.Start(obs.SpanMCTSExpand)
 	legal := env.LegalActions()

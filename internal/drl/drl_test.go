@@ -57,7 +57,7 @@ func TestNewBoundsNoCSize(t *testing.T) {
 // TestChooseActionPrunesStaleEdges is the regression test for the stale-edge
 // leak: penalized (never-legal) actions enter the tree through Backup, and a
 // high backed-up return can make such an edge the selection argmax forever.
-// chooseAction must prune the unplayable edge and re-select among the
+// chooseAction's Select must prune the unplayable edge and select among the
 // survivors — not abandon the node for prior sampling while the dead edge
 // keeps shadowing its siblings.
 func TestChooseActionPrunesStaleEdges(t *testing.T) {
@@ -86,7 +86,7 @@ func TestChooseActionPrunesStaleEdges(t *testing.T) {
 		t.Fatal("degenerate action unexpectedly legal")
 	}
 	s.tree.Backup([]mcts.PathStep[rl.Action]{{Fingerprint: fp, Action: stale}}, []float64{1e6})
-	if a, ok := s.tree.Select(fp); !ok || a != stale {
+	if a, ok := s.tree.Select(fp, func(rl.Action) bool { return true }); !ok || a != stale {
 		t.Fatalf("setup: Select returned %v, want the stale edge %v", a, stale)
 	}
 
@@ -101,7 +101,7 @@ func TestChooseActionPrunesStaleEdges(t *testing.T) {
 	if _, exists := s.tree.EdgeStats(fp)[stale]; exists {
 		t.Fatal("stale edge survived chooseAction")
 	}
-	if next, ok := s.tree.Select(fp); !ok || !env.Legal(next) {
+	if next, ok := s.tree.Select(fp, env.Legal); !ok || !env.Legal(next) {
 		t.Fatalf("post-prune Select returned %v (ok=%v), want a legal action", next, ok)
 	}
 }

@@ -87,6 +87,27 @@ var (
 	designCache = map[string]*topo.Topology{}
 )
 
+// cachedDesign returns the design cached under key, building it on first
+// use. build runs outside the lock, so a long search does not hold up
+// lookups of other designs; when two callers race to build one key, the
+// first design stored is the one both get. A nil design is cached too.
+func cachedDesign(key string, build func() *topo.Topology) *topo.Topology {
+	designMu.Lock()
+	t, ok := designCache[key]
+	designMu.Unlock()
+	if ok {
+		return t
+	}
+	t = build()
+	designMu.Lock()
+	defer designMu.Unlock()
+	if prev, ok := designCache[key]; ok {
+		return prev
+	}
+	designCache[key] = t
+	return t
+}
+
 // searchEpisodes returns the DRL episode budget for a NoC size.
 func searchEpisodes(n int, quick bool) int {
 	if quick {
@@ -114,27 +135,21 @@ func searchEpisodes(n int, quick bool) int {
 // falls back to the greedy completion; nil is returned only when even that
 // cannot connect the NoC under the cap.
 func DRLDesign(n, cap int, o Options) *topo.Topology {
-	key := fmt.Sprintf("drl/%d/%d/%v/%d", n, cap, o.Quick, o.Seed)
-	designMu.Lock()
-	if t, ok := designCache[key]; ok {
-		designMu.Unlock()
-		return t
-	}
-	designMu.Unlock()
-
-	cfg := drl.DefaultConfig(n, cap)
-	cfg.Episodes = searchEpisodes(n, o.Quick)
-	cfg.Seed = o.Seed
-	o.instrument(&cfg)
-	if n > 10 {
-		// The full-resolution DNN input (N²×N²) is prohibitive beyond
-		// 10x10 within experiment budgets; the framework runs in its
-		// MCTS+greedy configuration there (documented in EXPERIMENTS.md).
-		cfg.UseDNN = false
-	}
-	res := drl.MustNew(cfg).Run()
-	t := res.Best.Topo
-	if t == nil {
+	return cachedDesign(fmt.Sprintf("drl/%d/%d/%v/%d", n, cap, o.Quick, o.Seed), func() *topo.Topology {
+		cfg := drl.DefaultConfig(n, cap)
+		cfg.Episodes = searchEpisodes(n, o.Quick)
+		cfg.Seed = o.Seed
+		o.instrument(&cfg)
+		if n > 10 {
+			// The full-resolution DNN input (N²×N²) is prohibitive beyond
+			// 10x10 within experiment budgets; the framework runs in its
+			// MCTS+greedy configuration there (documented in
+			// EXPERIMENTS.md).
+			cfg.UseDNN = false
+		}
+		if t := drl.MustNew(cfg).Run().Best.Topo; t != nil {
+			return t
+		}
 		// Budget exhausted without a complete design: constructive
 		// fallbacks. Plain greedy first; under tight caps (where myopic
 		// greedy exhausts wiring) seed with the lite recursive layering
@@ -142,55 +157,36 @@ func DRLDesign(n, cap int, o Options) *topo.Topology {
 		env := rl.NewEnv(n, cap)
 		rl.GreedyImprove(env)
 		if env.FullyConnected() {
-			t = env.Topology()
-		} else if lite, err := rec.GenerateLite(n); err == nil && lite.MaxOverlap() <= cap {
+			return env.Topology()
+		}
+		if lite, err := rec.GenerateLite(n); err == nil && lite.MaxOverlap() <= cap {
 			env := rl.NewEnvFrom(lite, cap)
 			rl.GreedyImprove(env)
 			if env.FullyConnected() {
-				t = env.Topology()
+				return env.Topology()
 			}
 		}
-	}
-	designMu.Lock()
-	designCache[key] = t
-	designMu.Unlock()
-	return t
+		return nil
+	})
 }
 
 // IMRDesign returns the cached best individual of the IMR genetic
 // algorithm for an n×n NoC.
 func IMRDesign(n int, o Options) *topo.Topology {
-	key := fmt.Sprintf("imr/%d/%v/%d", n, o.Quick, o.Seed)
-	designMu.Lock()
-	if t, ok := designCache[key]; ok {
-		designMu.Unlock()
-		return t
-	}
-	designMu.Unlock()
-	cfg := imr.DefaultConfig(n)
-	cfg.Seed = o.Seed
-	if o.Quick {
-		cfg.Population = 30
-		cfg.Generations = 40
-	}
-	t := imr.Run(cfg).Best.Topo
-	designMu.Lock()
-	designCache[key] = t
-	designMu.Unlock()
-	return t
+	return cachedDesign(fmt.Sprintf("imr/%d/%v/%d", n, o.Quick, o.Seed), func() *topo.Topology {
+		cfg := imr.DefaultConfig(n)
+		cfg.Seed = o.Seed
+		if o.Quick {
+			cfg.Population = 30
+			cfg.Generations = 40
+		}
+		return imr.Run(cfg).Best.Topo
+	})
 }
 
 // RECDesign returns the cached REC baseline.
 func RECDesign(n int) *topo.Topology {
-	key := fmt.Sprintf("rec/%d", n)
-	designMu.Lock()
-	defer designMu.Unlock()
-	if t, ok := designCache[key]; ok {
-		return t
-	}
-	t := rec.MustGenerate(n)
-	designCache[key] = t
-	return t
+	return cachedDesign(fmt.Sprintf("rec/%d", n), func() *topo.Topology { return rec.MustGenerate(n) })
 }
 
 // avgHops is a nil-safe average hop count.

@@ -10,6 +10,15 @@
 // in ascending order, which for link placement is the byte order of the
 // link names "a-b". The ε-greedy override lives with each caller.
 //
+// Both callers use the tree the same way, one call per §4.5 phase: Select
+// with the state's legality test (it prunes each argmax edge the test
+// rejects and selects again among the survivors), Expand at a leaf with the
+// legal actions in less order and their priors (it only creates states),
+// and Backup over the episode's path (it records every played action, so
+// penalized actions enter the tree here with prior 0). A state's legal set
+// depends on the state alone in both searches, so those penalized edges
+// are the only ones Select can reject.
+//
 // The tree is shared by the multi-threaded learners of §4.6 and guarded by
 // one mutex: every method takes it once, for the whole operation (Backup
 // for its whole path), so each operation sees and leaves a consistent tree.
@@ -105,18 +114,14 @@ func (t *Tree[A]) Size() int {
 	return len(t.nodes)
 }
 
-// Known reports whether the state has been expanded.
-func (t *Tree[A]) Known(fp string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.nodes[fp]
-	return ok
-}
-
 // Expand registers a leaf state with its actions and matching (unnormalized)
 // prior weights; priors[i] belongs to actions[i] and normalization happens
-// here. Expanding an existing node refreshes priors for new actions only,
-// so concurrent learners cannot erase each other's statistics.
+// here. actions must be strictly ascending under the tree's less (both
+// callers enumerate them in that order), so the edge slice is built in one
+// pass. Expand copies what it keeps, so the caller may reuse both slices.
+// A state that already exists is left as it is: a state's legal actions
+// depend on the state alone, so a learner that lost the race to expand it
+// has nothing to add.
 func (t *Tree[A]) Expand(fp string, actions []A, priors []float64) {
 	if len(actions) != len(priors) {
 		panic("mcts: actions/priors length mismatch")
@@ -127,74 +132,55 @@ func (t *Tree[A]) Expand(fp string, actions []A, priors []float64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	node, ok := t.nodes[fp]
-	if !ok {
-		node = &Node[A]{Edges: make([]EdgeEntry[A], 0, len(actions))}
-		t.nodes[fp] = node
+	if _, ok := t.nodes[fp]; ok {
+		return
 	}
-	// Callers enumerate actions in less order, so on a fresh node every
-	// insertion point is the tail and this loop is one append per action;
-	// re-expansions binary-search the existing edges.
+	edges := make([]EdgeEntry[A], len(actions))
 	for i, a := range actions {
-		if at, exists := node.find(a, t.less); !exists {
-			np := priors[i]
-			if sum > 0 {
-				np = np / sum
-			} else {
-				np = 1 / float64(len(actions))
-			}
-			node.insert(at, a, Edge{P: np})
+		np := priors[i]
+		if sum > 0 {
+			np = np / sum
+		} else {
+			np = 1 / float64(len(actions))
 		}
+		edges[i] = EdgeEntry[A]{Action: a, Edge: Edge{P: np}}
 	}
+	t.nodes[fp] = &Node[A]{Edges: edges}
 }
 
-// Select applies Eq. 21 at the state: argmax over edges of
-// U(s,a) + V(s_next) with U = C·P(a;s)·√(Σ_j N_j)/(1+N(a;s)).
+// Select applies Eq. 21 at the state among the edges legal accepts: argmax
+// over edges of U(s,a) + V(s_next) with U = C·P(a;s)·√(Σ_j N_j)/(1+N(a;s)).
 // The edge slice is sorted by less and the strict > keeps the first
 // maximum, so exact score ties break toward the least action by
-// construction. The boolean is false when the state is unknown or has no
-// edges.
-func (t *Tree[A]) Select(fp string) (A, bool) {
+// construction. An argmax edge that legal rejects is removed, its visits
+// unwound from the node's sum, and the argmax is taken again among the
+// survivors, all under one lock; legal runs under that lock, so it must not
+// call the tree. The boolean is false when the state is unknown or no edge
+// survives.
+func (t *Tree[A]) Select(fp string, legal func(A) bool) (A, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	node, ok := t.nodes[fp]
-	if !ok || len(node.Edges) == 0 {
-		var zero A
-		return zero, false
-	}
-	sqrtSum := math.Sqrt(float64(node.SumN) + 1)
-	best := 0
-	bestScore := math.Inf(-1)
-	for i := range node.Edges {
-		e := &node.Edges[i].Edge
-		score := t.C*e.P*sqrtSum/(1+float64(e.N)) + e.V()
-		if score > bestScore {
-			bestScore = score
-			best = i
+	for ok && len(node.Edges) > 0 {
+		sqrtSum := math.Sqrt(float64(node.SumN) + 1)
+		best := 0
+		bestScore := math.Inf(-1)
+		for i := range node.Edges {
+			e := &node.Edges[i].Edge
+			score := t.C*e.P*sqrtSum/(1+float64(e.N)) + e.V()
+			if score > bestScore {
+				bestScore = score
+				best = i
+			}
 		}
+		if a := node.Edges[best].Action; legal(a) {
+			return a, true
+		}
+		node.SumN -= node.Edges[best].N
+		node.Edges = append(node.Edges[:best], node.Edges[best+1:]...)
 	}
-	return node.Edges[best].Action, true
-}
-
-// Prune removes the edge for action a from the state, unwinding its
-// contribution to the node's visit sum, and reports whether an edge was removed. Learners call it when a selected edge
-// turns out to be unplayable under the current constraints (the overlap cap
-// evolves with the design, so edges recorded on one episode's path can be
-// forbidden on another's), then re-Select among the survivors.
-func (t *Tree[A]) Prune(fp string, a A) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	node, ok := t.nodes[fp]
-	if !ok {
-		return false
-	}
-	i, ok := node.find(a, t.less)
-	if !ok {
-		return false
-	}
-	node.SumN -= node.Edges[i].N
-	node.Edges = append(node.Edges[:i], node.Edges[i+1:]...)
-	return true
+	var zero A
+	return zero, false
 }
 
 // PathStep identifies one traversed (state, action) pair for Backup.

@@ -1,6 +1,10 @@
 package mcts
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,6 +18,9 @@ type step = PathStep[rl.Action]
 func act(x1, y1, x2, y2 int, d topo.Direction) rl.Action {
 	return rl.Action{X1: x1, Y1: y1, X2: x2, Y2: y2, Dir: d}
 }
+
+// anyAction is the legality test of a state where every edge is playable.
+func anyAction(rl.Action) bool { return true }
 
 // totals walks EdgeStats over the given states and returns their edge and
 // visit counts.
@@ -50,20 +57,27 @@ func TestExpandZeroPriorsUniform(t *testing.T) {
 	}
 }
 
-func TestExpandDoesNotEraseStats(t *testing.T) {
+// TestExpandKeepsExistingState pins that Expand only creates leaves: a
+// second expansion of a state, with other actions and other priors, leaves
+// its edges, priors and statistics exactly as they were.
+func TestExpandKeepsExistingState(t *testing.T) {
 	tr := NewTree(1.5, rl.ActionLess)
-	a := act(0, 0, 1, 1, topo.Clockwise)
+	a, b := act(0, 0, 1, 1, topo.Clockwise), act(0, 0, 2, 2, topo.Clockwise)
 	tr.Expand("s", []rl.Action{a}, []float64{1})
 	tr.Backup([]step{{"s", a}}, []float64{2})
-	tr.Expand("s", []rl.Action{a}, []float64{1}) // re-expansion
-	if st := tr.EdgeStats("s")[a]; st.N != 1 || st.W != 2 {
-		t.Fatalf("stats erased: %+v", st)
+	before := tr.EdgeStats("s")
+	tr.Expand("s", []rl.Action{a, b}, []float64{1, 3})
+	if after := tr.EdgeStats("s"); !reflect.DeepEqual(after, before) {
+		t.Fatalf("re-expansion changed the state: %v, want %v", after, before)
+	}
+	if st := before[a]; st.N != 1 || st.W != 2 || st.P != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestSelectUnknownState(t *testing.T) {
 	tr := NewTree(1.5, rl.ActionLess)
-	if _, ok := tr.Select("nope"); ok {
+	if _, ok := tr.Select("nope", anyAction); ok {
 		t.Fatal("selected from unknown state")
 	}
 }
@@ -72,7 +86,7 @@ func TestSelectPrefersPriorWhenUnvisited(t *testing.T) {
 	tr := NewTree(1.5, rl.ActionLess)
 	hi, lo := act(0, 0, 3, 3, topo.Clockwise), act(0, 0, 1, 1, topo.Clockwise)
 	tr.Expand("s", []rl.Action{hi, lo}, []float64{0.9, 0.1})
-	a, ok := tr.Select("s")
+	a, ok := tr.Select("s", anyAction)
 	if !ok || a != hi {
 		t.Fatalf("selected %v, want high-prior action", a)
 	}
@@ -87,7 +101,7 @@ func TestSelectShiftsToHighReturn(t *testing.T) {
 		tr.Backup([]step{{"s", good}}, []float64{5})
 		tr.Backup([]step{{"s", bad}}, []float64{-5})
 	}
-	a, ok := tr.Select("s")
+	a, ok := tr.Select("s", anyAction)
 	if !ok || a != good {
 		t.Fatalf("selected %v despite returns favouring good", a)
 	}
@@ -137,7 +151,7 @@ func TestTreeConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				tr.Expand("shared", []rl.Action{a}, []float64{1})
 				tr.Backup([]step{{"shared", a}}, []float64{1})
-				tr.Select("shared")
+				tr.Select("shared", anyAction)
 			}
 		}(w)
 	}
@@ -148,18 +162,19 @@ func TestTreeConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestTreeConcurrent hammers Expand/Backup/Select/Known/Prune from eight
-// goroutines (run under -race in make ci). Every worker replays the same op
-// mix, so the final visit counts are exact; and however the operations
+// TestTreeConcurrent hammers Expand/Backup/Select from eight goroutines
+// (run under -race in make ci). Every worker replays the same op mix, so
+// the final visit counts are exact; and however the operations
 // interleave, every node's SumN must equal the sum of its edges' N — the
-// conservation Select's U term relies on, which Prune's unwinding of a
-// backed-up edge must preserve.
+// conservation Select's U term relies on, which Select's unwinding of a
+// rejected, backed-up edge must preserve.
 func TestTreeConcurrent(t *testing.T) {
 	tr := NewTree(1.5, rl.ActionLess)
 	fps := []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"}
 	a := act(0, 0, 1, 1, topo.Clockwise)
 	b := act(0, 0, 2, 2, topo.Clockwise)
 	doomed := act(1, 1, 3, 3, topo.Counterclockwise)
+	notDoomed := func(x rl.Action) bool { return x != doomed }
 	for _, fp := range fps {
 		tr.Expand(fp, []rl.Action{a, b}, []float64{3, 1})
 	}
@@ -174,14 +189,14 @@ func TestTreeConcurrent(t *testing.T) {
 				for k, fp := range fps {
 					next := fps[(k+1)%len(fps)]
 					tr.Expand(fp, []rl.Action{a, b}, []float64{3, 1})
-					// Back up a multi-state path that also visits an
-					// extra edge, then prune that edge again so Prune
-					// races concurrent Backups of the same node.
-					tr.Expand(fp, []rl.Action{doomed}, []float64{1})
-					tr.Backup([]step{{fp, a}, {next, b}, {fp, doomed}}, []float64{1, 0.5, -1})
-					tr.Select(fp)
-					tr.Known(next)
-					tr.Prune(fp, doomed)
+					// Back up a multi-state path that also records the
+					// unplayable doomed edge with a return that makes it
+					// the argmax, so the Select after it prunes the edge
+					// while other workers back it up again.
+					tr.Backup([]step{{fp, a}, {next, b}, {fp, doomed}}, []float64{1, 0.5, 10})
+					if got, ok := tr.Select(fp, notDoomed); !ok || got == doomed {
+						panic("Select returned the rejected edge")
+					}
 				}
 			}
 		}()
@@ -220,47 +235,71 @@ func TestEdgeVZeroVisits(t *testing.T) {
 	}
 }
 
-// TestSelectTieBreaksLexicographic pins deterministic selection: with
-// identical priors and no visits every edge scores the same, and the
-// argmax must resolve to the lexicographically smallest action instead of
-// whatever the map iteration happens to visit last.
+// TestSelectTieBreaksLexicographic pins deterministic selection: when
+// every edge scores the same, the argmax must resolve to the
+// lexicographically smallest action instead of whatever the map iteration
+// happens to visit last. The ties arise two ways: an expansion with
+// identical priors and no visits (Expand takes its actions in tree order),
+// and edges that Backup records, in scrambled order, with equal returns.
 func TestSelectTieBreaksLexicographic(t *testing.T) {
 	want := act(0, 0, 1, 1, topo.Clockwise)
-	actions := []rl.Action{
+	scrambled := []rl.Action{
 		act(2, 2, 3, 3, topo.Clockwise),
 		act(0, 1, 2, 2, topo.Counterclockwise),
 		act(0, 0, 1, 1, topo.Counterclockwise),
 		want,
 		act(1, 0, 2, 1, topo.Clockwise),
 	}
+	sorted := slices.Clone(scrambled)
+	slices.SortFunc(sorted, func(a, b rl.Action) int {
+		switch {
+		case rl.ActionLess(a, b):
+			return -1
+		case rl.ActionLess(b, a):
+			return 1
+		}
+		return 0
+	})
 	priors := []float64{1, 1, 1, 1, 1}
+	path := make([]step, len(scrambled))
+	for i, a := range scrambled {
+		path[i] = step{Fingerprint: "s", Action: a}
+	}
 	// Fresh trees get fresh map layouts; repeated trials would flush out a
 	// map-order-dependent argmax.
 	for trial := 0; trial < 50; trial++ {
-		tr := NewTree(1.5, rl.ActionLess)
-		tr.Expand("s", actions, priors)
-		a, ok := tr.Select("s")
-		if !ok || a != want {
-			t.Fatalf("trial %d: selected %v, want %v", trial, a, want)
+		expanded := NewTree(1.5, rl.ActionLess)
+		expanded.Expand("s", sorted, priors)
+		backed := NewTree(1.5, rl.ActionLess)
+		backed.Expand("s", nil, nil)
+		backed.Backup(path, priors)
+		for _, tr := range []*Tree[rl.Action]{expanded, backed} {
+			if a, ok := tr.Select("s", anyAction); !ok || a != want {
+				t.Fatalf("trial %d: selected %v, want %v", trial, a, want)
+			}
 		}
 	}
 }
 
-// TestEdgesStaySorted pins the flat-node invariant: however edges arrive —
-// batch expansion, out-of-order re-expansion, Backup on an unexpanded action
-// — the node's edge slice stays sorted by the canonical action order.
+// TestEdgesStaySorted pins the flat-node invariant: edges from an
+// expansion and edges Backup records for unexpanded actions, before,
+// between and after them, keep the node's edge slice sorted by the
+// canonical action order.
 func TestEdgesStaySorted(t *testing.T) {
 	tr := NewTree(1.5, rl.ActionLess)
 	tr.Expand("s", []rl.Action{
 		act(1, 1, 2, 2, topo.Clockwise),
 		act(3, 3, 4, 4, topo.Clockwise),
 	}, []float64{1, 1})
-	tr.Expand("s", []rl.Action{act(0, 0, 1, 1, topo.Clockwise)}, []float64{1})
-	tr.Backup([]step{{"s", act(2, 2, 3, 3, topo.Counterclockwise)}}, []float64{1})
+	tr.Backup([]step{
+		{"s", act(2, 2, 3, 3, topo.Counterclockwise)},
+		{"s", act(0, 0, 1, 1, topo.Clockwise)},
+		{"s", act(4, 4, 5, 5, topo.Clockwise)},
+	}, []float64{1, 1, 1})
 	tr.mu.Lock()
 	edges := tr.nodes["s"].Edges
-	if len(edges) != 4 {
-		t.Fatalf("edges = %d, want 4", len(edges))
+	if len(edges) != 5 {
+		t.Fatalf("edges = %d, want 5", len(edges))
 	}
 	for i := 1; i < len(edges); i++ {
 		if !rl.ActionLess(edges[i-1].Action, edges[i].Action) {
@@ -270,32 +309,211 @@ func TestEdgesStaySorted(t *testing.T) {
 	tr.mu.Unlock()
 }
 
-// TestPruneRemovesEdge verifies Prune drops the edge, unwinds its visits
-// from the node sum, and that Select then falls to the survivors.
-func TestPruneRemovesEdge(t *testing.T) {
+// TestSelectPrunesRejectedEdge verifies that Select drops an argmax edge
+// its legality test rejects, unwinds the edge's visits from the node sum,
+// and selects among the survivors; an unknown state, or a state whose
+// every edge is rejected, selects nothing.
+func TestSelectPrunesRejectedEdge(t *testing.T) {
 	tr := NewTree(1.5, rl.ActionLess)
 	doomed, keep := act(0, 0, 1, 1, topo.Clockwise), act(0, 0, 2, 2, topo.Clockwise)
 	tr.Expand("s", []rl.Action{doomed, keep}, []float64{0.9, 0.1})
 	tr.Backup([]step{{"s", doomed}, {"s", keep}}, []float64{5, 1})
-	if !tr.Prune("s", doomed) {
-		t.Fatal("Prune reported no edge removed")
-	}
-	if tr.Prune("s", doomed) {
-		t.Fatal("second Prune removed a ghost edge")
-	}
-	if tr.Prune("missing", keep) {
-		t.Fatal("Prune on unknown state reported removal")
+	notDoomed := func(a rl.Action) bool { return a != doomed }
+	a, ok := tr.Select("s", notDoomed)
+	if !ok || a != keep {
+		t.Fatalf("selected %v (ok=%v), want %v", a, ok, keep)
 	}
 	if edges, visits := totals(tr, "s"); edges != 1 || visits != 1 {
 		t.Fatalf("after prune: %d edges, %d visits, want 1 and 1", edges, visits)
-	}
-	a, ok := tr.Select("s")
-	if !ok || a != keep {
-		t.Fatalf("selected %v after prune, want %v", a, keep)
 	}
 	tr.mu.Lock()
 	if sum := tr.nodes["s"].SumN; sum != 1 {
 		t.Fatalf("SumN after prune = %d, want 1", sum)
 	}
 	tr.mu.Unlock()
+	if _, ok := tr.Select("missing", anyAction); ok {
+		t.Fatal("selected from an unknown state")
+	}
+	none := func(rl.Action) bool { return false }
+	if a, ok := tr.Select("s", none); ok {
+		t.Fatalf("selected %v with every edge rejected", a)
+	}
+	if edges, _ := totals(tr, "s"); edges != 0 {
+		t.Fatalf("%d edges left after every edge was rejected", edges)
+	}
+}
+
+// selectAny is Eq. 21's argmax over every edge of the state, with no
+// legality test. With prune it makes selectPruneLoop, the reference
+// TestSelectMatchesPruneLoop holds Select to.
+func (t *Tree[A]) selectAny(fp string) (A, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	node, ok := t.nodes[fp]
+	if !ok || len(node.Edges) == 0 {
+		var zero A
+		return zero, false
+	}
+	sqrtSum := math.Sqrt(float64(node.SumN) + 1)
+	best := 0
+	bestScore := math.Inf(-1)
+	for i := range node.Edges {
+		e := &node.Edges[i].Edge
+		score := t.C*e.P*sqrtSum/(1+float64(e.N)) + e.V()
+		if score > bestScore {
+			bestScore = score
+			best = i
+		}
+	}
+	return node.Edges[best].Action, true
+}
+
+// prune removes the edge for action a from the state and unwinds its
+// visits from the node's sum.
+func (t *Tree[A]) prune(fp string, a A) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	node, ok := t.nodes[fp]
+	if !ok {
+		return
+	}
+	if i, ok := node.find(a, t.less); ok {
+		node.SumN -= node.Edges[i].N
+		node.Edges = append(node.Edges[:i], node.Edges[i+1:]...)
+	}
+}
+
+// selectPruneLoop is the reference for Select with a legality test:
+// select, and while the selected edge is rejected, prune it and select
+// again.
+func selectPruneLoop[A comparable](t *Tree[A], fp string, legal func(A) bool) (A, bool) {
+	for {
+		a, ok := t.selectAny(fp)
+		if !ok || legal(a) {
+			return a, ok
+		}
+		t.prune(fp, a)
+	}
+}
+
+// TestSelectMatchesPruneLoop holds Select to the select-then-prune loop it
+// replaces, on random trees: expanded edges with priors that tie, edges
+// that only Backup inserted (prior 0), returns of both signs, and a
+// legality test that rejects a random subset. Both trees receive the same
+// operations, and after every Select they must have returned the same
+// action and hold the same edges and visit sum.
+func TestSelectMatchesPruneLoop(t *testing.T) {
+	less := func(a, b int) bool { return a < b }
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		c := 0.5 + rng.Float64()*2
+		got, want := NewTree(c, less), NewTree(c, less)
+		var actions []int
+		var priors []float64
+		for a := 0; a < 40; a++ {
+			if rng.Intn(3) > 0 {
+				actions = append(actions, a)
+				priors = append(priors, float64(rng.Intn(4)))
+			}
+		}
+		for _, tr := range []*Tree[int]{got, want} {
+			tr.Expand("s", actions, priors)
+		}
+		for round := 0; round < 6; round++ {
+			path := make([]PathStep[int], rng.Intn(12))
+			returns := make([]float64, len(path))
+			for i := range path {
+				path[i] = PathStep[int]{Fingerprint: "s", Action: rng.Intn(48)}
+				returns[i] = float64(rng.Intn(9) - 4)
+			}
+			got.Backup(path, returns)
+			want.Backup(path, returns)
+			rejected := map[int]bool{}
+			for a := 0; a < 48; a++ {
+				rejected[a] = rng.Intn(4) == 0
+			}
+			legal := func(a int) bool { return !rejected[a] }
+			ga, gok := got.Select("s", legal)
+			wa, wok := selectPruneLoop(want, "s", legal)
+			if ga != wa || gok != wok {
+				t.Fatalf("trial %d round %d: Select = %d (ok=%v), prune loop = %d (ok=%v)", trial, round, ga, gok, wa, wok)
+			}
+			if !reflect.DeepEqual(got.nodes["s"], want.nodes["s"]) {
+				t.Fatalf("trial %d round %d: trees differ:\n%+v\n%+v", trial, round, got.nodes["s"], want.nodes["s"])
+			}
+		}
+	}
+}
+
+// rootActions returns the 1,568 legal actions of a blank 8×8 design, in
+// tree order.
+func rootActions() []rl.Action {
+	return rl.NewEnv(8, 14).LegalActions()
+}
+
+// BenchmarkTreeExpand builds the 8×8 root leaf, 1,568 actions with their
+// priors, in a fresh tree per op.
+func BenchmarkTreeExpand(b *testing.B) {
+	actions := rootActions()
+	priors := make([]float64, len(actions))
+	for i := range priors {
+		priors[i] = float64(i%7 + 1)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewTree(1.5, rl.ActionLess).Expand("root", actions, priors)
+	}
+}
+
+// BenchmarkTreeSelect selects at a visited 8×8 root: 1,568 expanded edges
+// after 4,096 one-step backups, plus 16 edges Backup recorded for
+// penalized actions, which the legality test rejects. In first-legal the
+// rejected edges score low and each op is one argmax pass; in prune-4 four
+// of them outscore every legal edge, so each op restores the node (one
+// copy of its edges) and Select prunes the four before it returns.
+func BenchmarkTreeSelect(b *testing.B) {
+	actions := rootActions()
+	priors := make([]float64, len(actions))
+	for i := range priors {
+		priors[i] = float64(i%7 + 1)
+	}
+	// Degenerate rectangles are never legal and sort among the actions.
+	penalized := make([]rl.Action, 16)
+	for i := range penalized {
+		penalized[i] = act(i%8, i/8, i%8, i/8, topo.Clockwise)
+	}
+	legal := func(a rl.Action) bool { return a.X1 != a.X2 }
+	for _, bc := range []struct {
+		name  string
+		prune int
+	}{{"first-legal", 0}, {"prune-4", 4}} {
+		b.Run(bc.name, func(b *testing.B) {
+			tr := NewTree(1.5, rl.ActionLess)
+			tr.Expand("root", actions, priors)
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 4096; i++ {
+				a := actions[rng.Intn(len(actions))]
+				tr.Backup([]step{{"root", a}}, []float64{rng.Float64()})
+			}
+			for i, a := range penalized {
+				r := -1.0
+				if i < bc.prune {
+					r = 100
+				}
+				tr.Backup([]step{{"root", a}}, []float64{r})
+			}
+			node := tr.nodes["root"]
+			saved, sumN := append([]EdgeEntry[rl.Action](nil), node.Edges...), node.SumN
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.prune > 0 {
+					node.Edges, node.SumN = append(node.Edges[:0], saved...), sumN
+				}
+				if _, ok := tr.Select("root", legal); !ok {
+					b.Fatal("no edge selected")
+				}
+			}
+		})
+	}
 }

@@ -16,6 +16,8 @@
 // use of Gem5 link-utilization statistics as activity factors.
 package power
 
+import "routerless/internal/sim"
+
 // Params holds the calibrated model constants. The zero value is unusable;
 // start from DefaultParams.
 type Params struct {
@@ -100,6 +102,12 @@ func (p Params) MeshStaticPower() float64 { return p.MeshStatic }
 type Activity struct {
 	FlitHopsPerNodeCycle float64
 	FlitsPerNodeCycle    float64
+}
+
+// ActivityOf derives the activity from a simulation's accepted throughput
+// and the average hops its flits travel.
+func ActivityOf(res sim.Result) Activity {
+	return Activity{FlitHopsPerNodeCycle: res.Throughput * res.AvgHops, FlitsPerNodeCycle: res.Throughput}
 }
 
 // RouterlessDynamic returns per-node dynamic power (mW) for the activity.

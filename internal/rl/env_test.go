@@ -2,6 +2,7 @@ package rl
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"routerless/internal/mesh"
@@ -98,6 +99,36 @@ func TestLegalActionsShrinkWithCap(t *testing.T) {
 	}
 	if !e.HasLegalAction() {
 		t.Fatal("interior rectangles should remain legal")
+	}
+}
+
+// TestLegalActionsStrictlyAscending pins the precondition mcts.Tree.Expand
+// builds its edge slice on: along random legal additions, with and without
+// a loop-length limit, LegalActions lists each action once, in strictly
+// ascending ActionLess order.
+func TestLegalActionsStrictlyAscending(t *testing.T) {
+	for _, tc := range []struct{ n, cap, maxLen int }{
+		{4, 6, 0}, {5, 4, 0}, {6, 10, 0}, {8, 14, 0}, {5, 6, 8}, {8, 14, 12},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			e := NewEnv(tc.n, tc.cap)
+			e.MaxLoopLen = tc.maxLen
+			for step := 0; ; step++ {
+				legal := e.LegalActions()
+				for i := 1; i < len(legal); i++ {
+					if !ActionLess(legal[i-1], legal[i]) {
+						t.Fatalf("%+v seed %d step %d: %v then %v", tc, seed, step, legal[i-1], legal[i])
+					}
+				}
+				if len(legal) == 0 {
+					break
+				}
+				if _, kind := e.Step(legal[rng.Intn(len(legal))]); kind != Valid {
+					t.Fatalf("%+v seed %d step %d: a listed action was %v", tc, seed, step, kind)
+				}
+			}
+		}
 	}
 }
 

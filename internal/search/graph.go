@@ -262,8 +262,10 @@ type Placement struct {
 type placementEnv struct {
 	g      *Graph
 	reward func(*Graph) float64
-	ids    []int  // Fingerprint's scratch
-	key    []byte // Fingerprint's scratch
+	ids    []int     // Fingerprint's scratch
+	key    []byte    // Fingerprint's scratch
+	legal  []int     // Actions' scratch
+	priors []float64 // Priors' scratch
 }
 
 // Fingerprint packs the inserted links' ids, ascending, as uvarints, so
@@ -282,10 +284,10 @@ func (e *placementEnv) Fingerprint() string {
 }
 
 // Actions walks the pairs in id order, so the legal ids come out
-// ascending.
+// ascending, into the episode's scratch.
 func (e *placementEnv) Actions() []int {
 	g := e.g
-	var out []int
+	out := e.legal[:0]
 	for i, a := range g.lex {
 		for j, b := range g.lex {
 			if a < b && g.reject(a, b) == "" {
@@ -293,6 +295,7 @@ func (e *placementEnv) Actions() []int {
 			}
 		}
 	}
+	e.legal = out
 	return out
 }
 
@@ -338,14 +341,16 @@ func (p Placement) Greedy(env Environment) (int, bool) {
 	return g.linkID(bestA, bestB), true
 }
 
-// Priors implements Problem: each link weighs its pair's separation.
+// Priors implements Problem: each link weighs its pair's separation. The
+// weights go to the episode's scratch.
 func (p Placement) Priors(env Environment, actions []int) []float64 {
-	g := env.(*placementEnv).g
-	out := make([]float64, len(actions))
+	e := env.(*placementEnv)
+	out := slices.Grow(e.priors[:0], len(actions))[:len(actions)]
 	for i, id := range actions {
-		a, b, _ := g.link(id)
-		out[i] = float64(g.separation(a, b))
+		a, b, _ := e.g.link(id)
+		out[i] = float64(e.g.separation(a, b))
 	}
+	e.priors = out
 	return out
 }
 

@@ -87,6 +87,36 @@ func TestActionsMatchAddLink(t *testing.T) {
 	}
 }
 
+// TestActionsStrictlyAscending pins the precondition mcts.Tree.Expand
+// builds its edge slice on: along random insertions on both §6.8 domains,
+// a Placement episode's Actions lists each id once, in strictly ascending
+// order, and Priors returns one weight per listed id.
+func TestActionsStrictlyAscending(t *testing.T) {
+	for _, d := range domains {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			base := d.fresh()
+			p := search.Placement{Base: base.Clone}
+			env := p.NewEpisode()
+			for step := 0; !env.Done(); step++ {
+				actions := env.Actions()
+				for i := 1; i < len(actions); i++ {
+					if actions[i-1] >= actions[i] {
+						t.Fatalf("%s seed %d step %d: ids %d then %d", d.name, seed, step, actions[i-1], actions[i])
+					}
+				}
+				if w := p.Priors(env, actions); len(w) != len(actions) {
+					t.Fatalf("%s seed %d step %d: %d priors for %d actions", d.name, seed, step, len(w), len(actions))
+				}
+				if len(actions) == 0 {
+					break
+				}
+				env.Step(actions[rng.Intn(len(actions))])
+			}
+		}
+	}
+}
+
 // TestIncrementalDistancesMatchBFS checks the distance table that each
 // insertion updates in place against a BFS over a design rebuilt with the
 // same links, after every insertion of random legal sequences on both

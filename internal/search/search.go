@@ -9,10 +9,12 @@
 // each supply only a base graph, a geometric rule and a reward.
 //
 // The searcher is a thin episode loop over the same tree the routerless
-// search uses, mcts.Tree[int]: states are keyed by fingerprint and actions
-// are integer ids kept in ascending order, which also fixes Select's
-// tie-break. A Placement's link ids ascend as the link names "a-b" do in
-// byte order, so its searches visit what a string-keyed tree would.
+// search uses, mcts.Tree[int], under the same contract: states are keyed
+// by fingerprint, actions are integer ids kept in ascending order, which
+// also fixes Select's tie-break, Select prunes what Legal rejects, and
+// Expand only creates leaves. A Placement's link ids ascend as the link
+// names "a-b" do in byte order, so its searches visit what a string-keyed
+// tree would.
 package search
 
 import (
@@ -26,7 +28,7 @@ type Environment interface {
 	// Fingerprint canonically identifies the current design state.
 	Fingerprint() string
 	// Actions enumerates the currently legal actions as opaque ids, in
-	// ascending order.
+	// ascending order. The slice is valid until the next call.
 	Actions() []int
 	// Legal reports whether Actions would list the action.
 	Legal(action int) bool
@@ -47,7 +49,8 @@ type Problem interface {
 	// ok is false when no action remains.
 	Greedy(env Environment) (action int, ok bool)
 	// Priors weights the legal actions, given in ascending order, for tree
-	// expansion and sampling. This is where a learned policy plugs in.
+	// expansion and sampling. This is where a learned policy plugs in. The
+	// slice is valid until the next call for the same episode.
 	Priors(env Environment, actions []int) []float64
 }
 
@@ -160,15 +163,13 @@ func (s *Searcher) runEpisode(rng *rand.Rand) {
 }
 
 // choose mirrors the routerless action policy: ε-greedy heuristic, tree
-// selection at known states, expansion with priors at leaves. A selected
-// edge that is no longer legal (stale) falls through to sampling from the
-// priors; the state keeps the edge set it was first expanded with. Only
-// that fall-through enumerates the legal actions.
+// selection at known states, expansion with priors at leaves. Only a leaf
+// enumerates the legal actions.
 func (s *Searcher) choose(env Environment, fp string, rng *rand.Rand) (int, bool) {
 	if rng.Float64() < s.cfg.Epsilon {
 		return s.prob.Greedy(env)
 	}
-	if a, ok := s.tree.Select(fp); ok && env.Legal(a) {
+	if a, ok := s.tree.Select(fp, env.Legal); ok {
 		return a, true
 	}
 	actions := env.Actions()
@@ -176,8 +177,6 @@ func (s *Searcher) choose(env Environment, fp string, rng *rand.Rand) (int, bool
 		return 0, false
 	}
 	priors := s.prob.Priors(env, actions)
-	if !s.tree.Known(fp) {
-		s.tree.Expand(fp, actions, priors)
-	}
+	s.tree.Expand(fp, actions, priors)
 	return mcts.Sample(actions, priors, rng), true
 }

@@ -227,8 +227,5 @@ func DefaultPowerParams() PowerParams { return power.DefaultParams() }
 // ActivityOf converts a simulation result into the power model's activity
 // factors.
 func ActivityOf(res SimResult) power.Activity {
-	return power.Activity{
-		FlitHopsPerNodeCycle: res.Throughput * res.AvgHops,
-		FlitsPerNodeCycle:    res.Throughput,
-	}
+	return power.ActivityOf(res)
 }
