@@ -72,10 +72,13 @@ bench-nn:
 # pays) plus near saturation (bare ring8x8/mesh8x8, where it must not
 # regress); internal/sim's BenchmarkSimRunDense runs the same matrix on
 # the test-only dense reference walk, the "before" column.
+# BenchmarkRingBuild (REC 8x8, 10x10, 16x16) and BenchmarkMeshBuild (10x10
+# Mesh-2) time the network construction every sweep point pays: the ring's
+# one-walk-per-loop routing table and both networks' slab-allocated state.
 # PR 3 numbers live in BENCH_PR3.json, the sparse-vs-dense rows in
 # BENCH_PR8.json.
 bench-sim:
-	$(GO) test -bench 'BenchmarkRingStep|BenchmarkMeshStep|BenchmarkSimRun' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkRingStep|BenchmarkMeshStep|BenchmarkSimRun|BenchmarkRingBuild|BenchmarkMeshBuild' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkSimRunDense' -benchmem -run '^$$' ./internal/sim/
 
 # Quick iteration loop for the DRL episode hot path (incremental greedy

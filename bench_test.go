@@ -450,14 +450,27 @@ func BenchmarkHopMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkRingBuild times sim.NewRing on REC 8×8, which fills the
-// per-pair routing from Topology.BestLoop.
+// BenchmarkRingBuild times sim.NewRing on REC designs: one walk of each
+// loop fills the source-routing table, O(Σ Len²), and the loop and node
+// state comes from a fixed number of backing arrays.
 func BenchmarkRingBuild(b *testing.B) {
-	t := rec.MustGenerate(8)
+	for _, n := range []int{8, 10, 16} {
+		t := rec.MustGenerate(n)
+		b.Run("rec"+strconv.Itoa(n)+"x"+strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sim.NewRing(t, sim.DefaultRingConfig())
+			}
+		})
+	}
+}
+
+// BenchmarkMeshBuild times sim.NewMesh for a 10×10 Mesh-2, whose routers
+// and per-(port, VC) state come from a fixed number of backing arrays.
+func BenchmarkMeshBuild(b *testing.B) {
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.NewRing(t, sim.DefaultRingConfig())
+		sim.NewMesh(10, 10, sim.MeshN(2))
 	}
 }
 

@@ -86,7 +86,7 @@ func Section67Reliability(o Options) *Report {
 		for i := 0; i < row.t.NumLoops(); i++ {
 			c := row.t.Clone()
 			c.RemoveLoop(i)
-			if un := len(c.UnconnectedPairs(0)); un > worst {
+			if _, un := c.AverageHops(); un > worst {
 				worst = un
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"routerless/internal/obs"
 	"routerless/internal/rec"
+	"routerless/internal/topo"
 	"routerless/internal/traffic"
 )
 
@@ -137,6 +138,26 @@ func TestRunAllocsConstantPerRun(t *testing.T) {
 	}
 }
 
+// TestNetworkBuildAllocsIndependentOfGrid pins NewRing and NewMesh to a
+// fixed number of heap objects: every per-loop, per-node, per-VC and
+// routing array is carved from one backing array, so a 16×16 network costs
+// as many allocations as a 4×4 one.
+func TestNetworkBuildAllocsIndependentOfGrid(t *testing.T) {
+	small, large := rec.MustGenerate(4), rec.MustGenerate(16)
+	ring := func(tp *topo.Topology) float64 {
+		return testing.AllocsPerRun(5, func() { NewRing(tp, DefaultRingConfig()) })
+	}
+	if a, b := ring(small), ring(large); a != b {
+		t.Errorf("NewRing allocates %.0f objects on REC 4x4 and %.0f on 16x16", a, b)
+	}
+	mesh := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() { NewMesh(n, n, MeshN(2)) })
+	}
+	if a, b := mesh(4), mesh(16); a != b {
+		t.Errorf("NewMesh allocates %.0f objects at 4x4 and %.0f at 16x16", a, b)
+	}
+}
+
 // TestQueueReusesBacking exercises the queue compaction paths directly.
 func TestQueueReusesBacking(t *testing.T) {
 	var q queue[int]
@@ -156,8 +177,18 @@ func TestQueueReusesBacking(t *testing.T) {
 	}
 }
 
+// TestRingBufWrapsAndPanicsOnOverflow drives one FIFO of a slab through
+// several wraps and checks that it never writes into its neighbour's
+// segment, then that pushing a full FIFO panics.
 func TestRingBufWrapsAndPanicsOnOverflow(t *testing.T) {
-	r := newRingBuf[int](3)
+	back := make([]int, 9)
+	bufs := make([]ringBuf[int], 3)
+	for i := range bufs {
+		bufs[i].buf = segment(back, i, 3)
+	}
+	r, before, after := &bufs[1], &bufs[0], &bufs[2]
+	before.push(-1)
+	after.push(-2)
 	for round := 0; round < 5; round++ {
 		r.push(1)
 		r.push(2)
@@ -170,6 +201,9 @@ func TestRingBufWrapsAndPanicsOnOverflow(t *testing.T) {
 				t.Fatalf("pop = %d, want %d", got, want)
 			}
 		}
+	}
+	if before.len() != 1 || before.front() != -1 || after.len() != 1 || after.front() != -2 {
+		t.Fatalf("neighbouring FIFOs changed: %v", bufs)
 	}
 	r.push(1)
 	r.push(2)

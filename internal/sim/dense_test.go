@@ -42,14 +42,14 @@ func (d denseMesh) Step() { d.denseStep() }
 func (d denseMesh) fillStats(s *IntervalStats) {
 	d.Mesh.fillStats(s)
 	s.ActiveRouters = 0
-	for id, rt := range d.routers {
+	for id := range d.routers {
 		if d.srcQueue[id].len() > 0 {
 			s.ActiveRouters++
 			continue
 		}
 	scan:
-		for _, ip := range rt.inputs {
-			for _, vc := range ip.vcs {
+		for _, vcs := range d.routers[id].inputs {
+			for _, vc := range vcs {
 				if vc.fifo.len() > 0 {
 					s.ActiveRouters++
 					break scan
@@ -95,7 +95,8 @@ func (r *Ring) denseStep() {
 	}
 
 	// Phase 1+2: ejection decision and advance, per loop.
-	for _, ls := range r.loops {
+	for li := range r.loops {
+		ls := &r.loops[li]
 		for i := range ls.next {
 			ls.next[i] = nil
 		}
@@ -132,14 +133,13 @@ func (r *Ring) denseStep() {
 		q := &r.srcQueue[n]
 		for budget > 0 && q.len() > 0 {
 			inj := q.front()
-			ls := r.loops[inj.loopIdx]
-			pos := r.posOf[inj.loopIdx][n]
-			if ls.slot[pos] != nil {
+			slot := r.loops[inj.loop].slot
+			if slot[inj.pos] != nil {
 				break // ring traffic has priority; wait for a gap
 			}
 			f := r.flits.get()
 			f.pkt, f.tail = inj.pkt, inj.sent == inj.pkt.NumFlits-1
-			ls.slot[pos] = f
+			slot[inj.pos] = f
 			r.injectedFlits++
 			inj.sent++
 			budget--
@@ -171,8 +171,7 @@ func (m *Mesh) denseStep() {
 			keep = append(keep, d)
 			continue
 		}
-		rt := m.routers[d.toNode]
-		rt.inputs[d.toPort].vcs[d.toVC].fifo.push(d.flit)
+		m.routers[d.toNode].inputs[d.toPort][d.toVC].fifo.push(d.flit)
 		m.bufCount[d.toNode]++
 	}
 	m.pipeScratch = m.pipe[:0]
@@ -180,15 +179,15 @@ func (m *Mesh) denseStep() {
 
 	// Phase 2: ejection — each router sinks up to one flit per cycle from
 	// input VCs holding flits destined here.
-	for id, rt := range m.routers {
-		m.ejectOne(id, rt)
+	for id := range m.routers {
+		m.ejectOne(id, &m.routers[id])
 	}
 
 	// Phase 3: route computation + VC allocation + switch allocation +
 	// traversal, one flit per output port, one per input VC.
 	off := m.cycle % len(m.cands)
-	for id, rt := range m.routers {
-		m.switchAlloc(id, rt, off)
+	for id := range m.routers {
+		m.switchAlloc(id, &m.routers[id], off)
 	}
 
 	// Phase 4: NI injection into the Local input port.

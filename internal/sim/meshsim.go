@@ -41,15 +41,11 @@ type vcState struct {
 	outVC   int
 }
 
-// inputPort groups the VCs of one router input.
-type inputPort struct {
-	vcs []*vcState
-}
-
 // router is one mesh router.
 type router struct {
-	node   topo.Node
-	inputs [mesh.NumPorts]*inputPort
+	node topo.Node
+	// inputs[port][vc] = the input VCs of each port.
+	inputs [mesh.NumPorts][]vcState
 	// credits[port][vc] = free buffer slots at the downstream input.
 	credits [mesh.NumPorts][]int
 	// downVCBusy[port][vc] = downstream VC currently owned by a packet.
@@ -75,7 +71,7 @@ type cand struct {
 type Mesh struct {
 	rows, cols int
 	cfg        MeshConfig
-	routers    []*router
+	routers    []router
 	// pipe holds flits traversing pipeline+link, ordered FIFO per edge by
 	// construction (arrival times are monotone per VC). pipeScratch is the
 	// retained filter buffer Step swaps with pipe each cycle.
@@ -111,34 +107,38 @@ func NewMesh(rows, cols int, cfg MeshConfig) *Mesh {
 	if cfg.VCs < 1 || cfg.BufferFlits < 1 || cfg.RouterDelay < 0 {
 		panic("sim: invalid MeshConfig")
 	}
+	n, vcs := rows*cols, cfg.VCs
 	m := &Mesh{
 		rows: rows, cols: cols, cfg: cfg,
-		srcQueue: make([]queue[*Packet], rows*cols),
-		srcSent:  make([]int, rows*cols),
-		srcVC:    make([]int, rows*cols),
-		bufCount: make([]int32, rows*cols),
-		active:   newActiveSet(rows * cols),
+		routers:  make([]router, n),
+		cands:    make([]cand, int(mesh.NumPorts)*vcs),
+		srcQueue: make([]queue[*Packet], n),
+		srcSent:  make([]int, n),
+		srcVC:    make([]int, n),
+		bufCount: make([]int32, n),
+		active:   newActiveSet(n),
 	}
-	for id := 0; id < rows*cols; id++ {
-		r := &router{node: topo.NodeFromID(id, cols)}
-		for p := mesh.Port(0); p < mesh.NumPorts; p++ {
-			ip := &inputPort{}
-			for v := 0; v < cfg.VCs; v++ {
-				ip.vcs = append(ip.vcs, &vcState{fifo: newRingBuf[*meshFlit](cfg.BufferFlits)})
-			}
-			r.inputs[p] = ip
-			r.credits[p] = make([]int, cfg.VCs)
-			r.downVCBusy[p] = make([]bool, cfg.VCs)
-			for v := 0; v < cfg.VCs; v++ {
-				r.credits[p][v] = cfg.BufferFlits
-			}
-		}
-		m.routers = append(m.routers, r)
+	// One entry per (router, port, VC), in that order.
+	states := make([]vcState, n*int(mesh.NumPorts)*vcs)
+	fifos := make([]*meshFlit, len(states)*cfg.BufferFlits)
+	credits := make([]int, len(states))
+	busy := make([]bool, len(states))
+	for i := range states {
+		states[i].fifo.buf = segment(fifos, i, cfg.BufferFlits)
+		credits[i] = cfg.BufferFlits
 	}
-	for p := mesh.Port(0); p < mesh.NumPorts; p++ {
-		for v := 0; v < cfg.VCs; v++ {
-			m.cands = append(m.cands, cand{p, v})
+	for id := range m.routers {
+		rt := &m.routers[id]
+		rt.node = topo.NodeFromID(id, cols)
+		for p := range rt.inputs {
+			k := id*int(mesh.NumPorts) + p
+			rt.inputs[p] = segment(states, k, vcs)
+			rt.credits[p] = segment(credits, k, vcs)
+			rt.downVCBusy[p] = segment(busy, k, vcs)
 		}
+	}
+	for i := range m.cands {
+		m.cands[i] = cand{mesh.Port(i / vcs), i % vcs}
 	}
 	return m
 }
@@ -179,8 +179,7 @@ func (m *Mesh) Step() {
 			keep = append(keep, d)
 			continue
 		}
-		rt := m.routers[d.toNode]
-		rt.inputs[d.toPort].vcs[d.toVC].fifo.push(d.flit)
+		m.routers[d.toNode].inputs[d.toPort][d.toVC].fifo.push(d.flit)
 		m.bufCount[d.toNode]++
 		m.active.add(d.toNode)
 	}
@@ -194,10 +193,10 @@ func (m *Mesh) Step() {
 	list := m.active.list
 	off := m.cycle % len(m.cands)
 	for _, v := range list {
-		m.ejectOne(int(v), m.routers[v])
+		m.ejectOne(int(v), &m.routers[v])
 	}
 	for _, v := range list {
-		m.switchAlloc(int(v), m.routers[v], off)
+		m.switchAlloc(int(v), &m.routers[v], off)
 	}
 	for _, v := range list {
 		m.injectOne(int(v))
@@ -217,7 +216,9 @@ func (m *Mesh) Step() {
 // whose head has waited longest (round-robin over ports for fairness).
 func (m *Mesh) ejectOne(id int, rt *router) {
 	for p := mesh.Port(0); p < mesh.NumPorts; p++ {
-		for v, vc := range rt.inputs[p].vcs {
+		vcs := rt.inputs[p]
+		for v := range vcs {
+			vc := &vcs[v]
 			if vc.fifo.len() == 0 {
 				continue
 			}
@@ -250,7 +251,7 @@ func (m *Mesh) switchAlloc(id int, rt *router, off int) {
 	cands := m.cands
 	for k := 0; k < len(cands); k++ {
 		c := cands[(k+off)%len(cands)]
-		vc := rt.inputs[c.p].vcs[c.vc]
+		vc := &rt.inputs[c.p][c.vc]
 		if vc.fifo.len() == 0 {
 			continue
 		}
@@ -331,7 +332,7 @@ func (m *Mesh) creditReturnVC(id int, p mesh.Port, vcIdx int) {
 	if !ok {
 		return
 	}
-	upRt := m.routers[up.ID(m.cols)]
+	upRt := &m.routers[up.ID(m.cols)]
 	op := mesh.Opposite(p)
 	if upRt.credits[op][vcIdx] < m.cfg.BufferFlits {
 		upRt.credits[op][vcIdx]++
@@ -345,7 +346,7 @@ func (m *Mesh) injectOne(id int) {
 	if q.len() == 0 {
 		return
 	}
-	rt := m.routers[id]
+	local := m.routers[id].inputs[mesh.Local]
 	p := q.front()
 	// Pick a local VC: head flits need a VC whose fifo can take the whole
 	// packet progressively; use the emptiest.
@@ -355,10 +356,10 @@ func (m *Mesh) injectOne(id int) {
 		// head, so while mid-injection stick to the chosen VC.
 		v := m.srcVC[id]
 		best = v
-		bestFree = m.cfg.BufferFlits - rt.inputs[mesh.Local].vcs[v].fifo.len()
+		bestFree = m.cfg.BufferFlits - local[v].fifo.len()
 	} else {
-		for v, vc := range rt.inputs[mesh.Local].vcs {
-			free := m.cfg.BufferFlits - vc.fifo.len()
+		for v := range local {
+			free := m.cfg.BufferFlits - local[v].fifo.len()
 			if free > bestFree {
 				best, bestFree = v, free
 			}
@@ -375,7 +376,7 @@ func (m *Mesh) injectOne(id int) {
 	if f.head {
 		m.srcVC[id] = best
 	}
-	rt.inputs[mesh.Local].vcs[best].fifo.push(f)
+	local[best].fifo.push(f)
 	m.bufCount[id]++
 	m.injectedFlits++
 	m.srcSent[id]++

@@ -57,8 +57,12 @@ type ringBuf[T any] struct {
 	head, n int
 }
 
-func newRingBuf[T any](capacity int) ringBuf[T] {
-	return ringBuf[T]{buf: make([]T, capacity)}
+// segment returns the i-th of the consecutive size-element segments of
+// back, capped at its own end. The networks carve their per-node and
+// per-VC state from backing arrays this way, so building one costs a fixed
+// number of allocations whatever its size.
+func segment[T any](back []T, i, size int) []T {
+	return back[i*size : (i+1)*size : (i+1)*size]
 }
 
 func (r *ringBuf[T]) len() int { return r.n }

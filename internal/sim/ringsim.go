@@ -44,18 +44,22 @@ type loopState struct {
 	next  []*flit
 }
 
+// route is one source-routing entry: the loop a src→dst packet takes and
+// the source's perimeter position on it, the slot injection writes. loop
+// is -1 where no loop connects the pair.
+type route struct {
+	loop, pos int32
+}
+
 // Ring is the cycle-accurate routerless network simulator.
 type Ring struct {
 	topo  *topo.Topology
 	cfg   RingConfig
-	loops []*loopState
-	// posOf[loopIdx][nodeID] = perimeter index or -1.
-	posOf [][]int
+	loops []loopState
 
-	// routeLoop/routeDist flatten the routing table by src*N+dst so the
-	// injection path is two array reads.
-	routeLoop []int32
-	routeDist []int32
+	// routes is the source-routing table indexed src*N+dst, so the
+	// injection path is one array read.
+	routes []route
 
 	// srcQueue[node] holds packets awaiting injection, each tracked by
 	// flits remaining to inject.
@@ -92,54 +96,66 @@ type Ring struct {
 // NewRing builds a simulator for a routerless topology. The topology must
 // be fully connected for arbitrary traffic; unreachable packets cause
 // Inject to panic, surfacing design bugs early.
+//
+// Each ordered pair routes on its minimum-hop loop, the lowest index
+// winning a tie; pairs no loop connects (src == dst too) get no route.
+// One walk per loop, in index order, fills the table in O(Σ Len²): from
+// each source, the node k hops on takes the loop when k is the pair's
+// minimum (Topology.DistData) and no earlier loop took it.
 func NewRing(t *topo.Topology, cfg RingConfig) *Ring {
 	if cfg.EjectPorts < 1 || cfg.InjectPerCycle < 1 {
 		panic("sim: RingConfig needs at least one inject and eject port")
 	}
+	n, loops := t.N(), t.Loops()
+	total := 0
+	for _, l := range loops {
+		total += l.Len()
+	}
 	r := &Ring{
-		topo:      t,
-		cfg:       cfg,
-		srcQueue:  make([]queue[*injecting], t.N()),
-		extension: make([]ringBuf[*flit], t.N()),
-		ejected:   make([]int, t.N()),
-		ejDirty:   make([]int32, 0, t.N()),
+		topo:       t,
+		cfg:        cfg,
+		loops:      make([]loopState, len(loops)),
+		routes:     make([]route, n*n),
+		srcQueue:   make([]queue[*injecting], n),
+		extension:  make([]ringBuf[*flit], n),
+		ejected:    make([]int, n),
+		ejDirty:    make([]int32, 0, n),
+		occ:        make([]int32, len(loops)),
+		loopActive: newActiveSet(len(loops)),
+		extActive:  newActiveSet(n),
+		injActive:  newActiveSet(n),
+		liveSlots:  int64(total),
 	}
+	parked := make([]*flit, n*cfg.ExtensionBuffers)
 	for i := range r.extension {
-		r.extension[i] = newRingBuf[*flit](cfg.ExtensionBuffers)
+		r.extension[i].buf = segment(parked, i, cfg.ExtensionBuffers)
 	}
-	for _, l := range t.Loops() {
-		ls := &loopState{
-			slot: make([]*flit, l.Len()),
-			next: make([]*flit, l.Len()),
-		}
-		for _, n := range l.Nodes() {
-			ls.nodes = append(ls.nodes, n.ID(t.Cols()))
-		}
-		r.loops = append(r.loops, ls)
-		r.liveSlots += int64(l.Len())
-		pos := make([]int, t.N())
-		for i := range pos {
-			pos[i] = -1
-		}
-		for i, id := range ls.nodes {
-			pos[id] = i
-		}
-		r.posOf = append(r.posOf, pos)
+	for i := range r.routes {
+		r.routes[i] = route{loop: -1, pos: -1}
 	}
-	r.occ = make([]int32, len(r.loops))
-	r.loopActive = newActiveSet(len(r.loops))
-	r.extActive = newActiveSet(t.N())
-	r.injActive = newActiveSet(t.N())
-	// The minimum-hop loop per ordered pair and its hop count, -1 where no
-	// loop connects the pair. That includes src == dst, on which Inject
-	// panics before it reads the distance.
-	n := t.N()
-	r.routeLoop = make([]int32, n*n)
-	r.routeDist = make([]int32, n*n)
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			li, h := t.BestLoop(topo.NodeFromID(s, t.Cols()), topo.NodeFromID(d, t.Cols()))
-			r.routeLoop[s*n+d], r.routeDist[s*n+d] = int32(li), int32(h)
+	nodes := make([]int, total)
+	slots := make([]*flit, total)
+	next := make([]*flit, total)
+	off := 0
+	for li, l := range loops {
+		ln := l.Len()
+		end := off + ln
+		ids := nodes[off:end:end]
+		r.loops[li] = loopState{nodes: ids, slot: slots[off:end:end], next: next[off:end:end]}
+		off = end
+		for _, id := range t.Tables().NodesOf(l) {
+			ids[l.IndexOf(topo.NodeFromID(int(id), t.Cols()))] = int(id)
+		}
+		for i, s := range ids {
+			routes, hops := segment(r.routes, s, n), segment(t.DistData(), s, n)
+			for k, j := 1, i; k < ln; k++ {
+				if j++; j == ln {
+					j = 0
+				}
+				if d := ids[j]; int(hops[d]) == k && routes[d].loop < 0 {
+					routes[d] = route{loop: int32(li), pos: int32(i)}
+				}
+			}
 		}
 	}
 	return r
@@ -147,10 +163,9 @@ func NewRing(t *topo.Topology, cfg RingConfig) *Ring {
 
 // injecting tracks a packet mid-injection at its source NI.
 type injecting struct {
-	pkt      *Packet
-	loopIdx  int
-	sent     int // flits already placed on the ring
-	distance int // hops to destination on the chosen loop
+	pkt *Packet
+	route
+	sent int // flits already placed on the ring
 }
 
 // Nodes implements Network.
@@ -159,13 +174,12 @@ func (r *Ring) Nodes() int { return r.topo.N() }
 // Inject implements Network: the packet joins its source queue and is
 // placed onto its loop as slots pass by.
 func (r *Ring) Inject(p *Packet) {
-	n := r.topo.N()
-	li := int(r.routeLoop[p.Src*n+p.Dst])
-	if li < 0 {
+	rt := r.routes[p.Src*r.topo.N()+p.Dst]
+	if rt.loop < 0 {
 		panic(fmt.Sprintf("sim: no loop connects %d -> %d", p.Src, p.Dst))
 	}
 	inj := r.injs.get()
-	inj.pkt, inj.loopIdx, inj.distance = p, li, int(r.routeDist[p.Src*n+p.Dst])
+	inj.pkt, inj.route = p, rt
 	r.srcQueue[p.Src].push(inj)
 	r.injActive.add(p.Src)
 	r.admit(p)
@@ -215,7 +229,7 @@ func (r *Ring) Step() {
 	// `next` invariant that lets empty loops skip clearing entirely.
 	for _, v := range r.loopActive.list {
 		li := int(v)
-		ls := r.loops[li]
+		ls := &r.loops[li]
 		for i, todo := 0, r.occ[li]; todo > 0; i++ {
 			f := ls.slot[i]
 			if f == nil {
@@ -256,16 +270,15 @@ func (r *Ring) Step() {
 		q := &r.srcQueue[n]
 		for budget > 0 && q.len() > 0 {
 			inj := q.front()
-			ls := r.loops[inj.loopIdx]
-			pos := r.posOf[inj.loopIdx][n]
-			if ls.slot[pos] != nil {
+			slot := r.loops[inj.loop].slot
+			if slot[inj.pos] != nil {
 				break // ring traffic has priority; wait for a gap
 			}
 			f := r.flits.get()
 			f.pkt, f.tail = inj.pkt, inj.sent == inj.pkt.NumFlits-1
-			ls.slot[pos] = f
-			r.occ[inj.loopIdx]++
-			r.loopActive.add(inj.loopIdx)
+			slot[inj.pos] = f
+			r.occ[inj.loop]++
+			r.loopActive.add(int(inj.loop))
 			r.injectedFlits++
 			inj.sent++
 			budget--

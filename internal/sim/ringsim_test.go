@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"routerless/internal/rec"
@@ -60,7 +62,7 @@ func TestRingHopsMatchRoutingDistance(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			_, want := tp.BestLoop(topo.NodeFromID(src, 4), topo.NodeFromID(dst, 4))
+			_, want := bestLoop(tp, topo.NodeFromID(src, 4), topo.NodeFromID(dst, 4))
 			r := NewRing(tp, DefaultRingConfig())
 			_, hops := singlePacket(t, r, src, dst, 1)
 			if hops != want {
@@ -68,6 +70,133 @@ func TestRingHopsMatchRoutingDistance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bestLoop is the source-routing oracle NewRing's table is held to: the
+// loop giving the minimum src→dst hop count, scanning loops in index order
+// and replacing the best only on a strictly smaller count, so the lowest
+// index wins a tie. It returns (-1, -1) when no loop connects the pair,
+// src == dst included.
+func bestLoop(t *topo.Topology, src, dst topo.Node) (loopIdx, dist int) {
+	loopIdx, dist = -1, -1
+	for li, l := range t.Loops() {
+		d := l.Dist(src, dst)
+		if d > 0 && (dist < 0 || d < dist) {
+			dist, loopIdx = d, li
+		}
+	}
+	return loopIdx, dist
+}
+
+// checkRoutes builds a Ring on tp and holds every loop's node order to
+// Loop.Nodes and every routing entry to bestLoop: the loop, the source's
+// perimeter position on it, and the hop count (the destination sits that
+// many slots past the source).
+func checkRoutes(t *testing.T, tp *topo.Topology) {
+	t.Helper()
+	r := NewRing(tp, DefaultRingConfig())
+	n, cols := tp.N(), tp.Cols()
+	for li, l := range tp.Loops() {
+		for i, node := range l.Nodes() {
+			if got := r.loops[li].nodes[i]; got != node.ID(cols) {
+				t.Fatalf("%dx%d loop %v: node %d is %d, want %d", tp.Rows(), cols, l, i, got, node.ID(cols))
+			}
+		}
+	}
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			src, dst := topo.NodeFromID(s, cols), topo.NodeFromID(d, cols)
+			li, want := bestLoop(tp, src, dst)
+			got := r.routes[s*n+d]
+			if int(got.loop) != li {
+				t.Fatalf("%dx%d %v->%v: route loop %d, want %d", tp.Rows(), cols, src, dst, got.loop, li)
+			}
+			if li < 0 {
+				if got.pos != -1 {
+					t.Fatalf("%dx%d %v->%v: unrouted pair has slot %d", tp.Rows(), cols, src, dst, got.pos)
+				}
+				continue
+			}
+			l := tp.Loops()[li]
+			if int(got.pos) != l.IndexOf(src) {
+				t.Fatalf("%dx%d %v->%v on %v: slot %d, want %d", tp.Rows(), cols, src, dst, l, got.pos, l.IndexOf(src))
+			}
+			nodes := r.loops[li].nodes
+			if at := nodes[(int(got.pos)+want)%len(nodes)]; at != d {
+				t.Fatalf("%dx%d %v->%v on %v: %d hops from the slot reach node %d", tp.Rows(), cols, src, dst, l, want, at)
+			}
+		}
+	}
+}
+
+// tieStats counts, per direction of the loop bestLoop picks, the pairs
+// that more than one loop reaches at the minimum hop count, and the pairs
+// of distinct nodes no loop connects.
+func tieStats(tp *topo.Topology) (ties [2]int, unconnected int) {
+	for s := 0; s < tp.N(); s++ {
+		for d := 0; d < tp.N(); d++ {
+			src, dst := topo.NodeFromID(s, tp.Cols()), topo.NodeFromID(d, tp.Cols())
+			li, want := bestLoop(tp, src, dst)
+			if li < 0 {
+				if s != d {
+					unconnected++
+				}
+				continue
+			}
+			tied := 0
+			for _, l := range tp.Loops() {
+				if l.Dist(src, dst) == want {
+					tied++
+				}
+			}
+			if tied > 1 {
+				ties[tp.Loops()[li].Dir]++
+			}
+		}
+	}
+	return ties, unconnected
+}
+
+// TestRingRoutesMatchBestLoop holds NewRing's one-sweep-per-loop routing
+// table to the per-pair bestLoop scan on REC designs, a design decoded
+// from JSON, and random loop sets that leave pairs unconnected and tie
+// loops of both directions at the minimum hop count.
+func TestRingRoutesMatchBestLoop(t *testing.T) {
+	for n := 4; n <= 16; n++ {
+		checkRoutes(t, rec.MustGenerate(n))
+	}
+
+	var fromJSON topo.Topology
+	design := `{"rows":4,"cols":6,"loops":[
+		{"r1":0,"c1":0,"r2":3,"c2":5,"dir":"CW"},{"r1":0,"c1":0,"r2":3,"c2":5,"dir":"CCW"},
+		{"r1":1,"c1":1,"r2":2,"c2":4,"dir":"CW"},{"r1":0,"c1":2,"r2":3,"c2":3,"dir":"CCW"},
+		{"r1":0,"c1":0,"r2":1,"c2":1,"dir":"CCW"},{"r1":2,"c1":4,"r2":3,"c2":5,"dir":"CW"}]}`
+	if err := json.Unmarshal([]byte(design), &fromJSON); err != nil {
+		t.Fatal(err)
+	}
+	checkRoutes(t, &fromJSON)
+
+	rng := rand.New(rand.NewSource(31))
+	var ties [2]int
+	unconnected := 0
+	for trial := 0; trial < 80; trial++ {
+		rows, cols := 2+rng.Intn(6), 2+rng.Intn(6)
+		tp := topo.New(rows, cols, 0)
+		for k := rng.Intn(12); k > 0; k-- {
+			l, err := topo.NewLoop(rng.Intn(rows), rng.Intn(cols), rng.Intn(rows), rng.Intn(cols), topo.Direction(rng.Intn(2)))
+			if err == nil {
+				tp.AddLoop(l) // a repeated loop is rejected and skipped
+			}
+		}
+		checkRoutes(t, tp)
+		tt, u := tieStats(tp)
+		ties[0], ties[1], unconnected = ties[0]+tt[0], ties[1]+tt[1], unconnected+u
+	}
+	if ties[topo.Clockwise] == 0 || ties[topo.Counterclockwise] == 0 || unconnected == 0 {
+		t.Fatalf("random designs left the tie rule or unconnected pairs untested: ties won CW %d, CCW %d; unconnected %d",
+			ties[topo.Clockwise], ties[topo.Counterclockwise], unconnected)
+	}
+	t.Logf("random designs: ties won CW %d, CCW %d; unconnected pairs %d", ties[topo.Clockwise], ties[topo.Counterclockwise], unconnected)
 }
 
 func TestRingPanicsOnUnreachable(t *testing.T) {

@@ -33,10 +33,10 @@ func (t *Topology) MarshalJSON() ([]byte, error) {
 // MaxJSONSide bounds the grid sides UnmarshalJSON accepts. It is the
 // largest grid the repo explores: Table 2 of the paper runs DRL up to
 // 18×18. A Topology allocates O(N²) pairwise state and its grid tables
-// O(N²) rectangles for N = rows·cols nodes (about 7 MB at 18×18, 116 MB at
-// 32×32, kept in a process-wide cache per grid shape), so an unchecked
-// side would let a few bytes of JSON exhaust memory. nocgen refuses larger
-// sides, so every design it writes decodes.
+// O(N²) rectangles for N = rows·cols nodes plus an index over their node
+// pairs (about 80 MB at 18×18, kept in a process-wide cache per grid
+// shape), so an unchecked side would let a few bytes of JSON exhaust
+// memory. nocgen refuses larger sides, so every design it writes decodes.
 const MaxJSONSide = 18
 
 // UnmarshalJSON decodes a topology previously written by MarshalJSON. It

@@ -3,8 +3,9 @@
 //
 // It provides the state representation used by the DRL framework (hop-count
 // matrices), connectivity and node-overlapping accounting, and the
-// minimum-hop loop per node pair (BestLoop) from which the cycle-accurate
-// simulator builds its source-routing table.
+// minimum hop count per node pair (DistData), against which the
+// cycle-accurate simulator picks each pair's loop for its source-routing
+// table.
 package topo
 
 import (
@@ -110,7 +111,6 @@ func (l Loop) String() string {
 // Nodes returns the perimeter nodes in traversal order starting from the
 // top-left corner, following the loop's circulation direction.
 func (l Loop) Nodes() []Node {
-	h, w := l.Height(), l.Width()
 	out := make([]Node, 0, l.Len())
 	// Clockwise order starting at (R1, C1): right along the top, down the
 	// right side, left along the bottom, up the left side.
@@ -135,8 +135,6 @@ func (l Loop) Nodes() []Node {
 		}
 		out = rev
 	}
-	_ = h
-	_ = w
 	return out
 }
 

@@ -29,8 +29,9 @@ type GridTables struct {
 	// u and v — the rectangles whose greedy score depends on dist(u,v).
 	// It is the inverted index driving the score table's incremental
 	// maintenance. Its O(Σ perimeter²) footprint dominates the tables:
-	// about 25 MB in all on a 14×14 grid, 37 MB on 15×15 and 106 MB on
-	// 18×18, the largest side topo serves. Callers read only u < v, but
+	// about 18 MB in all on a 14×14 grid, 27 MB on 15×15 and 79 MB on
+	// 18×18, the largest side topo serves. Every row is a slice of one
+	// backing array, sized by a counting pass. Callers read only u < v, but
 	// storing that half alone made the search benchmarks' setup slower
 	// (the smaller heap moves the garbage collector's pacing), so both
 	// orders stay.
@@ -77,52 +78,77 @@ func buildTables(rows, cols int) *GridTables {
 	g := &GridTables{
 		rows:   rows,
 		cols:   cols,
+		rects:  make([]Rect, 0, rows*(rows-1)/2*(cols*(cols-1)/2)),
 		rectID: make([]int32, n*n),
-		at:     make([][]int32, n),
 	}
 	for i := range g.rectID {
 		g.rectID[i] = -1
 	}
 	// Enumeration order matches the greedy scan of Algorithm 1:
-	// (x1, y1, x2, y2) ascending.
+	// (x1, y1, x2, y2) ascending. Each list below is a slice of one
+	// backing array per table, sized before it is filled.
+	perim := 0
 	for r1 := 0; r1 < rows-1; r1++ {
 		for c1 := 0; c1 < cols-1; c1++ {
 			for r2 := r1 + 1; r2 < rows; r2++ {
 				for c2 := c1 + 1; c2 < cols; c2++ {
-					idx := int32(len(g.rects))
-					g.rectID[(r1*cols+c1)*n+(r2*cols+c2)] = idx
-					g.rects = append(g.rects, Rect{
-						R1: r1, C1: c1, R2: r2, C2: c2,
-						Nodes: perimeterIDs(r1, c1, r2, c2, cols),
-					})
-					for _, id := range g.rects[idx].Nodes {
-						g.at[id] = append(g.at[id], idx)
+					g.rectID[(r1*cols+c1)*n+(r2*cols+c2)] = int32(len(g.rects))
+					g.rects = append(g.rects, Rect{R1: r1, C1: c1, R2: r2, C2: c2})
+					perim += 2 * (r2 - r1 + c2 - c1)
+				}
+			}
+		}
+	}
+	nodes := make([]int32, 0, perim)
+	for i := range g.rects {
+		r := &g.rects[i]
+		start := len(nodes)
+		nodes = appendPerimeter(nodes, r.R1, r.C1, r.R2, r.C2, cols)
+		r.Nodes = nodes[start:len(nodes):len(nodes)]
+	}
+	g.at = rowsOf(n, func(add func(key int, v int32)) {
+		for idx := range g.rects {
+			for _, u := range g.rects[idx].Nodes {
+				add(int(u), int32(idx))
+			}
+		}
+	})
+	// Node by node, so the writes stay in the adjacent rows of one node.
+	g.pairRects = rowsOf(n*n, func(add func(key int, v int32)) {
+		for u, rects := range g.at {
+			for _, idx := range rects {
+				for _, v := range g.rects[idx].Nodes {
+					if int(v) != u {
+						add(u*n+int(v), idx)
 					}
 				}
 			}
 		}
-	}
-	g.pairRects = make([][]int32, n*n)
-	for idx := range g.rects {
-		ids := g.rects[idx].Nodes
-		for _, u := range ids {
-			row := int(u) * n
-			for _, v := range ids {
-				if u == v {
-					continue
-				}
-				g.pairRects[row+int(v)] = append(g.pairRects[row+int(v)], int32(idx))
-			}
-		}
-	}
+	})
 	return g
 }
 
-// perimeterIDs lists the rectangle's perimeter node IDs clockwise from the
-// top-left corner, mirroring Loop.Nodes for a clockwise loop.
-func perimeterIDs(r1, c1, r2, c2, cols int) []int32 {
-	h, w := r2-r1+1, c2-c1+1
-	out := make([]int32, 0, 2*(h+w-2))
+// rowsOf builds one row per key from the (key, value) pairs emit hands to
+// add, each row keeping its values in emission order. emit runs twice,
+// first to count each row and then to fill it, so all rows are slices of
+// one backing array.
+func rowsOf(keys int, emit func(add func(key int, v int32))) [][]int32 {
+	lens, total := make([]int, keys), 0
+	emit(func(k int, _ int32) { lens[k]++; total++ })
+	back := make([]int32, total)
+	rows := make([][]int32, keys)
+	off := 0
+	for k, l := range lens {
+		rows[k] = back[off : off : off+l]
+		off += l
+	}
+	emit(func(k int, v int32) { rows[k] = append(rows[k], v) })
+	return rows
+}
+
+// appendPerimeter appends the rectangle's perimeter node IDs clockwise from
+// the top-left corner, mirroring Loop.Nodes for a clockwise loop.
+func appendPerimeter(out []int32, r1, c1, r2, c2, cols int) []int32 {
 	for c := c1; c < c2; c++ {
 		out = append(out, int32(r1*cols+c))
 	}

@@ -34,8 +34,6 @@ type Topology struct {
 	loopSet map[Loop]struct{}
 	// overlap[nodeID] = number of loops whose perimeter includes the node.
 	overlap []int
-	// byNode[nodeID] = indices into loops of loops passing through the node.
-	byNode [][]int
 	// dist caches the minimum directed loop distance between every node
 	// pair (row-major [src*N+dst]), maintained incrementally by AddLoop;
 	// -1 means unconnected. It makes Dist O(1), which the greedy search
@@ -81,7 +79,6 @@ func New(rows, cols, overlapCap int) *Topology {
 		tab:        Tables(rows, cols),
 		loopSet:    make(map[Loop]struct{}),
 		overlap:    make([]int, n),
-		byNode:     make([][]int, n),
 		dist:       make([]int16, n*n),
 	}
 	for i := range t.dist {
@@ -177,11 +174,10 @@ func (t *Topology) AddLoop(l Loop) error {
 }
 
 // addUnchecked appends l and updates every incremental structure: per-node
-// indices, the pairwise-distance cache with its connected-pair count and
-// hop total, the materialized state matrix (when present), and the
+// overlap counts, the pairwise-distance cache with its connected-pair count
+// and hop total, the materialized state matrix (when present), and the
 // canonical fingerprint order.
 func (t *Topology) addUnchecked(l Loop) {
-	idx := len(t.loops)
 	t.loops = append(t.loops, l)
 	t.loopSet[l] = struct{}{}
 	t.changedPairs = t.changedPairs[:0]
@@ -193,7 +189,6 @@ func (t *Topology) addUnchecked(l Loop) {
 		if t.overlap[id] == t.overlapCap {
 			t.satNodes = append(t.satNodes, id)
 		}
-		t.byNode[id] = append(t.byNode[id], idx)
 	}
 	n := t.N()
 	ll := len(ids)
@@ -242,9 +237,6 @@ func (t *Topology) Reset() {
 	for i := range t.overlap {
 		t.overlap[i] = 0
 	}
-	for i := range t.byNode {
-		t.byNode[i] = t.byNode[i][:0]
-	}
 	n := t.N()
 	for i := range t.dist {
 		t.dist[i] = -1
@@ -291,9 +283,6 @@ func (t *Topology) Clone() *Topology {
 	}
 	copy(c.overlap, t.overlap)
 	copy(c.dist, t.dist)
-	for i, bs := range t.byNode {
-		c.byNode[i] = append([]int(nil), bs...)
-	}
 	c.connPairs, c.hopTotal = t.connPairs, t.hopTotal
 	if t.hopM != nil {
 		c.hopM = append([]float64(nil), t.hopM...)
@@ -331,20 +320,6 @@ func (t *Topology) LastAddNewPairs() []int32 { return t.newPairs }
 // rectangle legality can have flipped. Same reuse caveats as
 // LastAddChangedPairs.
 func (t *Topology) LastAddSaturatedNodes() []int32 { return t.satNodes }
-
-// BestLoop returns the index of the loop giving the minimum src→dst
-// distance, and that distance. It returns (-1, -1) when unconnected.
-func (t *Topology) BestLoop(src, dst Node) (loopIdx, dist int) {
-	loopIdx, dist = -1, -1
-	for _, li := range t.byNode[src.ID(t.cols)] {
-		d := t.loops[li].Dist(src, dst)
-		if d > 0 && (dist < 0 || d < dist) {
-			dist = d
-			loopIdx = li
-		}
-	}
-	return loopIdx, dist
-}
 
 // FullyConnected reports whether every ordered pair of distinct nodes is
 // joined by at least one loop. It reads the incremental pair count: O(1).
@@ -388,34 +363,15 @@ func (t *Topology) AverageHops() (mean float64, unconnected int) {
 	return float64(t.hopTotal) / float64(t.connPairs), unconnected
 }
 
-// PathCount returns the number of distinct loops connecting src to dst.
-// The paper (§6.7) uses the average of this over all pairs as a
-// reliability/path-diversity metric.
-func (t *Topology) PathCount(src, dst Node) int {
-	if src == dst {
-		return 0
-	}
-	c := 0
-	for _, li := range t.byNode[src.ID(t.cols)] {
-		if t.loops[li].Dist(src, dst) > 0 {
-			c++
-		}
-	}
-	return c
-}
-
-// AveragePathDiversity returns the mean PathCount over all ordered pairs
-// of distinct nodes.
+// AveragePathDiversity returns the mean number of loops connecting an
+// ordered pair of distinct nodes, the paper's §6.7 reliability metric. A
+// loop of length L joins each of its L·(L−1) ordered node pairs exactly
+// once, so the sum over pairs is Σ L·(L−1) over the loops.
 func (t *Topology) AveragePathDiversity() float64 {
 	n := t.N()
 	total := 0
-	for s := 0; s < n; s++ {
-		src := NodeFromID(s, t.cols)
-		for d := 0; d < n; d++ {
-			if s != d {
-				total += t.PathCount(src, NodeFromID(d, t.cols))
-			}
-		}
+	for _, l := range t.loops {
+		total += l.Len() * (l.Len() - 1)
 	}
 	return float64(total) / float64(n*(n-1))
 }

@@ -128,16 +128,12 @@ func TestDistPicksShortestLoop(t *testing.T) {
 	small := MustLoop(0, 0, 1, 1, Clockwise) // dist (0,0)->(1,0) = 3
 	mustAdd(t, tp, big)
 	mustAdd(t, tp, small)
-	if d := tp.Dist(Node{0, 0}, Node{1, 0}); d != 3 {
+	if d := tp.Dist(Node{0, 0}, Node{1, 0}); d != 3 || small.Dist(Node{0, 0}, Node{1, 0}) != 3 {
 		t.Fatalf("dist = %d, want 3 via small loop", d)
 	}
-	li, d := tp.BestLoop(Node{0, 0}, Node{1, 0})
-	if d != 3 || tp.Loops()[li] != small {
-		t.Fatalf("BestLoop = loop %d dist %d", li, d)
-	}
 	// (2,2) lies on neither loop.
-	if li, d := tp.BestLoop(Node{1, 1}, Node{2, 2}); li != -1 || d != -1 {
-		t.Fatalf("(1,1)->(2,2) BestLoop = loop %d dist %d, want -1, -1", li, d)
+	if d := tp.Dist(Node{1, 1}, Node{2, 2}); d != -1 {
+		t.Fatalf("(1,1)->(2,2) dist = %d, want -1", d)
 	}
 }
 
@@ -189,15 +185,53 @@ func TestFingerprintOrderIndependent(t *testing.T) {
 	}
 }
 
+// pathCount returns the number of distinct loops connecting src to dst,
+// the per-pair count AveragePathDiversity averages.
+func pathCount(t *Topology, src, dst Node) int {
+	c := 0
+	for _, l := range t.loops {
+		if l.Dist(src, dst) > 0 {
+			c++
+		}
+	}
+	return c
+}
+
 func TestPathDiversity(t *testing.T) {
 	tp := NewSquare(2, 0)
 	mustAdd(t, tp, MustLoop(0, 0, 1, 1, Clockwise))
 	mustAdd(t, tp, MustLoop(0, 0, 1, 1, Counterclockwise))
-	if pc := tp.PathCount(Node{0, 0}, Node{1, 1}); pc != 2 {
+	if pc := pathCount(tp, Node{0, 0}, Node{1, 1}); pc != 2 {
 		t.Fatalf("path count = %d, want 2", pc)
 	}
 	if div := tp.AveragePathDiversity(); div != 2 {
 		t.Fatalf("diversity = %v, want 2", div)
+	}
+}
+
+// TestPathDiversityMatchesPairScan holds the closed form Σ L·(L−1) over
+// loops to the per-pair loop count on random designs, unconnected pairs
+// included.
+func TestPathDiversityMatchesPairScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		rows, cols := 2+rng.Intn(6), 2+rng.Intn(6)
+		tp := New(rows, cols, 0)
+		for k := rng.Intn(15); k > 0; k-- {
+			if l, err := NewLoop(rng.Intn(rows), rng.Intn(cols), rng.Intn(rows), rng.Intn(cols), Direction(rng.Intn(2))); err == nil {
+				tp.AddLoop(l) // a repeated loop is rejected and skipped
+			}
+		}
+		total := 0
+		for s := 0; s < tp.N(); s++ {
+			for d := 0; d < tp.N(); d++ {
+				total += pathCount(tp, NodeFromID(s, cols), NodeFromID(d, cols))
+			}
+		}
+		n := tp.N()
+		if got, want := tp.AveragePathDiversity(), float64(total)/float64(n*(n-1)); got != want {
+			t.Fatalf("%dx%d with %d loops: diversity %v, pair scan %v", rows, cols, tp.NumLoops(), got, want)
+		}
 	}
 }
 
