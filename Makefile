@@ -55,10 +55,12 @@ bench:
 # backward of every ReLU, BatchNorm, MaxPool and conv layer shape of the
 # 8×8 net at the B=16 training tile (ns per output element), then the
 # fused conv kernels per layer shape of the default 8×8 and 10×10 nets on
-# both bodies (avx2: the register-tiled rows for Fwd/DX, the dwTileAVX2
-# register tile for DW; go: the portable loops), each row reporting
-# GMAC/s, and the lowered GEMM oracle. Baseline numbers live in
-# BENCH_PR2.json; the AVX2 and layer rows in CHANGES.md.
+# every body (avx512: the position-major plane kernel for Fwd/DX and the
+# eight-row dwTileAVX512 tile for DW; avx2: the register-tiled rows for
+# Fwd/DX, the dwTileAVX2 register tile for DW; go: the portable loops;
+# a body the host lacks is skipped), each row reporting GMAC/s, and the
+# lowered GEMM oracle. Baseline numbers live in BENCH_PR2.json; the
+# AVX2, AVX-512 and layer rows in CHANGES.md.
 bench-nn:
 	$(GO) test -bench 'BenchmarkDNN' -benchmem -run '^$$' .
 	$(GO) test -bench 'BenchmarkConvNaive|BenchmarkLayerTrain' -benchmem -run '^$$' ./internal/nn/

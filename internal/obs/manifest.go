@@ -6,13 +6,16 @@ import (
 	"runtime"
 	"runtime/debug"
 	"time"
+
+	"routerless/internal/tensor"
 )
 
 // Manifest is the provenance record for one search, simulation, or
 // experiment run: enough to re-run it (config, seed) and to trust it (git
-// revision, toolchain, host shape, wall time, final metrics). Written as
-// one JSONL line per run so archives append cheaply; the ROADMAP item-1
-// design store keys archived designs by these records.
+// revision, toolchain, host shape, the conv kernel bodies its timings come
+// from, wall time, final metrics). Written as one JSONL line per run so
+// archives append cheaply; the ROADMAP item-1 design store keys archived
+// designs by these records.
 type Manifest struct {
 	Tool       string         `json:"tool"` // nocexplore | nocsim | benchtab
 	StartedAt  time.Time      `json:"started_at"`
@@ -23,6 +26,7 @@ type Manifest struct {
 	GOOS       string         `json:"goos"`
 	GOARCH     string         `json:"goarch"`
 	GOMAXPROCS int            `json:"gomaxprocs"`
+	SIMD       string         `json:"simd"` // conv kernel bodies: go | avx2 | avx512
 	Seed       int64          `json:"seed,omitempty"`
 	Config     map[string]any `json:"config,omitempty"`  // CLI flags / run parameters
 	Metrics    map[string]any `json:"metrics,omitempty"` // final metrics snapshot
@@ -39,6 +43,7 @@ func NewManifest(tool string) *Manifest {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		SIMD:       tensor.SIMD(),
 		Config:     map[string]any{},
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {

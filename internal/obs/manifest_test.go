@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"routerless/internal/tensor"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -24,7 +26,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if m.WallSecs < 0 {
 		t.Fatal("negative wall time")
 	}
-	if m.GoVersion != runtime.Version() || m.GOMAXPROCS < 1 {
+	if m.GoVersion != runtime.Version() || m.GOMAXPROCS < 1 || m.SIMD != tensor.SIMD() {
 		t.Fatalf("toolchain fields not stamped: %+v", m)
 	}
 
@@ -48,7 +50,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &got); err != nil {
 			t.Fatalf("manifest line not JSON: %v", err)
 		}
-		if got.Tool != "nocexplore" || got.Seed != 42 {
+		if got.Tool != "nocexplore" || got.Seed != 42 || got.SIMD != m.SIMD {
 			t.Fatalf("manifest round-trip mismatch: %+v", got)
 		}
 		if got.Config["episodes"] != float64(100) {

@@ -33,20 +33,21 @@ import "fmt"
 //     ConvDXPad accumulates one gapped plane per input channel, as
 //     ConvFwdPad does per output channel; per element that changes nothing.
 //
-//  3. Zero terms may be inserted into a chain. ConvDWPad walks the gradient
-//     plane as one (h-1)·wp+w span whose k-1 inter-row gap elements are
-//     exact zeros (a view into the padded plane), and ConvDXPad gathers
-//     from positions Col2im would have clipped, which read pad zeros. Both
-//     add av·b = ±0 to a running accumulator — and an accumulator that
-//     starts at +0 can never hold -0 under round-to-nearest (x+(-x) = +0;
-//     -0 only arises from (-0)+(-0)), so s + (±0) returns s bit-for-bit.
+//  3. Zero terms may be inserted into a chain. ConvDXPad gathers from
+//     positions Col2im would have clipped, which read pad zeros, and adds
+//     av·b = ±0 to a running accumulator — and an accumulator that starts
+//     at +0 can never hold -0 under round-to-nearest (x+(-x) = +0; -0 only
+//     arises from (-0)+(-0)), so s + (±0) returns s bit-for-bit. ConvDWPad
+//     walks the gradient plane as one (h-1)·wp+w span (a view into the
+//     padded plane) but steps over its k-1 inter-row gap elements on every
+//     body, so its chains hold exactly GemmNT's terms.
 //
 //  4. A dcols value's sign of zero never reaches dX (the accumulating dX
 //     element is never -0, and t+(+0) == t+(-0) for such t), which licenses
 //     evaluating the grouped-outC expression straight into dX for outC ≤ 4
 //     instead of adding it to a cleared dcols element first.
 //
-// The zero-term argument assumes finite inputs: a gap term is av·b with one
+// The zero-term argument assumes finite inputs: a pad term is av·b with one
 // operand exactly ±0, which is ±0 only when the other operand is finite
 // (0·Inf = NaN). Training data, weights, and gradients are finite by
 // invariant — the lowered path produces garbage on non-finite values anyway.
@@ -57,9 +58,11 @@ import "fmt"
 //
 // With AVX2, ConvFwdPad and ConvDXPad run the register-tiled row kernel
 // of conv_tile.go, ConvDWPad the register tile dwTileAVX2 described there,
-// and the other long inner loops the SIMD primitives of simd.go. All of
-// them vectorize across independent output elements only, so none of the
-// above depends on whether an AVX2 or a Go body runs.
+// and the other long inner loops the SIMD primitives of simd.go; with
+// AVX-512 the first two run conv_tile.go's position-major plane kernel and
+// ConvDWPad's eight-row blocks the tile dwTileAVX512. All of them
+// vectorize across independent output elements only, so none of the above
+// depends on which body runs.
 //
 // All kernels require h·w > 1: at h·w == 1 the lowered path would take the
 // GEMM matrix–vector fast paths, whose accumulator patterns differ. The
@@ -153,8 +156,9 @@ func colOffsets(offs []int, inC, k, wp, icStride int) []int {
 // out[(oc*nb+bi)*outStride], overwritten. work and offs are scratch sized
 // by ConvWork, clobbered.
 //
-// With AVX2 and outC > 1 the register-tiled kernel of conv_tile.go runs.
-// Otherwise each output channel accumulates into a gapped row of work
+// With AVX-512 (on planes at least eight wide) or with AVX2 and outC > 1
+// the register-tiled kernel of conv_tile.go runs. Otherwise each output
+// channel accumulates into a gapped row of work
 // ((h-1)·(w+k-1)+w long) in single long axpy4 sweeps, whose gap elements
 // collect garbage cross-products that the final interior copy discards.
 // For one output channel those sweeps fill all four SIMD lanes, where the
@@ -172,7 +176,7 @@ func ConvFwdPad(weights []float64, outC, inC, nb int, xp []float64, xpStride, h,
 		panic("tensor: ConvFwdPad buffer lengths too short")
 	}
 	offs = colOffsets(offs, inC, k, wp, nb*xpStride)
-	if useAVX2 && outC > 1 {
+	if planeTiles(w) || level >= levelAVX2 && outC > 1 {
 		convFwdTiled(weights, outC, ickk, nb, xp, xpStride, h, w, k, out, outStride, work, offs)
 		return
 	}
@@ -215,18 +219,19 @@ func ConvFwdPad(weights []float64, outC, inC, nb int, xp []float64, xpStride, h,
 // interleaved dot; which flavor an element gets depends only on its
 // column's position within its panel, which this kernel reproduces.
 //
-// The four-wide dots run one long loop over the zero-gapped gradient span
-// (gap terms add ±0 — no-ops), four output rows at a time over a
+// The four-wide dots run one loop over the rows of the gapped gradient
+// span, stepping over the gaps, four output rows at a time over a
 // row-interleaved copy of their spans (the lanes), against columns found
 // through the colOffsets table, built once per call. The leftover columns
 // gather their gradient row and cols row compactly and run the exact
 // four-lane dot, whose lane phase the gapped layout would shift.
 //
 // With AVX2 the four-wide columns run eight at a time through the
-// register tile dwTileAVX2 (a last four through dot4x4), which steps over
-// the span's gap terms instead of adding them, and the outC%4 remainder
-// rows run as the first lanes of a block whose rows past outC are zero;
-// what those lanes compute is discarded. The Go body runs four columns
+// register tile dwTileAVX2 (a last four through dot4x4), and the outC%4
+// remainder rows run as the first lanes of a block whose rows past outC
+// are zero; what those lanes compute is discarded. With AVX-512 every full
+// block of eight rows runs dwTileAVX512 instead, eight columns at a time,
+// and the rows after them run as with AVX2. The Go body runs four columns
 // per dot4x4 and the remainder rows one at a time.
 //
 // gpad holds outC·nb gradient planes padded by PadGradPlane, plane
@@ -248,8 +253,12 @@ func ConvDWPad(gpad []float64, gpStride int, xp []float64, xpStride int, outC, i
 		panic("tensor: ConvDWPad buffer lengths too short")
 	}
 	offs = colOffsets(offs, inC, k, wp, nb*xpStride)
-	tiled := useAVX2
-	rows := outC &^ 3 // rows that run as lanes of a four-row block
+	tiled := level >= levelAVX2
+	rows8 := 0 // leading rows that run as lanes of an eight-row block
+	if level == levelAVX512 {
+		rows8 = outC &^ 7
+	}
+	rows := outC &^ 3 // rows that run as lanes of a block
 	if tiled {
 		rows = (outC + 3) &^ 3
 	}
@@ -280,7 +289,10 @@ func ConvDWPad(gpad []float64, gpStride int, xp []float64, xpStride int, outC, i
 			}
 			return gs[i*nb*gpStride:][:span]
 		}
-		for i := 0; i < rows; i += 4 {
+		for i := 0; i < rows8; i += 8 {
+			interleave8(gT[i*span:(i+8)*span], gs[i*nb*gpStride:], nb*gpStride, span)
+		}
+		for i := rows8; i < rows; i += 4 {
 			interleave4(gT[i*span:(i+4)*span], rowSpan(i), rowSpan(i+1), rowSpan(i+2), rowSpan(i+3))
 		}
 		for j0 := 0; j0 < ickk; j0 += jc {
@@ -288,7 +300,22 @@ func ConvDWPad(gpad []float64, gpStride int, xp []float64, xpStride int, outC, i
 			jq := j0 + (j1-j0)&^3 // end of the panel's four-wide columns
 			// The four-wide panel flavor: per element, one accumulator over
 			// the reduction in ascending order, as in GemmNT's panel loop.
-			for i := 0; i < rows; i += 4 {
+			for i := 0; i < rows8; i += 8 {
+				g := gT[i*span : (i+8)*span]
+				cb := wGrad[i*ickk:] // the block's eight rows, at stride ickk
+				for j := j0; j < jq; j += 8 {
+					o := offs[j:jq]
+					if len(o) < 8 {
+						// A last four columns: the tile's other four read
+						// offset 0 and are not stored.
+						var o8 [8]int
+						copy(o8[:], o)
+						o = o8[:]
+					}
+					dwTileAVX512(g, xs, o, cb[j:], ickk, w, k-1, min(8, jq-j))
+				}
+			}
+			for i := rows8; i < rows; i += 4 {
 				g := gT[i*span : (i+4)*span]
 				cb := wGrad[i*ickk:] // the block's four rows, at stride ickk
 				if i == full {
@@ -301,7 +328,7 @@ func ConvDWPad(gpad []float64, gpStride int, xp []float64, xpStride int, outC, i
 					}
 				}
 				for ; j < jq; j += 4 {
-					dot4x4(g, xs[offs[j]:], xs[offs[j+1]:], xs[offs[j+2]:], xs[offs[j+3]:], &s)
+					dot4x4(g, xs[offs[j]:], xs[offs[j+1]:], xs[offs[j+2]:], xs[offs[j+3]:], &s, w, k-1)
 					for r := 0; r < 4; r++ {
 						crow := cb[r*ickk+j:][:4]
 						crow[0] += s[r]
@@ -320,11 +347,14 @@ func ConvDWPad(gpad []float64, gpStride int, xp []float64, xpStride int, outC, i
 					p2 := xs[offs[j+2]:][:span]
 					p3 := xs[offs[j+3]:][:span]
 					var s0, s1, s2, s3 float64
-					for t, av := range gprow {
-						s0 += av * p0[t]
-						s1 += av * p1[t]
-						s2 += av * p2[t]
-						s3 += av * p3[t]
+					for t0 := 0; t0 < span; t0 += wp {
+						for t := t0; t < t0+w; t++ {
+							av := gprow[t]
+							s0 += av * p0[t]
+							s1 += av * p1[t]
+							s2 += av * p2[t]
+							s3 += av * p3[t]
+						}
 					}
 					crow[j] += s0
 					crow[j+1] += s1
@@ -374,6 +404,19 @@ func ConvDWPad(gpad []float64, gpStride int, xp []float64, xpStride int, outC, i
 	}
 }
 
+// interleave8 writes the eight rows of n elements that start stride apart
+// in src into g as g[8t+r] = row r's element t, the lane layout of
+// dwTileAVX512.
+func interleave8(g, src []float64, stride, n int) {
+	g = g[:8*n]
+	r0, r1, r2, r3 := src[:n], src[stride:][:n], src[2*stride:][:n], src[3*stride:][:n]
+	r4, r5, r6, r7 := src[4*stride:][:n], src[5*stride:][:n], src[6*stride:][:n], src[7*stride:][:n]
+	for t, v := range r0 {
+		q := g[8*t : 8*t+8 : 8*t+8]
+		q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7] = v, r1[t], r2[t], r3[t], r4[t], r5[t], r6[t], r7[t]
+	}
+}
+
 // interleave4 writes four rows of one length into g as g[4t+r] = row r's
 // element t, the lane layout of dot4x4 and dwTileAVX2.
 func interleave4(g, r0, r1, r2, r3 []float64) {
@@ -405,9 +448,9 @@ func interleave4(g, r0, r1, r2, r3 []float64) {
 // dx[(ic*nb+bi)*dxStride], overwritten. work and offs (sized by ConvWork)
 // are scratch, clobbered.
 //
-// With AVX2 and inC > 1 the register-tiled kernel of conv_tile.go runs
-// (one input channel would fill one lane of its four), on weights packed
-// once per call. Otherwise each input channel accumulates all k²
+// With AVX-512 (on planes at least eight wide) or with AVX2 and inC > 1
+// (one input channel would fill one lane of its four) the register-tiled
+// kernel of conv_tile.go runs, on weights packed once per call. Otherwise each input channel accumulates all k²
 // reduction indices into a gapped row (span = (h-1)·(w+k-1)+w) in single
 // long sweeps — one per (ic, ky, kx) — whose gap elements collect garbage
 // the final interior copy discards.
@@ -441,8 +484,8 @@ func ConvDXPad(weights []float64, outC, inC, nb int, gpad []float64, gpStride, h
 			}
 		}
 	}
-	if useAVX2 && inC > 1 {
-		wpk := packDX(weights, outC, inC, kk2, work)
+	if planeTiles(w) || level >= levelAVX2 && inC > 1 {
+		wpk := packDX(weights, outC, inC, kk2, w, work)
 		for bi := 0; bi < nb; bi++ {
 			convDXTiled(wpk, outC, inC, nb, bi, gpad[bi*gpStride:], h, w, k, dx, dxStride, offs)
 		}

@@ -139,9 +139,10 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 
 // benchConvFused runs one fused kernel on every conv layer of the default
 // 8×8 and 10×10 search nets (the 10×10 planes — 50, 25 and 12 wide — end
-// in 4- and 1-wide row tails), once per body: the avx2 rows (skipped on
-// hosts without AVX2) and the portable go rows. Each row reports its
-// throughput in GMAC/s; every kernel does outC·inC·k²·h·w MACs per sample.
+// in 4- and 1-wide AVX2 row tails and shifted AVX-512 chunks), once per
+// body: the avx512 and avx2 rows (each skipped on hosts without it) and
+// the portable go rows. Each row reports its throughput in GMAC/s; every
+// kernel does outC·inC·k²·h·w MACs per sample.
 func benchConvFused(b *testing.B, kernel func(o *convOperands)) {
 	rng := rand.New(rand.NewSource(53))
 	for _, s := range append(append([]convShape(nil), defaultNetShapes[8]...), defaultNetShapes[10]...) {
@@ -149,20 +150,14 @@ func benchConvFused(b *testing.B, kernel func(o *convOperands)) {
 		o.out = make([]float64, max(s.outC, s.inC)*s.h*s.w)
 		o.dw = make([]float64, s.outC*s.inC*s.k*s.k)
 		macs := float64(s.outC * s.inC * s.k * s.k * s.h * s.w)
-		for _, body := range []string{"avx2", "go"} {
-			b.Run(s.String()+"/"+body, func(b *testing.B) {
+		for _, l := range []simdLevel{levelAVX512, levelAVX2, levelGo} {
+			b.Run(s.String()+"/"+l.String(), func(b *testing.B) {
 				b.ReportAllocs()
-				run := func() {
+				onLevel(b, l, func() {
 					for i := 0; i < b.N; i++ {
 						kernel(o)
 					}
-				}
-				if body == "go" {
-					forceGo(run)
-				} else {
-					requireAVX2(b)
-					run()
-				}
+				})
 				b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
 		}
