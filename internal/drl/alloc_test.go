@@ -86,12 +86,12 @@ func TestEpisodeAllocBudgetWithTracing(t *testing.T) {
 // batch, so a warmed call allocates nothing.
 func TestPolicyEvalZeroAlloc(t *testing.T) {
 	s := MustNew(DefaultConfig(4, 6))
-	net := nn.NewPolicyValueNet(s.cfg.NN, 1)
 	ar := s.newArena()
+	ar.net = nn.NewPolicyValueNet(s.cfg.NN, 1)
 	state := ar.env.StateInto(nil)
-	s.policyEval(net, state, ar) // warm the arena's output slots
+	ar.policyEval(state) // warm the arena's output slots
 	if allocs := testing.AllocsPerRun(20, func() {
-		s.policyEval(net, state, ar)
+		ar.policyEval(state)
 	}); allocs != 0 {
 		t.Fatalf("warmed policyEval allocates %.1f times, want 0", allocs)
 	}

@@ -20,6 +20,7 @@ import (
 	"routerless/internal/nn"
 	"routerless/internal/obs"
 	"routerless/internal/rl"
+	"routerless/internal/search"
 	"routerless/internal/topo"
 )
 
@@ -97,9 +98,6 @@ func DefaultConfig(n, overlapCap int) Config {
 const (
 	// gradClip bounds each gradient element of an update (Eqs. 19–20).
 	gradClip = 1.0
-	// gamma discounts the returns-to-go that train the network and back
-	// up the tree.
-	gamma = 0.99
 	// maxPenalties bounds consecutive non-valid actions before the
 	// episode falls back to the greedy action.
 	maxPenalties = 8
@@ -139,8 +137,10 @@ type Result struct {
 
 // Searcher runs the framework.
 type Searcher struct {
-	cfg  Config
-	tree *mcts.Tree[rl.Action]
+	cfg Config
+	// tree is the shared search tree, nil when the search runs without
+	// MCTS.
+	tree *mcts.Tree
 
 	server *paramServer
 	// initStats are the BatchNorm running statistics every network starts
@@ -192,7 +192,10 @@ func New(cfg Config) (*Searcher, error) {
 	if cfg.NN.N == 0 {
 		cfg.NN = nn.Config{N: cfg.N, BaseChannels: 4, Pools: 3}
 	}
-	s := &Searcher{cfg: cfg, tree: mcts.NewTree(cfg.CPuct, rl.ActionLess)}
+	s := &Searcher{cfg: cfg}
+	if cfg.UseMCTS {
+		s.tree = mcts.NewTree(cfg.CPuct)
+	}
 	if cfg.UseDNN {
 		init := cfg.Init
 		if init == nil {
@@ -297,7 +300,9 @@ func (s *Searcher) Run() *Result {
 	}
 	wg.Wait()
 	s.mu.Lock()
-	s.result.TreeSize = s.tree.Size()
+	if s.tree != nil {
+		s.result.TreeSize = s.tree.Size()
+	}
 	out := s.result
 	s.mu.Unlock()
 	stop := map[string]any{
@@ -370,7 +375,7 @@ func (s *Searcher) worker(tid, episodes int) {
 			s.broker.Sync(weights, stats)
 		}
 	}
-	a2c := rl.A2C{Gamma: gamma, ValueCoeff: 0.5}
+	a2c := rl.A2C{Gamma: search.Gamma, ValueCoeff: 0.5}
 	ar := s.newArena()
 	// One trace shard per worker goroutine (the ownership rule): all of
 	// this worker's spans land on one track.
@@ -404,7 +409,7 @@ func (s *Searcher) worker(tid, episodes int) {
 		// The discounted returns-to-go drive both the tree backup and
 		// training.
 		returns := a2c.ReturnsToGo(traj)
-		if s.cfg.UseMCTS {
+		if s.tree != nil {
 			bk := ar.trace.Start(obs.SpanMCTSBackup)
 			s.tree.Backup(path, returns)
 			bk.End()
@@ -457,7 +462,7 @@ func (s *Searcher) worker(tid, episodes int) {
 		if design != nil {
 			validCounter.Inc()
 		}
-		if s.cfg.UseMCTS {
+		if s.tree != nil {
 			// treeGauge is a nil-safe no-op without a registry, like every
 			// other handle in this loop — gate only on the tree existing.
 			treeGauge.Set(float64(s.tree.Size()))
@@ -495,17 +500,27 @@ func (s *Searcher) worker(tid, episodes int) {
 // worker and recycled, so steady-state episodes touch the heap only for
 // results that outlive them (valid designs, new tree nodes, fingerprint
 // keys).
+//
+// The arena is also the search.Decision of its worker's guided steps: the
+// environment's legal action ids, Algorithm 1's pick and the policy
+// network's priors for the current state.
 type episodeArena struct {
-	env  *rl.Env
-	traj rl.Trajectory
-	path []mcts.PathStep[rl.Action]
+	env *rl.Env
+	// policyEval evaluates on the worker's network (nil without a DNN)
+	// or, while one runs, on the shared broker.
+	net    *nn.PolicyValueNet
+	broker *infer.Broker
+	traj   rl.Trajectory
+	path   []mcts.PathStep
 	// states holds one reusable hop-matrix buffer per trajectory step;
 	// StepRecord.State aliases these until the next episode overwrites
 	// them, which is safe because training consumes the trajectory before
 	// the worker starts its next episode.
 	states [][]float64
+	// state is the current step's encoding, the one the policy sees.
+	state []float64
 	// priors holds the prior weight of each legal action, aligned with the
-	// slice LegalActions returned.
+	// slice Actions returned.
 	priors []float64
 	// evalIn and evalOut are the one-element batch of the worker's own
 	// network evaluation (policyEval), reused so that call allocates
@@ -527,7 +542,7 @@ func (s *Searcher) newArena() *episodeArena {
 		env.IllegalPenalty = s.cfg.IllegalPenalty
 	}
 	env.MaxLoopLen = s.cfg.MaxLoopLen
-	return &episodeArena{env: env}
+	return &episodeArena{env: env, broker: s.broker}
 }
 
 // stateBuf returns the reusable state buffer for trajectory step i.
@@ -546,14 +561,15 @@ func (ar *episodeArena) stateBuf(i int) []float64 {
 // Each episode has two phases. The guided phase takes up to guided (at
 // most guidedActions) valid loop additions chosen by the DNN/MCTS policy
 // (ε-greedy over Algorithm 1); it is the exploratory part that gets
-// trained and backed up. The completion phase then adds loops with Algorithm 1 until the
-// design cannot improve, making the episode's design evaluable ("additional
-// actions ... to complete the design"). The final return reflects the
-// whole design, so guided prefixes leading to poor completions are
-// penalized through training.
-func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int, ar *episodeArena) (rl.Trajectory, []mcts.PathStep[rl.Action], *Design) {
+// trained and backed up. The completion phase then adds loops with
+// Algorithm 1 until the design cannot improve, making the episode's design
+// evaluable ("additional actions ... to complete the design"). The final
+// return reflects the whole design, so guided prefixes leading to poor
+// completions are penalized through training.
+func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int, ar *episodeArena) (rl.Trajectory, []mcts.PathStep, *Design) {
 	env := ar.env
 	env.Reset()
+	ar.net = net
 	ar.traj.Steps = ar.traj.Steps[:0]
 	ar.traj.Final = 0
 	ar.path = ar.path[:0]
@@ -566,26 +582,28 @@ func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int
 		fp := env.Fingerprint()
 		step := len(ar.traj.Steps)
 		state := env.StateInto(ar.stateBuf(step))
-		ar.states[step] = state
-		var a rl.Action
+		ar.states[step], ar.state = state, state
+		var id int
 		var ok bool
 		switch {
 		case penalties > maxPenalties:
-			a, ok = greedy(env, ar.trace)
+			id, ok = ar.Greedy()
 		case first && net != nil:
 			// The DNN proposes the initial action raw (Fig. 4); it may
-			// be penalized, teaching constraint compliance.
-			a, ok = s.sampleRaw(net, state, rng, ar), true
+			// be penalized, teaching constraint compliance. Backup then
+			// records it as an edge that Select prunes.
+			id, ok = ar.sampleRaw(rng), true
 		default:
-			a, ok = s.chooseAction(net, env, fp, state, rng, ar)
+			id, ok = search.Choose(s.tree, fp, ar, s.cfg.Epsilon, rng, ar.trace)
 		}
 		first = false
 		if !ok {
 			break // no legal action remains
 		}
+		a := rl.ActionOf(id)
 		r, kind := env.Step(a)
 		ar.traj.Steps = append(ar.traj.Steps, rl.StepRecord{State: state, Action: a, Reward: r})
-		ar.path = append(ar.path, mcts.PathStep[rl.Action]{Fingerprint: fp, Action: a})
+		ar.path = append(ar.path, mcts.PathStep{Fingerprint: fp, Action: id})
 		if kind == rl.Valid {
 			penalties = 0
 			valid++
@@ -618,93 +636,37 @@ func complete(env *rl.Env, trace *obs.TraceShard) {
 	sp.End()
 }
 
-// greedy is one Algorithm 1 pick, traced as an rl.greedy span.
-func greedy(env *rl.Env, trace *obs.TraceShard) (rl.Action, bool) {
-	sp := trace.Start(obs.SpanGreedy)
-	a, ok := rl.Greedy(env)
+// Actions implements search.Decision.
+func (ar *episodeArena) Actions() []int { return ar.env.Actions() }
+
+// Legal implements search.Decision.
+func (ar *episodeArena) Legal(id int) bool { return ar.env.Legal(id) }
+
+// Greedy implements search.Decision with one Algorithm 1 pick, traced as
+// an rl.greedy span.
+func (ar *episodeArena) Greedy() (int, bool) {
+	sp := ar.trace.Start(obs.SpanGreedy)
+	a, ok := rl.Greedy(ar.env)
 	sp.End()
-	return a, ok
+	return a.ID(), ok
 }
 
-// chooseAction picks the next loop per the framework: ε-greedy Algorithm 1,
-// otherwise tree selection at known states (Eq. 21), otherwise
-// expansion+evaluation at leaves with DNN priors. state must be the
-// current hop-matrix encoding (already computed by the caller for the
-// trajectory record).
-func (s *Searcher) chooseAction(net *nn.PolicyValueNet, env *rl.Env, fp string, state []float64, rng *rand.Rand, ar *episodeArena) (rl.Action, bool) {
-	if rng.Float64() < s.cfg.Epsilon {
-		return greedy(env, ar.trace)
-	}
-	if s.cfg.UseMCTS {
-		sel := ar.trace.Start(obs.SpanMCTSSelect)
-		// The design pins the legal set, so the only edges Select can
-		// reject are penalized actions that Backup recorded, in practice
-		// the raw first DNN sample at the root. Select prunes each one it
-		// meets and selects again among the survivors; left in place, a
-		// dead edge with a high backed-up return would stay the argmax and
-		// shadow its siblings forever.
-		a, ok := s.tree.Select(fp, env.Legal)
-		sel.End()
-		if ok {
-			return a, true
-		}
-	}
-	ex := ar.trace.Start(obs.SpanMCTSExpand)
-	legal := env.LegalActions()
-	if len(legal) == 0 {
-		ex.End()
-		return rl.Action{}, false
-	}
-	priors := s.priorsInto(net, state, legal, ar)
-	if s.cfg.UseMCTS {
-		s.tree.Expand(fp, legal, priors)
-	}
-	ex.End()
-	// legal arrives in LegalActions' canonical lexicographic order, so the
-	// draw is deterministic without any collection or sorting step.
-	return mcts.Sample(legal, priors, rng), true
-}
-
-// policyEval returns the policy heads (four coordinate softmax groups and
-// the tanh direction) for the given state: through the shared inference
-// broker when one is running, so that concurrent learners batch into one
-// forward, or via a one-sample Forward on the worker's own network
-// otherwise. Both paths are byte-identical for equal weights and running
-// statistics. The returned probabilities alias arena buffers valid until
-// the next call.
-func (s *Searcher) policyEval(net *nn.PolicyValueNet, state []float64, ar *episodeArena) (probs *[4][]float64, dir float64) {
-	if s.broker != nil {
-		sub := ar.trace.Start(obs.SpanInferSubmit)
-		s.broker.Submit(state, &ar.eval)
-		sub.End()
-		return &ar.eval.CoordProbs, ar.eval.Dir
-	}
-	fw := ar.trace.Start(obs.SpanNNForward)
-	ar.evalIn[0] = state
-	net.Forward(ar.evalIn[:], ar.evalOut[:], false)
-	fw.End()
-	out := &ar.evalOut[0]
-	return &out.CoordProbs, out.Dir
-}
-
-// priorsInto fills the arena's prior buffer with each legal action's
-// (unnormalized) policy probability, aligned with legal; without a DNN,
-// priors are uniform.
-func (s *Searcher) priorsInto(net *nn.PolicyValueNet, state []float64, legal []rl.Action, ar *episodeArena) []float64 {
-	if cap(ar.priors) < len(legal) {
-		ar.priors = make([]float64, len(legal))
-	}
-	priors := ar.priors[:len(legal)]
+// Priors implements search.Decision: each legal action's (unnormalized)
+// policy probability at the current state, in the arena's prior buffer;
+// without a DNN, priors are uniform.
+func (ar *episodeArena) Priors(ids []int) []float64 {
+	priors := slices.Grow(ar.priors[:0], len(ids))[:len(ids)]
 	ar.priors = priors
-	if net == nil {
+	if ar.net == nil {
 		for i := range priors {
 			priors[i] = 1
 		}
 		return priors
 	}
-	probs, dir := s.policyEval(net, state, ar)
+	probs, dir := ar.policyEval(ar.state)
 	pcw := (1 + dir) / 2
-	for i, a := range legal {
+	for i, id := range ids {
+		a := rl.ActionOf(id)
 		p := probs[0][a.X1] * probs[1][a.Y1] *
 			probs[2][a.X2] * probs[3][a.Y2]
 		if a.Dir == topo.Clockwise {
@@ -717,10 +679,33 @@ func (s *Searcher) priorsInto(net *nn.PolicyValueNet, state []float64, legal []r
 	return priors
 }
 
-// sampleRaw draws an action directly from the DNN output heads, the
-// paper's raw policy sample for the episode's initial action.
-func (s *Searcher) sampleRaw(net *nn.PolicyValueNet, state []float64, rng *rand.Rand, ar *episodeArena) rl.Action {
-	probs, dirPCW := s.policyEval(net, state, ar)
+// policyEval returns the policy heads (four coordinate softmax groups and
+// the tanh direction) for the given state: through the shared inference
+// broker when one is running, so that concurrent learners batch into one
+// forward, or via a one-sample Forward on the worker's own network
+// otherwise. Both paths are byte-identical for equal weights and running
+// statistics. The returned probabilities alias arena buffers valid until
+// the next call.
+func (ar *episodeArena) policyEval(state []float64) (probs *[4][]float64, dir float64) {
+	if ar.broker != nil {
+		sub := ar.trace.Start(obs.SpanInferSubmit)
+		ar.broker.Submit(state, &ar.eval)
+		sub.End()
+		return &ar.eval.CoordProbs, ar.eval.Dir
+	}
+	fw := ar.trace.Start(obs.SpanNNForward)
+	ar.evalIn[0] = state
+	ar.net.Forward(ar.evalIn[:], ar.evalOut[:], false)
+	fw.End()
+	out := &ar.evalOut[0]
+	return &out.CoordProbs, out.Dir
+}
+
+// sampleRaw draws an action id directly from the DNN output heads at the
+// current state, the paper's raw policy sample for the episode's initial
+// action.
+func (ar *episodeArena) sampleRaw(rng *rand.Rand) int {
+	probs, dirPCW := ar.policyEval(ar.state)
 	pick := func(probs []float64) int {
 		r := rng.Float64()
 		acc := 0.0
@@ -740,5 +725,5 @@ func (s *Searcher) sampleRaw(net *nn.PolicyValueNet, state []float64, rng *rand.
 		X1: pick(probs[0]), Y1: pick(probs[1]),
 		X2: pick(probs[2]), Y2: pick(probs[3]),
 		Dir: dir,
-	}
+	}.ID()
 }

@@ -11,6 +11,7 @@ import (
 	"routerless/internal/obs"
 	"routerless/internal/rec"
 	"routerless/internal/rl"
+	"routerless/internal/search"
 	"routerless/internal/topo"
 )
 
@@ -57,52 +58,52 @@ func TestNewBoundsNoCSize(t *testing.T) {
 // TestChooseActionPrunesStaleEdges is the regression test for the stale-edge
 // leak: penalized (never-legal) actions enter the tree through Backup, and a
 // high backed-up return can make such an edge the selection argmax forever.
-// chooseAction's Select must prune the unplayable edge and select among the
-// survivors — not abandon the node for prior sampling while the dead edge
-// keeps shadowing its siblings.
+// The shared per-step choice, search.Choose, run on a worker's arena, must
+// prune the unplayable edge and select among the survivors — not abandon
+// the node for prior sampling while the dead edge keeps shadowing its
+// siblings.
 func TestChooseActionPrunesStaleEdges(t *testing.T) {
 	cfg := quickCfg(4, 6, 1)
 	cfg.UseDNN = false
-	cfg.Epsilon = 0 // never defer to the greedy override
 	s := MustNew(cfg)
 	ar := s.newArena()
 	env := ar.env
 	env.Reset()
 	fp := env.Fingerprint()
-	state := env.StateInto(ar.stateBuf(0))
-	ar.states[0] = state
 
-	legal := env.LegalActions()
+	legal := env.Actions()
 	priors := make([]float64, len(legal))
 	for i := range priors {
 		priors[i] = 1
 	}
 	s.tree.Expand(fp, legal, priors)
-	// A degenerate rectangle is never legal, but Backup happily records it
-	// (episodes back up their full path, penalized steps included). The huge
-	// return makes it the argmax by a wide margin.
-	stale := rl.Action{X1: 1, Y1: 1, X2: 1, Y2: 1, Dir: topo.Clockwise}
-	if env.Legal(stale) {
-		t.Fatal("degenerate action unexpectedly legal")
+	// A degenerate rectangle is never legal, but its id encodes like any
+	// other and Backup happily records it (episodes back up their full path,
+	// penalized steps included). The huge return makes it the argmax by a
+	// wide margin.
+	stale := rl.Action{X1: 1, Y1: 1, X2: 1, Y2: 1, Dir: topo.Clockwise}.ID()
+	if _, ok := rl.ActionOf(stale).Loop(); ok || env.Legal(stale) {
+		t.Fatal("degenerate action unexpectedly playable")
 	}
-	s.tree.Backup([]mcts.PathStep[rl.Action]{{Fingerprint: fp, Action: stale}}, []float64{1e6})
-	if a, ok := s.tree.Select(fp, func(rl.Action) bool { return true }); !ok || a != stale {
+	s.tree.Backup([]mcts.PathStep{{Fingerprint: fp, Action: stale}}, []float64{1e6})
+	if a, ok := s.tree.Select(fp, func(int) bool { return true }); !ok || a != stale {
 		t.Fatalf("setup: Select returned %v, want the stale edge %v", a, stale)
 	}
 
 	rng := rand.New(rand.NewSource(3))
-	a, ok := s.chooseAction(nil, env, fp, state, rng, ar)
+	// ε = 0: never defer to the greedy override.
+	a, ok := search.Choose(s.tree, fp, ar, 0, rng, nil)
 	if !ok {
-		t.Fatal("chooseAction found no action")
+		t.Fatal("Choose found no action")
 	}
 	if !env.Legal(a) {
-		t.Fatalf("chooseAction returned illegal action %v", a)
+		t.Fatalf("Choose returned illegal action %v", rl.ActionOf(a))
 	}
 	if _, exists := s.tree.EdgeStats(fp)[stale]; exists {
-		t.Fatal("stale edge survived chooseAction")
+		t.Fatal("stale edge survived Choose")
 	}
 	if next, ok := s.tree.Select(fp, env.Legal); !ok || !env.Legal(next) {
-		t.Fatalf("post-prune Select returned %v (ok=%v), want a legal action", next, ok)
+		t.Fatalf("post-prune Select returned %v (ok=%v), want a legal action", rl.ActionOf(next), ok)
 	}
 }
 
@@ -414,8 +415,8 @@ func TestSavedModelResumesBitExact(t *testing.T) {
 	cfg2.Init = loaded
 	s2 := MustNew(cfg2)
 	ar := s2.newArena()
-	net, _ := s2.workerNet(0)
-	probs, dir := s2.policyEval(net, ar.env.StateInto(nil), ar)
+	ar.net, _ = s2.workerNet(0)
+	probs, dir := ar.policyEval(ar.env.StateInto(nil))
 	if math.Float64bits(dir) != math.Float64bits(want[0].Dir) {
 		t.Fatalf("direction %v after the round trip, %v saved", dir, want[0].Dir)
 	}

@@ -1,23 +1,18 @@
-// Package mcts implements the Monte Carlo tree search of §4.5 as one
-// generic tree, Tree[A]: nodes are previously seen designs keyed by a
-// canonical fingerprint string, edges are actions of any comparable type A
-// kept in the order of a caller-supplied less function, and each edge
-// tracks the prior P(a;s), the visit count N(a;s), and the mean cumulative
-// return V of the subtree it leads to. Selection follows the
-// upper-confidence rule of Eqs. 21–22. The routerless search (package drl)
-// runs it over rl.Action loop additions ordered by rl.ActionLess; the
-// generic §6.8 framework (package search) runs it over integer action ids
-// in ascending order, which for link placement is the byte order of the
-// link names "a-b". The ε-greedy override lives with each caller.
+// Package mcts implements the Monte Carlo tree search of §4.5 as one tree
+// over integer action ids, shared by both searches: nodes are previously
+// seen designs keyed by a canonical fingerprint string, edges are actions
+// kept in ascending id order (which fixes Select's tie-break), and each
+// edge tracks the prior P(a;s), the visit count N(a;s), and the mean
+// cumulative return V of the subtree it leads to. The routerless search
+// (package drl) keys edges by rl.Action.ID and the §6.8 link placement
+// (package search) by link id; both make each step's Select and Expand
+// calls through search.Choose.
 //
-// Both callers use the tree the same way, one call per §4.5 phase: Select
-// with the state's legality test (it prunes each argmax edge the test
-// rejects and selects again among the survivors), Expand at a leaf with the
-// legal actions in less order and their priors (it only creates states),
-// and Backup over the episode's path (it records every played action, so
-// penalized actions enter the tree here with prior 0). A state's legal set
-// depends on the state alone in both searches, so those penalized edges
-// are the only ones Select can reject.
+// Select follows the upper-confidence rule of Eqs. 21–22 and prunes each
+// argmax edge the state's legality test rejects. Expand only creates
+// leaves. Backup records every played action, so penalized actions enter
+// the tree with prior 0; a state's legal set depends on the state alone,
+// so those are the only edges Select can reject.
 //
 // The tree is shared by the multi-threaded learners of §4.6 and guarded by
 // one mutex: every method takes it once, for the whole operation (Backup
@@ -45,34 +40,31 @@ func (e *Edge) V() float64 {
 	return e.W / float64(e.N)
 }
 
-// EdgeEntry pairs an action with its edge statistics in a node's flat edge
-// list.
-type EdgeEntry[A comparable] struct {
-	Action A
+// EdgeEntry pairs an action id with its edge statistics in a node's flat
+// edge list.
+type EdgeEntry struct {
+	Action int
 	Edge
 }
 
 // Node is a previously explored design. Its edges live in one slice sorted
-// by the tree's less function rather than a map: Select's argmax is a
-// linear scan whose tie-break toward the least action falls out of the
-// order (no per-candidate less calls, no map iteration-order hazard),
-// lookups are binary searches over contiguous memory, and a node costs one
-// allocation instead of one per edge.
-type Node[A comparable] struct {
-	Edges []EdgeEntry[A]
+// by action id rather than a map: Select's argmax is a linear scan whose
+// tie-break toward the least id falls out of the order (no map
+// iteration-order hazard), lookups are binary searches over contiguous
+// memory, and a node costs one allocation instead of one per edge.
+type Node struct {
+	Edges []EdgeEntry
 	// SumN caches Σ_j N(a_j; s) for the U term.
 	SumN int
 }
 
-// find returns the index of action a in the edge slice sorted by less, or
-// (insertion point, false) when absent. The binary search is written out
-// rather than taken from sort.Search, whose closure would put a second
-// indirect call around less on every probe of the hot Backup path.
-func (n *Node[A]) find(a A, less func(a, b A) bool) (int, bool) {
+// find returns the index of action a in the sorted edge slice, or
+// (insertion point, false) when absent.
+func (n *Node) find(a int) (int, bool) {
 	lo, hi := 0, len(n.Edges)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if less(n.Edges[m].Action, a) {
+		if n.Edges[m].Action < a {
 			lo = m + 1
 		} else {
 			hi = m
@@ -83,32 +75,30 @@ func (n *Node[A]) find(a A, less func(a, b A) bool) (int, bool) {
 
 // insert places a new edge for action a at sorted position i (as returned by
 // find) and returns a pointer to it, valid until the next insert.
-func (n *Node[A]) insert(i int, a A, e Edge) *Edge {
-	n.Edges = append(n.Edges, EdgeEntry[A]{})
+func (n *Node) insert(i int, a int, e Edge) *Edge {
+	n.Edges = append(n.Edges, EdgeEntry{})
 	copy(n.Edges[i+1:], n.Edges[i:])
-	n.Edges[i] = EdgeEntry[A]{Action: a, Edge: e}
+	n.Edges[i] = EdgeEntry{Action: a, Edge: e}
 	return &n.Edges[i].Edge
 }
 
-// Tree is the shared search tree over actions of type A. All methods are
+// Tree is the shared search tree over integer action ids. All methods are
 // safe for concurrent use by the multi-threaded learners of §4.6.
-type Tree[A comparable] struct {
+type Tree struct {
 	// C is the exploration constant c of Eq. 22.
 	C float64
 
-	less  func(a, b A) bool
 	mu    sync.Mutex
-	nodes map[string]*Node[A]
+	nodes map[string]*Node
 }
 
-// NewTree builds an empty tree with exploration constant c and actions
-// ordered by less (a strict weak order; it also fixes Select's tie-break).
-func NewTree[A comparable](c float64, less func(a, b A) bool) *Tree[A] {
-	return &Tree[A]{C: c, less: less, nodes: make(map[string]*Node[A])}
+// NewTree builds an empty tree with exploration constant c.
+func NewTree(c float64) *Tree {
+	return &Tree{C: c, nodes: make(map[string]*Node)}
 }
 
 // Size returns the number of stored states.
-func (t *Tree[A]) Size() int {
+func (t *Tree) Size() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.nodes)
@@ -116,13 +106,12 @@ func (t *Tree[A]) Size() int {
 
 // Expand registers a leaf state with its actions and matching (unnormalized)
 // prior weights; priors[i] belongs to actions[i] and normalization happens
-// here. actions must be strictly ascending under the tree's less (both
-// callers enumerate them in that order), so the edge slice is built in one
-// pass. Expand copies what it keeps, so the caller may reuse both slices.
+// here. actions must be strictly ascending (both searches enumerate them
+// in that order), so the edge slice is built in one pass. Expand copies what it keeps, so the caller may reuse both slices.
 // A state that already exists is left as it is: a state's legal actions
 // depend on the state alone, so a learner that lost the race to expand it
 // has nothing to add.
-func (t *Tree[A]) Expand(fp string, actions []A, priors []float64) {
+func (t *Tree) Expand(fp string, actions []int, priors []float64) {
 	if len(actions) != len(priors) {
 		panic("mcts: actions/priors length mismatch")
 	}
@@ -135,7 +124,7 @@ func (t *Tree[A]) Expand(fp string, actions []A, priors []float64) {
 	if _, ok := t.nodes[fp]; ok {
 		return
 	}
-	edges := make([]EdgeEntry[A], len(actions))
+	edges := make([]EdgeEntry, len(actions))
 	for i, a := range actions {
 		np := priors[i]
 		if sum > 0 {
@@ -143,21 +132,20 @@ func (t *Tree[A]) Expand(fp string, actions []A, priors []float64) {
 		} else {
 			np = 1 / float64(len(actions))
 		}
-		edges[i] = EdgeEntry[A]{Action: a, Edge: Edge{P: np}}
+		edges[i] = EdgeEntry{Action: a, Edge: Edge{P: np}}
 	}
-	t.nodes[fp] = &Node[A]{Edges: edges}
+	t.nodes[fp] = &Node{Edges: edges}
 }
 
 // Select applies Eq. 21 at the state among the edges legal accepts: argmax
 // over edges of U(s,a) + V(s_next) with U = C·P(a;s)·√(Σ_j N_j)/(1+N(a;s)).
-// The edge slice is sorted by less and the strict > keeps the first
-// maximum, so exact score ties break toward the least action by
-// construction. An argmax edge that legal rejects is removed, its visits
-// unwound from the node's sum, and the argmax is taken again among the
-// survivors, all under one lock; legal runs under that lock, so it must not
-// call the tree. The boolean is false when the state is unknown or no edge
-// survives.
-func (t *Tree[A]) Select(fp string, legal func(A) bool) (A, bool) {
+// The edge slice is sorted by id and the strict > keeps the first maximum,
+// so exact score ties break toward the least id by construction. An argmax
+// edge that legal rejects is removed, its visits unwound from the node's
+// sum, and the argmax is taken again among the survivors, all under one
+// lock; legal runs under that lock, so it must not call the tree. The
+// boolean is false when the state is unknown or no edge survives.
+func (t *Tree) Select(fp string, legal func(int) bool) (int, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	node, ok := t.nodes[fp]
@@ -179,14 +167,13 @@ func (t *Tree[A]) Select(fp string, legal func(A) bool) (A, bool) {
 		node.SumN -= node.Edges[best].N
 		node.Edges = append(node.Edges[:best], node.Edges[best+1:]...)
 	}
-	var zero A
-	return zero, false
+	return 0, false
 }
 
 // PathStep identifies one traversed (state, action) pair for Backup.
-type PathStep[A comparable] struct {
+type PathStep struct {
 	Fingerprint string
-	Action      A
+	Action      int
 }
 
 // Backup propagates the episode's returns through the traversed edges
@@ -195,7 +182,7 @@ type PathStep[A comparable] struct {
 // returns[i] must be the return-to-go at path[i]. The whole path is backed
 // up under one lock acquisition, so a concurrent Select sees either none or
 // all of an episode's visits.
-func (t *Tree[A]) Backup(path []PathStep[A], returns []float64) {
+func (t *Tree) Backup(path []PathStep, returns []float64) {
 	if len(path) != len(returns) {
 		panic("mcts: path/returns length mismatch")
 	}
@@ -206,7 +193,7 @@ func (t *Tree[A]) Backup(path []PathStep[A], returns []float64) {
 		if !ok {
 			continue
 		}
-		at, found := node.find(ps.Action, t.less)
+		at, found := node.find(ps.Action)
 		var e *Edge
 		if found {
 			e = &node.Edges[at].Edge
@@ -221,14 +208,14 @@ func (t *Tree[A]) Backup(path []PathStep[A], returns []float64) {
 
 // EdgeStats returns a copy of the edge statistics for a state, for tests
 // and diagnostics.
-func (t *Tree[A]) EdgeStats(fp string) map[A]Edge {
+func (t *Tree) EdgeStats(fp string) map[int]Edge {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	node, ok := t.nodes[fp]
 	if !ok {
 		return nil
 	}
-	out := make(map[A]Edge, len(node.Edges))
+	out := make(map[int]Edge, len(node.Edges))
 	for i := range node.Edges {
 		out[node.Edges[i].Action] = node.Edges[i].Edge
 	}
@@ -239,7 +226,7 @@ func (t *Tree[A]) EdgeStats(fp string) map[A]Edge {
 // or uniformly when the priors sum to zero or less; the last action
 // absorbs rounding. A caller that passes its actions in a canonical order
 // draws deterministically for a given rng state.
-func Sample[A any](actions []A, priors []float64, rng *rand.Rand) A {
+func Sample(actions []int, priors []float64, rng *rand.Rand) int {
 	total := 0.0
 	for _, p := range priors {
 		total += p

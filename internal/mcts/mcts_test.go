@@ -12,19 +12,17 @@ import (
 	"routerless/internal/topo"
 )
 
-// step is the path step of the routerless instantiation the tests use.
-type step = PathStep[rl.Action]
-
-func act(x1, y1, x2, y2 int, d topo.Direction) rl.Action {
-	return rl.Action{X1: x1, Y1: y1, X2: x2, Y2: y2, Dir: d}
+// act is the id of a routerless loop addition, the actions most tests use.
+func act(x1, y1, x2, y2 int, d topo.Direction) int {
+	return rl.Action{X1: x1, Y1: y1, X2: x2, Y2: y2, Dir: d}.ID()
 }
 
 // anyAction is the legality test of a state where every edge is playable.
-func anyAction(rl.Action) bool { return true }
+func anyAction(int) bool { return true }
 
 // totals walks EdgeStats over the given states and returns their edge and
 // visit counts.
-func totals(tr *Tree[rl.Action], fps ...string) (edges, visits int) {
+func totals(tr *Tree, fps ...string) (edges, visits int) {
 	for _, fp := range fps {
 		for _, e := range tr.EdgeStats(fp) {
 			edges++
@@ -35,9 +33,9 @@ func totals(tr *Tree[rl.Action], fps ...string) (edges, visits int) {
 }
 
 func TestExpandNormalizesPriors(t *testing.T) {
-	tr := NewTree(1.5, rl.ActionLess)
+	tr := NewTree(1.5)
 	a, b := act(0, 0, 1, 1, topo.Clockwise), act(0, 0, 2, 2, topo.Clockwise)
-	tr.Expand("s", []rl.Action{a, b}, []float64{3, 1})
+	tr.Expand("s", []int{a, b}, []float64{3, 1})
 	st := tr.EdgeStats("s")
 	if len(st) != 2 {
 		t.Fatalf("edges = %d", len(st))
@@ -48,9 +46,9 @@ func TestExpandNormalizesPriors(t *testing.T) {
 }
 
 func TestExpandZeroPriorsUniform(t *testing.T) {
-	tr := NewTree(1.5, rl.ActionLess)
+	tr := NewTree(1.5)
 	a, b := act(0, 0, 1, 1, topo.Clockwise), act(0, 0, 2, 2, topo.Clockwise)
-	tr.Expand("s", []rl.Action{a, b}, []float64{0, 0})
+	tr.Expand("s", []int{a, b}, []float64{0, 0})
 	st := tr.EdgeStats("s")
 	if st[a].P != 0.5 || st[b].P != 0.5 {
 		t.Fatalf("priors = %v / %v", st[a].P, st[b].P)
@@ -61,12 +59,12 @@ func TestExpandZeroPriorsUniform(t *testing.T) {
 // second expansion of a state, with other actions and other priors, leaves
 // its edges, priors and statistics exactly as they were.
 func TestExpandKeepsExistingState(t *testing.T) {
-	tr := NewTree(1.5, rl.ActionLess)
+	tr := NewTree(1.5)
 	a, b := act(0, 0, 1, 1, topo.Clockwise), act(0, 0, 2, 2, topo.Clockwise)
-	tr.Expand("s", []rl.Action{a}, []float64{1})
-	tr.Backup([]step{{"s", a}}, []float64{2})
+	tr.Expand("s", []int{a}, []float64{1})
+	tr.Backup([]PathStep{{"s", a}}, []float64{2})
 	before := tr.EdgeStats("s")
-	tr.Expand("s", []rl.Action{a, b}, []float64{1, 3})
+	tr.Expand("s", []int{a, b}, []float64{1, 3})
 	if after := tr.EdgeStats("s"); !reflect.DeepEqual(after, before) {
 		t.Fatalf("re-expansion changed the state: %v, want %v", after, before)
 	}
@@ -76,16 +74,16 @@ func TestExpandKeepsExistingState(t *testing.T) {
 }
 
 func TestSelectUnknownState(t *testing.T) {
-	tr := NewTree(1.5, rl.ActionLess)
+	tr := NewTree(1.5)
 	if _, ok := tr.Select("nope", anyAction); ok {
 		t.Fatal("selected from unknown state")
 	}
 }
 
 func TestSelectPrefersPriorWhenUnvisited(t *testing.T) {
-	tr := NewTree(1.5, rl.ActionLess)
+	tr := NewTree(1.5)
 	hi, lo := act(0, 0, 3, 3, topo.Clockwise), act(0, 0, 1, 1, topo.Clockwise)
-	tr.Expand("s", []rl.Action{hi, lo}, []float64{0.9, 0.1})
+	tr.Expand("s", []int{hi, lo}, []float64{0.9, 0.1})
 	a, ok := tr.Select("s", anyAction)
 	if !ok || a != hi {
 		t.Fatalf("selected %v, want high-prior action", a)
@@ -93,13 +91,13 @@ func TestSelectPrefersPriorWhenUnvisited(t *testing.T) {
 }
 
 func TestSelectShiftsToHighReturn(t *testing.T) {
-	tr := NewTree(0.1, rl.ActionLess) // small exploration constant
+	tr := NewTree(0.1) // small exploration constant
 	good, bad := act(0, 0, 3, 3, topo.Clockwise), act(0, 0, 1, 1, topo.Clockwise)
-	tr.Expand("s", []rl.Action{good, bad}, []float64{0.1, 0.9})
+	tr.Expand("s", []int{good, bad}, []float64{0.1, 0.9})
 	// Observed returns favour "good" strongly.
 	for i := 0; i < 10; i++ {
-		tr.Backup([]step{{"s", good}}, []float64{5})
-		tr.Backup([]step{{"s", bad}}, []float64{-5})
+		tr.Backup([]PathStep{{"s", good}}, []float64{5})
+		tr.Backup([]PathStep{{"s", bad}}, []float64{-5})
 	}
 	a, ok := tr.Select("s", anyAction)
 	if !ok || a != good {
@@ -108,11 +106,11 @@ func TestSelectShiftsToHighReturn(t *testing.T) {
 }
 
 func TestBackupAccumulates(t *testing.T) {
-	tr := NewTree(1, rl.ActionLess)
+	tr := NewTree(1)
 	a := act(0, 0, 1, 1, topo.Clockwise)
-	tr.Expand("s", []rl.Action{a}, []float64{1})
-	tr.Backup([]step{{"s", a}}, []float64{3})
-	tr.Backup([]step{{"s", a}}, []float64{1})
+	tr.Expand("s", []int{a}, []float64{1})
+	tr.Backup([]PathStep{{"s", a}}, []float64{3})
+	tr.Backup([]PathStep{{"s", a}}, []float64{1})
 	st := tr.EdgeStats("s")[a]
 	if st.N != 2 || st.W != 4 {
 		t.Fatalf("stats = %+v", st)
@@ -123,25 +121,25 @@ func TestBackupAccumulates(t *testing.T) {
 }
 
 func TestBackupUnknownStateIgnored(t *testing.T) {
-	tr := NewTree(1, rl.ActionLess)
-	tr.Backup([]step{{"missing", act(0, 0, 1, 1, topo.Clockwise)}}, []float64{1})
+	tr := NewTree(1)
+	tr.Backup([]PathStep{{"missing", act(0, 0, 1, 1, topo.Clockwise)}}, []float64{1})
 	if tr.Size() != 0 {
 		t.Fatal("backup created a node")
 	}
 }
 
 func TestBackupLengthMismatchPanics(t *testing.T) {
-	tr := NewTree(1, rl.ActionLess)
+	tr := NewTree(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	tr.Backup([]step{{"s", act(0, 0, 1, 1, topo.Clockwise)}}, nil)
+	tr.Backup([]PathStep{{"s", act(0, 0, 1, 1, topo.Clockwise)}}, nil)
 }
 
 func TestTreeConcurrentAccess(t *testing.T) {
-	tr := NewTree(1.5, rl.ActionLess)
+	tr := NewTree(1.5)
 	a := act(0, 0, 1, 1, topo.Clockwise)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -149,8 +147,8 @@ func TestTreeConcurrentAccess(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr.Expand("shared", []rl.Action{a}, []float64{1})
-				tr.Backup([]step{{"shared", a}}, []float64{1})
+				tr.Expand("shared", []int{a}, []float64{1})
+				tr.Backup([]PathStep{{"shared", a}}, []float64{1})
 				tr.Select("shared", anyAction)
 			}
 		}(w)
@@ -169,14 +167,14 @@ func TestTreeConcurrentAccess(t *testing.T) {
 // conservation Select's U term relies on, which Select's unwinding of a
 // rejected, backed-up edge must preserve.
 func TestTreeConcurrent(t *testing.T) {
-	tr := NewTree(1.5, rl.ActionLess)
+	tr := NewTree(1.5)
 	fps := []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"}
 	a := act(0, 0, 1, 1, topo.Clockwise)
 	b := act(0, 0, 2, 2, topo.Clockwise)
 	doomed := act(1, 1, 3, 3, topo.Counterclockwise)
-	notDoomed := func(x rl.Action) bool { return x != doomed }
+	notDoomed := func(x int) bool { return x != doomed }
 	for _, fp := range fps {
-		tr.Expand(fp, []rl.Action{a, b}, []float64{3, 1})
+		tr.Expand(fp, []int{a, b}, []float64{3, 1})
 	}
 
 	const workers, iters = 8, 100
@@ -188,12 +186,12 @@ func TestTreeConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				for k, fp := range fps {
 					next := fps[(k+1)%len(fps)]
-					tr.Expand(fp, []rl.Action{a, b}, []float64{3, 1})
+					tr.Expand(fp, []int{a, b}, []float64{3, 1})
 					// Back up a multi-state path that also records the
 					// unplayable doomed edge with a return that makes it
 					// the argmax, so the Select after it prunes the edge
 					// while other workers back it up again.
-					tr.Backup([]step{{fp, a}, {next, b}, {fp, doomed}}, []float64{1, 0.5, 10})
+					tr.Backup([]PathStep{{fp, a}, {next, b}, {fp, doomed}}, []float64{1, 0.5, 10})
 					if got, ok := tr.Select(fp, notDoomed); !ok || got == doomed {
 						panic("Select returned the rejected edge")
 					}
@@ -236,14 +234,14 @@ func TestEdgeVZeroVisits(t *testing.T) {
 }
 
 // TestSelectTieBreaksLexicographic pins deterministic selection: when
-// every edge scores the same, the argmax must resolve to the
-// lexicographically smallest action instead of whatever the map iteration
-// happens to visit last. The ties arise two ways: an expansion with
+// every edge scores the same, the argmax must resolve to the smallest id,
+// the lexicographically smallest routerless action, instead of whatever
+// the map iteration happens to visit last. The ties arise two ways: an expansion with
 // identical priors and no visits (Expand takes its actions in tree order),
 // and edges that Backup records, in scrambled order, with equal returns.
 func TestSelectTieBreaksLexicographic(t *testing.T) {
 	want := act(0, 0, 1, 1, topo.Clockwise)
-	scrambled := []rl.Action{
+	scrambled := []int{
 		act(2, 2, 3, 3, topo.Clockwise),
 		act(0, 1, 2, 2, topo.Counterclockwise),
 		act(0, 0, 1, 1, topo.Counterclockwise),
@@ -251,29 +249,21 @@ func TestSelectTieBreaksLexicographic(t *testing.T) {
 		act(1, 0, 2, 1, topo.Clockwise),
 	}
 	sorted := slices.Clone(scrambled)
-	slices.SortFunc(sorted, func(a, b rl.Action) int {
-		switch {
-		case rl.ActionLess(a, b):
-			return -1
-		case rl.ActionLess(b, a):
-			return 1
-		}
-		return 0
-	})
+	slices.Sort(sorted)
 	priors := []float64{1, 1, 1, 1, 1}
-	path := make([]step, len(scrambled))
+	path := make([]PathStep, len(scrambled))
 	for i, a := range scrambled {
-		path[i] = step{Fingerprint: "s", Action: a}
+		path[i] = PathStep{Fingerprint: "s", Action: a}
 	}
 	// Fresh trees get fresh map layouts; repeated trials would flush out a
 	// map-order-dependent argmax.
 	for trial := 0; trial < 50; trial++ {
-		expanded := NewTree(1.5, rl.ActionLess)
+		expanded := NewTree(1.5)
 		expanded.Expand("s", sorted, priors)
-		backed := NewTree(1.5, rl.ActionLess)
+		backed := NewTree(1.5)
 		backed.Expand("s", nil, nil)
 		backed.Backup(path, priors)
-		for _, tr := range []*Tree[rl.Action]{expanded, backed} {
+		for _, tr := range []*Tree{expanded, backed} {
 			if a, ok := tr.Select("s", anyAction); !ok || a != want {
 				t.Fatalf("trial %d: selected %v, want %v", trial, a, want)
 			}
@@ -283,15 +273,14 @@ func TestSelectTieBreaksLexicographic(t *testing.T) {
 
 // TestEdgesStaySorted pins the flat-node invariant: edges from an
 // expansion and edges Backup records for unexpanded actions, before,
-// between and after them, keep the node's edge slice sorted by the
-// canonical action order.
+// between and after them, keep the node's edge slice sorted by id.
 func TestEdgesStaySorted(t *testing.T) {
-	tr := NewTree(1.5, rl.ActionLess)
-	tr.Expand("s", []rl.Action{
+	tr := NewTree(1.5)
+	tr.Expand("s", []int{
 		act(1, 1, 2, 2, topo.Clockwise),
 		act(3, 3, 4, 4, topo.Clockwise),
 	}, []float64{1, 1})
-	tr.Backup([]step{
+	tr.Backup([]PathStep{
 		{"s", act(2, 2, 3, 3, topo.Counterclockwise)},
 		{"s", act(0, 0, 1, 1, topo.Clockwise)},
 		{"s", act(4, 4, 5, 5, topo.Clockwise)},
@@ -302,7 +291,7 @@ func TestEdgesStaySorted(t *testing.T) {
 		t.Fatalf("edges = %d, want 5", len(edges))
 	}
 	for i := 1; i < len(edges); i++ {
-		if !rl.ActionLess(edges[i-1].Action, edges[i].Action) {
+		if edges[i-1].Action >= edges[i].Action {
 			t.Fatalf("edges out of order at %d: %v !< %v", i, edges[i-1].Action, edges[i].Action)
 		}
 	}
@@ -314,11 +303,11 @@ func TestEdgesStaySorted(t *testing.T) {
 // and selects among the survivors; an unknown state, or a state whose
 // every edge is rejected, selects nothing.
 func TestSelectPrunesRejectedEdge(t *testing.T) {
-	tr := NewTree(1.5, rl.ActionLess)
+	tr := NewTree(1.5)
 	doomed, keep := act(0, 0, 1, 1, topo.Clockwise), act(0, 0, 2, 2, topo.Clockwise)
-	tr.Expand("s", []rl.Action{doomed, keep}, []float64{0.9, 0.1})
-	tr.Backup([]step{{"s", doomed}, {"s", keep}}, []float64{5, 1})
-	notDoomed := func(a rl.Action) bool { return a != doomed }
+	tr.Expand("s", []int{doomed, keep}, []float64{0.9, 0.1})
+	tr.Backup([]PathStep{{"s", doomed}, {"s", keep}}, []float64{5, 1})
+	notDoomed := func(a int) bool { return a != doomed }
 	a, ok := tr.Select("s", notDoomed)
 	if !ok || a != keep {
 		t.Fatalf("selected %v (ok=%v), want %v", a, ok, keep)
@@ -334,7 +323,7 @@ func TestSelectPrunesRejectedEdge(t *testing.T) {
 	if _, ok := tr.Select("missing", anyAction); ok {
 		t.Fatal("selected from an unknown state")
 	}
-	none := func(rl.Action) bool { return false }
+	none := func(int) bool { return false }
 	if a, ok := tr.Select("s", none); ok {
 		t.Fatalf("selected %v with every edge rejected", a)
 	}
@@ -346,13 +335,12 @@ func TestSelectPrunesRejectedEdge(t *testing.T) {
 // selectAny is Eq. 21's argmax over every edge of the state, with no
 // legality test. With prune it makes selectPruneLoop, the reference
 // TestSelectMatchesPruneLoop holds Select to.
-func (t *Tree[A]) selectAny(fp string) (A, bool) {
+func (t *Tree) selectAny(fp string) (int, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	node, ok := t.nodes[fp]
 	if !ok || len(node.Edges) == 0 {
-		var zero A
-		return zero, false
+		return 0, false
 	}
 	sqrtSum := math.Sqrt(float64(node.SumN) + 1)
 	best := 0
@@ -370,14 +358,14 @@ func (t *Tree[A]) selectAny(fp string) (A, bool) {
 
 // prune removes the edge for action a from the state and unwinds its
 // visits from the node's sum.
-func (t *Tree[A]) prune(fp string, a A) {
+func (t *Tree) prune(fp string, a int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	node, ok := t.nodes[fp]
 	if !ok {
 		return
 	}
-	if i, ok := node.find(a, t.less); ok {
+	if i, ok := node.find(a); ok {
 		node.SumN -= node.Edges[i].N
 		node.Edges = append(node.Edges[:i], node.Edges[i+1:]...)
 	}
@@ -386,7 +374,7 @@ func (t *Tree[A]) prune(fp string, a A) {
 // selectPruneLoop is the reference for Select with a legality test:
 // select, and while the selected edge is rejected, prune it and select
 // again.
-func selectPruneLoop[A comparable](t *Tree[A], fp string, legal func(A) bool) (A, bool) {
+func selectPruneLoop(t *Tree, fp string, legal func(int) bool) (int, bool) {
 	for {
 		a, ok := t.selectAny(fp)
 		if !ok || legal(a) {
@@ -403,11 +391,10 @@ func selectPruneLoop[A comparable](t *Tree[A], fp string, legal func(A) bool) (A
 // operations, and after every Select they must have returned the same
 // action and hold the same edges and visit sum.
 func TestSelectMatchesPruneLoop(t *testing.T) {
-	less := func(a, b int) bool { return a < b }
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 400; trial++ {
 		c := 0.5 + rng.Float64()*2
-		got, want := NewTree(c, less), NewTree(c, less)
+		got, want := NewTree(c), NewTree(c)
 		var actions []int
 		var priors []float64
 		for a := 0; a < 40; a++ {
@@ -416,14 +403,14 @@ func TestSelectMatchesPruneLoop(t *testing.T) {
 				priors = append(priors, float64(rng.Intn(4)))
 			}
 		}
-		for _, tr := range []*Tree[int]{got, want} {
+		for _, tr := range []*Tree{got, want} {
 			tr.Expand("s", actions, priors)
 		}
 		for round := 0; round < 6; round++ {
-			path := make([]PathStep[int], rng.Intn(12))
+			path := make([]PathStep, rng.Intn(12))
 			returns := make([]float64, len(path))
 			for i := range path {
-				path[i] = PathStep[int]{Fingerprint: "s", Action: rng.Intn(48)}
+				path[i] = PathStep{Fingerprint: "s", Action: rng.Intn(48)}
 				returns[i] = float64(rng.Intn(9) - 4)
 			}
 			got.Backup(path, returns)
@@ -445,10 +432,10 @@ func TestSelectMatchesPruneLoop(t *testing.T) {
 	}
 }
 
-// rootActions returns the 1,568 legal actions of a blank 8×8 design, in
-// tree order.
-func rootActions() []rl.Action {
-	return rl.NewEnv(8, 14).LegalActions()
+// rootActions returns the ids of the 1,568 legal actions of a blank 8×8
+// design, in tree order.
+func rootActions() []int {
+	return rl.NewEnv(8, 14).Actions()
 }
 
 // BenchmarkTreeExpand builds the 8×8 root leaf, 1,568 actions with their
@@ -461,7 +448,7 @@ func BenchmarkTreeExpand(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NewTree(1.5, rl.ActionLess).Expand("root", actions, priors)
+		NewTree(1.5).Expand("root", actions, priors)
 	}
 }
 
@@ -478,32 +465,32 @@ func BenchmarkTreeSelect(b *testing.B) {
 		priors[i] = float64(i%7 + 1)
 	}
 	// Degenerate rectangles are never legal and sort among the actions.
-	penalized := make([]rl.Action, 16)
+	penalized := make([]int, 16)
 	for i := range penalized {
 		penalized[i] = act(i%8, i/8, i%8, i/8, topo.Clockwise)
 	}
-	legal := func(a rl.Action) bool { return a.X1 != a.X2 }
+	legal := func(id int) bool { a := rl.ActionOf(id); return a.X1 != a.X2 }
 	for _, bc := range []struct {
 		name  string
 		prune int
 	}{{"first-legal", 0}, {"prune-4", 4}} {
 		b.Run(bc.name, func(b *testing.B) {
-			tr := NewTree(1.5, rl.ActionLess)
+			tr := NewTree(1.5)
 			tr.Expand("root", actions, priors)
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 4096; i++ {
 				a := actions[rng.Intn(len(actions))]
-				tr.Backup([]step{{"root", a}}, []float64{rng.Float64()})
+				tr.Backup([]PathStep{{"root", a}}, []float64{rng.Float64()})
 			}
 			for i, a := range penalized {
 				r := -1.0
 				if i < bc.prune {
 					r = 100
 				}
-				tr.Backup([]step{{"root", a}}, []float64{r})
+				tr.Backup([]PathStep{{"root", a}}, []float64{r})
 			}
 			node := tr.nodes["root"]
-			saved, sumN := append([]EdgeEntry[rl.Action](nil), node.Edges...), node.SumN
+			saved, sumN := append([]EdgeEntry(nil), node.Edges...), node.SumN
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

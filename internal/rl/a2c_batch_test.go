@@ -15,11 +15,11 @@ func randomTraj(e *Env, rng *rand.Rand, maxSteps int) Trajectory {
 	var traj Trajectory
 	e.Reset()
 	for len(traj.Steps) < maxSteps {
-		acts := e.LegalActions()
+		acts := e.Actions()
 		if len(acts) == 0 {
 			break
 		}
-		a := acts[rng.Intn(len(acts))]
+		a := ActionOf(acts[rng.Intn(len(acts))])
 		st := e.StateInto(nil)
 		r, _ := e.Step(a)
 		traj.Steps = append(traj.Steps, StepRecord{State: st, Action: a, Reward: r})

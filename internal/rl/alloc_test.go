@@ -123,12 +123,12 @@ func TestFingerprintZeroAllocWhenClean(t *testing.T) {
 // TestLegalActionsZeroAllocSteadyState pins the reused enumeration buffer.
 func TestLegalActionsZeroAllocSteadyState(t *testing.T) {
 	e := NewEnv(6, 10)
-	e.LegalActions() // size the buffer at the blank design's maximum
+	e.Actions() // size the buffer at the blank design's maximum
 	allocs := testing.AllocsPerRun(50, func() {
-		_ = e.LegalActions()
+		_ = e.Actions()
 	})
 	if allocs != 0 {
-		t.Fatalf("warmed-up LegalActions allocates %.1f times, want 0", allocs)
+		t.Fatalf("warmed-up Actions allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -22,13 +22,14 @@ func TestMaxLoopLenRejectsLongLoops(t *testing.T) {
 
 func TestMaxLoopLenFiltersLegalActions(t *testing.T) {
 	e := NewEnv(4, 0)
-	all := len(e.LegalActions())
+	all := len(e.Actions())
 	e.MaxLoopLen = 8
-	filtered := len(e.LegalActions())
+	filtered := len(e.Actions())
 	if filtered >= all {
 		t.Fatalf("constraint did not shrink action space: %d -> %d", all, filtered)
 	}
-	for _, a := range e.LegalActions() {
+	for _, id := range e.Actions() {
+		a := ActionOf(id)
 		l, _ := a.Loop()
 		if l.Len() > 8 {
 			t.Fatalf("legal action %v has length %d", a, l.Len())
@@ -62,13 +63,13 @@ func TestMaxLoopLenGreedyRespects(t *testing.T) {
 func TestLegalChecksConstraints(t *testing.T) {
 	e := NewEnv(4, 6)
 	e.MaxLoopLen = 8
-	if e.Legal(Action{0, 0, 3, 3, topo.Clockwise}) {
+	if e.Legal(Action{0, 0, 3, 3, topo.Clockwise}.ID()) {
 		t.Fatal("Legal accepted an over-length loop")
 	}
-	if !e.Legal(Action{0, 0, 1, 1, topo.Clockwise}) {
+	if !e.Legal(Action{0, 0, 1, 1, topo.Clockwise}.ID()) {
 		t.Fatal("Legal rejected a valid loop")
 	}
-	if e.Legal(Action{0, 0, 0, 3, topo.Clockwise}) {
+	if e.Legal(Action{0, 0, 0, 3, topo.Clockwise}.ID()) {
 		t.Fatal("Legal accepted a degenerate rectangle")
 	}
 }

@@ -15,11 +15,28 @@ import (
 )
 
 // Action encodes a loop addition (x1, y1, x2, y2, dir) per §4.2. x selects
-// a row and y a column; Dir = 1 (clockwise) or 0 (counterclockwise),
-// matching the paper's action tuple.
+// a row and y a column. Dir is a topo.Direction: the paper's dir = 1 is
+// topo.Clockwise and its dir = 0 is topo.Counterclockwise, although in Go
+// topo.Clockwise is 0.
 type Action struct {
 	X1, Y1, X2, Y2 int
 	Dir            topo.Direction
+}
+
+// ID packs the action into the integer id the search tree keys its edges
+// by: five bits per coordinate and the Go value of Dir in the low bit,
+// x1<<16 | y1<<11 | x2<<6 | y2<<1 | dir. Five bits hold every coordinate of
+// a grid up to topo.MaxJSONSide, and degenerate rectangles encode too. Ids
+// ascend in the canonical action order: coordinates lexicographically,
+// then clockwise (0) before counterclockwise. Actions enumerates in that
+// order, and the tree's tie-break and prior sampling rely on it.
+func (a Action) ID() int {
+	return a.X1<<16 | a.Y1<<11 | a.X2<<6 | a.Y2<<1 | int(a.Dir)
+}
+
+// ActionOf decodes an id made by Action.ID.
+func ActionOf(id int) Action {
+	return Action{id >> 16 & 31, id >> 11 & 31, id >> 6 & 31, id >> 1 & 31, topo.Direction(id & 1)}
 }
 
 // Loop converts the action to a normalized loop. The boolean is false when
@@ -35,26 +52,6 @@ func (a Action) Loop() (topo.Loop, bool) {
 // String renders the tuple.
 func (a Action) String() string {
 	return fmt.Sprintf("(%d,%d,%d,%d,%s)", a.X1, a.Y1, a.X2, a.Y2, a.Dir)
-}
-
-// ActionLess is the canonical lexicographic order on actions — coordinates
-// first, then direction (clockwise before counterclockwise). LegalActions
-// enumerates in exactly this order, and deterministic consumers (MCTS
-// tie-breaking, prior sampling) rely on it.
-func ActionLess(a, b Action) bool {
-	if a.X1 != b.X1 {
-		return a.X1 < b.X1
-	}
-	if a.Y1 != b.Y1 {
-		return a.Y1 < b.Y1
-	}
-	if a.X2 != b.X2 {
-		return a.X2 < b.X2
-	}
-	if a.Y2 != b.Y2 {
-		return a.Y2 < b.Y2
-	}
-	return a.Dir < b.Dir
 }
 
 // ActionKind classifies the outcome of Env.Step per §4.3.
@@ -101,9 +98,9 @@ type Env struct {
 	// scores is the lazily built per-rectangle greedy score cache (see
 	// scores.go); Step keeps it consistent in place (noteAdded).
 	scores *scoreTable
-	// legalBuf backs LegalActions so steady-state enumeration is
+	// legalBuf backs Actions so steady-state enumeration is
 	// allocation-free.
-	legalBuf []Action
+	legalBuf []int
 }
 
 // NewEnv creates a blank N×N design environment under the given node
@@ -165,9 +162,10 @@ func (e *Env) allowed(l topo.Loop) bool {
 	return e.MaxLoopLen <= 0 || l.Len() <= e.MaxLoopLen
 }
 
-// Legal reports whether the action would be a Valid step right now.
-func (e *Env) Legal(a Action) bool {
-	l, ok := a.Loop()
+// Legal reports whether the action with the given id would be a Valid
+// step right now, that is whether Actions would list it.
+func (e *Env) Legal(id int) bool {
+	l, ok := ActionOf(id).Loop()
 	return ok && e.allowed(l) && e.topo.CheckAdd(l) == nil
 }
 
@@ -196,27 +194,24 @@ func (e *Env) Step(a Action) (reward float64, kind ActionKind) {
 	}
 }
 
-// LegalActions enumerates every loop addition currently allowed. Both
-// directions of each placeable rectangle are included; rectangles already
-// present in one direction remain legal in the other. The enumeration
-// reads the cached per-rectangle legality, and the returned slice is an
-// internal buffer reused (and overwritten) by the next call — copy it to
-// retain across steps.
-func (e *Env) LegalActions() []Action {
+// Actions enumerates the ids of every loop addition currently allowed, in
+// ascending order. Both directions of each placeable rectangle are
+// included; rectangles already present in one direction remain legal in
+// the other. The enumeration reads the cached per-rectangle legality, and
+// the returned slice is an internal buffer reused (and overwritten) by the
+// next call — copy it to retain across steps.
+func (e *Env) Actions() []int {
 	s := e.scoresSynced()
 	rects := s.tab.Rects()
 	out := e.legalBuf[:0]
 	for ri := range s.sc {
-		sc := &s.sc[ri]
-		if !sc.cwOK && !sc.ccwOK {
-			continue
-		}
-		r := &rects[ri]
+		sc, r := &s.sc[ri], &rects[ri]
+		id := Action{r.R1, r.C1, r.R2, r.C2, topo.Clockwise}.ID()
 		if sc.cwOK {
-			out = append(out, Action{r.R1, r.C1, r.R2, r.C2, topo.Clockwise})
+			out = append(out, id)
 		}
 		if sc.ccwOK {
-			out = append(out, Action{r.R1, r.C1, r.R2, r.C2, topo.Counterclockwise})
+			out = append(out, id|int(topo.Counterclockwise))
 		}
 	}
 	e.legalBuf = out

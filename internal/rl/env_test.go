@@ -9,6 +9,58 @@ import (
 	"routerless/internal/topo"
 )
 
+// ActionLess is the canonical lexicographic order on actions: coordinates
+// first, then direction (clockwise before counterclockwise). It is the
+// reference TestActionIDsFollowActionLess holds Action.ID to.
+func ActionLess(a, b Action) bool {
+	if a.X1 != b.X1 {
+		return a.X1 < b.X1
+	}
+	if a.Y1 != b.Y1 {
+		return a.Y1 < b.Y1
+	}
+	if a.X2 != b.X2 {
+		return a.X2 < b.X2
+	}
+	if a.Y2 != b.Y2 {
+		return a.Y2 < b.Y2
+	}
+	return a.Dir < b.Dir
+}
+
+// TestActionIDsFollowActionLess walks every action of 4×4 to 10×10 grids
+// and of the 18×18 grid, degenerate rectangles included, in ActionLess
+// order: the ids ascend strictly, and ActionOf decodes each one back to
+// its action.
+func TestActionIDsFollowActionLess(t *testing.T) {
+	for _, n := range []int{4, 5, 6, 7, 8, 9, 10, topo.MaxJSONSide} {
+		var prev Action
+		count := 0
+		for x1 := 0; x1 < n; x1++ {
+			for y1 := 0; y1 < n; y1++ {
+				for x2 := 0; x2 < n; x2++ {
+					for y2 := 0; y2 < n; y2++ {
+						for _, dir := range []topo.Direction{topo.Clockwise, topo.Counterclockwise} {
+							a := Action{x1, y1, x2, y2, dir}
+							if got := ActionOf(a.ID()); got != a {
+								t.Fatalf("n=%d: ActionOf(%v.ID()) = %v", n, a, got)
+							}
+							if count > 0 && (!ActionLess(prev, a) || prev.ID() >= a.ID()) {
+								t.Fatalf("n=%d: %v (id %d) then %v (id %d)", n, prev, prev.ID(), a, a.ID())
+							}
+							prev = a
+							count++
+						}
+					}
+				}
+			}
+		}
+		if want := 2 * n * n * n * n; count != want {
+			t.Fatalf("n=%d: walked %d actions, want %d", n, count, want)
+		}
+	}
+}
+
 func TestActionLoopConversion(t *testing.T) {
 	a := Action{X1: 0, Y1: 0, X2: 2, Y2: 3, Dir: topo.Clockwise}
 	l, ok := a.Loop()
@@ -87,13 +139,13 @@ func TestAverageHopsChargesSentinel(t *testing.T) {
 
 func TestLegalActionsShrinkWithCap(t *testing.T) {
 	e := NewEnv(4, 1)
-	all := len(e.LegalActions())
+	all := len(e.Actions())
 	// 4x4: C(4,2)^2 rectangles = 36, both directions = 72.
 	if all != 72 {
 		t.Fatalf("blank legal actions = %d, want 72", all)
 	}
 	e.Step(Action{0, 0, 3, 3, topo.Clockwise})
-	after := len(e.LegalActions())
+	after := len(e.Actions())
 	if after >= all {
 		t.Fatalf("legal actions did not shrink: %d -> %d", all, after)
 	}
@@ -104,8 +156,8 @@ func TestLegalActionsShrinkWithCap(t *testing.T) {
 
 // TestLegalActionsStrictlyAscending pins the precondition mcts.Tree.Expand
 // builds its edge slice on: along random legal additions, with and without
-// a loop-length limit, LegalActions lists each action once, in strictly
-// ascending ActionLess order.
+// a loop-length limit, Actions lists each action id once, in strictly
+// ascending order, which is ActionLess order on the decoded actions.
 func TestLegalActionsStrictlyAscending(t *testing.T) {
 	for _, tc := range []struct{ n, cap, maxLen int }{
 		{4, 6, 0}, {5, 4, 0}, {6, 10, 0}, {8, 14, 0}, {5, 6, 8}, {8, 14, 12},
@@ -115,16 +167,16 @@ func TestLegalActionsStrictlyAscending(t *testing.T) {
 			e := NewEnv(tc.n, tc.cap)
 			e.MaxLoopLen = tc.maxLen
 			for step := 0; ; step++ {
-				legal := e.LegalActions()
+				legal := e.Actions()
 				for i := 1; i < len(legal); i++ {
-					if !ActionLess(legal[i-1], legal[i]) {
-						t.Fatalf("%+v seed %d step %d: %v then %v", tc, seed, step, legal[i-1], legal[i])
+					if a, b := ActionOf(legal[i-1]), ActionOf(legal[i]); legal[i-1] >= legal[i] || !ActionLess(a, b) {
+						t.Fatalf("%+v seed %d step %d: %v then %v", tc, seed, step, a, b)
 					}
 				}
 				if len(legal) == 0 {
 					break
 				}
-				if _, kind := e.Step(legal[rng.Intn(len(legal))]); kind != Valid {
+				if _, kind := e.Step(ActionOf(legal[rng.Intn(len(legal))])); kind != Valid {
 					t.Fatalf("%+v seed %d step %d: a listed action was %v", tc, seed, step, kind)
 				}
 			}
@@ -138,8 +190,8 @@ func TestHasLegalActionExhaustion(t *testing.T) {
 	if e.HasLegalAction() {
 		t.Fatal("cap 1 on 2x2 should be exhausted after one loop")
 	}
-	if len(e.LegalActions()) != 0 {
-		t.Fatal("LegalActions disagrees with HasLegalAction")
+	if len(e.Actions()) != 0 {
+		t.Fatal("Actions disagrees with HasLegalAction")
 	}
 }
 

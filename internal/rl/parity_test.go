@@ -8,7 +8,7 @@ import (
 )
 
 // bruteLegalActions is the original O(N⁴) enumeration, kept in tests as
-// the oracle for the score-table-backed LegalActions.
+// the oracle for the score-table-backed Actions.
 func bruteLegalActions(e *Env) []Action {
 	var out []Action
 	for x1 := 0; x1 < e.N-1; x1++ {
@@ -74,7 +74,7 @@ func TestGreedySearchMatchesBruteRandomized(t *testing.T) {
 	}
 }
 
-// TestLegalActionsMatchBruteRandomized pins LegalActions / HasLegalAction
+// TestLegalActionsMatchBruteRandomized pins Actions / HasLegalAction
 // against the original enumeration on the same kind of randomized designs.
 func TestLegalActionsMatchBruteRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -85,14 +85,14 @@ func TestLegalActionsMatchBruteRandomized(t *testing.T) {
 			e.MaxLoopLen = 4 + 2*rng.Intn(n)
 		}
 		seedRandomDesign(e, rng, rng.Intn(16))
-		got := e.LegalActions()
+		got := e.Actions()
 		want := bruteLegalActions(e)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d legal actions, want %d", trial, len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: action %d = %v, want %v", trial, i, got[i], want[i])
+			if got[i] != want[i].ID() {
+				t.Fatalf("trial %d: action %d = %v, want %v", trial, i, ActionOf(got[i]), want[i])
 			}
 		}
 		if e.HasLegalAction() != (len(want) > 0) {

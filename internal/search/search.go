@@ -1,18 +1,12 @@
-// Package search generalizes the paper's exploration framework beyond
-// routerless NoCs (§6.8, "Broad Applicability"): any design problem that
-// can present states, candidate actions, rewards, and a final score can be
-// driven by the same DNN-prior Monte Carlo tree search with ε-greedy
-// heuristic overrides. The routerless case study (internal/drl) is the
-// paper's instantiation. Graph and Placement are the shared core of link
-// placement, the §6.8 problems: internal/noc3d (3-D NoC links, the paper's
-// first suggested application) and internal/chiplet (interposer links)
-// each supply only a base graph, a geometric rule and a reward.
-//
-// The searcher is a thin episode loop over the same tree the routerless
-// search uses, mcts.Tree[int], under the same contract: states are keyed
-// by fingerprint, actions are integer ids kept in ascending order, which
-// also fixes Select's tie-break, Select prunes what Legal rejects, and
-// Expand only creates leaves. A Placement's link ids ascend as the link
+// Package search is the exploration framework both searches of this
+// repository run on, with the §6.8 ("Broad Applicability") problems that
+// carry it beyond routerless NoCs. Choose is the per-step choice of §4.5:
+// ε-greedy heuristic, else tree selection (Eq. 21), else expansion of a
+// leaf with priors. The routerless search (internal/drl) calls it with the
+// DNN's priors, and the Searcher, a single-threaded episode loop, with a
+// Problem's. Graph and Placement are the shared core of link placement:
+// internal/noc3d and internal/chiplet each supply only a base graph, a
+// geometric rule and a reward. A Placement's link ids ascend as the link
 // names "a-b" do in byte order, so its searches visit what a string-keyed
 // tree would.
 package search
@@ -21,16 +15,66 @@ import (
 	"math/rand"
 
 	"routerless/internal/mcts"
+	"routerless/internal/obs"
 )
+
+// Gamma discounts the step rewards of both searches into the returns-to-go
+// the tree backs up.
+const Gamma = 0.99
+
+// Decision is one decision point of an episode, as Choose sees it.
+type Decision interface {
+	// Actions enumerates the legal action ids in ascending order; the
+	// slice is valid until the next call.
+	Actions() []int
+	// Legal reports whether Actions would list the action.
+	Legal(action int) bool
+	// Greedy proposes the heuristic action (Algorithm 1's role); ok is
+	// false when no action remains.
+	Greedy() (action int, ok bool)
+	// Priors weights actions, as Actions returned them; the slice is valid
+	// until the next call.
+	Priors(actions []int) []float64
+}
+
+// Choose picks the action at state fp: with probability epsilon d's
+// heuristic, else the tree's selection among the edges d accepts, else it
+// expands the leaf with d's legal actions and priors and draws from the
+// priors. A nil tree always draws. ok is false when no action remains. The
+// rng draws ε, then the sample. trace, when non-nil, records the selection
+// as an mcts.select span and the leaf's work as an mcts.expand span.
+func Choose(tree *mcts.Tree, fp string, d Decision, epsilon float64, rng *rand.Rand, trace *obs.TraceShard) (int, bool) {
+	if rng.Float64() < epsilon {
+		return d.Greedy()
+	}
+	if tree != nil {
+		sel := trace.Start(obs.SpanMCTSSelect)
+		a, ok := tree.Select(fp, d.Legal)
+		sel.End()
+		if ok {
+			return a, true
+		}
+	}
+	ex := trace.Start(obs.SpanMCTSExpand)
+	actions := d.Actions()
+	if len(actions) == 0 {
+		ex.End()
+		return 0, false
+	}
+	priors := d.Priors(actions)
+	if tree != nil {
+		tree.Expand(fp, actions, priors)
+	}
+	ex.End()
+	return mcts.Sample(actions, priors, rng), true
+}
 
 // Environment is one design episode's mutable state.
 type Environment interface {
 	// Fingerprint canonically identifies the current design state.
 	Fingerprint() string
-	// Actions enumerates the currently legal actions as opaque ids, in
-	// ascending order. The slice is valid until the next call.
+	// Actions and Legal are the episode's Decision methods.
 	Actions() []int
-	// Legal reports whether Actions would list the action.
 	Legal(action int) bool
 	// Step applies an action, returning its immediate reward. Illegal or
 	// wasted actions should return negative rewards (§4.3's shaping).
@@ -45,12 +89,9 @@ type Environment interface {
 type Problem interface {
 	// NewEpisode returns a blank design environment.
 	NewEpisode() Environment
-	// Greedy proposes the domain's heuristic action (Algorithm 1's role);
-	// ok is false when no action remains.
+	// Greedy and Priors serve as env's Decision methods. Priors is where a
+	// learned policy plugs in, as the routerless search's DNN does.
 	Greedy(env Environment) (action int, ok bool)
-	// Priors weights the legal actions, given in ascending order, for tree
-	// expansion and sampling. This is where a learned policy plugs in. The
-	// slice is valid until the next call for the same episode.
 	Priors(env Environment, actions []int) []float64
 }
 
@@ -68,10 +109,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{Episodes: 30, Epsilon: 0.2, CPuct: 1.5, MaxSteps: 256, Seed: 1}
 }
-
-// gamma discounts the step rewards into the returns-to-go the tree backs
-// up.
-const gamma = 0.99
 
 // Outcome records one finished episode.
 type Outcome struct {
@@ -94,7 +131,7 @@ type Result struct {
 type Searcher struct {
 	cfg    Config
 	prob   Problem
-	tree   *mcts.Tree[int]
+	tree   *mcts.Tree
 	result Result
 	// onBest, when set, observes strictly improving episodes; domains use
 	// it to snapshot the best design.
@@ -109,8 +146,7 @@ func New(cfg Config, prob Problem) *Searcher {
 	if cfg.MaxSteps < 1 {
 		cfg.MaxSteps = 256
 	}
-	less := func(a, b int) bool { return a < b }
-	return &Searcher{cfg: cfg, prob: prob, tree: mcts.NewTree(cfg.CPuct, less)}
+	return &Searcher{cfg: cfg, prob: prob, tree: mcts.NewTree(cfg.CPuct)}
 }
 
 // OnBest registers a callback fired whenever an episode strictly improves
@@ -131,15 +167,16 @@ func (s *Searcher) Run() *Result {
 
 func (s *Searcher) runEpisode(rng *rand.Rand) {
 	env := s.prob.NewEpisode()
-	var path []mcts.PathStep[int]
+	d := &episode{Environment: env, prob: s.prob}
+	var path []mcts.PathStep
 	var returns []float64
 	for steps := 0; steps < s.cfg.MaxSteps && !env.Done(); steps++ {
 		fp := env.Fingerprint()
-		action, ok := s.choose(env, fp, rng)
+		action, ok := Choose(s.tree, fp, d, s.cfg.Epsilon, rng, nil)
 		if !ok {
 			break
 		}
-		path = append(path, mcts.PathStep[int]{Fingerprint: fp, Action: action})
+		path = append(path, mcts.PathStep{Fingerprint: fp, Action: action})
 		returns = append(returns, env.Step(action))
 	}
 	final := env.FinalReward()
@@ -147,7 +184,7 @@ func (s *Searcher) runEpisode(rng *rand.Rand) {
 	// Turn the step rewards into discounted returns-to-go in place.
 	g := final
 	for i := len(returns) - 1; i >= 0; i-- {
-		g = returns[i] + gamma*g
+		g = returns[i] + Gamma*g
 		returns[i] = g
 	}
 	s.tree.Backup(path, returns)
@@ -162,21 +199,13 @@ func (s *Searcher) runEpisode(rng *rand.Rand) {
 	}
 }
 
-// choose mirrors the routerless action policy: ε-greedy heuristic, tree
-// selection at known states, expansion with priors at leaves. Only a leaf
-// enumerates the legal actions.
-func (s *Searcher) choose(env Environment, fp string, rng *rand.Rand) (int, bool) {
-	if rng.Float64() < s.cfg.Epsilon {
-		return s.prob.Greedy(env)
-	}
-	if a, ok := s.tree.Select(fp, env.Legal); ok {
-		return a, true
-	}
-	actions := env.Actions()
-	if len(actions) == 0 {
-		return 0, false
-	}
-	priors := s.prob.Priors(env, actions)
-	s.tree.Expand(fp, actions, priors)
-	return mcts.Sample(actions, priors, rng), true
+// episode is the Decision of one Searcher episode: its environment's
+// actions, with the problem's heuristic and priors bound to it.
+type episode struct {
+	Environment
+	prob Problem
 }
+
+func (e *episode) Greedy() (int, bool) { return e.prob.Greedy(e.Environment) }
+
+func (e *episode) Priors(actions []int) []float64 { return e.prob.Priors(e.Environment, actions) }

@@ -2,9 +2,13 @@ package search
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
+
+	"routerless/internal/mcts"
+	"routerless/internal/obs"
 )
 
 // counterEnv is a toy problem: pick digits; final reward is the sum, but
@@ -224,6 +228,48 @@ func TestSearcherPrunesStaleEdge(t *testing.T) {
 	for a, e := range edges {
 		if e.P != first[a] {
 			t.Fatalf("edge %d prior = %v, want %v", a, e.P, first[a])
+		}
+	}
+}
+
+// fixedDecision offers the same actions, priors and heuristic pick at every
+// step, from slices it owns.
+type fixedDecision struct {
+	actions []int
+	priors  []float64
+}
+
+func (d *fixedDecision) Actions() []int { return d.actions }
+
+func (d *fixedDecision) Legal(a int) bool { return slices.Contains(d.actions, a) }
+
+func (d *fixedDecision) Greedy() (int, bool) { return d.actions[0], true }
+
+func (d *fixedDecision) Priors([]int) []float64 { return d.priors }
+
+// TestChooseAllocatesNothing pins the shared per-step choice at zero
+// allocations on each of its paths (the heuristic, selection at a known
+// state, and a draw without a tree), with tracing off and on: passing the
+// Decision's Legal to Select must not put a closure on the heap.
+func TestChooseAllocatesNothing(t *testing.T) {
+	d := &fixedDecision{actions: []int{1, 3, 5}, priors: []float64{1, 2, 3}}
+	tree := mcts.NewTree(1.5)
+	tree.Expand("s", d.actions, d.priors)
+	rng := rand.New(rand.NewSource(1))
+	for _, trace := range []*obs.TraceShard{nil, obs.NewTracer(1 << 10).Shard("choose")} {
+		for _, tc := range []struct {
+			name string
+			tree *mcts.Tree
+			eps  float64
+		}{{"greedy", tree, 1}, {"select", tree, 0}, {"sample", nil, 0}} {
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, ok := Choose(tc.tree, "s", d, tc.eps, rng, trace); !ok {
+					t.Fatal("no action chosen")
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s (trace %v): Choose allocates %.1f times per step, want 0", tc.name, trace != nil, allocs)
+			}
 		}
 	}
 }

@@ -141,25 +141,35 @@ func TestConvFusedMatchesLowered(t *testing.T) {
 // 8×8 and 10×10 search nets (the 10×10 planes — 50, 25 and 12 wide — end
 // in 4- and 1-wide AVX2 row tails and shifted AVX-512 chunks), once per
 // body: the avx512 and avx2 rows (each skipped on hosts without it) and
-// the portable go rows. Each row reports its throughput in GMAC/s; every
-// kernel does outC·inC·k²·h·w MACs per sample.
+// the portable go rows. Each shape runs at one sample, the per-step
+// inference call, and as a "_nb4" row at four, a training call's batch
+// (the search's training calls carry 2–5 samples), where the per-call
+// weight packing and offset tables are spread over the samples. Each row
+// reports its throughput in GMAC/s; every kernel does outC·inC·k²·h·w MACs
+// per sample.
 func benchConvFused(b *testing.B, kernel func(o *convOperands)) {
 	rng := rand.New(rand.NewSource(53))
 	for _, s := range append(append([]convShape(nil), defaultNetShapes[8]...), defaultNetShapes[10]...) {
-		o := newConvOperands(rng, s, 1)
-		o.out = make([]float64, max(s.outC, s.inC)*s.h*s.w)
-		o.dw = make([]float64, s.outC*s.inC*s.k*s.k)
-		macs := float64(s.outC * s.inC * s.k * s.k * s.h * s.w)
-		for _, l := range []simdLevel{levelAVX512, levelAVX2, levelGo} {
-			b.Run(s.String()+"/"+l.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				onLevel(b, l, func() {
-					for i := 0; i < b.N; i++ {
-						kernel(o)
-					}
+		for _, nb := range []int{1, 4} {
+			o := newConvOperands(rng, s, nb)
+			o.out = make([]float64, max(s.outC, s.inC)*nb*s.h*s.w)
+			o.dw = make([]float64, s.outC*s.inC*s.k*s.k)
+			macs := float64(nb * s.outC * s.inC * s.k * s.k * s.h * s.w)
+			name := s.String()
+			if nb > 1 {
+				name += "_nb" + strconv.Itoa(nb)
+			}
+			for _, l := range []simdLevel{levelAVX512, levelAVX2, levelGo} {
+				b.Run(name+"/"+l.String(), func(b *testing.B) {
+					b.ReportAllocs()
+					onLevel(b, l, func() {
+						for i := 0; i < b.N; i++ {
+							kernel(o)
+						}
+					})
+					b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 				})
-				b.ReportMetric(macs*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-			})
+			}
 		}
 	}
 }
