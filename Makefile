@@ -39,12 +39,14 @@ race:
 	$(GO) test -race ./internal/drl/... ./internal/sim/... ./internal/obs/... ./internal/mcts/... ./internal/exp/... ./internal/rl/... ./internal/infer/...
 
 # Non-test Go lines per internal/ package and their total, the unit the
-# ROADMAP measures code size in (assembly and _test.go files excluded).
+# ROADMAP measures code size in (assembly and _test.go files excluded),
+# then the same count over the commands under cmd/.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d %s\n' $$(cat $$(ls $$d*.go | grep -v '_test\.go$$') | wc -l) $${d%/}; \
 	done
 	@printf '%6d total\n' $$(cat $$(ls internal/*/*.go | grep -v '_test\.go$$') | wc -l)
+	@printf '%6d cmd total\n' $$(cat $$(ls cmd/*/*.go | grep -v '_test\.go$$') | wc -l)
 
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' .

@@ -32,13 +32,17 @@ var (
 	benchOpts  = exp.Options{Quick: true, Seed: 1}
 )
 
-// runExperiment executes an experiment once per bench invocation and logs
-// the regenerated table.
-func runExperiment(b *testing.B, id string, fn func(exp.Options) *exp.Report) {
+// runExperiment runs an experiment through exp.ByID, which gives every
+// iteration a memo of its own so each one redoes all of its work, and
+// logs the regenerated table once.
+func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	var rep *exp.Report
 	for i := 0; i < b.N; i++ {
-		rep = fn(benchOpts)
+		var err error
+		if rep, err = exp.ByID(id, benchOpts); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if _, logged := reportOnce.LoadOrStore(id, struct{}{}); !logged {
 		b.Log("\n" + rep.String())
@@ -48,71 +52,71 @@ func runExperiment(b *testing.B, id string, fn func(exp.Options) *exp.Report) {
 // --- One bench per table -------------------------------------------------
 
 func BenchmarkTable1Epsilon(b *testing.B) {
-	runExperiment(b, "T1", exp.Table1Epsilon)
+	runExperiment(b, "T1")
 }
 
 func BenchmarkTable2LargerNoCs(b *testing.B) {
-	runExperiment(b, "T2", exp.Table2LargerNoCs)
+	runExperiment(b, "T2")
 }
 
 func BenchmarkTable3Overlap8x8(b *testing.B) {
-	runExperiment(b, "T3", exp.Table3Overlap8x8)
+	runExperiment(b, "T3")
 }
 
 func BenchmarkTable4Overlap10x10(b *testing.B) {
-	runExperiment(b, "T4", exp.Table4Overlap10x10)
+	runExperiment(b, "T4")
 }
 
 func BenchmarkTable5ParsecExecTime(b *testing.B) {
-	runExperiment(b, "T5", exp.Table5ParsecExecTime)
+	runExperiment(b, "T5")
 }
 
 // --- One bench per figure ------------------------------------------------
 
 func BenchmarkFigure9Topology4x4(b *testing.B) {
-	runExperiment(b, "F9", exp.Figure9Topology)
+	runExperiment(b, "F9")
 }
 
 func BenchmarkFigure10SyntheticLatency(b *testing.B) {
-	runExperiment(b, "F10", exp.Figure10SyntheticLatency)
+	runExperiment(b, "F10")
 }
 
 func BenchmarkFigure11ParsecLatency(b *testing.B) {
-	runExperiment(b, "F11", exp.Figure11ParsecLatency)
+	runExperiment(b, "F11")
 }
 
 func BenchmarkFigure12ParsecHops(b *testing.B) {
-	runExperiment(b, "F12", exp.Figure12ParsecHops)
+	runExperiment(b, "F12")
 }
 
 func BenchmarkFigure13PowerPerf(b *testing.B) {
-	runExperiment(b, "F13", exp.Figure13PowerPerf)
+	runExperiment(b, "F13")
 }
 
 func BenchmarkFigure14ParsecPower(b *testing.B) {
-	runExperiment(b, "F14", exp.Figure14ParsecPower)
+	runExperiment(b, "F14")
 }
 
 func BenchmarkFigure15Area(b *testing.B) {
-	runExperiment(b, "F15", exp.Figure15Area)
+	runExperiment(b, "F15")
 }
 
 func BenchmarkFigure16Scaling(b *testing.B) {
-	runExperiment(b, "F16", exp.Figure16Scaling)
+	runExperiment(b, "F16")
 }
 
 // --- Section studies and ablations ----------------------------------------
 
 func BenchmarkSection61Threads(b *testing.B) {
-	runExperiment(b, "S6.1", exp.Section61Threads)
+	runExperiment(b, "S6.1")
 }
 
 func BenchmarkSection67Reliability(b *testing.B) {
-	runExperiment(b, "S6.7", exp.Section67Reliability)
+	runExperiment(b, "S6.7")
 }
 
 func BenchmarkAblationNoDNN(b *testing.B) {
-	runExperiment(b, "A", exp.AblationNoDNN)
+	runExperiment(b, "A")
 }
 
 func BenchmarkAblationGreedyOnly(b *testing.B) {
@@ -128,11 +132,11 @@ func BenchmarkAblationGreedyOnly(b *testing.B) {
 }
 
 func BenchmarkAblationReward(b *testing.B) {
-	runExperiment(b, "A3", exp.AblationNoDNN)
+	runExperiment(b, "A")
 }
 
 func BenchmarkIMRBaseline(b *testing.B) {
-	runExperiment(b, "IMR", exp.IMRComparison)
+	runExperiment(b, "IMR")
 }
 
 // --- §6.8 broad-applicability instantiations --------------------------------

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 
 	"routerless/internal/exp"
 	"routerless/internal/obs"
@@ -20,34 +22,18 @@ import (
 )
 
 func main() {
-	id := flag.String("exp", "all", "experiment id (T1..T5, F9..F16, S6.1, S6.7, S6.8, A, IMR, all)")
+	ids, lines := exp.Known()
+	id := flag.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+") or all")
 	full := flag.Bool("full", false, "use full (paper-scale) budgets instead of quick ones")
 	seed := flag.Int64("seed", 1, "random seed")
-	csvPath := flag.String("csv", "", "also write the experiment rows as CSV to this path")
+	csvPath := flag.String("csv", "", "also write the experiment rows as CSV to this path (one experiment only)")
 	list := flag.Bool("list", false, "list experiment ids")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulation points run in parallel per experiment (1 = sequential; reports are identical either way)")
 	tel := obs.NewSession(flag.CommandLine, "benchtab", "experiment run")
 	flag.Parse()
 
 	if *list {
-		fmt.Println("T1   Table 1: epsilon hyperparameter exploration (8x8)")
-		fmt.Println("T2   Table 2: larger NoCs under node overlapping 18")
-		fmt.Println("T3   Table 3: 8x8 wiring-resource sweep")
-		fmt.Println("T4   Table 4: 10x10 wiring-resource sweep")
-		fmt.Println("T5   Table 5: PARSEC execution time")
-		fmt.Println("F9   Figure 9: generated 4x4 topology")
-		fmt.Println("F10  Figure 10: synthetic latency/throughput, 10x10")
-		fmt.Println("F11  Figure 11: PARSEC packet latency")
-		fmt.Println("F12  Figure 12: PARSEC hop count")
-		fmt.Println("F13  Figure 13: power-performance tradeoff")
-		fmt.Println("F14  Figure 14: PARSEC power")
-		fmt.Println("F15  Figure 15: area comparison")
-		fmt.Println("F16  Figure 16: synthetic scaling")
-		fmt.Println("S6.1 multi-threaded search efficacy")
-		fmt.Println("S6.7 reliability / path diversity")
-		fmt.Println("S6.8 broad applicability (3-D NoC, chiplet)")
-		fmt.Println("A    framework ablations")
-		fmt.Println("IMR  IMR GA baseline comparison")
+		fmt.Println(strings.Join(lines, "\n"))
 		return
 	}
 	// fatal ends the session first: os.Exit skips the deferred Close.
@@ -56,7 +42,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
-	if err := checkFlags(*id, *jobs); err != nil {
+	if err := checkFlags(*id, *jobs, *csvPath); err != nil {
 		fatal(err)
 	}
 	if err := tel.Start(); err != nil {
@@ -75,30 +61,25 @@ func main() {
 		fatal(err)
 	}
 	o := exp.Options{Quick: !*full, Seed: *seed, Workers: *jobs, Metrics: tel.Registry, Events: tel.Events, Trace: tel.Tracer}
+	var rs []*exp.Report
 	if *id == "all" {
-		rs := exp.All(o)
-		tel.StopProfiles()
-		for _, r := range rs {
-			fmt.Println(r)
-		}
-		if err := tel.Finish(); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	r, err := exp.ByID(*id, o)
-	tel.StopProfiles()
-	if err != nil {
+		rs = exp.All(o)
+	} else if r, err := exp.ByID(*id, o); err == nil {
+		rs = []*exp.Report{r}
+	} else {
 		fatal(err)
 	}
-	fmt.Println(r)
+	tel.StopProfiles()
+	for _, r := range rs {
+		fmt.Println(r)
+	}
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		rows := append([][]string{r.Header}, r.Rows...)
+		rows := append([][]string{rs[0].Header}, rs[0].Rows...)
 		if err := viz.CSV(f, rows); err != nil {
 			fatal(err)
 		}
@@ -109,13 +90,20 @@ func main() {
 	}
 }
 
-// checkFlags rejects an -exp that names no experiment and a -j below 1
-// before any experiment starts.
-func checkFlags(id string, jobs int) error {
+// checkFlags rejects an -exp that names no experiment, a -j below 1 and a
+// -csv with -exp all (the CSV holds one report's rows) before any
+// experiment starts.
+func checkFlags(id string, jobs int, csvPath string) error {
 	if jobs < 1 {
 		return fmt.Errorf("-j %d must be at least 1", jobs)
 	}
-	if id != "all" && !exp.Known(id) {
+	if id == "all" {
+		if csvPath != "" {
+			return fmt.Errorf("-csv needs one experiment, not -exp all")
+		}
+		return nil
+	}
+	if ids, _ := exp.Known(); !slices.Contains(ids, id) {
 		return fmt.Errorf("-exp %q is not an experiment id (see -list)", id)
 	}
 	return nil

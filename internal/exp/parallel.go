@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"routerless/internal/obs"
-	"routerless/internal/sim"
 )
 
 // This file is the parallel experiment harness. Experiment points —
@@ -66,10 +65,16 @@ func RunParallel[T any](n, j int, reg *obs.Registry, tr *obs.Tracer, fn func(i i
 	return out
 }
 
-// runAll evaluates independent simulation jobs across the options'
-// worker pool, preserving input order. The figure/table generators use
+// grid evaluates cell(i, j) for every row i < rows and column j < cols
+// across the options' worker pool and returns out[i][j]. The reports use
 // it to fan their cells out while keeping row order deterministic.
-func runAll(o Options, jobs []func() sim.Result) []sim.Result {
-	return RunParallel(len(jobs), o.jobs(), o.Metrics, o.Trace,
-		func(i int, _ *obs.TraceShard) sim.Result { return jobs[i]() })
+func grid[T any](o Options, rows, cols int, cell func(i, j int) T) [][]T {
+	flat := RunParallel(rows*cols, o.jobs(), o.Metrics, o.Trace, func(k int, _ *obs.TraceShard) T {
+		return cell(k/cols, k%cols)
+	})
+	out := make([][]T, rows)
+	for i := range out {
+		out[i] = flat[i*cols : (i+1)*cols]
+	}
+	return out
 }

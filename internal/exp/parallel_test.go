@@ -51,9 +51,9 @@ func TestRunParallelRecordsPointSpans(t *testing.T) {
 // layer fails there.
 func TestRunParallelSimsUnderRace(t *testing.T) {
 	reg := obs.NewRegistry()
-	tpo := RECDesign(4)
+	nw := column("REC", 4, withMemo(testOpts))
 	res := RunParallel(16, 8, reg, nil, func(i int, _ *obs.TraceShard) sim.Result {
-		return RingRun(tpo, traffic.UniformRandom, 0.02+0.005*float64(i%4), testOpts)
+		return nw.point(traffic.UniformRandom, 0.02+0.005*float64(i%4), testOpts)
 	})
 	for i, r := range res {
 		if r.PacketsDone == 0 {
@@ -75,7 +75,7 @@ func TestSweepZeroLoadBaselineGuard(t *testing.T) {
 		{PacketsDone: 50, AvgLatency: 95},
 	}
 	run := func(rate float64) sim.Result { return results[int(rate)] }
-	pts := Sweep(run, []float64{0, 1, 2, 3, 4})
+	pts := sweep(run, []float64{0, 1, 2, 3, 4})
 	if len(pts) != 4 {
 		t.Fatalf("sweep kept %d points, want 4 (stop at the 3x-baseline point)", len(pts))
 	}
@@ -90,21 +90,23 @@ func TestSweepSaturatedFirstPointStops(t *testing.T) {
 	run := func(rate float64) sim.Result {
 		return sim.Result{PacketsDone: 10, AvgLatency: 500, Saturated: true}
 	}
-	if pts := Sweep(run, []float64{0.1, 0.2, 0.3}); len(pts) != 1 {
+	if pts := sweep(run, []float64{0.1, 0.2, 0.3}); len(pts) != 1 {
 		t.Fatalf("%d points, want 1", len(pts))
 	}
 }
 
 // TestReportsParallelIdenticalToSequential is the end-to-end determinism
 // smoke: a figure and a table rendered with 8 workers are byte-identical
-// to the sequential rendering for the same seed.
+// to the sequential rendering for the same seed. Each ByID call has its
+// own memo, so the two renderings are independent computations.
 func TestReportsParallelIdenticalToSequential(t *testing.T) {
 	seqOpts := Options{Quick: true, Seed: 1, Workers: 1}
 	parOpts := Options{Quick: true, Seed: 1, Workers: 8}
-	if seq, par := Figure12ParsecHops(seqOpts).String(), Figure12ParsecHops(parOpts).String(); seq != par {
-		t.Fatalf("Figure 12 diverges with 8 workers:\n--- sequential\n%s\n--- parallel\n%s", seq, par)
-	}
-	if seq, par := Table5ParsecExecTime(seqOpts).String(), Table5ParsecExecTime(parOpts).String(); seq != par {
-		t.Fatalf("Table 5 diverges with 8 workers:\n--- sequential\n%s\n--- parallel\n%s", seq, par)
+	for _, id := range []string{"F12", "T5"} {
+		seq, _ := ByID(id, seqOpts)
+		par, _ := ByID(id, parOpts)
+		if seq.String() != par.String() {
+			t.Fatalf("%s diverges with 8 workers:\n--- sequential\n%s\n--- parallel\n%s", id, seq, par)
+		}
 	}
 }

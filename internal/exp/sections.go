@@ -16,13 +16,13 @@ import (
 	"routerless/internal/traffic"
 )
 
-// Section61Threads reproduces the §6.1 multi-threading study: for an
+// section61Threads reproduces the §6.1 multi-threading study: for an
 // equal episode budget on a 10×10 NoC, single- versus multi-threaded
 // search compared on wall time, valid designs found, and hop-count SD.
 // The paper ran wall-clock-bounded searches (6 vs 49 designs in 10h, 44%
 // lower SD); with an episode budget the headline is the wall-time speedup
 // plus at-least-parity on design quality.
-func Section61Threads(o Options) *Report {
+func section61Threads(o Options) *Report {
 	n, cap := 10, 18
 	episodes := 6
 	if !o.Quick {
@@ -38,18 +38,10 @@ func Section61Threads(o Options) *Report {
 		},
 	}
 	for _, threads := range []int{1, 4} {
-		cfg := drl.DefaultConfig(n, cap)
-		cfg.Episodes = episodes
-		cfg.Threads = threads
-		cfg.Seed = o.Seed
-		o.instrument(&cfg)
 		start := time.Now()
-		res := drl.MustNew(cfg).Run()
+		res := runDRL(n, cap, episodes, o, func(c *drl.Config) { c.Threads = threads })
 		elapsed := time.Since(start).Round(time.Millisecond)
-		var hops []float64
-		for _, d := range res.Valid {
-			hops = append(hops, d.AvgHops)
-		}
+		hops := validHops(res)
 		r.Add(fmt.Sprintf("%d", threads), fmt.Sprintf("%d", episodes),
 			elapsed.String(), fmt.Sprintf("%d", len(res.Valid)),
 			f(stats.Min(hops)), fmt.Sprintf("%.4f", stats.StdDev(hops)))
@@ -57,11 +49,11 @@ func Section61Threads(o Options) *Report {
 	return r
 }
 
-// Section67Reliability reproduces the §6.7 reliability analysis: average
+// section67Reliability reproduces the §6.7 reliability analysis: average
 // path diversity (loops per node pair) for REC versus DRL at equal
 // overlapping, plus the damage a single loop failure causes (a failed
 // link breaks its whole unidirectional loop).
-func Section67Reliability(o Options) *Report {
+func section67Reliability(o Options) *Report {
 	n := 8
 	r := &Report{
 		ID:     "S6.7",
@@ -71,8 +63,8 @@ func Section67Reliability(o Options) *Report {
 			"paper: REC 2.77 paths between any two nodes on average; DRL 3.79 at equal overlapping",
 		},
 	}
-	recT := RECDesign(n)
-	drlT := DRLDesign(n, rec.MaxOverlap(n), o)
+	recT := recDesign(n, o)
+	drlT := drlDesign(n, rec.MaxOverlap(n), o)
 	for _, row := range []struct {
 		name string
 		t    *topo.Topology
@@ -95,16 +87,13 @@ func Section67Reliability(o Options) *Report {
 	return r
 }
 
-// AblationNoDNN compares the full framework against its pure-MCTS (no
+// ablations compares the full framework against its pure-MCTS (no
 // DNN), DNN-only (no tree), greedy-only (Algorithm 1 alone) and weak-
 // penalty variants on an 8×8 search — the design-choice ablations listed
 // in DESIGN.md (A1–A3).
-func AblationNoDNN(o Options) *Report {
+func ablations(o Options) *Report {
 	n, cap := 8, 14
-	episodes := 8
-	if !o.Quick {
-		episodes = 40
-	}
+	episodes := searchEpisodes(n, o.Quick)
 	r := &Report{
 		ID:     "A1-A3",
 		Title:  "Framework ablations (8x8, equal episode budget)",
@@ -113,24 +102,17 @@ func AblationNoDNN(o Options) *Report {
 			"greedy-only is deterministic: a single design, no exploration",
 		},
 	}
-	run := func(name string, mutate func(*drl.Config)) {
-		cfg := drl.DefaultConfig(n, cap)
-		cfg.Episodes = episodes
-		cfg.Seed = o.Seed
-		o.instrument(&cfg)
-		mutate(&cfg)
-		res := drl.MustNew(cfg).Run()
-		var hops []float64
-		for _, d := range res.Valid {
-			hops = append(hops, d.AvgHops)
-		}
+	add := func(name string, res *drl.Result) {
+		hops := validHops(res)
 		r.Add(name, fmt.Sprintf("%d/%d", len(res.Valid), episodes),
 			f(stats.Min(hops)), f(stats.Mean(hops)))
 	}
-	run("full DRL", func(c *drl.Config) {})
-	run("no DNN (A1)", func(c *drl.Config) { c.UseDNN = false })
-	run("no MCTS (A2a)", func(c *drl.Config) { c.UseMCTS = false })
-	run("weak illegal penalty (A3)", func(c *drl.Config) { c.IllegalPenalty = -0.1 })
+	// The full framework is the search behind the 8×8 cap-14 DRL design
+	// the other reports simulate.
+	add("full DRL", drlSearch(n, cap, o))
+	add("no DNN (A1)", runDRL(n, cap, episodes, o, func(c *drl.Config) { c.UseDNN = false }))
+	add("no MCTS (A2a)", runDRL(n, cap, episodes, o, func(c *drl.Config) { c.UseMCTS = false }))
+	add("weak illegal penalty (A3)", runDRL(n, cap, episodes, o, func(c *drl.Config) { c.IllegalPenalty = -0.1 }))
 
 	env := rl.NewEnv(n, cap)
 	rl.GreedyComplete(env)
@@ -142,9 +124,9 @@ func AblationNoDNN(o Options) *Report {
 	return r
 }
 
-// IMRComparison quantifies §6.7's "Comparison with IMR" discussion: the
+// imrComparison quantifies §6.7's "Comparison with IMR" discussion: the
 // GA baseline against REC and DRL on hop count and zero-load latency.
-func IMRComparison(o Options) *Report {
+func imrComparison(o Options) *Report {
 	n := 8
 	r := &Report{
 		ID:     "S6.7-IMR",
@@ -154,9 +136,9 @@ func IMRComparison(o Options) *Report {
 			"paper (via Alazemi et al.): REC beats IMR by 1.25x zero-load latency and 1.61x throughput",
 		},
 	}
-	recT := RECDesign(n)
-	drlT := DRLDesign(n, rec.MaxOverlap(n), o)
-	imrT := IMRDesign(n, o)
+	recT := recDesign(n, o)
+	drlT := drlDesign(n, rec.MaxOverlap(n), o)
+	imrT := imrDesign(n, o)
 	for _, row := range []struct {
 		name string
 		t    *topo.Topology
@@ -169,7 +151,7 @@ func IMRComparison(o Options) *Report {
 		hopCell := f(hops)
 		latCell := "N/A"
 		if un == 0 {
-			res := RingRun(row.t, traffic.UniformRandom, 0.005, o)
+			res := network{n: n, ring: row.t}.point(traffic.UniformRandom, 0.005, o)
 			latCell = fmt.Sprintf("%.1f", res.AvgLatency)
 		} else {
 			// The GA failed to reach full connectivity in budget — the
@@ -181,10 +163,10 @@ func IMRComparison(o Options) *Report {
 	return r
 }
 
-// Section68Broad exercises the §6.8 broad-applicability instantiations:
+// section68Broad exercises the §6.8 broad-applicability instantiations:
 // the generic framework exploring 3-D NoC link insertion and chiplet
 // interposer placement, reporting hop improvements over each baseline.
-func Section68Broad(o Options) *Report {
+func section68Broad(o Options) *Report {
 	r := &Report{
 		ID:     "S6.8",
 		Title:  "Broad applicability: generic framework on 3-D NoC and chiplet problems",
@@ -233,56 +215,4 @@ func Section68Broad(o Options) *Report {
 	eb := bestC.AvgInterChipletHops(1000)
 	r.Add("chiplet 2x2 of 3x3", f(gb), f(eb), fmt.Sprintf("%.1f%%", 100*(gb-eb)/gb))
 	return r
-}
-
-// All runs every experiment in publication order.
-func All(o Options) []*Report {
-	return []*Report{
-		Table1Epsilon(o),
-		Table2LargerNoCs(o),
-		Table3Overlap8x8(o),
-		Table4Overlap10x10(o),
-		Table5ParsecExecTime(o),
-		Figure9Topology(o),
-		Figure10SyntheticLatency(o),
-		Figure11ParsecLatency(o),
-		Figure12ParsecHops(o),
-		Figure13PowerPerf(o),
-		Figure14ParsecPower(o),
-		Figure15Area(o),
-		Figure16Scaling(o),
-		Section61Threads(o),
-		Section67Reliability(o),
-		Section68Broad(o),
-		AblationNoDNN(o),
-		IMRComparison(o),
-	}
-}
-
-// experiments maps each report ID to the function that produces it.
-var experiments = map[string]func(Options) *Report{
-	"T1": Table1Epsilon, "T2": Table2LargerNoCs, "T3": Table3Overlap8x8,
-	"T4": Table4Overlap10x10, "T5": Table5ParsecExecTime,
-	"F9": Figure9Topology, "F10": Figure10SyntheticLatency,
-	"F11": Figure11ParsecLatency, "F12": Figure12ParsecHops,
-	"F13": Figure13PowerPerf, "F14": Figure14ParsecPower,
-	"F15": Figure15Area, "F16": Figure16Scaling,
-	"S6.1": Section61Threads, "S6.7": Section67Reliability,
-	"S6.8": Section68Broad,
-	"A":    AblationNoDNN, "IMR": IMRComparison,
-}
-
-// Known reports whether ByID can run the experiment with this ID.
-func Known(id string) bool {
-	_, ok := experiments[id]
-	return ok
-}
-
-// ByID resolves one experiment by its report ID.
-func ByID(id string, o Options) (*Report, error) {
-	fn, ok := experiments[id]
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown experiment %q", id)
-	}
-	return fn(o), nil
 }

@@ -2,17 +2,17 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"routerless/internal/drl"
 	"routerless/internal/rec"
-	"routerless/internal/sim"
 	"routerless/internal/stats"
 )
 
-// Table1Epsilon reproduces Table 1: the ε hyperparameter exploration on an
+// table1Epsilon reproduces Table 1: the ε hyperparameter exploration on an
 // 8×8 NoC — number of valid designs found under a fixed exploration
 // budget, the minimum hop count, and the hop-count standard deviation.
-func Table1Epsilon(o Options) *Report {
+func table1Epsilon(o Options) *Report {
 	r := &Report{
 		ID:     "T1",
 		Title:  "Hyperparameter exploration (8x8, fixed budget)",
@@ -27,16 +27,8 @@ func Table1Epsilon(o Options) *Report {
 		episodes = 60
 	}
 	for _, eps := range []float64{0.05, 0.10, 0.20, 0.30} {
-		cfg := drl.DefaultConfig(n, cap)
-		cfg.Episodes = episodes
-		cfg.Epsilon = eps
-		cfg.Seed = o.Seed
-		o.instrument(&cfg)
-		res := drl.MustNew(cfg).Run()
-		var hops []float64
-		for _, d := range res.Valid {
-			hops = append(hops, d.AvgHops)
-		}
+		res := runDRL(n, cap, episodes, o, func(c *drl.Config) { c.Epsilon = eps })
+		hops := validHops(res)
 		// Min/StdDev return 0 on an empty slice, matching the "no valid
 		// design" row the paper tables print.
 		r.Add(f(eps), fmt.Sprintf("%d/%d", len(res.Valid), episodes),
@@ -45,10 +37,10 @@ func Table1Epsilon(o Options) *Report {
 	return r
 }
 
-// Table2LargerNoCs reproduces Table 2: with node overlapping fixed at 18,
+// table2LargerNoCs reproduces Table 2: with node overlapping fixed at 18,
 // REC cannot exist beyond 10×10 while DRL still generates fully connected
 // designs whose hop count stays near N.
-func Table2LargerNoCs(o Options) *Report {
+func table2LargerNoCs(o Options) *Report {
 	r := &Report{
 		ID:     "T2",
 		Title:  "Larger NoCs under node overlapping 18",
@@ -66,10 +58,10 @@ func Table2LargerNoCs(o Options) *Report {
 	for _, n := range sizes {
 		recCell := "N/A"
 		if rec.MaxOverlap(n) <= cap {
-			recCell = f(avgHops(RECDesign(n)))
+			recCell = f(avgHops(recDesign(n, o)))
 		}
 		drlCell := "N/A"
-		if t := DRLDesign(n, cap, o); t != nil && t.FullyConnected() {
+		if t := drlDesign(n, cap, o); t != nil && t.FullyConnected() {
 			drlCell = f(avgHops(t))
 		}
 		r.Add(fmt.Sprintf("%dx%d", n, n), recCell, drlCell)
@@ -82,7 +74,7 @@ func Table2LargerNoCs(o Options) *Report {
 // cap.
 func overlapSweep(id string, n int, caps []int, o Options) *Report {
 	recCap := rec.MaxOverlap(n)
-	recHops := avgHops(RECDesign(n))
+	recHops := avgHops(recDesign(n, o))
 	r := &Report{
 		ID:     id,
 		Title:  fmt.Sprintf("Wiring-resource utilization, %dx%d", n, n),
@@ -90,7 +82,7 @@ func overlapSweep(id string, n int, caps []int, o Options) *Report {
 	}
 	r.Add("REC", fmt.Sprintf("%d", recCap), f(recHops), "N/A")
 	for _, cap := range caps {
-		t := DRLDesign(n, cap, o)
+		t := drlDesign(n, cap, o)
 		if t == nil || !t.FullyConnected() {
 			r.Add("DRL", fmt.Sprintf("%d", cap), "N/A", "N/A")
 			continue
@@ -102,70 +94,49 @@ func overlapSweep(id string, n int, caps []int, o Options) *Report {
 	return r
 }
 
-// Table3Overlap8x8 reproduces Table 3 (8×8; caps 14–20).
-func Table3Overlap8x8(o Options) *Report {
+// table3Overlap8x8 reproduces Table 3 (8×8; caps 14–20).
+func table3Overlap8x8(o Options) *Report {
 	r := overlapSweep("T3", 8, []int{14, 16, 18, 20}, o)
 	r.Notes = append(r.Notes,
 		"paper: REC@14 7.33; DRL 14/16/18/20 -> 6.22/5.94/5.82/5.80 (15.1-20.9% better)")
 	return r
 }
 
-// Table4Overlap10x10 reproduces Table 4 (10×10; caps 18–24).
-func Table4Overlap10x10(o Options) *Report {
+// table4Overlap10x10 reproduces Table 4 (10×10; caps 18–24).
+func table4Overlap10x10(o Options) *Report {
 	r := overlapSweep("T4", 10, []int{18, 20, 22, 24}, o)
 	r.Notes = append(r.Notes,
 		"paper: REC@18 9.64; DRL 18/20/22/24 -> 7.94/7.67/7.59/7.55 (17.6-21.7% better)")
 	return r
 }
 
-// Table5ParsecExecTime reproduces Table 5: modelled 8×8 PARSEC execution
+// table5ParsecExecTime reproduces Table 5: modelled 8×8 PARSEC execution
 // times (ms) on Mesh-2, Mesh-1, REC and DRL.
-func Table5ParsecExecTime(o Options) *Report {
+func table5ParsecExecTime(o Options) *Report {
+	cols := []string{"Mesh-2", "Mesh-1", "REC", "DRL"}
 	r := &Report{
 		ID:     "T5",
 		Title:  "8x8 PARSEC workload execution time (ms)",
-		Header: []string{"workload", "Mesh-2", "Mesh-1", "REC", "DRL"},
+		Header: append([]string{"workload"}, cols...),
 		Notes: []string{
 			"paper highlights: fluidanimate 35.3/29.2/25.2/24.4; streamcluster flat at 11.0; DRL smallest everywhere",
 			"application models substitute full-system PARSEC (DESIGN.md); absolute times are modelled",
 		},
 	}
-	n := 8
-	recT := RECDesign(n)
-	drlT := DRLDesign(n, rec.MaxOverlap(n), o)
-	suite := ParsecSuite(o)
-	var jobs []func() sim.Result
-	for _, prof := range suite {
-		jobs = append(jobs,
-			func() sim.Result { return AppRunMesh(n, 2, prof, o) },
-			func() sim.Result { return AppRunMesh(n, 1, prof, o) },
-			func() sim.Result { return AppRun(recT, prof, o) },
-			func() sim.Result { return AppRun(drlT, prof, o) })
-	}
-	res := runAll(o, jobs)
-	for i, prof := range suite {
-		m2 := res[4*i].AvgLatency
-		m1 := res[4*i+1].AvgLatency
-		rc := res[4*i+2].AvgLatency
-		dr := res[4*i+3].AvgLatency
+	runs := parsecRuns(8, cols, o)
+	for i, prof := range parsecSuite(o) {
+		lat := make([]float64, len(cols))
+		for j, res := range runs[i] {
+			lat[j] = res.AvgLatency
+		}
 		// The reference latency for the execution-time model is the best
 		// achieved latency: that network runs the benchmark at BaseTime.
-		ideal := min4(m2, m1, rc, dr)
-		r.Add(prof.Name,
-			fmt.Sprintf("%.1f", prof.ExecutionTimeMS(m2, ideal)),
-			fmt.Sprintf("%.1f", prof.ExecutionTimeMS(m1, ideal)),
-			fmt.Sprintf("%.1f", prof.ExecutionTimeMS(rc, ideal)),
-			fmt.Sprintf("%.1f", prof.ExecutionTimeMS(dr, ideal)))
+		ideal := slices.Min(lat)
+		row := []string{prof.Name}
+		for _, l := range lat {
+			row = append(row, fmt.Sprintf("%.1f", prof.ExecutionTimeMS(l, ideal)))
+		}
+		r.Add(row...)
 	}
 	return r
-}
-
-func min4(a, b, c, d float64) float64 {
-	m := a
-	for _, v := range []float64{b, c, d} {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }

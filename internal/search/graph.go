@@ -256,16 +256,27 @@ type Placement struct {
 	Base func() *Graph
 	// Reward scores a finished design; higher is better.
 	Reward func(*Graph) float64
+
+	// scratch, when set, is shared by every episode NewEpisode builds;
+	// Explore sets it, as its searcher plays one episode at a time.
+	scratch *placementScratch
+}
+
+// placementScratch holds the buffers an episode's methods fill and
+// return, so a run's episodes reuse one set instead of regrowing their
+// own.
+type placementScratch struct {
+	ids    []int     // Fingerprint's
+	key    []byte    // Fingerprint's
+	legal  []int     // Actions'
+	priors []float64 // Priors'
 }
 
 // placementEnv is one Placement episode.
 type placementEnv struct {
 	g      *Graph
 	reward func(*Graph) float64
-	ids    []int     // Fingerprint's scratch
-	key    []byte    // Fingerprint's scratch
-	legal  []int     // Actions' scratch
-	priors []float64 // Priors' scratch
+	*placementScratch
 }
 
 // Fingerprint packs the inserted links' ids, ascending, as uvarints, so
@@ -318,7 +329,13 @@ func (e *placementEnv) Done() bool { return len(e.g.links) >= e.g.budget }
 func (e *placementEnv) FinalReward() float64 { return e.reward(e.g) }
 
 // NewEpisode implements Problem.
-func (p Placement) NewEpisode() Environment { return &placementEnv{g: p.Base(), reward: p.Reward} }
+func (p Placement) NewEpisode() Environment {
+	sc := p.scratch
+	if sc == nil {
+		sc = new(placementScratch)
+	}
+	return &placementEnv{g: p.Base(), reward: p.Reward, placementScratch: sc}
+}
 
 // Greedy implements Problem: the first legal pair in (a, b) order with the
 // largest separation.
@@ -357,6 +374,7 @@ func (p Placement) Priors(env Environment, actions []int) []float64 {
 // Explore runs the searcher on the placement and returns the best design
 // found with the run's result.
 func (p Placement) Explore(cfg Config) (*Graph, *Result) {
+	p.scratch = new(placementScratch)
 	s := New(cfg, p)
 	var best *Graph
 	// Every episode builds its own graph, so the best one is kept as is.
