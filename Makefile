@@ -17,9 +17,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Cross-vet the portable build: internal/tensor's AVX2 kernels are amd64
-# assembly, and every other architecture must still compile its Go
-# fallbacks. Runs offline; go vet's asmdecl check covers the asm frames.
+# Cross-vet the portable build: internal/tensor's AVX2 and AVX-512 kernels
+# and internal/rl's AVX-512 Imprv kernel are amd64 assembly, and every
+# other architecture must still compile its Go fallbacks. Runs offline; go vet's asmdecl check covers the asm frames.
 vet-arm64:
 	GOARCH=arm64 $(GO) vet ./...
 
@@ -87,13 +87,17 @@ bench-sim:
 
 # Quick iteration loop for the DRL episode hot path (incremental greedy
 # score cache, episode arenas, cached fingerprints): a whole Algorithm 1
-# completion (GreedyComplete) and one steady-state greedy argmax over the
-# cached table (GreedyScan). Allocation counts are
+# completion (GreedyComplete), one steady-state greedy argmax over the
+# cached table (GreedyScan), and Algorithm 1's part of a search episode
+# (GreedyEpisode: Reset from the empty-grid snapshot, n/2 random loops,
+# GreedyImprove) at 8x8 cap 14 and 10x10 cap 18 on each Imprv body, go and
+# avx512 (a body the host lacks is skipped). Allocation counts are
 # the regression signal — internal/rl's and internal/drl's AllocsPerRun
 # tests pin the greedy step, state encoding, and fingerprint at zero.
 # Before/after numbers for PR 4 live in BENCH_PR4.json.
 bench-drl:
 	$(GO) test -bench 'BenchmarkGreedyComplete|BenchmarkGreedyScan|BenchmarkFingerprint' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkGreedyEpisode' -benchmem -run '^$$' ./internal/rl/
 	$(GO) test -bench 'BenchmarkDRLEpisode' -benchmem -run '^$$' ./internal/drl/
 
 # Quick iteration loop for the batched-inference service (internal/infer

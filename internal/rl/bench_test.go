@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"routerless/internal/nn"
+	"routerless/internal/tensor"
 	"routerless/internal/topo"
 )
 
@@ -60,6 +61,43 @@ func BenchmarkA2CAccumulate(b *testing.B) {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*h), "ns/step")
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkGreedyEpisode times Algorithm 1's part of a search episode:
+// Reset, n/2 random legal loops standing in for the guided phase, then the
+// GreedyImprove completion, on the 8×8 cap-14 and 10×10 cap-18 grids of
+// the search workloads, with each Imprv body the host has (ensureImprv's
+// portable loop and its AVX-512 kernel). Both bodies play the same loops.
+func BenchmarkGreedyEpisode(b *testing.B) {
+	for _, g := range []struct{ n, cap int }{{8, 14}, {10, 18}} {
+		for _, body := range []string{"go", "avx512"} {
+			name := strconv.Itoa(g.n) + "x" + strconv.Itoa(g.n) + "/" + body
+			b.Run(name, func(b *testing.B) {
+				if body == "avx512" && tensor.SIMD() != "avx512" {
+					b.Skip("host has no AVX-512F")
+				}
+				defer func(old bool) { imprvAVX512OK = old }(imprvAVX512OK)
+				imprvAVX512OK = body == "avx512"
+				e := NewEnv(g.n, g.cap)
+				rng := rand.New(rand.NewSource(1))
+				episode := func() {
+					e.Reset()
+					for i := 0; i < g.n/2; i++ {
+						ids := e.Actions()
+						e.Step(ActionOf(ids[rng.Intn(len(ids))]))
+					}
+					GreedyImprove(e)
+				}
+				episode() // build the score table
+				episode() // and its empty-grid snapshot
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					episode()
+				}
+			})
 		}
 	}
 }

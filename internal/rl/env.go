@@ -131,7 +131,8 @@ func NewEnvFrom(t *topo.Topology, overlapCap int) *Env {
 
 // Reset clears the design back to a fully disconnected NoC. The topology
 // and score-cache buffers are reused, so a recycled environment runs its
-// next episode without fresh heap allocation.
+// next episode without fresh heap allocation, and the score table starts
+// from its empty-grid snapshot instead of re-scoring every rectangle.
 func (e *Env) Reset() {
 	if e.topo == nil {
 		e.topo = topo.NewSquare(e.N, e.OverlapCap)
@@ -140,7 +141,7 @@ func (e *Env) Reset() {
 		e.topo.SetOverlapCap(e.OverlapCap)
 	}
 	if e.scores != nil {
-		e.scores.markAllDirty()
+		e.scores.reset(e)
 	}
 }
 

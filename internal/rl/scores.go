@@ -3,6 +3,7 @@ package rl
 import (
 	"math"
 
+	"routerless/internal/tensor"
 	"routerless/internal/topo"
 )
 
@@ -35,10 +36,18 @@ import (
 // impOK was cleared stays an upper bound on the current value. The argmax
 // uses that bound to skip rectangles that cannot win a tie.
 //
+// The table at the empty grid is a pure function of the grid, the cap and
+// MaxLoopLen, so the table keeps a snapshot of it, every legal row's imprv
+// exact, and Reset copies the snapshot back instead of re-scoring: an
+// episode starts synced, and its first Step already updates the table in
+// place. The snapshot's exact imprv values are valid upper bounds for the
+// rest of the episode by the same monotonicity. It is taken on the first
+// Reset under the current constraints.
+//
 // This makes the per-step cost proportional to the perturbed region
 // instead of the whole O(N⁴) design space, on every grid topo.Tables
-// serves. Only a reset (or a constraint change) re-scores every row, in
-// the next sync.
+// serves. Only a constraint change re-scores every row: it drops the
+// snapshot, and the next sync or Reset rebuilds the table.
 //
 // Cached results equal bruteGreedySearch's (the oracle in oracle_test.go)
 // bit for bit, because Imprv is a sum of integers that float64 adds
@@ -48,12 +57,15 @@ type scoreTable struct {
 	tab      *topo.GridTables
 	sc       []rectScore
 	allDirty bool
+	// empty is the snapshot of sc at the empty grid under maxLoopLen and
+	// overlapCap, or empty when none was taken under them.
+	empty []rectScore
 	// pairNew is noteAdded's scratch over unordered pair keys: how many
 	// of the pair's two directions the last add newly connected, or -1
 	// once the pair's rectangles have been walked. Zero between adds.
 	pairNew []int8
-	// Constraint snapshot the scores were computed under; sync invalidates
-	// everything when a caller moves either knob between scans.
+	// Constraints the rows and the snapshot were computed under;
+	// checkConstraints invalidates both when a caller moves either knob.
 	maxLoopLen int
 	overlapCap int
 }
@@ -75,8 +87,8 @@ type rectScore struct {
 // noBound is the trivial upper bound rescore leaves in imprv.
 const noBound = math.MaxInt32
 
-// scores returns the environment's score table, fully synchronized with
-// the current topology; it is built (all-dirty) on first use.
+// scoresSynced returns the environment's score table, fully synchronized
+// with the current topology; it is built (all-dirty) on first use.
 func (e *Env) scoresSynced() *scoreTable {
 	s := e.scores
 	if s == nil {
@@ -91,17 +103,25 @@ func (e *Env) scoresSynced() *scoreTable {
 		}
 		e.scores = s
 	}
-	if s.maxLoopLen != e.MaxLoopLen || s.overlapCap != e.topo.OverlapCap() {
-		s.maxLoopLen = e.MaxLoopLen
-		s.overlapCap = e.topo.OverlapCap()
-		s.allDirty = true
-	}
+	s.checkConstraints(e)
 	s.sync(e)
 	return s
 }
 
-// sync re-scores every rectangle after a reset; between resets noteAdded
-// keeps the rows current in place. imprv stays lazy behind impOK.
+// checkConstraints invalidates every row and drops the snapshot when a
+// caller moved the cap or MaxLoopLen since the table was scored.
+func (s *scoreTable) checkConstraints(e *Env) {
+	if s.maxLoopLen != e.MaxLoopLen || s.overlapCap != e.topo.OverlapCap() {
+		s.maxLoopLen = e.MaxLoopLen
+		s.overlapCap = e.topo.OverlapCap()
+		s.allDirty = true
+		s.empty = s.empty[:0]
+	}
+}
+
+// sync re-scores every rectangle of an all-dirty table (first use, or a
+// constraint change); otherwise Reset and noteAdded keep the rows current.
+// imprv stays lazy behind impOK.
 func (s *scoreTable) sync(e *Env) {
 	if s.allDirty {
 		for ri := range s.sc {
@@ -109,6 +129,27 @@ func (s *scoreTable) sync(e *Env) {
 		}
 		s.allDirty = false
 	}
+}
+
+// reset brings the table to the empty grid the topology was just reset
+// to, leaving it synced: it copies the snapshot back, or, when there is
+// none under the current constraints, scores every rectangle, imprv
+// included, and takes the snapshot.
+func (s *scoreTable) reset(e *Env) {
+	s.checkConstraints(e)
+	if len(s.empty) == len(s.sc) {
+		copy(s.sc, s.empty)
+		s.allDirty = false
+		return
+	}
+	s.allDirty = true
+	s.sync(e)
+	for ri := range s.sc {
+		if sc := &s.sc[ri]; sc.cwOK || sc.ccwOK {
+			s.ensureImprv(e, int32(ri))
+		}
+	}
+	s.empty = append(s.empty[:0], s.sc...)
 }
 
 // noteAdded applies the new loop's exact perturbation to the cache,
@@ -165,11 +206,6 @@ func unordered(pk, n int32) int32 {
 	return pk
 }
 
-// markAllDirty invalidates the whole table (topology reset or replaced).
-func (s *scoreTable) markAllDirty() {
-	s.allDirty = true
-}
-
 // rescore recomputes one rectangle's legality and count from scratch and
 // drops its memoized imprv, leaving only the trivial bound.
 func (s *scoreTable) rescore(e *Env, ri int32) {
@@ -199,6 +235,11 @@ func (s *scoreTable) rescore(e *Env, ri int32) {
 	}
 }
 
+// imprvAVX512OK selects imprvAVX512 as ensureImprv's body. It follows the
+// tensor package's SIMD level, so one process runs one family of kernels;
+// tests set it to force a body.
+var imprvAVX512OK = tensor.SIMD() == "avx512"
+
 // ensureImprv fills in the rectangle's memoized Imprv. One fused pass over
 // the perimeter pairs computes both directions' sums: the clockwise hop
 // distance from perimeter position i to position i+k is the step count k
@@ -212,15 +253,35 @@ func (s *scoreTable) rescore(e *Env, ri int32) {
 // scan adds the same terms in float64: each of its partial sums is an
 // integer below 2^53, so every float addition is exact and its result is
 // the integer sum whatever the order. Accumulating in integers and
-// converting once (GreedyResult.Gain) therefore yields the oracle's bits.
+// converting once (GreedyResult.Gain) therefore yields the oracle's bits,
+// from either body.
 func (s *scoreTable) ensureImprv(e *Env, ri int32) {
 	sc := &s.sc[ri]
-	ids := s.tab.Rects()[ri].Nodes
-	ll := len(ids)
+	r := &s.tab.Rects()[ri]
 	n := e.topo.N()
 	dist := e.topo.DistData()
 	sentinel := int(topo.UnconnectedHops(e.topo.Rows(), e.topo.Cols()))
-	icw, iccw := 0, 0
+	var icw, iccw int
+	if imprvAVX512OK {
+		icw, iccw = imprvAVX512(dist, r.Ring, n, sentinel)
+	} else {
+		icw, iccw = imprvGo(dist, r.Nodes, n, sentinel)
+	}
+	sc.imprv, sc.dir = int32(icw), topo.Clockwise
+	if sc.ccwOK && (!sc.cwOK || iccw > icw) {
+		sc.imprv, sc.dir = int32(iccw), topo.Counterclockwise
+	}
+	sc.impOK = true
+}
+
+// imprvGo returns a rectangle's clockwise and counterclockwise Imprv sums
+// from its clockwise perimeter ids on an n-node grid whose dist matrix
+// reads −1 for unconnected pairs: for each perimeter position i and k in
+// 1..L−1, with cur = dist(ids[i], ids[(i+k) mod L]) or sentinel, the sums
+// add max(cur − k, 0) and max(cur − (L−k), 0). It is the portable body
+// and the oracle imprvAVX512 is held to.
+func imprvGo(dist []int16, ids []int32, n, sentinel int) (icw, iccw int) {
+	ll := len(ids)
 	for i, u := range ids {
 		row := dist[int(u)*n : int(u)*n+n]
 		j := i
@@ -236,9 +297,5 @@ func (s *scoreTable) ensureImprv(e *Env, ri int32) {
 			iccw += max(cur-(ll-k), 0)
 		}
 	}
-	sc.imprv, sc.dir = int32(icw), topo.Clockwise
-	if sc.ccwOK && (!sc.cwOK || iccw > icw) {
-		sc.imprv, sc.dir = int32(iccw), topo.Counterclockwise
-	}
-	sc.impOK = true
+	return icw, iccw
 }

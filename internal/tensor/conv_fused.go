@@ -98,7 +98,11 @@ func padPlane(src []float64, h, w, k, lead int, dst []float64) {
 	}
 	// One clear of the plane, then one copy per row: on the small planes
 	// of the deep layers, per-row clears of the borders cost more calls
-	// than bytes.
+	// than bytes. Writing each element once instead (clearing only the
+	// lead rows, the k-1 gaps between rows and the tail, by clear or by a
+	// store loop) measured up to 1.8× slower on every plane from 2×2 to
+	// 32×32 with k = 3 on a 2-vCPU AVX-512 Xeon, and broke even only near
+	// 64×64, far above the 18×18 planes the largest nets pad.
 	clear(dst[:hp*wp])
 	for y := 0; y < h; y++ {
 		copy(dst[(y+lead)*wp+lead:][:w], src[y*w:(y+1)*w])

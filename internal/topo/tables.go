@@ -29,12 +29,16 @@ type GridTables struct {
 	// u and v — the rectangles whose greedy score depends on dist(u,v).
 	// It is the inverted index driving the score table's incremental
 	// maintenance. Its O(Σ perimeter²) footprint dominates the tables:
-	// about 18 MB in all on a 14×14 grid, 27 MB on 15×15 and 79 MB on
+	// about 19 MB in all on a 14×14 grid, 28 MB on 15×15 and 82 MB on
 	// 18×18, the largest side topo serves. Every row is a slice of one
 	// backing array, sized by a counting pass. Callers read only u < v, but
 	// storing that half alone made the search benchmarks' setup slower
 	// (the smaller heap moves the garbage collector's pacing), so both
-	// orders stay.
+	// orders stay. Storing the indices as uint16 (18×18 has 23,409
+	// rectangles) slowed that setup the same way, by 13–17%: at 10×10 it
+	// takes a search process's live heap from 2.7 to 1.9 MB, so the next
+	// collection is due at the 4 MB floor instead of at 5.7 MB, and one
+	// search setup runs one more cycle.
 	pairRects [][]int32
 }
 
@@ -46,6 +50,11 @@ type Rect struct {
 	// Dir == Clockwise. Counterclockwise distances follow from the same
 	// list: distCCW(i→j) = L − distCW(i→j) for i ≠ j.
 	Nodes []int32
+	// Ring is Nodes followed by Nodes again, so Ring[i+k] is the node k
+	// clockwise steps on from Nodes[i] for every 0 ≤ k < L without a
+	// wraparound test (the vector Imprv kernel reads it). Nodes is its
+	// first half.
+	Ring []int32
 }
 
 // Loop returns the rectangle as a Loop in the given direction.
@@ -99,12 +108,15 @@ func buildTables(rows, cols int) *GridTables {
 			}
 		}
 	}
-	nodes := make([]int32, 0, perim)
+	nodes := make([]int32, 0, 2*perim)
 	for i := range g.rects {
 		r := &g.rects[i]
 		start := len(nodes)
 		nodes = appendPerimeter(nodes, r.R1, r.C1, r.R2, r.C2, cols)
-		r.Nodes = nodes[start:len(nodes):len(nodes)]
+		l := len(nodes) - start
+		nodes = append(nodes, nodes[start:start+l]...)
+		r.Nodes = nodes[start : start+l : start+l]
+		r.Ring = nodes[start:len(nodes):len(nodes)]
 	}
 	g.at = rowsOf(n, func(add func(key int, v int32)) {
 		for idx := range g.rects {
