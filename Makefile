@@ -36,7 +36,7 @@ bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test .
 
 race:
-	$(GO) test -race ./internal/drl/... ./internal/sim/... ./internal/obs/... ./internal/mcts/... ./internal/exp/... ./internal/rl/... ./internal/infer/...
+	$(GO) test -race ./internal/drl/... ./internal/sim/... ./internal/obs/... ./internal/mcts/... ./internal/exp/... ./internal/rl/... ./internal/infer/... ./internal/search/...
 
 # Non-test Go lines per internal/ package and their total, the unit the
 # ROADMAP measures code size in (assembly and _test.go files excluded),

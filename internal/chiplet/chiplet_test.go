@@ -115,7 +115,7 @@ func TestExploreConnectsPackage(t *testing.T) {
 func TestGreedyBridgesDisconnectedFirst(t *testing.T) {
 	prob := search.Placement{Base: NewDesign(DefaultSystem()).Clone}
 	e := prob.NewEpisode()
-	a, ok := prob.Greedy(e)
+	a, ok := e.Greedy()
 	if !ok {
 		t.Fatal("no greedy action on blank package")
 	}

@@ -1,10 +1,8 @@
 package drl
 
 import (
-	"math/rand"
 	"testing"
 
-	"routerless/internal/nn"
 	"routerless/internal/obs"
 )
 
@@ -26,13 +24,13 @@ func TestEpisodeAllocBudget(t *testing.T) {
 	cfg.UseDNN = false
 	cfg.UseMCTS = false
 	s := MustNew(cfg)
-	rng := rand.New(rand.NewSource(5))
-	ar := s.newArena()
+	l := s.newLearner(0)
+	loop := s.driver.NewLoop(0, l, l.trace)
 	for i := 0; i < 5; i++ {
-		s.runEpisode(nil, rng, guidedActions(cfg.N), ar)
+		loop.Episode()
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		s.runEpisode(nil, rng, guidedActions(cfg.N), ar)
+		loop.Episode()
 	})
 	const budget = 60
 	if allocs > budget {
@@ -59,14 +57,13 @@ func TestEpisodeAllocBudgetWithTracing(t *testing.T) {
 		cfg.UseMCTS = false
 		cfg.Trace = tr
 		s := MustNew(cfg)
-		rng := rand.New(rand.NewSource(5))
-		ar := s.newArena()
-		ar.trace = tr.Shard("drl.worker.00") // nil tracer -> nil shard
+		l := s.newLearner(0) // nil tracer -> nil shard
+		loop := s.driver.NewLoop(0, l, l.trace)
 		for i := 0; i < 5; i++ {
-			s.runEpisode(nil, rng, guidedActions(cfg.N), ar)
+			loop.Episode()
 		}
 		return testing.AllocsPerRun(20, func() {
-			s.runEpisode(nil, rng, guidedActions(cfg.N), ar)
+			loop.Episode()
 		})
 	}
 	t.Run("disabled", func(t *testing.T) {
@@ -86,8 +83,7 @@ func TestEpisodeAllocBudgetWithTracing(t *testing.T) {
 // batch, so a warmed call allocates nothing.
 func TestPolicyEvalZeroAlloc(t *testing.T) {
 	s := MustNew(DefaultConfig(4, 6))
-	ar := s.newArena()
-	ar.net = nn.NewPolicyValueNet(s.cfg.NN, 1)
+	ar := s.newLearner(0)
 	state := ar.env.StateInto(nil)
 	ar.policyEval(state) // warm the arena's output slots
 	if allocs := testing.AllocsPerRun(20, func() {

@@ -2,7 +2,6 @@ package drl
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -10,25 +9,32 @@ import (
 
 	"routerless/internal/nn"
 	"routerless/internal/obs"
+	"routerless/internal/search"
 )
 
-// BenchmarkDRLEpisode measures one full exploration cycle (Fig. 4): the
-// guided DNN/MCTS prefix plus the Algorithm 1 completion phase and final
-// reward. This is the unit of work Run repeats Episodes times per thread.
-// Before/after numbers for PR 4 live in BENCH_PR4.json.
+// noLearn is a learner without its End: a driver episode on it runs the
+// guided prefix, the completion, the returns-to-go and the tree backup,
+// but no learn step and no bookkeeping, and keeps the full guided budget.
+type noLearn struct{ *learner }
+
+func (noLearn) End(search.Outcome, []float64) {}
+
+// BenchmarkDRLEpisode measures one exploration cycle (Fig. 4) through the
+// episode driver: the guided DNN/MCTS prefix plus the Algorithm 1
+// completion phase, final reward and tree backup, without the learn step.
+// Before/after numbers for PR 4 live in BENCH_PR4.json (which predate the
+// driver and omit the backup).
 func BenchmarkDRLEpisode(b *testing.B) {
 	for _, n := range []int{8, 10} {
 		b.Run(strconv.Itoa(n)+"x"+strconv.Itoa(n), func(b *testing.B) {
 			cfg := DefaultConfig(n, 2*(n-1))
 			cfg.NN = nn.Config{N: n, BaseChannels: 2, Pools: 2}
 			s := MustNew(cfg)
-			net := nn.NewPolicyValueNet(cfg.NN, cfg.Seed)
-			rng := rand.New(rand.NewSource(7))
-			ar := s.newArena()
+			loop := s.driver.NewLoop(0, noLearn{s.newLearner(0)}, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.runEpisode(net, rng, guidedActions(cfg.N), ar)
+				loop.Episode()
 			}
 		})
 	}
@@ -46,14 +52,12 @@ func BenchmarkDRLEpisodeTraced(b *testing.B) {
 			cfg.NN = nn.Config{N: n, BaseChannels: 2, Pools: 2}
 			cfg.Trace = obs.NewTracer(1 << 14)
 			s := MustNew(cfg)
-			net := nn.NewPolicyValueNet(cfg.NN, cfg.Seed)
-			rng := rand.New(rand.NewSource(7))
-			ar := s.newArena()
-			ar.trace = cfg.Trace.Shard("drl.worker.00")
+			l := s.newLearner(0)
+			loop := s.driver.NewLoop(0, noLearn{l}, l.trace)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.runEpisode(net, rng, guidedActions(cfg.N), ar)
+				loop.Episode()
 			}
 		})
 	}
@@ -118,11 +122,9 @@ func BenchmarkDRLEpisodeBroker(b *testing.B) {
 			s := MustNew(cfg)
 			stop := s.startBroker()
 			defer stop()
-			nets := make([]*nn.PolicyValueNet, workers)
-			arenas := make([]*episodeArena, workers)
-			for w := range nets {
-				nets[w] = nn.NewPolicyValueNet(cfg.NN, cfg.Seed+int64(w))
-				arenas[w] = s.newArena()
+			loops := make([]*search.Loop, workers)
+			for w := range loops {
+				loops[w] = s.driver.NewLoop(w, noLearn{s.newLearner(w)}, nil)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -132,9 +134,8 @@ func BenchmarkDRLEpisodeBroker(b *testing.B) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					rng := rand.New(rand.NewSource(7 + int64(w)))
 					for next.Add(1) <= int64(b.N) {
-						s.runEpisode(nets[w], rng, guidedActions(cfg.N), arenas[w])
+						loops[w].Episode()
 					}
 				}(w)
 			}

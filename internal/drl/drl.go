@@ -5,8 +5,9 @@
 // following additions (with an ε-greedy override running Algorithm 1),
 // rewards penalize repetitive/invalid/illegal loops, and the finished
 // design's hop count relative to mesh trains both the network (advantage
-// actor-critic) and the tree. Multi-threaded exploration (§4.6) shares a
-// parameter server and the search tree across learner goroutines.
+// actor-critic) and the tree. The cycle runs on internal/search's episode
+// driver, whose Worker here is the learner; multi-threaded exploration
+// (§4.6) shares a parameter server and the search tree across learners.
 package drl
 
 import (
@@ -125,7 +126,8 @@ type Result struct {
 	// Best is the minimum-hop fully connected design (nil Topo when the
 	// search never completed a design).
 	Best Design
-	// Valid lists every fully connected design, in discovery order.
+	// Valid lists every fully connected design in the order learners
+	// recorded them, after training (episode order with one learner).
 	Valid []Design
 	// Episodes actually run.
 	Episodes int
@@ -133,14 +135,17 @@ type Result struct {
 	ValueMSE []float64
 	// TreeSize is the number of distinct designs recorded by the MCTS.
 	TreeSize int
+	// Outcomes lists every episode's final reward and guided step count,
+	// in episode order.
+	Outcomes []search.Outcome
 }
 
 // Searcher runs the framework.
 type Searcher struct {
 	cfg Config
-	// tree is the shared search tree, nil when the search runs without
-	// MCTS.
-	tree *mcts.Tree
+	// driver runs the episodes on the shared search tree (nil when the
+	// search runs without MCTS) and counts them.
+	driver search.Driver
 
 	server *paramServer
 	// initStats are the BatchNorm running statistics every network starts
@@ -152,9 +157,8 @@ type Searcher struct {
 	// workers start and clears it after they finish.
 	broker *infer.Broker
 
-	mu      sync.Mutex
-	result  Result
-	episode int
+	mu     sync.Mutex
+	result Result
 }
 
 // CheckConfig reports the errors New returns for cfg without building
@@ -192,9 +196,9 @@ func New(cfg Config) (*Searcher, error) {
 	if cfg.NN.N == 0 {
 		cfg.NN = nn.Config{N: cfg.N, BaseChannels: 4, Pools: 3}
 	}
-	s := &Searcher{cfg: cfg}
+	s := &Searcher{cfg: cfg, driver: search.Driver{Epsilon: cfg.Epsilon, Seed: cfg.Seed}}
 	if cfg.UseMCTS {
-		s.tree = mcts.NewTree(cfg.CPuct)
+		s.driver.Tree = mcts.NewTree(cfg.CPuct)
 	}
 	if cfg.UseDNN {
 		init := cfg.Init
@@ -258,9 +262,10 @@ func MustNew(cfg Config) *Searcher {
 // safe to call concurrently with Run (e.g. from a progress-printing
 // goroutine).
 func (s *Searcher) Progress() (episodes, valid int) {
+	episodes = s.driver.Episodes()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.episode, len(s.result.Valid)
+	return episodes, len(s.result.Valid)
 }
 
 // Run executes the configured exploration cycles and returns the search
@@ -281,27 +286,14 @@ func (s *Searcher) Run() *Result {
 		stop := s.startBroker()
 		defer stop()
 	}
-	var wg sync.WaitGroup
-	perThread := s.cfg.Episodes / s.cfg.Threads
-	extra := s.cfg.Episodes % s.cfg.Threads
-	for t := 0; t < s.cfg.Threads; t++ {
-		n := perThread
-		if t < extra {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(tid, episodes int) {
-			defer wg.Done()
-			s.worker(tid, episodes)
-		}(t, n)
-	}
-	wg.Wait()
+	outcomes := s.driver.Run(s.cfg.Episodes, s.cfg.Threads, func(tid int) (search.Worker, *obs.TraceShard) {
+		l := s.newLearner(tid)
+		return l, l.trace
+	})
 	s.mu.Lock()
-	if s.tree != nil {
-		s.result.TreeSize = s.tree.Size()
+	s.result.Episodes, s.result.Outcomes = len(outcomes), outcomes
+	if s.driver.Tree != nil {
+		s.result.TreeSize = s.driver.Tree.Size()
 	}
 	out := s.result
 	s.mu.Unlock()
@@ -338,332 +330,240 @@ func (s *Searcher) startBroker() func() {
 	}
 }
 
-// workerNet builds learner tid's network with the parameter server's
-// current weights, returned as the learner's weight buffer, and the
-// search's initial BatchNorm running statistics.
-func (s *Searcher) workerNet(tid int) (net *nn.PolicyValueNet, weights []float64) {
-	net = nn.NewPolicyValueNet(s.cfg.NN, s.cfg.Seed+int64(tid))
-	weights = make([]float64, net.NumParams())
-	s.server.snapshotInto(weights)
-	net.SetWeights(weights)
-	net.SetStats(s.initStats)
-	return net, weights
-}
-
-// worker is one learner thread (§4.6): it keeps a private copy of the DNN,
-// refreshes weights from the parameter server before each episode, and
-// pushes gradients back after each episode.
-func (s *Searcher) worker(tid, episodes int) {
-	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(tid)*7919))
-	var net *nn.PolicyValueNet
-	var weights, grads, stats []float64
-	if s.cfg.UseDNN {
-		// Each worker owns its network — and with it the network's scratch
-		// arena (padded conv planes, activation/gradient tensors), which is
-		// not goroutine-safe. Only flat weight/grad vectors cross the
-		// worker boundary, through these per-worker reusable buffers, so
-		// the steady-state training loop performs no heap allocation.
-		net, weights = s.workerNet(tid)
-		grads = make([]float64, len(weights))
-		if s.broker != nil {
-			// The broker's evaluator must track not just the weights but the
-			// BatchNorm running statistics eval-mode inference reads (they
-			// evolve during training forwards and are NOT part of the flat
-			// weight vector).
-			stats = make([]float64, net.NumStats())
-			net.CopyStatsInto(stats)
-			s.broker.Sync(weights, stats)
-		}
-	}
-	a2c := rl.A2C{Gamma: search.Gamma, ValueCoeff: 0.5}
-	ar := s.newArena()
-	// One trace shard per worker goroutine (the ownership rule): all of
-	// this worker's spans land on one track.
-	ar.trace = s.cfg.Trace.Shard(fmt.Sprintf("drl.worker.%02d", tid))
-	// Metric handles are resolved once per worker; all of them are no-ops
-	// when the search runs without a registry.
-	reg := s.cfg.Metrics
-	epCounter := reg.Counter(fmt.Sprintf("drl.worker.%02d.episodes", tid))
-	rewardGauge := reg.Gauge("drl.episode_reward")
-	rewardHist := reg.Histogram("drl.episode_reward_hist")
-	mseGauge := reg.Gauge("drl.value_mse")
-	validCounter := reg.Counter("drl.valid_designs")
-	treeGauge := reg.Gauge("drl.tree_size")
-	// The guided-phase length self-paces: episodes that dead-end without
-	// a complete design shorten the guided prefix (exploring closer to
-	// the reliable completion heuristic); successes lengthen it back up
-	// to guidedActions, recovering exploration breadth.
-	maxGuided := guidedActions(s.cfg.N)
-	guided := maxGuided
-	for ep := 0; ep < episodes; ep++ {
-		epSpan := ar.trace.Start(obs.SpanEpisode)
-		traj, path, design := s.runEpisode(net, rng, guided, ar)
-		if design == nil {
-			if guided > 1 {
-				guided--
-			}
-		} else if guided < maxGuided {
-			guided++
-		}
-
-		// The discounted returns-to-go drive both the tree backup and
-		// training.
-		returns := a2c.ReturnsToGo(traj)
-		if s.tree != nil {
-			bk := ar.trace.Start(obs.SpanMCTSBackup)
-			s.tree.Backup(path, returns)
-			bk.End()
-		}
-
-		mse := 0.0
-		if net != nil {
-			tr := ar.trace.Start(obs.SpanTrain)
-			net.ZeroGrads()
-			mse = a2c.Accumulate(net, traj, returns)
-			net.CopyGradsInto(grads)
-			// Fused push/pull: one pass clips, applies the SGD step, and
-			// copies the updated weights back out under one lock, so the
-			// fetch is exactly this worker's post-update weights.
-			s.server.applyAndFetch(grads, weights)
-			net.ZeroGrads()
-			net.SetWeights(weights)
-			if s.broker != nil {
-				// Publish the refreshed weights (and the running statistics
-				// the training forwards just advanced) to the shared
-				// evaluator, which applies them before its next forward.
-				net.CopyStatsInto(stats)
-				s.broker.Sync(weights, stats)
-			}
-			tr.End()
-		}
-
-		s.mu.Lock()
-		s.episode++
-		epNum := s.episode
-		s.result.Episodes = epNum
-		if net != nil {
-			s.result.ValueMSE = append(s.result.ValueMSE, mse)
-		}
-		if design != nil {
-			design.Episode = epNum
-			s.result.Valid = append(s.result.Valid, *design)
-			if s.result.Best.Topo == nil || design.AvgHops < s.result.Best.AvgHops {
-				s.result.Best = *design
-			}
-		}
-		s.mu.Unlock()
-
-		epCounter.Inc()
-		rewardGauge.Set(traj.Final)
-		rewardHist.Observe(traj.Final)
-		if net != nil {
-			mseGauge.Set(mse)
-		}
-		if design != nil {
-			validCounter.Inc()
-		}
-		if s.tree != nil {
-			// treeGauge is a nil-safe no-op without a registry, like every
-			// other handle in this loop — gate only on the tree existing.
-			treeGauge.Set(float64(s.tree.Size()))
-		}
-		if s.cfg.Events.Enabled(obs.LevelDebug) {
-			fields := map[string]any{
-				"episode": epNum,
-				"worker":  tid,
-				"reward":  traj.Final,
-				"steps":   len(traj.Steps),
-				"valid":   design != nil,
-			}
-			if net != nil {
-				fields["value_mse"] = mse
-			}
-			if design != nil {
-				fields["avg_hops"] = design.AvgHops
-				fields["loops"] = design.Loops
-			}
-			s.cfg.Events.Debug(obs.EventEpisode, fields)
-		}
-		epSpan.End()
-	}
-	if net != nil {
-		s.mu.Lock()
-		net.CopyStatsInto(s.lastStats)
-		s.mu.Unlock()
-	}
-}
-
-// episodeArena is one worker's reusable episode state. Every buffer an
-// episode needs — the environment itself (with its topology and greedy
-// score cache), the trajectory and tree path, one state matrix per
-// decision point, and the flat prior weights — is allocated once per
-// worker and recycled, so steady-state episodes touch the heap only for
-// results that outlive them (valid designs, new tree nodes, fingerprint
-// keys).
-//
-// The arena is also the search.Decision of its worker's guided steps: the
-// environment's legal action ids, Algorithm 1's pick and the policy
-// network's priors for the current state.
-type episodeArena struct {
+// learner is one learner thread (§4.6): the search.Worker the driver runs
+// on one goroutine, and the search.Decision of its guided steps. It keeps
+// a private copy of the DNN and recycles every buffer an episode needs, so
+// steady-state episodes allocate only what outlives them (valid designs,
+// tree nodes, fingerprint keys). Only the guided steps are trained and
+// backed up, but the final return reflects the completed design.
+type learner struct {
+	s   *Searcher
+	tid int
 	env *rl.Env
-	// policyEval evaluates on the worker's network (nil without a DNN)
-	// or, while one runs, on the shared broker.
-	net    *nn.PolicyValueNet
-	broker *infer.Broker
-	traj   rl.Trajectory
-	path   []mcts.PathStep
-	// states holds one reusable hop-matrix buffer per trajectory step;
-	// StepRecord.State aliases these until the next episode overwrites
-	// them, which is safe because training consumes the trajectory before
-	// the worker starts its next episode.
+	// net is nil without a DNN; only the flat vectors below leave it.
+	net                   *nn.PolicyValueNet
+	weights, grads, stats []float64
+	a2c                   rl.A2C
+	traj                  rl.Trajectory
+	// states holds one hop-matrix buffer per step, which StepRecord.State
+	// aliases; state is the current step's, the one the policy sees.
 	states [][]float64
-	// state is the current step's encoding, the one the policy sees.
-	state []float64
-	// priors holds the prior weight of each legal action, aligned with the
-	// slice Actions returned.
-	priors []float64
-	// evalIn and evalOut are the one-element batch of the worker's own
-	// network evaluation (policyEval), reused so that call allocates
-	// nothing.
+	state  []float64
+	// The reused outputs of Priors and policyEval.
+	priors  []float64
 	evalIn  [1][]float64
 	evalOut [1]nn.Output
-	// eval is the worker's result slot on the broker route, reused by
-	// every Submit.
-	eval infer.Eval
-	// trace is the worker's span recorder (nil when tracing is off); owned
-	// by the worker goroutine like every other arena buffer.
-	trace *obs.TraceShard
+	eval    infer.Eval
+	trace   *obs.TraceShard // the learner's span track, nil when off
+	// guided is the self-paced budget (guidedActions); valid and
+	// penalties count the episode's guided steps.
+	guided, valid, penalties int
+	// Metric handles, resolved once; all are no-ops without a registry.
+	episodes, validDesigns           *obs.Counter
+	rewardGauge, mseGauge, treeGauge *obs.Gauge
+	rewardHist                       *obs.Histogram
 }
 
-// newArena builds a worker's arena with a configured environment.
-func (s *Searcher) newArena() *episodeArena {
+// newLearner builds learner tid: its environment and, with a DNN, its
+// network at the server's weights and the initial BatchNorm statistics.
+func (s *Searcher) newLearner(tid int) *learner {
 	env := rl.NewEnv(s.cfg.N, s.cfg.OverlapCap)
 	if s.cfg.IllegalPenalty != 0 {
 		env.IllegalPenalty = s.cfg.IllegalPenalty
 	}
 	env.MaxLoopLen = s.cfg.MaxLoopLen
-	return &episodeArena{env: env, broker: s.broker}
-}
-
-// stateBuf returns the reusable state buffer for trajectory step i.
-func (ar *episodeArena) stateBuf(i int) []float64 {
-	for len(ar.states) <= i {
-		ar.states = append(ar.states, nil)
+	reg := s.cfg.Metrics
+	l := &learner{
+		s: s, tid: tid, env: env,
+		a2c:          rl.A2C{ValueCoeff: 0.5},
+		trace:        s.cfg.Trace.Shard(fmt.Sprintf("drl.worker.%02d", tid)),
+		guided:       guidedActions(s.cfg.N),
+		episodes:     reg.Counter(fmt.Sprintf("drl.worker.%02d.episodes", tid)),
+		validDesigns: reg.Counter("drl.valid_designs"),
+		rewardGauge:  reg.Gauge("drl.episode_reward"),
+		mseGauge:     reg.Gauge("drl.value_mse"),
+		treeGauge:    reg.Gauge("drl.tree_size"),
+		rewardHist:   reg.Histogram("drl.episode_reward_hist"),
 	}
-	return ar.states[i]
-}
-
-// runEpisode performs one exploration cycle (Fig. 4) and returns the
-// trajectory of guided steps, the tree path, and the finished design when
-// fully connected. The trajectory and path alias arena buffers valid until
-// the next runEpisode call on the same arena.
-//
-// Each episode has two phases. The guided phase takes up to guided (at
-// most guidedActions) valid loop additions chosen by the DNN/MCTS policy
-// (ε-greedy over Algorithm 1); it is the exploratory part that gets
-// trained and backed up. The completion phase then adds loops with
-// Algorithm 1 until the design cannot improve, making the episode's design
-// evaluable ("additional actions ... to complete the design"). The final
-// return reflects the whole design, so guided prefixes leading to poor
-// completions are penalized through training.
-func (s *Searcher) runEpisode(net *nn.PolicyValueNet, rng *rand.Rand, guided int, ar *episodeArena) (rl.Trajectory, []mcts.PathStep, *Design) {
-	env := ar.env
-	env.Reset()
-	ar.net = net
-	ar.traj.Steps = ar.traj.Steps[:0]
-	ar.traj.Final = 0
-	ar.path = ar.path[:0]
-
-	maxSteps := guided + maxPenalties*(guided+1) + 4
-	penalties := 0
-	valid := 0
-	first := true
-	for len(ar.traj.Steps) < maxSteps && valid < guided {
-		fp := env.Fingerprint()
-		step := len(ar.traj.Steps)
-		state := env.StateInto(ar.stateBuf(step))
-		ar.states[step], ar.state = state, state
-		var id int
-		var ok bool
-		switch {
-		case penalties > maxPenalties:
-			id, ok = ar.Greedy()
-		case first && net != nil:
-			// The DNN proposes the initial action raw (Fig. 4); it may
-			// be penalized, teaching constraint compliance. Backup then
-			// records it as an edge that Select prunes.
-			id, ok = ar.sampleRaw(rng), true
-		default:
-			id, ok = search.Choose(s.tree, fp, ar, s.cfg.Epsilon, rng, ar.trace)
-		}
-		first = false
-		if !ok {
-			break // no legal action remains
-		}
-		a := rl.ActionOf(id)
-		r, kind := env.Step(a)
-		ar.traj.Steps = append(ar.traj.Steps, rl.StepRecord{State: state, Action: a, Reward: r})
-		ar.path = append(ar.path, mcts.PathStep{Fingerprint: fp, Action: id})
-		if kind == rl.Valid {
-			penalties = 0
-			valid++
-		} else {
-			penalties++
+	if s.cfg.UseDNN {
+		l.net = nn.NewPolicyValueNet(s.cfg.NN, s.cfg.Seed+int64(tid))
+		l.weights = s.server.snapshot()
+		l.net.SetWeights(l.weights)
+		l.net.SetStats(s.initStats)
+		l.grads = make([]float64, len(l.weights))
+		if s.broker != nil {
+			// The evaluator also needs the BatchNorm running statistics,
+			// which training forwards advance outside the weight vector.
+			l.stats = make([]float64, l.net.NumStats())
+			l.net.CopyStatsInto(l.stats)
+			s.broker.Sync(l.weights, l.stats)
 		}
 	}
-
-	complete(env, ar.trace)
-
-	ar.traj.Final = env.FinalReward()
-	var design *Design
-	if env.FullyConnected() {
-		design = &Design{
-			Topo:    env.Topology().Clone(),
-			AvgHops: env.AverageHops(),
-			Loops:   env.Topology().NumLoops(),
-		}
-	}
-	return ar.traj, ar.path, design
+	return l
 }
 
-// complete drives Algorithm 1 until the design stops improving: while not
-// fully connected every greedy addition helps; afterwards additions
-// continue only while they reduce average hops (rl.GreedyImprove's
-// stopping rule).
-func complete(env *rl.Env, trace *obs.TraceShard) {
-	sp := trace.Start(obs.SpanGreedy)
-	rl.GreedyImprove(env)
+// Begin implements search.Worker.
+func (l *learner) Begin() {
+	l.env.Reset()
+	l.traj.Steps = l.traj.Steps[:0]
+	l.valid, l.penalties = 0, 0
+}
+
+// Propose implements search.Proposer. It encodes the state the policy
+// sees, then chooses itself after more than maxPenalties consecutive
+// non-valid actions (Algorithm 1) and at the first step with a DNN (a raw
+// sample, Fig. 4, which may be penalized, teaching constraint compliance).
+func (l *learner) Propose(rng *rand.Rand) (id int, ok, proposed bool) {
+	step := len(l.traj.Steps)
+	if step == len(l.states) {
+		l.states = append(l.states, nil)
+	}
+	l.state = l.env.StateInto(l.states[step])
+	l.states[step] = l.state
+	switch {
+	case l.penalties > maxPenalties:
+		id, ok = l.Greedy()
+		return id, ok, true
+	case step == 0 && l.net != nil:
+		return l.sampleRaw(rng), true, true
+	}
+	return 0, false, false
+}
+
+// Step implements search.Worker, recording the step in the trajectory.
+func (l *learner) Step(id int) float64 {
+	a := rl.ActionOf(id)
+	r, kind := l.env.Step(a)
+	l.traj.Steps = append(l.traj.Steps, rl.StepRecord{State: l.state, Action: a, Reward: r})
+	if kind == rl.Valid {
+		l.penalties = 0
+		l.valid++
+	} else {
+		l.penalties++
+	}
+	return r
+}
+
+// Stop implements search.Worker: the guided phase ends after guided valid
+// additions or at a step cap that leaves room for the penalties.
+func (l *learner) Stop(steps int) bool {
+	return l.valid >= l.guided || steps >= l.guided+maxPenalties*(l.guided+1)+4
+}
+
+// Fingerprint, Actions and Legal implement search.Worker on the environment.
+func (l *learner) Fingerprint() string { return l.env.Fingerprint() }
+
+func (l *learner) Actions() []int { return l.env.Actions() }
+
+func (l *learner) Legal(id int) bool { return l.env.Legal(id) }
+
+// Finish implements search.Worker: Algorithm 1 adds loops while the design
+// is not fully connected, then only while they reduce average hops.
+func (l *learner) Finish() float64 {
+	sp := l.trace.Start(obs.SpanGreedy)
+	rl.GreedyImprove(l.env)
 	sp.End()
+	l.traj.Final = l.env.FinalReward()
+	return l.traj.Final
 }
 
-// Actions implements search.Decision.
-func (ar *episodeArena) Actions() []int { return ar.env.Actions() }
+// End implements search.Worker: it self-paces the guided budget, trains
+// on the returns, records the design and reports the episode.
+func (l *learner) End(out search.Outcome, returns []float64) {
+	s, env := l.s, l.env
+	valid := env.FullyConnected()
+	design := Design{Episode: out.Episode}
+	if valid {
+		design.Topo, design.AvgHops, design.Loops = env.Topology().Clone(), env.AverageHops(), env.Topology().NumLoops()
+		l.guided = min(l.guided+1, guidedActions(s.cfg.N))
+	} else if l.guided > 1 {
+		l.guided--
+	}
+	mse := 0.0
+	if l.net != nil {
+		mse = l.train(returns)
+	}
 
-// Legal implements search.Decision.
-func (ar *episodeArena) Legal(id int) bool { return ar.env.Legal(id) }
+	s.mu.Lock()
+	if l.net != nil {
+		// Learners finish out of episode order; each MSE goes to its slot.
+		for len(s.result.ValueMSE) < out.Episode {
+			s.result.ValueMSE = append(s.result.ValueMSE, 0)
+		}
+		s.result.ValueMSE[out.Episode-1] = mse
+		// Model saves the statistics of the learner that finished last.
+		l.net.CopyStatsInto(s.lastStats)
+		l.mseGauge.Set(mse)
+	}
+	if valid {
+		s.result.Valid = append(s.result.Valid, design)
+		if s.result.Best.Topo == nil || design.AvgHops < s.result.Best.AvgHops {
+			s.result.Best = design
+		}
+		l.validDesigns.Inc()
+	}
+	s.mu.Unlock()
+
+	l.episodes.Inc()
+	l.rewardGauge.Set(out.Final)
+	l.rewardHist.Observe(out.Final)
+	if s.driver.Tree != nil {
+		l.treeGauge.Set(float64(s.driver.Tree.Size()))
+	}
+	if s.cfg.Events.Enabled(obs.LevelDebug) {
+		fields := map[string]any{"episode": out.Episode, "worker": l.tid, "reward": out.Final, "steps": out.Steps, "valid": valid}
+		if l.net != nil {
+			fields["value_mse"] = mse
+		}
+		if valid {
+			fields["avg_hops"], fields["loops"] = design.AvgHops, design.Loops
+		}
+		s.cfg.Events.Debug(obs.EventEpisode, fields)
+	}
+}
+
+// train is the learn step, returning the value MSE: A2C gradients on the
+// returns, one fused push/pull through the parameter server, and with a
+// broker the new weights and running statistics sent to its evaluator.
+func (l *learner) train(returns []float64) float64 {
+	tr := l.trace.Start(obs.SpanTrain)
+	net := l.net
+	net.ZeroGrads()
+	mse := l.a2c.Accumulate(net, l.traj, returns)
+	net.CopyGradsInto(l.grads)
+	l.s.server.applyAndFetch(l.grads, l.weights)
+	net.ZeroGrads()
+	net.SetWeights(l.weights)
+	if b := l.s.broker; b != nil {
+		net.CopyStatsInto(l.stats)
+		b.Sync(l.weights, l.stats)
+	}
+	tr.End()
+	return mse
+}
 
 // Greedy implements search.Decision with one Algorithm 1 pick, traced as
 // an rl.greedy span.
-func (ar *episodeArena) Greedy() (int, bool) {
-	sp := ar.trace.Start(obs.SpanGreedy)
-	a, ok := rl.Greedy(ar.env)
+func (l *learner) Greedy() (int, bool) {
+	sp := l.trace.Start(obs.SpanGreedy)
+	a, ok := rl.Greedy(l.env)
 	sp.End()
 	return a.ID(), ok
 }
 
 // Priors implements search.Decision: each legal action's (unnormalized)
-// policy probability at the current state, in the arena's prior buffer;
+// policy probability at the current state, in the learner's buffer;
 // without a DNN, priors are uniform.
-func (ar *episodeArena) Priors(ids []int) []float64 {
-	priors := slices.Grow(ar.priors[:0], len(ids))[:len(ids)]
-	ar.priors = priors
-	if ar.net == nil {
+func (l *learner) Priors(ids []int) []float64 {
+	priors := slices.Grow(l.priors[:0], len(ids))[:len(ids)]
+	l.priors = priors
+	if l.net == nil {
 		for i := range priors {
 			priors[i] = 1
 		}
 		return priors
 	}
-	probs, dir := ar.policyEval(ar.state)
+	probs, dir := l.policyEval(l.state)
 	pcw := (1 + dir) / 2
 	for i, id := range ids {
 		a := rl.ActionOf(id)
@@ -684,28 +584,28 @@ func (ar *episodeArena) Priors(ids []int) []float64 {
 // broker when one is running, so that concurrent learners batch into one
 // forward, or via a one-sample Forward on the worker's own network
 // otherwise. Both paths are byte-identical for equal weights and running
-// statistics. The returned probabilities alias arena buffers valid until
-// the next call.
-func (ar *episodeArena) policyEval(state []float64) (probs *[4][]float64, dir float64) {
-	if ar.broker != nil {
-		sub := ar.trace.Start(obs.SpanInferSubmit)
-		ar.broker.Submit(state, &ar.eval)
+// statistics. The returned probabilities alias the learner's buffers,
+// valid until the next call.
+func (l *learner) policyEval(state []float64) (probs *[4][]float64, dir float64) {
+	if b := l.s.broker; b != nil {
+		sub := l.trace.Start(obs.SpanInferSubmit)
+		b.Submit(state, &l.eval)
 		sub.End()
-		return &ar.eval.CoordProbs, ar.eval.Dir
+		return &l.eval.CoordProbs, l.eval.Dir
 	}
-	fw := ar.trace.Start(obs.SpanNNForward)
-	ar.evalIn[0] = state
-	ar.net.Forward(ar.evalIn[:], ar.evalOut[:], false)
+	fw := l.trace.Start(obs.SpanNNForward)
+	l.evalIn[0] = state
+	l.net.Forward(l.evalIn[:], l.evalOut[:], false)
 	fw.End()
-	out := &ar.evalOut[0]
+	out := &l.evalOut[0]
 	return &out.CoordProbs, out.Dir
 }
 
 // sampleRaw draws an action id directly from the DNN output heads at the
 // current state, the paper's raw policy sample for the episode's initial
 // action.
-func (ar *episodeArena) sampleRaw(rng *rand.Rand) int {
-	probs, dirPCW := ar.policyEval(ar.state)
+func (l *learner) sampleRaw(rng *rand.Rand) int {
+	probs, dirPCW := l.policyEval(l.state)
 	pick := func(probs []float64) int {
 		r := rng.Float64()
 		acc := 0.0

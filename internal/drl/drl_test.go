@@ -66,8 +66,9 @@ func TestChooseActionPrunesStaleEdges(t *testing.T) {
 	cfg := quickCfg(4, 6, 1)
 	cfg.UseDNN = false
 	s := MustNew(cfg)
-	ar := s.newArena()
+	ar := s.newLearner(0)
 	env := ar.env
+	tree := s.driver.Tree
 	env.Reset()
 	fp := env.Fingerprint()
 
@@ -76,7 +77,7 @@ func TestChooseActionPrunesStaleEdges(t *testing.T) {
 	for i := range priors {
 		priors[i] = 1
 	}
-	s.tree.Expand(fp, legal, priors)
+	tree.Expand(fp, legal, priors)
 	// A degenerate rectangle is never legal, but its id encodes like any
 	// other and Backup happily records it (episodes back up their full path,
 	// penalized steps included). The huge return makes it the argmax by a
@@ -85,24 +86,24 @@ func TestChooseActionPrunesStaleEdges(t *testing.T) {
 	if _, ok := rl.ActionOf(stale).Loop(); ok || env.Legal(stale) {
 		t.Fatal("degenerate action unexpectedly playable")
 	}
-	s.tree.Backup([]mcts.PathStep{{Fingerprint: fp, Action: stale}}, []float64{1e6})
-	if a, ok := s.tree.Select(fp, func(int) bool { return true }); !ok || a != stale {
+	tree.Backup([]mcts.PathStep{{Fingerprint: fp, Action: stale}}, []float64{1e6})
+	if a, ok := tree.Select(fp, func(int) bool { return true }); !ok || a != stale {
 		t.Fatalf("setup: Select returned %v, want the stale edge %v", a, stale)
 	}
 
 	rng := rand.New(rand.NewSource(3))
 	// ε = 0: never defer to the greedy override.
-	a, ok := search.Choose(s.tree, fp, ar, 0, rng, nil)
+	a, ok := search.Choose(tree, fp, ar, 0, rng, nil)
 	if !ok {
 		t.Fatal("Choose found no action")
 	}
 	if !env.Legal(a) {
 		t.Fatalf("Choose returned illegal action %v", rl.ActionOf(a))
 	}
-	if _, exists := s.tree.EdgeStats(fp)[stale]; exists {
+	if _, exists := tree.EdgeStats(fp)[stale]; exists {
 		t.Fatal("stale edge survived Choose")
 	}
-	if next, ok := s.tree.Select(fp, env.Legal); !ok || !env.Legal(next) {
+	if next, ok := tree.Select(fp, env.Legal); !ok || !env.Legal(next) {
 		t.Fatalf("post-prune Select returned %v (ok=%v), want a legal action", rl.ActionOf(next), ok)
 	}
 }
@@ -391,7 +392,7 @@ func TestSavedModelResumesBitExact(t *testing.T) {
 	s := MustNew(cfg)
 	s.Run()
 	saved := s.Model()
-	state := s.newArena().env.StateInto(nil)
+	state := s.newLearner(0).env.StateInto(nil)
 	var want [1]nn.Output
 	saved.Forward([][]float64{state}, want[:], false)
 
@@ -414,8 +415,7 @@ func TestSavedModelResumesBitExact(t *testing.T) {
 	cfg2 := quickCfg(4, 6, 2)
 	cfg2.Init = loaded
 	s2 := MustNew(cfg2)
-	ar := s2.newArena()
-	ar.net, _ = s2.workerNet(0)
+	ar := s2.newLearner(0)
 	probs, dir := ar.policyEval(ar.env.StateInto(nil))
 	if math.Float64bits(dir) != math.Float64bits(want[0].Dir) {
 		t.Fatalf("direction %v after the round trip, %v saved", dir, want[0].Dir)

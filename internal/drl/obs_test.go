@@ -79,3 +79,45 @@ func TestProgressDuringRun(t *testing.T) {
 		t.Fatalf("Progress() = (%d, %d), want (%d, %d)", ep, valid, res.Episodes, len(res.Valid))
 	}
 }
+
+// TestOutcomesMatchEpisodeEvents runs a seeded search and checks that
+// Result.Outcomes holds one outcome per episode, numbered in order, whose
+// Steps and Final are the steps and reward fields of that episode's JSONL
+// event.
+func TestOutcomesMatchEpisodeEvents(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := quickCfg(4, 6, 8)
+	cfg.Seed = 7
+	cfg.Events = obs.NewLogger(&buf, obs.LevelDebug)
+	res := MustNew(cfg).Run()
+	if len(res.Outcomes) != cfg.Episodes {
+		t.Fatalf("%d outcomes, want %d", len(res.Outcomes), cfg.Episodes)
+	}
+	type event struct {
+		Event   string  `json:"event"`
+		Episode int     `json:"episode"`
+		Steps   int     `json:"steps"`
+		Reward  float64 `json:"reward"`
+	}
+	events := map[int]event{}
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var e event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad event line: %v", err)
+		}
+		if e.Event == obs.EventEpisode {
+			events[e.Episode] = e
+		}
+	}
+	for i, out := range res.Outcomes {
+		e, ok := events[out.Episode]
+		if out.Episode != i+1 || !ok {
+			t.Fatalf("outcome %d is episode %d (event found: %v)", i, out.Episode, ok)
+		}
+		if out.Steps != e.Steps || out.Final != e.Reward {
+			t.Fatalf("episode %d: outcome steps %d reward %v, event steps %d reward %v",
+				out.Episode, out.Steps, out.Final, e.Steps, e.Reward)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package drl
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"routerless/internal/obs"
@@ -40,20 +41,9 @@ func newParamServer(init []float64, lr, clip float64, reg *obs.Registry) *paramS
 
 // snapshot copies the current weights.
 func (ps *paramServer) snapshot() []float64 {
-	dst := make([]float64, len(ps.weights))
-	ps.snapshotInto(dst)
-	return dst
-}
-
-// snapshotInto copies the current weights into dst, the allocation-free
-// variant workers use (dst is each worker's private buffer).
-func (ps *paramServer) snapshotInto(dst []float64) {
-	if len(dst) != len(ps.weights) {
-		panic("drl: snapshot buffer/weight length mismatch")
-	}
 	ps.mu.Lock()
-	copy(dst, ps.weights)
-	ps.mu.Unlock()
+	defer ps.mu.Unlock()
+	return slices.Clone(ps.weights)
 }
 
 // applyAndFetch is the per-episode round-trip: one SGD step with the

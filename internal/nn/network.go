@@ -340,9 +340,10 @@ func (n *PolicyValueNet) ZeroGrads() {
 // GetWeights flattens all parameters into one slice (for the parameter
 // server of §4.6).
 func (n *PolicyValueNet) GetWeights() []float64 {
-	var out []float64
+	out := make([]float64, n.NumParams())
+	off := 0
 	for _, p := range n.params {
-		out = append(out, p.W.Data...)
+		off += copy(out[off:], p.W.Data)
 	}
 	return out
 }

@@ -143,6 +143,25 @@ func TestWeightsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGetWeightsAllocatesOnce pins GetWeights to one allocation on a
+// warmed net, the parameters in order, and checks that SetWeights of it
+// on another net round-trips every bit.
+func TestGetWeightsAllocatesOnce(t *testing.T) {
+	cfg := Config{N: 10, BaseChannels: 4, Pools: 3}
+	a, b := NewPolicyValueNet(cfg, 3), NewPolicyValueNet(cfg, 4)
+	w := a.GetWeights()
+	if allocs := testing.AllocsPerRun(10, func() { a.GetWeights() }); allocs != 1 {
+		t.Fatalf("GetWeights allocates %.1f times, want 1", allocs)
+	}
+	var want []float64
+	for _, p := range a.Params() {
+		want = append(want, p.W.Data...)
+	}
+	requireSameBits(t, "GetWeights", w, want)
+	b.SetWeights(w)
+	requireSameBits(t, "GetWeights after SetWeights(GetWeights())", b.GetWeights(), w)
+}
+
 // End-to-end gradient check through the full two-headed network: loss =
 // sum of logits*w + dirPre*wd + value*wv, differentiated w.r.t. a few
 // parameters.

@@ -111,7 +111,7 @@ func TestGreedyPicksDistantPair(t *testing.T) {
 	var g *search.Graph
 	prob := search.Placement{Base: func() *search.Graph { g = d.Clone(); return g }}
 	env := prob.NewEpisode()
-	a, ok := prob.Greedy(env)
+	a, ok := env.Greedy()
 	if !ok {
 		t.Fatal("no greedy action")
 	}

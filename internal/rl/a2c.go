@@ -29,8 +29,6 @@ const defaultTrainTile = 16
 // makes repeated Accumulate calls allocation-free; it is not safe for
 // concurrent use.
 type A2C struct {
-	// Gamma is the discount factor γ.
-	Gamma float64
 	// ValueCoeff scales the value-head loss (the paper's constant c in
 	// Eq. 20).
 	ValueCoeff float64
@@ -41,36 +39,19 @@ type A2C struct {
 	// accumulates bit-identical gradients, running statistics, and MSE.
 	tile int
 
-	// Scratch reused across Accumulate calls: discounted returns-to-go, and
-	// the tile's state views, outputs, and head-gradient rows.
-	returns []float64
-	states  [][]float64
-	outs    []nn.Output
-	flat    []float64
-	dDir    []float64
-	dVal    []float64
-}
-
-// ReturnsToGo fills the A2C's returns scratch with the discounted
-// returns-to-go, seeding with the final return after the last step:
-// G_t = r_t + γ G_{t+1}, G_n = Final. They serve both the tree backup and
-// Accumulate; the slice is valid until the next ReturnsToGo call.
-func (a *A2C) ReturnsToGo(traj Trajectory) []float64 {
-	n := len(traj.Steps)
-	if cap(a.returns) < n {
-		a.returns = make([]float64, n)
-	}
-	returns := a.returns[:n]
-	g := traj.Final
-	for t := n - 1; t >= 0; t-- {
-		g = traj.Steps[t].Reward + a.Gamma*g
-		returns[t] = g
-	}
-	return returns
+	// Scratch reused across Accumulate calls: the tile's state views,
+	// outputs, and head-gradient rows.
+	states [][]float64
+	outs   []nn.Output
+	flat   []float64
+	dDir   []float64
+	dVal   []float64
 }
 
 // Accumulate back-propagates the trajectory through net, with returns the
-// trajectory's ReturnsToGo. Gradients are summed into net's parameter
+// trajectory's discounted returns-to-go G_t = r_t + γ G_{t+1}, G_n = Final,
+// one per step (the episode driver of internal/search computes them once
+// for the tree backup and this update). Gradients are summed into net's parameter
 // gradient buffers; callers then ship them to the parameter server (§4.6),
 // which applies the SGD update.
 // It returns the mean squared value error, a training-progress signal.

@@ -49,7 +49,7 @@ func TestA2CBatchedMatchesSequentialByteIdentical(t *testing.T) {
 				if len(traj.Steps) < 2 {
 					t.Fatalf("round %d: degenerate trajectory (%d steps)", round, len(traj.Steps))
 				}
-				mseSeq := seq.accumulateSequential(seqNet, traj)
+				mseSeq := seq.accumulateSequential(seqNet, traj, returnsToGo(traj, testGamma))
 				mseBat := bat.train(batNet, traj)
 				if mseSeq != mseBat {
 					t.Fatalf("round %d: mse diverged: sequential %v, batched %v", round, mseSeq, mseBat)
@@ -94,7 +94,7 @@ func TestA2CBatchedNoSearchDrift(t *testing.T) {
 		traj := randomTraj(e, rng, 24)
 		seqNet.ZeroGrads()
 		batNet.ZeroGrads()
-		seq.accumulateSequential(seqNet, traj)
+		seq.accumulateSequential(seqNet, traj, returnsToGo(traj, testGamma))
 		bat.train(batNet, traj)
 		sgdS.Step(seqNet)
 		sgdB.Step(batNet)
@@ -116,18 +116,20 @@ func TestA2CBatchedZeroAllocWarm(t *testing.T) {
 	net := nn.NewPolicyValueNet(testConfig(4), 17)
 	a2c := DefaultA2C()
 	traj := randomTraj(e, rng, 20)
-	a2c.train(net, traj) // warm scratch and arena
+	returns := returnsToGo(traj, testGamma)
+	a2c.Accumulate(net, traj, returns) // warm scratch and arena
 	allocs := testing.AllocsPerRun(10, func() {
-		a2c.train(net, traj)
+		a2c.Accumulate(net, traj, returns)
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed batched Accumulate allocates %.1f times, want 0", allocs)
 	}
 	// A shorter trajectory (partial tile) must reuse the same scratch.
 	short := randomTraj(e, rng, 7)
-	a2c.train(net, short)
+	returns = returnsToGo(short, testGamma)
+	a2c.Accumulate(net, short, returns)
 	allocs = testing.AllocsPerRun(10, func() {
-		a2c.train(net, short)
+		a2c.Accumulate(net, short, returns)
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed batched Accumulate (short trajectory) allocates %.1f times, want 0", allocs)

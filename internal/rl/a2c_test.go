@@ -8,13 +8,29 @@ import (
 	"routerless/internal/topo"
 )
 
-// DefaultA2C mirrors the paper's formulation with γ close to one.
-func DefaultA2C() A2C { return A2C{Gamma: 0.99, ValueCoeff: 0.5} }
+// DefaultA2C mirrors the paper's formulation.
+func DefaultA2C() A2C { return A2C{ValueCoeff: 0.5} }
 
-// train is one learner's update: the trajectory's returns-to-go, then
-// Accumulate over them.
+// testGamma is the discount factor γ of train, close to one as in the
+// paper's formulation.
+const testGamma = 0.99
+
+// returnsToGo is the reference returns-to-go, seeding with the final
+// return after the last step: G_t = r_t + γ G_{t+1}, G_n = Final.
+func returnsToGo(traj Trajectory, gamma float64) []float64 {
+	returns := make([]float64, len(traj.Steps))
+	g := traj.Final
+	for t := len(traj.Steps) - 1; t >= 0; t-- {
+		g = traj.Steps[t].Reward + gamma*g
+		returns[t] = g
+	}
+	return returns
+}
+
+// train is one learner's update: the trajectory's returns-to-go at
+// testGamma, then Accumulate over them.
 func (a *A2C) train(net *nn.PolicyValueNet, traj Trajectory) float64 {
-	return a.Accumulate(net, traj, a.ReturnsToGo(traj))
+	return a.Accumulate(net, traj, returnsToGo(traj, testGamma))
 }
 
 // testConfig returns a narrow network for fast tests.
@@ -156,11 +172,12 @@ func TestA2CDiscounting(t *testing.T) {
 	e := NewEnv(4, 6)
 	traj := smallTraj(e)
 	net := nn.NewPolicyValueNet(testConfig(4), 9)
-	a := A2C{Gamma: 0, ValueCoeff: 0.5}
+	a := DefaultA2C()
+	returns := returnsToGo(traj, 0)
 	sgd := plainSGD{LR: 5e-3, Clip: 1}
 	for i := 0; i < 80; i++ {
 		net.ZeroGrads()
-		a.train(net, traj)
+		a.Accumulate(net, traj, returns)
 		sgd.Step(net)
 	}
 	// After training, V(s_last) should approach r_last + 0 = -1? The last

@@ -41,21 +41,22 @@ func benchTraj(nc, h int, rng *rand.Rand) Trajectory {
 func BenchmarkA2CAccumulate(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
-		train func(*A2C, *nn.PolicyValueNet, Trajectory) float64
-	}{{"seq", (*A2C).accumulateSequential}, {"batched", (*A2C).train}} {
+		train func(*A2C, *nn.PolicyValueNet, Trajectory, []float64) float64
+	}{{"seq", (*A2C).accumulateSequential}, {"batched", (*A2C).Accumulate}} {
 		for _, nc := range []int{8, 10} {
 			for _, h := range []int{8, 16, 32} {
 				b.Run(mode.name+"/"+strconv.Itoa(nc)+"x"+strconv.Itoa(nc)+"/H"+strconv.Itoa(h), func(b *testing.B) {
 					net := nn.NewPolicyValueNet(nn.Config{N: nc, BaseChannels: 2, Pools: 2}, 1)
 					rng := rand.New(rand.NewSource(7))
 					traj := benchTraj(nc, h, rng)
+					returns := returnsToGo(traj, testGamma)
 					a2c := DefaultA2C()
 					net.ZeroGrads()
-					mode.train(&a2c, net, traj) // warm scratch and arenas
+					mode.train(&a2c, net, traj, returns) // warm scratch and arenas
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						mode.train(&a2c, net, traj)
+						mode.train(&a2c, net, traj, returns)
 					}
 					b.StopTimer()
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*h), "ns/step")

@@ -111,18 +111,18 @@ func bruteGreedySearch(e *Env) GreedyResult {
 	return GreedyResult{Action: bestLoop, NewPairs: bestCount, Gain: bestImprv, OK: found}
 }
 
-// accumulateSequential is the per-step A2C update: one training Forward and
-// one Backward per trajectory step, each a one-sample call, in trajectory
-// order, with its own per-step head-gradient math. It is the parity oracle
+// accumulateSequential is the per-step A2C update over the trajectory's
+// returns-to-go: one training Forward and one Backward per trajectory
+// step, each a one-sample call, in trajectory order, with its own per-step
+// head-gradient math. It is the parity oracle
 // for the tiled Accumulate, which must match its gradients, BatchNorm
 // running statistics, and MSE bit for bit; the layers' equivalence to the
 // lowered and naive convolutions and to central differences is pinned in
 // internal/nn and internal/tensor.
-func (a *A2C) accumulateSequential(net *nn.PolicyValueNet, traj Trajectory) float64 {
+func (a *A2C) accumulateSequential(net *nn.PolicyValueNet, traj Trajectory, returns []float64) float64 {
 	if len(traj.Steps) == 0 {
 		return 0
 	}
-	returns := a.ReturnsToGo(traj)
 	outs := make([]nn.Output, 1)
 	mse := 0.0
 	for t, s := range traj.Steps {

@@ -337,10 +337,10 @@ func (p Placement) NewEpisode() Environment {
 	return &placementEnv{g: p.Base(), reward: p.Reward, placementScratch: sc}
 }
 
-// Greedy implements Problem: the first legal pair in (a, b) order with the
-// largest separation.
-func (p Placement) Greedy(env Environment) (int, bool) {
-	g := env.(*placementEnv).g
+// Greedy implements Decision: the first legal pair in (a, b) order with
+// the largest separation.
+func (e *placementEnv) Greedy() (int, bool) {
+	g := e.g
 	bestA, bestB, best := -1, -1, -1
 	for a := range g.adj {
 		for b := a + 1; b < len(g.adj); b++ {
@@ -358,10 +358,9 @@ func (p Placement) Greedy(env Environment) (int, bool) {
 	return g.linkID(bestA, bestB), true
 }
 
-// Priors implements Problem: each link weighs its pair's separation. The
+// Priors implements Decision: each link weighs its pair's separation. The
 // weights go to the episode's scratch.
-func (p Placement) Priors(env Environment, actions []int) []float64 {
-	e := env.(*placementEnv)
+func (e *placementEnv) Priors(actions []int) []float64 {
 	out := slices.Grow(e.priors[:0], len(actions))[:len(actions)]
 	for i, id := range actions {
 		a, b, _ := e.g.link(id)

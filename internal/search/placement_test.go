@@ -72,7 +72,7 @@ func TestActionsMatchAddLink(t *testing.T) {
 						t.Fatalf("%s seed %d step %d: illegal id %d rewarded %v and changed the design", d.name, seed, step, id, r)
 					}
 				}
-				greedy, ok := p.Greedy(env)
+				greedy, ok := env.Greedy()
 				if ok != (len(actions) > 0) || ok && !slices.Contains(actions, greedy) {
 					t.Fatalf("%s seed %d step %d: greedy %d (ok=%v) not among %d actions", d.name, seed, step, greedy, ok, len(actions))
 				}
@@ -105,7 +105,7 @@ func TestActionsStrictlyAscending(t *testing.T) {
 						t.Fatalf("%s seed %d step %d: ids %d then %d", d.name, seed, step, actions[i-1], actions[i])
 					}
 				}
-				if w := p.Priors(env, actions); len(w) != len(actions) {
+				if w := env.Priors(actions); len(w) != len(actions) {
 					t.Fatalf("%s seed %d step %d: %d priors for %d actions", d.name, seed, step, len(w), len(actions))
 				}
 				if len(actions) == 0 {
@@ -191,7 +191,7 @@ func TestEpisodeStepsAllocateNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(runs, func() {
 		env := envs[next]
 		next++
-		id, ok := p.Greedy(env)
+		id, ok := env.Greedy()
 		if !ok || !env.Legal(id) || env.Step(id) != 0 || env.Legal(id) || env.Step(id) != -1 {
 			failed = true
 		}
@@ -201,5 +201,30 @@ func TestEpisodeStepsAllocateNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("Greedy + Legal + Step allocate %v times per step, want 0", allocs)
+	}
+}
+
+// TestPlacementEpisodeAllocBudget pins one warm Placement episode through
+// the driver, at explore-generic's noc3d size, ε and step cap: the
+// episode's graph clone, the fingerprint strings of the states it visits
+// and the tree nodes and edges it adds. The path and returns scratch are
+// reused from episode to episode.
+func TestPlacementEpisodeAllocBudget(t *testing.T) {
+	base := noc3d.NewDesign(6, 2, noc3d.DefaultConstraints(6, 2))
+	hops := base.AvgHops()
+	p := search.Placement{
+		Base:   base.Clone,
+		Reward: func(g *search.Graph) float64 { return hops - noc3d.Design{Graph: g}.AvgHops() },
+	}
+	cfg := search.DefaultConfig()
+	cfg.Epsilon, cfg.MaxSteps, cfg.Seed = 0.3, 64, 11
+	loop := p.Loop(cfg)
+	for range 5 {
+		loop.Episode()
+	}
+	allocs := testing.AllocsPerRun(20, loop.Episode)
+	const budget = 26 // 37 before the driver reused the path and returns
+	if allocs > budget {
+		t.Fatalf("warm Placement episode allocates %.1f times, budget %d", allocs, budget)
 	}
 }

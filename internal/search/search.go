@@ -1,14 +1,14 @@
 // Package search is the exploration framework both searches of this
 // repository run on, with the §6.8 ("Broad Applicability") problems that
-// carry it beyond routerless NoCs. Choose is the per-step choice of §4.5:
-// ε-greedy heuristic, else tree selection (Eq. 21), else expansion of a
-// leaf with priors. The routerless search (internal/drl) calls it with the
-// DNN's priors, and the Searcher, a single-threaded episode loop, with a
-// Problem's. Graph and Placement are the shared core of link placement:
-// internal/noc3d and internal/chiplet each supply only a base graph, a
-// geometric rule and a reward. A Placement's link ids ascend as the link
-// names "a-b" do in byte order, so its searches visit what a string-keyed
-// tree would.
+// carry it beyond routerless NoCs. The Driver runs the exploration cycle
+// of Fig. 4 on one or more workers, each step through Choose, the choice
+// of §4.5 (ε-greedy heuristic, else tree selection (Eq. 21), else leaf
+// expansion with priors). A Worker supplies the problem: internal/drl the
+// routerless search, the single-worker Searcher a Problem. Graph and
+// Placement are the shared core of link placement: internal/noc3d and
+// internal/chiplet each supply only a base graph, a geometric rule and a
+// reward. A Placement's link ids ascend as the link names "a-b" do in byte
+// order, so its searches visit what a string-keyed tree would.
 package search
 
 import (
@@ -69,13 +69,13 @@ func Choose(tree *mcts.Tree, fp string, d Decision, epsilon float64, rng *rand.R
 	return mcts.Sample(actions, priors, rng), true
 }
 
-// Environment is one design episode's mutable state.
+// Environment is one design episode's mutable state, and the Decision of
+// its current step: Priors is where a learned policy plugs in, as the
+// routerless search's DNN does.
 type Environment interface {
+	Decision
 	// Fingerprint canonically identifies the current design state.
 	Fingerprint() string
-	// Actions and Legal are the episode's Decision methods.
-	Actions() []int
-	Legal(action int) bool
 	// Step applies an action, returning its immediate reward. Illegal or
 	// wasted actions should return negative rewards (§4.3's shaping).
 	Step(action int) float64
@@ -85,14 +85,10 @@ type Environment interface {
 	FinalReward() float64
 }
 
-// Problem creates fresh episodes and supplies domain heuristics.
+// Problem creates fresh episodes.
 type Problem interface {
 	// NewEpisode returns a blank design environment.
 	NewEpisode() Environment
-	// Greedy and Priors serve as env's Decision methods. Priors is where a
-	// learned policy plugs in, as the routerless search's DNN does.
-	Greedy(env Environment) (action int, ok bool)
-	Priors(env Environment, actions []int) []float64
 }
 
 // Config tunes the generic searcher.
@@ -127,12 +123,11 @@ type Result struct {
 	TreeSize int
 }
 
-// Searcher runs the generic framework on one goroutine.
+// Searcher runs a Problem on the Driver with one worker.
 type Searcher struct {
 	cfg    Config
 	prob   Problem
-	tree   *mcts.Tree
-	result Result
+	driver Driver
 	// onBest, when set, observes strictly improving episodes; domains use
 	// it to snapshot the best design.
 	onBest func(env Environment, out Outcome)
@@ -146,7 +141,7 @@ func New(cfg Config, prob Problem) *Searcher {
 	if cfg.MaxSteps < 1 {
 		cfg.MaxSteps = 256
 	}
-	return &Searcher{cfg: cfg, prob: prob, tree: mcts.NewTree(cfg.CPuct)}
+	return &Searcher{cfg: cfg, prob: prob, driver: Driver{Tree: mcts.NewTree(cfg.CPuct), Epsilon: cfg.Epsilon, Seed: cfg.Seed}}
 }
 
 // OnBest registers a callback fired whenever an episode strictly improves
@@ -156,56 +151,30 @@ func (s *Searcher) OnBest(fn func(env Environment, out Outcome)) { s.onBest = fn
 
 // Run executes the configured episodes. The run is deterministic in Seed.
 func (s *Searcher) Run() *Result {
-	rng := rand.New(rand.NewSource(s.cfg.Seed))
-	for e := 0; e < s.cfg.Episodes; e++ {
-		s.runEpisode(rng)
-	}
-	s.result.TreeSize = s.tree.Size()
-	out := s.result
-	return &out
+	w := &episode{s: s}
+	outcomes := s.driver.Run(s.cfg.Episodes, 1, func(int) (Worker, *obs.TraceShard) { return w, nil })
+	return &Result{Best: w.best, Outcomes: outcomes, TreeSize: s.driver.Tree.Size()}
 }
 
-func (s *Searcher) runEpisode(rng *rand.Rand) {
-	env := s.prob.NewEpisode()
-	d := &episode{Environment: env, prob: s.prob}
-	var path []mcts.PathStep
-	var returns []float64
-	for steps := 0; steps < s.cfg.MaxSteps && !env.Done(); steps++ {
-		fp := env.Fingerprint()
-		action, ok := Choose(s.tree, fp, d, s.cfg.Epsilon, rng, nil)
-		if !ok {
-			break
-		}
-		path = append(path, mcts.PathStep{Fingerprint: fp, Action: action})
-		returns = append(returns, env.Step(action))
-	}
-	final := env.FinalReward()
-
-	// Turn the step rewards into discounted returns-to-go in place.
-	g := final
-	for i := len(returns) - 1; i >= 0; i-- {
-		g = returns[i] + Gamma*g
-		returns[i] = g
-	}
-	s.tree.Backup(path, returns)
-
-	out := Outcome{Final: final, Steps: len(path), Episode: len(s.result.Outcomes) + 1}
-	s.result.Outcomes = append(s.result.Outcomes, out)
-	if len(s.result.Outcomes) == 1 || final > s.result.Best.Final {
-		s.result.Best = out
-		if s.onBest != nil {
-			s.onBest(env, out)
-		}
-	}
-}
-
-// episode is the Decision of one Searcher episode: its environment's
-// actions, with the problem's heuristic and priors bound to it.
+// episode is the Worker of a Searcher: the current episode's environment
+// and the best outcome so far.
 type episode struct {
 	Environment
-	prob Problem
+	s    *Searcher
+	best Outcome
 }
 
-func (e *episode) Greedy() (int, bool) { return e.prob.Greedy(e.Environment) }
+func (e *episode) Begin() { e.Environment = e.s.prob.NewEpisode() }
 
-func (e *episode) Priors(actions []int) []float64 { return e.prob.Priors(e.Environment, actions) }
+func (e *episode) Stop(steps int) bool { return steps >= e.s.cfg.MaxSteps || e.Done() }
+
+func (e *episode) Finish() float64 { return e.FinalReward() }
+
+func (e *episode) End(out Outcome, _ []float64) {
+	if out.Episode == 1 || out.Final > e.best.Final {
+		e.best = out
+		if e.s.onBest != nil {
+			e.s.onBest(e.Environment, out)
+		}
+	}
+}

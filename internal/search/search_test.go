@@ -57,11 +57,11 @@ func (p counterProblem) NewEpisode() Environment {
 	return &counterEnv{limit: p.limit, steps: p.steps}
 }
 
-func (p counterProblem) Greedy(env Environment) (int, bool) {
-	return p.limit, true
+func (e *counterEnv) Greedy() (int, bool) {
+	return e.limit, true
 }
 
-func (p counterProblem) Priors(env Environment, actions []int) []float64 {
+func (e *counterEnv) Priors(actions []int) []float64 {
 	out := make([]float64, len(actions))
 	for i := range out {
 		out[i] = 1 // uniform
@@ -185,9 +185,9 @@ func (p *shrinkProblem) NewEpisode() Environment {
 	return &shrinkEnv{p: p, legal: pool[k : k+2]}
 }
 
-func (p *shrinkProblem) Greedy(Environment) (int, bool) { return 0, false }
+func (e *shrinkEnv) Greedy() (int, bool) { return 0, false }
 
-func (p *shrinkProblem) Priors(_ Environment, actions []int) []float64 {
+func (e *shrinkEnv) Priors(actions []int) []float64 {
 	out := make([]float64, len(actions))
 	for i, a := range actions {
 		out[i] = 1
@@ -217,7 +217,7 @@ func TestSearcherPrunesStaleEdge(t *testing.T) {
 	if len(p.illegal) != 0 {
 		t.Fatalf("played illegal actions %v", p.illegal)
 	}
-	edges := s.tree.EdgeStats("root")
+	edges := s.driver.Tree.EdgeStats("root")
 	if _, ok := edges[0]; ok {
 		t.Fatal("the stale first-expansion favourite 0 survived")
 	}
