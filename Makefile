@@ -54,8 +54,10 @@ bench:
 # Quick kernel-iteration loop for the DNN hot path (fused padded-plane
 # convs, scratch arenas): the DNN micro-benchmarks with allocation counts,
 # the conv layer against its naive reference, one training forward plus
-# backward of every ReLU, BatchNorm, MaxPool and conv layer shape of the
-# 8×8 net at the B=16 training tile (ns per output element), then the
+# backward of every ReLU, BatchNorm, fused BatchNorm→ReLU, MaxPool and conv
+# layer shape of the 8×8 net and the first stage of the 10×10 net (4c_100)
+# at the B=16 training tile (ns per output element; the elementwise layers
+# once per body, go and avx2, which AVX-512 hosts also run), then the
 # fused conv kernels per layer shape of the default 8×8 and 10×10 nets on
 # every body (avx512: the position-major plane kernel for Fwd/DX and the
 # eight-row dwTileAVX512 tile for DW; avx2: the register-tiled rows for

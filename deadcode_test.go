@@ -20,6 +20,7 @@ import (
 // need it.
 var keptForTests = map[string]string{
 	"mcts.Tree.EdgeStats": "drl TestChooseActionPrunesStaleEdges and search TestSearcherPrunesStaleEdge check which edges a state kept after Select pruned the stale one",
+	"tensor.SetSIMD":      "drl TestSearchGolden runs the whole search once per kernel body; rl BenchmarkGreedyEpisode and nn BenchmarkLayerTrain time each body",
 	"topo.Loop.Nodes":     "rl's brute-force score oracle (oracle_test.go) and sim TestRingRoutesMatchBestLoop walk a loop's perimeter in traversal order; NewRing reads the grid tables' perimeter lists instead, which allocate nothing",
 }
 

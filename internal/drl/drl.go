@@ -434,7 +434,7 @@ func (l *learner) Propose(rng *rand.Rand) (id int, ok, proposed bool) {
 func (l *learner) Step(id int) float64 {
 	a := rl.ActionOf(id)
 	r, kind := l.env.Step(a)
-	l.traj.Steps = append(l.traj.Steps, rl.StepRecord{State: l.state, Action: a, Reward: r})
+	l.traj.Steps = append(l.traj.Steps, rl.StepRecord{State: l.state, Action: a})
 	if kind == rl.Valid {
 		l.penalties = 0
 		l.valid++
@@ -463,8 +463,7 @@ func (l *learner) Finish() float64 {
 	sp := l.trace.Start(obs.SpanGreedy)
 	rl.GreedyImprove(l.env)
 	sp.End()
-	l.traj.Final = l.env.FinalReward()
-	return l.traj.Final
+	return l.env.FinalReward()
 }
 
 // End implements search.Worker: it self-paces the guided budget, trains

@@ -7,6 +7,8 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"routerless/internal/tensor"
 )
 
 // searchDigest folds one search result into h: every valid design
@@ -38,24 +40,36 @@ func searchDigest(h hash.Hash64, res *Result) {
 // byte on 4×4 and 5×5 grids, across seeds, ε ∈ {0, 0.1, 1} (pure policy,
 // the default mix, pure Algorithm 1) and the DNN and MCTS halves on and
 // off, so a change to the search engine that alters what it visits or
-// finds shows here, not only as a changed benchmark digest.
+// finds shows here, not only as a changed benchmark digest. It runs once
+// on every kernel body the host has (tensor.SetSIMD: the Go loops, AVX2,
+// AVX-512, for the DNN and for Algorithm 1's Imprv sum alike), and every
+// body must give the one digest.
 func TestSearchGolden(t *testing.T) {
-	h := fnv.New64a()
-	for _, grid := range []struct{ n, cap int }{{4, 6}, {5, 8}} {
-		for seed := int64(1); seed <= 3; seed++ {
-			for _, eps := range []float64{0, 0.1, 1} {
-				for _, useDNN := range []bool{false, true} {
-					for _, useMCTS := range []bool{false, true} {
-						cfg := quickCfg(grid.n, grid.cap, 12)
-						cfg.Seed, cfg.Epsilon = seed, eps
-						cfg.UseDNN, cfg.UseMCTS = useDNN, useMCTS
-						searchDigest(h, MustNew(cfg).Run())
+	for _, body := range []string{"go", "avx2", "avx512"} {
+		t.Run(body, func(t *testing.T) {
+			restore, ok := tensor.SetSIMD(body)
+			if !ok {
+				t.Skipf("host has no %s body", body)
+			}
+			defer restore()
+			h := fnv.New64a()
+			for _, grid := range []struct{ n, cap int }{{4, 6}, {5, 8}} {
+				for seed := int64(1); seed <= 3; seed++ {
+					for _, eps := range []float64{0, 0.1, 1} {
+						for _, useDNN := range []bool{false, true} {
+							for _, useMCTS := range []bool{false, true} {
+								cfg := quickCfg(grid.n, grid.cap, 12)
+								cfg.Seed, cfg.Epsilon = seed, eps
+								cfg.UseDNN, cfg.UseMCTS = useDNN, useMCTS
+								searchDigest(h, MustNew(cfg).Run())
+							}
+						}
 					}
 				}
 			}
-		}
-	}
-	if got, want := fmt.Sprintf("%016x", h.Sum64()), "31494d45541582ae"; got != want {
-		t.Fatalf("digest = %s, want %s", got, want)
+			if got, want := fmt.Sprintf("%016x", h.Sum64()), "31494d45541582ae"; got != want {
+				t.Fatalf("digest = %s, want %s", got, want)
+			}
+		})
 	}
 }

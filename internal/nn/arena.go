@@ -22,6 +22,8 @@ type Arena struct {
 	convWork []float64
 	convOffs []int
 	convGrad []float64
+	// The plane sums of one Conv2D bias gradient.
+	convSums []float64
 }
 
 // NewArena returns an empty arena.
@@ -138,6 +140,5 @@ func attachArena(a *Arena, l Layer) {
 	case *Residual:
 		v.arena = a
 		attachArena(a, v.Body)
-		attachArena(a, v.relu)
 	}
 }

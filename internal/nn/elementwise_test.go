@@ -306,10 +306,51 @@ func TestMaxPoolMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBatchNormReLUMatchesComposition pins the fused BN→ReLU layer to a
+// BatchNorm followed by a ReLU layer bit for bit: eval and training
+// outputs, running statistics, then dx and the Gamma/Beta gradients of a
+// gradient that is nonzero where the ReLU output is +0 too, on every
+// kernel body the host has.
+func TestBatchNormReLUMatchesComposition(t *testing.T) {
+	for _, body := range []string{"go", "avx2"} {
+		t.Run(body, func(t *testing.T) {
+			restore, ok := tensor.SetSIMD(body)
+			if !ok {
+				t.Skipf("host has no %s body", body)
+			}
+			defer restore()
+			rng := rand.New(rand.NewSource(83))
+			for _, sz := range [][3]int{{3, 1, 5}, {5, 3, 7}, {4, 16, 9}} {
+				c, nb, side := sz[0], sz[1], sz[2]
+				fused, ref := randomBatchNorm(rng, c)
+				fused.relu = true
+				relu := NewReLU()
+				x := tensor.Randn(rng, 2, c, nb, side, side)
+				composed := func(train bool) []float64 { return relu.Forward(ref.BatchNorm.Forward(x, train), train).Data }
+				requireSameBits(t, "eval out", fused.Forward(x, false).Data, composed(false))
+				for step := 0; step < 2; step++ {
+					requireSameBits(t, "train out", fused.Forward(x, true).Data, composed(true))
+					requireSameBits(t, "RunMean", fused.RunMean, ref.RunMean)
+					requireSameBits(t, "RunVar", fused.RunVar, ref.RunVar)
+				}
+				grad := tensor.Randn(rng, 1, c, nb, side, side)
+				requireSameBits(t, "dx", fused.Backward(grad, true).Data,
+					ref.BatchNorm.Backward(relu.Backward(grad, true), true).Data)
+				requireSameBits(t, "Gamma.G", fused.Gamma.G.Data, ref.Gamma.G.Data)
+				requireSameBits(t, "Beta.G", fused.Beta.G.Data, ref.Beta.G.Data)
+			}
+		})
+	}
+}
+
 // BenchmarkLayerTrain times one training forward plus backward of each
-// ReLU, BatchNorm, MaxPool and conv layer shape of the default 8×8 search
-// net (nn.Config{8, 4, 3}) at the B = 16 training tile, and reports ns per
-// output element.
+// ReLU, BatchNorm, fused BatchNorm→ReLU, MaxPool and conv layer shape of
+// the default 8×8 search net (nn.Config{8, 4, 3}) at the B = 16 training
+// tile, plus the first stage of the default 10×10 net (4c_100), and
+// reports ns per output element. The elementwise layers run once on each
+// of their kernel bodies the host has (go, avx2; AVX-512 hosts run the
+// avx2 one); the conv rows run the host's widest body, and tensor's
+// BenchmarkConvFused rows time each conv body.
 func BenchmarkLayerTrain(b *testing.B) {
 	const nb = 16
 	rng := rand.New(rand.NewSource(5))
@@ -319,13 +360,14 @@ func BenchmarkLayerTrain(b *testing.B) {
 		c, side int // input channels and plane side
 	}
 	var cases []layerCase
-	for _, s := range []struct{ c, side int }{{4, 64}, {8, 32}, {8, 16}, {16, 16}, {16, 8}, {32, 8}} {
+	for _, s := range []struct{ c, side int }{{4, 64}, {4, 100}, {8, 32}, {8, 16}, {16, 16}, {16, 8}, {32, 8}} {
 		tag := strconv.Itoa(s.c) + "c_" + strconv.Itoa(s.side)
 		cases = append(cases,
 			layerCase{"ReLU/" + tag, NewReLU(), s.c, s.side},
-			layerCase{"BatchNorm/" + tag, NewBatchNorm("bn", s.c), s.c, s.side})
+			layerCase{"BatchNorm/" + tag, NewBatchNorm("bn", s.c), s.c, s.side},
+			layerCase{"BatchNormReLU/" + tag, newBatchNormReLU("bn", s.c), s.c, s.side})
 	}
-	for _, s := range []struct{ c, side int }{{4, 64}, {8, 32}, {16, 16}} {
+	for _, s := range []struct{ c, side int }{{4, 64}, {4, 100}, {8, 32}, {16, 16}} {
 		cases = append(cases, layerCase{"MaxPool/" + strconv.Itoa(s.c) + "c_" + strconv.Itoa(s.side), NewMaxPool(), s.c, s.side})
 	}
 	for _, s := range []struct{ inC, outC, side, k int }{
@@ -340,14 +382,31 @@ func BenchmarkLayerTrain(b *testing.B) {
 		out := lc.l.Forward(x, true)
 		grad := tensor.Randn(rng, 1, out.Shape...)
 		_, isConv := lc.l.(*Conv2D)
-		b.Run(lc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				lc.l.Forward(x, true)
-				// A conv's input gradient is skipped only for the stem.
-				lc.l.Backward(grad, !isConv || lc.c > 1)
+		bodies := []string{"go", "avx2"}
+		if isConv {
+			bodies = []string{""}
+		}
+		for _, body := range bodies {
+			name := lc.name
+			if body != "" {
+				name += "/" + body
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(out.Size()), "ns/elem")
-		})
+			b.Run(name, func(b *testing.B) {
+				if body != "" {
+					restore, ok := tensor.SetSIMD(body)
+					if !ok {
+						b.Skipf("host has no %s body", body)
+					}
+					defer restore()
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					lc.l.Forward(x, true)
+					// A conv's input gradient is skipped only for the stem.
+					lc.l.Backward(grad, !isConv || lc.c > 1)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(out.Size()), "ns/elem")
+			})
+		}
 	}
 }

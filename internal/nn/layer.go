@@ -29,6 +29,17 @@
 // sample order, so one batch of B accumulates the same bits as B
 // in-order B=1 steps; rl.A2C relies on this to train in tiles.
 //
+// The layers between the convolutions run internal/tensor's elementwise
+// and per-plane kernels, and three passes are fused so each plane is read
+// and written fewer times: a BatchNorm built with the ReLU after it
+// (newBatchNormReLU, every conv → BN → ReLU of the trunk and each residual
+// block's first BN) normalizes, applies γ and β and the ReLU in one pass,
+// writing x̂ alongside in training, and its Backward masks the incoming
+// gradient by its own output as it reads it, so the ReLU's gradient is
+// never stored; a Residual adds its shortcut and applies the final ReLU
+// in one pass; and Conv2D adds its bias with one vector pass per channel.
+// The fused layers give the bits of the unfused chain.
+//
 // Every layer draws outputs, gradients, and conv scratch from an Arena,
 // so warmed-up Forward/Backward cycles allocate nothing; a returned
 // tensor is owned by the layer and valid until its next call in the same
@@ -133,13 +144,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	work, offs := a.convScratch(c.OutC, c.InC, h, w, c.K)
 	tensor.ConvFwdPad(c.Weight.W.Data, c.OutC, c.InC, nb, xp, hpwp, h, w, c.K, out.Data, hw, work, offs)
 	for oc := 0; oc < c.OutC; oc++ {
-		b := c.Bias.W.Data[oc]
-		if b == 0 {
-			continue
-		}
-		orow := out.Data[oc*nb*hw : (oc+1)*nb*hw]
-		for i := range orow {
-			orow[i] += b
+		// A zero bias is skipped, not added: −0 + 0 would give +0.
+		if b := c.Bias.W.Data[oc]; b != 0 {
+			tensor.AddConst(out.Data[oc*nb*hw:(oc+1)*nb*hw], b)
 		}
 	}
 	return out
@@ -159,7 +166,11 @@ func (c *Conv2D) Backward(grad *tensor.Tensor, needDX bool) *tensor.Tensor {
 	hw := h * w
 	hpwp := (h + c.K - 1) * (w + c.K - 1)
 	a := ensureArena(&c.arena)
-	planeSums(grad.Data, hw, nb, c.Bias.G.Data)
+	sums := a.slice(&a.convSums, c.OutC*nb)
+	tensor.PlaneSums(grad.Data, hw, sums)
+	for p, s := range sums {
+		c.Bias.G.Data[p/nb] += s
+	}
 	gpad := a.slice(&a.convGrad, c.OutC*nb*hpwp)
 	for p := 0; p < c.OutC*nb; p++ {
 		tensor.PadGradPlane(grad.Data[p*hw:], h, w, c.K, gpad[p*hpwp:])
@@ -176,51 +187,14 @@ func (c *Conv2D) Backward(grad *tensor.Tensor, needDX bool) *tensor.Tensor {
 	return dx
 }
 
-// planeSums adds the sum of each n-element plane of x to acc[q/nb] in
-// ascending plane order q: the conv bias gradient. Each plane sums in one
-// chain from +0 in ascending order, four consecutive planes together.
-func planeSums(x []float64, n, nb int, acc []float64) {
-	np := len(x) / n
-	for q := 0; q < np; q += 4 {
-		s := sum4(fourPlanes(x, n, q, np))
-		for j := 0; j < min(4, np-q); j++ {
-			acc[(q+j)/nb] += s[j]
-		}
-	}
-}
-
-// fourPlanes returns planes q..q+3 of the np n-element planes of x. Past
-// the last plane it repeats that plane, whose extra results the callers
-// discard, so every pass carries four chains.
-func fourPlanes(x []float64, n, q, np int) [4][]float64 {
-	var p [4][]float64
-	for j := range p {
-		i := min(q+j, np-1)
-		p[j] = x[i*n : (i+1)*n]
-	}
-	return p
-}
-
-// sum4 returns the sums of four equal-length planes, each one chain from
-// +0 in ascending order; the four chains share each pass.
-func sum4(p [4][]float64) [4]float64 {
-	x0 := p[0]
-	x1, x2, x3 := p[1][:len(x0)], p[2][:len(x0)], p[3][:len(x0)]
-	var s0, s1, s2, s3 float64
-	for i := range x0 {
-		s0 += x0[i]
-		s1 += x1[i]
-		s2 += x2[i]
-		s3 += x3[i]
-	}
-	return [4]float64{s0, s1, s2, s3}
-}
-
 // ---------------------------------------------------------------------------
 // BatchNorm
 
 // BatchNorm normalizes each (channel, sample) plane over its spatial
 // extent, with learnable scale/shift and running statistics for inference.
+// One built by newBatchNormReLU also applies the ReLU that follows it in
+// the network, in the same pass: its output is ReLU(BN(x)) and its
+// Backward takes the gradient of that output.
 type BatchNorm struct {
 	C     int
 	Gamma *Param
@@ -231,10 +205,11 @@ type BatchNorm struct {
 	RunVar   []float64
 	Eps      float64
 
+	relu  bool // fused ReLU after the normalization
 	arena *Arena
-	out   [2]*tensor.Tensor
-	xhat  []float64 // x̂ of the last training Forward
-	invSD []float64 // per (channel, sample) 1/σ of the last training Forward
+	out   [2]*tensor.Tensor // out[1] is kept for Backward's ReLU mask
+	xhat  []float64         // x̂ of the last training Forward
+	invSD []float64         // per (channel, sample) 1/σ of the last training Forward
 	dx    *tensor.Tensor
 }
 
@@ -257,14 +232,26 @@ func NewBatchNorm(name string, c int) *BatchNorm {
 	return bn
 }
 
+// newBatchNormReLU builds a batch-norm layer for c channels with the ReLU
+// after it fused in. It has the parameters and running statistics of
+// NewBatchNorm, so a network's Params, running-statistics vector and model
+// file do not change.
+func newBatchNormReLU(name string, c int) *BatchNorm {
+	bn := NewBatchNorm(name, c)
+	bn.relu = true
+	return bn
+}
+
 // Params implements Layer.
 func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 // Forward implements Layer on (C, B, H, W). Training normalizes every
 // plane by its own mean and variance, so samples stay independent; batch
 // statistics would silently change the model being trained. Each plane's
-// statistics are one chain per sum, and the running statistics advance
-// once per plane in ascending (channel, sample) order.
+// statistics are one chain per sum (tensor.PlaneMoments), and the running
+// statistics advance once per plane in ascending (channel, sample) order.
+// The normalization, the affine map and a fused ReLU are one pass over
+// each plane (tensor.BNApply), which also writes x̂ in training.
 func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[0] != b.C {
 		panic(fmt.Sprintf("nn: BatchNorm input %v, want (%d,B,H,W)", x.Shape, b.C))
@@ -276,107 +263,76 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train {
 		// A channel's nb planes are contiguous and share its statistics.
 		for c := 0; c < b.C; c++ {
-			g, beta := b.Gamma.W.Data[c], b.Beta.W.Data[c]
-			mean := b.RunMean[c]
 			inv := 1 / math.Sqrt(b.RunVar[c]+b.Eps)
-			dst := out.Data[c*nb*n : (c+1)*nb*n]
-			for i, v := range x.Data[c*nb*n : (c+1)*nb*n] {
-				dst[i] = g*((v-mean)*inv) + beta
-			}
+			lo, hi := c*nb*n, (c+1)*nb*n
+			tensor.BNApply(out.Data[lo:hi], nil, x.Data[lo:hi], b.RunMean[c], inv,
+				b.Gamma.W.Data[c], b.Beta.W.Data[c], b.relu)
 		}
 		return out
 	}
-	xhat := a.slice(&b.xhat, x.Size())
-	invSD := a.slice(&b.invSD, b.C*nb)
 	np := b.C * nb
-	for q := 0; q < np; q += 4 {
-		mean, varc := planeMoments(fourPlanes(x.Data, n, q, np))
-		for j := 0; j < min(4, np-q); j++ {
+	xhat := a.slice(&b.xhat, x.Size())
+	invSD := a.slice(&b.invSD, np)
+	for q := 0; q < np; q += bnChunk {
+		m := min(bnChunk, np-q)
+		var mean, varc [bnChunk]float64
+		tensor.PlaneMoments(x.Data[q*n:(q+m)*n], n, mean[:m], varc[:m])
+		for j := range m {
 			p, c := q+j, (q+j)/nb
 			b.RunMean[c] = b.Momentum*b.RunMean[c] + (1-b.Momentum)*mean[j]
 			b.RunVar[c] = b.Momentum*b.RunVar[c] + (1-b.Momentum)*varc[j]
 			inv := 1 / math.Sqrt(varc[j]+b.Eps)
 			invSD[p] = inv
-			g, beta, mu := b.Gamma.W.Data[c], b.Beta.W.Data[c], mean[j]
-			xh, dst := xhat[p*n:(p+1)*n], out.Data[p*n:(p+1)*n]
-			for i, v := range x.Data[p*n : (p+1)*n] {
-				h := (v - mu) * inv
-				xh[i] = h
-				dst[i] = g*h + beta
-			}
+			lo, hi := p*n, (p+1)*n
+			tensor.BNApply(out.Data[lo:hi], xhat[lo:hi], x.Data[lo:hi], mean[j], inv,
+				b.Gamma.W.Data[c], b.Beta.W.Data[c], b.relu)
 		}
 	}
 	return out
 }
 
-// planeMoments returns the mean and variance of four equal-length
-// planes: the sum of each plane in one chain from +0, divided by its
-// length, then the squared deviations from that mean in one chain,
-// divided by its length. The four planes' chains share each pass.
-func planeMoments(p [4][]float64) (mean, varc [4]float64) {
-	x0 := p[0]
-	x1, x2, x3 := p[1][:len(x0)], p[2][:len(x0)], p[3][:len(x0)]
-	fn := float64(len(x0))
-	s := sum4(p)
-	m0, m1, m2, m3 := s[0]/fn, s[1]/fn, s[2]/fn, s[3]/fn
-	var v0, v1, v2, v3 float64
-	for i := range x0 {
-		d0, d1, d2, d3 := x0[i]-m0, x1[i]-m1, x2[i]-m2, x3[i]-m3
-		v0 += d0 * d0
-		v1 += d1 * d1
-		v2 += d2 * d2
-		v3 += d3 * d3
-	}
-	return [4]float64{m0, m1, m2, m3}, [4]float64{v0 / fn, v1 / fn, v2 / fn, v3 / fn}
-}
+// bnChunk is how many planes BatchNorm takes at a time in training: their
+// sums, then their elementwise pass, so the second pass finds the planes
+// still in cache. It is a whole number of the per-plane kernels' lane
+// groups of four planes.
+const bnChunk = 8
 
 // Backward implements Layer: the training-mode gradient applied plane by
 // plane, with Gamma/Beta accumulating in ascending sample order per
-// channel. Four planes' sums run together, one chain each, and each
-// plane's constant factor γ·(1/σ)/n is computed once.
+// channel. Each plane's sums are one chain each (tensor.PlaneGradSums),
+// and its constant factor γ·(1/σ)/n is computed once. With the ReLU fused,
+// grad is masked by the last training output as it is read, so the ReLU's
+// own gradient is never stored.
 func (b *BatchNorm) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 	nb := grad.Shape[1]
 	n := grad.Shape[2] * grad.Shape[3]
 	dx := ensureArena(&b.arena).tensorFor(&b.dx, grad.Shape...)
 	fn := float64(n)
 	np := b.C * nb
-	for q := 0; q < np; q += 4 {
-		sumDy, sumDyXhat := gradSums(fourPlanes(grad.Data, n, q, np), fourPlanes(b.xhat, n, q, np))
-		for j := 0; j < min(4, np-q); j++ {
+	for q := 0; q < np; q += bnChunk {
+		m := min(bnChunk, np-q)
+		lo, hi := q*n, (q+m)*n
+		var mask []float64 // the fused ReLU's output over the chunk
+		if b.relu {
+			mask = b.out[1].Data[lo:hi]
+		}
+		var sumDy, sumDyXhat [bnChunk]float64
+		tensor.PlaneGradSums(grad.Data[lo:hi], b.xhat[lo:hi], mask, n, sumDy[:m], sumDyXhat[:m])
+		for j := range m {
 			p, c := q+j, (q+j)/nb
 			sdy, sdx := sumDy[j], sumDyXhat[j]
 			b.Gamma.G.Data[c] += sdx
 			b.Beta.G.Data[c] += sdy
 			k := b.Gamma.W.Data[c] * b.invSD[p] / fn
-			xh, dp := b.xhat[p*n:(p+1)*n], dx.Data[p*n:(p+1)*n]
-			for i, dy := range grad.Data[p*n : (p+1)*n] {
-				dp[i] = k * (fn*dy - sdy - xh[i]*sdx)
+			var pm []float64
+			if mask != nil {
+				pm = mask[j*n : (j+1)*n]
 			}
+			lo, hi := p*n, (p+1)*n
+			tensor.BNBackward(dx.Data[lo:hi], grad.Data[lo:hi], b.xhat[lo:hi], pm, k, fn, sdy, sdx)
 		}
 	}
 	return dx
-}
-
-// gradSums returns, for four equal-length planes of the output gradient
-// dy and of x̂, Σdy and Σdy·x̂ per plane, each one chain from +0 in
-// ascending order; the eight chains share each pass.
-func gradSums(dy, xhat [4][]float64) (sumDy, sumDyXhat [4]float64) {
-	g0 := dy[0]
-	n := len(g0)
-	g1, g2, g3 := dy[1][:n], dy[2][:n], dy[3][:n]
-	h0, h1, h2, h3 := xhat[0][:n], xhat[1][:n], xhat[2][:n], xhat[3][:n]
-	var a0, a1, a2, a3, b0, b1, b2, b3 float64
-	for i := range g0 {
-		a0 += g0[i]
-		b0 += g0[i] * h0[i]
-		a1 += g1[i]
-		b1 += g1[i] * h1[i]
-		a2 += g2[i]
-		b2 += g2[i] * h2[i]
-		a3 += g3[i]
-		b3 += g3[i] * h3[i]
-	}
-	return [4]float64{a0, a1, a2, a3}, [4]float64{b0, b1, b2, b3}
 }
 
 // ---------------------------------------------------------------------------
@@ -402,10 +358,7 @@ func (r *ReLU) Params() []*Param { return nil }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := ensureArena(&r.arena).tensorFor(&r.out[mode(train)], x.Shape...)
-	dst := out.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		dst[i] = max(v, 0)
-	}
+	tensor.ReLU(out.Data, x.Data)
 	return out
 }
 
@@ -413,13 +366,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // not +0, else +0, by masking the gradient's bits.
 func (r *ReLU) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 	dx := ensureArena(&r.arena).tensorFor(&r.dx, grad.Shape...)
-	out := r.out[1].Data[:len(grad.Data)]
-	dst := dx.Data[:len(grad.Data)]
-	for i, g := range grad.Data {
-		o := math.Float64bits(out[i])
-		keep := uint64(int64(o|-o) >> 63) // all ones iff o ≠ +0
-		dst[i] = math.Float64frombits(math.Float64bits(g) & keep)
-	}
+	tensor.ReLUMask(dx.Data, grad.Data, r.out[1].Data)
 	return dx
 }
 
@@ -443,11 +390,11 @@ func NewMaxPool() *MaxPool { return &MaxPool{} }
 func (p *MaxPool) Params() []*Param { return nil }
 
 // Forward implements Layer: 2×2/stride-2 pooling per (channel, sample)
-// plane of (C, B, H, W). A window's maximum is its first element unless a
-// later one compares greater, in row-major order: the first maximum wins
-// ties, and a NaN is taken only as the first element (so diverged
-// training still leaves a valid argmax). The selection runs on compare
-// masks, without branching on the data.
+// plane of (C, B, H, W), one tensor.MaxPoolRow per output row. A window's
+// maximum is its first element unless a later one compares greater, in
+// row-major order: the first maximum wins ties, and a NaN is taken only as
+// the first element (so diverged training still leaves a valid argmax).
+// The selection runs on compare masks, without branching on the data.
 func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("nn: MaxPool input %v, want (C,B,H,W)", x.Shape))
@@ -466,27 +413,14 @@ func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	for plane := 0; plane < c*nb; plane++ {
 		for oy := 0; oy < oh; oy++ {
-			r0 := x.Data[(plane*h+2*oy)*w:][:2*ow]
-			r1 := x.Data[(plane*h+2*oy+1)*w:][:2*ow]
+			r0 := x.Data[(plane*h+2*oy)*w:]
+			r1 := x.Data[(plane*h+2*oy+1)*w:]
 			o := plane*oh*ow + oy*ow
-			dst := out.Data[o : o+ow]
-			for ox := range dst {
-				v0, v1, v2, v3 := r0[2*ox], r0[2*ox+1], r1[2*ox], r1[2*ox+1]
-				best, k := math.Float64bits(v0), uint64(0)
-				m := -b2u(v1 > v0) // all ones where v1 takes over
-				best ^= (best ^ math.Float64bits(v1)) & m
-				k ^= (k ^ 1) & m
-				m = -b2u(v2 > math.Float64frombits(best))
-				best ^= (best ^ math.Float64bits(v2)) & m
-				k ^= (k ^ 2) & m
-				m = -b2u(v3 > math.Float64frombits(best))
-				best ^= (best ^ math.Float64bits(v3)) & m
-				k ^= (k ^ 3) & m
-				dst[ox] = math.Float64frombits(best)
-				if train {
-					which[o+ox] = uint8(k)
-				}
+			var wrow []uint8
+			if train {
+				wrow = which[o : o+ow]
 			}
+			tensor.MaxPoolRow(out.Data[o:o+ow], wrow, r0, r1)
 		}
 	}
 	return out
@@ -504,15 +438,7 @@ func (p *MaxPool) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 			d0 := dx.Data[(plane*h+2*oy)*w:][:w]
 			d1 := dx.Data[(plane*h+2*oy+1)*w:][:w]
 			o := plane*oh*ow + oy*ow
-			which := p.which[o : o+ow]
-			for ox, g := range grad.Data[o : o+ow] {
-				bits := math.Float64bits(0 + g)
-				k := uint64(which[ox])
-				d0[2*ox] = math.Float64frombits(bits & -b2u(k == 0))
-				d0[2*ox+1] = math.Float64frombits(bits & -b2u(k == 1))
-				d1[2*ox] = math.Float64frombits(bits & -b2u(k == 2))
-				d1[2*ox+1] = math.Float64frombits(bits & -b2u(k == 3))
-			}
+			tensor.MaxPoolBackRow(d0, d1, grad.Data[o:o+ow], p.which[o:o+ow])
 			if w&1 == 1 {
 				d0[w-1], d1[w-1] = 0, 0
 			}
@@ -522,16 +448,6 @@ func (p *MaxPool) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
 		}
 	}
 	return dx
-}
-
-// b2u is 1 for true and 0 for false; the compiler evaluates it without a
-// branch (SETcc), so masks built from it select without one.
-func b2u(b bool) uint64 {
-	var u uint64
-	if b {
-		u = 1
-	}
-	return u
 }
 
 // ---------------------------------------------------------------------------
@@ -658,13 +574,13 @@ func (s *Sequential) Backward(grad *tensor.Tensor, needDX bool) *tensor.Tensor {
 
 // Residual is the paper's residual building block (Fig. 6(a)/(b)):
 // out = ReLU(F(x) + x) where F is conv-BN-ReLU-conv-BN with matching
-// channel counts.
+// channel counts. The first BN carries its ReLU fused, and the sum and the
+// ReLU after it are one pass (tensor.AddReLU).
 type Residual struct {
 	Body  *Sequential
-	relu  *ReLU
 	arena *Arena
-	sum   [2]*tensor.Tensor
-	dx    *tensor.Tensor
+	out   [2]*tensor.Tensor // out[1] is kept for Backward's ReLU mask
+	g, dx *tensor.Tensor
 }
 
 // NewResidual builds a residual block of two 3×3 convolutions on c
@@ -673,12 +589,10 @@ func NewResidual(rng *rand.Rand, name string, c int) *Residual {
 	return &Residual{
 		Body: NewSequential(
 			NewConv2D(rng, name+".conv1", c, c, 3),
-			NewBatchNorm(name+".bn1", c),
-			NewReLU(),
+			newBatchNormReLU(name+".bn1", c),
 			NewConv2D(rng, name+".conv2", c, c, 3),
 			NewBatchNorm(name+".bn2", c),
 		),
-		relu: NewReLU(),
 	}
 }
 
@@ -688,26 +602,20 @@ func (r *Residual) Params() []*Param { return r.Body.Params() }
 // Forward implements Layer.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f := r.Body.Forward(x, train)
-	sum := ensureArena(&r.arena).tensorFor(&r.sum[mode(train)], x.Shape...)
-	addInto(sum.Data, f.Data, x.Data)
-	return r.relu.Forward(sum, train)
+	out := ensureArena(&r.arena).tensorFor(&r.out[mode(train)], x.Shape...)
+	tensor.AddReLU(out.Data, f.Data, x.Data)
+	return out
 }
 
 // Backward implements Layer. The post-sum ReLU gradient g feeds both the
-// body and the shortcut; g lives in r.relu's buffer, which no body layer
+// body and the shortcut; g has its own buffer, which no body layer
 // writes, so it can be passed through and reread without copying.
 func (r *Residual) Backward(grad *tensor.Tensor, _ bool) *tensor.Tensor {
-	g := r.relu.Backward(grad, true)
+	a := ensureArena(&r.arena)
+	g := a.tensorFor(&r.g, grad.Shape...)
+	tensor.ReLUMask(g.Data, grad.Data, r.out[1].Data)
 	dxBody := r.Body.Backward(g, true)
-	dx := ensureArena(&r.arena).tensorFor(&r.dx, g.Shape...)
-	addInto(dx.Data, dxBody.Data, g.Data) // body plus shortcut path
+	dx := a.tensorFor(&r.dx, g.Shape...)
+	tensor.Add(dx.Data, dxBody.Data, g.Data) // body plus shortcut path
 	return dx
-}
-
-// addInto sets dst[i] = a[i] + b[i].
-func addInto(dst, a, b []float64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
 }

@@ -100,8 +100,7 @@ func NewPolicyValueNet(cfg Config, seed int64) *PolicyValueNet {
 	// "NxN conv, 16" — the stem kernel matches the NoC dimension.
 	trunk = append(trunk,
 		NewConv2D(rng, "stem", 1, c1, cfg.N|1), // odd kernel for same padding
-		NewBatchNorm("stem.bn", c1),
-		NewReLU(),
+		newBatchNormReLU("stem.bn", c1),
 		NewResidual(rng, "res1", c1),
 	)
 	stage := 0
@@ -116,20 +115,17 @@ func NewPolicyValueNet(cfg Config, seed int64) *PolicyValueNet {
 	addPool()
 	trunk = append(trunk,
 		NewConv2D(rng, "conv2", c1, c2, 3),
-		NewBatchNorm("conv2.bn", c2),
-		NewReLU(),
+		newBatchNormReLU("conv2.bn", c2),
 	)
 	addPool()
 	trunk = append(trunk, NewResidual(rng, "res2", c2),
 		NewConv2D(rng, "conv3", c2, c3, 3),
-		NewBatchNorm("conv3.bn", c3),
-		NewReLU(),
+		newBatchNormReLU("conv3.bn", c3),
 	)
 	addPool()
 	trunk = append(trunk, NewResidual(rng, "res3", c3),
 		NewConv2D(rng, "conv4", c3, c4, 3),
-		NewBatchNorm("conv4.bn", c4),
-		NewReLU(),
+		newBatchNormReLU("conv4.bn", c4),
 		NewResidual(rng, "res4", c4),
 	)
 

@@ -5,19 +5,17 @@ import (
 	"routerless/internal/topo"
 )
 
-// StepRecord is one trajectory element: the state observed, the action
-// taken and the immediate reward.
+// StepRecord is one trajectory element: the state observed and the action
+// taken. The rewards enter the update only through the returns-to-go the
+// caller passes to Accumulate.
 type StepRecord struct {
 	State  []float64
 	Action Action
-	Reward float64
 }
 
-// Trajectory is an episode's step sequence plus its final return.
+// Trajectory is an episode's step sequence.
 type Trajectory struct {
 	Steps []StepRecord
-	// Final is the episode-final return (mesh hops − design hops).
-	Final float64
 }
 
 // defaultTrainTile is the batched update's tile size when A2C.tile is zero.
@@ -49,8 +47,8 @@ type A2C struct {
 }
 
 // Accumulate back-propagates the trajectory through net, with returns the
-// trajectory's discounted returns-to-go G_t = r_t + γ G_{t+1}, G_n = Final,
-// one per step (the episode driver of internal/search computes them once
+// trajectory's discounted returns-to-go G_t = r_t + γ G_{t+1}, with G_n the
+// episode's final reward, one per step (the episode driver of internal/search computes them once
 // for the tree backup and this update). Gradients are summed into net's parameter
 // gradient buffers; callers then ship them to the parameter server (§4.6),
 // which applies the SGD update.

@@ -11,21 +11,18 @@ import (
 // randomTraj plays up to maxSteps uniformly random legal actions and
 // packages the episode as a trajectory, the same shape the DRL worker
 // feeds Accumulate.
-func randomTraj(e *Env, rng *rand.Rand, maxSteps int) Trajectory {
-	var traj Trajectory
+func randomTraj(e *Env, rng *rand.Rand, maxSteps int) episode {
+	var ep episode
 	e.Reset()
-	for len(traj.Steps) < maxSteps {
+	for len(ep.Steps) < maxSteps {
 		acts := e.Actions()
 		if len(acts) == 0 {
 			break
 		}
-		a := ActionOf(acts[rng.Intn(len(acts))])
-		st := e.StateInto(nil)
-		r, _ := e.Step(a)
-		traj.Steps = append(traj.Steps, StepRecord{State: st, Action: a, Reward: r})
+		ep.play(e, ActionOf(acts[rng.Intn(len(acts))]))
 	}
-	traj.Final = e.FinalReward()
-	return traj
+	ep.final = e.FinalReward()
+	return ep
 }
 
 // The parity gate at the trainer level: the batched trajectory update must
@@ -117,9 +114,9 @@ func TestA2CBatchedZeroAllocWarm(t *testing.T) {
 	a2c := DefaultA2C()
 	traj := randomTraj(e, rng, 20)
 	returns := returnsToGo(traj, testGamma)
-	a2c.Accumulate(net, traj, returns) // warm scratch and arena
+	a2c.Accumulate(net, traj.Trajectory, returns) // warm scratch and arena
 	allocs := testing.AllocsPerRun(10, func() {
-		a2c.Accumulate(net, traj, returns)
+		a2c.Accumulate(net, traj.Trajectory, returns)
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed batched Accumulate allocates %.1f times, want 0", allocs)
@@ -127,9 +124,9 @@ func TestA2CBatchedZeroAllocWarm(t *testing.T) {
 	// A shorter trajectory (partial tile) must reuse the same scratch.
 	short := randomTraj(e, rng, 7)
 	returns = returnsToGo(short, testGamma)
-	a2c.Accumulate(net, short, returns)
+	a2c.Accumulate(net, short.Trajectory, returns)
 	allocs = testing.AllocsPerRun(10, func() {
-		a2c.Accumulate(net, short, returns)
+		a2c.Accumulate(net, short.Trajectory, returns)
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed batched Accumulate (short trajectory) allocates %.1f times, want 0", allocs)

@@ -15,22 +15,39 @@ func DefaultA2C() A2C { return A2C{ValueCoeff: 0.5} }
 // paper's formulation.
 const testGamma = 0.99
 
-// returnsToGo is the reference returns-to-go, seeding with the final
-// return after the last step: G_t = r_t + γ G_{t+1}, G_n = Final.
-func returnsToGo(traj Trajectory, gamma float64) []float64 {
-	returns := make([]float64, len(traj.Steps))
-	g := traj.Final
-	for t := len(traj.Steps) - 1; t >= 0; t-- {
-		g = traj.Steps[t].Reward + gamma*g
+// episode is a test trajectory with the step rewards and the final reward
+// it was played for, which the trajectory itself does not carry.
+type episode struct {
+	Trajectory
+	rewards []float64
+	final   float64
+}
+
+// returnsToGo is the reference returns-to-go of the episode's step
+// rewards, seeding with its final reward after the last step: G_t = r_t +
+// γ G_{t+1}, G_n = final.
+func returnsToGo(ep episode, gamma float64) []float64 {
+	returns := make([]float64, len(ep.rewards))
+	g := ep.final
+	for t := len(ep.rewards) - 1; t >= 0; t-- {
+		g = ep.rewards[t] + gamma*g
 		returns[t] = g
 	}
 	return returns
 }
 
-// train is one learner's update: the trajectory's returns-to-go at
+// play steps e through a, recording each state, action and reward.
+func (ep *episode) play(e *Env, a Action) {
+	st := e.StateInto(nil)
+	r, _ := e.Step(a)
+	ep.Steps = append(ep.Steps, StepRecord{State: st, Action: a})
+	ep.rewards = append(ep.rewards, r)
+}
+
+// train is one learner's update: the episode's returns-to-go at
 // testGamma, then Accumulate over them.
-func (a *A2C) train(net *nn.PolicyValueNet, traj Trajectory) float64 {
-	return a.Accumulate(net, traj, returnsToGo(traj, testGamma))
+func (a *A2C) train(net *nn.PolicyValueNet, ep episode) float64 {
+	return a.Accumulate(net, ep.Trajectory, returnsToGo(ep, testGamma))
 }
 
 // testConfig returns a narrow network for fast tests.
@@ -67,20 +84,18 @@ func forward1(net *nn.PolicyValueNet, s []float64) *nn.Output {
 	return &outs[0]
 }
 
-func smallTraj(e *Env) Trajectory {
-	var traj Trajectory
+func smallTraj(e *Env) episode {
+	var ep episode
 	actions := []Action{
 		{0, 0, 3, 3, topo.Clockwise},
 		{0, 0, 3, 3, topo.Clockwise}, // repetitive, reward -1
 		{0, 0, 1, 1, topo.Counterclockwise},
 	}
 	for _, a := range actions {
-		st := e.StateInto(nil)
-		r, _ := e.Step(a)
-		traj.Steps = append(traj.Steps, StepRecord{State: st, Action: a, Reward: r})
+		ep.play(e, a)
 	}
-	traj.Final = e.FinalReward()
-	return traj
+	ep.final = e.FinalReward()
+	return ep
 }
 
 func TestA2CAccumulatesGradients(t *testing.T) {
@@ -107,7 +122,7 @@ func TestA2CAccumulatesGradients(t *testing.T) {
 func TestA2CEmptyTrajectory(t *testing.T) {
 	net := nn.NewPolicyValueNet(testConfig(4), 3)
 	a2c := DefaultA2C()
-	if got := a2c.train(net, Trajectory{}); got != 0 {
+	if got := a2c.train(net, episode{}); got != 0 {
 		t.Fatalf("empty trajectory mse = %v", got)
 	}
 }
@@ -149,9 +164,10 @@ func TestA2CPolicyDirection(t *testing.T) {
 	}
 	before := prob()
 	// A trajectory with a large positive final reward for this action.
-	traj := Trajectory{
-		Steps: []StepRecord{{State: st, Action: act, Reward: 0}},
-		Final: 50, // >> value estimate -> positive advantage
+	traj := episode{
+		Trajectory: Trajectory{Steps: []StepRecord{{State: st, Action: act}}},
+		rewards:    []float64{0},
+		final:      50, // >> value estimate -> positive advantage
 	}
 	a2c := DefaultA2C()
 	sgd := plainSGD{LR: 2e-3, Clip: 1}
@@ -168,7 +184,7 @@ func TestA2CPolicyDirection(t *testing.T) {
 
 func TestA2CDiscounting(t *testing.T) {
 	// With gamma = 0 only the immediate reward matters; the value target
-	// for the last step is r + 0*Final = r.
+	// for the last step is r + 0*final = r.
 	e := NewEnv(4, 6)
 	traj := smallTraj(e)
 	net := nn.NewPolicyValueNet(testConfig(4), 9)
@@ -177,12 +193,12 @@ func TestA2CDiscounting(t *testing.T) {
 	sgd := plainSGD{LR: 5e-3, Clip: 1}
 	for i := 0; i < 80; i++ {
 		net.ZeroGrads()
-		a.Accumulate(net, traj, returns)
+		a.Accumulate(net, traj.Trajectory, returns)
 		sgd.Step(net)
 	}
 	// After training, V(s_last) should approach r_last + 0 = -1? The last
 	// step was valid (reward 0)... verify against computed target.
-	want := traj.Steps[len(traj.Steps)-1].Reward
+	want := traj.rewards[len(traj.rewards)-1]
 	got := forward1(net, traj.Steps[len(traj.Steps)-1].State).Value
 	if math.Abs(got-want) > 1.0 {
 		t.Fatalf("gamma=0 value = %v, want near %v", got, want)

@@ -13,9 +13,9 @@ import (
 // benchTraj synthesizes an H-step trajectory of random states and actions
 // on an N×N grid — the trainer's workload without the episode machinery,
 // so the benchmark isolates Accumulate itself.
-func benchTraj(nc, h int, rng *rand.Rand) Trajectory {
+func benchTraj(nc, h int, rng *rand.Rand) episode {
 	side := nc * nc
-	traj := Trajectory{Final: 3.5}
+	traj := episode{final: 3.5}
 	for t := 0; t < h; t++ {
 		st := make([]float64, side*side)
 		for i := range st {
@@ -25,8 +25,8 @@ func benchTraj(nc, h int, rng *rand.Rand) Trajectory {
 			State: st,
 			Action: Action{X1: rng.Intn(nc), Y1: rng.Intn(nc),
 				X2: rng.Intn(nc), Y2: rng.Intn(nc), Dir: topo.Clockwise},
-			Reward: rng.Float64(),
 		})
+		traj.rewards = append(traj.rewards, rng.Float64())
 	}
 	return traj
 }
@@ -41,8 +41,10 @@ func benchTraj(nc, h int, rng *rand.Rand) Trajectory {
 func BenchmarkA2CAccumulate(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
-		train func(*A2C, *nn.PolicyValueNet, Trajectory, []float64) float64
-	}{{"seq", (*A2C).accumulateSequential}, {"batched", (*A2C).Accumulate}} {
+		train func(*A2C, *nn.PolicyValueNet, episode, []float64) float64
+	}{{"seq", (*A2C).accumulateSequential}, {"batched", func(a *A2C, net *nn.PolicyValueNet, ep episode, returns []float64) float64 {
+		return a.Accumulate(net, ep.Trajectory, returns)
+	}}} {
 		for _, nc := range []int{8, 10} {
 			for _, h := range []int{8, 16, 32} {
 				b.Run(mode.name+"/"+strconv.Itoa(nc)+"x"+strconv.Itoa(nc)+"/H"+strconv.Itoa(h), func(b *testing.B) {
@@ -76,11 +78,11 @@ func BenchmarkGreedyEpisode(b *testing.B) {
 		for _, body := range []string{"go", "avx512"} {
 			name := strconv.Itoa(g.n) + "x" + strconv.Itoa(g.n) + "/" + body
 			b.Run(name, func(b *testing.B) {
-				if body == "avx512" && tensor.SIMD() != "avx512" {
+				restore, ok := tensor.SetSIMD(body)
+				if !ok {
 					b.Skip("host has no AVX-512F")
 				}
-				defer func(old bool) { imprvAVX512OK = old }(imprvAVX512OK)
-				imprvAVX512OK = body == "avx512"
+				defer restore()
 				e := NewEnv(g.n, g.cap)
 				rng := rand.New(rand.NewSource(1))
 				episode := func() {

@@ -119,7 +119,7 @@ func bruteGreedySearch(e *Env) GreedyResult {
 // running statistics, and MSE bit for bit; the layers' equivalence to the
 // lowered and naive convolutions and to central differences is pinned in
 // internal/nn and internal/tensor.
-func (a *A2C) accumulateSequential(net *nn.PolicyValueNet, traj Trajectory, returns []float64) float64 {
+func (a *A2C) accumulateSequential(net *nn.PolicyValueNet, traj episode, returns []float64) float64 {
 	if len(traj.Steps) == 0 {
 		return 0
 	}

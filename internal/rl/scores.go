@@ -235,11 +235,6 @@ func (s *scoreTable) rescore(e *Env, ri int32) {
 	}
 }
 
-// imprvAVX512OK selects imprvAVX512 as ensureImprv's body. It follows the
-// tensor package's SIMD level, so one process runs one family of kernels;
-// tests set it to force a body.
-var imprvAVX512OK = tensor.SIMD() == "avx512"
-
 // ensureImprv fills in the rectangle's memoized Imprv. One fused pass over
 // the perimeter pairs computes both directions' sums: the clockwise hop
 // distance from perimeter position i to position i+k is the step count k
@@ -254,7 +249,8 @@ var imprvAVX512OK = tensor.SIMD() == "avx512"
 // integer below 2^53, so every float addition is exact and its result is
 // the integer sum whatever the order. Accumulating in integers and
 // converting once (GreedyResult.Gain) therefore yields the oracle's bits,
-// from either body.
+// from either body. The body follows the tensor package's SIMD level, so
+// one process runs one family of kernels.
 func (s *scoreTable) ensureImprv(e *Env, ri int32) {
 	sc := &s.sc[ri]
 	r := &s.tab.Rects()[ri]
@@ -262,7 +258,7 @@ func (s *scoreTable) ensureImprv(e *Env, ri int32) {
 	dist := e.topo.DistData()
 	sentinel := int(topo.UnconnectedHops(e.topo.Rows(), e.topo.Cols()))
 	var icw, iccw int
-	if imprvAVX512OK {
+	if tensor.SIMD() == "avx512" {
 		icw, iccw = imprvAVX512(dist, r.Ring, n, sentinel)
 	} else {
 		icw, iccw = imprvGo(dist, r.Nodes, n, sentinel)

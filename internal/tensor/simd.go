@@ -22,7 +22,17 @@ package tensor
 // primitives, hosts with AVX2 the AVX2 bodies, everything else (other
 // architectures, older amd64 parts) the Go loops below. The Go loops are
 // both the portable production path and the oracle the assembly parity
-// tests compare against; tests set level to force a body.
+// tests compare against; tests set level to force a body, and SetSIMD
+// lets other packages' tests run a whole program on each body.
+//
+// The kernels with assembly bodies, each with its parity test:
+//   - conv: axpy4 and dot4x4 (AVX2), convRowAVX2 and dwTileAVX2 (AVX2),
+//     convPlaneAVX512 and dwTileAVX512 (AVX-512), in simd_amd64.s;
+//   - the layers between the convolutions (elementwise.go, AVX2 in
+//     elementwise_amd64.s, which AVX-512 hosts run too): ReLU, ReLUMask,
+//     Add, AddReLU, AddConst, BNApply, BNBackward, MaxPoolRow,
+//     MaxPoolBackRow, and the one-plane-per-lane sums PlaneSums,
+//     PlaneMoments and PlaneGradSums.
 
 // simdLevel names a set of kernel bodies; each level's host also runs the
 // levels below it.
@@ -45,6 +55,23 @@ var level = detectLevel()
 // "avx512". Every body gives the same bits, so it is provenance for
 // timings, not for results.
 func SIMD() string { return level.String() }
+
+// SetSIMD makes every kernel run the bodies name selects ("go", "avx2" or
+// "avx512", as SIMD reports them) and returns a function that restores
+// the previous ones. It reports false and changes nothing when the host
+// cannot run them or the name is unknown. It lets tests and benchmarks
+// run a whole program on each body; no kernel may run concurrently with
+// it.
+func SetSIMD(name string) (restore func(), ok bool) {
+	for l := levelGo; l <= detectLevel(); l++ {
+		if l.String() == name {
+			saved := level
+			level = l
+			return func() { level = saved }, true
+		}
+	}
+	return nil, false
+}
 
 // detectLevel returns the widest level the CPU and OS support.
 func detectLevel() simdLevel {

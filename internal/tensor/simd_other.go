@@ -31,3 +31,47 @@ func dwTileAVX512(g, x []float64, offs []int, c []float64, ldc, w, gap, nc int) 
 func convPlaneAVX512(x []float64, offs []int, wts, dst []float64, wstride, dstride, nc, h, w, wp, n4, m, nm, reps int) {
 	panic("tensor: AVX-512 kernel on a non-amd64 build")
 }
+
+func reluAVX2(dst, x []float64) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
+func reluMaskAVX2(dst, g, out []float64) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
+func addAVX2(dst, a, b []float64, relu bool) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
+func addConstAVX2(dst []float64, c float64) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
+func bnApplyAVX2(dst, xhat, x []float64, mu, inv, gamma, beta float64, relu bool) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
+func bnBackwardAVX2(dx, dy, xhat, out []float64, k, fn, sdy, sdx float64) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
+func planeSumsAVX2(x []float64, n, cnt, lanes int, s *[4]float64) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
+func planeSqDevAVX2(x []float64, n, cnt, lanes int, mean, s *[4]float64) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
+func planeGradSumsAVX2(dy, xhat, out []float64, n, cnt, lanes int, sdy, sdx *[4]float64) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
+func maxPoolRowAVX2(dst []float64, which []uint8, r0, r1 []float64) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
+
+func maxPoolBackRowAVX2(d0, d1, g []float64, which []uint8) {
+	panic("tensor: AVX2 kernel on a non-amd64 build")
+}
