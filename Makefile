@@ -166,6 +166,8 @@ trace-smoke:
 	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) run ./cmd/nocexplore -n 4 -episodes 6 -threads 2 -infer-batch 4 -progress 0 \
 		-trace $$d/trace-explore.json -manifest $$d/manifest.jsonl > /dev/null; \
+	grep -q '"best_hops_curve":\[\[' $$d/manifest.jsonl || \
+		{ echo "trace-smoke: nocexplore manifest lacks best_hops_curve" >&2; exit 1; }; \
 	$(GO) run ./cmd/tracecheck -require \
 		drl.run,drl.episode,rl.greedy,mcts.select,mcts.expand,mcts.backup,infer.submit,infer.queue_wait,infer.batch_assemble,infer.forward_batch \
 		$$d/trace-explore.json; \

@@ -60,7 +60,7 @@ func main() {
 	if err := tel.StartProfiles(); err != nil {
 		fatal(err)
 	}
-	o := exp.Options{Quick: !*full, Seed: *seed, Workers: *jobs, Metrics: tel.Registry, Events: tel.Events, Trace: tel.Tracer}
+	o := exp.Options{Quick: !*full, Seed: *seed, Workers: *jobs, Metrics: tel.Registry, Trace: tel.Tracer}
 	var rs []*exp.Report
 	if *id == "all" {
 		rs = exp.All(o)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	nocexplore -n 8 -cap 14 -episodes 200 -threads 4 -epsilon 0.1
-//	nocexplore -n 8 -episodes 500 -metrics search.json -events search.jsonl
+//	nocexplore -n 8 -episodes 500 -metrics search.json -manifest runs.jsonl
 //	nocexplore -n 8 -episodes 200 -cpuprofile search.pprof
 //	nocexplore -n 8 -episodes 200 -threads 4 -infer-batch 8
 //
@@ -100,7 +100,6 @@ func main() {
 	}
 	defer tel.Close()
 	cfg.Metrics = tel.Registry
-	cfg.Events = tel.Events
 	cfg.Trace = tel.Tracer
 	if manifest := tel.Manifest; manifest != nil {
 		manifest.Seed = *seed
@@ -149,6 +148,9 @@ func main() {
 	}
 	res := s.Run()
 	tel.StopProfiles()
+	if tel.Manifest != nil {
+		tel.Manifest.BestHopsCurve = res.BestHopsCurve()
+	}
 	if table := tel.Tracer.AggregateTable(); table != "" && *progress > 0 {
 		fmt.Fprint(os.Stderr, table)
 	}
@@ -161,10 +163,6 @@ func main() {
 		if err != nil {
 			exit(1, fmt.Errorf("save model: %w", err))
 		}
-		tel.Events.Info(obs.EventCheckpoint, map[string]any{
-			"path":     *saveModel,
-			"episodes": res.Episodes,
-		})
 		fmt.Printf("model saved to %s\n", *saveModel)
 	}
 

@@ -90,12 +90,12 @@ func TestBadFlagsExitBeforeSearch(t *testing.T) {
 }
 
 // TestBadConfigCreatesNoFiles checks that a configuration drl.New
-// rejects fails before the profile and events files are created.
+// rejects fails before the profile files are created.
 func TestBadConfigCreatesNoFiles(t *testing.T) {
 	for _, args := range [][]string{{"-n", "40"}, {"-n", "4", "-cap", "-2"}} {
 		dir := t.TempDir()
 		args = append(args, "-episodes", "1", "-progress", "0",
-			"-cpuprofile", filepath.Join(dir, "p.pprof"), "-events", filepath.Join(dir, "ev.jsonl"))
+			"-cpuprofile", filepath.Join(dir, "p.pprof"), "-blockprofile", filepath.Join(dir, "b.pprof"))
 		code, _, stderr := runMain(t, args...)
 		if code != 1 || !strings.Contains(stderr, "drl:") {
 			t.Fatalf("%v: exit %d, stderr %q; want exit 1 from the config check", args, code, stderr)
@@ -173,14 +173,13 @@ func TestManifestFailureExitsAfterReport(t *testing.T) {
 }
 
 // TestDivergedMetricsFileParses runs a search whose learning rate drives
-// the value loss to NaN: the -metrics file it leaves must still parse,
-// with the non-finite gauges written as null, and the -events file keeps
-// the episode events, their value_mse null.
+// the value loss to NaN: the -metrics file and the -manifest line it
+// leaves must still parse, with the value-MSE gauge written as null.
 func TestDivergedMetricsFileParses(t *testing.T) {
 	dir := t.TempDir()
-	path, events := filepath.Join(dir, "m.json"), filepath.Join(dir, "e.jsonl")
+	path, manifest := filepath.Join(dir, "m.json"), filepath.Join(dir, "runs.jsonl")
 	code, _, stderr := runMain(t, "-n", "6", "-episodes", "40", "-seed", "3", "-lr", "1e300", "-progress", "0",
-		"-metrics", path, "-events", events)
+		"-metrics", path, "-manifest", manifest)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("exit %d, no metrics file: %v\n%s", code, err, stderr)
@@ -192,23 +191,19 @@ func TestDivergedMetricsFileParses(t *testing.T) {
 		t.Fatalf("exit %d, metrics file does not parse: %v\n%s", code, err, data)
 	}
 	if v, ok := m.Gauges["drl.value_mse"]; !ok || v != nil {
-		t.Fatalf("drl.value_mse = %v (present %v), want null after divergence", v, ok)
+		t.Fatalf("metrics drl.value_mse = %v (present %v), want null after divergence", v, ok)
 	}
-	log, err := os.ReadFile(events)
+	line, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nulls := 0
-	for _, line := range strings.Split(strings.TrimSpace(string(log)), "\n") {
-		var e map[string]any
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("event line does not parse: %v: %s", err, line)
-		}
-		if v, ok := e["value_mse"]; e["event"] == "episode" && ok && v == nil {
-			nulls++
-		}
+	var man struct {
+		Metrics map[string]any `json:"metrics"`
 	}
-	if nulls == 0 {
-		t.Fatalf("no episode event with a null value_mse in:\n%s", log)
+	if err := json.Unmarshal(line, &man); err != nil {
+		t.Fatalf("manifest does not parse: %v: %s", err, line)
+	}
+	if v, ok := man.Metrics["drl.value_mse"]; !ok || v != nil {
+		t.Fatalf("manifest drl.value_mse = %v (present %v), want null after divergence", v, ok)
 	}
 }

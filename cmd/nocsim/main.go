@@ -7,7 +7,7 @@
 //	nocsim -topo design.json -pattern uniform_random -rates 0.01,0.05,0.1
 //	nocsim -mesh 8 -delay 2 -pattern transpose -rates 0.02,0.04
 //	nocsim -topo design.json -app fluidanimate
-//	nocsim -mesh 8 -metrics out.json -events run.jsonl -debug-addr :6060
+//	nocsim -mesh 8 -metrics out.json -manifest runs.jsonl -debug-addr :6060
 package main
 
 import (
@@ -93,10 +93,9 @@ func main() {
 		manifest.Set("warmup", *warmup)
 		manifest.Set("measure", *measure)
 	}
-	events := tel.Events
 	cfg := sim.RunConfig{
 		WarmupCycles: *warmup, MeasureCycles: *measure, DrainCycles: 2 * *measure,
-		Metrics: tel.Registry, Events: events,
+		Metrics: tel.Registry,
 	}
 	// progressFn builds a per-run progress callback; each parallel sweep
 	// point gets its own (the prefix identifies whose line it is).
@@ -139,8 +138,8 @@ func main() {
 
 	// The sweep points are independent (each builds its own network and
 	// injector with the same seed), so fan them across -j workers; results
-	// land by rate index and are printed/logged in order afterwards, so
-	// stdout and the events JSONL are identical at any -j.
+	// land by rate index and are printed in order afterwards, so stdout
+	// and the -csv file are identical at any -j.
 	results := exp.RunParallel(len(rateList), *jobs, tel.Registry, tel.Tracer, func(i int, sh *obs.TraceShard) sim.Result {
 		r := rateList[i]
 		c := cfg
@@ -155,16 +154,6 @@ func main() {
 	for i, res := range results {
 		r := rateList[i]
 		points = append(points, sim.SweepPoint{Rate: r, Result: res})
-		events.Info(obs.EventSweepPoint, map[string]any{
-			"rate":        r,
-			"avg_latency": res.AvgLatency,
-			"p50_latency": res.LatencyP50,
-			"p95_latency": res.LatencyP95,
-			"p99_latency": res.LatencyP99,
-			"throughput":  res.Throughput,
-			"avg_hops":    res.AvgHops,
-			"saturated":   res.Saturated,
-		})
 		flagStr := ""
 		if res.Saturated {
 			flagStr = "SATURATED"

@@ -93,11 +93,11 @@ func TestCheckFlags(t *testing.T) {
 }
 
 // TestBadPatternCreatesNoFiles checks that an unknown -pattern fails
-// before the profile and events files are created.
+// before the profile files are created.
 func TestBadPatternCreatesNoFiles(t *testing.T) {
 	dir := t.TempDir()
 	code, _, stderr := runMain(t, "-mesh", "4", "-pattern", "bogus",
-		"-cpuprofile", filepath.Join(dir, "p.pprof"), "-events", filepath.Join(dir, "ev.jsonl"))
+		"-cpuprofile", filepath.Join(dir, "p.pprof"), "-blockprofile", filepath.Join(dir, "b.pprof"))
 	if code != 1 || !strings.Contains(stderr, "bogus") {
 		t.Fatalf("exit %d, stderr %q; want exit 1 naming the pattern", code, stderr)
 	}
@@ -116,5 +116,32 @@ func TestManifestFailureExitsAfterReport(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "zero-load latency") {
 		t.Fatalf("report not printed before the failure: %q", stdout)
+	}
+}
+
+// TestSweepSameAtAnyJ checks -j's promise: a sweep printed and written
+// with the points run in parallel matches the sequential one byte for
+// byte, on stdout and in the -csv file.
+func TestSweepSameAtAnyJ(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "sweep.csv")
+	run := func(j string) (string, []byte) {
+		code, stdout, stderr := runMain(t, "-mesh", "4", "-warmup", "200", "-measure", "2000",
+			"-rates", "0.02,0.05,0.1,0.2", "-j", j, "-csv", csv)
+		if code != 0 {
+			t.Fatalf("-j %s: exit %d, stderr %q", j, code, stderr)
+		}
+		data, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stdout, data
+	}
+	seqOut, seqCSV := run("1")
+	parOut, parCSV := run("3")
+	if seqOut != parOut {
+		t.Fatalf("stdout differs:\n-j 1:\n%s\n-j 3:\n%s", seqOut, parOut)
+	}
+	if !bytes.Equal(seqCSV, parCSV) {
+		t.Fatalf("-csv differs:\n-j 1:\n%s\n-j 3:\n%s", seqCSV, parCSV)
 	}
 }

@@ -69,9 +69,8 @@ type Config struct {
 	// counters, episode reward / value-MSE gauges, gradient norms pre/post
 	// clip, the update counter, and MCTS tree size.
 	Metrics *obs.Registry
-	// Events, when non-nil, receives structured run events: run_start and
-	// run_stop at info level plus one episode event per exploration cycle
-	// at debug level.
+	// Events, when non-nil, receives one JSONL episode event per
+	// exploration cycle at debug level, flushed when Run returns.
 	Events *obs.Logger
 	// Trace, when non-nil, records hierarchical spans: drl.run on the Run
 	// goroutine, and per worker one track of drl.episode spans containing
@@ -138,6 +137,24 @@ type Result struct {
 	// Outcomes lists every episode's final reward and guided step count,
 	// in episode order.
 	Outcomes []search.Outcome
+}
+
+// BestHopsCurve is the search's quality over time: one [episode, average
+// hops] pair for each valid design that improved on every design of an
+// earlier episode, in episode order. It is empty when no design is valid,
+// and its last pair holds Best's hops (and Best's episode with one
+// learner).
+func (r *Result) BestHopsCurve() [][2]float64 {
+	valid := slices.Clone(r.Valid)
+	// Learners record designs out of episode order.
+	slices.SortStableFunc(valid, func(a, b Design) int { return a.Episode - b.Episode })
+	var curve [][2]float64
+	for _, d := range valid {
+		if len(curve) == 0 || d.AvgHops < curve[len(curve)-1][1] {
+			curve = append(curve, [2]float64{float64(d.Episode), d.AvgHops})
+		}
+	}
+	return curve
 }
 
 // Searcher runs the framework.
@@ -271,15 +288,6 @@ func (s *Searcher) Progress() (episodes, valid int) {
 // Run executes the configured exploration cycles and returns the search
 // result. With Threads == 1 the run is deterministic in Seed.
 func (s *Searcher) Run() *Result {
-	s.cfg.Events.Info(obs.EventRunStart, map[string]any{
-		"n":        s.cfg.N,
-		"cap":      s.cfg.OverlapCap,
-		"episodes": s.cfg.Episodes,
-		"threads":  s.cfg.Threads,
-		"epsilon":  s.cfg.Epsilon,
-		"use_dnn":  s.cfg.UseDNN,
-		"use_mcts": s.cfg.UseMCTS,
-	})
 	run := s.cfg.Trace.Shard("drl.run").Start(obs.SpanSearchRun)
 	defer run.End()
 	if s.cfg.UseDNN && s.cfg.InferBatch > 0 {
@@ -297,16 +305,7 @@ func (s *Searcher) Run() *Result {
 	}
 	out := s.result
 	s.mu.Unlock()
-	stop := map[string]any{
-		"episodes":  out.Episodes,
-		"valid":     len(out.Valid),
-		"tree_size": out.TreeSize,
-	}
-	if out.Best.Topo != nil {
-		stop["best_hops"] = out.Best.AvgHops
-		stop["best_loops"] = out.Best.Loops
-	}
-	s.cfg.Events.Info(obs.EventRunStop, stop)
+	s.cfg.Events.Flush()
 	return &out
 }
 
@@ -531,7 +530,6 @@ func (l *learner) train(returns []float64) float64 {
 	mse := l.a2c.Accumulate(net, l.traj, returns)
 	net.CopyGradsInto(l.grads)
 	l.s.server.applyAndFetch(l.grads, l.weights)
-	net.ZeroGrads()
 	net.SetWeights(l.weights)
 	if b := l.s.broker; b != nil {
 		net.CopyStatsInto(l.stats)

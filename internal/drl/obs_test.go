@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // TestSearchPopulatesTelemetry runs a small instrumented search and checks
-// the per-worker counters, gradient gauges, tree size, and event stream.
+// the per-worker counters, gradient gauges, tree size, and episode events.
 func TestSearchPopulatesTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
@@ -62,11 +63,8 @@ func TestSearchPopulatesTelemetry(t *testing.T) {
 		}
 		kinds[e.Event]++
 	}
-	if kinds[obs.EventRunStart] != 1 || kinds[obs.EventRunStop] != 1 {
-		t.Fatalf("run_start/run_stop = %d/%d", kinds[obs.EventRunStart], kinds[obs.EventRunStop])
-	}
-	if kinds[obs.EventEpisode] != res.Episodes {
-		t.Fatalf("episode events = %d, want %d", kinds[obs.EventEpisode], res.Episodes)
+	if len(kinds) != 1 || kinds[obs.EventEpisode] != res.Episodes {
+		t.Fatalf("events by kind %v, want only %d episode events", kinds, res.Episodes)
 	}
 }
 
@@ -119,5 +117,39 @@ func TestOutcomesMatchEpisodeEvents(t *testing.T) {
 			t.Fatalf("episode %d: outcome steps %d reward %v, event steps %d reward %v",
 				out.Episode, out.Steps, out.Final, e.Steps, e.Reward)
 		}
+	}
+}
+
+// TestBestHopsCurve checks the quality-over-time curve of a seeded search:
+// episodes ascend, hops strictly fall, the last pair is Best, and a
+// same-seed single-learner run gives the same curve.
+func TestBestHopsCurve(t *testing.T) {
+	cfg := quickCfg(5, 8, 24)
+	cfg.Seed = 3
+	res := MustNew(cfg).Run()
+	curve := res.BestHopsCurve()
+	if len(curve) == 0 {
+		t.Fatalf("empty curve from %d valid designs", len(res.Valid))
+	}
+	for i := 1; i < len(curve); i++ {
+		if curve[i][0] <= curve[i-1][0] || curve[i][1] >= curve[i-1][1] {
+			t.Fatalf("curve not improving at %d: %v", i, curve)
+		}
+	}
+	if last := curve[len(curve)-1]; last != [2]float64{float64(res.Best.Episode), res.Best.AvgHops} {
+		t.Fatalf("last pair %v, best is episode %d at %v hops", last, res.Best.Episode, res.Best.AvgHops)
+	}
+	if again := MustNew(cfg).Run().BestHopsCurve(); !slices.Equal(again, curve) {
+		t.Fatalf("same seed gave curve %v, then %v", curve, again)
+	}
+
+	// Learners record designs out of episode order; the curve sorts them.
+	out := Result{Valid: []Design{
+		{Episode: 3, AvgHops: 5}, {Episode: 1, AvgHops: 6}, {Episode: 2, AvgHops: 5.5},
+		{Episode: 4, AvgHops: 5}, {Episode: 5, AvgHops: 4},
+	}}
+	want := [][2]float64{{1, 6}, {2, 5.5}, {3, 5}, {5, 4}}
+	if got := out.BestHopsCurve(); !slices.Equal(got, want) {
+		t.Fatalf("out-of-order curve %v, want %v", got, want)
 	}
 }

@@ -39,11 +39,10 @@ type Options struct {
 	// (RunParallel): 0 selects GOMAXPROCS, 1 runs every point on one
 	// worker. Every width produces identical reports for the same seed.
 	Workers int
-	// Metrics/Events, when non-nil, are threaded into the DRL searches the
-	// experiments run, so benchtab's -metrics/-events/-debug-addr flags
-	// observe the long-running search phases.
+	// Metrics, when non-nil, is threaded into the DRL searches the
+	// experiments run, so benchtab's -metrics/-debug-addr flags observe
+	// the long-running search phases.
 	Metrics *obs.Registry
-	Events  *obs.Logger
 	// Trace, when non-nil, records exp.point spans (one per experiment
 	// point on the parallel harness) and is threaded into the DRL searches
 	// the experiments run, so benchtab's -trace flag covers the search,
@@ -204,7 +203,7 @@ func runDRL(n, cap, episodes int, o Options, mutate func(*drl.Config)) *drl.Resu
 	cfg := drl.DefaultConfig(n, cap)
 	cfg.Episodes = episodes
 	cfg.Seed = o.Seed
-	cfg.Metrics, cfg.Events, cfg.Trace = o.Metrics, o.Events, o.Trace
+	cfg.Metrics, cfg.Trace = o.Metrics, o.Trace
 	mutate(&cfg)
 	return drl.MustNew(cfg).Run()
 }

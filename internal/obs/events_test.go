@@ -12,58 +12,31 @@ import (
 
 func TestNopLoggerIsSafe(t *testing.T) {
 	var l *Logger
-	if l.Enabled(LevelInfo) {
+	if l.Enabled(LevelDebug) {
 		t.Fatal("nil logger must report disabled")
 	}
-	l.Info(EventRunStart, map[string]any{"x": 1})
 	l.Debug(EventEpisode, nil)
 	l.Flush()
-	if err := l.Close(); err != nil {
-		t.Fatal("nil logger Close must be a no-op")
-	}
 	if got := NewLogger(nil, LevelDebug); got != nil {
 		t.Fatal("NewLogger(nil, ...) must return the nop logger")
 	}
 }
 
-// closeRecorder counts Close calls to verify Close is idempotent and
-// reaches the underlying writer.
-type closeRecorder struct {
-	bytes.Buffer
-	closes int
-}
-
-func (c *closeRecorder) Close() error { c.closes++; return nil }
-
-func TestLoggerFlushAndCloseSemantics(t *testing.T) {
-	var cr closeRecorder
-	l := NewLogger(&cr, LevelDebug)
+func TestLoggerBuffersUntilFlush(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewLogger(&buf, LevelDebug)
 	l.Debug(EventEpisode, map[string]any{"i": 1})
-	if cr.Len() != 0 {
-		t.Fatal("debug event should be buffered, not written")
+	if buf.Len() != 0 {
+		t.Fatal("event should be buffered, not written")
 	}
-	l.Info(EventRunStop, nil)
-	if cr.Len() == 0 {
-		t.Fatal("info event must flush the buffer")
-	}
-	before := cr.Len()
-	l.Debug(EventEpisode, map[string]any{"i": 2})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if cr.Len() <= before {
-		t.Fatal("Close must flush trailing buffered events")
-	}
-	if cr.closes != 1 {
-		t.Fatalf("underlying Close called %d times, want 1", cr.closes)
-	}
-	l.Debug(EventEpisode, nil) // dropped after Close
 	l.Flush()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	if buf.Len() == 0 {
+		t.Fatal("Flush must write the buffered events")
 	}
-	if cr.closes != 1 {
-		t.Fatalf("Close not idempotent: %d underlying closes", cr.closes)
+	before := buf.Len()
+	l.Flush()
+	if buf.Len() != before {
+		t.Fatal("Flush not idempotent")
 	}
 }
 
@@ -71,10 +44,10 @@ func TestLoggerWritesJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelDebug)
 	l.now = func() time.Time { return time.Unix(1700000000, 0) }
-	l.Info(EventRunStart, map[string]any{"nodes": 64, "pattern": "uniform_random"})
+	l.Debug(EventEpisode, map[string]any{"worker": 3, "valid": true})
 	l.Debug(EventEpisode, map[string]any{"episode": 1, "reward": -2.5})
 	l.Debug(EventEpisode, map[string]any{"episode": 2, "value_mse": math.NaN(), "reward": math.Inf(-1)})
-	l.Flush() // Debug events are buffered until a Flush/Close or an Info event
+	l.Flush() // events are buffered until a Flush
 
 	sc := bufio.NewScanner(&buf)
 	var lines []map[string]any
@@ -88,10 +61,10 @@ func TestLoggerWritesJSONL(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("got %d lines, want 3", len(lines))
 	}
-	if lines[0]["event"] != EventRunStart || lines[0]["level"] != "info" {
+	if lines[0]["event"] != EventEpisode || lines[0]["level"] != "debug" {
 		t.Fatalf("bad envelope: %v", lines[0])
 	}
-	if lines[0]["nodes"] != float64(64) {
+	if lines[0]["worker"] != float64(3) || lines[0]["valid"] != true {
 		t.Fatalf("fields not flattened: %v", lines[0])
 	}
 	if lines[1]["reward"] != -2.5 {
@@ -109,17 +82,13 @@ func TestLoggerWritesJSONL(t *testing.T) {
 func TestLoggerLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelInfo)
-	l.Debug(EventInterval, nil)
+	l.Debug(EventEpisode, nil)
 	l.Flush()
 	if buf.Len() != 0 {
 		t.Fatal("debug event written despite info level")
 	}
-	if l.Enabled(LevelDebug) {
-		t.Fatal("Enabled(debug) at info level")
-	}
-	l.Info(EventRunStop, nil)
-	if buf.Len() == 0 {
-		t.Fatal("info event dropped")
+	if l.Enabled(LevelDebug) || !l.Enabled(LevelInfo) {
+		t.Fatal("Enabled disagrees with the info level")
 	}
 }
 

@@ -30,6 +30,9 @@ type Manifest struct {
 	Seed       int64          `json:"seed,omitempty"`
 	Config     map[string]any `json:"config,omitempty"`  // CLI flags / run parameters
 	Metrics    map[string]any `json:"metrics,omitempty"` // final metrics snapshot
+	// BestHopsCurve is a search's quality over time: [episode, best
+	// average hops] at each improvement (nocexplore only).
+	BestHopsCurve [][2]float64 `json:"best_hops_curve,omitempty"`
 }
 
 // NewManifest starts a manifest for the named tool, stamping toolchain and

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"routerless/internal/tensor"
@@ -16,6 +17,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	m.Seed = 42
 	m.Set("n", 8)
 	m.Set("episodes", 100)
+	m.BestHopsCurve = [][2]float64{{1, 6.25}, {4, 6}}
 
 	reg := NewRegistry()
 	reg.Counter("drl.episodes").Add(100)
@@ -55,6 +57,9 @@ func TestManifestRoundTrip(t *testing.T) {
 		}
 		if got.Config["episodes"] != float64(100) {
 			t.Fatalf("config lost: %+v", got.Config)
+		}
+		if !slices.Equal(got.BestHopsCurve, m.BestHopsCurve) {
+			t.Fatalf("best_hops_curve %v, want %v", got.BestHopsCurve, m.BestHopsCurve)
 		}
 		hist, ok := got.Metrics["drl.episode_reward_hist"].(map[string]any)
 		if !ok || hist["count"] != float64(1) {

@@ -1,9 +1,9 @@
 // Package obs is the observability layer shared by the simulator, the DRL
 // search, and the CLIs: a concurrency-safe metrics registry (counters,
-// gauges, log-scaled histograms), a structured JSONL event logger, a
-// per-goroutine span tracer with Chrome trace export, run manifests, and
-// an optional debug HTTP endpoint (expvar + pprof + spans). It is
-// stdlib-only.
+// gauges, log-scaled histograms), the search's per-episode JSONL event
+// logger, a per-goroutine span tracer with Chrome trace export, run
+// manifests, and an optional debug HTTP endpoint (expvar + pprof +
+// spans). It is stdlib-only.
 //
 // Every type is nil-safe: a nil *Registry hands out nil metrics, and every
 // metric method on a nil receiver is a no-op. Instrumented code therefore

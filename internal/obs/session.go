@@ -9,7 +9,7 @@ import (
 	"runtime/pprof"
 )
 
-// Session is the telemetry of one CLI run: the eight flags nocexplore,
+// Session is the telemetry of one CLI run: the seven flags nocexplore,
 // nocsim and benchtab share, what they build, and the files they write.
 // Its lifecycle is
 //
@@ -23,17 +23,16 @@ import (
 //	s.Finish()         // trace, manifest, metrics
 //	s.Close()          // on every exit path, os.Exit ones included
 //
-// Registry, Events, Tracer and Manifest are nil unless a flag asks for
+// Registry, Tracer and Manifest are nil unless a flag asks for
 // them: the registry for -metrics, -debug-addr or -manifest, the tracer
 // for -trace or -debug-addr. All but Manifest's fields are nil-safe.
 type Session struct {
 	Registry *Registry
-	Events   *Logger
 	Tracer   *Tracer
 	Manifest *Manifest
 
-	tool                                                        string
-	metricsPath, debugAddr, eventsPath, tracePath, manifestPath string
+	tool                                            string
+	metricsPath, debugAddr, tracePath, manifestPath string
 
 	profiles                 [3]profile // cpu, mutex, block
 	prevMutexFraction        int
@@ -51,7 +50,7 @@ type profile struct {
 	f          *os.File
 }
 
-// NewSession registers the eight shared telemetry flags on fs. noun names
+// NewSession registers the seven shared telemetry flags on fs. noun names
 // what the profiles and trace cover ("search", "simulation", "experiment
 // run") in the help text; tool prefixes the session's stderr lines and
 // names the manifest.
@@ -59,7 +58,6 @@ func NewSession(fs *flag.FlagSet, tool, noun string) *Session {
 	s := &Session{tool: tool, stdout: os.Stdout, stderr: os.Stderr}
 	fs.StringVar(&s.metricsPath, "metrics", "", "write a metrics snapshot as JSON to this path at exit")
 	fs.StringVar(&s.debugAddr, "debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address while running")
-	fs.StringVar(&s.eventsPath, "events", "", "write structured JSONL run events to this path")
 	fs.StringVar(&s.tracePath, "trace", "", "write a Chrome trace-event JSON file of the "+noun+" (load in Perfetto) to this path")
 	fs.StringVar(&s.manifestPath, "manifest", "", "append a JSONL run-provenance manifest (config, seed, git rev, wall time, metrics) to this path")
 	s.profiles = [3]profile{{kind: "cpu"}, {kind: "mutex"}, {kind: "block"}}
@@ -69,30 +67,30 @@ func NewSession(fs *flag.FlagSet, tool, noun string) *Session {
 	return s
 }
 
-// Start builds what the flags ask for, creates the events and profile
-// files and starts the debug server. Call it after the tool has rejected
-// its own bad flags and inputs. On error it removes the files it created.
+// Start builds what the flags ask for, creates the profile files and
+// starts the debug server. Call it after the tool has rejected its own
+// bad flags and inputs. On error it removes the files it created.
 func (s *Session) Start() error {
-	paths := []string{s.eventsPath, s.profiles[0].path, s.profiles[1].path, s.profiles[2].path}
-	files := make([]*os.File, len(paths))
 	fail := func(err error) error {
-		for _, f := range files {
-			if f != nil {
-				f.Close()
-				os.Remove(f.Name())
+		for i := range s.profiles {
+			if p := &s.profiles[i]; p.f != nil {
+				p.f.Close()
+				os.Remove(p.path)
+				p.f = nil
 			}
 		}
 		return err
 	}
-	for i, path := range paths {
-		if path == "" {
+	for i := range s.profiles {
+		p := &s.profiles[i]
+		if p.path == "" {
 			continue
 		}
-		f, err := os.Create(path)
+		f, err := os.Create(p.path)
 		if err != nil {
 			return fail(err)
 		}
-		files[i] = f
+		p.f = f
 	}
 	if s.metricsPath != "" || s.debugAddr != "" || s.manifestPath != "" {
 		s.Registry = NewRegistry()
@@ -107,12 +105,6 @@ func (s *Session) Start() error {
 		}
 		s.debug = d
 		fmt.Fprintf(s.stderr, "%s: debug endpoint on http://%s\n", s.tool, d.Addr)
-	}
-	if files[0] != nil {
-		s.Events = NewLogger(files[0], LevelDebug)
-	}
-	for i := range s.profiles {
-		s.profiles[i].f = files[i+1]
 	}
 	if s.manifestPath != "" {
 		s.Manifest = NewManifest(s.tool)
@@ -225,8 +217,8 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // Close ends the session on every exit path: it stops running profiles,
-// removes profile files whose bracket never opened, flushes and closes
-// the events file and stops the debug server. os.Exit skips defers, so
+// removes profile files whose bracket never opened and stops the debug
+// server. os.Exit skips defers, so
 // the CLIs call it before each os.Exit too. Idempotent.
 func (s *Session) Close() {
 	if s.closed {
@@ -243,6 +235,5 @@ func (s *Session) Close() {
 			}
 		}
 	}
-	s.Events.Close()
 	s.debug.Close()
 }

@@ -76,20 +76,19 @@ func TestSession(t *testing.T) {
 	dir := t.TempDir()
 	out := func(name string) string { return filepath.Join(dir, name) }
 	s := newTestSession(t,
-		"-metrics", out("m.json"), "-debug-addr", "127.0.0.1:0", "-events", out("ev.jsonl"),
+		"-metrics", out("m.json"), "-debug-addr", "127.0.0.1:0",
 		"-trace", out("t.json"), "-manifest", out("man.jsonl"), "-cpuprofile", out("cpu.pprof"),
 		"-mutexprofile", out("mutex.pprof"), "-blockprofile", out("block.pprof"))
 	if err := s.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	if s.Registry == nil || s.Events == nil || s.Tracer == nil || s.Manifest == nil || s.debug == nil {
+	if s.Registry == nil || s.Tracer == nil || s.Manifest == nil || s.debug == nil {
 		t.Fatal("Start left a requested output unbuilt")
 	}
 	s.Manifest.Set("k", 1)
 	if err := s.StartProfiles(); err != nil {
 		t.Fatalf("StartProfiles: %v", err)
 	}
-	s.Events.Info(EventRunStart, nil)
 	sp := s.Tracer.Shard("main").Start(SpanEpisode)
 	s.Registry.Counter("runs").Inc()
 	contend()
@@ -104,9 +103,6 @@ func TestSession(t *testing.T) {
 	var snap map[string]any
 	if err := json.Unmarshal(readFile(t, out("m.json")), &snap); err != nil {
 		t.Fatalf("metrics JSON: %v", err)
-	}
-	if ev := string(readFile(t, out("ev.jsonl"))); !strings.Contains(ev, `"event":"run_start"`) {
-		t.Fatalf("events lack run_start: %q", ev)
 	}
 	var trace struct {
 		TraceEvents []struct {
@@ -131,6 +127,9 @@ func TestSession(t *testing.T) {
 	var m Manifest
 	if err := json.Unmarshal([]byte(lines[0]), &m); err != nil || m.Tool != "test" || m.Config["k"] != 1.0 {
 		t.Fatalf("manifest %q: %v", lines[0], err)
+	}
+	if strings.Contains(lines[0], "best_hops_curve") {
+		t.Fatalf("manifest without a curve writes the key: %q", lines[0])
 	}
 	for _, p := range []string{"cpu.pprof", "mutex.pprof", "block.pprof"} {
 		checkPprof(t, out(p))
@@ -238,7 +237,7 @@ func TestStartContentionProfiles(t *testing.T) {
 // directory and leaves no file behind, even the ones it had created.
 func TestSessionStartBadPath(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestSession(t, "-events", filepath.Join(dir, "ev.jsonl"), "-cpuprofile", filepath.Join(dir, "cpu.pprof"),
+	s := newTestSession(t, "-cpuprofile", filepath.Join(dir, "cpu.pprof"), "-mutexprofile", filepath.Join(dir, "mutex.pprof"),
 		"-blockprofile", filepath.Join(dir, "no", "such", "dir", "b.pprof"), "-metrics", filepath.Join(dir, "m.json"))
 	if err := s.Start(); err == nil {
 		t.Fatal("Start succeeded on an uncreatable path")
@@ -251,21 +250,16 @@ func TestSessionStartBadPath(t *testing.T) {
 }
 
 // TestSessionCloseBeforeProfiles checks that a run that fails between
-// Start and StartProfiles leaves no empty profile files, but keeps its
-// events.
+// Start and StartProfiles leaves no empty profile files.
 func TestSessionCloseBeforeProfiles(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestSession(t, "-events", filepath.Join(dir, "ev.jsonl"), "-cpuprofile", filepath.Join(dir, "cpu.pprof"))
+	s := newTestSession(t, "-cpuprofile", filepath.Join(dir, "cpu.pprof"), "-blockprofile", filepath.Join(dir, "block.pprof"))
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	s.Events.Info(EventRunStart, nil)
 	s.Close()
-	if _, err := os.Stat(filepath.Join(dir, "cpu.pprof")); !os.IsNotExist(err) {
-		t.Fatalf("unstarted cpu profile left behind: %v", err)
-	}
-	if !strings.Contains(string(readFile(t, filepath.Join(dir, "ev.jsonl"))), "run_start") {
-		t.Fatal("events lost on Close")
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("unstarted profiles left behind: %v", left)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // simulator tests.
 
 // TestGreedyCompleteZeroAllocSteadyState drives a recycled environment
-// through an entire design construction — every GreedySearch scan and
+// through an entire design construction — every greedySearch scan and
 // every Step — and requires zero heap allocations once warm. This covers
 // the score table's dirty set, the topology's incremental aggregates, the
 // canonical fingerprint order, and the legality buffers all at once.
@@ -36,13 +36,13 @@ func TestGreedyCompleteZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestGreedyStepZeroAllocSteadyState pins the finer unit: one
-// GreedySearch scan plus the Step applying its action, mid-construction.
+// greedySearch scan plus the Step applying its action, mid-construction.
 func TestGreedyStepZeroAllocSteadyState(t *testing.T) {
 	e := NewEnv(6, 10)
 	GreedyComplete(e) // warm all buffers at full occupancy
 	e.Reset()
 	allocs := testing.AllocsPerRun(20, func() {
-		r := GreedySearch(e)
+		r := greedySearch(e)
 		if !r.OK {
 			e.Reset()
 			return
@@ -69,7 +69,7 @@ func TestGreedyStepZeroAllocWithNilTraceSpan(t *testing.T) {
 	var sh *obs.TraceShard // nil: tracing disabled
 	allocs := testing.AllocsPerRun(20, func() {
 		sp := sh.Start(obs.SpanMCTSSelect)
-		r := GreedySearch(e)
+		r := greedySearch(e)
 		if !r.OK {
 			e.Reset()
 			sp.End()
@@ -94,7 +94,7 @@ func TestStateIntoZeroAlloc(t *testing.T) {
 	e.Reset()
 	buf := e.StateInto(nil) // materialize the incremental matrix
 	allocs := testing.AllocsPerRun(50, func() {
-		if r := GreedySearch(e); r.OK {
+		if r := greedySearch(e); r.OK {
 			e.Step(r.Action)
 		} else {
 			e.Reset()

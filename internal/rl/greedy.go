@@ -1,7 +1,7 @@
 package rl
 
-// GreedyResult reports the outcome of one Algorithm 1 scan.
-type GreedyResult struct {
+// greedyResult reports the outcome of one Algorithm 1 scan.
+type greedyResult struct {
 	Action Action
 	// NewPairs is Algorithm 1's CheckCount for the chosen loop: ordered
 	// pairs newly connected.
@@ -17,13 +17,12 @@ type GreedyResult struct {
 // ties by the average-hop-count improvement (Imprv), which also selects
 // the loop direction. It returns false when no legal loop exists.
 func Greedy(e *Env) (Action, bool) {
-	r := GreedySearch(e)
+	r := greedySearch(e)
 	return r.Action, r.OK
 }
 
-// GreedySearch is Greedy with the winning loop's metrics exposed, letting
-// callers trim exploration branches whose best remaining addition is
-// useless (§3.2, "Guided Design Space Search").
+// greedySearch is Greedy with the winning loop's metrics exposed, which
+// the tests hold to the brute-force oracle.
 //
 // It runs over the environment's cached per-rectangle score table: a step
 // perturbs only the rectangles whose legality, pair count, or memoized
@@ -38,7 +37,7 @@ func Greedy(e *Env) (Action, bool) {
 // Imprv is integer-valued and summed exactly (see ensureImprv), so the
 // selection is byte-identical to the full O(N⁴) rescan kept as the test
 // oracle (bruteGreedySearch in oracle_test.go).
-func GreedySearch(e *Env) GreedyResult {
+func greedySearch(e *Env) greedyResult {
 	s := e.scoresSynced()
 	rects := s.tab.Rects()
 	bestRect := -1
@@ -62,10 +61,10 @@ func GreedySearch(e *Env) GreedyResult {
 		}
 	}
 	if bestRect < 0 {
-		return GreedyResult{NewPairs: -1}
+		return greedyResult{NewPairs: -1}
 	}
 	r := &rects[bestRect]
-	return GreedyResult{
+	return greedyResult{
 		Action:   Action{r.R1, r.C1, r.R2, r.C2, s.sc[bestRect].dir},
 		NewPairs: int(bestCount),
 		Gain:     float64(bestImprv),

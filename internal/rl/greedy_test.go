@@ -91,7 +91,7 @@ func TestGreedyCompleteConnectsDesign(t *testing.T) {
 
 func TestGreedySearchMetrics(t *testing.T) {
 	e := NewEnv(4, 6)
-	r := GreedySearch(e)
+	r := greedySearch(e)
 	if !r.OK {
 		t.Fatal("no action")
 	}

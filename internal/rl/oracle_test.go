@@ -72,9 +72,9 @@ func Imprv(t *topo.Topology, l topo.Loop, cwOK, ccwOK bool) (float64, topo.Direc
 }
 
 // bruteGreedySearch is the original full O(N⁴) rescan of Algorithm 1, the
-// parity oracle for the incremental GreedySearch: the property tests
+// parity oracle for the incremental greedySearch: the property tests
 // assert both return identical results on arbitrary partial designs.
-func bruteGreedySearch(e *Env) GreedyResult {
+func bruteGreedySearch(e *Env) greedyResult {
 	bestLoop := Action{}
 	bestCount := -1
 	bestImprv := 0.0
@@ -108,7 +108,7 @@ func bruteGreedySearch(e *Env) GreedyResult {
 			}
 		}
 	}
-	return GreedyResult{Action: bestLoop, NewPairs: bestCount, Gain: bestImprv, OK: found}
+	return greedyResult{Action: bestLoop, NewPairs: bestCount, Gain: bestImprv, OK: found}
 }
 
 // accumulateSequential is the per-step A2C update over the trajectory's

@@ -43,8 +43,8 @@ func seedRandomDesign(e *Env, rng *rand.Rand, steps int) {
 
 // TestGreedySearchMatchesBruteRandomized pins the tentpole parity claim:
 // on randomized partial topologies (varying N, cap, MaxLoopLen, seeded
-// loop sets) the incremental GreedySearch returns the identical
-// GreedyResult — action, pair count, bit-identical gain — to the brute
+// loop sets) the incremental greedySearch returns the identical
+// greedyResult — action, pair count, bit-identical gain — to the brute
 // rescan, both on the first (all-dirty) scan and across subsequent
 // incremental re-scores.
 func TestGreedySearchMatchesBruteRandomized(t *testing.T) {
@@ -58,7 +58,7 @@ func TestGreedySearchMatchesBruteRandomized(t *testing.T) {
 		}
 		seedRandomDesign(e, rng, rng.Intn(20))
 		for round := 0; round < 5; round++ {
-			inc := GreedySearch(e)
+			inc := greedySearch(e)
 			brute := bruteGreedySearch(e)
 			if inc != brute {
 				t.Fatalf("trial %d round %d (n=%d cap=%d maxlen=%d): incremental %+v != brute %+v",
@@ -115,7 +115,7 @@ func TestGreedyCompleteTraceMatchesBrute(t *testing.T) {
 		brute.MaxLoopLen = cfg.maxLen
 		var incTrace, bruteTrace []Action
 		for {
-			r := GreedySearch(inc)
+			r := greedySearch(inc)
 			if !r.OK {
 				break
 			}
@@ -157,7 +157,7 @@ func TestGreedySearchMatchesBruteLargeGrids(t *testing.T) {
 		e := NewEnv(n, 2*(n-1))
 		seedRandomDesign(e, rand.New(rand.NewSource(int64(n))), 12)
 		for step := 0; step < c.steps; step++ {
-			inc := GreedySearch(e)
+			inc := greedySearch(e)
 			brute := bruteGreedySearch(e)
 			if inc != brute {
 				t.Fatalf("n=%d step %d: incremental %+v != brute %+v", n, step, inc, brute)
@@ -225,7 +225,7 @@ func TestScoreTableMatchesRecompute(t *testing.T) {
 				}
 				// Greedy picks fill in imprv values; random actions, often
 				// illegal, perturb the design elsewhere.
-				r := GreedySearch(e)
+				r := greedySearch(e)
 				if !r.OK {
 					break
 				}
@@ -277,10 +277,10 @@ func checkScoreTable(t *testing.T, e *Env, trial, step int) {
 // design scan.
 func TestGreedySearchAfterReset(t *testing.T) {
 	e := NewEnv(4, 6)
-	first := GreedySearch(e)
+	first := greedySearch(e)
 	GreedyComplete(e)
 	e.Reset()
-	again := GreedySearch(e)
+	again := greedySearch(e)
 	if first != again {
 		t.Fatalf("post-reset scan %+v != fresh scan %+v", again, first)
 	}

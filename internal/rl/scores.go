@@ -248,7 +248,7 @@ func (s *scoreTable) rescore(e *Env, ri int32) {
 // scan adds the same terms in float64: each of its partial sums is an
 // integer below 2^53, so every float addition is exact and its result is
 // the integer sum whatever the order. Accumulating in integers and
-// converting once (GreedyResult.Gain) therefore yields the oracle's bits,
+// converting once (greedyResult.Gain) therefore yields the oracle's bits,
 // from either body. The body follows the tensor package's SIMD level, so
 // one process runs one family of kernels.
 func (s *scoreTable) ensureImprv(e *Env, ri int32) {

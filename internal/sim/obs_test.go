@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -13,20 +10,20 @@ import (
 )
 
 // runInstrumented drives a small REC ring with full telemetry enabled.
-func runInstrumented(t *testing.T, reg *obs.Registry, events *obs.Logger, onInterval func(IntervalStats)) Result {
+func runInstrumented(t *testing.T, reg *obs.Registry, onInterval func(IntervalStats)) Result {
 	t.Helper()
 	topo := rec.MustGenerate(4)
 	src := traffic.NewInjector(4, 4, traffic.UniformRandom, 0.02, 128, 1)
 	cfg := RunConfig{
 		WarmupCycles: 100, MeasureCycles: 400, DrainCycles: 800,
-		Metrics: reg, Events: events, ProbeEvery: 50, OnInterval: onInterval,
+		Metrics: reg, ProbeEvery: 50, OnInterval: onInterval,
 	}
 	return Run(NewRing(topo, DefaultRingConfig()), src, cfg)
 }
 
 func TestRunPopulatesMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	res := runInstrumented(t, reg, nil, nil)
+	res := runInstrumented(t, reg, nil)
 	if res.PacketsDone == 0 {
 		t.Fatal("no packets delivered")
 	}
@@ -52,10 +49,12 @@ func TestRunPopulatesMetrics(t *testing.T) {
 	}
 }
 
-func TestRunEmitsEventsAndIntervals(t *testing.T) {
-	var buf bytes.Buffer
+// TestRunReportsIntervals checks that every probe sample reaches both
+// OnInterval and the registry's interval-throughput histogram.
+func TestRunReportsIntervals(t *testing.T) {
+	reg := obs.NewRegistry()
 	var intervals []IntervalStats
-	runInstrumented(t, nil, obs.NewLogger(&buf, obs.LevelDebug), func(s IntervalStats) {
+	runInstrumented(t, reg, func(s IntervalStats) {
 		intervals = append(intervals, s)
 	})
 	if len(intervals) < 400/50 {
@@ -69,23 +68,8 @@ func TestRunEmitsEventsAndIntervals(t *testing.T) {
 			t.Fatal("ring must report buffer occupancy")
 		}
 	}
-
-	kinds := map[string]int{}
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var e struct {
-			Event string `json:"event"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad event line: %v", err)
-		}
-		kinds[e.Event]++
-	}
-	if kinds[obs.EventRunStart] != 1 || kinds[obs.EventRunStop] != 1 {
-		t.Fatalf("run_start/run_stop = %d/%d, want 1/1", kinds[obs.EventRunStart], kinds[obs.EventRunStop])
-	}
-	if kinds[obs.EventInterval] != len(intervals) {
-		t.Fatalf("interval events = %d, callbacks = %d", kinds[obs.EventInterval], len(intervals))
+	if got := reg.Snapshot().Histograms["sim.interval_throughput_hist"].Count; got != int64(len(intervals)) {
+		t.Fatalf("interval throughput samples = %d, callbacks = %d", got, len(intervals))
 	}
 }
 
@@ -158,7 +142,7 @@ func TestResultStringIncludesP99AndSaturated(t *testing.T) {
 // own quantiles.
 func TestRunLatencyPercentilesFromHistogram(t *testing.T) {
 	reg := obs.NewRegistry()
-	res := runInstrumented(t, reg, nil, nil)
+	res := runInstrumented(t, reg, nil)
 	if res.LatencyP50 <= 0 || res.LatencyP50 > res.LatencyP95 || res.LatencyP95 > res.LatencyP99 {
 		t.Fatalf("percentiles not ordered: p50=%v p95=%v p99=%v", res.LatencyP50, res.LatencyP95, res.LatencyP99)
 	}

@@ -179,14 +179,10 @@ type RunConfig struct {
 	// histogram (sim.latency_cycles), injected/ejected flit counters, and
 	// in-flight / buffer-occupancy / interval-throughput gauges.
 	Metrics *obs.Registry
-	// Events, when non-nil, receives structured run events: run_start and
-	// run_stop at info level, one interval event per probe sample at debug
-	// level.
-	Events *obs.Logger
 	// ProbeEvery is the cycle interval between telemetry samples in the
-	// measurement and drain phases. Zero picks MeasureCycles/20 when any
-	// of Metrics, Events, or OnInterval is set, and disables interval
-	// probes otherwise. The probe costs one branch per cycle when idle.
+	// measurement and drain phases. Zero picks MeasureCycles/20 when
+	// Metrics or OnInterval is set, and disables interval probes
+	// otherwise. The probe costs one branch per cycle when idle.
 	ProbeEvery int
 	// OnInterval, when set, observes every probe sample (e.g. to print
 	// progress lines to stderr).
@@ -373,7 +369,7 @@ type runProbe struct {
 }
 
 func newRunProbe(net Network, cfg RunConfig) *runProbe {
-	if cfg.Metrics == nil && cfg.Events == nil && cfg.OnInterval == nil {
+	if cfg.Metrics == nil && cfg.OnInterval == nil {
 		return nil
 	}
 	every := cfg.ProbeEvery
@@ -404,12 +400,6 @@ func newRunProbe(net Network, cfg RunConfig) *runProbe {
 	p.intervalThr = reg.Gauge("sim.interval_throughput")
 	p.intervalThrHist = reg.Histogram("sim.interval_throughput_hist")
 	p.latency = reg.Histogram("sim.latency_cycles")
-	cfg.Events.Info(obs.EventRunStart, map[string]any{
-		"nodes":   net.Nodes(),
-		"warmup":  cfg.WarmupCycles,
-		"measure": cfg.MeasureCycles,
-		"drain":   cfg.DrainCycles,
-	})
 	return p
 }
 
@@ -448,30 +438,12 @@ func (p *runProbe) tick(phase string) {
 	p.intervalThr.Set(s.Throughput)
 	p.intervalThrHist.Observe(s.Throughput)
 
-	if p.cfg.Events.Enabled(obs.LevelDebug) {
-		kv := map[string]any{
-			"cycle":      s.Cycle,
-			"phase":      s.Phase,
-			"injected":   s.InjectedFlits,
-			"ejected":    s.EjectedFlits,
-			"inflight":   s.InFlight,
-			"buffer_occ": s.BufferOccupancy,
-			"throughput": s.Throughput,
-		}
-		if s.ActiveLoops >= 0 {
-			kv["active_loops"] = s.ActiveLoops
-		}
-		if s.ActiveRouters >= 0 {
-			kv["active_routers"] = s.ActiveRouters
-		}
-		p.cfg.Events.Debug(obs.EventInterval, kv)
-	}
 	if p.cfg.OnInterval != nil {
 		p.cfg.OnInterval(s)
 	}
 }
 
-// finish records the end-of-run measurements and emits the run_stop event.
+// finish records the end-of-run measurements.
 // The run-local latency histogram is merged into the registry's in one
 // bucket-wise pass instead of re-observing every packet.
 func (p *runProbe) finish(res Result, latHist *obs.Histogram) {
@@ -483,19 +455,6 @@ func (p *runProbe) finish(res Result, latHist *obs.Histogram) {
 	reg.Counter("sim.packets_sent").Add(int64(res.PacketsSent))
 	reg.Counter("sim.packets_done").Add(int64(res.PacketsDone))
 	reg.Counter("sim.flits_done").Add(int64(res.FlitsDone))
-	p.cfg.Events.Info(obs.EventRunStop, map[string]any{
-		"cycles":      res.Cycles,
-		"sent":        res.PacketsSent,
-		"done":        res.PacketsDone,
-		"avg_latency": res.AvgLatency,
-		"p50_latency": res.LatencyP50,
-		"p95_latency": res.LatencyP95,
-		"p99_latency": res.LatencyP99,
-		"avg_hops":    res.AvgHops,
-		"throughput":  res.Throughput,
-		"link_util":   res.LinkUtilization,
-		"saturated":   res.Saturated,
-	})
 }
 
 // SweepPoint couples an injection rate with its Result.
