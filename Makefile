@@ -36,7 +36,7 @@ bench-selftest:
 	cd bench && $(GO) vet ./... && $(GO) test .
 
 race:
-	$(GO) test -race ./internal/drl/... ./internal/sim/... ./internal/obs/... ./internal/mcts/... ./internal/exp/... ./internal/rl/... ./internal/infer/... ./internal/search/...
+	$(GO) test -race ./internal/nn/... ./internal/drl/... ./internal/sim/... ./internal/obs/... ./internal/mcts/... ./internal/exp/... ./internal/rl/... ./internal/infer/... ./internal/search/...
 
 # Non-test Go lines per internal/ package and their total, the unit the
 # ROADMAP measures code size in (assembly and _test.go files excluded),
@@ -116,12 +116,15 @@ bench-infer:
 # Quick iteration loop for the batched trajectory trainer (rl.A2C tiles
 # driving training nn.Forward/Backward over the fused padded-plane conv
 # kernels): the test-only one-sample-per-step oracle vs the batched
-# A2CAccumulate at H ∈ {8,16,32} on the
-# 8×8 and 10×10 nets, plus the end-to-end episode benchmark. The regression
-# signals are allocs/op = 0 on the warmed trainer and the seq/batched
-# ns/step ratio. Before/after numbers for PR 9 live in BENCH_PR9.json.
+# A2CAccumulate at H ∈ {4,8,16,32} on the 8×8 and 10×10 nets the search
+# trains (drl.DefaultConfig's), each at -cpu 1 (every conv gradient in
+# line) and -cpu 2 (conv weight gradients on nn's lane, on the second
+# CPU), plus the end-to-end episode benchmark. The regression signals are
+# allocs/op = 0 on the warmed trainer, the seq/batched ns/step ratio and
+# the -cpu 1/-cpu 2 ratio. Numbers for the older two-channel net live in
+# BENCH_PR9.json.
 bench-train:
-	$(GO) test -bench 'BenchmarkA2CAccumulate' -benchmem -run '^$$' ./internal/rl/
+	$(GO) test -bench 'BenchmarkA2CAccumulate' -benchmem -cpu 1,2 -run '^$$' ./internal/rl/
 	$(GO) test -bench 'BenchmarkDRLEpisode$$' -benchmem -run '^$$' ./internal/drl/
 
 # Quick iteration loop for the multi-threaded search stack: the fused

@@ -3,6 +3,7 @@ package drl
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -232,6 +233,27 @@ func TestSearchMultiThreaded(t *testing.T) {
 		res.Best.Topo.Fingerprint() != want.Topo.Fingerprint() {
 		t.Fatalf("Best = episode %d (%.3f hops), want episode %d (%.3f hops)",
 			res.Best.Episode, res.Best.AvgHops, want.Episode, want.AvgHops)
+	}
+}
+
+// TestSearchLearnersShareLane runs four learners at GOMAXPROCS ≥ 2, so
+// every learner's conv weight gradients go through nn's one process-wide
+// lane at once with the others' (this file runs under -race in make ci),
+// and checks that the search still accounts for every episode and records
+// only valid designs.
+func TestSearchLearnersShareLane(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.NumCPU())))
+	const overlapCap, episodes = 6, 8
+	cfg := quickCfg(4, overlapCap, episodes)
+	cfg.Threads = 4
+	res := MustNew(cfg).Run()
+	if res.Episodes != episodes || len(res.ValueMSE) != episodes {
+		t.Fatalf("episodes = %d, value-MSE entries = %d, want %d each", res.Episodes, len(res.ValueMSE), episodes)
+	}
+	for i, d := range res.Valid {
+		if !d.Topo.FullyConnected() || d.Topo.MaxOverlap() > overlapCap {
+			t.Fatalf("valid design %d (episode %d) is disconnected or over the cap", i, d.Episode)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"routerless/internal/tensor"
 )
@@ -9,21 +10,39 @@ import (
 // Arena owns a network's scratch memory: padded conv planes, layer
 // outputs, and gradient tensors. Buffers are handed out through layer-held
 // handles and reused across steps, so a warmed-up Forward/Backward cycle
-// performs no heap allocation. An arena (and therefore a network and its
-// layers) is NOT safe for concurrent use: the ownership rule throughout
-// the framework is one arena per learner goroutine — each drl worker
-// builds its own network, which builds its own arena, so race-detected
-// multi-threaded searches never share scratch.
+// performs no heap allocation. A network, its layers and its arena belong
+// to the goroutine that calls Forward and Backward: the ownership rule
+// throughout the framework is one network per learner goroutine — each
+// drl worker builds its own network, which builds its own arena, so
+// race-detected multi-threaded searches never share scratch.
+//
+// The one exception is the weight-gradient lane (lane.go). During a
+// PolicyValueNet.Backward a helper goroutine may run a conv layer's
+// weight-gradient job: it reads that layer's training input planes
+// (pad[1]) and input shape and the gradient tensor handed to its
+// Backward, writes that layer's Weight.G and Bias.G, and uses the conv
+// scratch of its own Arena, never this one's. The caller may touch none
+// of these until Backward has joined, which it does before it returns;
+// the gradient tensor and pad[1] stay untouched because nothing rewrites
+// them before the next training Forward. A caller that joins runs its
+// own untaken jobs on this arena's conv scratch.
 type Arena struct {
 	floats int // total float64 capacity handed out (high-water bookkeeping)
 	// The conv kernels' scratch, shared by every Conv2D on the arena: the
 	// contents of convWork and convOffs never outlive one kernel call, and
-	// those of convGrad (the padded gradient planes) one Conv2D.Backward.
+	// those of convGrad (the padded gradient planes) one Conv2D.Backward
+	// or one weight-gradient job.
 	convWork []float64
 	convOffs []int
 	convGrad []float64
 	// The plane sums of one Conv2D bias gradient.
 	convSums []float64
+
+	// deferDW is set for the length of one PolicyValueNet.Backward when
+	// its conv layers hand their weight gradients to the lane.
+	deferDW bool
+	// pending counts this arena's lane jobs that have not finished.
+	pending atomic.Int32
 }
 
 // NewArena returns an empty arena.

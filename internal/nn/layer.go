@@ -44,6 +44,11 @@
 // so warmed-up Forward/Backward cycles allocate nothing; a returned
 // tensor is owned by the layer and valid until its next call in the same
 // mode.
+//
+// With a second CPU, PolicyValueNet.Backward hands each conv layer's
+// weight and bias gradients to a helper goroutine and goes on down the
+// net, joining before it returns (lane.go); the split is by layer only,
+// so the gradients keep the bits of the in-line path.
 package nn
 
 import (
@@ -99,6 +104,7 @@ type Conv2D struct {
 	pad   [2][]float64   // zero-padded input planes; pad[1] is kept for Backward
 	x     *tensor.Tensor // input of the last training Forward
 	dx    *tensor.Tensor
+	grad  *tensor.Tensor // output gradient of a deferred Backward, for its lane job
 }
 
 // NewConv2D builds a conv layer with He-initialized weights.
@@ -160,24 +166,35 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // tensor.ConvDXPad produces dX bit-identical to GemmTN + Col2im, with
 // neither column matrix materialized. Bias gradients accumulate per
 // (channel, sample) plane in ascending plane order.
+//
+// Inside a PolicyValueNet.Backward that defers weight gradients (see
+// lane.go), the bias and weight gradients are handed to the lane as one
+// job, weightGrads, and Backward pads the planes and runs ConvDXPad only.
 func (c *Conv2D) Backward(grad *tensor.Tensor, needDX bool) *tensor.Tensor {
 	x := c.x
 	nb, h, w := x.Shape[1], x.Shape[2], x.Shape[3]
 	hw := h * w
 	hpwp := (h + c.K - 1) * (w + c.K - 1)
 	a := ensureArena(&c.arena)
-	sums := a.slice(&a.convSums, c.OutC*nb)
-	tensor.PlaneSums(grad.Data, hw, sums)
-	for p, s := range sums {
-		c.Bias.G.Data[p/nb] += s
+	deferred := a.deferDW
+	if deferred {
+		c.grad = grad
+		dwLane.submit(c)
+		if !needDX {
+			return nil
+		}
+	} else {
+		c.biasGrads(a, grad)
 	}
 	gpad := a.slice(&a.convGrad, c.OutC*nb*hpwp)
 	for p := 0; p < c.OutC*nb; p++ {
 		tensor.PadGradPlane(grad.Data[p*hw:], h, w, c.K, gpad[p*hpwp:])
 	}
 	work, offs := a.convScratch(c.OutC, c.InC, h, w, c.K)
-	tensor.ConvDWPad(gpad, hpwp, c.pad[1], hpwp, c.OutC, c.InC, nb, h, w, c.K,
-		c.Weight.G.Data, work, offs)
+	if !deferred {
+		tensor.ConvDWPad(gpad, hpwp, c.pad[1], hpwp, c.OutC, c.InC, nb, h, w, c.K,
+			c.Weight.G.Data, work, offs)
+	}
 	if !needDX {
 		return nil
 	}
@@ -185,6 +202,40 @@ func (c *Conv2D) Backward(grad *tensor.Tensor, needDX bool) *tensor.Tensor {
 	tensor.ConvDXPad(c.Weight.W.Data, c.OutC, c.InC, nb, gpad, hpwp, h, w, c.K,
 		dx.Data, hw, work, offs)
 	return dx
+}
+
+// biasGrads adds each (channel, sample) plane sum of grad to the bias
+// gradient in ascending plane order, on s's scratch.
+func (c *Conv2D) biasGrads(s *Arena, grad *tensor.Tensor) {
+	nb := grad.Shape[1]
+	sums := s.slice(&s.convSums, c.OutC*nb)
+	tensor.PlaneSums(grad.Data, grad.Shape[2]*grad.Shape[3], sums)
+	for p, v := range sums {
+		c.Bias.G.Data[p/nb] += v
+	}
+}
+
+// weightGrads is the lane job of a deferred Backward: the bias and weight
+// gradients of c.grad, on the scratch of s, the executor's own arena.
+// It pads one sample's gradient planes at a time and runs ConvDWPad on
+// that sample, so its scratch holds OutC planes instead of OutC·B; the
+// kernel already accumulates one sample at a time in ascending order, so
+// dW gets the bits of the one call over the batch.
+func (c *Conv2D) weightGrads(s *Arena) {
+	grad := c.grad
+	nb, h, w := c.x.Shape[1], c.x.Shape[2], c.x.Shape[3]
+	hw := h * w
+	hpwp := (h + c.K - 1) * (w + c.K - 1)
+	c.biasGrads(s, grad)
+	gpad := s.slice(&s.convGrad, c.OutC*hpwp)
+	work, offs := s.convScratch(c.OutC, c.InC, h, w, c.K)
+	for bi := 0; bi < nb; bi++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			tensor.PadGradPlane(grad.Data[(oc*nb+bi)*hw:], h, w, c.K, gpad[oc*hpwp:])
+		}
+		tensor.ConvDWPad(gpad, hpwp, c.pad[1][bi*hpwp:], nb*hpwp, c.OutC, c.InC, 1, h, w, c.K,
+			c.Weight.G.Data, work, offs)
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ type PolicyValueNet struct {
 	bns []*BatchNorm
 
 	// Scratch owned by this network instance (one arena per network; one
-	// network per learner goroutine — see Arena). in and the head-input rows
+	// network per learner goroutine, whose Backward may lend conv layers to
+	// the lane's helpers until it returns — see Arena). in and the head-input rows
 	// are per mode, like the layers' own buffers.
 	arena      *Arena
 	in         [2]*tensor.Tensor // (1, B, N², N²)
@@ -262,12 +263,18 @@ func (n *PolicyValueNet) WarmBatch(b int) {
 // direction)) and dValue one scalar per sample. Parameter gradients
 // accumulate one sample at a time in ascending order, so a batch of B
 // accumulates the same bits as B in-order one-sample calls.
+//
+// At GOMAXPROCS > 1 each conv layer's weight and bias gradients run as a
+// job on the process-wide lane (lane.go) while the pass goes on down the
+// net; Backward joins its jobs before it returns, so every gradient is in
+// place, with the bits of the in-line path, when it does.
 func (n *PolicyValueNet) Backward(dLogits, dDirPre, dValue []float64) {
 	nb := len(dDirPre)
 	if len(dValue) != nb || len(dLogits) != nb*4*n.Cfg.N {
 		panic(fmt.Sprintf("nn: Backward got %d logit rows, %d dirs, %d values",
 			len(dLogits)/(4*n.Cfg.N), nb, len(dValue)))
 	}
+	n.arena.deferDW = dwLane.open()
 	flat := n.arena.tensorFor(&n.flat, nb, 4*n.Cfg.N)
 	copy(flat.Data, dLogits)
 
@@ -293,6 +300,10 @@ func (n *PolicyValueNet) Backward(dLogits, dDirPre, dValue []float64) {
 
 	// The stem conv's input gradient has no consumer.
 	n.trunk.Backward(gTrunk, false)
+	if n.arena.deferDW {
+		dwLane.join(n.arena)
+		n.arena.deferDW = false
+	}
 }
 
 // packSamples transposes a channel-major (C, B, H, W) activation into

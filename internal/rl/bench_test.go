@@ -32,12 +32,16 @@ func benchTraj(nc, h int, rng *rand.Rand) episode {
 }
 
 // BenchmarkA2CAccumulate is the trainer benchmark: the full trajectory
-// update (forward + head gradients + backward for every step) on the
-// paper-scale nets, the sequential per-step oracle versus the batched
-// Accumulate at its default tile, over trajectory lengths H ∈ {8, 16, 32}.
-// Report ns/step to compare across H. The oracle allocates four small
-// logit rows per step, so only the batched row pins allocs/op. Before/after
-// numbers live in BENCH_PR9.json.
+// update (forward + head gradients + backward for every step) on the net
+// the search trains (drl.DefaultConfig's: four base channels, three
+// pools), the sequential per-step oracle versus the batched Accumulate at
+// its default tile, over trajectory lengths H ∈ {4, 8, 16, 32}; a
+// 30-episode search trains on 2–4 steps an episode. Report ns/step to
+// compare across H. The oracle allocates four small logit rows per step,
+// so only the batched row pins allocs/op. Run with -cpu 1,2 to set the
+// in-line backward beside the one whose conv weight gradients run on the
+// second CPU. Numbers for the older two-channel net live in
+// BENCH_PR9.json.
 func BenchmarkA2CAccumulate(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -46,9 +50,9 @@ func BenchmarkA2CAccumulate(b *testing.B) {
 		return a.Accumulate(net, ep.Trajectory, returns)
 	}}} {
 		for _, nc := range []int{8, 10} {
-			for _, h := range []int{8, 16, 32} {
+			for _, h := range []int{4, 8, 16, 32} {
 				b.Run(mode.name+"/"+strconv.Itoa(nc)+"x"+strconv.Itoa(nc)+"/H"+strconv.Itoa(h), func(b *testing.B) {
-					net := nn.NewPolicyValueNet(nn.Config{N: nc, BaseChannels: 2, Pools: 2}, 1)
+					net := nn.NewPolicyValueNet(nn.Config{N: nc, BaseChannels: 4, Pools: 3}, 1)
 					rng := rand.New(rand.NewSource(7))
 					traj := benchTraj(nc, h, rng)
 					returns := returnsToGo(traj, testGamma)
